@@ -1,32 +1,8 @@
-"""Small shared helpers: bounded parallel maps, report float formatting."""
+"""Small shared helpers: report float formatting."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "FREDHOLMKIT_THREADS"
-
-
-def thread_cap() -> int:
-    """Parallelism cap from the FREDHOLMKIT_THREADS environment variable."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map fn over items, using at most thread_cap() worker threads."""
-    items = list(items)
-    workers = min(thread_cap(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def round12(x: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import parallel_map, round12
+from ._util import round12
 from .crosssec import spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
@@ -92,18 +92,19 @@ def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     """All tau roots of the per-mode determinant polynomials, with
-    multiplicities from clustering companion-matrix eigenvalues."""
+    multiplicities from clustering companion-matrix eigenvalues; each
+    distinct mode polynomial is solved once, for its first label."""
 
-    def mode_roots(ch):
-        det = _trim_poly(f.det_poly(ch.label))
+    def class_roots(label):
+        det = _trim_poly(f.det_poly(label))
         if det.shape[0] == 1:
             if det[0] == 0:
                 raise FredholmKitError(
-                    f"indicial polynomial of mode {ch.label} is identically zero")
+                    f"indicial polynomial of mode {label} is identically zero")
             return []
         if not np.any(det):
             raise FredholmKitError(
-                f"indicial polynomial of mode {ch.label} is identically zero")
+                f"indicial polynomial of mode {label} is identically zero")
         raw = np.polynomial.polynomial.polyroots(det)
         scale = float(np.max(np.abs(det)))
         deg = det.shape[0] - 1
@@ -113,14 +114,16 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
             bound = _ROOT_RESIDUAL_TOL * scale * max(1.0, abs(tau)) ** deg
             if mult == 1 and residual > bound:
                 raise FredholmKitError(
-                    f"root refinement failed on mode {ch.label}: residual "
+                    f"root refinement failed on mode {label}: residual "
                     f"{residual:.2e} exceeds {bound:.2e}")
-            out.append(IndicialRoot(ch.label, complex(tau), 1j * complex(tau), mult))
+            out.append((complex(tau), mult))
         return out
 
-    roots: list[IndicialRoot] = []
-    for chunk in parallel_map(mode_roots, f.channels):
-        roots.extend(chunk)
+    by_label = {}
+    for labels in f.classes():
+        by_label.update(dict.fromkeys(labels, class_roots(labels[0])))
+    roots = [IndicialRoot(ch.label, tau, 1j * tau, mult)
+             for ch in f.channels for tau, mult in by_label[ch.label]]
     roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
     return roots
 

@@ -105,6 +105,14 @@ class IndicialFamily:
     def poly(self, label: str) -> np.ndarray:
         return self.polys[label]
 
+    def classes(self) -> list[tuple[str, ...]]:
+        """Channel labels grouped by identical coefficient arrays, in order
+        of first appearance; every label of a class has the same roots."""
+        groups: dict[bytes, list[str]] = {}
+        for ch in self.channels:
+            groups.setdefault(self.polys[ch.label].tobytes(), []).append(ch.label)
+        return [tuple(g) for g in groups.values()]
+
     def degree(self, label: str) -> int:
         return self.polys[label].shape[0] - 1
 

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._util import parallel_map, round12
+from ._util import round12
 from .crosssec import spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import IndicialFamily, LimitOperator, indicial_family, normal_operator
@@ -23,6 +22,7 @@ from .opalg import BoundaryOperator, _is_matrix
 
 _YES_FLOOR = 1e-4   # scan minima above this confirm "yes"
 _NO_CEILING = 1e-6  # scan minima below this confirm "no"
+_SCAN_CHUNK = 1024  # scan points per stacked SVD for systems
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +90,23 @@ class ScanResult:
 
 
 def _family_min_singular(f: IndicialFamily, taus: np.ndarray) -> np.ndarray:
-    """min over modes of the smallest singular value at each complex tau."""
+    """min over distinct mode polynomials of the smallest singular value
+    at each complex tau; systems are evaluated a chunk of points at a time
+    by a batched Horner step and one stacked SVD."""
     out = np.full(taus.shape, np.inf)
-    for ch in f.channels:
-        coeffs = f.polys[ch.label]
+    for labels in f.classes():
+        coeffs = f.polys[labels[0]]
         if f.system_size == 1:
             vals = np.polynomial.polynomial.polyval(taus, coeffs[:, 0, 0])
             out = np.minimum(out, np.abs(vals))
-        else:
-            for i, tau in enumerate(taus):
-                m = IndicialFamily._eval_matrix(coeffs, complex(tau))
-                out[i] = min(out[i], float(np.linalg.svd(m, compute_uv=False)[-1]))
+            continue
+        for lo in range(0, taus.shape[0], _SCAN_CHUNK):
+            t = taus[lo:lo + _SCAN_CHUNK, None, None]
+            mats = np.zeros((t.shape[0],) + coeffs.shape[1:], dtype=coeffs.dtype)
+            for c in coeffs[::-1]:
+                mats = mats * t + c
+            smin = np.linalg.svd(mats, compute_uv=False)[:, -1]
+            out[lo:lo + _SCAN_CHUNK] = np.minimum(out[lo:lo + _SCAN_CHUNK], smin)
     return out
 
 
@@ -333,7 +339,7 @@ def _halfspace_matrix(frozen: BoundaryOperator, eta: np.ndarray,
                 diag = diag * (1j * es * eta[j]) ** p
         if mi.laplacian:
             diag = diag * (-(es ** 2) * eta2) ** mi.laplacian
-        mat = mat @ np.diag(diag)
+        mat = mat * diag  # scales column j by diag[j]
         for ct in co.terms:
             if ct.lam_degree:
                 raise FredholmKitError(
@@ -379,7 +385,7 @@ def half_space_sample(lim: LimitOperator, truncations=((4.0, 48), (6.0, 72), (8.
         local = []
         for eta in vectors:
             a = _halfspace_matrix(frozen, eta, float(T), int(n))
-            smin = float(scipy.linalg.svdvals(a)[-1])
+            smin = float(np.linalg.svd(a, compute_uv=False)[-1])
             points.append((float(T), int(n), tuple(round12(float(x)) for x in eta)))
             mins.append(smin)
             local.append(smin)
@@ -432,11 +438,9 @@ class CheckLedger:
         return "\n".join(lines)
 
 
-def _match_roots(mode: str, brute, reported, tol=1e-7):
-    """Match brute-force roots against reported roots for one mode, both
-    directions, with multiplicities."""
-    brute = list(brute)
-    reported = [r for r in reported if r.mode == mode]
+def _match_roots(brute, reported, tol=1e-7):
+    """Match brute-force roots against the reported roots of one mode,
+    both directions, with multiplicities."""
     problems = []
     used = [False] * len(reported)
     for z, mult, residual in brute:
@@ -483,23 +487,33 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         table = spectrum(p.cross_section, cutoff)
         fam = indicial_family(normal_operator(p), table)
 
-        def check_mode(ch):
-            det = fam.det_poly(ch.label)
+        # contour roots once per distinct polynomial, as (roots, None) or
+        # (None, failure detail), shared by every label of the class
+        found_by_label = {}
+        for labels in fam.classes():
+            det = fam.det_poly(labels[0])
             scale = float(np.max(np.abs(det)))
-            if scale == 0:
-                return LedgerEntry(f"roots[{ch.label}]", "fail",
-                                   "identically zero mode polynomial")
-            try:
-                found = brute_roots(det / scale)
-            except FredholmKitError as e:
-                return LedgerEntry(f"roots[{ch.label}]", "fail", str(e))
-            problems = _match_roots(ch.label, found, report.roots)
-            if problems:
-                return LedgerEntry(f"roots[{ch.label}]", "fail", problems[0])
-            return LedgerEntry(f"roots[{ch.label}]", "pass",
-                               f"{sum(m for _, m, _ in found)} roots re-found by contours")
-
-        entries.extend(parallel_map(check_mode, fam.channels))
+            found = (None, "identically zero mode polynomial")
+            if scale != 0:
+                try:
+                    found = (brute_roots(det / scale), None)
+                except FredholmKitError as e:
+                    found = (None, str(e))
+            found_by_label.update(dict.fromkeys(labels, found))
+        reported_by_mode: dict[str, list] = {}
+        for r in report.roots:
+            reported_by_mode.setdefault(r.mode, []).append(r)
+        for ch in fam.channels:
+            found, failure = found_by_label[ch.label]
+            if failure is None:
+                problems = _match_roots(found, reported_by_mode.get(ch.label, []))
+                failure = problems[0] if problems else None
+            if failure is None:
+                entries.append(LedgerEntry(
+                    f"roots[{ch.label}]", "pass",
+                    f"{sum(m for _, m, _ in found)} roots re-found by contours"))
+            else:
+                entries.append(LedgerEntry(f"roots[{ch.label}]", "fail", failure))
 
         line = next((lv for lv in report.limit_verdicts
                      if lv.mechanism.startswith("b normal")), None)

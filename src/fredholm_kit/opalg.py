@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import parallel_map
 from .crosssec import Channel, CrossKind, CrossSection, ModeTable, channels
 from .liestruct import (
     FredholmKitError,
@@ -876,18 +875,11 @@ def is_elliptic(p: BoundaryOperator, r_max: float = 1.0, n_r: int = 9,
     dirs = unit_covectors(dim_total, n_dir, mag)
     rs = np.linspace(0.0, r_max, n_r)
     best = (math.inf, 0.0, (1.0,))
-
-    def scan_r(r):
-        local = (math.inf, 0.0, (1.0,))
+    for r in rs:
         for xi, eta in dirs:
             v = abs(_symbol_det(p, r, xi, eta))
-            if v < local[0]:
-                local = (v, float(r), (xi, *eta))
-        return local
-
-    for res in parallel_map(scan_r, rs):
-        if res[0] < best[0]:
-            best = res
+            if v < best[0]:
+                best = (v, float(r), (xi, *eta))
     return EllipticityResult(best[0] >= threshold, best[0], best[1], best[2],
                              threshold, (n_r, len(dirs)))
 

@@ -130,14 +130,6 @@ def test_matrix_valued_system_spec_round_trip():
     assert again == op
 
 
-def test_parallelism_cap_does_not_change_results(tmp_path, runner, monkeypatch):
-    shifted = write(tmp_path, "shifted.json", SHIFTED_CYLINDER)
-    base = runner.invoke(main, ["check", shifted, "--format", "json"]).output
-    monkeypatch.setenv("FREDHOLMKIT_THREADS", "4")
-    threaded = runner.invoke(main, ["check", shifted, "--format", "json"]).output
-    assert base == threaded
-
-
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": "fredholm-kit/1",\n  "model": }')

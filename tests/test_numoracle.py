@@ -8,8 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
+    Coefficient,
     CrossSection,
     FredholmKitError,
+    FredholmOptions,
+    IndicialFamily,
     LieStructure,
     MultiIndex,
     brute_roots,
@@ -19,6 +22,7 @@ from fredholm_kit import (
     half_space_sample,
     identity_operator,
     indicial_family,
+    indicial_roots,
     limit_operator,
     make_model,
     make_operator,
@@ -26,6 +30,7 @@ from fredholm_kit import (
     scan_line,
     spectrum,
 )
+from fredholm_kit import numoracle
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -209,3 +214,63 @@ def test_cross_check_passes_on_every_builtin(delta):
         report = fredholm_check(op, delta)
         ledger = cross_check(op, report)
         assert ledger.passed, f"{name} at delta={delta}: {ledger.first_failure()}"
+
+
+# ---------------------------------------------------------------------------
+# channels sharing a mode polynomial
+# ---------------------------------------------------------------------------
+
+
+def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
+    # on T^2 the frozen polynomial depends on |k1| only, so classes collapse
+    p = make_model("cyl_coord_laplacian")
+    fam = family_of(p, 10.0)
+    classes = fam.classes()
+    assert len(classes) < len(fam.channels)
+    assert sorted(label for c in classes for label in c) == sorted(fam.labels())
+    roots = indicial_roots(fam)
+    for ch in fam.channels:
+        alone = IndicialFamily((ch,), {ch.label: fam.poly(ch.label)},
+                               fam.source_cutoff, 1, fam.structure_kind)
+        mine = [(r.tau, r.multiplicity) for r in roots if r.mode == ch.label]
+        assert mine == [(r.tau, r.multiplicity) for r in indicial_roots(alone)]
+
+    calls = []
+
+    def counting(coeffs, *args, **kwargs):
+        calls.append(1)
+        return brute_roots(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(numoracle, "brute_roots", counting)
+    report = fredholm_check(p, 0.5, FredholmOptions(mode_cutoff=10.0))
+    ledger = cross_check(p, report)
+    assert ledger.passed
+    checked = family_of(p, report.cutoffs["mode_cutoff"])
+    assert [e.name for e in ledger.entries if e.name.startswith("roots[")] == \
+        [f"roots[{label}]" for label in checked.labels()]
+    assert len(calls) == len(checked.classes()) < len(checked.channels)
+
+
+def test_batched_system_scan_matches_per_point_svd():
+    s = np.array([[1.0, 0.4], [-0.3, 1.2]])
+
+    def conj(d):
+        return s @ np.diag(d) @ np.linalg.inv(s)
+
+    p = make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.eye(2)),
+        MultiIndex(1): Coefficient.constant(conj([0.5, -0.25])),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(conj([-1.0, -2.0])),
+    })
+    fam = family_of(p, 20.0)
+    assert fam.system_size == 2
+    taus = np.linspace(-10.0, 10.0, 2501) - 0.3j  # spans several chunks
+    reference = np.full(taus.shape, np.inf)
+    for ch in fam.channels:
+        for i, tau in enumerate(taus):
+            m = IndicialFamily._eval_matrix(fam.poly(ch.label), complex(tau))
+            reference[i] = min(reference[i],
+                               float(np.linalg.svd(m, compute_uv=False)[-1]))
+    batched = numoracle._family_min_singular(fam, taus)
+    assert np.array_equal(batched, reference)
