@@ -1,10 +1,18 @@
-"""Independent numerical verification of the symbolic verdicts.
+"""Numerical cross-checks of the symbolic verdicts.
 
-Nothing here shares machinery with the decision engine: roots are
-re-found by argument-principle contour counting instead of companion
-matrices, line verdicts are confirmed by scanning smallest singular
-values of the indicial family on the tested line, and zero-structure
-limit operators are sampled on a truncated half-space in log coordinates.
+The machinery differs from the decision engine's: roots are re-found by
+argument-principle contour counting instead of companion matrices, line
+verdicts are confirmed by scanning smallest singular values of the
+indicial family on the tested line, and zero-structure limit operators
+are sampled on a truncated half-space in log coordinates.  The inputs are
+not all independent: `cross_check` feeds `brute_roots` the engine's own
+interpolated determinant `IndicialFamily.det_poly`, so a fault in that
+polynomial is invisible to the root check.
+
+A line scan evaluates its finest grid once and reads the coarser levels
+of its resolution ladder off it as strided subsets.  Contour counting
+evaluates the boundaries of all boxes of one quadtree split in a single
+polyval and escalates to finer resolutions box by box.
 """
 
 from __future__ import annotations
@@ -33,8 +41,10 @@ _SCAN_CHUNK = 1024  # scan points per stacked SVD for systems
 @dataclass(frozen=True)
 class ScanResult:
     """Sampled smallest singular values over a parameter grid, with a
-    resolution ladder; the global minimum is monotone under refinement
-    because refined grids contain the coarse samples."""
+    resolution ladder.  For a line scan, points and min_singular hold the
+    finest grid and each ladder level is a strided subset of it, so the
+    global minimum is monotone under refinement; for a half-space sample
+    the levels are separate truncations."""
 
     points: tuple
     min_singular: tuple[float, ...]
@@ -112,22 +122,27 @@ def _family_min_singular(f: IndicialFamily, taus: np.ndarray) -> np.ndarray:
 
 def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
               pts: int = 2001, refinements: int = 2) -> ScanResult:
-    """Evaluate the family along tau - i delta on nested grids over trange."""
+    """Evaluate the family along tau - i delta on nested grids over trange.
+
+    Only the finest grid is evaluated; ladder level j keeps every
+    2**(refinements - j)-th sample of it, which is bit for bit the
+    linspace grid of that level because halving a linspace step is exact.
+    """
     if pts < 2:
         raise ValueError("need at least two scan points")
+    if refinements < 0:
+        raise ValueError("refinements must be nonnegative")
     a, b = float(trange[0]), float(trange[1])
     if not b > a:
         raise ValueError("scan range must be nondegenerate")
+    grid = np.linspace(a, b, (pts - 1) * 2 ** refinements + 1)
+    vals = _family_min_singular(f, grid - 1j * delta)
     ladder = []
-    npts = pts
-    grid = vals = None
-    for _ in range(refinements + 1):
-        grid = np.linspace(a, b, npts)
-        vals = _family_min_singular(f, grid - 1j * delta)
-        i = int(np.argmin(vals))
-        ladder.append({"points": npts, "global_min": round12(float(vals[i])),
-                       "argmin_tau": round12(float(grid[i]))})
-        npts = 2 * npts - 1  # nested refinement keeps previous samples
+    for level in range(refinements, -1, -1):
+        g, v = grid[::2 ** level], vals[::2 ** level]
+        i = int(np.argmin(v))
+        ladder.append({"points": g.shape[0], "global_min": round12(float(v[i])),
+                       "argmin_tau": round12(float(g[i]))})
     i = int(np.argmin(vals))
     return ScanResult(tuple(float(t) for t in grid),
                       tuple(float(v) for v in vals),
@@ -143,36 +158,60 @@ class _ContourError(Exception):
     pass
 
 
+_RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
 _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
-                  for n in (64, 256, 1024, 4096)}
+                  for n in _RESOLUTIONS}
 
 
-def _winding_count(coeffs: np.ndarray, x0, x1, y0, y1) -> int:
-    """Zeros of the polynomial inside the rectangle, counted with
-    multiplicity via the boundary winding number."""
-    for n_side in (64, 256, 1024, 4096):
-        corners = [x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
-        unit = _UNIT_SEGMENTS[n_side]
-        pts = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            pts.append(a + (b - a) * unit)
-        path = np.concatenate(pts + [pts[0][:1]])
-        vals = np.polynomial.polynomial.polyval(path, coeffs)
-        absvals = np.abs(vals)
-        scale = float(np.max(absvals))
-        if scale == 0 or float(np.min(absvals)) < 1e-12 * scale:
-            continue  # a zero sits on (or hugs) the contour
-        if n_side < 4096 and float(np.min(absvals)) < 1e-6 * float(np.median(absvals)):
-            continue  # a zero hugs the contour; coarse steps can hop over it
-        dargs = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(dargs)) > 1.8:
-            continue  # phase steps too coarse to trust
-        total = float(np.sum(dargs)) / (2 * np.pi)
-        k = round(total)
-        if abs(total - k) > 0.25:
-            continue
-        return int(k)
-    raise _ContourError
+def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
+    """Boundary winding numbers of the rectangles (x0, x1, y0, y1) at
+    n_side points per side, or None for a box this resolution cannot
+    settle; all boxes go through one polyval."""
+    corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
+                        for x0, x1, y0, y1 in boxes])
+    steps = np.roll(corners, -1, axis=1) - corners
+    sides = corners[:, :, None] + steps[:, :, None] * _UNIT_SEGMENTS[n_side]
+    path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
+    vals = np.polynomial.polynomial.polyval(path, coeffs)
+    absvals = np.abs(vals)
+    scale = absvals.max(axis=1)
+    low = absvals.min(axis=1)
+    # a zero sits on (or hugs) the contour
+    unsettled = (scale == 0) | (low < 1e-12 * scale)
+    if n_side < _RESOLUTIONS[-1]:
+        # a zero hugs the contour; coarse steps can hop over it.  The
+        # median is at most the max, so only these rows can qualify
+        near = ~unsettled & (low < 1e-6 * scale)
+        if near.any():
+            unsettled[near] = low[near] < 1e-6 * np.median(absvals[near], axis=1)
+    # rows with a zero on the contour are already unsettled; their
+    # divisions by zero must not warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dargs = np.angle(vals[:, 1:] / vals[:, :-1])
+    total = dargs.sum(axis=1) / (2 * np.pi)
+    k = np.round(total)
+    # phase steps too coarse to trust, or a count far from an integer
+    unsettled |= (np.abs(dargs).max(axis=1) > 1.8) | (np.abs(total - k) > 0.25)
+    return [None if u else int(c) for u, c in zip(unsettled, k)]
+
+
+def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
+    """Zeros of the polynomial inside each rectangle (x0, x1, y0, y1),
+    counted with multiplicity via the boundary winding number.
+
+    All boxes share the coarsest pass.  A box it cannot settle climbs the
+    finer resolutions on its own, in box order, and the first box that
+    never settles raises _ContourError before later boxes pay for theirs.
+    """
+    counts = _contour_counts(coeffs, boxes, _RESOLUTIONS[0])
+    for i, box in enumerate(boxes):
+        for n_side in _RESOLUTIONS[1:]:
+            if counts[i] is not None:
+                break
+            counts[i] = _contour_counts(coeffs, [box], n_side)[0]
+        if counts[i] is None:
+            raise _ContourError
+    return counts
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.461, 0.55, 0.437, 0.519)
@@ -194,7 +233,7 @@ def _subdivide(coeffs, x0, x1, y0, y1, count, coarse_tol, fine_tol, out, depth=0
         boxes = [(x0, xm, y0, ym), (xm, x1, y0, ym),
                  (x0, xm, ym, y1), (xm, x1, ym, y1)]
         try:
-            counts = [_winding_count(coeffs, *b) for b in boxes]
+            counts = _winding_counts(coeffs, boxes)
         except _ContourError:
             continue
         if sum(counts) != count:
@@ -251,7 +290,7 @@ def brute_roots(coeffs, tol: float = 1e-9) -> list[tuple[complex, int, float]]:
         sy = 0.0101 * radius * (attempt + 1)
         box = (-r + sx, r + sx, -r + sy, r + sy)
         try:
-            total = _winding_count(coeffs, *box)
+            total, = _winding_counts(coeffs, [box])
         except _ContourError:
             continue
         if total != degree:
@@ -269,10 +308,10 @@ def brute_roots(coeffs, tol: float = 1e-9) -> list[tuple[complex, int, float]]:
                     half = 2 * size
                     deep: list[tuple[complex, int, float]] = []
                     try:
-                        sub = _winding_count(coeffs, z.real - half, z.real + half,
-                                             z.imag - half, z.imag + half)
-                        _subdivide(coeffs, z.real - half, z.real + half,
-                                   z.imag - half, z.imag + half, sub, tol, tol, deep)
+                        near = (z.real - half, z.real + half,
+                                z.imag - half, z.imag + half)
+                        sub, = _winding_counts(coeffs, [near])
+                        _subdivide(coeffs, *near, sub, tol, tol, deep)
                     except _ContourError:
                         ok = False
                         break

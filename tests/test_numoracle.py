@@ -2,6 +2,7 @@
 and the cross-check ledger (including a tampered-report negative control)."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fredholm_kit import (
     spectrum,
 )
 from fredholm_kit import numoracle
+from fredholm_kit._util import round12
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -38,6 +40,21 @@ CIRCLE = CrossSection.circle()
 
 def family_of(p, cutoff):
     return indicial_family(normal_operator(p), spectrum(p.cross_section, cutoff))
+
+
+def conjugated_system():
+    """A 2x2 b system over the circle whose coefficients are not diagonal."""
+    s = np.array([[1.0, 0.4], [-0.3, 1.2]])
+
+    def conj(d):
+        return s @ np.diag(d) @ np.linalg.inv(s)
+
+    return make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.eye(2)),
+        MultiIndex(1): Coefficient.constant(conj([0.5, -0.25])),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(conj([-1.0, -2.0])),
+    })
 
 
 def cylinder_shifted(lam):
@@ -77,6 +94,48 @@ def test_scan_refinement_monotone():
     scan = scan_line(fam, 0.3, (-7.0, 7.0), 501)
     mins = [step["global_min"] for step in scan.ladder]
     assert all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))
+
+
+def test_scan_rejects_negative_refinements():
+    fam = family_of(make_model("polar_laplacian"), 4.5)
+    with pytest.raises(ValueError, match="refinements"):
+        scan_line(fam, 0.0, (-1.0, 1.0), 11, refinements=-1)
+
+
+W = 3.0 ** 0.5  # a witness-like window center off every dyadic grid
+
+
+@pytest.mark.parametrize("which", ["scalar", "system"])
+@pytest.mark.parametrize("trange,pts,refinements", [
+    ((-10.0, 10.0), 2001, 0),
+    ((-10.0, 10.0), 2001, 1),
+    ((-10.0, 10.0), 2001, 2),
+    ((W - 0.02, W + 0.02), 801, 1),
+])
+def test_nested_scan_matches_per_level_grids(which, trange, pts, refinements):
+    if which == "scalar":
+        fam, delta = family_of(make_model("spherical_schrodinger", n=3, Z=1.0), 40.0), 0.3
+    else:
+        fam, delta = family_of(conjugated_system(), 20.0), -0.3
+    scan = scan_line(fam, delta, trange, pts, refinements)
+    finest = np.array(scan.points)
+    fine_vals = np.array(scan.min_singular)
+    # reference: every level evaluated on its own linspace grid
+    ladder = []
+    npts = pts
+    for level in range(refinements, -1, -1):
+        grid = np.linspace(trange[0], trange[1], npts)
+        vals = numoracle._family_min_singular(fam, grid - 1j * delta)
+        assert np.array_equal(finest[::2 ** level], grid)
+        assert np.array_equal(fine_vals[::2 ** level], vals)
+        i = int(np.argmin(vals))
+        ladder.append({"points": npts, "global_min": round12(float(vals[i])),
+                       "argmin_tau": round12(float(grid[i]))})
+        npts = 2 * npts - 1
+    assert scan.points == tuple(float(t) for t in grid)
+    assert scan.min_singular == tuple(float(v) for v in vals)
+    assert scan.ladder == tuple(ladder)
+    assert scan.global_min == float(np.min(vals))
 
 
 def test_scan_csv_format(tmp_path):
@@ -136,6 +195,67 @@ def test_brute_roots_agrees_with_companion_on_random_polys():
         assert len(contour) == len(companion)
         assert np.max(np.abs(contour - companion)) < 1e-7 * max(
             1.0, float(np.max(np.abs(companion))))
+
+
+def roots_inside(roots, box):
+    x0, x1, y0, y1 = box
+    return int(sum(x0 < r.real < x1 and y0 < r.imag < y1 for r in roots))
+
+
+def edge_distance(roots, box):
+    x0, x1, y0, y1 = box
+    return min(min(abs(r.real - x0), abs(r.real - x1), abs(r.imag - y0),
+                   abs(r.imag - y1)) for r in roots)
+
+
+def test_batched_winding_counts_match_single_boxes():
+    rng = np.random.default_rng(20261018)
+    settled = 0
+    for _ in range(60):
+        deg = int(rng.integers(1, 9))
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        x0, y0 = rng.uniform(-3.0, 0.0, 2)
+        x1, y1 = x0 + rng.uniform(0.5, 4.0), y0 + rng.uniform(0.5, 4.0)
+        fx, fy = rng.uniform(0.3, 0.7, 2)
+        xm, ym = x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)
+        boxes = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+        singles = []
+        for box in boxes:
+            try:
+                singles.append(numoracle._winding_counts(coeffs, [box])[0])
+            except numoracle._ContourError:
+                singles.append(None)
+        if None in singles:
+            with pytest.raises(numoracle._ContourError):
+                numoracle._winding_counts(coeffs, boxes)
+            continue
+        settled += 1
+        assert numoracle._winding_counts(coeffs, boxes) == singles
+        roots = np.polynomial.polynomial.polyroots(coeffs)
+        for box, count in zip(boxes, singles):
+            if edge_distance(roots, box) > 1e-3:
+                assert count == roots_inside(roots, box)
+    assert settled > 40
+
+
+def test_batched_winding_counts_escalate_one_box():
+    # a root 1e-4 inside the bottom edge of the middle box, halfway between
+    # two of the 64 points per side: that pass steps over it, a finer pass
+    # settles it without touching the other boxes
+    coeffs = np.polynomial.polynomial.polyfromroots([0.5 + 1 / 128 + 1e-4j, 2.5 + 0.5j])
+    boxes = [(-1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
+    assert numoracle._contour_counts(coeffs, boxes, 64) == [0, None, 1]
+    assert numoracle._winding_counts(coeffs, boxes) == [0, 1, 1]
+
+
+def test_winding_counts_root_on_corner_raises_without_warning():
+    coeffs = np.array([-2.0, 1.0, 1.0], dtype=complex)  # (z - 1)(z + 2)
+    boxes = [(1.0, 2.0, 0.0, 1.0), (-3.0, -1.0, -1.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(numoracle._ContourError):
+            numoracle._winding_counts(coeffs, boxes)
+        assert numoracle._winding_counts(coeffs, boxes[1:]) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +372,7 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
 
 
 def test_batched_system_scan_matches_per_point_svd():
-    s = np.array([[1.0, 0.4], [-0.3, 1.2]])
-
-    def conj(d):
-        return s @ np.diag(d) @ np.linalg.inv(s)
-
-    p = make_operator(B1, CIRCLE, {
-        MultiIndex(2): Coefficient.constant(np.eye(2)),
-        MultiIndex(1): Coefficient.constant(conj([0.5, -0.25])),
-        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
-        MultiIndex(0): Coefficient.constant(conj([-1.0, -2.0])),
-    })
-    fam = family_of(p, 20.0)
+    fam = family_of(conjugated_system(), 20.0)
     assert fam.system_size == 2
     taus = np.linspace(-10.0, 10.0, 2501) - 0.3j  # spans several chunks
     reference = np.full(taus.shape, np.inf)
