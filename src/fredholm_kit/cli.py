@@ -9,6 +9,7 @@ spec errors, 4 oracle mismatch.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -306,6 +307,13 @@ def parse_spec_dict(spec: dict, path: str = "") -> tuple[BoundaryOperator, bool]
     return op, compact
 
 
+def _finite(literal: str, kind=float):
+    """json.loads hook for number literals and NaN/Infinity."""
+    if not math.isfinite(float(literal)):
+        raise SpecFileError("", f"number {literal} is not finite; specs take finite numbers")
+    return kind(literal)
+
+
 def parse_spec(path: str) -> tuple[BoundaryOperator, bool]:
     """Parse and validate a spec file into an operator."""
     try:
@@ -314,7 +322,8 @@ def parse_spec(path: str) -> tuple[BoundaryOperator, bool]:
     except OSError as e:
         raise SpecFileError("", f"cannot read {path}: {e.strerror}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_finite, parse_float=_finite,
+                          parse_int=lambda s: _finite(s, int))
     except json.JSONDecodeError as e:
         raise SpecFileError("", f"invalid JSON at line {e.lineno}, column {e.colno}: "
                                 f"{e.msg}") from None
@@ -422,15 +431,8 @@ def _echo_or_write(text: str, out: str | None):
 
 
 def _options(cutoff, tau_range, pts, compact) -> FredholmOptions:
-    kwargs = {}
-    if cutoff is not None:
-        kwargs["mode_cutoff"] = cutoff
-    if tau_range is not None:
-        kwargs["tau_range"] = (float(tau_range[0]), float(tau_range[1]))
-    if pts is not None:
-        kwargs["pts"] = pts
-    kwargs["empty_boundary"] = compact
-    return FredholmOptions(**kwargs)
+    return FredholmOptions(mode_cutoff=cutoff, tau_range=tuple(tau_range), pts=pts,
+                           empty_boundary=compact)
 
 
 def _fail_spec(e: SpecFileError, spec_path: str):

@@ -165,6 +165,8 @@ def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
 
     The lowest mode is always included, even when cutoff sits below it.
     """
+    if not math.isfinite(cutoff):
+        raise FredholmKitError(f"mode cutoff must be finite, got {cutoff}")
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     modes: list[tuple[float, int]] = []

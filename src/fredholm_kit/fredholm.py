@@ -30,6 +30,7 @@ from .opalg import (
     BoundaryOperator,
     EllipticityResult,
     _is_matrix,
+    _min_singular,
     default_mode_cutoff,
     is_elliptic,
     symbol_min_singular,
@@ -102,9 +103,6 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
                 raise FredholmKitError(
                     f"indicial polynomial of mode {label} is identically zero")
             return []
-        if not np.any(det):
-            raise FredholmKitError(
-                f"indicial polynomial of mode {label} is identically zero")
         raw = np.polynomial.polynomial.polyroots(det)
         scale = float(np.max(np.abs(det)))
         deg = det.shape[0] - 1
@@ -305,29 +303,6 @@ class ScVerdict:
         }
 
 
-def _symbol_principal_floor(sym: ScSymbol, n_dir: int = 720) -> float:
-    lo = math.inf
-    for xi, eta in unit_covectors(sym.covector_dim, n_dir, sym.magnitude_slot):
-        eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
-        eta2 = float(np.dot(eta_arr, eta_arr))
-        k = sym.system_size
-        total = np.zeros((k, k), dtype=complex)
-        for mi, value in sym.terms:
-            if mi.total != sym.order:
-                continue
-            factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
-            for j, p in enumerate(mi.cross):
-                if p:
-                    factor *= (1j * eta_arr[j]) ** p
-            piece = factor * value
-            total += piece if _is_matrix(piece) else piece * np.eye(k)
-        if k == 1:
-            lo = min(lo, abs(complex(total[0, 0])))
-        else:
-            lo = min(lo, float(np.linalg.svd(total, compute_uv=False)[-1]))
-    return lo
-
-
 def _sc_axes(sym: ScSymbol, radius: float, n_axis: int) -> list[np.ndarray]:
     axes = [np.linspace(-radius, radius, n_axis)]
     for _ in range(sym.covector_dim - 1):
@@ -339,32 +314,13 @@ def _sc_axes(sym: ScSymbol, radius: float, n_axis: int) -> list[np.ndarray]:
 
 
 def _sc_eval_grid(sym: ScSymbol, axes: list[np.ndarray]):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    npts = flat[0].size
-    xi = flat[0]
-    etas = flat[1:]
-    eta2 = sum(e * e for e in etas) if etas else np.zeros(npts)
-    k = sym.system_size
-    if k == 1:
-        acc = np.zeros(npts, dtype=complex)
-    else:
-        acc = np.zeros((npts, k, k), dtype=complex)
-    for mi, value in sym.terms:
-        factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
-        for j, p in enumerate(mi.cross):
-            if p:
-                factor = factor * (1j * etas[j]) ** p
-        if k == 1:
-            acc += factor * (value if not _is_matrix(value) else value[0, 0])
-        elif _is_matrix(value):
-            acc += factor[:, None, None] * value[None, :, :]
-        else:
-            acc += factor[:, None, None] * (value * np.eye(k))[None, :, :]
-    dets = acc if k == 1 else np.linalg.det(acc)
-    idx = int(np.argmin(np.abs(dets)))
-    point = tuple(float(f[idx]) for f in flat)
-    return float(np.min(np.abs(dets))), point
+    pts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    eta = pts[:, 1:]
+    eta2 = sum((e * e for e in eta.T), np.zeros(pts.shape[0]))
+    vals = sym.stack(pts[:, 0], eta, eta2)
+    dets = np.abs(vals if sym.system_size == 1 else np.linalg.det(vals))
+    idx = int(np.argmin(dets))
+    return float(dets[idx]), tuple(float(x) for x in pts[idx])
 
 
 def _sc_scan(sym: ScSymbol, radius: float, n_axis: int, zooms: int):
@@ -406,7 +362,8 @@ def sc_invertible(target: LimitOperator | ScSymbol, threshold: float = 1e-6,
     if sym is None:
         raise FredholmKitError("limit operator carries no symbol data")
     k = sym.system_size
-    mu0 = _symbol_principal_floor(sym)
+    xi, eta, eta2 = unit_covectors(sym.covector_dim, 720, sym.magnitude_slot)
+    mu0 = _min_singular(sym.stack(xi, eta, eta2, principal=True))
     if mu0 <= 1e-12:
         return ScVerdict("undecided", math.nan, None, math.nan, (), threshold)
     thr_sigma = threshold ** (1.0 / k)
@@ -453,6 +410,16 @@ class FredholmOptions:
     sc_threshold: float = 1e-6
     halfspace_truncations: tuple[tuple[float, int], ...] = ((4.0, 48), (6.0, 72), (8.0, 96))
     halfspace_eta: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
+
+    def __post_init__(self):
+        if self.mode_cutoff is not None and not math.isfinite(self.mode_cutoff):
+            raise FredholmKitError(f"mode cutoff must be finite, got {self.mode_cutoff}")
+        lo, hi = self.tau_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise FredholmKitError(
+                f"tau range must be finite and nonempty, got ({lo}, {hi})")
+        if self.pts < 2:
+            raise FredholmKitError(f"a line scan needs at least 2 points, got {self.pts}")
 
 
 @dataclass(frozen=True)
@@ -538,6 +505,8 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
     """
     opts = opts or FredholmOptions()
     delta = float(delta)
+    if not math.isfinite(delta):
+        raise FredholmKitError(f"weight delta must be finite, got {delta}")
     n_r, n_dir = opts.elliptic_grid
     ell = is_elliptic(p, r_max=opts.r_max, n_r=n_r, n_dir=n_dir,
                       threshold=opts.elliptic_threshold)

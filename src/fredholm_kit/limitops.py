@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosssec import Channel, ModeTable
-from .liestruct import FredholmKitError, StructureKind
+from .liestruct import FredholmKitError, StructureKind, _nu_key
 from .opalg import (
     BoundaryOperator,
     CoeffTerm,
@@ -27,9 +27,10 @@ from .opalg import (
     MultiIndex,
     _covector_dim,
     _is_matrix,
-    _nu_key,
     _value_mul,
     cross_partial_factor,
+    symbol_monomial,
+    symbol_stack,
 )
 
 
@@ -113,15 +114,15 @@ class IndicialFamily:
             groups.setdefault(self.polys[ch.label].tobytes(), []).append(ch.label)
         return [tuple(g) for g in groups.values()]
 
-    def degree(self, label: str) -> int:
-        return self.polys[label].shape[0] - 1
-
-    def eval(self, label: str, tau: complex):
+    def stack(self, label: str, taus: np.ndarray) -> np.ndarray:
+        """The mode polynomial at every tau, as an (n, k, k) stack: one
+        batched Horner step per coefficient."""
         coeffs = self.polys[label]
-        out = np.zeros_like(coeffs[0])
+        t = np.asarray(taus)[:, None, None]
+        out = np.zeros((t.shape[0],) + coeffs.shape[1:], dtype=coeffs.dtype)
         for c in coeffs[::-1]:
-            out = out * tau + c
-        return out if self.system_size > 1 else complex(out[0, 0])
+            out = out * t + c
+        return out
 
     def det_poly(self, label: str) -> np.ndarray:
         """Determinant of the mode polynomial, as a scalar polynomial in tau
@@ -131,15 +132,8 @@ class IndicialFamily:
             return coeffs[:, 0, 0].copy()
         deg = (coeffs.shape[0] - 1) * self.system_size
         xs = np.arange(deg + 1, dtype=float) - deg / 2.0
-        ys = np.array([np.linalg.det(self._eval_matrix(coeffs, x)) for x in xs])
+        ys = np.linalg.det(self.stack(label, xs))
         return np.polynomial.polynomial.polyfit(xs, ys, deg).astype(complex)
-
-    @staticmethod
-    def _eval_matrix(coeffs: np.ndarray, tau: complex) -> np.ndarray:
-        out = np.zeros_like(coeffs[0])
-        for c in coeffs[::-1]:
-            out = out * tau + c
-        return out
 
     def shifted(self, delta: float) -> "IndicialFamily":
         """The family evaluated at tau - i delta, as exact polynomials."""
@@ -201,19 +195,20 @@ class ScSymbol:
     covector_dim: int
     magnitude_slot: bool
 
+    def stack(self, xi: np.ndarray, eta: np.ndarray, eta2: np.ndarray,
+              principal: bool = False) -> np.ndarray:
+        """The symbol (or its principal part, the terms of top order) at n
+        covectors, as an opalg.symbol_stack."""
+        pieces = ((symbol_monomial(mi, xi, eta, eta2), value)
+                  for mi, value in self.terms
+                  if not principal or mi.total == self.order)
+        return symbol_stack(pieces, self.system_size, xi.shape[0])
+
     def eval(self, xi: float, eta=()) -> complex | np.ndarray:
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        eta2 = float(np.dot(eta, eta))
-        k = self.system_size
-        total = np.zeros((k, k), dtype=complex)
-        for mi, value in self.terms:
-            factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
-            for j, p in enumerate(mi.cross):
-                if p:
-                    factor *= (1j * eta[j]) ** p
-            piece = _value_mul(factor, value)
-            total += piece if _is_matrix(piece) else piece * np.eye(k)
-        return total if k > 1 else complex(total[0, 0])
+        v = self.stack(np.array([xi], dtype=float), eta[None, :],
+                       np.array([np.dot(eta, eta)]))[0]
+        return v if self.system_size > 1 else complex(v)
 
     def det_at(self, xi: float, eta=()) -> complex:
         v = self.eval(xi, eta)

@@ -26,7 +26,7 @@ from ._util import round12
 from .crosssec import spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import IndicialFamily, LimitOperator, indicial_family, normal_operator
-from .opalg import BoundaryOperator, _is_matrix
+from .opalg import BoundaryOperator, MultiIndex, _is_matrix, symbol_monomial
 
 _YES_FLOOR = 1e-4   # scan minima above this confirm "yes"
 _NO_CEILING = 1e-6  # scan minima below this confirm "no"
@@ -105,16 +105,12 @@ def _family_min_singular(f: IndicialFamily, taus: np.ndarray) -> np.ndarray:
     by a batched Horner step and one stacked SVD."""
     out = np.full(taus.shape, np.inf)
     for labels in f.classes():
-        coeffs = f.polys[labels[0]]
         if f.system_size == 1:
-            vals = np.polynomial.polynomial.polyval(taus, coeffs[:, 0, 0])
+            vals = np.polynomial.polynomial.polyval(taus, f.polys[labels[0]][:, 0, 0])
             out = np.minimum(out, np.abs(vals))
             continue
         for lo in range(0, taus.shape[0], _SCAN_CHUNK):
-            t = taus[lo:lo + _SCAN_CHUNK, None, None]
-            mats = np.zeros((t.shape[0],) + coeffs.shape[1:], dtype=coeffs.dtype)
-            for c in coeffs[::-1]:
-                mats = mats * t + c
+            mats = f.stack(labels[0], taus[lo:lo + _SCAN_CHUNK])
             smin = np.linalg.svd(mats, compute_uv=False)[:, -1]
             out[lo:lo + _SCAN_CHUNK] = np.minimum(out[lo:lo + _SCAN_CHUNK], smin)
     return out
@@ -365,19 +361,16 @@ def _halfspace_matrix(frozen: BoundaryOperator, eta: np.ndarray,
     k = frozen.system_size
     size = n + 1
     spatial_total = np.zeros((k * size, k * size), dtype=complex)
-    eta2 = float(np.dot(eta, eta))
     es = np.exp(sigma)
+    # the tangential symbol at the frequency es * eta seen at s = e^sigma
+    eta_s = es[:, None] * eta
+    eta2_s = es ** 2 * float(np.dot(eta, eta))
     for mi, co in frozen.terms:
         mat = np.eye(size, dtype=complex)
         for _ in range(mi.radial):
             mat = d @ mat
-        tangential = 1.0 + 0j
-        diag = np.ones(size, dtype=complex)
-        for j, p in enumerate(mi.cross):
-            if p:
-                diag = diag * (1j * es * eta[j]) ** p
-        if mi.laplacian:
-            diag = diag * (-(es ** 2) * eta2) ** mi.laplacian
+        diag = symbol_monomial(MultiIndex(0, mi.cross, mi.laplacian),
+                               np.zeros(size), eta_s, eta2_s)
         mat = mat * diag  # scales column j by diag[j]
         for ct in co.terms:
             if ct.lam_degree:

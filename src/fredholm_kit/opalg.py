@@ -17,6 +17,12 @@ Internally every operator is normal-ordered over the b generators
 T = r d/dr, d/dy_j and the plain Laplacian, where the only nontrivial
 commutation is T r^mu = r^mu (T + mu).  Composition, conjugation, and
 coefficient freezing are exact on monomial coefficients.
+
+Symbols are built in one place: `symbol_monomial` evaluates
+(i xi)^a (-|eta|^2)^l prod_j (i eta_j)^p_j for a stack of covectors and
+`symbol_stack` sums factor * value over the terms.  The principal symbol
+and the ellipticity scans here, the full sc symbol (`limitops.ScSymbol`)
+and the half-space diagonal (`numoracle`) all go through them.
 """
 
 from __future__ import annotations
@@ -33,14 +39,10 @@ from .liestruct import (
     LieStructure,
     NotRepresentableError,
     StructureKind,
+    _nu_key,
 )
 
-_NU_KEY_DECIMALS = 10
 _EXPANSION_TOL = 1e-9
-
-
-def _nu_key(nu: float) -> float:
-    return round(float(nu), _NU_KEY_DECIMALS)
 
 
 def _is_matrix(v) -> bool:
@@ -66,10 +68,6 @@ def _value_norm(v) -> float:
 def _value_mul(a, b):
     if _is_matrix(a) and _is_matrix(b):
         return a @ b
-    if _is_matrix(a):
-        return a * b
-    if _is_matrix(b):
-        return a * b
     return a * b
 
 
@@ -770,65 +768,102 @@ def _eta_vector(p: BoundaryOperator, eta) -> np.ndarray:
     return eta
 
 
+def _pow(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n elementwise, rounded as a Python float power (the C library
+    pow); numpy's vectorized power can differ from it in the last bit for
+    n >= 2."""
+    if n < 2:
+        return x ** n
+    return np.array([v ** n for v in x.tolist()])
+
+
+def symbol_monomial(mi: MultiIndex, xi: np.ndarray, eta: np.ndarray,
+                    eta2: np.ndarray) -> np.ndarray:
+    """(i xi)^a (-|eta|^2)^l prod_j (i eta_j)^p_j for the multi-index
+    (a, p, l), elementwise over n covectors: xi and eta2 have shape (n,),
+    eta has shape (n, d).  |eta|^2 is an input because callers round it
+    differently (a per-covector dot product or an elementwise sum)."""
+    factor = _pow(-eta2, mi.laplacian)
+    if mi.radial:
+        factor = (1j * xi) ** mi.radial * factor
+    for j, pw in enumerate(mi.cross):
+        if pw:
+            factor = factor * (1j * eta[:, j]) ** pw
+    return factor
+
+
+def symbol_stack(pieces, k: int, n: int) -> np.ndarray:
+    """Sum of factor * value over (factor, value) pairs, where factor has
+    shape (n,) and value is a scalar or a k x k matrix: an (n,) stack for
+    k == 1, an (n, k, k) stack otherwise.  Each entry equals the sum taken
+    one covector at a time with Python scalars, bit for bit."""
+    acc = np.zeros((n, k, k), dtype=complex)
+    for factor, value in pieces:
+        if _is_matrix(value):
+            acc += factor[:, None, None] * value
+            continue
+        piece = factor * value
+        if value.real and value.imag:
+            # numpy's vectorized complex multiply fuses a multiply-add; it
+            # rounds like a Python complex product only when a part is zero
+            piece.real = factor.real * value.real - factor.imag * value.imag
+            piece.imag = factor.real * value.imag + factor.imag * value.real
+        for i in range(k):
+            acc[:, i, i] += piece
+    return acc[:, 0, 0] if k == 1 else acc
+
+
+def _principal_stack(p: BoundaryOperator, r: float, xi: np.ndarray,
+                     eta: np.ndarray, eta2: np.ndarray) -> np.ndarray:
+    """sigma_m(P) at radius r for n covectors, as a symbol_stack."""
+    pieces = []
+    for mi, co in p.terms:
+        for ct in co.terms:
+            if mi.total + 2 * ct.lam_degree != p.order:
+                continue
+            factor = symbol_monomial(mi, xi, eta, eta2)
+            if ct.lam_degree:
+                factor = factor * (ct.lam_poly[-1] * _pow(eta2, ct.lam_degree))
+            pieces.append((factor * float(r) ** ct.nu, ct.value))
+    return symbol_stack(pieces, p.system_size, xi.shape[0])
+
+
 def principal_symbol(p: BoundaryOperator, r: float, xi: float, eta=()):
     """sigma_m(P) at radius r and covector (xi, eta) in the frame-rescaled
     cotangent variables; Laplacian powers contribute -|eta|^2 per power."""
     eta = _eta_vector(p, eta)
-    eta2 = float(np.dot(eta, eta))
-    m = p.order
-    k = p.system_size
-    total = np.zeros((k, k), dtype=complex)
-    for mi, co in p.terms:
-        for ct in co.terms:
-            if mi.total + 2 * ct.lam_degree != m:
-                continue
-            factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
-            for j, pw in enumerate(mi.cross):
-                if pw:
-                    factor *= (1j * eta[j]) ** pw
-            if ct.lam_degree:
-                factor *= ct.lam_poly[-1] * eta2 ** ct.lam_degree
-            factor *= float(r) ** ct.nu
-            piece = _value_mul(factor, ct.value)
-            total += piece if _is_matrix(piece) else piece * np.eye(k)
-    return total if k > 1 else complex(total[0, 0])
+    sym = _principal_stack(p, r, np.array([xi], dtype=float), eta[None, :],
+                           np.array([np.dot(eta, eta)]))[0]
+    return sym if p.system_size > 1 else complex(sym)
 
 
 def unit_covectors(dim_total: int, n_dir: int, magnitude_slot: bool,
-                   seed: int = 20260809) -> list[tuple[float, tuple[float, ...]]]:
+                   seed: int = 20260809) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic samples of the unit covector sphere in R^dim_total,
     always including the coordinate axes (where degenerate symbols tend to
     vanish).  When the tangential slot is a magnitude, only eta >= 0 is
-    sampled."""
-    if dim_total == 1:
-        return [(1.0, ()), (-1.0, ())]
-    out: list[tuple[float, tuple[float, ...]]] = []
-    for i in range(dim_total):
-        for sign in (1.0, -1.0):
-            v = [0.0] * dim_total
-            v[i] = sign
-            if magnitude_slot and i >= 1 and sign < 0:
-                continue
-            out.append((v[0], tuple(v[1:])))
+    sampled.  Returns xi (n,), eta (n, dim_total - 1) and |eta|^2 (n,),
+    the last rounded as principal_symbol rounds it."""
+    rows = [[sign if j == i else 0.0 for j in range(dim_total)]
+            for i in range(dim_total) for sign in (1.0, -1.0)
+            if not (magnitude_slot and i >= 1 and sign < 0)]
     if dim_total == 2:
         if magnitude_slot:
             th = np.linspace(0.0, np.pi, max(3, n_dir // 2 + 1))
         else:
             th = np.linspace(0.0, 2 * np.pi, max(4, n_dir), endpoint=False)
-        out += [(math.cos(a), (math.sin(a),)) for a in th]
-        return out
-    if dim_total == 3:
+        rows += [[math.cos(a), math.sin(a)] for a in th]
+    elif dim_total == 3:
         na = max(4, int(math.sqrt(n_dir)))
-        for a in np.linspace(0.0, np.pi, na):
-            for b in np.linspace(0.0, 2 * np.pi, 2 * na, endpoint=False):
-                out.append((math.cos(a), (math.sin(a) * math.cos(b),
-                                          math.sin(a) * math.sin(b))))
-        return out
-    rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(n_dir, dim_total))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    out += [(float(v[0]), tuple(float(x) for x in v[1:])) for v in vecs]
-    return out
+        rows += [[math.cos(a), math.sin(a) * math.cos(b), math.sin(a) * math.sin(b)]
+                 for a in np.linspace(0.0, np.pi, na)
+                 for b in np.linspace(0.0, 2 * np.pi, 2 * na, endpoint=False)]
+    elif dim_total > 3:
+        vecs = np.random.default_rng(seed).normal(size=(n_dir, dim_total))
+        rows += (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
+    rows = np.array(rows)
+    eta = rows[:, 1:]
+    return rows[:, 0], eta, np.array([np.dot(e, e) for e in eta])
 
 
 def _covector_dim(p: BoundaryOperator) -> tuple[int, bool]:
@@ -838,11 +873,6 @@ def _covector_dim(p: BoundaryOperator) -> tuple[int, bool]:
     if p.cross_section.dimension >= 1:
         return 2, True
     return 1, False
-
-
-def _symbol_det(p: BoundaryOperator, r: float, xi: float, eta) -> complex:
-    sym = principal_symbol(p, r, xi, eta)
-    return complex(np.linalg.det(sym)) if _is_matrix(sym) else complex(sym)
 
 
 @dataclass(frozen=True)
@@ -865,37 +895,40 @@ class EllipticityResult:
         }
 
 
+def _min_singular(stack: np.ndarray) -> float:
+    """Smallest singular value over a symbol_stack (|value| for scalars)."""
+    if stack.ndim == 1:
+        return float(np.min(np.hypot(stack.real, stack.imag)))
+    return float(np.min(np.linalg.svd(stack, compute_uv=False)[:, -1]))
+
+
 def is_elliptic(p: BoundaryOperator, r_max: float = 1.0, n_r: int = 9,
                 n_dir: int = 96, threshold: float = 1e-8) -> EllipticityResult:
     """Sampled ellipticity check: min |det sigma_m| over r in [0, r_max]
-    (including r = 0) and the unit covector sphere."""
+    (including r = 0) and the unit covector sphere.  The witness is the
+    first minimum in (radius, direction) order."""
     if n_r < 2 or n_dir < 2:
         raise ValueError("ellipticity needs a nonempty sampling grid")
     dim_total, mag = _covector_dim(p)
-    dirs = unit_covectors(dim_total, n_dir, mag)
+    xi, eta, eta2 = unit_covectors(dim_total, n_dir, mag)
     rs = np.linspace(0.0, r_max, n_r)
-    best = (math.inf, 0.0, (1.0,))
-    for r in rs:
-        for xi, eta in dirs:
-            v = abs(_symbol_det(p, r, xi, eta))
-            if v < best[0]:
-                best = (v, float(r), (xi, *eta))
-    return EllipticityResult(best[0] >= threshold, best[0], best[1], best[2],
-                             threshold, (n_r, len(dirs)))
+    absdet = np.empty((n_r, xi.shape[0]))
+    for row, r in zip(absdet, rs):
+        sym = _principal_stack(p, r, xi, eta, eta2)
+        det = sym if sym.ndim == 1 else np.linalg.det(sym)
+        row[:] = np.hypot(det.real, det.imag)  # abs() of a Python complex
+    i, j = np.unravel_index(np.argmin(absdet), absdet.shape)
+    best = float(absdet[i, j])
+    return EllipticityResult(best >= threshold, best, float(rs[i]),
+                             (float(xi[j]), *(float(e) for e in eta[j])),
+                             threshold, (n_r, xi.shape[0]))
 
 
 def symbol_min_singular(p: BoundaryOperator, r: float = 0.0, n_dir: int = 720) -> float:
     """min over unit covectors of the smallest singular value of sigma_m
     at the given radius (used for quantitative tail bounds)."""
     dim_total, mag = _covector_dim(p)
-    lo = math.inf
-    for xi, eta in unit_covectors(dim_total, n_dir, mag):
-        sym = principal_symbol(p, r, xi, eta)
-        if _is_matrix(sym):
-            lo = min(lo, float(np.linalg.svd(sym, compute_uv=False)[-1]))
-        else:
-            lo = min(lo, abs(sym))
-    return lo
+    return _min_singular(_principal_stack(p, r, *unit_covectors(dim_total, n_dir, mag)))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,43 @@ def test_check_exit_codes(tmp_path, runner):
     assert runner.invoke(main, ["check", str(tmp_path / "absent.json")]).exit_code == 3
 
 
+POLAR_TEXT = '{"schema": "fredholm-kit/1", "model": "polar_laplacian"}'
+SHIFTED_TEXT = json.dumps(SHIFTED_CYLINDER)
+
+
+@pytest.mark.parametrize("spec_text, args", [
+    pytest.param(POLAR_TEXT, ["check", "--cutoff", "nan"], id="cutoff-nan"),
+    pytest.param(POLAR_TEXT, ["check", "--cutoff", "inf"], id="cutoff-inf"),
+    pytest.param(POLAR_TEXT, ["roots", "--cutoff", "nan"], id="roots-cutoff-nan"),
+    pytest.param(POLAR_TEXT, ["check", "--weight", "nan"], id="weight-nan"),
+    pytest.param(POLAR_TEXT, ["check", "--weight", "-inf"], id="weight-inf"),
+    pytest.param(POLAR_TEXT, ["verify", "--pts", "1"], id="pts-1"),
+    pytest.param(POLAR_TEXT, ["verify", "--tau-range", "1", "-1"], id="tau-range-empty"),
+    pytest.param(POLAR_TEXT, ["verify", "--tau-range", "-inf", "1"], id="tau-range-inf"),
+    pytest.param(SHIFTED_TEXT.replace('"value": -1', '"value": NaN'), ["check"],
+                 id="spec-NaN"),
+    pytest.param(SHIFTED_TEXT.replace('"value": -1', '"value": Infinity'), ["check"],
+                 id="spec-Infinity"),
+    pytest.param(SHIFTED_TEXT.replace('"value": -1', '"value": -Infinity'), ["verify"],
+                 id="spec-minus-Infinity"),
+    pytest.param(SHIFTED_TEXT.replace('"value": -1', '"value": 1e400'), ["check"],
+                 id="spec-1e400"),
+    pytest.param(SHIFTED_TEXT.replace('"value": -1', '"value": 1' + "0" * 400), ["check"],
+                 id="spec-huge-int"),
+    # finite, but the default mode cutoff 10 * max|coefficient| * order^2 overflows
+    pytest.param(SHIFTED_TEXT.replace('"value": -1', '"value": 1e308'), ["check"],
+                 id="spec-cutoff-overflow"),
+])
+def test_non_finite_input_is_a_usage_error(tmp_path, runner, spec_text, args):
+    path = tmp_path / "spec.json"
+    path.write_text(spec_text)
+    res = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
 def test_check_report_first_line_contract(tmp_path, runner):
     shifted = write(tmp_path, "shifted.json", SHIFTED_CYLINDER)
     res = runner.invoke(main, ["check", shifted])

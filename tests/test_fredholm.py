@@ -29,6 +29,8 @@ from fredholm_kit import (
     sc_invertible,
     spectrum,
 )
+from fredholm_kit import fredholm
+from fredholm_kit.limitops import freeze_coefficients
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -147,6 +149,72 @@ def test_sc_non_elliptic_input_undecided():
         MultiIndex(2): 1.0, MultiIndex(0, (), 1): -1.0})
     v = sc_invertible(limit_operator(degenerate))
     assert v.status == "undecided"
+
+
+def reference_full_symbol(sym, xi, eta, eta2):
+    """The full symbol at one covector, term by term with Python scalars."""
+    k = sym.system_size
+    total = np.zeros((k, k), dtype=complex)
+    for mi, value in sym.terms:
+        factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
+        for j, pw in enumerate(mi.cross):
+            if pw:
+                factor *= (1j * eta[j]) ** pw
+        piece = factor * value
+        total += piece if isinstance(piece, np.ndarray) else piece * np.eye(k)
+    return total if k > 1 else complex(total[0, 0])
+
+
+def sc_symbol(name):
+    rng = np.random.default_rng(41)
+
+    def scalar():
+        return complex(rng.normal(), rng.normal())
+
+    if name == "torus_system":
+        # T^2 partials (two at once, and one with a Laplacian), a Laplacian
+        # power, matrix and scalar values: a 3-D covector grid
+        return full_symbol(freeze_coefficients(make_operator(
+            LieStructure.sc(2), CrossSection.torus(2), {
+                MultiIndex(4): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                MultiIndex(2, (1, 1)): scalar(),
+                MultiIndex(0, (1, 0), 1): scalar(),
+                MultiIndex(0, (), 2): scalar(),
+                MultiIndex(1): rng.normal(size=(2, 2)),
+                MultiIndex(0): scalar(),
+            }, order=4)))
+    # S^2: the tangential slot is a magnitude; a cube of |eta|^2
+    return full_symbol(freeze_coefficients(make_operator(
+        LieStructure.sc(2), CrossSection.sphere(2), {
+            MultiIndex(6): scalar(), MultiIndex(2, (), 2): scalar(),
+            MultiIndex(0, (), 3): scalar(), MultiIndex(0): scalar()}, order=6)))
+
+
+@pytest.mark.parametrize("name", ["torus_system", "sphere_scalar"])
+def test_sc_symbol_eval_and_grid_match_per_covector_loop(name):
+    sym = sc_symbol(name)
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        x = float(rng.normal())
+        e = np.abs(rng.normal(size=sym.covector_dim - 1))
+        assert np.array_equal(sym.eval(x, tuple(e)),
+                              reference_full_symbol(sym, x, e, float(np.dot(e, e))))
+    grids = [fredholm._sc_axes(sym, 2.0, 9)]
+    for _ in range(20):  # zoom windows, whose |eta|^2 sums round
+        grids.append([np.linspace(c - 0.3, c + 0.3, 5)
+                      for c in rng.uniform(0.0, 1.5, sym.covector_dim)])
+    for axes in grids:
+        points = [tuple(float(v) for v in pt)
+                  for pt in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))]
+        # the grid sums |eta|^2 elementwise, coordinate by coordinate
+        vals = [reference_full_symbol(sym, pt[0], pt[1:], sum(e * e for e in pt[1:]))
+                for pt in points]
+        pts = np.array(points)
+        stack = sym.stack(pts[:, 0], pts[:, 1:], sum(e * e for e in pts[:, 1:].T))
+        assert all(np.array_equal(a, b) for a, b in zip(stack, vals))
+        dets = np.abs(np.array(vals) if sym.system_size == 1 else np.linalg.det(np.array(vals)))
+        i = int(np.argmin(dets))
+        assert fredholm._sc_eval_grid(sym, axes) == (float(dets[i]), points[i])
 
 
 # ---------------------------------------------------------------------------

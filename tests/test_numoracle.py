@@ -296,6 +296,52 @@ def test_half_space_rejects_non_zero_structures():
         half_space_sample(limit_operator(make_model("sc_laplacian", cross_dim=1)))
 
 
+def reference_halfspace_matrix(frozen, eta, T, n):
+    """The half-space discretization with its tangential diagonal built one
+    collocation node at a time from Python scalars."""
+    d, x = numoracle._chebyshev_matrix(n)
+    d = d / T
+    es = np.exp(T * x)
+    k, size = frozen.system_size, n + 1
+    eta2 = float(np.dot(eta, eta))
+    total = np.zeros((k * size, k * size), dtype=complex)
+    for mi, co in frozen.terms:
+        mat = np.eye(size, dtype=complex)
+        for _ in range(mi.radial):
+            mat = d @ mat
+        diag = []
+        for s in es:  # the covector s * eta at the node s = e^sigma
+            factor = complex((-(s * s * eta2)) ** mi.laplacian)
+            for j, pw in enumerate(mi.cross):
+                if pw:
+                    factor *= (1j * (s * eta[j])) ** pw
+            diag.append(factor)
+        mat = mat * np.array(diag)
+        for ct in co.terms:
+            value = ct.value if isinstance(ct.value, np.ndarray) else ct.value * np.eye(k)
+            total += np.kron(value, mat)
+    keep = [b * size + i for b in range(k) for i in range(1, size - 1)]
+    return total[np.ix_(keep, keep)]
+
+
+@pytest.mark.parametrize("system", [False, True])
+def test_halfspace_matrix_matches_per_node_loop(system):
+    rng = np.random.default_rng(8)
+    lead = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) if system else 1.0
+    p = make_operator(LieStructure.zero(2), CrossSection.torus(2), {
+        MultiIndex(4): lead,
+        MultiIndex(2): -1.0,
+        MultiIndex(0, (1, 1), 1): complex(rng.normal(), rng.normal()),
+        MultiIndex(0, (), 2): complex(rng.normal(), rng.normal()),
+        MultiIndex(0, (2, 0)): 1.0,
+        MultiIndex(0): 2.0,
+    }, order=4)
+    frozen = limit_operator(p).half_space
+    for eta in (np.zeros(2), np.array([0.5, 1.5]), np.array([2.0, -0.7])):
+        assert np.array_equal(numoracle._halfspace_matrix(frozen, eta, 4.0, 24),
+                              reference_halfspace_matrix(frozen, eta, 4.0, 24))
+
+
 # ---------------------------------------------------------------------------
 # the cross-check ledger
 # ---------------------------------------------------------------------------
@@ -377,8 +423,11 @@ def test_batched_system_scan_matches_per_point_svd():
     taus = np.linspace(-10.0, 10.0, 2501) - 0.3j  # spans several chunks
     reference = np.full(taus.shape, np.inf)
     for ch in fam.channels:
+        coeffs = fam.poly(ch.label)
         for i, tau in enumerate(taus):
-            m = IndicialFamily._eval_matrix(fam.poly(ch.label), complex(tau))
+            m = np.zeros_like(coeffs[0])
+            for c in coeffs[::-1]:  # Horner, one point at a time
+                m = m * complex(tau) + c
             reference[i] = min(reference[i],
                                float(np.linalg.svd(m, compute_uv=False)[-1]))
     batched = numoracle._family_min_singular(fam, taus)

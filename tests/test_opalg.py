@@ -1,5 +1,7 @@
 """Operator construction, application, composition, symbols, transforms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,12 @@ from fredholm_kit import (
     make_operator,
     principal_symbol,
     spectrum,
+)
+from fredholm_kit.opalg import (
+    _covector_dim,
+    _principal_stack,
+    symbol_min_singular,
+    unit_covectors,
 )
 from conftest import gaussian_packet, smooth_window, windowed_trig
 
@@ -243,6 +251,139 @@ def test_cyl_coord_laplacian_is_symbolic_only_and_degenerate():
     p = make_model("cyl_coord_laplacian")
     assert p.symbolic_only
     assert not is_elliptic(p).elliptic  # the (r dz)^2 symbol dies at r = 0
+
+
+# ---------------------------------------------------------------------------
+# the batched principal stack against a per-covector loop
+# ---------------------------------------------------------------------------
+
+
+def reference_principal(p, r, xi, eta):
+    """sigma_m(P) at one covector, term by term with Python scalars."""
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta2 = float(np.dot(eta, eta))
+    k = p.system_size
+    total = np.zeros((k, k), dtype=complex)
+    for mi, co in p.terms:
+        for ct in co.terms:
+            if mi.total + 2 * ct.lam_degree != p.order:
+                continue
+            factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
+            for j, pw in enumerate(mi.cross):
+                if pw:
+                    factor *= (1j * eta[j]) ** pw
+            if ct.lam_degree:
+                factor *= ct.lam_poly[-1] * eta2 ** ct.lam_degree
+            factor *= float(r) ** ct.nu
+            piece = factor * ct.value
+            total += piece if isinstance(piece, np.ndarray) else piece * np.eye(k)
+    return total if k > 1 else complex(total[0, 0])
+
+
+def reference_abs_det(p, r, xi, eta):
+    sym = reference_principal(p, r, xi, eta)
+    return abs(complex(np.linalg.det(sym)) if p.system_size > 1 else sym)
+
+
+def symbol_operator(name):
+    rng = np.random.default_rng(20261018)
+
+    def scalar():
+        return complex(rng.normal(), rng.normal())
+
+    def value(k):
+        return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) if k > 1 else scalar()
+
+    if name in ("torus_scalar", "torus_system"):
+        # explicit partials on T^2 (also mixed with a Laplacian), a Laplacian
+        # power, r^nu terms, laplacian_poly top-order terms with a complex
+        # leading coefficient; the system mixes matrix and scalar values
+        k = 1 if name == "torus_scalar" else 2
+        return make_operator(LieStructure.b(2), CrossSection.torus(2), {
+            MultiIndex(4): value(k),
+            MultiIndex(2, (1, 1)): scalar(),
+            MultiIndex(1, (2, 1)): Coefficient([CoeffTerm(0.0, value(k)),
+                                                CoeffTerm(0.7, value(k))]),
+            MultiIndex(0, (1, 0), 1): scalar(),
+            MultiIndex(0, (), 2): scalar(),
+            MultiIndex(2): Coefficient.laplacian_poly([scalar(), scalar()], 0.5, scalar()),
+            MultiIndex(0): Coefficient.laplacian_poly([1.0, 2.0, scalar()], 0.0, value(k)),
+        }, order=4)
+    if name == "sphere_system":
+        # the tangential slot is a magnitude; cubes of |eta|^2
+        return make_operator(LieStructure.b(2), CrossSection.sphere(2), {
+            MultiIndex(6): value(2),
+            MultiIndex(4, (), 1): Coefficient([CoeffTerm(0.0, value(2)),
+                                               CoeffTerm(1.5, value(2))]),
+            MultiIndex(0, (), 3): scalar(),
+            MultiIndex(0): Coefficient.laplacian_poly([0.0, scalar(), scalar(), scalar()],
+                                                      0.0, scalar()),
+        }, order=6)
+    if name == "sphere_scalar":
+        return make_operator(LieStructure.b(2), CrossSection.sphere(2), {
+            MultiIndex(4): scalar(), MultiIndex(2, (), 1): scalar(),
+            MultiIndex(0, (), 2): scalar(), MultiIndex(1): scalar()}, order=4)
+    if name == "circle_scalar":
+        return b_op({MultiIndex(2): scalar(), MultiIndex(1, (1,)): scalar(),
+                     MultiIndex(0, (2,)): scalar(), MultiIndex(0): scalar()})
+    if name == "ties_across_radii":
+        # |det| = (1 - r) xi^2 + r eta^2 vanishes exactly on the eta axis at
+        # r = 0 and on the xi axes at r = 1
+        return b_op({MultiIndex(2): Coefficient([CoeffTerm(0.0, 1.0), CoeffTerm(1.0, -1.0)]),
+                     MultiIndex(0, (), 1): Coefficient.monomial(1.0, 1.0)})
+    if name == "torus_laplacian":
+        # |det| = xi^2 + |eta|^2 = 1 up to rounding: many directions tie
+        return make_operator(LieStructure.b(2), CrossSection.torus(2), {
+            MultiIndex(2): 1.0, MultiIndex(0, (2,)): 1.0, MultiIndex(0, (0, 2)): 1.0})
+    assert name == "black_scholes"  # covectors without a tangential part
+    return make_model(name, sigma=1.0, rate=0.5)
+
+
+SYMBOL_OPERATORS = ["torus_scalar", "torus_system", "sphere_system", "sphere_scalar",
+                    "circle_scalar", "ties_across_radii", "torus_laplacian", "black_scholes"]
+
+
+@pytest.mark.parametrize("name", SYMBOL_OPERATORS)
+def test_principal_stack_matches_per_covector_loop(name):
+    p = symbol_operator(name)
+    dim_total, mag = _covector_dim(p)
+    xi, eta, eta2 = unit_covectors(dim_total, 96, mag)
+    for r in (0.0, 0.37, 1.0):
+        stack = _principal_stack(p, r, xi, eta, eta2)
+        assert stack.shape[0] == xi.shape[0]
+        for i, (x, e) in enumerate(zip(xi.tolist(), eta.tolist())):
+            assert np.array_equal(stack[i], reference_principal(p, r, x, e))
+    # off the sample sphere, through the one-covector entry point
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        x = float(rng.normal())
+        e = tuple(float(v) for v in np.abs(rng.normal(size=dim_total - 1)))
+        assert np.array_equal(principal_symbol(p, 0.61, x, e),
+                              reference_principal(p, 0.61, x, e))
+
+
+@pytest.mark.parametrize("name", SYMBOL_OPERATORS)
+def test_is_elliptic_and_symbol_floor_match_per_covector_loop(name):
+    p = symbol_operator(name)
+    dim_total, mag = _covector_dim(p)
+    xi, eta, _ = unit_covectors(dim_total, 96, mag)
+    samples = [(reference_abs_det(p, r, x, e), float(r), (x, *e))
+               for r in np.linspace(0.0, 1.0, 9) for x, e in zip(xi.tolist(), eta.tolist())]
+    # the witness is the first minimum in (radius, direction) order
+    best = min(samples, key=lambda s: s[0])
+    res = is_elliptic(p)
+    assert (res.min_abs_det, res.witness_r, res.witness_covector) == best
+    assert res.grid == (9, xi.shape[0])
+    if name in ("ties_across_radii", "torus_laplacian"):
+        assert sum(s[0] == best[0] for s in samples) > 1
+
+    floor = math.inf
+    xi, eta, _ = unit_covectors(dim_total, 200, mag)
+    for x, e in zip(xi.tolist(), eta.tolist()):
+        sym = reference_principal(p, 0.3, x, e)
+        floor = min(floor, float(np.linalg.svd(sym, compute_uv=False)[-1])
+                    if p.system_size > 1 else abs(sym))
+    assert symbol_min_singular(p, r=0.3, n_dir=200) == floor
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Print one sha256 per CLI report, so that two checkouts can be compared
+for byte-identical output.
+
+    python3 tools/report_digest.py > digests.txt
+
+Run it in each checkout and diff the two files.  Each line reads
+`<sha256 of stdout> <exit code> <label>`.  The reports are:
+
+- the JSON `check` and `verify` output for every spec of the benchmark
+  workloads `cli-cold`, `modes`, `systems` and `symbols` at seeds 1 and 2,
+  with the arguments the benchmark passes (perfbench/workloads.py);
+- the text and JSON `check` and `verify` reports of the seven built-in
+  models at weights -0.5, 0 and 0.3, with default options.
+
+The CLI runs in this process, on the `src/` of the checkout this file is
+in.  A full run takes about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from click.testing import CliRunner  # noqa: E402
+
+import workloads  # noqa: E402
+from fredholm_kit.cli import main as cli_main  # noqa: E402
+
+WORKLOADS = ("cli-cold", "modes", "systems", "symbols")
+SEEDS = (1, 2)
+WEIGHTS = ("-0.5", "0", "0.3")
+
+
+def runs(workdir: str):
+    """(label, argv) for every report, in a fixed order."""
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            wl = workloads.build(name, seed)
+            sub = os.path.join(workdir, f"{name}-{seed}")
+            os.makedirs(sub)
+            for spec, path in zip(wl.specs, workloads.write_specs(wl, sub)):
+                for command in ("check", "verify"):
+                    yield (f"{name}/{seed}/{spec.name}/{command}",
+                           [command, *spec.cli_args(path)])
+    sub = os.path.join(workdir, "builtins")
+    os.makedirs(sub)
+    builtins = workloads.build("cli-cold", SEEDS[0])
+    for spec, path in zip(builtins.specs, workloads.write_specs(builtins, sub)):
+        for weight in WEIGHTS:
+            for fmt in ("text", "json"):
+                for command in ("check", "verify"):
+                    yield (f"builtin/{spec.name}/{weight}/{fmt}/{command}",
+                           [command, path, "--weight", weight, "--format", fmt])
+
+
+def main() -> int:
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, argv in runs(workdir):
+            result = runner.invoke(cli_main, argv)
+            if result.exception is not None and not isinstance(result.exception, SystemExit):
+                raise result.exception
+            digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+            print(f"{digest} {result.exit_code} {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
