@@ -374,11 +374,32 @@ def serialize_operator(op: BoundaryOperator, compact: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _null_non_finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, indent: int | None = None) -> str:
+    """Strict JSON with sorted keys: a non-finite float (an uncertified
+    tail bound, an undecided scan) is written as null."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError:
+        pass  # a non-finite float; retry once the handler frees the failed pass
+    return json.dumps(_null_non_finite(obj), indent=indent, sort_keys=True,
+                      allow_nan=False)
+
+
 def render_report(report: FredholmReport, fmt: str = "text") -> str:
     """Stable text or machine-readable rendering of a report; floats are
     fixed at 12 significant digits, orderings are deterministic."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(report.to_dict(), indent=2) + "\n"
     lines = [f"VERDICT: {report.verdict}"]
     lines.append(f"weight: delta = {fmt12(report.delta)}  "
                  f"(tested {report.convention})")
@@ -396,7 +417,7 @@ def render_report(report: FredholmReport, fmt: str = "text") -> str:
         for lv in report.limit_verdicts:
             lines.append(f"  - {lv.orbit} [{lv.mechanism}]: invertible = {lv.status}")
             if lv.witness:
-                lines.append(f"      witness: {json.dumps(lv.witness, sort_keys=True)}")
+                lines.append(f"      witness: {_dumps(lv.witness)}")
     else:
         lines.append("limit operators: none (empty boundary)")
     if report.roots:
@@ -408,7 +429,7 @@ def render_report(report: FredholmReport, fmt: str = "text") -> str:
         ivs = ", ".join(f"({fmt12(a)}, {fmt12(b)})" for a, b in report.safe_weights)
         lines.append(f"safe weight intervals: {ivs}")
     if report.cutoffs:
-        lines.append("cutoffs: " + json.dumps(report.cutoffs, sort_keys=True))
+        lines.append("cutoffs: " + _dumps(report.cutoffs))
     if any(lv.status == "numerical-evidence" for lv in report.limit_verdicts):
         lines.append("CAVEAT: numerical evidence only; the verdict cannot be "
                      "upgraded to a theorem-grade answer here")
@@ -510,7 +531,7 @@ def verify(spec_path, weight, cutoff, tau_range, pts, fmt, out, scan_csv):
     if fmt == "json":
         payload = report.to_dict()
         payload["oracle"] = ledger.as_dict()
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _dumps(payload, indent=2) + "\n"
     else:
         text = render_report(report, "text") + str(ledger) + "\n"
     _echo_or_write(text, out)
@@ -567,7 +588,7 @@ def roots(spec_path, cutoff, fmt, out):
         }
         if fam.warning:
             payload["warning"] = fam.warning
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _dumps(payload, indent=2) + "\n"
     else:
         lines = [f"indicial roots (mode cutoff {fmt12(float(c))}; z = i tau)"]
         if fam.warning:
@@ -595,7 +616,7 @@ def normal(spec_path, fmt, out):
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_SPEC_ERROR)
     if fmt == "json":
-        text = json.dumps(serialize_operator(nop.base), indent=2, sort_keys=True) + "\n"
+        text = _dumps(serialize_operator(nop.base), indent=2) + "\n"
     else:
         text = (f"normal operator (translation-invariant in t = log r):\n"
                 f"  {nop.base}\n")
@@ -625,7 +646,7 @@ def transform(spec_path, fmt, out):
             "note": "radial exponents r^nu are e^(nu t); coefficients "
                     "converge to the boundary values as t -> -infinity",
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _dumps(payload, indent=2) + "\n"
     else:
         text = (f"on the cylinder (t = log r): {cyl}\n"
                 f"coefficients converge as t -> -infinity to: "
@@ -671,7 +692,7 @@ def bracket_table(kind, gamma, collar_dim, fmt, out):
         }
         if gamma is not None:
             payload["gamma"] = gamma
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _dumps(payload, indent=2) + "\n"
     else:
         lines = [f"frame: {', '.join(f'e{i} = {f}' for i, f in enumerate(frame))}",
                  f"isotropy group: {iso.group} ({iso.group_kind.value}); "

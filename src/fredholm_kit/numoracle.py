@@ -589,7 +589,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         if lv is None:
             entries.append(LedgerEntry("symbol", "fail", "no limit verdict recorded"))
         else:
-            redo = sc_invertible(sym, threshold=opts.sc_threshold, zooms=4)
+            redo = sc_invertible(sym, threshold=opts.sc_threshold, zooms=9)
             reported_status = lv.status
             if reported_status == "numerical-evidence":
                 reported_status = lv.detail.get("status", reported_status)

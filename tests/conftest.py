@@ -1,9 +1,10 @@
 """Shared test helpers: smooth window functions with analytic derivatives
 and random operator generators with exact (integer) coefficients."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from fredholm_kit import (
     CoeffTerm,
@@ -13,6 +14,8 @@ from fredholm_kit import (
     MultiIndex,
     make_operator,
 )
+
+erf = np.vectorize(math.erf, otypes=[float])
 
 
 def smooth_window(t, a, b, tau=0.25):

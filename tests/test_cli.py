@@ -1,11 +1,15 @@
 """Spec files, commands, exit codes, determinism, report formatting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fredholm_kit
 from fredholm_kit import FredholmOptions, RadialGrid, fredholm_check, make_model, spectrum
 from fredholm_kit.cli import (
     SCHEMA,
@@ -190,6 +194,105 @@ def test_non_finite_input_is_a_usage_error(tmp_path, runner, spec_text, args):
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
+def run_cli(*args, timeout=60, code=None):
+    """Run a Python snippet (`code`) or the CLI with `args` in a fresh
+    interpreter on this checkout's package; the timeout fails a hang."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fredholm_kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = ["-c", code] if code else ["-m", "fredholm_kit.cli", *args]
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
+# (r d/dr)^2 + 1e-7 L - 10 on the circle: the symbol floor 1e-7 puts the
+# certified tail at lambda = 1e8, past the mode budget
+TINY_FLOOR_TEXT = json.dumps(dict(SHIFTED_CYLINDER, terms=[
+    {"alpha": [2], "coefficient": [{"nu": 0, "value": 1}]},
+    {"alpha": [0], "laplacian": 1, "coefficient": [{"nu": 0, "value": 1e-7}]},
+    {"alpha": [0], "coefficient": [{"nu": 0, "value": -10}]}]))
+
+
+@pytest.mark.parametrize("spec_text, args, code", [
+    # an envelope weight overflows: the tail is uncertified
+    pytest.param(POLAR_TEXT, ["check", "--weight", "1e300"], 2, id="weight-1e300"),
+    # the certified tail needs a cutoff near 1e40, far past the budget
+    pytest.param(POLAR_TEXT, ["check", "--weight", "1e20"], 2, id="weight-1e20"),
+    pytest.param(TINY_FLOOR_TEXT, ["check"], 2, id="tiny-symbol-floor"),
+    pytest.param(POLAR_TEXT, ["check", "--cutoff", "1e300"], 3, id="cutoff-1e300"),
+    pytest.param(POLAR_TEXT, ["roots", "--cutoff", "1e300"], 3, id="roots-cutoff-1e300"),
+])
+def test_huge_weight_or_cutoff_ends_in_a_verdict_or_usage_error(tmp_path, spec_text,
+                                                                 args, code):
+    path = tmp_path / "spec.json"
+    path.write_text(spec_text)
+    res = run_cli(args[0], str(path), *args[1:], timeout=20)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code == 2:
+        assert res.stdout.startswith("VERDICT: Undecided")
+        assert "over the budget of" in res.stdout
+    else:
+        assert "budget" in res.stderr and res.stdout == ""
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("spec_text, null_at", [
+    # mu0 = 0 makes the tail's s0 and lambda_certified infinite
+    pytest.param('{"schema": "fredholm-kit/1", "model": "cyl_coord_laplacian"}',
+                 ("cutoffs", "tail", "s0"), id="uncertified-tail"),
+    # no tangential derivative: the sc scan is undecided and its minimum NaN
+    pytest.param(json.dumps({
+        "schema": SCHEMA, "structure": {"kind": "sc"}, "cross_section": {"kind": "circle"},
+        "order": 2, "terms": [{"alpha": [2], "coefficient": [{"nu": 0, "value": 1}]},
+                              {"alpha": [0], "coefficient": [{"nu": 0, "value": 1}]}]}),
+                 ("cutoffs", "sc_search_radius"), id="undecided-sc-scan"),
+])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_json_reports_are_strict_json(tmp_path, runner, spec_text, null_at, command):
+    path = tmp_path / "spec.json"
+    path.write_text(spec_text)
+    res = runner.invoke(main, [command, str(path), "--format", "json"])
+    assert isinstance(res.exception, SystemExit), res.exception
+    payload = json.loads(res.stdout, parse_constant=_reject_constant)
+    for key in null_at:
+        payload = payload[key]
+    assert payload is None
+
+
+def test_sc_and_cgamma_runs_import_only_numpy_and_click():
+    # modules loaded before the kit (site hooks from .pth files) are not its own
+    res = run_cli(code=f"""
+import json, sys
+def top():
+    return {{name.partition(".")[0] for name in sys.modules}}
+before = top()
+from click.testing import CliRunner
+from fredholm_kit.cli import main
+specs = {{"sc.json": {{"schema": "{SCHEMA}", "model": "sc_laplacian",
+                      "params": {{"cross_dim": 2, "shift": 1.0}}}},
+         "cgamma.json": {{"schema": "{SCHEMA}", "model": "cgamma_schrodinger",
+                          "params": {{"n": 3, "gamma": 2, "V0": 1}}}}}}
+runner = CliRunner()
+with runner.isolated_filesystem():
+    for name, spec in specs.items():
+        with open(name, "w") as fh:
+            json.dump(spec, fh)
+        for command in ("check", "verify"):
+            assert runner.invoke(main, [command, name]).exit_code in (1, 2)
+print(json.dumps(sorted(top() - before)))
+""")
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout)
+    extra = [m for m in loaded if m not in sys.stdlib_module_names
+             and m not in ("numpy", "click", "fredholm_kit")]
+    assert extra == [], extra
+    assert "fredholm_kit" in loaded
 
 
 def test_check_report_first_line_contract(tmp_path, runner):

@@ -76,6 +76,26 @@ def test_roots_black_scholes():
     assert_allclose(zs, [0.0, 1.0], atol=1e-12)
 
 
+def test_roots_of_high_modes_are_not_trimmed():
+    # (r d/dr)^4 + L^2 - (r d/dr)^2 on the circle: tau^4 + tau^2 + k^4 = 0,
+    # so tau^2 = (-1 +- sqrt(1 - 4 k^4)) / 2.  From k = 1000 on, the top
+    # coefficient 1 sits at 1e-12 of the constant term k^4.
+    p = make_operator(B1, CIRCLE, {MultiIndex(4): 1.0, MultiIndex(0, (), 2): 1.0,
+                                   MultiIndex(2): -1.0})
+    by_mode = {}
+    for r in indicial_roots(family_of(p, 1.2e6)):
+        by_mode.setdefault(r.mode, []).extend([r.tau] * r.multiplicity)
+    assert sorted(by_mode) == sorted(f"k={k}" for k in range(1096))
+    for k in range(1096):
+        disc = np.sqrt(complex(1 - 4 * k**4))
+        tau2 = np.array([(-1 + disc) / 2, (-1 - disc) / 2])
+        taus = np.concatenate([np.sqrt(tau2), -np.sqrt(tau2)])
+        got = np.array(by_mode[f"k={k}"])
+        assert len(got) == 4, k
+        for t in taus:
+            assert np.min(np.abs(got - t)) <= 1e-9 * max(1.0, abs(t)), (k, t)
+
+
 def test_roots_zero_polynomial_rejected():
     fam = family_of(make_model("polar_laplacian"), 0.5)
     broken = dict(fam.polys)
