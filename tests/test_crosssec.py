@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fredholm_kit import CrossSection, FredholmKitError, channels, spectrum, sphere_multiplicity
+from fredholm_kit.crosssec import MODE_BUDGET, mode_count
 
 
 def entries(table):
@@ -181,3 +182,28 @@ def test_torus_channel_vectors_cover_shells():
     ch = channels(x, table, signed=True)
     shell1 = {c.vector for c in ch if c.eigenvalue == 1.0}
     assert shell1 == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+@pytest.mark.parametrize("x", [CrossSection.circle(), CrossSection.sphere(1),
+                               CrossSection.sphere(2), CrossSection.sphere(5)],
+                         ids=["circle", "S1", "S2", "S5"])
+def test_mode_count_matches_enumeration(x):
+    for cutoff in [0.5, 1.0, 2.0, 5.999, 6.0, 6.001, 99.5, 100.0, 1234.5, 9999.0]:
+        assert mode_count(x, cutoff) == len(spectrum(x, cutoff)), cutoff
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mode_count_is_the_torus_cube(d):
+    for cutoff in [0.5, 1.0, 3.99, 4.0, 24.9, 25.0]:
+        side = 2 * math.isqrt(int(cutoff)) + 1
+        assert mode_count(CrossSection.torus(d), cutoff) == side ** d
+        assert side == 1 + 2 * max(k for k in range(10) if k * k <= cutoff)
+
+
+def test_cutoff_over_the_mode_budget_is_an_error():
+    assert mode_count(CrossSection.circle(), (MODE_BUDGET - 1) ** 2) == MODE_BUDGET
+    spectrum(CrossSection.circle(), (MODE_BUDGET - 1) ** 2)
+    for x, cutoff in [(CrossSection.circle(), MODE_BUDGET ** 2), (CrossSection.torus(2), 1e4),
+                      (CrossSection.sphere(3), 1e300)]:
+        with pytest.raises(FredholmKitError, match="budget"):
+            spectrum(x, cutoff)
