@@ -21,12 +21,18 @@ from .liestruct import FredholmKitError
 
 _HERMITIAN_TOL = 1e-12
 
-# Most entries `spectrum` may enumerate for one cutoff: modes of a circle or
-# sphere, lattice points of the cube a torus walks.  It bounds the work of a
-# run whatever cutoff a user or a spec asks for: at the budget, a circle with
-# a distinct polynomial per mode takes about 1.5 s to check and 20 s to
-# verify on a 2-core host.
+# Most mode channels one cutoff may give a run: distinct eigenvalues of the
+# cross-section, or signed frequencies when tangential partials split them.
+# Each channel can carry its own polynomial to solve, so the budget bounds
+# the work of a run whatever cutoff a user or a spec asks for.  At the
+# budget, a b-operator with a distinct polynomial per channel takes 0.5-1 s
+# to check and 4-40 s to verify on a 2-core host, alike for the circle,
+# T^2 to T^4 and signed T^2 and T^3 channels.
 MODE_BUDGET = 10_000
+
+# Torus shells are counted up to this |k|^2; beyond it every torus of
+# dimension >= 2 already has more than MODE_BUDGET distinct eigenvalues.
+_SHELL_CAP = 8 * MODE_BUDGET
 
 
 class CrossKind(Enum):
@@ -158,27 +164,60 @@ def sphere_multiplicity(dim: int, l: int) -> int:
     return math.comb(l + dim, dim) - math.comb(l - 2 + dim, dim)
 
 
-def _torus_lattice(d: int, cutoff: float):
-    kmax = math.isqrt(int(cutoff))
-    for vec in itertools.product(range(-kmax, kmax + 1), repeat=d):
-        if sum(k * k for k in vec) <= cutoff:
-            yield vec
+def _torus_lattice(d: int, n: int):
+    """Points of Z^d with |k|^2 <= n, in lexicographic order, one
+    coordinate at a time (the walk never leaves the ball)."""
+    if d == 0:
+        yield ()
+        return
+    k = math.isqrt(n)
+    for j in range(-k, k + 1):
+        for rest in _torus_lattice(d - 1, n - j * j):
+            yield (j,) + rest
 
 
-def mode_count(x: CrossSection, cutoff: float) -> int:
-    """Number of entries `spectrum` enumerates for a finite cutoff >= 0, in
-    closed form: modes of a circle or sphere, points of the lattice cube
-    of a torus, eigenvalues of a generic matrix."""
+def _signed_points(d: int, cutoff: float) -> list[tuple[int, ...]]:
+    """The lattice ball of a torus, at most MODE_BUDGET + 1 points of it."""
+    return list(itertools.islice(_torus_lattice(d, int(cutoff)), MODE_BUDGET + 1))
+
+
+def _torus_shells(d: int, n: int) -> np.ndarray:
+    """r[m] = number of points of Z^d with |k|^2 = m, for 0 <= m <= n, by
+    adding one coordinate at a time."""
+    k = math.isqrt(n)
+    r = np.zeros(n + 1, dtype=np.int64 if (2 * k + 1) ** d < 2 ** 63 else object)
+    r[0] = 1
+    for _ in range(d):
+        nxt = r.copy()
+        for j in range(1, k + 1):
+            nxt[j * j:] += 2 * r[:n + 1 - j * j]
+        r = nxt
+    return r
+
+
+def mode_count(x: CrossSection, cutoff: float, signed: bool = False) -> int:
+    """Number of mode channels a finite cutoff >= 0 gives: the entries of
+    `spectrum` (modes of a circle or sphere, distinct |k|^2 of a torus,
+    eigenvalues of a generic matrix), or with `signed` the channels of
+    `channels` on a circle or torus.  Counts above MODE_BUDGET are only
+    known to be above it."""
     k = math.isqrt(int(cutoff))
-    if x.kind is CrossKind.CIRCLE:
-        return k + 1
+    if x.coordinate_count == 1:  # circle or T^1
+        return 2 * k + 1 if signed else k + 1
     if x.kind is CrossKind.SPHERE:
         while k * (k + x.dim - 1) > cutoff:
             k -= 1
         return k + 1
     if x.kind is CrossKind.TORUS:
-        return (2 * k + 1) ** x.dim
+        if signed:
+            return len(_signed_points(x.dim, cutoff))
+        return int(np.count_nonzero(_torus_shells(x.dim, min(int(cutoff), _SHELL_CAP))))
     return x.matrix.shape[0]
+
+
+def _over_budget(x: CrossSection, cutoff: float, what: str) -> FredholmKitError:
+    return FredholmKitError(f"mode cutoff {cutoff:.6g} on {x} gives more than the "
+                            f"budget of {MODE_BUDGET} {what}")
 
 
 def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
@@ -192,11 +231,9 @@ def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if mode_count(x, cutoff) > MODE_BUDGET:
-        raise FredholmKitError(
-            f"mode cutoff {cutoff:.6g} on {x} enumerates more than the budget "
-            f"of {MODE_BUDGET} modes")
+        raise _over_budget(x, cutoff, "modes")
     modes: list[tuple[float, int]] = []
-    if x.kind is CrossKind.CIRCLE:
+    if x.coordinate_count == 1:  # circle or T^1
         k = 0
         while k * k <= cutoff:
             modes.append((float(k * k), 1 if k == 0 else 2))
@@ -207,11 +244,8 @@ def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
             modes.append((float(l * (l + x.dim - 1)), sphere_multiplicity(x.dim, l)))
             l += 1
     elif x.kind is CrossKind.TORUS:
-        by_norm: dict[int, int] = {}
-        for vec in _torus_lattice(x.dim, cutoff):
-            n2 = sum(k * k for k in vec)
-            by_norm[n2] = by_norm.get(n2, 0) + 1
-        modes = [(float(n2), mult) for n2, mult in sorted(by_norm.items())]
+        shells = _torus_shells(x.dim, int(cutoff))
+        modes = [(float(n2), int(shells[n2])) for n2 in np.flatnonzero(shells)]
     else:
         evs = np.linalg.eigvalsh(x.matrix)
         scale = max(1.0, float(np.max(np.abs(evs))))
@@ -252,7 +286,10 @@ class Channel:
 def channels(x: CrossSection, table: ModeTable, signed: bool) -> tuple[Channel, ...]:
     """Split a mode table into the blocks an operator acts on diagonally."""
     out: list[Channel] = []
-    if not signed or x.coordinate_count == 0:
+    signed = signed and x.coordinate_count > 0
+    if signed and mode_count(x, table.cutoff, signed=True) > MODE_BUDGET:
+        raise _over_budget(x, table.cutoff, "signed mode channels")
+    if not signed:
         for m in table.entries:
             if x.kind is CrossKind.CIRCLE:
                 label = f"k={m.mode_id}"
@@ -273,7 +310,7 @@ def channels(x: CrossSection, table: ModeTable, signed: bool) -> tuple[Channel, 
         return tuple(out)
     # torus: enumerate the lattice points of each norm shell
     shells: dict[int, list[tuple[int, ...]]] = {}
-    for vec in _torus_lattice(x.dim, table.cutoff):
+    for vec in _signed_points(x.dim, table.cutoff):
         shells.setdefault(sum(k * k for k in vec), []).append(vec)
     for m in table.entries:
         for vec in sorted(shells.get(int(m.eigenvalue), [])):

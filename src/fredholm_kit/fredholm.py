@@ -90,11 +90,17 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
 
     def class_roots(label):
         det = f.det_poly(label)
-        nonzero = np.flatnonzero(det)
+        keep = det
+        if f.system_size > 1 and np.linalg.matrix_rank(f.poly(label)[-1]) < f.system_size:
+            # a singular leading matrix lowers the degree below the one the
+            # determinant was interpolated at: its top coefficients are
+            # round-off.  Otherwise the degree drops only by exact zeros.
+            keep = np.abs(det) > 1e-12 * float(np.max(np.abs(det)))
+        nonzero = np.flatnonzero(keep)
         if nonzero.size == 0:
             raise FredholmKitError(
                 f"indicial polynomial of mode {label} is identically zero")
-        det = det[:nonzero[-1] + 1]  # the degree drops only by exact zeros
+        det = det[:nonzero[-1] + 1]
         if det.shape[0] == 1:
             return []
         raw = np.polynomial.polynomial.polyroots(det)
@@ -531,8 +537,9 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         tb = tail_bound(nop, abs(delta), mu0)
         cutoff = opts.mode_cutoff if opts.mode_cutoff else default_mode_cutoff(p)
         needed = tb.lambda_certified * 1.05
+        signed = nop.base.needs_signed_modes()
         tail_fits = (math.isfinite(needed)
-                     and mode_count(p.cross_section, needed) <= MODE_BUDGET)
+                     and mode_count(p.cross_section, needed, signed) <= MODE_BUDGET)
         if tail_fits:
             cutoff = max(cutoff, needed)
         table = spectrum(p.cross_section, cutoff)
@@ -551,9 +558,12 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             # a root on the line decides "no" by itself; "yes" needs the tail
             if status == "yes":
                 status = "numerical-evidence"
-            caveats.append(f"the mode-tail certificate needs mode cutoff "
-                           f"{needed:.6g}, over the budget of {MODE_BUDGET} modes; "
-                           f"modes above the cutoff {cutoff:.6g} are not certified")
+            if math.isfinite(needed):
+                why = (f"the mode-tail certificate needs mode cutoff {needed:.6g}, "
+                       f"over the budget of {MODE_BUDGET} modes")
+            else:
+                why = "the mode tail could not be certified at this weight"
+            caveats.append(f"{why}; modes above the cutoff {cutoff:.6g} are not certified")
         limit_verdicts.append(LimitVerdict(
             "boundary:0", "b normal operator / indicial roots", status,
             _root_witness(line), line.as_dict()))

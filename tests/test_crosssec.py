@@ -1,5 +1,7 @@
 """Cross-section spectra against brute-force discretizations."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -184,26 +186,57 @@ def test_torus_channel_vectors_cover_shells():
     assert shell1 == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
+def lattice_ball(d, cutoff):
+    k = math.isqrt(int(cutoff))
+    return [v for v in itertools.product(range(-k, k + 1), repeat=d)
+            if sum(j * j for j in v) <= cutoff]
+
+
 @pytest.mark.parametrize("x", [CrossSection.circle(), CrossSection.sphere(1),
-                               CrossSection.sphere(2), CrossSection.sphere(5)],
-                         ids=["circle", "S1", "S2", "S5"])
+                               CrossSection.sphere(2), CrossSection.sphere(5),
+                               CrossSection.torus(1), CrossSection.torus(2),
+                               CrossSection.torus(3), CrossSection.torus(4)],
+                         ids=["circle", "S1", "S2", "S5", "T1", "T2", "T3", "T4"])
 def test_mode_count_matches_enumeration(x):
     for cutoff in [0.5, 1.0, 2.0, 5.999, 6.0, 6.001, 99.5, 100.0, 1234.5, 9999.0]:
         assert mode_count(x, cutoff) == len(spectrum(x, cutoff)), cutoff
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_mode_count_is_the_torus_cube(d):
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_torus_spectrum_counts_the_lattice_ball(d):
+    x = CrossSection.torus(d)
     for cutoff in [0.5, 1.0, 3.99, 4.0, 24.9, 25.0]:
-        side = 2 * math.isqrt(int(cutoff)) + 1
-        assert mode_count(CrossSection.torus(d), cutoff) == side ** d
-        assert side == 1 + 2 * max(k for k in range(10) if k * k <= cutoff)
+        shells = collections.Counter(sum(j * j for j in v) for v in lattice_ball(d, cutoff))
+        assert entries(spectrum(x, cutoff)) == [
+            (i, float(n2), shells[n2]) for i, n2 in enumerate(sorted(shells))]
+
+
+@pytest.mark.parametrize("x", [CrossSection.circle(), CrossSection.torus(1),
+                               CrossSection.torus(2), CrossSection.torus(3)],
+                         ids=["circle", "T1", "T2", "T3"])
+def test_signed_mode_count_is_the_lattice_ball(x):
+    for cutoff in [0.5, 1.0, 3.99, 4.0, 24.9, 25.0]:
+        ball = lattice_ball(x.dim, cutoff)
+        chans = channels(x, spectrum(x, cutoff), signed=True)
+        assert mode_count(x, cutoff, signed=True) == len(chans) == len(ball)
+        assert sorted(c.vector for c in chans) == ball
 
 
 def test_cutoff_over_the_mode_budget_is_an_error():
     assert mode_count(CrossSection.circle(), (MODE_BUDGET - 1) ** 2) == MODE_BUDGET
     spectrum(CrossSection.circle(), (MODE_BUDGET - 1) ** 2)
-    for x, cutoff in [(CrossSection.circle(), MODE_BUDGET ** 2), (CrossSection.torus(2), 1e4),
+    assert mode_count(CrossSection.torus(4), MODE_BUDGET - 1) == MODE_BUDGET
+    spectrum(CrossSection.torus(4), MODE_BUDGET - 1)
+    for x, cutoff in [(CrossSection.circle(), MODE_BUDGET ** 2), (CrossSection.torus(4), 1e4),
+                      (CrossSection.torus(2), 1e300), (CrossSection.torus(6), 1e300),
                       (CrossSection.sphere(3), 1e300)]:
+        assert mode_count(x, cutoff) > MODE_BUDGET
         with pytest.raises(FredholmKitError, match="budget"):
             spectrum(x, cutoff)
+    # 5,336 distinct |k|^2 <= 6,400 on T^3 (Legendre), but about 2.1 million
+    # signed lattice points
+    x = CrossSection.torus(3)
+    table = spectrum(x, 6400.0)
+    assert len(channels(x, table, signed=False)) == len(table) == 5336
+    with pytest.raises(FredholmKitError, match="budget"):
+        channels(x, table, signed=True)

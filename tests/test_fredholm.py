@@ -96,6 +96,37 @@ def test_roots_of_high_modes_are_not_trimmed():
             assert np.min(np.abs(got - t)) <= 1e-9 * max(1.0, abs(t)), (k, t)
 
 
+def test_singular_leading_matrix_lists_no_spurious_roots():
+    # diag((r d/dr)^2 + L - 1, r d/dr + L - 2) on the circle: the leading
+    # matrix diag(1, 0) drops the interpolated determinant from degree 4 to
+    # 3, with roots tau = +-i sqrt(k^2 + 1) and tau = -i (k^2 + 2)
+    p = make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.diag([1.0, 0.0])),
+        MultiIndex(1): Coefficient.constant(np.diag([0.0, 1.0])),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(np.diag([-1.0, -2.0])),
+    })
+    by_mode = {}
+    for r in indicial_roots(family_of(p, 30.0)):
+        by_mode.setdefault(r.mode, []).extend([r.tau] * r.multiplicity)
+    assert sorted(by_mode) == sorted(f"k={k}" for k in range(6))
+    for k in range(6):
+        want = [1j * math.sqrt(k * k + 1), -1j * math.sqrt(k * k + 1), -1j * (k * k + 2)]
+        assert_allclose(sorted(by_mode[f"k={k}"], key=lambda t: t.imag),
+                        sorted(want, key=lambda t: t.imag), atol=1e-8)
+
+
+@pytest.mark.parametrize("d, scale", [(3, 4.0), (4, 1.0)], ids=["T3", "T4"])
+def test_torus_b_laplacian_with_default_cutoff_gets_a_verdict(d, scale):
+    # (r d/dr)^2 + scale (L - 1): default cutoff 160 on T^3 (25^3 points in
+    # the lattice cube) and 40 on T^4 (13^4), roots z = +-sqrt(scale (|k|^2 + 1))
+    p = make_operator(LieStructure.b(d), CrossSection.torus(d), {
+        MultiIndex(2): 1.0, MultiIndex(0, (), 1): scale, MultiIndex(0): -scale})
+    rep = fredholm_check(p, 0.0)
+    assert rep.verdict == VERDICT_FREDHOLM
+    assert rep.cutoffs["mode_cutoff"] == 10.0 * scale * 4
+
+
 def test_roots_zero_polynomial_rejected():
     fam = family_of(make_model("polar_laplacian"), 0.5)
     broken = dict(fam.polys)
