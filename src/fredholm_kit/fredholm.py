@@ -91,11 +91,13 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     def class_roots(label):
         det = f.det_poly(label)
         keep = det
-        if f.system_size > 1 and np.linalg.matrix_rank(f.poly(label)[-1]) < f.system_size:
+        if f.system_size > 1:
             # a singular leading matrix lowers the degree below the one the
             # determinant was interpolated at: its top coefficients are
             # round-off.  Otherwise the degree drops only by exact zeros.
-            keep = np.abs(det) > 1e-12 * float(np.max(np.abs(det)))
+            small = np.abs(det) <= 1e-12 * float(np.max(np.abs(det)))
+            if small[-1] and np.linalg.matrix_rank(f.poly(label)[-1]) < f.system_size:
+                keep = ~small
         nonzero = np.flatnonzero(keep)
         if nonzero.size == 0:
             raise FredholmKitError(
