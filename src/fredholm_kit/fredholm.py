@@ -69,18 +69,17 @@ class IndicialRoot:
 
 
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    clusters: list[list[complex]] = []
+    clusters: list[list] = []  # [running sum, count]; the center is their ratio
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        placed = False
         for c in clusters:
-            center = sum(c) / len(c)
+            center = c[0] / c[1]
             if abs(r - center) <= _ROOT_CLUSTER_TOL * max(1.0, abs(center)):
-                c.append(r)
-                placed = True
+                c[0] += r
+                c[1] += 1
                 break
-        if not placed:
-            clusters.append([r])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
+        else:
+            clusters.append([0 + r, 1])
+    return [(total / n, n) for total, n in clusters]
 
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:

@@ -127,6 +127,29 @@ def test_torus_b_laplacian_with_default_cutoff_gets_a_verdict(d, scale):
     assert rep.cutoffs["mode_cutoff"] == 10.0 * scale * 4
 
 
+def test_cluster_roots_matches_the_summing_loop(rng):
+    def reference(roots):  # every center recomputed from its whole cluster
+        clusters = []
+        for r in sorted(roots, key=lambda z: (z.real, z.imag)):
+            for c in clusters:
+                center = sum(c) / len(c)
+                if abs(r - center) <= fredholm._ROOT_CLUSTER_TOL * max(1.0, abs(center)):
+                    c.append(r)
+                    break
+            else:
+                clusters.append([r])
+        return [(sum(c) / len(c), len(c)) for c in clusters]
+
+    def bits(clusters):
+        return [(complex(t).real.hex(), complex(t).imag.hex(), n) for t, n in clusters]
+
+    for _ in range(200):
+        base = rng.normal(size=8) + 1j * rng.normal(size=8)
+        near = base[:5] + 1e-9 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        roots = np.concatenate([base, near, near[:2]])
+        assert bits(fredholm._cluster_roots(roots)) == bits(reference(roots))
+
+
 def test_roots_zero_polynomial_rejected():
     fam = family_of(make_model("polar_laplacian"), 0.5)
     broken = dict(fam.polys)
