@@ -8,6 +8,7 @@ spec errors, 4 oracle mismatch.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -456,9 +457,16 @@ def _options(cutoff, tau_range, pts, compact) -> FredholmOptions:
                            empty_boundary=compact)
 
 
-def _fail_spec(e: SpecFileError, spec_path: str):
-    click.echo(f"{spec_path}: {e}", err=True)
-    sys.exit(EXIT_SPEC_ERROR)
+@contextlib.contextmanager
+def _usage_errors(spec_path: str):
+    """Turn a spec error or a kit error into one line on stderr and the
+    usage exit code."""
+    try:
+        yield
+    except FredholmKitError as e:
+        where = spec_path if isinstance(e, SpecFileError) else "error"
+        click.echo(f"{where}: {e}", err=True)
+        sys.exit(EXIT_SPEC_ERROR)
 
 
 @click.group()
@@ -493,14 +501,9 @@ _out = click.option("--out", type=click.Path(), default=None,
 @_out
 def check(spec_path, weight, cutoff, tau_range, pts, fmt, out):
     """Decide Fredholmness of the operator in SPEC_PATH at the given weight."""
-    try:
+    with _usage_errors(spec_path):
         op, compact = parse_spec(spec_path)
         report = fredholm_check(op, weight, _options(cutoff, tau_range, pts, compact))
-    except SpecFileError as e:
-        _fail_spec(e, spec_path)
-    except FredholmKitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
     _echo_or_write(render_report(report, fmt), out)
     sys.exit(_EXIT[report.verdict])
 
@@ -518,16 +521,11 @@ def check(spec_path, weight, cutoff, tau_range, pts, fmt, out):
               help="Export the oracle scans as CSV.")
 def verify(spec_path, weight, cutoff, tau_range, pts, fmt, out, scan_csv):
     """Run check plus the independent numerical oracle; fail on mismatch."""
-    try:
+    with _usage_errors(spec_path):
         op, compact = parse_spec(spec_path)
         opts = _options(cutoff, tau_range, pts, compact)
         report = fredholm_check(op, weight, opts)
         ledger = cross_check(op, report, opts)
-    except SpecFileError as e:
-        _fail_spec(e, spec_path)
-    except FredholmKitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
     if fmt == "json":
         payload = report.to_dict()
         payload["oracle"] = ledger.as_dict()
@@ -567,18 +565,13 @@ def _write_scan_csvs(scans: dict, report: FredholmReport, base_path: str):
 @_out
 def roots(spec_path, cutoff, fmt, out):
     """List the indicial roots of the operator's normal family, per mode."""
-    try:
+    with _usage_errors(spec_path):
         op, _compact = parse_spec(spec_path)
         nop = normal_operator(op)
         c = cutoff if cutoff else default_mode_cutoff(op)
         table = spectrum(op.cross_section, c)
         fam = indicial_family(nop, table)
         rts = indicial_roots(fam)
-    except SpecFileError as e:
-        _fail_spec(e, spec_path)
-    except FredholmKitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
     if fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -607,14 +600,9 @@ def roots(spec_path, cutoff, fmt, out):
 @_out
 def normal(spec_path, fmt, out):
     """Freeze the coefficients at the boundary and print the normal operator."""
-    try:
+    with _usage_errors(spec_path):
         op, _compact = parse_spec(spec_path)
         nop = normal_operator(op)
-    except SpecFileError as e:
-        _fail_spec(e, spec_path)
-    except FredholmKitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
     if fmt == "json":
         text = _dumps(serialize_operator(nop.base), indent=2) + "\n"
     else:
@@ -630,14 +618,9 @@ def normal(spec_path, fmt, out):
 @_out
 def transform(spec_path, fmt, out):
     """Rewrite a b operator on the cylinder via t = log r."""
-    try:
+    with _usage_errors(spec_path):
         op, _compact = parse_spec(spec_path)
         cyl = kondratiev_transform(op)
-    except SpecFileError as e:
-        _fail_spec(e, spec_path)
-    except FredholmKitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
     if fmt == "json":
         payload = {
             "schema": SCHEMA,

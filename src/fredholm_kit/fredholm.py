@@ -24,6 +24,7 @@ from .limitops import (
     ScSymbol,
     indicial_family,
     limit_operator,
+    newton_correction,
     normal_operator,
 )
 from .opalg import (
@@ -39,6 +40,7 @@ from .opalg import (
 
 _ROOT_CLUSTER_TOL = 1e-7
 _ROOT_RESIDUAL_TOL = 1e-9
+_ROOT_STEP_TOL = 1e-9
 _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
 
@@ -82,22 +84,45 @@ def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     return [(total / n, n) for total, n in clusters]
 
 
+def _linearized_roots(coeffs: np.ndarray, label: str) -> list[tuple[complex, int]]:
+    """Roots of a matrix polynomial with an invertible leading matrix A_m:
+    eigenvalues of the reduced block companion matrix, clustered, and one
+    Newton step on det P for every simple root.  A step above
+    _ROOT_STEP_TOL of the root means the eigenvalues cannot be trusted."""
+    m, k = coeffs.shape[0] - 1, coeffs.shape[1]
+    if m == 0:
+        return []
+    companion = np.eye(m * k, k=k, dtype=complex)
+    companion[-k:] = -np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=1))
+    clusters = _cluster_roots(np.linalg.eigvals(companion))
+    taus = np.array([tau for tau, _ in clusters], dtype=complex)
+    simple = np.array([mult == 1 for _, mult in clusters])
+    steps = np.zeros_like(taus)
+    steps[simple] = newton_correction(coeffs, taus[simple])
+    bad = np.flatnonzero(~(np.abs(steps) <= _ROOT_STEP_TOL * np.maximum(1.0, np.abs(taus))))
+    if bad.size:
+        raise FredholmKitError(
+            f"root refinement failed on mode {label}: Newton step "
+            f"{abs(steps[bad[0]]):.2e} at tau={taus[bad[0]]:.6g}")
+    return [(complex(tau), mult) for tau, (_, mult) in zip(taus - steps, clusters)]
+
+
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
-    """All tau roots of the per-mode determinant polynomials, with
-    multiplicities from clustering companion-matrix eigenvalues; each
-    distinct mode polynomial is solved once, for its first label."""
+    """All tau roots of the per-mode determinants det P(tau), with
+    multiplicities from clustering; each distinct mode polynomial is solved
+    once, for its first label.  A scalar uses the companion matrix of its
+    coefficient row, a system with an invertible leading matrix (every
+    elliptic one) its block companion matrix.  A singular leading matrix
+    falls back to the interpolated `IndicialFamily.det_poly`."""
 
     def class_roots(label):
+        if f.system_size > 1 and np.linalg.matrix_rank(f.poly(label)[-1]) == f.system_size:
+            return _linearized_roots(f.poly(label), label)
         det = f.det_poly(label)
-        keep = det
-        if f.system_size > 1:
-            # a singular leading matrix lowers the degree below the one the
-            # determinant was interpolated at: its top coefficients are
-            # round-off.  Otherwise the degree drops only by exact zeros.
-            small = np.abs(det) <= 1e-12 * float(np.max(np.abs(det)))
-            if small[-1] and np.linalg.matrix_rank(f.poly(label)[-1]) < f.system_size:
-                keep = ~small
-        nonzero = np.flatnonzero(keep)
+        # the interpolated top coefficients of a singular leading matrix
+        # are round-off; a scalar drops only exact zeros
+        small = 0.0 if f.system_size == 1 else 1e-12 * float(np.max(np.abs(det)))
+        nonzero = np.flatnonzero(np.abs(det) > small)
         if nonzero.size == 0:
             raise FredholmKitError(
                 f"indicial polynomial of mode {label} is identically zero")

@@ -87,6 +87,31 @@ def _channel_factor(mi: MultiIndex, ct: CoeffTerm, ch: Channel) -> complex:
     return factor
 
 
+def matrix_polyval(coeffs: np.ndarray, taus) -> np.ndarray:
+    """sum_j coeffs[j] tau^j for every tau, with coeffs of shape
+    (m + 1, k, k) ascending in the power: an array of shape
+    taus.shape + (k, k), one batched Horner step per coefficient."""
+    t = np.asarray(taus)[..., None, None]
+    out = np.zeros(t.shape[:-2] + coeffs.shape[1:], dtype=np.result_type(coeffs, t))
+    for c in coeffs[::-1]:
+        out = out * t + c
+    return out
+
+
+def newton_correction(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The Newton step det P / (det P)' = 1 / tr(P^-1 P') of the matrix
+    polynomial at every tau: 0 where P(tau) is exactly singular (tau is a
+    root), inf where the trace vanishes."""
+    m = coeffs.shape[0] - 1
+    p = matrix_polyval(coeffs, taus)
+    dp = matrix_polyval(coeffs[1:] * np.arange(1, m + 1)[:, None, None], taus)
+    out = np.zeros(p.shape[0], dtype=complex)
+    regular = np.linalg.det(p) != 0
+    trace = np.trace(np.linalg.solve(p[regular], dp[regular]), axis1=1, axis2=2)
+    out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
+    return out
+
+
 @dataclass(frozen=True)
 class IndicialFamily:
     """Per-mode polynomials in tau obtained from the normal operator by the
@@ -115,18 +140,13 @@ class IndicialFamily:
         return [tuple(g) for g in groups.values()]
 
     def stack(self, label: str, taus: np.ndarray) -> np.ndarray:
-        """The mode polynomial at every tau, as an (n, k, k) stack: one
-        batched Horner step per coefficient."""
-        coeffs = self.polys[label]
-        t = np.asarray(taus)[:, None, None]
-        out = np.zeros((t.shape[0],) + coeffs.shape[1:], dtype=coeffs.dtype)
-        for c in coeffs[::-1]:
-            out = out * t + c
-        return out
+        """The mode polynomial at every tau, as an (n, k, k) stack."""
+        return matrix_polyval(self.polys[label], taus)
 
     def det_poly(self, label: str) -> np.ndarray:
         """Determinant of the mode polynomial, as a scalar polynomial in tau
-        (exact for scalars, interpolated for systems)."""
+        (exact for scalars; interpolated for systems, inaccurate at high
+        degree, and used for roots only when the leading matrix is singular)."""
         coeffs = self.polys[label]
         if self.system_size == 1:
             return coeffs[:, 0, 0].copy()

@@ -1,18 +1,19 @@
 """Numerical cross-checks of the symbolic verdicts.
 
-The machinery differs from the decision engine's: roots are re-found by
-argument-principle contour counting instead of companion matrices, line
-verdicts are confirmed by scanning smallest singular values of the
-indicial family on the tested line, and zero-structure limit operators
-are sampled on a truncated half-space in log coordinates.  The inputs are
-not all independent: `cross_check` feeds `brute_roots` the engine's own
-interpolated determinant `IndicialFamily.det_poly`, so a fault in that
-polynomial is invisible to the root check.
+The machinery differs from the decision engine's.  Where the engine
+solves a mode's matrix polynomial P(tau) through its companion matrix,
+the oracle re-finds the roots of det P by Aberth-Ehrlich iteration on
+tr(P^-1 P') and confirms each cluster of iterates by the winding number
+of det P around a small box.  It evaluates the true coefficients, never
+the interpolated `IndicialFamily.det_poly`.  Line verdicts are confirmed
+by scanning smallest singular values of the indicial family on the tested
+line, and zero-structure limit operators are sampled on a truncated
+half-space in log coordinates.
 
 A line scan evaluates its finest grid once and reads the coarser levels
 of its resolution ladder off it as strided subsets.  Contour counting
-evaluates the boundaries of all boxes of one quadtree split in a single
-polyval and escalates to finer resolutions box by box.
+evaluates the boundaries of all boxes in one Horner pass and escalates
+to finer resolutions box by box.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import numpy as np
 from ._util import round12
 from .crosssec import spectrum
 from .liestruct import FredholmKitError, StructureKind
-from .limitops import IndicialFamily, LimitOperator, indicial_family, normal_operator
+from .limitops import (
+    IndicialFamily,
+    LimitOperator,
+    indicial_family,
+    matrix_polyval,
+    newton_correction,
+    normal_operator,
+)
 from .opalg import BoundaryOperator, MultiIndex, _is_matrix, symbol_monomial
 
 _YES_FLOOR = 1e-4   # scan minima above this confirm "yes"
@@ -160,15 +168,18 @@ _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
 
 
 def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
-    """Boundary winding numbers of the rectangles (x0, x1, y0, y1) at
-    n_side points per side, or None for a box this resolution cannot
-    settle; all boxes go through one polyval."""
+    """Boundary winding numbers of det P on the rectangles (x0, x1, y0, y1)
+    at n_side points per side, or None for a box this resolution cannot
+    settle; all boxes go through one Horner pass.  coeffs is an
+    (m + 1, k, k) stack or a scalar coefficient row."""
+    if np.ndim(coeffs) == 1:
+        coeffs = np.asarray(coeffs)[:, None, None]
     corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
                         for x0, x1, y0, y1 in boxes])
     steps = np.roll(corners, -1, axis=1) - corners
     sides = corners[:, :, None] + steps[:, :, None] * _UNIT_SEGMENTS[n_side]
     path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
-    vals = np.polynomial.polynomial.polyval(path, coeffs)
+    vals = np.linalg.det(matrix_polyval(coeffs, path))
     absvals = np.abs(vals)
     scale = absvals.max(axis=1)
     low = absvals.min(axis=1)
@@ -192,8 +203,8 @@ def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
 
 
 def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
-    """Zeros of the polynomial inside each rectangle (x0, x1, y0, y1),
-    counted with multiplicity via the boundary winding number.
+    """Zeros of det P inside each rectangle (x0, x1, y0, y1), counted with
+    multiplicity via the boundary winding number.
 
     All boxes share the coarsest pass.  A box it cannot settle climbs the
     finer resolutions on its own, in box order, and the first box that
@@ -210,125 +221,81 @@ def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
     return counts
 
 
-_SPLIT_FRACTIONS = (0.5, 0.53, 0.461, 0.55, 0.437, 0.519)
+def _cluster(points, tol: float) -> list[tuple[complex, int]]:
+    """Greedy groups of points within tol * max(1, |first|) of a group's
+    first point, as (mean, size)."""
+    groups: list[list] = []
+    for w in points:
+        for g in groups:
+            if abs(w - g[0]) <= tol * max(1.0, abs(g[0])):
+                g.append(w)
+                break
+        else:
+            groups.append([w])
+    return [(complex(sum(g) / len(g)), len(g)) for g in groups]
 
 
-def _subdivide(coeffs, x0, x1, y0, y1, count, coarse_tol, fine_tol, out, depth=0):
-    """Quadtree refinement; single-root boxes stop at coarse_tol (they get
-    Newton-polished later), clusters are driven down to fine_tol."""
-    if count <= 0:
-        return
-    tol = coarse_tol if count == 1 else fine_tol
-    if max(x1 - x0, y1 - y0) < tol or depth > 80:
-        z = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        out.append((z, count, max(x1 - x0, y1 - y0)))
-        return
-    for frac in _SPLIT_FRACTIONS:
-        xm = x0 + frac * (x1 - x0)
-        ym = y0 + frac * (y1 - y0)
-        boxes = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                 (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        try:
-            counts = _winding_counts(coeffs, boxes)
-        except _ContourError:
-            continue
-        if sum(counts) != count:
-            continue
-        for b, c in zip(boxes, counts):
-            _subdivide(coeffs, *b, c, coarse_tol, fine_tol, out, depth + 1)
-        return
-    # every split line kept hitting a zero; report the box center
-    z = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    out.append((z, count, max(x1 - x0, y1 - y0)))
+_ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
 
 
-def brute_roots(coeffs, tol: float = 1e-9) -> list[tuple[complex, int, float]]:
-    """Polynomial roots by argument-principle counting on rectangles with
-    bisection refinement, independent of the companion-matrix path.
+def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
+    """Roots of det P for a matrix polynomial P, independent of the
+    engine's companion matrices: Aberth-Ehrlich iteration on
+    tr(P^-1 P'), with every cluster of iterates confirmed by the winding
+    number of det P around a box of half-width tol * max(1, |z|) (less
+    when another cluster is nearer).
 
-    Returns (root, multiplicity, residual |p(root)|) triples.
+    coeffs is a scalar coefficient row or an (m + 1, k, k) stack, ascending
+    in the power.  Returns (root, multiplicity, residual |det P(root)|)
+    triples, with P scaled to a largest coefficient of magnitude one.
     """
-    coeffs = np.asarray(coeffs, dtype=complex).ravel()
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim == 1:
+        coeffs = coeffs[:, None, None]
     n = coeffs.shape[0]
-    while n > 1 and coeffs[n - 1] == 0:
+    while n > 1 and not coeffs[n - 1].any():
         n -= 1
-    coeffs = coeffs[:n]
     if n == 1:
         return []
-    lead = abs(coeffs[-1])
-    if lead < 1e-14:
-        raise FredholmKitError("leading coefficient below 1e-14; normalize first")
-    radius = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / lead
-    degree = n - 1
-    cscale = float(np.max(np.abs(coeffs)))
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-
-    def polish(z, box_size):
-        # Newton from the box center; reject escapes from the box
-        seed = z
-        for _ in range(12):
-            dp = np.polynomial.polynomial.polyval(z, deriv)
-            if dp == 0:
+    coeffs = coeffs[:n] / np.max(np.abs(coeffs[:n]))
+    lead = coeffs[-1]
+    if np.linalg.svd(lead, compute_uv=False)[-1] < 1e-14:
+        raise FredholmKitError("leading coefficient below 1e-14")
+    m, k = n - 1, lead.shape[0]
+    # every root lies within twice the largest ||A_m^-1 A_j||^(1/(m-j))
+    ratios = np.linalg.solve(lead, coeffs[:-1])
+    powers = 1.0 / (m - np.arange(m))
+    radius = 2 * float(np.max(np.linalg.norm(ratios, 2, axis=(1, 2)) ** powers)) or 1.0
+    z = radius * np.exp(1j * (2 * np.pi * np.arange(m * k) / (m * k) + 0.4))
+    active = np.ones(z.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ABERTH_STEPS):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
                 break
-            step = np.polynomial.polynomial.polyval(z, coeffs) / dp
-            z = z - step
-            if abs(z - seed) > 4 * box_size + 1e-12:
-                return None
-            if abs(step) < 1e-15 * max(1.0, abs(z)):
-                break
-        return z
-
-    for attempt in range(6):
-        r = radius * (1.05 + 0.08 * attempt)
-        # a shifted box keeps split lines off the axes, where indicial
-        # roots (real-coefficient polynomials in z) naturally sit
-        sx = 0.0173 * radius * (attempt + 1)
-        sy = 0.0101 * radius * (attempt + 1)
-        box = (-r + sx, r + sx, -r + sy, r + sy)
-        try:
-            total, = _winding_counts(coeffs, [box])
-        except _ContourError:
-            continue
-        if total != degree:
-            continue
-        coarse = max(2e-3 * radius, tol)
-        out: list[tuple[complex, int, float]] = []
-        _subdivide(coeffs, *box, total, coarse, tol, out)
-        results = []
-        ok = True
-        for z, mult, size in sorted(out, key=lambda t: (t[0].real, t[0].imag)):
-            if mult == 1 and size > tol:
-                polished = polish(z, size)
-                if polished is None:
-                    # Newton escaped; isolate this root the slow way
-                    half = 2 * size
-                    deep: list[tuple[complex, int, float]] = []
-                    try:
-                        near = (z.real - half, z.real + half,
-                                z.imag - half, z.imag + half)
-                        sub, = _winding_counts(coeffs, [near])
-                        _subdivide(coeffs, *near, sub, tol, tol, deep)
-                    except _ContourError:
-                        ok = False
-                        break
-                    if len(deep) != 1 or deep[0][1] != 1:
-                        ok = False
-                        break
-                    z = deep[0][0]
-                else:
-                    z = polished
-            elif mult == 1:
-                polished = polish(z, max(size, tol))
-                if polished is not None:
-                    z = polished
-            residual = abs(np.polynomial.polynomial.polyval(z, coeffs))
-            if residual > 1e-6 * cscale * max(1.0, abs(z)) ** degree:
-                ok = False  # a give-up box slipped through; re-seed the tree
-                break
-            results.append((z, mult, float(residual)))
-        if ok:
-            return results
-    raise FredholmKitError("contour counting failed to stabilize")
+            newton = newton_correction(coeffs, z[idx])
+            gaps = z[idx, None] - z[None, :]
+            gaps[np.arange(idx.size), idx] = np.inf
+            step = newton / (1 - newton * (1 / gaps).sum(axis=1))
+            # coinciding iterates or a vanishing trace: stop that iterate
+            step[~np.isfinite(step)] = 0
+            z[idx] -= step
+            active[idx] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[idx]))
+    clusters = sorted(_cluster(z, tol), key=lambda t: (t[0].real, t[0].imag))
+    centers = np.array([c for c, _ in clusters])
+    gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(centers.size, np.inf))
+    half = np.minimum(tol * np.maximum(1.0, np.abs(centers)), 0.45 * gaps.min(axis=1))
+    boxes = [(c.real - h, c.real + h, c.imag - h, c.imag + h) for c, h in zip(centers, half)]
+    try:
+        counts = _winding_counts(coeffs, boxes)
+    except _ContourError:
+        raise FredholmKitError("contour counting failed to stabilize") from None
+    for (c, size), count in zip(clusters, counts):
+        if count != size:
+            raise FredholmKitError(f"winding number {count} around tau={c:.9g} "
+                                   f"disagrees with {size} converged iterates")
+    residuals = np.abs(np.linalg.det(matrix_polyval(coeffs, centers)))
+    return [(c, size, float(r)) for (c, size), r in zip(clusters, residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +490,10 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         # (None, failure detail), shared by every label of the class
         found_by_label = {}
         for labels in fam.classes():
-            det = fam.det_poly(labels[0])
-            scale = float(np.max(np.abs(det)))
             found = (None, "identically zero mode polynomial")
-            if scale != 0:
+            if fam.poly(labels[0]).any():
                 try:
-                    found = (brute_roots(det / scale), None)
+                    found = (brute_roots(fam.poly(labels[0])), None)
                 except FredholmKitError as e:
                     found = (None, str(e))
             found_by_label.update(dict.fromkeys(labels, found))
@@ -547,8 +512,11 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
             else:
                 entries.append(LedgerEntry(f"roots[{ch.label}]", "fail", failure))
 
+        # only these statuses add a ledger entry; a scan for any other
+        # (an uncertified tail, say) would decide nothing
         line = next((lv for lv in report.limit_verdicts
-                     if lv.mechanism.startswith("b normal")), None)
+                     if lv.mechanism.startswith("b normal")
+                     and lv.status in ("yes", "no", "borderline")), None)
         if line is not None:
             scan = scan_line(fam, delta, opts.tau_range, opts.pts)
             scans["line"] = scan

@@ -80,3 +80,57 @@ def random_b_operator(rng, cross=None, allow_lam_poly=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+# ---------------------------------------------------------------------------
+# 4x4 b systems S diag(p_i) S^-1 over the circle with closed-form roots
+# ---------------------------------------------------------------------------
+
+
+def fixed_similarity():
+    """Q diag(1, 1.5, 2, 1.2), Q the sign-fixed QR factor of a seeded 4x4
+    standard normal matrix: condition number 2."""
+    q, r = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+    return (q * np.sign(np.diag(r))) @ np.diag([1.0, 1.5, 2.0, 1.2])
+
+
+def _similar(diag):
+    s = fixed_similarity()
+    return Coefficient.constant(s @ np.diag(np.asarray(diag, dtype=float)) @ np.linalg.inv(s))
+
+
+def b_system_order2(b, c):
+    """Blocks p_i = T^2 + b_i T + L - c_i (T = r d/dr, L the mode
+    Laplacian), conjugated by fixed_similarity(); in the Mellin variable
+    the roots of mode k solve z^2 + b_i z - (k^2 + c_i) = 0."""
+    eye = Coefficient.constant(np.eye(4))
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(2): eye, MultiIndex(1): _similar(b),
+        MultiIndex(0, (), 1): eye, MultiIndex(0): _similar(np.negative(c))})
+
+
+def b_system_order4(a, c):
+    """Blocks p_i = (T^2 + L - a_i)(T^2 + L - c_i), conjugated by
+    fixed_similarity(); the Mellin roots of mode k are
+    +-sqrt(k^2 + x) for x in a and c."""
+    eye = np.eye(4)
+    ac = _similar(-(np.asarray(a) + np.asarray(c)))
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(4): Coefficient.constant(eye),
+        MultiIndex(2, (), 1): Coefficient.constant(2 * eye),
+        MultiIndex(0, (), 2): Coefficient.constant(eye),
+        MultiIndex(2): ac, MultiIndex(0, (), 1): ac,
+        MultiIndex(0): _similar(np.multiply(a, c))})
+
+
+ORDER2_B, ORDER2_C = (0.5, 0.5, -0.25, -0.25), (1.0, 2.0, 3.0, 1.5)
+ORDER4_A, ORDER4_C = (0.25, 0.5, 1.0, 1.5), (2.0, 2.5, 3.0, 3.5)
+
+
+def order2_mellin_roots(k):
+    return [(-b + sign * math.sqrt(b * b + 4 * (k * k + c))) / 2
+            for b, c in zip(ORDER2_B, ORDER2_C) for sign in (-1, 1)]
+
+
+def order4_mellin_roots(k):
+    return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C) for sign in (-1, 1)]

@@ -241,6 +241,35 @@ def test_huge_weight_or_cutoff_ends_in_a_verdict_or_usage_error(tmp_path, spec_t
         assert message in res.stderr and res.stdout == ""
 
 
+def test_verify_at_a_huge_weight_runs_no_line_scan(tmp_path, runner):
+    # the tail is uncertified, so the line verdict is numerical evidence
+    # and a scan of the family shifted by 1e300 would only overflow
+    path = write(tmp_path, "polar.json", {"schema": SCHEMA, "model": "polar_laplacian"})
+    csv = tmp_path / "scan.csv"
+    res = runner.invoke(main, ["verify", path, "--weight", "1e300",
+                               "--scan-csv", str(csv)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.exception
+    assert res.stdout.startswith("VERDICT: Undecided")
+    assert "oracle ledger: PASS" in res.stdout
+    assert not csv.exists()
+
+
+def test_benchmark_trace_hooks_install_on_this_package():
+    # perfbench/tracing.py wraps kit functions by name; renaming one of them
+    # must fail here, not only in traced benchmark runs
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    res = run_cli(code=f"""
+import sys
+sys.path.insert(0, {perfbench!r})
+import tracing
+tracing.install(tracing.Tracer())
+print("installed")
+""")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "installed\n"
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

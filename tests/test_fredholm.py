@@ -31,6 +31,16 @@ from fredholm_kit import (
 )
 from fredholm_kit import fredholm
 from fredholm_kit.limitops import freeze_coefficients
+from conftest import (
+    ORDER2_B,
+    ORDER2_C,
+    ORDER4_A,
+    ORDER4_C,
+    b_system_order2,
+    b_system_order4,
+    order2_mellin_roots,
+    order4_mellin_roots,
+)
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -114,6 +124,27 @@ def test_singular_leading_matrix_lists_no_spurious_roots():
         want = [1j * math.sqrt(k * k + 1), -1j * math.sqrt(k * k + 1), -1j * (k * k + 2)]
         assert_allclose(sorted(by_mode[f"k={k}"], key=lambda t: t.imag),
                         sorted(want, key=lambda t: t.imag), atol=1e-8)
+
+
+@pytest.mark.parametrize("system, closed_form, modes", [
+    pytest.param(b_system_order4(ORDER4_A, ORDER4_C), order4_mellin_roots, 29,
+                 id="4x4-order4"),
+    pytest.param(b_system_order2(ORDER2_B, ORDER2_C), order2_mellin_roots, 11,
+                 id="4x4-order2"),
+])
+def test_similar_system_roots_match_closed_form(system, closed_form, modes):
+    # S diag(p_i) S^-1 has the roots of the p_i; at k = 28 the order-4
+    # roots lie 4.5e-3 apart, which an interpolated determinant cannot hold
+    rep = fredholm_check(system, 0.3)
+    by_mode = {}
+    for r in rep.roots:
+        by_mode.setdefault(r.mode, []).extend([r.mellin] * r.multiplicity)
+    assert sorted(by_mode) == sorted(f"k={k}" for k in range(modes))
+    for k in range(modes):
+        want = np.sort_complex(np.array(closed_form(k), dtype=complex))
+        got = np.sort_complex(np.array(by_mode[f"k={k}"]))
+        assert got.shape == want.shape, k
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), k
 
 
 @pytest.mark.parametrize("d, scale", [(3, 4.0), (4, 1.0)], ids=["T3", "T4"])

@@ -33,6 +33,16 @@ from fredholm_kit import (
 )
 from fredholm_kit import numoracle
 from fredholm_kit._util import round12
+from conftest import (
+    ORDER2_B,
+    ORDER2_C,
+    ORDER4_A,
+    ORDER4_C,
+    b_system_order2,
+    b_system_order4,
+    order2_mellin_roots,
+    order4_mellin_roots,
+)
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -195,6 +205,23 @@ def test_brute_roots_agrees_with_companion_on_random_polys():
         assert len(contour) == len(companion)
         assert np.max(np.abs(contour - companion)) < 1e-7 * max(
             1.0, float(np.max(np.abs(companion))))
+
+
+def test_brute_roots_of_a_4x4_order4_stack_match_closed_form():
+    # the top mode of the default cutoff: 16 roots, neighbours 4.5e-3 apart
+    fam = family_of(b_system_order4(ORDER4_A, ORDER4_C), 840.0)
+    coeffs = fam.poly("k=28")
+    assert coeffs.shape == (5, 4, 4)
+    found = brute_roots(coeffs)
+    assert [m for _, m, _ in found] == [1] * 16
+    got = np.sort_complex(np.array([1j * z for z, _, _ in found]))  # mellin = i tau
+    want = np.sort_complex(np.array(order4_mellin_roots(28), dtype=complex))
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+def test_brute_roots_accepts_a_stack_or_a_scalar_row():
+    row = np.array([-2.0, 1.0, 1.0])  # (z - 1)(z + 2)
+    assert brute_roots(row[:, None, None]) == brute_roots(row)
 
 
 def roots_inside(roots, box):
@@ -380,6 +407,40 @@ def test_cross_check_passes_on_every_builtin(delta):
         report = fredholm_check(op, delta)
         ledger = cross_check(op, report)
         assert ledger.passed, f"{name} at delta={delta}: {ledger.first_failure()}"
+
+
+def test_cross_check_passes_on_a_4x4_order4_system():
+    p = b_system_order4(ORDER4_A, ORDER4_C)
+    report = fredholm_check(p, 0.3)
+    ledger = cross_check(p, report)
+    assert ledger.passed, ledger.first_failure()
+    assert sum(e.name.startswith("roots[") for e in ledger.entries) == 29
+
+
+def test_cross_check_names_a_root_moved_by_1e_6():
+    p = b_system_order2(ORDER2_B, ORDER2_C)
+    report = fredholm_check(p, 0.3)
+    # z = (-0.5 + sqrt(4.25)) / 2 on mode k=0, where the match tolerance is 1e-7
+    i = min(range(len(report.roots)), key=lambda j: abs(
+        report.roots[j].mellin - order2_mellin_roots(0)[1]))
+    moved = report.roots[i]
+    assert moved.mode == "k=0"
+    roots = list(report.roots)
+    roots[i] = dataclasses.replace(moved, tau=moved.tau + 1e-6)
+    bad = cross_check(p, dataclasses.replace(report, roots=tuple(roots))).first_failure()
+    assert bad.name == "roots[k=0]"
+    assert "missing from report" in bad.detail
+    assert f"{moved.tau.imag:.6g}" in bad.detail
+
+
+def test_cross_check_of_a_full_rank_system_never_interpolates(monkeypatch):
+    def refuse(self, label):
+        raise AssertionError(f"det_poly called for {label}")
+
+    monkeypatch.setattr(IndicialFamily, "det_poly", refuse)
+    for p in (conjugated_system(), b_system_order2(ORDER2_B, ORDER2_C)):
+        report = fredholm_check(p, 0.3)
+        assert cross_check(p, report).passed
 
 
 # ---------------------------------------------------------------------------
