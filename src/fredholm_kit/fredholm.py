@@ -70,12 +70,12 @@ class IndicialRoot:
         }
 
 
-def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
+def _cluster_roots(roots: np.ndarray, tol: float = _ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
     clusters: list[list] = []  # [running sum, count]; the center is their ratio
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         for c in clusters:
             center = c[0] / c[1]
-            if abs(r - center) <= _ROOT_CLUSTER_TOL * max(1.0, abs(center)):
+            if abs(r - center) <= tol * max(1.0, abs(center)):
                 c[0] += r
                 c[1] += 1
                 break

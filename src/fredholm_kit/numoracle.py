@@ -25,6 +25,7 @@ import numpy as np
 
 from ._util import round12
 from .crosssec import spectrum
+from .fredholm import _cluster_roots
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
@@ -221,20 +222,6 @@ def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
     return counts
 
 
-def _cluster(points, tol: float) -> list[tuple[complex, int]]:
-    """Greedy groups of points within tol * max(1, |first|) of a group's
-    first point, as (mean, size)."""
-    groups: list[list] = []
-    for w in points:
-        for g in groups:
-            if abs(w - g[0]) <= tol * max(1.0, abs(g[0])):
-                g.append(w)
-                break
-        else:
-            groups.append([w])
-    return [(complex(sum(g) / len(g)), len(g)) for g in groups]
-
-
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
 
 
@@ -281,7 +268,7 @@ def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
             step[~np.isfinite(step)] = 0
             z[idx] -= step
             active[idx] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[idx]))
-    clusters = sorted(_cluster(z, tol), key=lambda t: (t[0].real, t[0].imag))
+    clusters = _cluster_roots(z, tol)
     centers = np.array([c for c, _ in clusters])
     gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(centers.size, np.inf))
     half = np.minimum(tol * np.maximum(1.0, np.abs(centers)), 0.45 * gaps.min(axis=1))
@@ -295,7 +282,7 @@ def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
             raise FredholmKitError(f"winding number {count} around tau={c:.9g} "
                                    f"disagrees with {size} converged iterates")
     residuals = np.abs(np.linalg.det(matrix_polyval(coeffs, centers)))
-    return [(c, size, float(r)) for (c, size), r in zip(clusters, residuals)]
+    return [(complex(c), size, float(r)) for (c, size), r in zip(clusters, residuals)]
 
 
 # ---------------------------------------------------------------------------

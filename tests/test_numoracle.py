@@ -219,11 +219,6 @@ def test_brute_roots_of_a_4x4_order4_stack_match_closed_form():
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
-def test_brute_roots_accepts_a_stack_or_a_scalar_row():
-    row = np.array([-2.0, 1.0, 1.0])  # (z - 1)(z + 2)
-    assert brute_roots(row[:, None, None]) == brute_roots(row)
-
-
 def roots_inside(roots, box):
     x0, x1, y0, y1 = box
     return int(sum(x0 < r.real < x1 and y0 < r.imag < y1 for r in roots))
