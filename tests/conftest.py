@@ -99,38 +99,39 @@ def _similar(diag):
     return Coefficient.constant(s @ np.diag(np.asarray(diag, dtype=float)) @ np.linalg.inv(s))
 
 
-def b_system_order2(b, c):
+# blocks of the order-2 and order-4 systems
+ORDER2_B, ORDER2_C = (0.5, 0.5, -0.25, -0.25), (1.0, 2.0, 3.0, 1.5)
+ORDER4_A, ORDER4_C = (0.25, 0.5, 1.0, 1.5), (2.0, 2.5, 3.0, 3.5)
+
+
+def b_system_order2():
     """Blocks p_i = T^2 + b_i T + L - c_i (T = r d/dr, L the mode
-    Laplacian), conjugated by fixed_similarity(); in the Mellin variable
-    the roots of mode k solve z^2 + b_i z - (k^2 + c_i) = 0."""
+    Laplacian), conjugated by fixed_similarity()."""
     eye = Coefficient.constant(np.eye(4))
     return make_operator(LieStructure.b(1), CrossSection.circle(), {
-        MultiIndex(2): eye, MultiIndex(1): _similar(b),
-        MultiIndex(0, (), 1): eye, MultiIndex(0): _similar(np.negative(c))})
+        MultiIndex(2): eye, MultiIndex(1): _similar(ORDER2_B),
+        MultiIndex(0, (), 1): eye, MultiIndex(0): _similar(np.negative(ORDER2_C))})
 
 
-def b_system_order4(a, c):
+def b_system_order4():
     """Blocks p_i = (T^2 + L - a_i)(T^2 + L - c_i), conjugated by
-    fixed_similarity(); the Mellin roots of mode k are
-    +-sqrt(k^2 + x) for x in a and c."""
+    fixed_similarity()."""
     eye = np.eye(4)
-    ac = _similar(-(np.asarray(a) + np.asarray(c)))
+    ac = _similar(-(np.asarray(ORDER4_A) + np.asarray(ORDER4_C)))
     return make_operator(LieStructure.b(1), CrossSection.circle(), {
         MultiIndex(4): Coefficient.constant(eye),
         MultiIndex(2, (), 1): Coefficient.constant(2 * eye),
         MultiIndex(0, (), 2): Coefficient.constant(eye),
         MultiIndex(2): ac, MultiIndex(0, (), 1): ac,
-        MultiIndex(0): _similar(np.multiply(a, c))})
-
-
-ORDER2_B, ORDER2_C = (0.5, 0.5, -0.25, -0.25), (1.0, 2.0, 3.0, 1.5)
-ORDER4_A, ORDER4_C = (0.25, 0.5, 1.0, 1.5), (2.0, 2.5, 3.0, 3.5)
+        MultiIndex(0): _similar(np.multiply(ORDER4_A, ORDER4_C))})
 
 
 def order2_mellin_roots(k):
+    """Mode k of b_system_order2: the solutions of z^2 + b_i z - (k^2 + c_i) = 0."""
     return [(-b + sign * math.sqrt(b * b + 4 * (k * k + c))) / 2
             for b, c in zip(ORDER2_B, ORDER2_C) for sign in (-1, 1)]
 
 
 def order4_mellin_roots(k):
+    """Mode k of b_system_order4: +-sqrt(k^2 + x) for x in a and c."""
     return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C) for sign in (-1, 1)]

@@ -34,10 +34,6 @@ from fredholm_kit import (
 from fredholm_kit import numoracle
 from fredholm_kit._util import round12
 from conftest import (
-    ORDER2_B,
-    ORDER2_C,
-    ORDER4_A,
-    ORDER4_C,
     b_system_order2,
     b_system_order4,
     order2_mellin_roots,
@@ -209,7 +205,7 @@ def test_brute_roots_agrees_with_companion_on_random_polys():
 
 def test_brute_roots_of_a_4x4_order4_stack_match_closed_form():
     # the top mode of the default cutoff: 16 roots, neighbours 4.5e-3 apart
-    fam = family_of(b_system_order4(ORDER4_A, ORDER4_C), 840.0)
+    fam = family_of(b_system_order4(), 840.0)
     coeffs = fam.poly("k=28")
     assert coeffs.shape == (5, 4, 4)
     found = brute_roots(coeffs)
@@ -405,7 +401,7 @@ def test_cross_check_passes_on_every_builtin(delta):
 
 
 def test_cross_check_passes_on_a_4x4_order4_system():
-    p = b_system_order4(ORDER4_A, ORDER4_C)
+    p = b_system_order4()
     report = fredholm_check(p, 0.3)
     ledger = cross_check(p, report)
     assert ledger.passed, ledger.first_failure()
@@ -413,7 +409,7 @@ def test_cross_check_passes_on_a_4x4_order4_system():
 
 
 def test_cross_check_names_a_root_moved_by_1e_6():
-    p = b_system_order2(ORDER2_B, ORDER2_C)
+    p = b_system_order2()
     report = fredholm_check(p, 0.3)
     # z = (-0.5 + sqrt(4.25)) / 2 on mode k=0, where the match tolerance is 1e-7
     i = min(range(len(report.roots)), key=lambda j: abs(
@@ -433,7 +429,7 @@ def test_cross_check_of_a_full_rank_system_never_interpolates(monkeypatch):
         raise AssertionError(f"det_poly called for {label}")
 
     monkeypatch.setattr(IndicialFamily, "det_poly", refuse)
-    for p in (conjugated_system(), b_system_order2(ORDER2_B, ORDER2_C)):
+    for p in (conjugated_system(), b_system_order2()):
         report = fredholm_check(p, 0.3)
         assert cross_check(p, report).passed
 
