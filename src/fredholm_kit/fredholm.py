@@ -22,10 +22,14 @@ from .limitops import (
     LimitOperator,
     NormalOperator,
     ScSymbol,
+    _ContourError,
+    _winding_counts,
     indicial_family,
     limit_operator,
     newton_correction,
     normal_operator,
+    root_boxes,
+    root_sensitivity,
 )
 from .opalg import (
     BoundaryOperator,
@@ -41,6 +45,9 @@ from .opalg import (
 _ROOT_CLUSTER_TOL = 1e-7
 _ROOT_RESIDUAL_TOL = 1e-9
 _ROOT_STEP_TOL = 1e-9
+_ROOT_NOISE = 1e-13  # relative change of the coefficients a simple root must outlast
+_SPREAD_BOX = 4.0  # winding box half-width over the spread of a merged root
+_SPREAD_GROWTHS = 12  # boxes tried per merged root, each _SPREAD_BOX times wider
 _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
 
@@ -70,12 +77,12 @@ class IndicialRoot:
         }
 
 
-def _cluster_roots(roots: np.ndarray, tol: float = _ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     clusters: list[list] = []  # [running sum, count]; the center is their ratio
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         for c in clusters:
             center = c[0] / c[1]
-            if abs(r - center) <= tol * max(1.0, abs(center)):
+            if abs(r - center) <= _ROOT_CLUSTER_TOL * max(1.0, abs(center)):
                 c[0] += r
                 c[1] += 1
                 break
@@ -84,68 +91,156 @@ def _cluster_roots(roots: np.ndarray, tol: float = _ROOT_CLUSTER_TOL) -> list[tu
     return [(total / n, n) for total, n in clusters]
 
 
-def _linearized_roots(coeffs: np.ndarray, label: str) -> list[tuple[complex, int]]:
-    """Roots of a matrix polynomial with an invertible leading matrix A_m:
-    eigenvalues of the reduced block companion matrix, clustered, and one
-    Newton step on det P for every simple root.  A step above
-    _ROOT_STEP_TOL of the root means the eigenvalues cannot be trusted."""
-    m, k = coeffs.shape[0] - 1, coeffs.shape[1]
+class _RootFailure(FredholmKitError):
+    """A root of the index-th polynomial of a batch that cannot be resolved."""
+
+    def __init__(self, index: int, detail: str):
+        super().__init__(detail)
+        self.index = index
+
+
+def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np.ndarray) -> float:
+    """Half-width of a box around centers[i] on which the winding number of
+    det P equals the number of merged points: _SPREAD_BOX times their
+    spread, grown by that factor (at most _SPREAD_GROWTHS times) until the
+    count settles, and never reaching another root."""
+    half = _SPREAD_BOX * np.max(np.abs(members - centers[i]))
+    only = np.arange(centers.size) == i
+    count = None
+    for _ in range(_SPREAD_GROWTHS):
+        box = root_boxes(centers, np.where(only, half, 0.0))[i]
+        try:
+            count = _winding_counts(coeffs, [box])[0]
+        except _ContourError:
+            count = None
+        if count == members.size:
+            return box[1] - centers[i].real
+        if box[1] - centers[i].real < half or (count or 0) > members.size:
+            break
+        half *= _SPREAD_BOX
+    raise FredholmKitError(f"winding number {count} around tau={centers[i]:.6g} "
+                           f"disagrees with {members.size} merged roots")
+
+
+def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[complex, int, float]]]:
+    """Roots of det P_b for a batch of matrix polynomials, coeffs[:, b] of
+    shape (m + 1, k, k), from approximations points[b], one per root
+    counted with multiplicity: for each b, (tau, multiplicity, box) triples.
+
+    Points within _ROOT_CLUSTER_TOL cluster.  Simple roots closer than the
+    sum of their radii, _ROOT_NOISE times their `root_sensitivity`,
+    cannot be told apart in
+    floating point (rounding splits a root that is defective in the
+    linearization, and a double root of large coefficients): they merge
+    into one root at their mean, and box is the half-width on which
+    `_confirm_merged` found their number (0 for every other root).  Every
+    other simple root takes one Newton step, and a step above
+    _ROOT_STEP_TOL of the root raises _RootFailure."""
+    clusters = [_cluster_roots(row) for row in points]
+    out = [[(complex(tau), mult, 0.0) for tau, mult in found if mult > 1] for found in clusters]
+    owner = np.array([b for b, found in enumerate(clusters) for _, mult in found if mult == 1],
+                     dtype=int)
+    if owner.size == 0:
+        return out
+    taus = np.array([tau for found in clusters for tau, mult in found if mult == 1], dtype=complex)
+    steps = newton_correction(coeffs[:, owner], taus)
+    radius = _ROOT_NOISE * root_sensitivity(coeffs[:, owner], taus)
+    near = (np.abs(taus[:, None] - taus[None, :]) <= radius[:, None] + radius[None, :]) \
+        & (owner[:, None] == owner[None, :])
+    linking = np.isin(owner, owner[near.sum(axis=1) > 1])
+    groups = [[i] for i in np.flatnonzero(~linking)]
+    for i in np.flatnonzero(linking):  # single linkage within each polynomial
+        linked = [g for g in groups if near[i, g].any()]
+        groups = [g for g in groups if g not in linked] + [sum(linked, [i])]
+    merged = []
+    for g in groups:
+        b = owner[g[0]]
+        if len(g) > 1:
+            merged.append((b, len(out[b]), taus[g]))
+            out[b].append((complex(taus[g].mean()), len(g), 0.0))
+        elif np.abs(steps[g[0]]) <= _ROOT_STEP_TOL * max(1.0, abs(taus[g[0]])):
+            out[b].append((complex(taus[g[0]] - steps[g[0]]), 1, 0.0))
+        else:
+            raise _RootFailure(b, f"Newton step {abs(steps[g[0]]):.2e} at tau={taus[g[0]]:.6g}")
+    for b, i, members in merged:
+        centers = np.array([tau for tau, _, _ in out[b]])
+        try:
+            out[b][i] = out[b][i][:2] + (_confirm_merged(coeffs[:, b], centers, i, members),)
+        except FredholmKitError as e:
+            raise _RootFailure(b, str(e)) from None
+    return out
+
+
+def _linearized_roots(coeffs: np.ndarray) -> list[list[tuple[complex, int, float]]]:
+    """`_resolve_roots` of a batch of matrix polynomials with invertible
+    leading matrices A_m, coeffs[:, b] of shape (m + 1, k, k), from the
+    eigenvalues of their reduced block companion matrices
+    [[0, I, ...], [-A_m^-1 A_0, ..., -A_m^-1 A_(m-1)]]."""
+    m, n, k = coeffs.shape[0] - 1, coeffs.shape[1], coeffs.shape[2]
     if m == 0:
+        return [[] for _ in range(n)]
+    companion = np.zeros((n, m * k, m * k), dtype=complex)
+    companion[:, :-k, k:] = np.eye((m - 1) * k)
+    companion[:, -k:] = -np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=-1))
+    return _resolve_roots(coeffs, np.linalg.eigvals(companion))
+
+
+def _interpolated_roots(f: IndicialFamily, label: str) -> list[tuple[complex, int]]:
+    """Roots of the interpolated determinant of a system with a singular
+    leading matrix, whose top coefficients are round-off below 1e-12 of
+    the largest."""
+    det = f.det_poly(label)
+    det = det[:np.flatnonzero(np.abs(det) > 1e-12 * float(np.max(np.abs(det))))[-1] + 1]
+    if det.shape[0] == 1:
         return []
-    companion = np.eye(m * k, k=k, dtype=complex)
-    companion[-k:] = -np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=1))
-    clusters = _cluster_roots(np.linalg.eigvals(companion))
-    taus = np.array([tau for tau, _ in clusters], dtype=complex)
-    simple = np.array([mult == 1 for _, mult in clusters])
-    steps = np.zeros_like(taus)
-    steps[simple] = newton_correction(coeffs, taus[simple])
-    bad = np.flatnonzero(~(np.abs(steps) <= _ROOT_STEP_TOL * np.maximum(1.0, np.abs(taus))))
-    if bad.size:
-        raise FredholmKitError(
-            f"root refinement failed on mode {label}: Newton step "
-            f"{abs(steps[bad[0]]):.2e} at tau={taus[bad[0]]:.6g}")
-    return [(complex(tau), mult) for tau, (_, mult) in zip(taus - steps, clusters)]
+    raw = np.polynomial.polynomial.polyroots(det)
+    scale = float(np.max(np.abs(det)))
+    deg = det.shape[0] - 1
+    out = []
+    for tau, mult in _cluster_roots(raw):
+        residual = abs(np.polynomial.polynomial.polyval(tau, det))
+        bound = _ROOT_RESIDUAL_TOL * scale * max(1.0, abs(tau)) ** deg
+        if mult == 1 and residual > bound:
+            raise FredholmKitError(
+                f"root refinement failed on mode {label}: residual "
+                f"{residual:.2e} exceeds {bound:.2e}")
+        out.append((complex(tau), mult))
+    return out
 
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     """All tau roots of the per-mode determinants det P(tau), with
     multiplicities from clustering; each distinct mode polynomial is solved
-    once, for its first label.  A scalar uses the companion matrix of its
-    coefficient row, a system with an invertible leading matrix (every
-    elliptic one) its block companion matrix.  A singular leading matrix
-    falls back to the interpolated `IndicialFamily.det_poly`."""
-
-    def class_roots(label):
-        if f.system_size > 1 and np.linalg.matrix_rank(f.poly(label)[-1]) == f.system_size:
-            return _linearized_roots(f.poly(label), label)
-        det = f.det_poly(label)
-        # the interpolated top coefficients of a singular leading matrix
-        # are round-off; a scalar drops only exact zeros
-        small = 0.0 if f.system_size == 1 else 1e-12 * float(np.max(np.abs(det)))
-        nonzero = np.flatnonzero(np.abs(det) > small)
-        if nonzero.size == 0:
-            raise FredholmKitError(
-                f"indicial polynomial of mode {label} is identically zero")
-        det = det[:nonzero[-1] + 1]
-        if det.shape[0] == 1:
-            return []
-        raw = np.polynomial.polynomial.polyroots(det)
-        scale = float(np.max(np.abs(det)))
-        deg = det.shape[0] - 1
-        out = []
-        for tau, mult in _cluster_roots(raw):
-            residual = abs(np.polynomial.polynomial.polyval(tau, det))
-            bound = _ROOT_RESIDUAL_TOL * scale * max(1.0, abs(tau)) ** deg
-            if mult == 1 and residual > bound:
-                raise FredholmKitError(
-                    f"root refinement failed on mode {label}: residual "
-                    f"{residual:.2e} exceeds {bound:.2e}")
-            out.append((complex(tau), mult))
-        return out
-
+    once, for its first label.  Exact zero top coefficients are dropped;
+    when the leading coefficient is then invertible (every scalar, and
+    every elliptic system) the roots come from the block companion
+    matrix, with all polynomials of one degree in one batch.  A system
+    whose leading matrix is singular falls back to the interpolated
+    `IndicialFamily.det_poly`."""
     by_label = {}
+    batches: dict[int, list] = {}  # degree -> [(labels, trimmed coefficients)]
     for labels in f.classes():
-        by_label.update(dict.fromkeys(labels, class_roots(labels[0])))
+        coeffs = f.poly(labels[0])
+        top = [j for j in range(coeffs.shape[0]) if coeffs[j].any()]
+        if not top:
+            raise FredholmKitError(
+                f"indicial polynomial of mode {labels[0]} is identically zero")
+        batches.setdefault(top[-1], []).append((labels, coeffs[:top[-1] + 1]))
+    for members in batches.values():
+        stack = np.stack([coeffs for _, coeffs in members], axis=1)
+        full = np.linalg.matrix_rank(stack[-1]) == f.system_size
+        for labels, _ in (m for m, ok in zip(members, full) if not ok):
+            by_label.update(dict.fromkeys(labels, _interpolated_roots(f, labels[0])))
+        if not full.any():
+            continue
+        chosen = [m for m, ok in zip(members, full) if ok]
+        try:
+            found = _linearized_roots(stack[:, full])
+        except _RootFailure as e:
+            raise FredholmKitError(f"root refinement failed on mode {chosen[e.index][0][0]}: "
+                                   f"{e}") from None
+        for (labels, _), roots in zip(chosen, found):
+            by_label.update(dict.fromkeys(labels, [(tau, mult) for tau, mult, _ in roots]))
     roots = [IndicialRoot(ch.label, tau, 1j * tau, mult)
              for ch in f.channels for tau, mult in by_label[ch.label]]
     roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))

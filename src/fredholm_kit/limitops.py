@@ -87,29 +87,119 @@ def _channel_factor(mi: MultiIndex, ct: CoeffTerm, ch: Channel) -> complex:
     return factor
 
 
-def matrix_polyval(coeffs: np.ndarray, taus) -> np.ndarray:
+def matrix_polyval(coeffs: np.ndarray, taus, derivative: bool = False):
     """sum_j coeffs[j] tau^j for every tau, with coeffs of shape
     (m + 1, k, k) ascending in the power: an array of shape
-    taus.shape + (k, k), one batched Horner step per coefficient."""
+    taus.shape + (k, k), one batched Horner step per coefficient.  A
+    coefficient stack of shape (m + 1) + taus.shape + (k, k) gives each
+    tau its own polynomial.  With derivative, the pair (P, P') from the
+    same pass."""
     t = np.asarray(taus)[..., None, None]
-    out = np.zeros(t.shape[:-2] + coeffs.shape[1:], dtype=np.result_type(coeffs, t))
+    out = np.zeros(np.broadcast_shapes(t.shape, coeffs.shape[1:]), dtype=np.result_type(coeffs, t))
+    slope = np.zeros_like(out)
     for c in coeffs[::-1]:
+        if derivative:
+            slope = slope * t + out
         out = out * t + c
-    return out
+    return (out, slope) if derivative else out
 
 
 def newton_correction(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """The Newton step det P / (det P)' = 1 / tr(P^-1 P') of the matrix
     polynomial at every tau: 0 where P(tau) is exactly singular (tau is a
-    root), inf where the trace vanishes."""
-    m = coeffs.shape[0] - 1
-    p = matrix_polyval(coeffs, taus)
-    dp = matrix_polyval(coeffs[1:] * np.arange(1, m + 1)[:, None, None], taus)
+    root), inf where the trace vanishes.  coeffs is an (m + 1, k, k)
+    stack, or (m + 1, n, k, k) with one polynomial per tau."""
+    p, dp = matrix_polyval(coeffs, taus, derivative=True)
     out = np.zeros(p.shape[0], dtype=complex)
     regular = np.linalg.det(p) != 0
     trace = np.trace(np.linalg.solve(p[regular], dp[regular]), axis1=1, axis2=2)
     out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
     return out
+
+
+def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """sum_j |A_j| |tau|^j / |y* P'(tau) x| at every tau, with x and y the
+    singular vectors of the smallest singular value of P(tau): the
+    first-order distance a simple root there moves per unit relative
+    change of the coefficients (inf where the slope y* P' x vanishes).
+    coeffs as for `newton_correction`."""
+    m = coeffs.shape[0] - 1
+    p, dp = matrix_polyval(coeffs, taus, derivative=True)
+    u, _, vh = np.linalg.svd(p)
+    slope = np.abs(np.einsum("nj,njl,nl->n", u[:, :, -1].conj(), dp, vh[:, -1].conj()))
+    size = np.linalg.norm(coeffs, axis=(-2, -1)).reshape(m + 1, -1) \
+        * np.abs(taus) ** np.arange(m + 1)[:, None]
+    return np.divide(size.sum(axis=0), slope, out=np.full(taus.shape, np.inf), where=slope > 0)
+
+
+class _ContourError(Exception):
+    pass
+
+
+_RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
+_UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
+                  for n in _RESOLUTIONS}
+
+
+def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
+    """Boundary winding numbers of det P on the rectangles (x0, x1, y0, y1)
+    at n_side points per side, or None for a box this resolution cannot
+    settle; all boxes go through one Horner pass of the (m + 1, k, k)
+    coefficient stack."""
+    corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
+                        for x0, x1, y0, y1 in boxes])
+    steps = np.roll(corners, -1, axis=1) - corners
+    sides = corners[:, :, None] + steps[:, :, None] * _UNIT_SEGMENTS[n_side]
+    path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
+    vals = np.linalg.det(matrix_polyval(coeffs, path))
+    absvals = np.abs(vals)
+    scale = absvals.max(axis=1)
+    low = absvals.min(axis=1)
+    # a zero sits on (or hugs) the contour
+    unsettled = (scale == 0) | (low < 1e-12 * scale)
+    if n_side < _RESOLUTIONS[-1]:
+        # a zero hugs the contour; coarse steps can hop over it.  The
+        # median is at most the max, so only these rows can qualify
+        near = ~unsettled & (low < 1e-6 * scale)
+        if near.any():
+            unsettled[near] = low[near] < 1e-6 * np.median(absvals[near], axis=1)
+    # rows with a zero on the contour are already unsettled; their
+    # divisions by zero must not warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dargs = np.angle(vals[:, 1:] / vals[:, :-1])
+    total = dargs.sum(axis=1) / (2 * np.pi)
+    k = np.round(total)
+    # phase steps too coarse to trust, or a count far from an integer
+    unsettled |= (np.abs(dargs).max(axis=1) > 1.8) | (np.abs(total - k) > 0.25)
+    return [None if u else int(c) for u, c in zip(unsettled, k)]
+
+
+def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
+    """Zeros of det P inside each rectangle (x0, x1, y0, y1), counted with
+    multiplicity via the boundary winding number.
+
+    All boxes share the coarsest pass.  A box it cannot settle climbs the
+    finer resolutions on its own, in box order, and the first box that
+    never settles raises _ContourError before later boxes pay for theirs.
+    """
+    counts = _contour_counts(coeffs, boxes, _RESOLUTIONS[0])
+    for i, box in enumerate(boxes):
+        for n_side in _RESOLUTIONS[1:]:
+            if counts[i] is not None:
+                break
+            counts[i] = _contour_counts(coeffs, [box], n_side)[0]
+        if counts[i] is None:
+            raise _ContourError
+    return counts
+
+
+def root_boxes(centers: np.ndarray, half: np.ndarray) -> list[tuple]:
+    """Squares (x0, x1, y0, y1) of half-width half around the centers,
+    each capped at 0.45 of the distance to the nearest other center so
+    that no two overlap."""
+    gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(centers.size, np.inf))
+    half = np.minimum(half, 0.45 * gaps.min(axis=1, initial=np.inf))
+    return [(c.real - h, c.real + h, c.imag - h, c.imag + h) for c, h in zip(centers, half)]
 
 
 @dataclass(frozen=True)

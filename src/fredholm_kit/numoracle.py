@@ -25,15 +25,18 @@ import numpy as np
 
 from ._util import round12
 from .crosssec import spectrum
-from .fredholm import _cluster_roots
+from .fredholm import _resolve_roots
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
     LimitOperator,
+    _ContourError,
+    _winding_counts,
     indicial_family,
     matrix_polyval,
     newton_correction,
     normal_operator,
+    root_boxes,
 )
 from .opalg import BoundaryOperator, MultiIndex, _is_matrix, symbol_monomial
 
@@ -155,82 +158,22 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
 
 
 # ---------------------------------------------------------------------------
-# argument-principle root finding
+# root finding
 # ---------------------------------------------------------------------------
 
 
-class _ContourError(Exception):
-    pass
-
-
-_RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
-_UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
-                  for n in _RESOLUTIONS}
-
-
-def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
-    """Boundary winding numbers of det P on the rectangles (x0, x1, y0, y1)
-    at n_side points per side, or None for a box this resolution cannot
-    settle; all boxes go through one Horner pass.  coeffs is an
-    (m + 1, k, k) stack or a scalar coefficient row."""
-    if np.ndim(coeffs) == 1:
-        coeffs = np.asarray(coeffs)[:, None, None]
-    corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
-                        for x0, x1, y0, y1 in boxes])
-    steps = np.roll(corners, -1, axis=1) - corners
-    sides = corners[:, :, None] + steps[:, :, None] * _UNIT_SEGMENTS[n_side]
-    path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
-    vals = np.linalg.det(matrix_polyval(coeffs, path))
-    absvals = np.abs(vals)
-    scale = absvals.max(axis=1)
-    low = absvals.min(axis=1)
-    # a zero sits on (or hugs) the contour
-    unsettled = (scale == 0) | (low < 1e-12 * scale)
-    if n_side < _RESOLUTIONS[-1]:
-        # a zero hugs the contour; coarse steps can hop over it.  The
-        # median is at most the max, so only these rows can qualify
-        near = ~unsettled & (low < 1e-6 * scale)
-        if near.any():
-            unsettled[near] = low[near] < 1e-6 * np.median(absvals[near], axis=1)
-    # rows with a zero on the contour are already unsettled; their
-    # divisions by zero must not warn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dargs = np.angle(vals[:, 1:] / vals[:, :-1])
-    total = dargs.sum(axis=1) / (2 * np.pi)
-    k = np.round(total)
-    # phase steps too coarse to trust, or a count far from an integer
-    unsettled |= (np.abs(dargs).max(axis=1) > 1.8) | (np.abs(total - k) > 0.25)
-    return [None if u else int(c) for u, c in zip(unsettled, k)]
-
-
-def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
-    """Zeros of det P inside each rectangle (x0, x1, y0, y1), counted with
-    multiplicity via the boundary winding number.
-
-    All boxes share the coarsest pass.  A box it cannot settle climbs the
-    finer resolutions on its own, in box order, and the first box that
-    never settles raises _ContourError before later boxes pay for theirs.
-    """
-    counts = _contour_counts(coeffs, boxes, _RESOLUTIONS[0])
-    for i, box in enumerate(boxes):
-        for n_side in _RESOLUTIONS[1:]:
-            if counts[i] is not None:
-                break
-            counts[i] = _contour_counts(coeffs, [box], n_side)[0]
-        if counts[i] is None:
-            raise _ContourError
-    return counts
-
-
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
+_UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # moment quadrature nodes
 
 
 def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
     """Roots of det P for a matrix polynomial P, independent of the
     engine's companion matrices: Aberth-Ehrlich iteration on
-    tr(P^-1 P'), with every cluster of iterates confirmed by the winding
-    number of det P around a box of half-width tol * max(1, |z|) (less
-    when another cluster is nearer).
+    tr(P^-1 P'), with the iterates resolved by `fredholm._resolve_roots`
+    and every root confirmed by the winding number of det P around a box
+    of half-width tol * max(1, |z|), or the box on which a root merged
+    from iterates closer than rounding can separate was confirmed (less
+    when another root is nearer).
 
     coeffs is a scalar coefficient row or an (m + 1, k, k) stack, ascending
     in the power.  Returns (root, multiplicity, residual |det P(root)|)
@@ -268,21 +211,30 @@ def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
             step[~np.isfinite(step)] = 0
             z[idx] -= step
             active[idx] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[idx]))
-    clusters = _cluster_roots(z, tol)
-    centers = np.array([c for c, _ in clusters])
-    gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(centers.size, np.inf))
-    half = np.minimum(tol * np.maximum(1.0, np.abs(centers)), 0.45 * gaps.min(axis=1))
-    boxes = [(c.real - h, c.real + h, c.imag - h, c.imag + h) for c, h in zip(centers, half)]
+    roots = _resolve_roots(coeffs[:, None], z[None])[0]
+    centers = np.array([c for c, _, _ in roots])
+    half = np.maximum(tol * np.maximum(1.0, np.abs(centers)),
+                      np.array([box for _, _, box in roots]))
     try:
-        counts = _winding_counts(coeffs, boxes)
+        counts = _winding_counts(coeffs, root_boxes(centers, half))
     except _ContourError:
         raise FredholmKitError("contour counting failed to stabilize") from None
-    for (c, size), count in zip(clusters, counts):
+    for (c, size, _), count in zip(roots, counts):
         if count != size:
             raise FredholmKitError(f"winding number {count} around tau={c:.9g} "
                                    f"disagrees with {size} converged iterates")
+    # iterates converge only linearly to a multiple root, so the center of
+    # a merged root is the first moment of tr(P^-1 P') on the circle of
+    # 0.45 times the distance to the nearest other root (its box when it
+    # is alone): the mean of the roots inside
+    wide = root_boxes(centers, np.full(centers.size, np.inf))
+    for i, (c, size, box) in enumerate(roots):
+        if box > 0:
+            radius = wide[i][1] - c.real
+            ring = c + (radius if math.isfinite(radius) else box) * _UNIT_CIRCLE
+            centers[i] = c + np.mean((ring - c) ** 2 / newton_correction(coeffs, ring)) / size
     residuals = np.abs(np.linalg.det(matrix_polyval(coeffs, centers)))
-    return [(complex(c), size, float(r)) for (c, size), r in zip(clusters, residuals)]
+    return [(complex(c), size, float(r)) for c, (_, size, _), r in zip(centers, roots, residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +451,12 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
             else:
                 entries.append(LedgerEntry(f"roots[{ch.label}]", "fail", failure))
 
-        # only these statuses add a ledger entry; a scan for any other
-        # (an uncertified tail, say) would decide nothing
         line = next((lv for lv in report.limit_verdicts
-                     if lv.mechanism.startswith("b normal")
-                     and lv.status in ("yes", "no", "borderline")), None)
-        if line is not None:
+                     if lv.mechanism.startswith("b normal")), None)
+        # an elliptic family whose tail could not be certified is shifted
+        # past overflow (a weight of 1e300, say): its scan is all inf
+        if line is not None and (line.status != "numerical-evidence"
+                                 or math.isfinite(report.cutoffs["tail"]["lambda_certified"])):
             scan = scan_line(fam, delta, opts.tau_range, opts.pts)
             scans["line"] = scan
             if line.status == "yes":

@@ -126,6 +126,29 @@ def b_system_order4():
         MultiIndex(0): _similar(np.multiply(ORDER4_A, ORDER4_C))})
 
 
+def b_system_shifted(shifts, coupled=False):
+    """Blocks T^2 + L - c_i, conjugated by fixed_similarity(); coupled adds
+    1 in the (0, 1) entry before conjugation, a Jordan coupling of the
+    first two blocks when c_0 = c_1."""
+    a0 = -np.diag(np.asarray(shifts, dtype=float))
+    a0[0, 1] = 1.0 if coupled else 0.0
+    s = fixed_similarity()
+    eye = Coefficient.constant(np.eye(4))
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(2): eye, MultiIndex(0, (), 1): eye,
+        MultiIndex(0): Coefficient.constant(s @ a0 @ np.linalg.inv(s))})
+
+
+# a Jordan chain of length 4 at z = 0 on mode 0, and a double root at 0
+# beside coefficients of 1e4
+JORDAN_SHIFTS, LARGE_SHIFTS = (0.0, 0.0, 1.0, 2.0), (0.0, 1e4, 1.0, 2.0)
+
+
+def shifted_mellin_roots(shifts):
+    """Mode k of b_system_shifted(shifts): +-sqrt(k^2 + c_i)."""
+    return lambda k: [sign * math.sqrt(k * k + c) for c in shifts for sign in (-1, 1)]
+
+
 def order2_mellin_roots(k):
     """Mode k of b_system_order2: the solutions of z^2 + b_i z - (k^2 + c_i) = 0."""
     return [(-b + sign * math.sqrt(b * b + 4 * (k * k + c))) / 2

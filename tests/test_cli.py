@@ -254,6 +254,18 @@ def test_verify_at_a_huge_weight_runs_no_line_scan(tmp_path, runner):
     assert not csv.exists()
 
 
+def test_verify_over_the_mode_budget_still_exports_its_line_scan(tmp_path, runner):
+    # the tail is certified but needs more modes than the budget: the
+    # verdict is numerical evidence, and the line scan behind it is kept
+    path = tmp_path / "spec.json"
+    path.write_text(TINY_FLOOR_TEXT)
+    csv = tmp_path / "scan.csv"
+    res = runner.invoke(main, ["verify", str(path), "--scan-csv", str(csv)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.exception
+    assert "over the budget of" in res.stdout
+    assert csv.read_text().startswith("point,minSingular\n")
+
+
 def test_benchmark_trace_hooks_install_on_this_package():
     # perfbench/tracing.py wraps kit functions by name; renaming one of them
     # must fail here, not only in traced benchmark runs

@@ -32,10 +32,14 @@ from fredholm_kit import (
 from fredholm_kit import fredholm
 from fredholm_kit.limitops import freeze_coefficients
 from conftest import (
+    JORDAN_SHIFTS,
+    LARGE_SHIFTS,
     b_system_order2,
     b_system_order4,
+    b_system_shifted,
     order2_mellin_roots,
     order4_mellin_roots,
+    shifted_mellin_roots,
 )
 
 B1 = LieStructure.b(1)
@@ -127,6 +131,12 @@ def test_singular_leading_matrix_lists_no_spurious_roots():
                  id="4x4-order4"),
     pytest.param(b_system_order2(), order2_mellin_roots, 11,
                  id="4x4-order2"),
+    # rounding splits the multiple roots at 0 into eigenvalues 1e-4 (Jordan)
+    # and 1e-7 (coefficients of 1e4, default cutoff 4e5) apart
+    pytest.param(b_system_shifted(JORDAN_SHIFTS, coupled=True),
+                 shifted_mellin_roots(JORDAN_SHIFTS), 9, id="4x4-jordan"),
+    pytest.param(b_system_shifted(LARGE_SHIFTS), shifted_mellin_roots(LARGE_SHIFTS), 633,
+                 id="4x4-large-shift"),
 ])
 def test_similar_system_roots_match_closed_form(system, closed_form, modes):
     # S diag(p_i) S^-1 has the roots of the p_i; at k = 28 the order-4
@@ -141,6 +151,20 @@ def test_similar_system_roots_match_closed_form(system, closed_form, modes):
         got = np.sort_complex(np.array(by_mode[f"k={k}"]))
         assert got.shape == want.shape, k
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), k
+
+
+def test_jordan_coupled_system_reaches_a_verdict_the_oracle_confirms():
+    # mode 0 has det P = z^4 with one Jordan chain: a root of multiplicity
+    # 4 on the line Re z = 0, none on Re z = 0.3
+    from fredholm_kit import cross_check
+    p = b_system_shifted(JORDAN_SHIFTS, coupled=True)
+    on_line = fredholm_check(p, 0.0)
+    assert on_line.verdict == VERDICT_NOT
+    witness = on_line.limit_verdicts[0].witness
+    assert witness["mode"] == "k=0" and witness["multiplicity"] == 4
+    off_line = fredholm_check(p, 0.3)
+    assert off_line.verdict == VERDICT_FREDHOLM
+    assert cross_check(p, on_line).passed and cross_check(p, off_line).passed
 
 
 @pytest.mark.parametrize("d, scale", [(3, 4.0), (4, 1.0)], ids=["T3", "T4"])

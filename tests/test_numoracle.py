@@ -31,13 +31,17 @@ from fredholm_kit import (
     scan_line,
     spectrum,
 )
-from fredholm_kit import numoracle
+from fredholm_kit import limitops, numoracle
 from fredholm_kit._util import round12
 from conftest import (
+    JORDAN_SHIFTS,
+    LARGE_SHIFTS,
     b_system_order2,
     b_system_order4,
+    b_system_shifted,
     order2_mellin_roots,
     order4_mellin_roots,
+    shifted_mellin_roots,
 )
 
 B1 = LieStructure.b(1)
@@ -215,6 +219,21 @@ def test_brute_roots_of_a_4x4_order4_stack_match_closed_form():
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
+@pytest.mark.parametrize("shifts, coupled, mult", [
+    (JORDAN_SHIFTS, True, 4), (LARGE_SHIFTS, False, 2)], ids=["jordan", "large-shift"])
+def test_brute_roots_merge_a_multiple_root_that_rounding_splits(shifts, coupled, mult):
+    # mode 0: det P has a root of multiplicity mult at 0, which rounding
+    # splits into simple roots of the stored coefficients
+    coeffs = family_of(b_system_shifted(shifts, coupled), 1.0).poly("k=0")
+    found = brute_roots(coeffs)
+    zero = [(z, m) for z, m, _ in found if abs(z) < 1e-3]
+    assert len(zero) == 1 and zero[0][1] == mult
+    assert abs(zero[0][0]) < 1e-12
+    rest = np.sort_complex(np.array([1j * z for z, m, _ in found if abs(z) >= 1e-3]))
+    want = np.sort_complex(np.array([z for z in shifted_mellin_roots(shifts)(0) if z], dtype=complex))
+    assert np.all(np.abs(rest - want) <= 1e-10 * np.abs(want))
+
+
 def roots_inside(roots, box):
     x0, x1, y0, y1 = box
     return int(sum(x0 < r.real < x1 and y0 < r.imag < y1 for r in roots))
@@ -231,7 +250,8 @@ def test_batched_winding_counts_match_single_boxes():
     settled = 0
     for _ in range(60):
         deg = int(rng.integers(1, 9))
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        row = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        coeffs = row[:, None, None]
         x0, y0 = rng.uniform(-3.0, 0.0, 2)
         x1, y1 = x0 + rng.uniform(0.5, 4.0), y0 + rng.uniform(0.5, 4.0)
         fx, fy = rng.uniform(0.3, 0.7, 2)
@@ -249,7 +269,7 @@ def test_batched_winding_counts_match_single_boxes():
             continue
         settled += 1
         assert numoracle._winding_counts(coeffs, boxes) == singles
-        roots = np.polynomial.polynomial.polyroots(coeffs)
+        roots = np.polynomial.polynomial.polyroots(row)
         for box, count in zip(boxes, singles):
             if edge_distance(roots, box) > 1e-3:
                 assert count == roots_inside(roots, box)
@@ -261,13 +281,14 @@ def test_batched_winding_counts_escalate_one_box():
     # two of the 64 points per side: that pass steps over it, a finer pass
     # settles it without touching the other boxes
     coeffs = np.polynomial.polynomial.polyfromroots([0.5 + 1 / 128 + 1e-4j, 2.5 + 0.5j])
+    coeffs = coeffs[:, None, None]
     boxes = [(-1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
-    assert numoracle._contour_counts(coeffs, boxes, 64) == [0, None, 1]
+    assert limitops._contour_counts(coeffs, boxes, 64) == [0, None, 1]
     assert numoracle._winding_counts(coeffs, boxes) == [0, 1, 1]
 
 
 def test_winding_counts_root_on_corner_raises_without_warning():
-    coeffs = np.array([-2.0, 1.0, 1.0], dtype=complex)  # (z - 1)(z + 2)
+    coeffs = np.array([-2.0, 1.0, 1.0], dtype=complex)[:, None, None]  # (z - 1)(z + 2)
     boxes = [(1.0, 2.0, 0.0, 1.0), (-3.0, -1.0, -1.0, 1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -432,6 +453,16 @@ def test_cross_check_of_a_full_rank_system_never_interpolates(monkeypatch):
     for p in (conjugated_system(), b_system_order2()):
         report = fredholm_check(p, 0.3)
         assert cross_check(p, report).passed
+
+
+def test_scalar_roots_never_interpolate(monkeypatch):
+    def refuse(self, label):
+        raise AssertionError(f"det_poly called for {label}")
+
+    monkeypatch.setattr(IndicialFamily, "det_poly", refuse)
+    for p in (make_model("polar_laplacian"), make_model("cyl_coord_laplacian")):
+        report = fredholm_check(p, 0.3)
+        assert report.roots and cross_check(p, report).passed
 
 
 # ---------------------------------------------------------------------------
