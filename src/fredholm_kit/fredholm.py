@@ -45,7 +45,7 @@ from .opalg import (
 _ROOT_CLUSTER_TOL = 1e-7
 _ROOT_RESIDUAL_TOL = 1e-9
 _ROOT_STEP_TOL = 1e-9
-_ROOT_NOISE = 1e-13  # relative change of the coefficients a simple root must outlast
+_ROOT_NOISE = 1e-13  # relative rounding of the coefficients (about 500 ulp)
 _SPREAD_BOX = 4.0  # winding box half-width over the spread of a merged root
 _SPREAD_GROWTHS = 12  # boxes tried per merged root, each _SPREAD_BOX times wider
 _ON_LINE_TOL = 1e-12
@@ -106,7 +106,6 @@ def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np
     count settles, and never reaching another root."""
     half = _SPREAD_BOX * np.max(np.abs(members - centers[i]))
     only = np.arange(centers.size) == i
-    count = None
     for _ in range(_SPREAD_GROWTHS):
         box = root_boxes(centers, np.where(only, half, 0.0))[i]
         try:
@@ -128,14 +127,13 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[co
     counted with multiplicity: for each b, (tau, multiplicity, box) triples.
 
     Points within _ROOT_CLUSTER_TOL cluster.  Simple roots closer than the
-    sum of their radii, _ROOT_NOISE times their `root_sensitivity`,
-    cannot be told apart in
-    floating point (rounding splits a root that is defective in the
-    linearization, and a double root of large coefficients): they merge
-    into one root at their mean, and box is the half-width on which
-    `_confirm_merged` found their number (0 for every other root).  Every
-    other simple root takes one Newton step, and a step above
-    _ROOT_STEP_TOL of the root raises _RootFailure."""
+    sum of their radii, _ROOT_NOISE times their `root_sensitivity`, cannot
+    be told apart in floating point (rounding splits a root that is
+    defective in the linearization, and a double root beside large
+    coefficients): they merge into one root at their mean, and box is the
+    half-width on which `_confirm_merged` found their number (0 for every
+    other root).  Every other simple root takes one Newton step, and a
+    step above _ROOT_STEP_TOL of the root raises _RootFailure."""
     clusters = [_cluster_roots(row) for row in points]
     out = [[(complex(tau), mult, 0.0) for tau, mult in found if mult > 1] for found in clusters]
     owner = np.array([b for b, found in enumerate(clusters) for _, mult in found if mult == 1],

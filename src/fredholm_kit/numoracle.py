@@ -3,18 +3,18 @@
 The machinery differs from the decision engine's.  Where the engine
 solves a mode's matrix polynomial P(tau) through its companion matrix,
 the oracle re-finds the roots of det P by Aberth-Ehrlich iteration on
-tr(P^-1 P') and confirms each cluster of iterates by the winding number
-of det P around a small box.  It evaluates the true coefficients, never
-the interpolated `IndicialFamily.det_poly`.  Line verdicts are confirmed
-by scanning smallest singular values of the indicial family on the tested
-line, and zero-structure limit operators are sampled on a truncated
-half-space in log coordinates.
+tr(P^-1 P') and confirms each root by the winding number of det P around
+a small box (`limitops._winding_counts`).  It evaluates the true
+coefficients, never the interpolated `IndicialFamily.det_poly`.  Both
+sides resolve their approximations with `fredholm._resolve_roots`, which
+merges roots that rounding splits; the oracle takes the center of such a
+root from a contour moment instead of the mean of its iterates.  Line
+verdicts are confirmed by scanning smallest singular values of the
+indicial family on the tested line, and zero-structure limit operators
+are sampled on a truncated half-space in log coordinates.
 
 A line scan evaluates its finest grid once and reads the coarser levels
-of its resolution ladder off it as strided subsets.  Contour counting
-evaluates the boundaries of all boxes in one Horner pass and escalates
-to finer resolutions box by box.
-"""
+of its resolution ladder off it as strided subsets."""
 
 from __future__ import annotations
 
