@@ -99,11 +99,12 @@ class _RootFailure(FredholmKitError):
         self.index = index
 
 
-def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np.ndarray) -> float:
+def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np.ndarray,
+                    size: int) -> float:
     """Half-width of a box around centers[i] on which the winding number of
-    det P equals the number of merged points: _SPREAD_BOX times their
-    spread, grown by that factor (at most _SPREAD_GROWTHS times) until the
-    count settles, and never reaching another root."""
+    det P equals the size of the root merged from members: _SPREAD_BOX
+    times their spread, grown by that factor (at most _SPREAD_GROWTHS
+    times) until the count settles, and never reaching another root."""
     half = _SPREAD_BOX * np.max(np.abs(members - centers[i]))
     only = np.arange(centers.size) == i
     for _ in range(_SPREAD_GROWTHS):
@@ -112,13 +113,13 @@ def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np
             count = _winding_counts(coeffs, [box])[0]
         except _ContourError:
             count = None
-        if count == members.size:
+        if count == size:
             return box[1] - centers[i].real
-        if box[1] - centers[i].real < half or (count or 0) > members.size:
+        if box[1] - centers[i].real < half or (count or 0) > size:
             break
         half *= _SPREAD_BOX
     raise FredholmKitError(f"winding number {count} around tau={centers[i]:.6g} "
-                           f"disagrees with {members.size} merged roots")
+                           f"disagrees with {size} merged roots")
 
 
 def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[complex, int, float]]]:
@@ -126,23 +127,25 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[co
     shape (m + 1, k, k), from approximations points[b], one per root
     counted with multiplicity: for each b, (tau, multiplicity, box) triples.
 
-    Points within _ROOT_CLUSTER_TOL cluster.  Simple roots closer than the
-    sum of their radii, _ROOT_NOISE times their `root_sensitivity`, cannot
-    be told apart in floating point (rounding splits a root that is
-    defective in the linearization, and a double root beside large
-    coefficients): they merge into one root at their mean, and box is the
-    half-width on which `_confirm_merged` found their number (0 for every
-    other root).  Every other simple root takes one Newton step, and a
-    step above _ROOT_STEP_TOL of the root raises _RootFailure."""
+    Points within _ROOT_CLUSTER_TOL cluster.  A simple root's radius is
+    _ROOT_NOISE times its `root_sensitivity` (0 for a cluster): roots
+    closer than the sum of their radii cannot be told apart in floating
+    point (rounding splits a root that is defective in the linearization,
+    and a double root beside large coefficients).  They merge into one
+    root at their mean, and box is the half-width on which
+    `_confirm_merged` found its multiplicity (0 for every other root).
+    Every other simple root takes one Newton step, and a step above
+    _ROOT_STEP_TOL of the root raises _RootFailure."""
     clusters = [_cluster_roots(row) for row in points]
-    out = [[(complex(tau), mult, 0.0) for tau, mult in found if mult > 1] for found in clusters]
-    owner = np.array([b for b, found in enumerate(clusters) for _, mult in found if mult == 1],
-                     dtype=int)
-    if owner.size == 0:
-        return out
-    taus = np.array([tau for found in clusters for tau, mult in found if mult == 1], dtype=complex)
-    steps = newton_correction(coeffs[:, owner], taus)
-    radius = _ROOT_NOISE * root_sensitivity(coeffs[:, owner], taus)
+    owner = np.array([b for b, found in enumerate(clusters) for _ in found], dtype=int)
+    taus = np.array([tau for found in clusters for tau, _ in found], dtype=complex)
+    mults = np.array([mult for found in clusters for _, mult in found], dtype=int)
+    simple = np.flatnonzero(mults == 1)
+    steps = np.zeros_like(taus)
+    radius = np.zeros(taus.shape)
+    if simple.size:
+        steps[simple] = newton_correction(coeffs[:, owner[simple]], taus[simple])
+        radius[simple] = _ROOT_NOISE * root_sensitivity(coeffs[:, owner[simple]], taus[simple])
     near = (np.abs(taus[:, None] - taus[None, :]) <= radius[:, None] + radius[None, :]) \
         & (owner[:, None] == owner[None, :])
     linking = np.isin(owner, owner[near.sum(axis=1) > 1])
@@ -150,22 +153,24 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[co
     for i in np.flatnonzero(linking):  # single linkage within each polynomial
         linked = [g for g in groups if near[i, g].any()]
         groups = [g for g in groups if g not in linked] + [sum(linked, [i])]
+    out: list[list] = [[] for _ in clusters]
     merged = []
     for g in groups:
-        b = owner[g[0]]
+        b, size = owner[g[0]], int(mults[g].sum())
         if len(g) > 1:
-            merged.append((b, len(out[b]), taus[g]))
-            out[b].append((complex(taus[g].mean()), len(g), 0.0))
-        elif np.abs(steps[g[0]]) <= _ROOT_STEP_TOL * max(1.0, abs(taus[g[0]])):
-            out[b].append((complex(taus[g[0]] - steps[g[0]]), 1, 0.0))
+            merged.append((b, len(out[b]), taus[g], size))
+            out[b].append((complex(mults[g] @ taus[g] / size), size, 0.0))
+        elif size > 1 or np.abs(steps[g[0]]) <= _ROOT_STEP_TOL * max(1.0, abs(taus[g[0]])):
+            out[b].append((complex(taus[g[0]] - steps[g[0]]), size, 0.0))
         else:
             raise _RootFailure(b, f"Newton step {abs(steps[g[0]]):.2e} at tau={taus[g[0]]:.6g}")
-    for b, i, members in merged:
+    for b, i, members, size in merged:
         centers = np.array([tau for tau, _, _ in out[b]])
         try:
-            out[b][i] = out[b][i][:2] + (_confirm_merged(coeffs[:, b], centers, i, members),)
+            box = _confirm_merged(coeffs[:, b], centers, i, members, size)
         except FredholmKitError as e:
             raise _RootFailure(b, str(e)) from None
+        out[b][i] = (out[b][i][0], size, box)
     return out
 
 
