@@ -122,7 +122,8 @@ def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np
                            f"disagrees with {size} merged roots")
 
 
-def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[complex, int, float]]]:
+def _resolve_roots(coeffs: np.ndarray,
+                   points: np.ndarray) -> list[list[tuple[complex, int, float]]]:
     """Roots of det P_b for a batch of matrix polynomials, coeffs[:, b] of
     shape (m + 1, k, k), from approximations points[b], one per root
     counted with multiplicity: for each b, (tau, multiplicity, box) triples.
@@ -140,18 +141,23 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[list[tuple[co
     owner = np.array([b for b, found in enumerate(clusters) for _ in found], dtype=int)
     taus = np.array([tau for found in clusters for tau, _ in found], dtype=complex)
     mults = np.array([mult for found in clusters for _, mult in found], dtype=int)
-    simple = np.flatnonzero(mults == 1)
-    steps = np.zeros_like(taus)
-    radius = np.zeros(taus.shape)
-    if simple.size:
-        steps[simple] = newton_correction(coeffs[:, owner[simple]], taus[simple])
-        radius[simple] = _ROOT_NOISE * root_sensitivity(coeffs[:, owner[simple]], taus[simple])
-    near = (np.abs(taus[:, None] - taus[None, :]) <= radius[:, None] + radius[None, :]) \
-        & (owner[:, None] == owner[None, :])
-    linking = np.isin(owner, owner[near.sum(axis=1) > 1])
+    # one padded row of roots per polynomial, evaluated against its own
+    # coefficients without copying them per root
+    slot = np.arange(owner.size) - np.searchsorted(owner, owner)
+    shape = (len(clusters), slot.max() + 1)
+    rows, valid = np.zeros(shape, dtype=complex), np.zeros(shape, bool)
+    rows[owner, slot], valid[owner, slot] = taus, True
+    steps = np.where(mults == 1, newton_correction(coeffs[:, :, None], rows)[owner, slot], 0)
+    sensitivity = root_sensitivity(coeffs[:, :, None], rows)
+    reach = np.zeros(shape)
+    reach[owner, slot] = np.where(mults == 1, _ROOT_NOISE * sensitivity[owner, slot], 0)
+    near = (np.abs(rows[:, :, None] - rows[:, None, :]) <= reach[:, :, None] + reach[:, None, :]) \
+        & valid[:, :, None] & valid[:, None, :]
+    linking = (near.sum(axis=2) > 1).any(axis=1)[owner]
     groups = [[i] for i in np.flatnonzero(~linking)]
     for i in np.flatnonzero(linking):  # single linkage within each polynomial
-        linked = [g for g in groups if near[i, g].any()]
+        linked = [g for g in groups
+                  if owner[g[0]] == owner[i] and near[owner[i], slot[i], slot[g]].any()]
         groups = [g for g in groups if g not in linked] + [sum(linked, [i])]
     out: list[list] = [[] for _ in clusters]
     merged = []

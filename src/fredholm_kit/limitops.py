@@ -96,7 +96,7 @@ def matrix_polyval(coeffs: np.ndarray, taus, derivative: bool = False):
     same pass."""
     t = np.asarray(taus)[..., None, None]
     out = np.zeros(np.broadcast_shapes(t.shape, coeffs.shape[1:]), dtype=np.result_type(coeffs, t))
-    slope = np.zeros_like(out)
+    slope = np.zeros_like(out) if derivative else None
     for c in coeffs[::-1]:
         if derivative:
             slope = slope * t + out
@@ -108,11 +108,11 @@ def newton_correction(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """The Newton step det P / (det P)' = 1 / tr(P^-1 P') of the matrix
     polynomial at every tau: 0 where P(tau) is exactly singular (tau is a
     root), inf where the trace vanishes.  coeffs is an (m + 1, k, k)
-    stack, or (m + 1, n, k, k) with one polynomial per tau."""
+    stack, or a stack that broadcasts against taus as in `matrix_polyval`."""
     p, dp = matrix_polyval(coeffs, taus, derivative=True)
-    out = np.zeros(p.shape[0], dtype=complex)
+    out = np.zeros(p.shape[:-2], dtype=complex)
     regular = np.linalg.det(p) != 0
-    trace = np.trace(np.linalg.solve(p[regular], dp[regular]), axis1=1, axis2=2)
+    trace = np.trace(np.linalg.solve(p[regular], dp[regular]), axis1=-2, axis2=-1)
     out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
     return out
 
@@ -123,13 +123,12 @@ def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     first-order distance a simple root there moves per unit relative
     change of the coefficients (inf where the slope y* P' x vanishes).
     coeffs as for `newton_correction`."""
-    m = coeffs.shape[0] - 1
     p, dp = matrix_polyval(coeffs, taus, derivative=True)
     u, _, vh = np.linalg.svd(p)
-    slope = np.abs(np.einsum("nj,njl,nl->n", u[:, :, -1].conj(), dp, vh[:, -1].conj()))
-    size = np.linalg.norm(coeffs, axis=(-2, -1)).reshape(m + 1, -1) \
-        * np.abs(taus) ** np.arange(m + 1)[:, None]
-    return np.divide(size.sum(axis=0), slope, out=np.full(taus.shape, np.inf), where=slope > 0)
+    slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
+    norms = np.linalg.norm(coeffs, axis=(-2, -1))
+    size = sum(norm * np.abs(taus) ** j for j, norm in enumerate(norms))
+    return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
 
 
 class _ContourError(Exception):

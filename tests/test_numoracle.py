@@ -445,22 +445,13 @@ def test_cross_check_names_a_root_moved_by_1e_6():
     assert f"{moved.tau.imag:.6g}" in bad.detail
 
 
-def test_cross_check_of_a_full_rank_system_never_interpolates(monkeypatch):
+def test_a_full_rank_leading_coefficient_is_never_interpolated(monkeypatch):
     def refuse(self, label):
         raise AssertionError(f"det_poly called for {label}")
 
     monkeypatch.setattr(IndicialFamily, "det_poly", refuse)
-    for p in (conjugated_system(), b_system_order2()):
-        report = fredholm_check(p, 0.3)
-        assert cross_check(p, report).passed
-
-
-def test_scalar_roots_never_interpolate(monkeypatch):
-    def refuse(self, label):
-        raise AssertionError(f"det_poly called for {label}")
-
-    monkeypatch.setattr(IndicialFamily, "det_poly", refuse)
-    for p in (make_model("polar_laplacian"), make_model("cyl_coord_laplacian")):
+    for p in (conjugated_system(), b_system_order2(), make_model("polar_laplacian"),
+              make_model("cyl_coord_laplacian")):
         report = fredholm_check(p, 0.3)
         assert report.roots and cross_check(p, report).passed
 
