@@ -568,7 +568,7 @@ def roots(spec_path, cutoff, fmt, out):
     with _usage_errors(spec_path):
         op, _compact = parse_spec(spec_path)
         nop = normal_operator(op)
-        c = cutoff if cutoff else default_mode_cutoff(op)
+        c = cutoff if cutoff is not None else default_mode_cutoff(op)
         table = spectrum(op.cross_section, c)
         fam = indicial_family(nop, table)
         rts = indicial_roots(fam)

@@ -220,16 +220,20 @@ def _over_budget(x: CrossSection, cutoff: float, what: str) -> FredholmKitError:
                             f"budget of {MODE_BUDGET} {what}")
 
 
+def check_cutoff(cutoff: float) -> None:
+    """Raise FredholmKitError unless the mode cutoff is finite and positive."""
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise FredholmKitError(f"mode cutoff must be finite and positive, got {cutoff}")
+
+
 def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
     """All Laplace eigenvalues <= cutoff with multiplicities.
 
     The lowest mode is always included, even when cutoff sits below it.
-    A cutoff that would enumerate more than MODE_BUDGET entries is an error.
+    A cutoff that is not finite and positive, or that would enumerate more
+    than MODE_BUDGET entries, is an error.
     """
-    if not math.isfinite(cutoff):
-        raise FredholmKitError(f"mode cutoff must be finite, got {cutoff}")
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    check_cutoff(cutoff)
     if mode_count(x, cutoff) > MODE_BUDGET:
         raise _over_budget(x, cutoff, "modes")
     modes: list[tuple[float, int]] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import round12
-from .crosssec import MODE_BUDGET, mode_count, spectrum
+from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
@@ -43,11 +43,8 @@ from .opalg import (
 )
 
 _ROOT_CLUSTER_TOL = 1e-7
-_ROOT_RESIDUAL_TOL = 1e-9
 _ROOT_STEP_TOL = 1e-9
 _ROOT_NOISE = 1e-13  # relative rounding of the coefficients (about 500 ulp)
-_SPREAD_BOX = 4.0  # winding box half-width over the spread of a merged root
-_SPREAD_GROWTHS = 12  # boxes tried per merged root, each _SPREAD_BOX times wider
 _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
 
@@ -77,20 +74,6 @@ class IndicialRoot:
         }
 
 
-def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    clusters: list[list] = []  # [running sum, count]; the center is their ratio
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for c in clusters:
-            center = c[0] / c[1]
-            if abs(r - center) <= _ROOT_CLUSTER_TOL * max(1.0, abs(center)):
-                c[0] += r
-                c[1] += 1
-                break
-        else:
-            clusters.append([0 + r, 1])
-    return [(total / n, n) for total, n in clusters]
-
-
 class _RootFailure(FredholmKitError):
     """A root of the index-th polynomial of a batch that cannot be resolved."""
 
@@ -99,84 +82,68 @@ class _RootFailure(FredholmKitError):
         self.index = index
 
 
-def _confirm_merged(coeffs: np.ndarray, centers: np.ndarray, i: int, members: np.ndarray,
-                    size: int) -> float:
-    """Half-width of a box around centers[i] on which the winding number of
-    det P equals the size of the root merged from members: _SPREAD_BOX
-    times their spread, grown by that factor (at most _SPREAD_GROWTHS
-    times) until the count settles, and never reaching another root."""
-    half = _SPREAD_BOX * np.max(np.abs(members - centers[i]))
-    only = np.arange(centers.size) == i
-    for _ in range(_SPREAD_GROWTHS):
-        box = root_boxes(centers, np.where(only, half, 0.0))[i]
-        try:
-            count = _winding_counts(coeffs, [box])[0]
-        except _ContourError:
-            count = None
-        if count == size:
-            return box[1] - centers[i].real
-        if box[1] - centers[i].real < half or (count or 0) > size:
-            break
-        half *= _SPREAD_BOX
-    raise FredholmKitError(f"winding number {count} around tau={centers[i]:.6g} "
-                           f"disagrees with {size} merged roots")
-
-
 def _resolve_roots(coeffs: np.ndarray,
                    points: np.ndarray) -> list[list[tuple[complex, int, float]]]:
     """Roots of det P_b for a batch of matrix polynomials, coeffs[:, b] of
     shape (m + 1, k, k), from approximations points[b], one per root
     counted with multiplicity: for each b, (tau, multiplicity, box) triples.
 
-    Points within _ROOT_CLUSTER_TOL cluster.  A simple root's radius is
-    _ROOT_NOISE times its `root_sensitivity` (0 for a cluster): roots
-    closer than the sum of their radii cannot be told apart in floating
+    Each approximation z gets a disc whose radius is the larger of
+    _ROOT_NOISE times its `root_sensitivity` (how far rounding of the
+    coefficients can move a simple root; left out where it is not finite)
+    and _ROOT_CLUSTER_TOL * max(1, |z|).  Approximations whose discs
+    overlap, directly or through others, cannot be told apart in floating
     point (rounding splits a root that is defective in the linearization,
-    and a double root beside large coefficients).  They merge into one
-    root at their mean, and box is the half-width on which
-    `_confirm_merged` found its multiplicity (0 for every other root).
-    Every other simple root takes one Newton step, and a step above
+    or a double root beside large coefficients): they become one root at
+    their mean, with their count as its multiplicity, and box is the
+    half-width of the square, reaching past every member's disc, on which
+    the winding number of det P confirmed that count.  A lone
+    approximation takes one Newton step (box 0), and a step above
     _ROOT_STEP_TOL of the root raises _RootFailure."""
-    clusters = [_cluster_roots(row) for row in points]
-    owner = np.array([b for b, found in enumerate(clusters) for _ in found], dtype=int)
-    taus = np.array([tau for found in clusters for tau, _ in found], dtype=complex)
-    mults = np.array([mult for found in clusters for _, mult in found], dtype=int)
-    # one padded row of roots per polynomial, evaluated against its own
-    # coefficients without copying them per root
-    slot = np.arange(owner.size) - np.searchsorted(owner, owner)
-    shape = (len(clusters), slot.max() + 1)
-    rows, valid = np.zeros(shape, dtype=complex), np.zeros(shape, bool)
-    rows[owner, slot], valid[owner, slot] = taus, True
-    steps = np.where(mults == 1, newton_correction(coeffs[:, :, None], rows)[owner, slot], 0)
-    sensitivity = root_sensitivity(coeffs[:, :, None], rows)
-    reach = np.zeros(shape)
-    reach[owner, slot] = np.where(mults == 1, _ROOT_NOISE * sensitivity[owner, slot], 0)
-    near = (np.abs(rows[:, :, None] - rows[:, None, :]) <= reach[:, :, None] + reach[:, None, :]) \
-        & valid[:, :, None] & valid[:, None, :]
-    linking = (near.sum(axis=2) > 1).any(axis=1)[owner]
-    groups = [[i] for i in np.flatnonzero(~linking)]
-    for i in np.flatnonzero(linking):  # single linkage within each polynomial
-        linked = [g for g in groups
-                  if owner[g[0]] == owner[i] and near[owner[i], slot[i], slot[g]].any()]
-        groups = [g for g in groups if g not in linked] + [sum(linked, [i])]
-    out: list[list] = [[] for _ in clusters]
-    merged = []
-    for g in groups:
-        b, size = owner[g[0]], int(mults[g].sum())
-        if len(g) > 1:
-            merged.append((b, len(out[b]), taus[g], size))
-            out[b].append((complex(mults[g] @ taus[g] / size), size, 0.0))
-        elif size > 1 or np.abs(steps[g[0]]) <= _ROOT_STEP_TOL * max(1.0, abs(taus[g[0]])):
-            out[b].append((complex(taus[g[0]] - steps[g[0]]), size, 0.0))
-        else:
-            raise _RootFailure(b, f"Newton step {abs(steps[g[0]]):.2e} at tau={taus[g[0]]:.6g}")
-    for b, i, members, size in merged:
-        centers = np.array([tau for tau, _, _ in out[b]])
+    points = np.sort(points, axis=-1)
+    stack = coeffs[:, :, None]
+    sensitivity = root_sensitivity(stack, points)
+    radius = np.maximum(_ROOT_CLUSTER_TOL * np.maximum(1.0, np.abs(points)),
+                        np.where(np.isfinite(sensitivity), _ROOT_NOISE * sensitivity, 0))
+    near = np.abs(points[:, :, None] - points[:, None, :]) \
+        <= radius[:, :, None] + radius[:, None, :]
+    lone = near.sum(axis=2) == 1
+    steps = np.where(lone, newton_correction(stack, points), 0)
+    failed = np.argwhere(np.abs(steps) > _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points)))
+    if failed.size:
+        b, i = failed[0]
+        raise _RootFailure(b, f"Newton step {abs(steps[b, i]):.2e} at tau={points[b, i]:.6g}")
+    # 0 + turns a signed zero into +0
+    out = [[(complex(tau), 1, 0.0) for tau in 0 + (row - step)[keep]]
+           for row, step, keep in zip(points, steps, lone)]
+    grouped = np.flatnonzero(~lone.all(axis=1))
+    reach = near[grouped]
+    while True:  # transitive closure of the overlaps, by boolean squaring
+        wider = reach @ reach
+        if (wider == reach).all():
+            break
+        reach = wider
+    for b, linked in zip(grouped, reach):
+        taken, groups = lone[b].copy(), []
+        for i in np.flatnonzero(~lone[b]):
+            if not taken[i]:
+                taken |= linked[i]
+                groups.append(linked[i])
+        centers = np.array([points[b, g].mean() for g in groups])
+        half = [np.max(np.abs(points[b, g] - c) + radius[b, g]) for g, c in zip(groups, centers)]
+        alone = len(out[b])
+        boxes = root_boxes(np.concatenate([[tau for tau, _, _ in out[b]], centers]),
+                           np.concatenate([np.zeros(alone), half]))[alone:]
         try:
-            box = _confirm_merged(coeffs[:, b], centers, i, members, size)
-        except FredholmKitError as e:
-            raise _RootFailure(b, str(e)) from None
-        out[b][i] = (out[b][i][0], size, box)
+            counts = _winding_counts(coeffs[:, b], boxes)
+        except _ContourError:
+            raise _RootFailure(b, "contour counting failed to stabilize") from None
+        for c, g, box, count in zip(centers, groups, boxes, counts):
+            size = int(g.sum())
+            if count != size:
+                raise _RootFailure(b, f"winding number {count} around tau={c:.6g} "
+                                      f"disagrees with {size} merged roots")
+            out[b].append((complex(c), size, box[1] - c.real))
     return out
 
 
@@ -194,38 +161,31 @@ def _linearized_roots(coeffs: np.ndarray) -> list[list[tuple[complex, int, float
     return _resolve_roots(coeffs, np.linalg.eigvals(companion))
 
 
-def _interpolated_roots(f: IndicialFamily, label: str) -> list[tuple[complex, int]]:
-    """Roots of the interpolated determinant of a system with a singular
-    leading matrix, whose top coefficients are round-off below 1e-12 of
-    the largest."""
+def _interpolated_roots(f: IndicialFamily, label: str) -> list[tuple[complex, int, float]]:
+    """Roots of a system with a singular leading matrix: the roots of its
+    interpolated determinant, cut after the last coefficient above 1e-12
+    of the largest, resolved against the true matrix polynomial."""
     det = f.det_poly(label)
     det = det[:np.flatnonzero(np.abs(det) > 1e-12 * float(np.max(np.abs(det))))[-1] + 1]
     if det.shape[0] == 1:
         return []
     raw = np.polynomial.polynomial.polyroots(det)
-    scale = float(np.max(np.abs(det)))
-    deg = det.shape[0] - 1
-    out = []
-    for tau, mult in _cluster_roots(raw):
-        residual = abs(np.polynomial.polynomial.polyval(tau, det))
-        bound = _ROOT_RESIDUAL_TOL * scale * max(1.0, abs(tau)) ** deg
-        if mult == 1 and residual > bound:
-            raise FredholmKitError(
-                f"root refinement failed on mode {label}: residual "
-                f"{residual:.2e} exceeds {bound:.2e}")
-        out.append((complex(tau), mult))
-    return out
+    try:
+        return _resolve_roots(f.poly(label)[:, None], raw[None])[0]
+    except _RootFailure as e:
+        raise FredholmKitError(f"root refinement failed on mode {label}: {e}") from None
 
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     """All tau roots of the per-mode determinants det P(tau), with
-    multiplicities from clustering; each distinct mode polynomial is solved
-    once, for its first label.  Exact zero top coefficients are dropped;
-    when the leading coefficient is then invertible (every scalar, and
-    every elliptic system) the roots come from the block companion
-    matrix, with all polynomials of one degree in one batch.  A system
-    whose leading matrix is singular falls back to the interpolated
-    `IndicialFamily.det_poly`."""
+    multiplicities, resolved by `_resolve_roots`; each distinct mode
+    polynomial is solved once, for its first label.  Exact zero top
+    coefficients are dropped; when the leading coefficient is then
+    invertible (every scalar, and every elliptic system) the
+    approximations are the eigenvalues of the block companion matrix,
+    with all polynomials of one degree in one batch.  A system whose
+    leading matrix is singular takes them from the roots of the
+    interpolated `IndicialFamily.det_poly`."""
     by_label = {}
     batches: dict[int, list] = {}  # degree -> [(labels, trimmed coefficients)]
     for labels in f.classes():
@@ -249,9 +209,9 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
             raise FredholmKitError(f"root refinement failed on mode {chosen[e.index][0][0]}: "
                                    f"{e}") from None
         for (labels, _), roots in zip(chosen, found):
-            by_label.update(dict.fromkeys(labels, [(tau, mult) for tau, mult, _ in roots]))
+            by_label.update(dict.fromkeys(labels, roots))
     roots = [IndicialRoot(ch.label, tau, 1j * tau, mult)
-             for ch in f.channels for tau, mult in by_label[ch.label]]
+             for ch in f.channels for tau, mult, _ in by_label[ch.label]]
     roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
     return roots
 
@@ -543,8 +503,8 @@ class FredholmOptions:
     halfspace_eta: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        if self.mode_cutoff is not None and not math.isfinite(self.mode_cutoff):
-            raise FredholmKitError(f"mode cutoff must be finite, got {self.mode_cutoff}")
+        if self.mode_cutoff is not None:
+            check_cutoff(self.mode_cutoff)
         lo, hi = self.tau_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise FredholmKitError(
@@ -665,7 +625,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         nop = normal_operator(p)
         mu0 = symbol_min_singular(nop.base, r=0.0)
         tb = tail_bound(nop, abs(delta), mu0)
-        cutoff = opts.mode_cutoff if opts.mode_cutoff else default_mode_cutoff(p)
+        cutoff = opts.mode_cutoff if opts.mode_cutoff is not None else default_mode_cutoff(p)
         needed = tb.lambda_certified * 1.05
         signed = nop.base.needs_signed_modes()
         tail_fits = (math.isfinite(needed)

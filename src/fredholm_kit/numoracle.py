@@ -6,9 +6,11 @@ the oracle re-finds the roots of det P by Aberth-Ehrlich iteration on
 tr(P^-1 P') and confirms each root by the winding number of det P around
 a small box (`limitops._winding_counts`).  It evaluates the true
 coefficients, never the interpolated `IndicialFamily.det_poly`.  Both
-sides resolve their approximations with `fredholm._resolve_roots`, which
-merges roots that rounding splits; the oracle takes the center of such a
-root from a contour moment instead of the mean of its iterates.  Line
+sides resolve their approximations with `fredholm._resolve_roots`: each
+gets a disc as wide as rounding can move it, and approximations whose
+discs overlap become one multiple root, confirmed by a winding count;
+the oracle takes the center of such a root from a contour moment instead
+of the mean of its iterates.  Line
 verdicts are confirmed by scanning smallest singular values of the
 indicial family on the tested line, and zero-structure limit operators
 are sampled on a truncated half-space in log coordinates.

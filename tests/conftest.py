@@ -87,10 +87,10 @@ def rng():
 # ---------------------------------------------------------------------------
 
 
-def fixed_similarity():
+def fixed_similarity(seed=7):
     """Q diag(1, 1.5, 2, 1.2), Q the sign-fixed QR factor of a seeded 4x4
     standard normal matrix: condition number 2."""
-    q, r = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
     return (q * np.sign(np.diag(r))) @ np.diag([1.0, 1.5, 2.0, 1.2])
 
 
@@ -126,13 +126,26 @@ def b_system_order4():
         MultiIndex(0): _similar(np.multiply(ORDER4_A, ORDER4_C))})
 
 
-def b_system_shifted(shifts, coupled=False):
-    """Blocks T^2 + L - c_i, conjugated by fixed_similarity(); coupled adds
-    1 in the (0, 1) entry before conjugation, a Jordan coupling of the
-    first two blocks when c_0 = c_1."""
+def b_system_order4_singular():
+    """b_system_order4 with p_3 replaced by (L - c_3)(T^2 + L - a_3): the
+    leading matrix S diag(1, 1, 1, 0) S^-1 is singular."""
+    a, c = np.asarray(ORDER4_A), np.asarray(ORDER4_C)
+    top = np.array([1.0, 1.0, 1.0, 0.0])
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(4): _similar(top),
+        MultiIndex(2, (), 1): _similar(1 + top),
+        MultiIndex(0, (), 2): Coefficient.constant(np.eye(4)),
+        MultiIndex(2): _similar(-(top * a + c)), MultiIndex(0, (), 1): _similar(-(a + c)),
+        MultiIndex(0): _similar(a * c)})
+
+
+def b_system_shifted(shifts, coupled=False, seed=7):
+    """Blocks T^2 + L - c_i, conjugated by fixed_similarity(seed); coupled
+    adds 1 in the (0, 1) entry before conjugation, a Jordan coupling of
+    the first two blocks when c_0 = c_1."""
     a0 = -np.diag(np.asarray(shifts, dtype=float))
     a0[0, 1] = 1.0 if coupled else 0.0
-    s = fixed_similarity()
+    s = fixed_similarity(seed)
     eye = Coefficient.constant(np.eye(4))
     return make_operator(LieStructure.b(1), CrossSection.circle(), {
         MultiIndex(2): eye, MultiIndex(0, (), 1): eye,
@@ -158,3 +171,9 @@ def order2_mellin_roots(k):
 def order4_mellin_roots(k):
     """Mode k of b_system_order4: +-sqrt(k^2 + x) for x in a and c."""
     return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C) for sign in (-1, 1)]
+
+
+def order4_singular_mellin_roots(k):
+    """Mode k of b_system_order4_singular: +-sqrt(k^2 + x) for x in a and
+    c_0, c_1, c_2."""
+    return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C[:3]) for sign in (-1, 1)]

@@ -167,6 +167,9 @@ SHIFTED_TEXT = json.dumps(SHIFTED_CYLINDER)
     pytest.param(POLAR_TEXT, ["check", "--cutoff", "nan"], id="cutoff-nan"),
     pytest.param(POLAR_TEXT, ["check", "--cutoff", "inf"], id="cutoff-inf"),
     pytest.param(POLAR_TEXT, ["roots", "--cutoff", "nan"], id="roots-cutoff-nan"),
+    pytest.param(POLAR_TEXT, ["check", "--cutoff", "0"], id="cutoff-0"),
+    pytest.param(POLAR_TEXT, ["check", "--cutoff", "-1"], id="cutoff-negative"),
+    pytest.param(POLAR_TEXT, ["roots", "--cutoff", "-1"], id="roots-cutoff-negative"),
     pytest.param(POLAR_TEXT, ["check", "--weight", "nan"], id="weight-nan"),
     pytest.param(POLAR_TEXT, ["check", "--weight", "-inf"], id="weight-inf"),
     pytest.param(POLAR_TEXT, ["verify", "--pts", "1"], id="pts-1"),

@@ -7,14 +7,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
+    Channel,
     Coefficient,
     CrossSection,
+    FredholmKitError,
     FredholmOptions,
+    IndicialFamily,
     LieStructure,
     MultiIndex,
+    StructureKind,
     VERDICT_FREDHOLM,
     VERDICT_NOT,
     VERDICT_UNDECIDED,
+    brute_roots,
     conjugate,
     fredholm_check,
     full_symbol,
@@ -36,9 +41,11 @@ from conftest import (
     LARGE_SHIFTS,
     b_system_order2,
     b_system_order4,
+    b_system_order4_singular,
     b_system_shifted,
     order2_mellin_roots,
     order4_mellin_roots,
+    order4_singular_mellin_roots,
     shifted_mellin_roots,
 )
 
@@ -126,6 +133,29 @@ def test_singular_leading_matrix_lists_no_spurious_roots():
                         sorted(want, key=lambda t: t.imag), atol=1e-8)
 
 
+@pytest.mark.parametrize("cutoff", [30.0, 4000.0])
+def test_singular_leading_matrix_roots_are_exact_or_refused(cutoff):
+    # 14 roots per mode from a degree-16 interpolated determinant whose
+    # top coefficients are round-off: the interpolation alone is off by
+    # percents, so every listed root must survive a Newton step on the
+    # true matrix polynomial
+    fam = family_of(b_system_order4_singular(), cutoff)
+    try:
+        roots = indicial_roots(fam)
+    except FredholmKitError as e:
+        assert str(e).startswith("root refinement failed on mode k=")
+        return
+    by_mode = {}
+    for r in roots:
+        by_mode.setdefault(r.mode, []).extend([r.mellin] * r.multiplicity)
+    for ch in fam.channels:
+        want = np.sort_complex(np.array(order4_singular_mellin_roots(int(ch.label[2:])),
+                                        dtype=complex))
+        got = np.sort_complex(np.array(by_mode.get(ch.label, [])))
+        assert got.shape == want.shape, ch.label
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), ch.label
+
+
 @pytest.mark.parametrize("system, closed_form, modes", [
     pytest.param(b_system_order4(), order4_mellin_roots, 29,
                  id="4x4-order4"),
@@ -167,6 +197,43 @@ def test_jordan_coupled_system_reaches_a_verdict_the_oracle_confirms():
     assert cross_check(p, on_line).passed and cross_check(p, off_line).passed
 
 
+def jordan_chains(s, r, p):
+    """S (tau - r)^p I_k S^-1 as an (p + 1, k, k) stack: det = (tau - r)^(p k),
+    k identical Jordan chains of length p in the linearization."""
+    inv = np.linalg.inv(s)
+    return np.stack([s @ (c * np.eye(len(s))) @ inv
+                     for c in np.polynomial.polynomial.polyfromroots([r] * p)])
+
+
+def assert_one_root(coeffs, r, mult, oracle_tol=1e-9):
+    """Engine and oracle both find det P = (tau - r)^mult: one root within
+    1e-9 * max(1, |r|) of r (oracle_tol * max(1, |r|) for the oracle)."""
+    ch = Channel("k=0", 0.0, 1, 0)
+    fam = IndicialFamily((ch,), {ch.label: coeffs}, 0.0, coeffs.shape[1], StructureKind.B)
+    engine = [(x.tau, x.multiplicity) for x in indicial_roots(fam)]
+    oracle = [(z, m) for z, m, _ in brute_roots(coeffs)]
+    for found, tol in ((engine, 1e-9), (oracle, oracle_tol)):
+        assert [m for _, m in found] == [mult]
+        assert abs(found[0][0] - r) <= tol * max(1.0, abs(r))
+
+
+def test_identical_jordan_chains_give_one_root():
+    # two identical Jordan chains of length 3: rounding scatters the six
+    # eigenvalues of the linearization and the oracle's iterates around r
+    assert_one_root(jordan_chains(np.array([[2.0, 1.0], [0.5, 3.0]]), 10 + 2j, 3), 10 + 2j, 6)
+
+
+def test_identical_jordan_chains_scan():
+    # the oracle centers a merged root by a contour moment, which is held
+    # to the ledger's match tolerance
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        p, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        s = rng.standard_normal((k, k))
+        r = complex(*rng.normal(scale=10.0, size=2))
+        assert_one_root(jordan_chains(s, r, p), r, p * k, oracle_tol=1e-7)
+
+
 @pytest.mark.parametrize("d, scale", [(3, 4.0), (4, 1.0)], ids=["T3", "T4"])
 def test_torus_b_laplacian_with_default_cutoff_gets_a_verdict(d, scale):
     # (r d/dr)^2 + scale (L - 1): default cutoff 160 on T^3 (25^3 points in
@@ -176,29 +243,6 @@ def test_torus_b_laplacian_with_default_cutoff_gets_a_verdict(d, scale):
     rep = fredholm_check(p, 0.0)
     assert rep.verdict == VERDICT_FREDHOLM
     assert rep.cutoffs["mode_cutoff"] == 10.0 * scale * 4
-
-
-def test_cluster_roots_matches_the_summing_loop(rng):
-    def reference(roots):  # every center recomputed from its whole cluster
-        clusters = []
-        for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-            for c in clusters:
-                center = sum(c) / len(c)
-                if abs(r - center) <= fredholm._ROOT_CLUSTER_TOL * max(1.0, abs(center)):
-                    c.append(r)
-                    break
-            else:
-                clusters.append([r])
-        return [(sum(c) / len(c), len(c)) for c in clusters]
-
-    def bits(clusters):
-        return [(complex(t).real.hex(), complex(t).imag.hex(), n) for t, n in clusters]
-
-    for _ in range(200):
-        base = rng.normal(size=8) + 1j * rng.normal(size=8)
-        near = base[:5] + 1e-9 * (rng.normal(size=5) + 1j * rng.normal(size=5))
-        roots = np.concatenate([base, near, near[:2]])
-        assert bits(fredholm._cluster_roots(roots)) == bits(reference(roots))
 
 
 def test_roots_zero_polynomial_rejected():

@@ -219,12 +219,13 @@ def test_brute_roots_of_a_4x4_order4_stack_match_closed_form():
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
-@pytest.mark.parametrize("shifts, coupled, mult", [
-    (JORDAN_SHIFTS, True, 4), (LARGE_SHIFTS, False, 2)], ids=["jordan", "large-shift"])
-def test_brute_roots_merge_a_multiple_root_that_rounding_splits(shifts, coupled, mult):
+@pytest.mark.parametrize("shifts, coupled, mult, seed", [
+    (JORDAN_SHIFTS, True, 4, 7), (LARGE_SHIFTS, False, 2, 7), ((0.0, 1e3, 1.0, 2.0), False, 2, 6)],
+    ids=["jordan", "large-shift", "shift-1e3-seed-6"])
+def test_brute_roots_merge_a_multiple_root_that_rounding_splits(shifts, coupled, mult, seed):
     # mode 0: det P has a root of multiplicity mult at 0, which rounding
     # splits into simple roots of the stored coefficients
-    coeffs = family_of(b_system_shifted(shifts, coupled), 1.0).poly("k=0")
+    coeffs = family_of(b_system_shifted(shifts, coupled, seed), 1.0).poly("k=0")
     found = brute_roots(coeffs)
     zero = [(z, m) for z, m, _ in found if abs(z) < 1e-3]
     assert len(zero) == 1 and zero[0][1] == mult
