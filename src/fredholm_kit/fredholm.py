@@ -218,7 +218,7 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
 
 @dataclass(frozen=True)
 class LineVerdict:
-    status: str  # yes | no | borderline
+    status: str  # yes | no | borderline | numerical-evidence (no roots)
     distance: float
     witness: IndicialRoot | None
 
@@ -634,10 +634,20 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             cutoff = max(cutoff, needed)
         table = spectrum(p.cross_section, cutoff)
         fam = indicial_family(nop, table)
-        roots = tuple(indicial_roots(fam))
-        line = normal_invertible(fam, delta, list(roots))
         w_cert = certified_weight_range(nop, cutoff, mu0)
-        safe = tuple(safe_weight_intervals(list(roots), -w_cert, w_cert))
+        try:
+            roots = tuple(indicial_roots(fam))
+        except FredholmKitError as e:
+            if ell.elliptic:
+                raise
+            # the symbol alone decides NotFredholm: keep that verdict, list
+            # no roots and no safe weights, and say why
+            line = LineVerdict("numerical-evidence", math.inf, None)
+            caveats.append(f"indicial roots not computed ({e}); the verdict "
+                           "rests on the failed ellipticity alone")
+        else:
+            line = normal_invertible(fam, delta, list(roots))
+            safe = tuple(safe_weight_intervals(list(roots), -w_cert, w_cert))
         cutoffs = {
             "mode_cutoff": round12(cutoff),
             "tail": tb.as_dict(),

@@ -20,7 +20,7 @@ from fredholm_kit.cli import (
     render_report,
     serialize_operator,
 )
-from conftest import windowed_trig
+from conftest import b_system_order4_singular, windowed_trig
 
 SHIFTED_CYLINDER = {
     "schema": SCHEMA,
@@ -157,6 +157,14 @@ def test_check_exit_codes(tmp_path, runner):
     assert runner.invoke(main, ["check", polar, "--weight", "0.5"]).exit_code == 0
     assert runner.invoke(main, ["check", hyp]).exit_code == 2
     assert runner.invoke(main, ["check", str(tmp_path / "absent.json")]).exit_code == 3
+
+
+def test_check_of_a_non_elliptic_system_without_roots_says_not_fredholm(tmp_path, runner):
+    spec = write(tmp_path, "singular.json", serialize_operator(b_system_order4_singular()))
+    res = runner.invoke(main, ["check", spec, "--weight", "0.3"])
+    assert res.exit_code == 1
+    assert res.output.splitlines()[0] == "VERDICT: NotFredholm"
+    assert "indicial roots not computed (root refinement failed" in res.output
 
 
 POLAR_TEXT = '{"schema": "fredholm-kit/1", "model": "polar_laplacian"}'

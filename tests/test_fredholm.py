@@ -156,6 +156,28 @@ def test_singular_leading_matrix_roots_are_exact_or_refused(cutoff):
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), ch.label
 
 
+def test_non_elliptic_verdict_survives_a_root_failure():
+    # the singular leading matrix sends roots through the interpolated
+    # determinant, which is too poor here for the Newton check
+    report = fredholm_check(b_system_order4_singular(), 0.3)
+    assert not report.elliptic.elliptic
+    assert report.verdict == VERDICT_NOT
+    assert report.roots == () and report.safe_weights == ()
+    [lv] = report.limit_verdicts
+    assert lv.status == "numerical-evidence" and lv.witness is None
+    assert any(c.startswith("indicial roots not computed (root refinement failed on mode k=0")
+               for c in report.caveats)
+
+
+def test_elliptic_operator_still_raises_on_a_root_failure(monkeypatch):
+    def fail(fam):
+        raise FredholmKitError("root refinement failed on mode k=0")
+
+    monkeypatch.setattr(fredholm, "indicial_roots", fail)
+    with pytest.raises(FredholmKitError, match="root refinement failed"):
+        fredholm_check(b_system_order4(), 0.3)
+
+
 @pytest.mark.parametrize("system, closed_form, modes", [
     pytest.param(b_system_order4(), order4_mellin_roots, 29,
                  id="4x4-order4"),

@@ -19,6 +19,7 @@ from fredholm_kit import (
     brute_roots,
     builtin_suite,
     cross_check,
+    default_mode_cutoff,
     fredholm_check,
     half_space_sample,
     identity_operator,
@@ -507,3 +508,78 @@ def test_batched_system_scan_matches_per_point_svd():
                                float(np.linalg.svd(m, compute_uv=False)[-1]))
     batched = numoracle._family_min_singular(fam, taus)
     assert np.array_equal(batched, reference)
+
+
+def _unpruned_min_singular(fam, taus):
+    """min over classes of one stacked SVD per class at every point."""
+    out = np.full(taus.shape, np.inf)
+    for labels in fam.classes():
+        out = np.minimum(out, np.linalg.svd(fam.stack(labels[0], taus),
+                                            compute_uv=False)[:, -1])
+    return out
+
+
+@pytest.mark.parametrize("system, cutoff, classes, delta", [
+    pytest.param(b_system_order4(), None, 29, 0.3, id="4x4-order4"),
+    pytest.param(b_system_order2(), None, 11, 0.3, id="4x4-order2"),
+    # block 0 has roots +-sqrt(102.25 - k^2): none in the scan range on
+    # mode 0, exactly +-1.5 on mode 10, the last class
+    pytest.param(b_system_shifted((-102.25, 1.0, 2.0, 3.0)), 120.0, 11, 0.0,
+                 id="4x4-later-class-minimum"),
+])
+def test_pruned_system_scan_is_bit_identical_to_the_full_scan(system, cutoff, classes,
+                                                              delta):
+    fam = family_of(system, cutoff or default_mode_cutoff(system))
+    assert len(fam.classes()) == classes
+    taus = np.linspace(-10.0, 10.0, 8001) - 1j * delta
+    reference = _unpruned_min_singular(fam, taus)
+    assert np.array_equal(numoracle._family_min_singular(fam, taus), reference)
+
+
+def test_later_class_holds_the_scan_minimum():
+    fam = family_of(b_system_shifted((-102.25, 1.0, 2.0, 3.0)), 120.0)
+    taus = np.linspace(-10.0, 10.0, 8001)
+    first = np.linalg.svd(fam.stack(fam.classes()[0][0], taus), compute_uv=False)[:, -1]
+    pruned = numoracle._family_min_singular(fam, taus)
+    assert pruned.min() < 1e-12 < first.min()
+    assert abs(abs(taus[np.argmin(pruned)]) - 1.5) < 1e-12
+
+
+def test_weyl_bound_never_exceeds_the_computed_smallest_singular_value():
+    rng = np.random.default_rng(20)
+    taus = np.concatenate([np.linspace(-10.0, 10.0, 41),
+                           np.linspace(-10.0, 10.0, 41) - 0.3j,
+                           rng.standard_normal(40) * 5 + 5j * rng.standard_normal(40)])
+    tight = 0
+    for trial in range(400):
+        m, k = rng.integers(1, 5), rng.integers(2, 5)
+        scale = 10.0 ** rng.uniform(0, 4)
+        # a scalar part plus a perturbation from exactly 0 up to the scale,
+        # so the bound ranges from tight to vacuous
+        eps = (0.0, 1e-14, 1e-8, 1e-3, 1.0)[trial % 5]
+        diag = (rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)) * scale
+        pert = rng.standard_normal((m + 1, k, k)) + 1j * rng.standard_normal((m + 1, k, k))
+        coeffs = diag[:, None, None] * np.eye(k) + eps * scale * pert
+        smin = np.linalg.svd(limitops.matrix_polyval(coeffs, taus), compute_uv=False)[:, -1]
+        bound = numoracle._weyl_lower_bound(coeffs, taus)
+        assert np.all(bound <= smin), (trial, np.max(bound - smin))
+        tight += int(np.any(bound > 0.5 * smin))
+    assert tight > 100  # the bound is not vacuous on near-scalar stacks
+
+
+def test_system_scan_runs_few_svd_rows(monkeypatch):
+    """Past mode 0 the Weyl bound of the 4x4 order-4 system exceeds the
+    running minimum almost everywhere; a scan that evaluated every class
+    at every point would ask for 29 x 8001 rows."""
+    fam = family_of(b_system_order4(), default_mode_cutoff(b_system_order4()))
+    rows = []
+    stack = IndicialFamily.stack
+
+    def counted(self, label, taus):
+        rows.append(np.asarray(taus).shape[0])
+        return stack(self, label, taus)
+
+    monkeypatch.setattr(IndicialFamily, "stack", counted)
+    scan = scan_line(fam, 0.0, (-10.0, 10.0), 2001, refinements=2)
+    assert len(scan.points) == 8001
+    assert sum(rows) <= 2 * 8001
