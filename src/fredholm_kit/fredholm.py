@@ -22,7 +22,6 @@ from .limitops import (
     LimitOperator,
     NormalOperator,
     ScSymbol,
-    _ContourError,
     _winding_counts,
     indicial_family,
     limit_operator,
@@ -97,7 +96,8 @@ def _resolve_roots(coeffs: np.ndarray,
     or a double root beside large coefficients): they become one root at
     their mean, with their count as its multiplicity, and box is the
     half-width of the square, reaching past every member's disc, on which
-    the winding number of det P confirmed that count.  A lone
+    the winding number of det P confirmed that count, in one chunked
+    `_winding_counts` pass over the merged roots of the whole batch.  A lone
     approximation takes one Newton step (box 0), and a step above
     _ROOT_STEP_TOL of the root raises _RootFailure."""
     points = np.sort(points, axis=-1)
@@ -123,6 +123,7 @@ def _resolve_roots(coeffs: np.ndarray,
         if (wider == reach).all():
             break
         reach = wider
+    merged = {}  # b -> [(center, members, box)]
     for b, linked in zip(grouped, reach):
         taken, groups = lone[b].copy(), []
         for i in np.flatnonzero(~lone[b]):
@@ -134,12 +135,15 @@ def _resolve_roots(coeffs: np.ndarray,
         alone = len(out[b])
         boxes = root_boxes(np.concatenate([[tau for tau, _, _ in out[b]], centers]),
                            np.concatenate([np.zeros(alone), half]))[alone:]
-        try:
-            counts = _winding_counts(coeffs[:, b], boxes)
-        except _ContourError:
-            raise _RootFailure(b, "contour counting failed to stabilize") from None
-        for c, g, box, count in zip(centers, groups, boxes, counts):
-            size = int(g.sum())
+        merged[b] = [(c, int(g.sum()), box) for c, g, box in zip(centers, groups, boxes)]
+    owners = [b for b, roots in merged.items() for _ in roots]
+    counts = iter(_winding_counts(coeffs, [box for roots in merged.values()
+                                           for _, _, box in roots], owners))
+    for b, roots in merged.items():
+        mine = [next(counts) for _ in roots]
+        if None in mine:
+            raise _RootFailure(b, "contour counting failed to stabilize")
+        for (c, size, box), count in zip(roots, mine):
             if count != size:
                 raise _RootFailure(b, f"winding number {count} around tau={c:.6g} "
                                       f"disagrees with {size} merged roots")

@@ -136,6 +136,7 @@ class _ContourError(Exception):
 
 
 _RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
+_CONTOUR_CHUNK = 2 ** 14  # matrix entries per pass of the coarsest resolution
 _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
                   for n in _RESOLUTIONS}
 
@@ -144,7 +145,8 @@ def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
     """Boundary winding numbers of det P on the rectangles (x0, x1, y0, y1)
     at n_side points per side, or None for a box this resolution cannot
     settle; all boxes go through one Horner pass of the (m + 1, k, k)
-    coefficient stack."""
+    coefficient stack, or of an (m + 1, len(boxes), 1, k, k) stack that
+    gives each box its own polynomial."""
     corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
                         for x0, x1, y0, y1 in boxes])
     steps = np.roll(corners, -1, axis=1) - corners
@@ -173,22 +175,41 @@ def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
     return [None if u else int(c) for u, c in zip(unsettled, k)]
 
 
-def _winding_counts(coeffs: np.ndarray, boxes) -> list[int]:
+def _winding_counts(coeffs: np.ndarray, boxes, owners=None) -> list[int | None]:
     """Zeros of det P inside each rectangle (x0, x1, y0, y1), counted with
     multiplicity via the boundary winding number.
 
-    All boxes share the coarsest pass.  A box it cannot settle climbs the
-    finer resolutions on its own, in box order, and the first box that
-    never settles raises _ContourError before later boxes pay for theirs.
+    coeffs is one (m + 1, k, k) stack for every box or, with owners, an
+    (m + 1, B, k, k) batch in which box i belongs to polynomial owners[i].
+    All boxes share the coarsest resolution, in passes of at most
+    _CONTOUR_CHUNK matrix entries (boxes x contour points x k^2), which
+    bounds peak memory.  A box it cannot settle climbs the finer
+    resolutions on its own, in box order.  A box that never settles
+    counts None, and the later unsettled boxes of its polynomial do not
+    climb; with a single stack it raises _ContourError instead.
     """
-    counts = _contour_counts(coeffs, boxes, _RESOLUTIONS[0])
+    if owners is None:
+        counts = _winding_counts(coeffs[:, None], boxes, np.zeros(len(boxes), dtype=int))
+        if None in counts:
+            raise _ContourError
+        return counts
+    owners = np.asarray(owners)
+    k = coeffs.shape[-1]
+    per_pass = max(1, _CONTOUR_CHUNK // ((4 * _RESOLUTIONS[0] + 1) * k * k))
+    counts = []
+    for lo in range(0, len(boxes), per_pass):
+        counts += _contour_counts(coeffs[:, owners[lo:lo + per_pass], None],
+                                  boxes[lo:lo + per_pass], _RESOLUTIONS[0])
+    failed = set()
     for i, box in enumerate(boxes):
+        if counts[i] is not None or owners[i] in failed:
+            continue
         for n_side in _RESOLUTIONS[1:]:
+            counts[i] = _contour_counts(coeffs[:, owners[i:i + 1], None], [box], n_side)[0]
             if counts[i] is not None:
                 break
-            counts[i] = _contour_counts(coeffs, [box], n_side)[0]
-        if counts[i] is None:
-            raise _ContourError
+        else:
+            failed.add(owners[i])
     return counts
 
 
@@ -279,6 +300,7 @@ def indicial_family(n: NormalOperator, table: ModeTable) -> IndicialFamily:
                    "no invertibility criterion is attached to it here")
     polys: dict[str, np.ndarray] = {}
     deg = max(mi.radial for mi, _ in base.terms)
+    eye = np.eye(k)
     for ch in chans:
         coeffs = np.zeros((deg + 1, k, k), dtype=complex)
         for mi, co in base.terms:
@@ -286,7 +308,7 @@ def indicial_family(n: NormalOperator, table: ModeTable) -> IndicialFamily:
                 factor = _channel_factor(mi, ct, ch) * 1j ** mi.radial
                 piece = _value_mul(factor, ct.value)
                 if not _is_matrix(piece):
-                    piece = piece * np.eye(k)
+                    piece = piece * eye
                 coeffs[mi.radial] += piece
         polys[ch.label] = coeffs
     return IndicialFamily(chans, polys, table.cutoff, k,

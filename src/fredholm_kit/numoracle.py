@@ -15,6 +15,17 @@ verdicts are confirmed by scanning smallest singular values of the
 indicial family on the tested line, and zero-structure limit operators
 are sampled on a truncated half-space in log coordinates.
 
+The oracle solves all mode classes of a family in one batch per
+polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
+leading coefficients, one Aberth-Ehrlich iteration over every iterate of
+every polynomial, one resolve, and one winding count over every root's
+box.  A polynomial that fails any of these fails alone, with the message
+it would give on its own, and its neighbours' roots stay bit-identical.
+The winding count runs in passes of at most `limitops._CONTOUR_CHUNK`
+matrix entries, which bounds peak memory: a single pass over the 928
+root boxes of a 4x4 order-4 family would hold 61 MB in each array of
+contour values.
+
 A line scan evaluates its finest grid once and reads the coarser levels
 of its resolution ladder off it as strided subsets.  For a system it
 runs a class's SVD only where that class could lower the running
@@ -35,12 +46,11 @@ import numpy as np
 
 from ._util import round12
 from .crosssec import spectrum
-from .fredholm import _resolve_roots
+from .fredholm import _resolve_roots, _RootFailure
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
     LimitOperator,
-    _ContourError,
     _winding_counts,
     indicial_family,
     matrix_polyval,
@@ -208,73 +218,130 @@ _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # moment quadrature node
 
 def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
     """Roots of det P for a matrix polynomial P, independent of the
-    engine's companion matrices: Aberth-Ehrlich iteration on
-    tr(P^-1 P'), with the iterates resolved by `fredholm._resolve_roots`
-    and every root confirmed by the winding number of det P around a box
-    of half-width tol * max(1, |z|), or the box on which a root merged
-    from iterates closer than rounding can separate was confirmed (less
-    when another root is nearer).
+    engine's companion matrices: the batch of one of `_brute_roots_batch`,
+    which `cross_check` runs on all classes of a family at once (Aberth
+    iteration, a resolve and winding counts in passes of bounded memory).
 
     coeffs is a scalar coefficient row or an (m + 1, k, k) stack, ascending
     in the power.  Returns (root, multiplicity, residual |det P(root)|)
-    triples, with P scaled to a largest coefficient of magnitude one.
+    triples, with P scaled to a largest coefficient of magnitude one, and
+    raises FredholmKitError when a root cannot be found or confirmed.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim == 1:
-        coeffs = coeffs[:, None, None]
-    n = coeffs.shape[0]
-    while n > 1 and not coeffs[n - 1].any():
-        n -= 1
-    if n == 1:
-        return []
-    coeffs = coeffs[:n] / np.max(np.abs(coeffs[:n]))
-    lead = coeffs[-1]
-    if np.linalg.svd(lead, compute_uv=False)[-1] < 1e-14:
-        raise FredholmKitError("leading coefficient below 1e-14")
-    m, k = n - 1, lead.shape[0]
+    (roots, failure), = _brute_roots_batch([coeffs], tol)
+    if failure is not None:
+        raise FredholmKitError(failure)
+    return roots
+
+
+def _brute_roots_batch(polys, tol: float = 1e-7) -> list[tuple[list | None, str | None]]:
+    """`brute_roots` of many matrix polynomials at once, as (roots, None)
+    or (None, failure detail) per polynomial, in order.
+
+    The polynomials are trimmed of exact zero top coefficients, scaled to
+    a largest coefficient of magnitude one and grouped by shape
+    (m + 1, k, k).  Each group takes one stacked SVD for the floor on its
+    leading coefficients and runs as one batch (`_brute_roots_group`).  A
+    failure fails only its own polynomial, with the detail `brute_roots`
+    raises for it alone."""
+    out: list = [([], None) for _ in polys]  # a constant has no roots
+    groups: dict[tuple, list] = {}
+    for i, coeffs in enumerate(polys):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim == 1:
+            coeffs = coeffs[:, None, None]
+        n = coeffs.shape[0]
+        while n > 1 and not coeffs[n - 1].any():
+            n -= 1
+        if n > 1:
+            groups.setdefault((n, coeffs.shape[-1]), []).append((i, coeffs[:n]))
+    for members in groups.values():
+        index = np.array([i for i, _ in members])
+        coeffs = np.stack([c for _, c in members], axis=1)
+        coeffs = coeffs / np.max(np.abs(coeffs), axis=(0, 2, 3))[:, None, None]
+        low = np.linalg.svd(coeffs[-1], compute_uv=False)[:, -1] < 1e-14
+        for i in index[low]:
+            out[i] = (None, "leading coefficient below 1e-14")
+        if not low.all():
+            for i, result in zip(index[~low], _brute_roots_group(coeffs[:, ~low], tol)):
+                out[i] = result
+    return out
+
+
+def _brute_roots_group(coeffs: np.ndarray, tol: float) -> list[tuple[list | None, str | None]]:
+    """Roots of det P_b for a batch of polynomials coeffs[:, b] of one
+    shape (m + 1, k, k), m >= 1, with invertible leading coefficients:
+    Aberth-Ehrlich iteration on tr(P^-1 P'), with the iterates resolved by
+    `fredholm._resolve_roots` and every root confirmed by the winding
+    number of det P around a box of half-width tol * max(1, |z|), or the
+    box on which a root merged from iterates closer than rounding can
+    separate was confirmed (less when another root is nearer).
+
+    The iterates of all polynomials move together; one resolve takes them
+    all, and a polynomial it fails on is dropped and the rest resolved
+    again; the boxes of all polynomials share the chunked passes of one
+    `_winding_counts` call."""
+    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
     # every root lies within twice the largest ||A_m^-1 A_j||^(1/(m-j))
-    ratios = np.linalg.solve(lead, coeffs[:-1])
+    ratios = np.linalg.solve(coeffs[-1, :, None], np.moveaxis(coeffs[:-1], 0, 1))
     powers = 1.0 / (m - np.arange(m))
-    radius = 2 * float(np.max(np.linalg.norm(ratios, 2, axis=(1, 2)) ** powers)) or 1.0
-    z = radius * np.exp(1j * (2 * np.pi * np.arange(m * k) / (m * k) + 0.4))
-    active = np.ones(z.shape[0], dtype=bool)
+    radius = 2 * np.max(np.linalg.norm(ratios, 2, axis=(2, 3)) ** powers, axis=1)
+    radius[radius == 0] = 1.0
+    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(m * k) / (m * k) + 0.4))
+    active = np.ones(z.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ABERTH_STEPS):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
+            rows, cols = np.nonzero(active)
+            if rows.size == 0:
                 break
-            newton = newton_correction(coeffs, z[idx])
-            gaps = z[idx, None] - z[None, :]
-            gaps[np.arange(idx.size), idx] = np.inf
+            newton = newton_correction(coeffs[:, rows], z[rows, cols])
+            gaps = z[rows, cols, None] - z[rows]
+            gaps[np.arange(rows.size), cols] = np.inf
             step = newton / (1 - newton * (1 / gaps).sum(axis=1))
             # coinciding iterates or a vanishing trace: stop that iterate
             step[~np.isfinite(step)] = 0
-            z[idx] -= step
-            active[idx] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[idx]))
-    roots = _resolve_roots(coeffs[:, None], z[None])[0]
-    centers = np.array([c for c, _, _ in roots])
-    half = np.maximum(tol * np.maximum(1.0, np.abs(centers)),
-                      np.array([box for _, _, box in roots]))
-    try:
-        counts = _winding_counts(coeffs, root_boxes(centers, half))
-    except _ContourError:
-        raise FredholmKitError("contour counting failed to stabilize") from None
-    for (c, size, _), count in zip(roots, counts):
-        if count != size:
-            raise FredholmKitError(f"winding number {count} around tau={c:.9g} "
-                                   f"disagrees with {size} converged iterates")
-    # iterates converge only linearly to a multiple root, so the center of
-    # a merged root is the first moment of tr(P^-1 P') on the circle of
-    # 0.45 times the distance to the nearest other root (its box when it
-    # is alone): the mean of the roots inside
-    wide = root_boxes(centers, np.full(centers.size, np.inf))
-    for i, (c, size, box) in enumerate(roots):
-        if box > 0:
-            radius = wide[i][1] - c.real
-            ring = c + (radius if math.isfinite(radius) else box) * _UNIT_CIRCLE
-            centers[i] = c + np.mean((ring - c) ** 2 / newton_correction(coeffs, ring)) / size
-    residuals = np.abs(np.linalg.det(matrix_polyval(coeffs, centers)))
-    return [(complex(c), size, float(r)) for c, (_, size, _), r in zip(centers, roots, residuals)]
+            z[rows, cols] -= step
+            active[rows, cols] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[rows, cols]))
+    results: list = [None] * z.shape[0]
+    live, roots = np.arange(z.shape[0]), []
+    while live.size:
+        try:
+            roots = _resolve_roots(coeffs[:, live], z[live])
+            break
+        except _RootFailure as e:
+            results[live[e.index]] = (None, str(e))
+            live = np.delete(live, e.index)
+    centers = [np.array([c for c, _, _ in found]) for found in roots]
+    boxes = [root_boxes(c, np.maximum(tol * np.maximum(1.0, np.abs(c)),
+                                      np.array([box for _, _, box in found])))
+             for c, found in zip(centers, roots)]
+    counts = iter(_winding_counts(coeffs, [box for bs in boxes for box in bs],
+                                  [b for b, bs in zip(live, boxes) for _ in bs]))
+    for b, found, c in zip(live, roots, centers):
+        mine = [next(counts) for _ in found]
+        if None in mine:
+            results[b] = (None, "contour counting failed to stabilize")
+            continue
+        wrong = next(((tau, size, count) for (tau, size, _), count in zip(found, mine)
+                      if count != size), None)
+        if wrong is not None:
+            tau, size, count = wrong
+            results[b] = (None, f"winding number {count} around tau={tau:.9g} "
+                                f"disagrees with {size} converged iterates")
+            continue
+        # iterates converge only linearly to a multiple root, so the center
+        # of a merged root is the first moment of tr(P^-1 P') on the circle
+        # of 0.45 times the distance to the nearest other root (its box when
+        # it is alone): the mean of the roots inside
+        wide = root_boxes(c, np.full(c.size, np.inf))
+        for i, (tau, size, box) in enumerate(found):
+            if box > 0:
+                reach = wide[i][1] - tau.real
+                ring = tau + (reach if math.isfinite(reach) else box) * _UNIT_CIRCLE
+                c[i] = tau + np.mean((ring - tau) ** 2 / newton_correction(coeffs[:, b], ring)) / size
+        residuals = np.abs(np.linalg.det(matrix_polyval(coeffs[:, b], c)))
+        results[b] = ([(complex(tau), size, float(r))
+                       for tau, (_, size, _), r in zip(c, found, residuals)], None)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +514,10 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     confirmed by winding counts, line scans for yes/no verdicts, symbol
     re-evaluation at witnesses.  Any mismatch fails the ledger with the
     first discrepancy spelled out.
+
+    The roots of every nonzero class polynomial come from one call of
+    `_brute_roots_batch`; a class whose roots cannot be found or confirmed
+    fails the entries of its own channels only.
     """
     from .fredholm import FredholmOptions, sc_invertible
     from .limitops import full_symbol, freeze_coefficients
@@ -466,16 +537,16 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         table = spectrum(p.cross_section, cutoff)
         fam = indicial_family(normal_operator(p), table)
 
-        # contour roots once per distinct polynomial, as (roots, None) or
-        # (None, failure detail), shared by every label of the class
+        # contour roots of every nonzero class polynomial in one batch, as
+        # (roots, None) or (None, failure detail), shared by every label of
+        # the class
+        classes = fam.classes()
+        nonzero = [labels for labels in classes if fam.poly(labels[0]).any()]
+        solved = dict(zip(nonzero, _brute_roots_batch([fam.poly(labels[0])
+                                                       for labels in nonzero])))
         found_by_label = {}
-        for labels in fam.classes():
-            found = (None, "identically zero mode polynomial")
-            if fam.poly(labels[0]).any():
-                try:
-                    found = (brute_roots(fam.poly(labels[0])), None)
-                except FredholmKitError as e:
-                    found = (None, str(e))
+        for labels in classes:
+            found = solved.get(labels, (None, "identically zero mode polynomial"))
             found_by_label.update(dict.fromkeys(labels, found))
         reported_by_mode: dict[str, list] = {}
         for r in report.roots:

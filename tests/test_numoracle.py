@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
+    CoeffTerm,
     Coefficient,
     CrossSection,
     FredholmKitError,
@@ -236,6 +237,53 @@ def test_brute_roots_merge_a_multiple_root_that_rounding_splits(shifts, coupled,
     assert np.all(np.abs(rest - want) <= 1e-10 * np.abs(want))
 
 
+def ill_scaled_stack(seed):
+    """A seeded (4, 3, 3) stack whose coefficient scales spread over twelve
+    orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((4, 3, 3)) * 10.0 ** rng.uniform(-6, 6, (4, 1, 1))
+
+
+def test_brute_roots_batch_matches_one_polynomial_at_a_time():
+    s = np.array([[1.0, 0.4], [-0.3, 1.2]])
+
+    def similar(*diag):
+        return s @ np.diag(diag) @ np.linalg.inv(s)
+
+    jordan = family_of(b_system_shifted(JORDAN_SHIFTS, coupled=True), 1.0)
+    polys = [
+        [-2, 1, 1],  # (z - 1)(z + 2)
+        list(np.polynomial.polynomial.polyfromroots([0.5, -1.0, 3j])) + [0, 0],
+        [3.0, 0.0],  # a nonzero constant: no roots
+        # blocks z^2 - 1 and z^2 + 0.5 z - 2, and the same with a singular
+        # leading matrix
+        np.stack([similar(-1.0, -2.0), similar(0.0, 0.5), np.eye(2)]),
+        np.stack([similar(-1.0, -2.0), similar(0.0, 0.5), similar(1.0, 0.0)]),
+        jordan.poly("k=0"),  # a Jordan chain of length 4 at 0: merged, moment-centered
+        jordan.poly("k=1"),
+        ill_scaled_stack(0),
+        ill_scaled_stack(30),  # a Newton step in `_resolve_roots` fails
+    ]
+    batch = numoracle._brute_roots_batch(polys)
+    assert len(batch) == len(polys)
+    for coeffs, (roots, failure) in zip(polys, batch):
+        try:
+            alone = brute_roots(coeffs)
+        except FredholmKitError as e:
+            assert roots is None and failure == str(e)
+        else:
+            assert failure is None and roots == alone
+    failures = [failure for _, failure in batch]
+    assert failures[4] == "leading coefficient below 1e-14"
+    assert failures[8].startswith("Newton step")
+    assert [i for i, f in enumerate(failures) if f is not None] == [4, 8]
+    assert batch[2] == ([], None)
+    assert [m for _, m, _ in batch[5][0]].count(4) == 1
+    # the failing polynomials change nothing for their neighbours
+    healthy = [c for c, failure in zip(polys, failures) if failure is None]
+    assert numoracle._brute_roots_batch(healthy) == [b for b in batch if b[1] is None]
+
+
 def roots_inside(roots, box):
     x0, x1, y0, y1 = box
     return int(sum(x0 < r.real < x1 and y0 < r.imag < y1 for r in roots))
@@ -262,15 +310,15 @@ def test_batched_winding_counts_match_single_boxes():
         singles = []
         for box in boxes:
             try:
-                singles.append(numoracle._winding_counts(coeffs, [box])[0])
-            except numoracle._ContourError:
+                singles.append(limitops._winding_counts(coeffs, [box])[0])
+            except limitops._ContourError:
                 singles.append(None)
         if None in singles:
-            with pytest.raises(numoracle._ContourError):
-                numoracle._winding_counts(coeffs, boxes)
+            with pytest.raises(limitops._ContourError):
+                limitops._winding_counts(coeffs, boxes)
             continue
         settled += 1
-        assert numoracle._winding_counts(coeffs, boxes) == singles
+        assert limitops._winding_counts(coeffs, boxes) == singles
         roots = np.polynomial.polynomial.polyroots(row)
         for box, count in zip(boxes, singles):
             if edge_distance(roots, box) > 1e-3:
@@ -286,7 +334,7 @@ def test_batched_winding_counts_escalate_one_box():
     coeffs = coeffs[:, None, None]
     boxes = [(-1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
     assert limitops._contour_counts(coeffs, boxes, 64) == [0, None, 1]
-    assert numoracle._winding_counts(coeffs, boxes) == [0, 1, 1]
+    assert limitops._winding_counts(coeffs, boxes) == [0, 1, 1]
 
 
 def test_winding_counts_root_on_corner_raises_without_warning():
@@ -294,9 +342,21 @@ def test_winding_counts_root_on_corner_raises_without_warning():
     boxes = [(1.0, 2.0, 0.0, 1.0), (-3.0, -1.0, -1.0, 1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(numoracle._ContourError):
-            numoracle._winding_counts(coeffs, boxes)
-        assert numoracle._winding_counts(coeffs, boxes[1:]) == [1]
+        with pytest.raises(limitops._ContourError):
+            limitops._winding_counts(coeffs, boxes)
+        assert limitops._winding_counts(coeffs, boxes[1:]) == [1]
+
+
+def test_batched_winding_counts_fail_one_polynomial_only():
+    # (z - 1)(z + 2) has a root on a corner of the first box; the other
+    # polynomial, (z - 1.5 - 0.5i)(z + 2), has its root inside it
+    coeffs = np.stack([np.array([-2.0, 1.0, 1.0], dtype=complex),
+                       np.polynomial.polynomial.polyfromroots([1.5 + 0.5j, -2.0])],
+                      axis=1)[:, :, None, None]
+    boxes = [(1.0, 2.0, 0.0, 1.0), (-3.0, -1.0, -1.0, 1.0)] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert limitops._winding_counts(coeffs, boxes, [0, 0, 1, 1]) == [None, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +507,45 @@ def test_cross_check_names_a_root_moved_by_1e_6():
     assert f"{moved.tau.imag:.6g}" in bad.detail
 
 
+def test_cross_check_fails_only_the_class_whose_roots_fail():
+    # leading matrix diag(1, L - 1): singular on the modes k = +-1 alone
+    p = make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient([CoeffTerm(0, np.diag([1.0, 0.0])),
+                                    CoeffTerm(0, np.diag([0.0, 1.0]), (-1.0, 1.0))]),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(np.diag([-2.0, -2.0])),
+    })
+    report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=10.0))
+    labels = family_of(p, report.cutoffs["mode_cutoff"]).labels()
+    entries = [e for e in cross_check(p, report).entries if e.name.startswith("roots[")]
+    assert [e.name for e in entries] == [f"roots[{label}]" for label in labels]
+    assert [e.status for e in entries] == ["fail" if label == "k=1" else "pass"
+                                           for label in labels]
+    assert [e.detail for e in entries if e.status == "fail"] == \
+        ["leading coefficient below 1e-14"]
+
+
+def test_contour_passes_stay_within_the_chunk(monkeypatch):
+    """The oracle's winding counts on the 4x4 order-4 system take passes of
+    at most _CONTOUR_CHUNK matrix entries, and boxes of different
+    polynomials share a pass."""
+    p = b_system_order4()
+    report = fredholm_check(p, 0.3)
+    assert len(family_of(p, report.cutoffs["mode_cutoff"]).classes()) == 29
+    passes = []  # (matrix entries, distinct polynomials) per pass
+    counts = limitops._contour_counts
+
+    def recorded(coeffs, boxes, n_side):
+        polys = {coeffs[:, i].tobytes() for i in range(len(boxes))}
+        passes.append((len(boxes) * (4 * n_side + 1) * coeffs.shape[-1] ** 2, len(polys)))
+        return counts(coeffs, boxes, n_side)
+
+    monkeypatch.setattr(limitops, "_contour_counts", recorded)
+    assert cross_check(p, report).passed
+    assert passes and max(entries for entries, _ in passes) <= limitops._CONTOUR_CHUNK
+    assert max(polys for _, polys in passes) > 1
+
+
 def test_a_full_rank_leading_coefficient_is_never_interpolated(monkeypatch):
     def refuse(self, label):
         raise AssertionError(f"det_poly called for {label}")
@@ -477,20 +576,23 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
         mine = [(r.tau, r.multiplicity) for r in roots if r.mode == ch.label]
         assert mine == [(r.tau, r.multiplicity) for r in indicial_roots(alone)]
 
-    calls = []
+    handed = []  # the polynomials of every batch cross_check solves
+    batch = numoracle._brute_roots_batch
 
-    def counting(coeffs, *args, **kwargs):
-        calls.append(1)
-        return brute_roots(coeffs, *args, **kwargs)
+    def counting(polys, *args, **kwargs):
+        handed.extend(polys)
+        return batch(polys, *args, **kwargs)
 
-    monkeypatch.setattr(numoracle, "brute_roots", counting)
+    monkeypatch.setattr(numoracle, "_brute_roots_batch", counting)
     report = fredholm_check(p, 0.5, FredholmOptions(mode_cutoff=10.0))
     ledger = cross_check(p, report)
     assert ledger.passed
     checked = family_of(p, report.cutoffs["mode_cutoff"])
     assert [e.name for e in ledger.entries if e.name.startswith("roots[")] == \
         [f"roots[{label}]" for label in checked.labels()]
-    assert len(calls) == len(checked.classes()) < len(checked.channels)
+    assert len(handed) == len(checked.classes()) < len(checked.channels)
+    assert [c.tobytes() for c in handed] == \
+        [checked.poly(labels[0]).tobytes() for labels in checked.classes()]
 
 
 def test_batched_system_scan_matches_per_point_svd():
