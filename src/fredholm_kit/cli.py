@@ -386,14 +386,17 @@ def _null_non_finite(obj):
 
 
 def _dumps(obj, indent: int | None = None) -> str:
-    """Strict JSON with sorted keys: a non-finite float (an uncertified
-    tail bound, an undecided scan) is written as null."""
-    try:
-        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
-    except ValueError:
-        pass  # a non-finite float; retry once the handler frees the failed pass
-    return json.dumps(_null_non_finite(obj), indent=indent, sort_keys=True,
-                      allow_nan=False)
+    """Strict JSON with sorted keys, encoded once: a non-finite float (an
+    uncertified tail bound, an undecided scan) is written as null.  A
+    report's `indicial_roots` list is not walked: its entries are rounded
+    resolved roots, finite by construction, and a non-finite one would
+    still raise rather than print."""
+    if isinstance(obj, dict):
+        obj = {key: value if key == "indicial_roots" else _null_non_finite(value)
+               for key, value in obj.items()}
+    else:
+        obj = _null_non_finite(obj)
+    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def render_report(report: FredholmReport, fmt: str = "text") -> str:

@@ -187,35 +187,38 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     coefficients are dropped; when the leading coefficient is then
     invertible (every scalar, and every elliptic system) the
     approximations are the eigenvalues of the block companion matrix,
-    with all polynomials of one degree in one batch.  A system whose
-    leading matrix is singular takes them from the roots of the
-    interpolated `IndicialFamily.det_poly`."""
-    by_label = {}
-    batches: dict[int, list] = {}  # degree -> [(labels, trimmed coefficients)]
-    for labels in f.classes():
-        coeffs = f.poly(labels[0])
-        top = [j for j in range(coeffs.shape[0]) if coeffs[j].any()]
-        if not top:
+    with all polynomials of one degree in one batch of slices of the
+    family's array.  A system whose leading matrix is singular takes them
+    from the roots of the interpolated `IndicialFamily.det_poly`."""
+    first, class_of = f.class_rows
+    reps = f.coeffs[first]
+    labels = [f.channels[i].label for i in first]
+    nonzero = reps.any(axis=(2, 3))
+    batches: dict[int, list[int]] = {}  # degree -> classes
+    for c, row in enumerate(nonzero):
+        if not row.any():
             raise FredholmKitError(
-                f"indicial polynomial of mode {labels[0]} is identically zero")
-        batches.setdefault(top[-1], []).append((labels, coeffs[:top[-1] + 1]))
-    for members in batches.values():
-        stack = np.stack([coeffs for _, coeffs in members], axis=1)
+                f"indicial polynomial of mode {labels[c]} is identically zero")
+        batches.setdefault(int(np.flatnonzero(row)[-1]), []).append(c)
+    by_class: list = [None] * len(first)
+    for deg, members in batches.items():
+        members = np.array(members)
+        stack = reps[members, :deg + 1].swapaxes(0, 1)
         full = np.linalg.matrix_rank(stack[-1]) == f.system_size
-        for labels, _ in (m for m, ok in zip(members, full) if not ok):
-            by_label.update(dict.fromkeys(labels, _interpolated_roots(f, labels[0])))
+        for c in members[~full]:
+            by_class[c] = _interpolated_roots(f, labels[c])
         if not full.any():
             continue
-        chosen = [m for m, ok in zip(members, full) if ok]
+        chosen = members[full]
         try:
             found = _linearized_roots(stack[:, full])
         except _RootFailure as e:
-            raise FredholmKitError(f"root refinement failed on mode {chosen[e.index][0][0]}: "
+            raise FredholmKitError(f"root refinement failed on mode {labels[chosen[e.index]]}: "
                                    f"{e}") from None
-        for (labels, _), roots in zip(chosen, found):
-            by_label.update(dict.fromkeys(labels, roots))
+        for c, roots in zip(chosen, found):
+            by_class[c] = roots
     roots = [IndicialRoot(ch.label, tau, 1j * tau, mult)
-             for ch in f.channels for tau, mult, _ in by_label[ch.label]]
+             for ch, c in zip(f.channels, class_of.tolist()) for tau, mult, _ in by_class[c]]
     roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
     return roots
 

@@ -164,16 +164,16 @@ def _family_min_singular(f: IndicialFamily, taus: np.ndarray) -> np.ndarray:
     minimum, and every returned value is the one an SVD at every point of
     every class would give, bit for bit."""
     out = np.full(taus.shape, np.inf)
-    for labels in f.classes():
+    for coeffs in f.coeffs[f.class_rows[0]]:
         if f.system_size == 1:
-            vals = np.polynomial.polynomial.polyval(taus, f.polys[labels[0]][:, 0, 0])
+            vals = np.polynomial.polynomial.polyval(taus, coeffs[:, 0, 0])
             out = np.minimum(out, np.abs(vals))
             continue
         # a NaN bound is no bound: those points are evaluated
-        todo = np.flatnonzero(~(_weyl_lower_bound(f.poly(labels[0]), taus) > out))
+        todo = np.flatnonzero(~(_weyl_lower_bound(coeffs, taus) > out))
         for lo in range(0, todo.shape[0], _SCAN_CHUNK):
             idx = todo[lo:lo + _SCAN_CHUNK]
-            smin = np.linalg.svd(f.stack(labels[0], taus[idx]), compute_uv=False)[:, -1]
+            smin = np.linalg.svd(matrix_polyval(coeffs, taus[idx]), compute_uv=False)[:, -1]
             out[idx] = np.minimum(out[idx], smin)
     return out
 
@@ -538,21 +538,19 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         fam = indicial_family(normal_operator(p), table)
 
         # contour roots of every nonzero class polynomial in one batch, as
-        # (roots, None) or (None, failure detail), shared by every label of
-        # the class
-        classes = fam.classes()
-        nonzero = [labels for labels in classes if fam.poly(labels[0]).any()]
-        solved = dict(zip(nonzero, _brute_roots_batch([fam.poly(labels[0])
-                                                       for labels in nonzero])))
-        found_by_label = {}
-        for labels in classes:
-            found = solved.get(labels, (None, "identically zero mode polynomial"))
-            found_by_label.update(dict.fromkeys(labels, found))
+        # (roots, None) or (None, failure detail), shared by every channel
+        # of the class
+        first, class_of = fam.class_rows
+        reps = fam.coeffs[first]
+        nonzero = np.flatnonzero(reps.any(axis=(1, 2, 3)))
+        by_class = [(None, "identically zero mode polynomial")] * len(first)
+        for c, found in zip(nonzero, _brute_roots_batch(list(reps[nonzero]))):
+            by_class[c] = found
         reported_by_mode: dict[str, list] = {}
         for r in report.roots:
             reported_by_mode.setdefault(r.mode, []).append(r)
-        for ch in fam.channels:
-            found, failure = found_by_label[ch.label]
+        for ch, c in zip(fam.channels, class_of.tolist()):
+            found, failure = by_class[c]
             if failure is None:
                 problems = _match_roots(found, reported_by_mode.get(ch.label, []))
                 failure = problems[0] if problems else None

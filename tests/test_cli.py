@@ -320,6 +320,31 @@ def test_json_reports_are_strict_json(tmp_path, runner, spec_text, null_at, comm
     assert payload is None
 
 
+def test_report_roots_are_encoded_as_they_stand():
+    from fredholm_kit.cli import _dumps
+    roots = [{"mode": "k=0", "tau": [0.5, -1.0]}]
+    assert json.loads(_dumps({"cutoffs": {"s0": float("inf")}, "indicial_roots": roots})) == \
+        {"cutoffs": {"s0": None}, "indicial_roots": roots}
+    # the one section that is not walked still refuses a non-finite float
+    with pytest.raises(ValueError):
+        _dumps({"indicial_roots": [{"mode": "k=0", "tau": [float("nan"), 0.0]}]}, indent=2)
+
+
+def test_report_digest_lists_every_report(tmp_path, monkeypatch):
+    # byte-identity checks diff this list between checkouts; a workload or
+    # spec rename must not shrink it silently
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and perfbench/
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "report_digest.py")
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    labels = [label for label, _argv in digest.runs(str(tmp_path))]
+    assert len(labels) == len(set(labels)) == 172
+
+
 def test_sc_and_cgamma_runs_import_only_numpy_and_click():
     # modules loaded before the kit (site hooks from .pth files) are not its own
     res = run_cli(code=f"""

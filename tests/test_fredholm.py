@@ -231,7 +231,7 @@ def assert_one_root(coeffs, r, mult, oracle_tol=1e-9):
     """Engine and oracle both find det P = (tau - r)^mult: one root within
     1e-9 * max(1, |r|) of r (oracle_tol * max(1, |r|) for the oracle)."""
     ch = Channel("k=0", 0.0, 1, 0)
-    fam = IndicialFamily((ch,), {ch.label: coeffs}, 0.0, coeffs.shape[1], StructureKind.B)
+    fam = IndicialFamily((ch,), coeffs[None], 0.0, coeffs.shape[1], StructureKind.B)
     engine = [(x.tau, x.multiplicity) for x in indicial_roots(fam)]
     oracle = [(z, m) for z, m, _ in brute_roots(coeffs)]
     for found, tol in ((engine, 1e-9), (oracle, oracle_tol)):
@@ -269,11 +269,12 @@ def test_torus_b_laplacian_with_default_cutoff_gets_a_verdict(d, scale):
 
 def test_roots_zero_polynomial_rejected():
     fam = family_of(make_model("polar_laplacian"), 0.5)
-    broken = dict(fam.polys)
-    broken["k=0"] = np.zeros_like(broken["k=0"])
+    assert fam.labels()[0] == "k=0"
+    broken = fam.coeffs.copy()
+    broken[0] = 0
     from dataclasses import replace
     with pytest.raises(Exception, match="identically zero"):
-        indicial_roots(replace(fam, polys=broken))
+        indicial_roots(replace(fam, coeffs=broken))
 
 
 # ---------------------------------------------------------------------------

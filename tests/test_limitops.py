@@ -1,5 +1,7 @@
 """Normal operators, indicial families, and limit operators per structure."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
+    BoundaryOperator,
+    CoeffTerm,
     Coefficient,
     CrossSection,
     FredholmKitError,
+    IndicialFamily,
     LieStructure,
     MultiIndex,
     StructureKind,
+    builtin_suite,
     compose,
     conjugate,
     freeze_coefficients,
@@ -24,7 +30,16 @@ from fredholm_kit import (
     normal_operator,
     spectrum,
 )
-from conftest import random_b_operator
+from fredholm_kit.crosssec import Channel
+from fredholm_kit.limitops import _cmul, _cpow
+from fredholm_kit.opalg import _is_matrix, _value_mul, cross_partial_factor
+from conftest import (
+    b_system_order2,
+    b_system_order4,
+    b_system_order4_singular,
+    b_system_shifted,
+    random_b_operator,
+)
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -103,6 +118,183 @@ def test_family_records_cutoff_and_channels():
     fam = indicial_family(normal_operator(p), table)
     assert fam.source_cutoff == 10.0
     assert fam.labels() == ("k=0", "k=1", "k=2", "k=3")
+
+
+def _reference_rows(p, table):
+    """The indicial family of p channel by channel, term by term, in
+    Python arithmetic: the reference the one-array build must equal bit
+    for bit."""
+    base = normal_operator(p).base
+    k = base.system_size
+    deg = max(mi.radial for mi, _ in base.terms)
+    rows = []
+    for ch in base.mode_channels(table):
+        coeffs = np.zeros((deg + 1, k, k), dtype=complex)
+        for mi, co in base.terms:
+            for ct in co.terms:
+                factor = ct.lam_value(ch.eigenvalue)
+                if mi.laplacian:
+                    factor *= (-ch.eigenvalue) ** mi.laplacian
+                if any(mi.cross):
+                    factor *= cross_partial_factor(mi.cross, ch)
+                piece = _value_mul(factor * 1j ** mi.radial, ct.value)
+                if not _is_matrix(piece):
+                    piece = piece * np.eye(k)
+                coeffs[mi.radial] += piece
+        rows.append(coeffs)
+    return rows
+
+
+def _reference_shifted(coeffs, delta):
+    """One channel's coefficients at tau - i delta, as the per-channel
+    family shifted them."""
+    w = -1j * float(delta)
+    out = np.zeros_like(coeffs)
+    for m in range(coeffs.shape[0]):
+        wp = 1.0 + 0j
+        for d in range(m + 1):
+            out[m - d] = out[m - d] + coeffs[m] * (math.comb(m, d) * wp)
+            wp = wp * w
+    return out
+
+
+def _reference_classes(fam):
+    """Labels grouped by the bytes of their coefficient rows, in order of
+    first appearance."""
+    groups = {}
+    for ch, row in zip(fam.channels, fam.coeffs):
+        groups.setdefault(row.tobytes(), []).append(ch.label)
+    return [tuple(g) for g in groups.values()]
+
+
+def _conjugated_2x2():
+    s = np.array([[1.0, 0.4], [-0.3, 1.2]])
+
+    def conj(d):
+        return Coefficient.constant(s @ np.diag(d) @ np.linalg.inv(s))
+
+    return make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.eye(2)), MultiIndex(1): conj([0.5, -0.25]),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)), MultiIndex(0): conj([-1.0, -2.0])})
+
+
+def _inexact_circle(rng, k):
+    """Odd and even partials, a Laplacian power and mode polynomials with
+    non-integer complex coefficients, scalar (k = 1) or matrix valued, so
+    that the products round: a fused multiply-add where the per-channel
+    loop had none would show in the last bit."""
+    def c():
+        return complex(*rng.standard_normal(2))
+
+    def v():
+        return c() if k == 1 else rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+    return make_operator(B1, CIRCLE, {
+        MultiIndex(3): Coefficient([CoeffTerm(0.0, v(), lam_poly=[c(), c()])]),
+        MultiIndex(2): Coefficient([CoeffTerm(0.0, v()), CoeffTerm(0.5, v())]),
+        MultiIndex(1, (1,)): Coefficient([CoeffTerm(0.0, v(), lam_poly=[c(), c(), c()])]),
+        MultiIndex(0, (3,)): Coefficient([CoeffTerm(0.0, v(), lam_poly=[c(), c()])]),
+        MultiIndex(0, (), 1): Coefficient.constant(v()),
+        MultiIndex(0): Coefficient.laplacian_poly([c(), c(), c()], value=v())})
+
+
+def _torus(d1, d2, constant):
+    """(r d/dr)^2 + d1 + d2 + constant on T^2 with explicit partials."""
+    return make_operator(LieStructure.b(2), CrossSection.torus(2), {
+        MultiIndex(2): 1.0, d1: 1.0, d2: 1.0, MultiIndex(0): constant})
+
+
+def _families_at_the_old_rounding():
+    rng = np.random.default_rng(20261018)
+    cases = [(name, p, 12.0) for name, p in builtin_suite()
+             if p.structure.kind in (StructureKind.B, StructureKind.C_GAMMA)]
+    assert len(cases) == 5  # the two sc and zero built-ins have no family
+    cases += [
+        ("cyl_coord_laplacian@60", make_model("cyl_coord_laplacian"), 60.0),
+        ("torus_laplacian@60", _torus(MultiIndex(0, (2, 0)), MultiIndex(0, (0, 2)), -0.25), 60.0),
+        ("spherical_schrodinger(4)@60", make_model("spherical_schrodinger", n=4, Z=1.0), 60.0),
+        ("signed circle drift", make_operator(B1, CIRCLE, {
+            MultiIndex(2): 1.0, MultiIndex(0, (1,), 0): 1.0}), 20.0),
+        ("torus, odd and mixed partials", _torus(MultiIndex(1, (1, 0)), MultiIndex(0, (1, 3)),
+                                                 0.3 - 0.7j), 30.0),
+        ("laplacian_poly", make_operator(B1, CIRCLE, {
+            MultiIndex(2): 1.0, MultiIndex(0): Coefficient.laplacian_poly([0.25, -1.5, 0.1j])}),
+         30.0),
+        ("2x2 conjugated", _conjugated_2x2(), 20.0),
+        ("4x4 order 2", b_system_order2(), 30.0),
+        ("4x4 order 4", b_system_order4(), 30.0),
+        ("4x4 order 4, singular leading matrix", b_system_order4_singular(), 30.0),
+        ("4x4 Jordan-coupled", b_system_shifted((0.0, 0.0, 1.0, 2.0), coupled=True), 30.0),
+    ]
+    cases += [(f"inexact circle k={k} #{i}", _inexact_circle(rng, k), 30.0)
+              for k in (1, 2) for i in range(2)]
+    return [pytest.param(p, cutoff, id=name) for name, p, cutoff in cases]
+
+
+@pytest.mark.parametrize("p, cutoff", _families_at_the_old_rounding())
+def test_family_array_equals_the_per_channel_loop(p, cutoff):
+    table = spectrum(p.cross_section, cutoff)
+    fam = indicial_family(normal_operator(p), table)
+    rows = _reference_rows(p, table)
+    assert fam.coeffs.shape == (len(rows),) + rows[0].shape
+    assert fam.coeffs.dtype == complex
+    for ch, row, ref in zip(fam.channels, fam.coeffs, rows):
+        assert row.tobytes() == ref.tobytes(), ch.label
+    assert fam.classes() == _reference_classes(fam)
+    for row, ref in zip(fam.shifted(0.37).coeffs, rows):
+        assert row.tobytes() == _reference_shifted(ref, 0.37).tobytes()
+    assert list(fam.polys) == list(fam.labels())
+    for label, row in zip(fam.labels(), fam.coeffs):
+        assert fam.poly(label) is fam.polys[label]
+        assert fam.polys[label].tobytes() == row.tobytes()
+
+
+def test_complex_products_and_powers_round_as_cpython():
+    # numpy's own complex multiply and power may differ in the last bit
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    x[:4] = [complex(-0.0, 3.0), complex(0.0, -3.0), complex(-0.0, -0.0), complex(5.0, -0.0)]
+    y = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    f = rng.standard_normal(4000)
+
+    def bits(values):
+        return np.array(values, dtype=complex).tobytes()
+
+    assert _cmul(x, y).tobytes() == bits([complex(a) * complex(b) for a, b in zip(x, y)])
+    assert _cmul(x, f).tobytes() == bits([complex(a) * float(b) for a, b in zip(x, f)])
+    for n in range(1, 9):
+        assert _cpow(x, n).tobytes() == bits([complex(a) ** n for a in x]), n
+
+
+def test_classes_keep_the_sign_of_zero_apart():
+    chans = tuple(Channel(f"k={i}", float(i), 1, i) for i in range(5))
+    rows = np.array([[1.0, 0.0], [1.0, -0.0], [2.0, 1j], [1.0, -0.0], [1.0, 0.0]],
+                    dtype=complex)[:, :, None, None]
+    fam = IndicialFamily(chans, rows, 5.0, 1, StructureKind.B)
+    assert fam.classes() == [("k=0", "k=4"), ("k=1", "k=3"), ("k=2",)]
+    assert fam.classes() == _reference_classes(fam)
+    first, of = fam.class_rows
+    assert first.tolist() == [0, 1, 2] and of.tolist() == [0, 1, 2, 1, 0]
+
+
+@pytest.mark.parametrize("cross, d1, d2", [
+    (CIRCLE, MultiIndex(0, (1,)), None),
+    (CrossSection.torus(2), MultiIndex(0, (0, 2)), None),
+    (CrossSection.torus(2), MultiIndex(0, (1, 1)), MultiIndex(0, (2,))),
+], ids=["circle-odd", "torus-second-coordinate", "torus-mixed"])
+def test_partials_on_unsigned_channels_raise_as_before(monkeypatch, cross, d1, d2):
+    terms = {MultiIndex(2): 1.0, d1: 1.0}
+    if d2 is not None:
+        terms[d2] = 2.0
+    p = make_operator(LieStructure.b(cross.dimension), cross, terms)
+    monkeypatch.setattr(BoundaryOperator, "needs_signed_modes", lambda self: False)
+    table = spectrum(cross, 5.0)
+    with pytest.raises(FredholmKitError) as before:
+        _reference_rows(p, table)
+    with pytest.raises(FredholmKitError) as now:
+        indicial_family(normal_operator(p), table)
+    assert str(now.value) == str(before.value) == \
+        "explicit tangential partials need signed mode channels"
 
 
 # ---------------------------------------------------------------------------

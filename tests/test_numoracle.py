@@ -570,8 +570,8 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     assert len(classes) < len(fam.channels)
     assert sorted(label for c in classes for label in c) == sorted(fam.labels())
     roots = indicial_roots(fam)
-    for ch in fam.channels:
-        alone = IndicialFamily((ch,), {ch.label: fam.poly(ch.label)},
+    for i, ch in enumerate(fam.channels):
+        alone = IndicialFamily((ch,), fam.coeffs[i:i + 1],
                                fam.source_cutoff, 1, fam.structure_kind)
         mine = [(r.tau, r.multiplicity) for r in roots if r.mode == ch.label]
         assert mine == [(r.tau, r.multiplicity) for r in indicial_roots(alone)]
@@ -675,13 +675,13 @@ def test_system_scan_runs_few_svd_rows(monkeypatch):
     at every point would ask for 29 x 8001 rows."""
     fam = family_of(b_system_order4(), default_mode_cutoff(b_system_order4()))
     rows = []
-    stack = IndicialFamily.stack
+    polyval = numoracle.matrix_polyval
 
-    def counted(self, label, taus):
+    def counted(coeffs, taus, *args, **kwargs):
         rows.append(np.asarray(taus).shape[0])
-        return stack(self, label, taus)
+        return polyval(coeffs, taus, *args, **kwargs)
 
-    monkeypatch.setattr(IndicialFamily, "stack", counted)
+    monkeypatch.setattr(numoracle, "matrix_polyval", counted)
     scan = scan_line(fam, 0.0, (-10.0, 10.0), 2001, refinements=2)
     assert len(scan.points) == 8001
-    assert sum(rows) <= 2 * 8001
+    assert 0 < sum(rows) <= 2 * 8001
