@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 
 
-def round12(x: float) -> float:
-    """Round to 12 significant digits (round-half-even), for report output."""
+def round12(x: float) -> float | None:
+    """Round to 12 significant digits (round-half-even), for report output;
+    None (JSON null) for inf and NaN, which strict JSON cannot hold."""
     x = float(x)
-    if x == 0.0 or not math.isfinite(x):
+    if not math.isfinite(x):
+        return None
+    if x == 0.0:
         return x
     return float(f"{x:.12g}")
 

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from ._util import fmt12, fmt_complex, round12
-from .crosssec import CrossKind, CrossSection
+from .crosssec import CrossKind, CrossSection, check_cutoff, spectrum
 from .fredholm import (
     FredholmOptions,
     FredholmReport,
@@ -48,7 +48,6 @@ from .opalg import (
     kondratiev_transform,
     make_model,
 )
-from .crosssec import spectrum
 
 SCHEMA = "fredholm-kit/1"
 
@@ -102,11 +101,13 @@ def _parse_value(v, path: str):
 
 
 def _emit_scalar(z: complex):
+    """A number for JSON: an int where it is one, [re, im] when complex,
+    and null for a part that is not finite (terms whose sum overflowed)."""
     z = complex(z)
+    re, im = (x if math.isfinite(x) else None for x in (z.real, z.imag))
     if z.imag == 0:
-        x = z.real
-        return int(x) if x == int(x) and abs(x) < 1e15 else x
-    return [z.real, z.imag]
+        return int(re) if re is not None and re == int(re) and abs(re) < 1e15 else re
+    return [re, im]
 
 
 def _emit_value(v):
@@ -375,27 +376,10 @@ def serialize_operator(op: BoundaryOperator, compact: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _null_non_finite(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _null_non_finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_null_non_finite(v) for v in obj]
-    return obj
-
-
 def _dumps(obj, indent: int | None = None) -> str:
-    """Strict JSON with sorted keys, encoded once: a non-finite float (an
-    uncertified tail bound, an undecided scan) is written as null.  A
-    report's `indicial_roots` list is not walked: its entries are rounded
-    resolved roots, finite by construction, and a non-finite one would
-    still raise rather than print."""
-    if isinstance(obj, dict):
-        obj = {key: value if key == "indicial_roots" else _null_non_finite(value)
-               for key, value in obj.items()}
-    else:
-        obj = _null_non_finite(obj)
+    """Strict JSON with sorted keys.  A non-finite float (an uncertified
+    tail bound, an undecided scan) is made null where the report is built,
+    mostly by `round12`; one that reaches this point raises."""
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
@@ -572,13 +556,15 @@ def roots(spec_path, cutoff, fmt, out):
         op, _compact = parse_spec(spec_path)
         nop = normal_operator(op)
         c = cutoff if cutoff is not None else default_mode_cutoff(op)
+        check_cutoff(c)
+        c = round12(c)  # as `fredholm_check` rounds it
         table = spectrum(op.cross_section, c)
         fam = indicial_family(nop, table)
         rts = indicial_roots(fam)
     if fmt == "json":
         payload = {
             "schema": SCHEMA,
-            "mode_cutoff": round12(float(c)),
+            "mode_cutoff": c,
             "convention": WEIGHT_CONVENTION,
             "roots": [r.as_dict() for r in rts],
         }
@@ -586,7 +572,7 @@ def roots(spec_path, cutoff, fmt, out):
             payload["warning"] = fam.warning
         text = _dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"indicial roots (mode cutoff {fmt12(float(c))}; z = i tau)"]
+        lines = [f"indicial roots (mode cutoff {fmt12(c)}; z = i tau)"]
         if fam.warning:
             lines.append(f"warning: {fam.warning}")
         for r in rts:
@@ -677,7 +663,7 @@ def bracket_table(kind, gamma, collar_dim, fmt, out):
             "group": iso.group,
         }
         if gamma is not None:
-            payload["gamma"] = gamma
+            payload["gamma"] = gamma if math.isfinite(gamma) else None
         text = _dumps(payload, indent=2) + "\n"
     else:
         lines = [f"frame: {', '.join(f'e{i} = {f}' for i, f in enumerate(frame))}",

@@ -31,10 +31,11 @@ from .limitops import (
     root_sensitivity,
 )
 from .opalg import (
+    FLOOR_DIRECTIONS,
     BoundaryOperator,
     EllipticityResult,
-    _is_matrix,
     _min_singular,
+    _value_norm,
     default_mode_cutoff,
     is_elliptic,
     symbol_min_singular,
@@ -274,7 +275,6 @@ class TailBound:
     envelope: tuple[tuple[int, float], ...]
     s0: float
     lambda_certified: float
-    n_dir: int
 
     def as_dict(self):
         return {
@@ -283,7 +283,7 @@ class TailBound:
             "envelope": [[d, round12(w)] for d, w in self.envelope],
             "s0": round12(self.s0),
             "lambda_certified": round12(self.lambda_certified),
-            "direction_samples": self.n_dir,
+            "direction_samples": FLOOR_DIRECTIONS,
         }
 
 
@@ -298,21 +298,19 @@ def _positive_root(coeffs: np.ndarray) -> float:
     return best
 
 
-def tail_bound(n: NormalOperator, delta_abs: float, mu0: float | None = None,
-               n_dir: int = 720) -> TailBound:
+def tail_bound(n: NormalOperator, delta_abs: float, mu0: float) -> TailBound:
     """Certificate that high modes stay invertible on every line
-    |Re z| <= delta_abs, from coefficient norms and the symbol floor.
-    Without a positive floor, or when an envelope weight overflows, the
-    tail is uncertified: s0 and lambda_certified are infinite."""
+    |Re z| <= delta_abs, from coefficient norms and the symbol floor mu0
+    (`symbol_min_singular` of n.base at r = 0).  Without a positive floor,
+    or when an envelope weight overflows, the tail is uncertified: s0 and
+    lambda_certified are infinite."""
     base = n.base
     m = base.order
-    if mu0 is None:
-        mu0 = symbol_min_singular(base, r=0.0, n_dir=n_dir)
     envelope: dict[int, float] = {}
     for mi, co in base.terms:
         for ct in co.terms:
             q = ct.lam_poly or (1.0 + 0j,)
-            vnorm = float(np.linalg.norm(ct.value, 2)) if _is_matrix(ct.value) else abs(ct.value)
+            vnorm = _value_norm(ct.value)
             qtop = len(q) - 1
             for i, qi in enumerate(q):
                 if qi == 0:
@@ -328,22 +326,19 @@ def tail_bound(n: NormalOperator, delta_abs: float, mu0: float | None = None,
                     w = vnorm * abs(qi) * math.comb(mi.radial, j) * power
                     envelope[d] = envelope.get(d, 0.0) + w
     if mu0 <= 0 or not all(math.isfinite(w) for w in envelope.values()):
-        return TailBound(mu0, m, tuple(sorted(envelope.items())), math.inf,
-                         math.inf, n_dir)
+        return TailBound(mu0, m, tuple(sorted(envelope.items())), math.inf, math.inf)
     coeffs = np.zeros(m + 1)
     coeffs[m] = mu0
     for d, w in envelope.items():
         coeffs[d] -= w
     s0 = max(1.0, _positive_root(coeffs) * (1 + 1e-9))
-    return TailBound(mu0, m, tuple(sorted(envelope.items())), s0, s0 * s0, n_dir)
+    return TailBound(mu0, m, tuple(sorted(envelope.items())), s0, s0 * s0)
 
 
-def certified_weight_range(n: NormalOperator, cutoff: float,
-                           mu0: float | None = None) -> float:
+def certified_weight_range(n: NormalOperator, cutoff: float, mu0: float) -> float:
     """Largest W with tail certification for all |delta| <= W at this
-    cutoff (monotone in delta, solved by bisection)."""
-    if mu0 is None:
-        mu0 = symbol_min_singular(n.base, r=0.0)
+    cutoff, from the symbol floor mu0 of `tail_bound` (monotone in delta,
+    solved by bisection)."""
     if tail_bound(n, 0.0, mu0).lambda_certified > cutoff:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -385,6 +380,9 @@ def safe_weight_intervals(roots: list[IndicialRoot], lo: float, hi: float,
 # ---------------------------------------------------------------------------
 
 
+_SC_THRESHOLD = 1e-6  # on min |det| of the full symbol, absolute
+
+
 @dataclass(frozen=True)
 class ScVerdict:
     status: str  # yes | no | undecided
@@ -392,7 +390,6 @@ class ScVerdict:
     witness: tuple[float, ...] | None
     radius: float
     resolutions: tuple[tuple[int, float, str], ...]
-    threshold: float
 
     def as_dict(self):
         return {
@@ -401,7 +398,7 @@ class ScVerdict:
             "witness": [round12(x) for x in self.witness] if self.witness else None,
             "search_radius": round12(self.radius),
             "resolutions": [[n, round12(v), s] for n, v, s in self.resolutions],
-            "threshold": self.threshold,
+            "threshold": _SC_THRESHOLD,
         }
 
 
@@ -443,28 +440,28 @@ def _sc_scan(sym: ScSymbol, radius: float, n_axis: int, zooms: int):
     return best, point
 
 
-def sc_invertible(target: LimitOperator | ScSymbol, threshold: float = 1e-6,
-                  n_axis: int | None = None, zooms: int = 8) -> ScVerdict:
+def sc_invertible(target: LimitOperator | ScSymbol, n_axis: int | None = None,
+                  zooms: int = 8) -> ScVerdict:
     """Invertibility of a constant-coefficient symbol on the abelian
     tangent group.
 
     |det| of the full symbol is evaluated on a grid over the box
     |xi_j| <= R, where R is the radius beyond which the principal symbol
-    floor keeps |det| above the threshold.  Each of `zooms` rounds
+    floor keeps |det| above _SC_THRESHOLD.  Each of `zooms` rounds
     re-grids a box of four grid steps around the running minimum with 33
     points per axis, so the step shrinks eightfold per round.  The scan
     runs at two base resolutions; the status is "no" when the minimum is
-    at most the threshold, "yes" above it, and "undecided" when the two
+    at most _SC_THRESHOLD, "yes" above it, and "undecided" when the two
     resolutions disagree."""
     sym = target.symbol if isinstance(target, LimitOperator) else target
     if sym is None:
         raise FredholmKitError("limit operator carries no symbol data")
     k = sym.system_size
-    xi, eta, eta2 = unit_covectors(sym.covector_dim, 720, sym.magnitude_slot)
+    xi, eta, eta2 = unit_covectors(sym.covector_dim, FLOOR_DIRECTIONS, sym.magnitude_slot)
     mu0 = _min_singular(sym.stack(xi, eta, eta2, principal=True))
     if mu0 <= 1e-12:
-        return ScVerdict("undecided", math.nan, None, math.nan, (), threshold)
-    thr_sigma = threshold ** (1.0 / k)
+        return ScVerdict("undecided", math.nan, None, math.nan, ())
+    thr_sigma = _SC_THRESHOLD ** (1.0 / k)
     norms = sym.coefficient_norms_by_degree()
     coeffs = np.zeros(sym.order + 1)
     coeffs[sym.order] = mu0
@@ -479,16 +476,15 @@ def sc_invertible(target: LimitOperator | ScSymbol, threshold: float = 1e-6,
     final = None
     for n in (max(5, (2 * n_axis) // 3) | 1, n_axis | 1):
         v, p = _sc_scan(sym, radius, n, zooms)
-        status = "yes" if v > threshold else "no"
+        status = "yes" if v > _SC_THRESHOLD else "no"
         resolutions.append((n, v, status))
         final = (v, p, status)
     statuses = {s for _, _, s in resolutions}
     if len(statuses) > 1:
-        return ScVerdict("undecided", final[0], final[1], radius,
-                         tuple(resolutions), threshold)
+        return ScVerdict("undecided", final[0], final[1], radius, tuple(resolutions))
     v, p, status = final
     witness = p if status == "no" else None
-    return ScVerdict(status, v, witness, radius, tuple(resolutions), threshold)
+    return ScVerdict(status, v, witness, radius, tuple(resolutions))
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +498,6 @@ class FredholmOptions:
     tau_range: tuple[float, float] = (-10.0, 10.0)
     pts: int = 2001
     empty_boundary: bool = False
-    elliptic_threshold: float = 1e-8
-    elliptic_grid: tuple[int, int] = (9, 96)
-    r_max: float = 1.0
-    sc_threshold: float = 1e-6
-    halfspace_truncations: tuple[tuple[float, int], ...] = ((4.0, 48), (6.0, 72), (8.0, 96))
-    halfspace_eta: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
 
     def __post_init__(self):
         if self.mode_cutoff is not None:
@@ -605,9 +595,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
     delta = float(delta)
     if not math.isfinite(delta):
         raise FredholmKitError(f"weight delta must be finite, got {delta}")
-    n_r, n_dir = opts.elliptic_grid
-    ell = is_elliptic(p, r_max=opts.r_max, n_r=n_r, n_dir=n_dir,
-                      threshold=opts.elliptic_threshold)
+    ell = is_elliptic(p)
     caveats = ["verdicts treat the Sobolev order s as irrelevant to "
                "Fredholmness; this convention is surfaced, not tested"]
     if p.symbolic_only:
@@ -630,7 +618,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
     kind = p.structure.kind
     if kind in (StructureKind.B,):
         nop = normal_operator(p)
-        mu0 = symbol_min_singular(nop.base, r=0.0)
+        mu0 = symbol_min_singular(nop.base)
         tb = tail_bound(nop, abs(delta), mu0)
         cutoff = opts.mode_cutoff if opts.mode_cutoff is not None else default_mode_cutoff(p)
         needed = tb.lambda_certified * 1.05
@@ -639,6 +627,10 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
                      and mode_count(p.cross_section, needed, signed) <= MODE_BUDGET)
         if tail_fits:
             cutoff = max(cutoff, needed)
+        check_cutoff(cutoff)
+        # the report states the cutoff to 12 digits and cross_check rebuilds
+        # the spectrum from that value, so the engine uses it too
+        cutoff = round12(cutoff)
         table = spectrum(p.cross_section, cutoff)
         fam = indicial_family(nop, table)
         w_cert = certified_weight_range(nop, cutoff, mu0)
@@ -656,7 +648,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             line = normal_invertible(fam, delta, list(roots))
             safe = tuple(safe_weight_intervals(list(roots), -w_cert, w_cert))
         cutoffs = {
-            "mode_cutoff": round12(cutoff),
+            "mode_cutoff": cutoff,
             "tail": tb.as_dict(),
             "certified_weight_range": [round12(-w_cert), round12(w_cert)],
         }
@@ -679,7 +671,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
                            "line; refusing to guess")
     elif kind is StructureKind.SC:
         lim = limit_operator(p)
-        sv = sc_invertible(lim, threshold=opts.sc_threshold)
+        sv = sc_invertible(lim)
         limit_verdicts.append(LimitVerdict(
             lim.orbit, "sc full symbol on the abelian tangent group",
             sv.status if sv.status != "undecided" else "numerical-evidence",
@@ -691,21 +683,20 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
     elif kind is StructureKind.ZERO:
         from .numoracle import half_space_sample  # deferred to avoid a cycle
         lim = limit_operator(p)
-        scan = half_space_sample(lim, truncations=opts.halfspace_truncations,
-                                 eta_samples=opts.halfspace_eta)
+        scan = half_space_sample(lim)
         limit_verdicts.append(LimitVerdict(
             lim.orbit, "zero half-space model, sampled min singular values",
             "numerical-evidence",
             {"argmin": scan.argmin_label()},
             scan.as_dict()))
-        cutoffs = {"halfspace_truncations": [list(t) for t in opts.halfspace_truncations]}
+        cutoffs = {"halfspace_truncations": [[lv["T"], lv["n"]] for lv in scan.ladder]}
         caveats.append("zero-structure limit operators live on a "
                        "noncommutative group; min-singular-value samples on "
                        "the flat log-coordinate L2 of the model half-space "
                        "are numerical evidence, not a criterion")
     elif kind is StructureKind.C_GAMMA:
         lim = limit_operator(p)
-        sv = sc_invertible(lim, threshold=opts.sc_threshold)
+        sv = sc_invertible(lim)
         limit_verdicts.append(LimitVerdict(
             lim.orbit, "c_gamma frozen symbol (abelian isotropy)",
             "numerical-evidence",

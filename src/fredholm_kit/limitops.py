@@ -27,8 +27,10 @@ from .opalg import (
     BoundaryOperator,
     Coefficient,
     MultiIndex,
+    _cmul,
     _covector_dim,
     _is_matrix,
+    _value_norm,
     symbol_monomial,
     symbol_stack,
 )
@@ -159,8 +161,9 @@ def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
         dargs = np.angle(vals[:, 1:] / vals[:, :-1])
     total = dargs.sum(axis=1) / (2 * np.pi)
     k = np.round(total)
-    # phase steps too coarse to trust, or a count far from an integer
-    unsettled |= (np.abs(dargs).max(axis=1) > 1.8) | (np.abs(total - k) > 0.25)
+    # phase steps too coarse to trust, or a count far from an integer (or
+    # not finite: an overflowing determinant)
+    unsettled |= (np.abs(dargs).max(axis=1) > 1.8) | ~(np.abs(total - k) <= 0.25)
     return [None if u else int(c) for u, c in zip(unsettled, k)]
 
 
@@ -296,16 +299,6 @@ class IndicialFamily:
         return replace(self, coeffs=out)
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b for complex arrays (or floats, read with imaginary part +0.0)
-    by CPython's complex product, each part rounded twice: numpy's complex
-    multiply may fuse a product into the sum, which moves the last bit."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _cpow(x: np.ndarray, n: int) -> np.ndarray:
     """x ** n for an integer n >= 1 by CPython's binary powering of a
     complex (c_powu), product for product."""
@@ -431,8 +424,7 @@ class ScSymbol:
     def coefficient_norms_by_degree(self) -> dict[int, float]:
         out: dict[int, float] = {}
         for mi, value in self.terms:
-            norm = float(np.linalg.norm(value, 2)) if _is_matrix(value) else abs(value)
-            out[mi.total] = out.get(mi.total, 0.0) + norm
+            out[mi.total] = out.get(mi.total, 0.0) + _value_norm(value)
         return out
 
 

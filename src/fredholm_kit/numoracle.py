@@ -213,10 +213,11 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
 
 
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
+_ROOT_TOL = 1e-7  # relative: the least half-width of a root's box, and the match distance
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # moment quadrature nodes
 
 
-def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
+def brute_roots(coeffs) -> list[tuple[complex, int, float]]:
     """Roots of det P for a matrix polynomial P, independent of the
     engine's companion matrices: the batch of one of `_brute_roots_batch`,
     which `cross_check` runs on all classes of a family at once (Aberth
@@ -227,13 +228,13 @@ def brute_roots(coeffs, tol: float = 1e-7) -> list[tuple[complex, int, float]]:
     triples, with P scaled to a largest coefficient of magnitude one, and
     raises FredholmKitError when a root cannot be found or confirmed.
     """
-    (roots, failure), = _brute_roots_batch([coeffs], tol)
+    (roots, failure), = _brute_roots_batch([coeffs])
     if failure is not None:
         raise FredholmKitError(failure)
     return roots
 
 
-def _brute_roots_batch(polys, tol: float = 1e-7) -> list[tuple[list | None, str | None]]:
+def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
     """`brute_roots` of many matrix polynomials at once, as (roots, None)
     or (None, failure detail) per polynomial, in order.
 
@@ -262,17 +263,17 @@ def _brute_roots_batch(polys, tol: float = 1e-7) -> list[tuple[list | None, str 
         for i in index[low]:
             out[i] = (None, "leading coefficient below 1e-14")
         if not low.all():
-            for i, result in zip(index[~low], _brute_roots_group(coeffs[:, ~low], tol)):
+            for i, result in zip(index[~low], _brute_roots_group(coeffs[:, ~low])):
                 out[i] = result
     return out
 
 
-def _brute_roots_group(coeffs: np.ndarray, tol: float) -> list[tuple[list | None, str | None]]:
+def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None]]:
     """Roots of det P_b for a batch of polynomials coeffs[:, b] of one
     shape (m + 1, k, k), m >= 1, with invertible leading coefficients:
     Aberth-Ehrlich iteration on tr(P^-1 P'), with the iterates resolved by
     `fredholm._resolve_roots` and every root confirmed by the winding
-    number of det P around a box of half-width tol * max(1, |z|), or the
+    number of det P around a box of half-width _ROOT_TOL * max(1, |z|), or the
     box on which a root merged from iterates closer than rounding can
     separate was confirmed (less when another root is nearer).
 
@@ -311,7 +312,7 @@ def _brute_roots_group(coeffs: np.ndarray, tol: float) -> list[tuple[list | None
             results[live[e.index]] = (None, str(e))
             live = np.delete(live, e.index)
     centers = [np.array([c for c, _, _ in found]) for found in roots]
-    boxes = [root_boxes(c, np.maximum(tol * np.maximum(1.0, np.abs(c)),
+    boxes = [root_boxes(c, np.maximum(_ROOT_TOL * np.maximum(1.0, np.abs(c)),
                                       np.array([box for _, _, box in found])))
              for c, found in zip(centers, roots)]
     counts = iter(_winding_counts(coeffs, [box for bs in boxes for box in bs],
@@ -398,10 +399,14 @@ def _halfspace_matrix(frozen: BoundaryOperator, eta: np.ndarray,
     return spatial_total[np.ix_(keep, keep)]
 
 
-def half_space_sample(lim: LimitOperator, truncations=((4.0, 48), (6.0, 72), (8.0, 96)),
-                      eta_samples=(0.0, 0.5, 1.0, 2.0)) -> ScanResult:
+_HALFSPACE_TRUNCATIONS = ((4.0, 48), (6.0, 72), (8.0, 96))  # (T, n): window [-T, T], n + 1 nodes
+_HALFSPACE_ETA = (0.0, 0.5, 1.0, 2.0)  # tangential frequency magnitudes
+
+
+def half_space_sample(lim: LimitOperator) -> ScanResult:
     """Smallest singular values of the frozen half-space operator across
-    window sizes and tangential frequencies.
+    the window sizes of _HALFSPACE_TRUNCATIONS and the tangential
+    frequencies of _HALFSPACE_ETA.
 
     The discretization lives on the flat L2 of the log coordinates (the
     window is truncated with Dirichlet ends), so the numbers are evidence
@@ -414,7 +419,7 @@ def half_space_sample(lim: LimitOperator, truncations=((4.0, 48), (6.0, 72), (8.
     frozen = lim.half_space
     dcross = frozen.cross_section.coordinate_count
     vectors: list[np.ndarray] = []
-    for magnitude in eta_samples:
+    for magnitude in _HALFSPACE_ETA:
         if dcross == 0:
             vectors.append(np.array([float(magnitude)]))
         else:
@@ -426,15 +431,15 @@ def half_space_sample(lim: LimitOperator, truncations=((4.0, 48), (6.0, 72), (8.
     points = []
     mins = []
     ladder = []
-    for T, n in truncations:
+    for T, n in _HALFSPACE_TRUNCATIONS:
         local = []
         for eta in vectors:
-            a = _halfspace_matrix(frozen, eta, float(T), int(n))
+            a = _halfspace_matrix(frozen, eta, T, n)
             smin = float(np.linalg.svd(a, compute_uv=False)[-1])
-            points.append((float(T), int(n), tuple(round12(float(x)) for x in eta)))
+            points.append((T, n, tuple(round12(float(x)) for x in eta)))
             mins.append(smin)
             local.append(smin)
-        ladder.append({"T": float(T), "n": int(n),
+        ladder.append({"T": T, "n": n,
                        "global_min": round12(min(local))})
     i = int(np.argmin(mins))
     return ScanResult(tuple(points), tuple(mins), float(mins[i]), points[i],
@@ -483,15 +488,15 @@ class CheckLedger:
         return "\n".join(lines)
 
 
-def _match_roots(brute, reported, tol=1e-7):
+def _match_roots(brute, reported):
     """Match brute-force roots against the reported roots of one mode,
-    both directions, with multiplicities."""
+    both directions, with multiplicities, to _ROOT_TOL * max(1, |z|)."""
     problems = []
     used = [False] * len(reported)
     for z, mult, residual in brute:
         hit = None
         for i, r in enumerate(reported):
-            if not used[i] and abs(r.tau - z) <= tol * max(1.0, abs(z)):
+            if not used[i] and abs(r.tau - z) <= _ROOT_TOL * max(1.0, abs(z)):
                 hit = i
                 break
         if hit is None:
@@ -566,7 +571,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         # an elliptic family whose tail could not be certified is shifted
         # past overflow (a weight of 1e300, say): its scan is all inf
         if line is not None and (line.status != "numerical-evidence"
-                                 or math.isfinite(report.cutoffs["tail"]["lambda_certified"])):
+                                 or report.cutoffs["tail"]["lambda_certified"] is not None):
             scan = scan_line(fam, delta, opts.tau_range, opts.pts)
             scans["line"] = scan
             if line.status == "yes":
@@ -606,7 +611,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         if lv is None:
             entries.append(LedgerEntry("symbol", "fail", "no limit verdict recorded"))
         else:
-            redo = sc_invertible(sym, threshold=opts.sc_threshold, zooms=9)
+            redo = sc_invertible(sym, zooms=9)
             reported_status = lv.status
             if reported_status == "numerical-evidence":
                 reported_status = lv.detail.get("status", reported_status)

@@ -71,6 +71,16 @@ def _value_mul(a, b):
     return a * b
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a * b for complex arrays (or floats, read with imaginary part +0.0)
+    by CPython's complex product, each part rounded twice: numpy's complex
+    multiply may fuse a product into the sum, which moves the last bit."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _freeze(v):
     if _is_matrix(v):
         out = np.array(v, dtype=complex)
@@ -802,12 +812,9 @@ def symbol_stack(pieces, k: int, n: int) -> np.ndarray:
         if _is_matrix(value):
             acc += factor[:, None, None] * value
             continue
-        piece = factor * value
-        if value.real and value.imag:
-            # numpy's vectorized complex multiply fuses a multiply-add; it
-            # rounds like a Python complex product only when a part is zero
-            piece.real = factor.real * value.real - factor.imag * value.imag
-            piece.imag = factor.real * value.imag + factor.imag * value.real
+        # numpy's complex multiply rounds like `_cmul` when a part of the
+        # value is zero, and is cheaper
+        piece = _cmul(factor, value) if value.real and value.imag else factor * value
         for i in range(k):
             acc[:, i, i] += piece
     return acc[:, 0, 0] if k == 1 else acc
@@ -837,8 +844,12 @@ def principal_symbol(p: BoundaryOperator, r: float, xi: float, eta=()):
     return sym if p.system_size > 1 else complex(sym)
 
 
-def unit_covectors(dim_total: int, n_dir: int, magnitude_slot: bool,
-                   seed: int = 20260809) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_COVECTOR_SEED = 20260809  # of the random directions sampled in dimensions above 3
+FLOOR_DIRECTIONS = 720  # covector samples behind a symbol floor
+
+
+def unit_covectors(dim_total: int, n_dir: int,
+                   magnitude_slot: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic samples of the unit covector sphere in R^dim_total,
     always including the coordinate axes (where degenerate symbols tend to
     vanish).  When the tangential slot is a magnitude, only eta >= 0 is
@@ -859,7 +870,7 @@ def unit_covectors(dim_total: int, n_dir: int, magnitude_slot: bool,
                  for a in np.linspace(0.0, np.pi, na)
                  for b in np.linspace(0.0, 2 * np.pi, 2 * na, endpoint=False)]
     elif dim_total > 3:
-        vecs = np.random.default_rng(seed).normal(size=(n_dir, dim_total))
+        vecs = np.random.default_rng(_COVECTOR_SEED).normal(size=(n_dir, dim_total))
         rows += (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
     rows = np.array(rows)
     eta = rows[:, 1:]
@@ -881,16 +892,15 @@ class EllipticityResult:
     min_abs_det: float
     witness_r: float
     witness_covector: tuple
-    threshold: float
     grid: tuple[int, int]
 
     def as_dict(self):
         return {
             "elliptic": self.elliptic,
-            "min_abs_det": self.min_abs_det,
+            "min_abs_det": self.min_abs_det if math.isfinite(self.min_abs_det) else None,
             "witness_r": self.witness_r,
             "witness_covector": list(np.atleast_1d(np.array(self.witness_covector, dtype=float))),
-            "threshold": self.threshold,
+            "threshold": _ELLIPTIC_THRESHOLD,
             "grid": list(self.grid),
         }
 
@@ -902,29 +912,34 @@ def _min_singular(stack: np.ndarray) -> float:
     return float(np.min(np.linalg.svd(stack, compute_uv=False)[:, -1]))
 
 
-def is_elliptic(p: BoundaryOperator, r_max: float = 1.0, n_r: int = 9,
-                n_dir: int = 96, threshold: float = 1e-8) -> EllipticityResult:
-    """Sampled ellipticity check: min |det sigma_m| over r in [0, r_max]
-    (including r = 0) and the unit covector sphere.  The witness is the
-    first minimum in (radius, direction) order."""
-    if n_r < 2 or n_dir < 2:
-        raise ValueError("ellipticity needs a nonempty sampling grid")
+_ELLIPTIC_THRESHOLD = 1e-8  # on min |det sigma_m|, absolute
+_ELLIPTIC_R_MAX = 1.0
+_ELLIPTIC_RADII = 9
+_ELLIPTIC_DIRECTIONS = 96
+
+
+def is_elliptic(p: BoundaryOperator) -> EllipticityResult:
+    """Sampled ellipticity check: min |det sigma_m| over _ELLIPTIC_RADII
+    radii in [0, _ELLIPTIC_R_MAX] (including r = 0) and the unit covector
+    sphere, against _ELLIPTIC_THRESHOLD.  The witness is the first minimum
+    in (radius, direction) order."""
     dim_total, mag = _covector_dim(p)
-    xi, eta, eta2 = unit_covectors(dim_total, n_dir, mag)
-    rs = np.linspace(0.0, r_max, n_r)
-    absdet = np.empty((n_r, xi.shape[0]))
+    xi, eta, eta2 = unit_covectors(dim_total, _ELLIPTIC_DIRECTIONS, mag)
+    rs = np.linspace(0.0, _ELLIPTIC_R_MAX, _ELLIPTIC_RADII)
+    absdet = np.empty((_ELLIPTIC_RADII, xi.shape[0]))
     for row, r in zip(absdet, rs):
         sym = _principal_stack(p, r, xi, eta, eta2)
         det = sym if sym.ndim == 1 else np.linalg.det(sym)
         row[:] = np.hypot(det.real, det.imag)  # abs() of a Python complex
     i, j = np.unravel_index(np.argmin(absdet), absdet.shape)
     best = float(absdet[i, j])
-    return EllipticityResult(best >= threshold, best, float(rs[i]),
+    return EllipticityResult(best >= _ELLIPTIC_THRESHOLD, best, float(rs[i]),
                              (float(xi[j]), *(float(e) for e in eta[j])),
-                             threshold, (n_r, xi.shape[0]))
+                             (_ELLIPTIC_RADII, xi.shape[0]))
 
 
-def symbol_min_singular(p: BoundaryOperator, r: float = 0.0, n_dir: int = 720) -> float:
+def symbol_min_singular(p: BoundaryOperator, r: float = 0.0,
+                        n_dir: int = FLOOR_DIRECTIONS) -> float:
     """min over unit covectors of the smallest singular value of sigma_m
     at the given radius (used for quantitative tail bounds)."""
     dim_total, mag = _covector_dim(p)

@@ -42,6 +42,7 @@ from fredholm_kit import (
 )
 from fredholm_kit.cli import SCHEMA, main
 from fredholm_kit.fredholm import FredholmOptions, certified_weight_range, safe_weight_intervals
+from fredholm_kit.opalg import symbol_min_singular
 from conftest import gaussian_packet, random_b_operator, windowed_trig
 
 B1 = LieStructure.b(1)
@@ -226,7 +227,7 @@ def test_09_safe_weight_intervals():
         p = make_model("spherical_schrodinger", n=3, Z=z)
         nop = normal_operator(p)
         cutoff = 250.0
-        w = certified_weight_range(nop, cutoff)
+        w = certified_weight_range(nop, cutoff, symbol_min_singular(nop.base))
         assert w >= 5.0
         fam = indicial_family(nop, spectrum(p.cross_section, cutoff))
         roots = indicial_roots(fam)

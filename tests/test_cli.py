@@ -321,13 +321,113 @@ def test_json_reports_are_strict_json(tmp_path, runner, spec_text, null_at, comm
 
 
 def test_report_roots_are_encoded_as_they_stand():
+    from fredholm_kit._util import round12
     from fredholm_kit.cli import _dumps
+    # non-finite report floats become null where the report is built
+    assert round12(float("inf")) is None
+    assert round12(float("-inf")) is None
+    assert round12(float("nan")) is None
     roots = [{"mode": "k=0", "tau": [0.5, -1.0]}]
-    assert json.loads(_dumps({"cutoffs": {"s0": float("inf")}, "indicial_roots": roots})) == \
+    assert json.loads(_dumps({"cutoffs": {"s0": None}, "indicial_roots": roots})) == \
         {"cutoffs": {"s0": None}, "indicial_roots": roots}
-    # the one section that is not walked still refuses a non-finite float
-    with pytest.raises(ValueError):
-        _dumps({"indicial_roots": [{"mode": "k=0", "tau": [float("nan"), 0.0]}]}, indent=2)
+    # the encoder refuses a non-finite float in any section
+    for payload in ({"cutoffs": {"s0": float("inf")}},
+                    {"indicial_roots": [{"mode": "k=0", "tau": [float("nan"), 0.0]}]}):
+        with pytest.raises(ValueError):
+            _dumps(payload, indent=2)
+
+
+def test_operator_and_bracket_json_write_non_finite_numbers_as_null(tmp_path, runner):
+    # two finite terms whose sum overflows, real and complex
+    for value, emitted in ((1e308, None), ([1e308, 1], [None, 2.0])):
+        term = {"nu": 0, "value": value}
+        path = write(tmp_path, "spec.json", dict(SHIFTED_CYLINDER, terms=[
+            SHIFTED_CYLINDER["terms"][0], {"alpha": [0], "coefficient": [term, term]}]))
+        res = runner.invoke(main, ["normal", path, "--format", "json"])
+        assert res.exit_code == 0, res.exception
+        payload = json.loads(res.stdout, parse_constant=_reject_constant)
+        assert [t["coefficient"][0]["value"] for t in payload["terms"]
+                if t["alpha"] == [0]] == [emitted]
+    res = runner.invoke(main, ["bracket-table", "--structure", "c_gamma", "--gamma", "nan",
+                               "--format", "json"])
+    assert res.exit_code == 0, res.exception
+    assert json.loads(res.stdout, parse_constant=_reject_constant)["gamma"] is None
+
+
+def test_reports_record_the_fixed_sampling_values(tmp_path, runner):
+    # thresholds and sampling grids are module constants; every report
+    # states the values its verdict rests on
+    from fredholm_kit.opalg import _MODELS
+    seen = set()
+    for name in sorted(_MODELS):
+        path = write(tmp_path, f"{name}.json", {"schema": SCHEMA, "model": name})
+        res = runner.invoke(main, ["check", path, "--format", "json"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        payload = json.loads(res.stdout)
+        assert payload["elliptic"]["threshold"] == 1e-08
+        assert payload["elliptic"]["grid"][0] == 9
+        kind = payload["operator"]["structure"]
+        seen.add(kind)
+        if kind == "b":
+            assert payload["cutoffs"]["tail"]["direction_samples"] == 720
+        elif kind == "zero":
+            assert payload["cutoffs"]["halfspace_truncations"] == [[4.0, 48], [6.0, 72],
+                                                                   [8.0, 96]]
+        else:
+            assert payload["limit_operators"][0]["detail"]["threshold"] == 1e-06
+    assert seen == {"b", "sc", "zero", "c_gamma"}
+
+
+def test_verify_at_a_cutoff_just_below_an_eigenvalue(tmp_path, runner):
+    # the report states the cutoff to 12 digits, 100.0, and the oracle
+    # rebuilds the spectrum from that value; the engine must use the same
+    # value, or the k=10 modes (eigenvalue 100) go missing from its roots
+    path = write(tmp_path, "polar.json", {"schema": SCHEMA, "model": "polar_laplacian"})
+    cutoff = ["--cutoff", "99.99999999999", "--format", "json"]
+    res = runner.invoke(main, ["verify", path, "--weight", "0.3", *cutoff])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["cutoffs"]["mode_cutoff"] == 100.0
+    assert payload["oracle"]["passed"]
+    assert "k=10" in {r["mode"] for r in payload["indicial_roots"]}
+    res = runner.invoke(main, ["roots", path, *cutoff])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["mode_cutoff"] == 100.0
+    assert "k=10" in {r["mode"] for r in payload["roots"]}
+
+
+def _scaled_identity_terms(scale, constant):
+    big = [[scale, 0], [0, scale]]
+    terms = [{"alpha": [2], "coefficient": [{"nu": 0, "value": big}]},
+             {"alpha": [0], "laplacian": 1, "coefficient": [{"nu": 0, "value": big}]}]
+    if constant:
+        terms.append({"alpha": [0], "coefficient": [{"nu": 0, "value": big}]})
+    return terms
+
+
+def test_overflowing_determinant_is_an_error_not_a_verdict(tmp_path):
+    # det P(tau) of these 2x2 coefficients overflows on the root contours,
+    # so the winding total is NaN.  In a fresh interpreter: numpy's
+    # overflow warnings would be errors in this one
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SHIFTED_CYLINDER, system_size=2,
+                                    terms=_scaled_identity_terms(1e200, False))))
+    res = run_cli("check", str(path), "--cutoff", "10")
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == [
+        "error: root refinement failed on mode k=0: contour counting failed to stabilize"]
+
+
+def test_overflowing_symbol_determinant_is_written_as_null(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SHIFTED_CYLINDER, system_size=2, structure={"kind": "sc"},
+                                    terms=_scaled_identity_terms(1e200, True))))
+    res = run_cli("check", str(path), "--format", "json")
+    assert "Traceback" not in res.stderr
+    payload = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert payload["elliptic"]["min_abs_det"] is None
 
 
 def test_report_digest_lists_every_report(tmp_path, monkeypatch):
