@@ -50,13 +50,10 @@ from .opalg import (
 )
 from .limitops import (
     IndicialFamily,
-    LimitOperator,
-    NormalOperator,
     ScSymbol,
     freeze_coefficients,
     full_symbol,
     indicial_family,
-    limit_operator,
     normal_operator,
 )
 from .fredholm import (

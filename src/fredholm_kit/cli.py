@@ -593,10 +593,10 @@ def normal(spec_path, fmt, out):
         op, _compact = parse_spec(spec_path)
         nop = normal_operator(op)
     if fmt == "json":
-        text = _dumps(serialize_operator(nop.base), indent=2) + "\n"
+        text = _dumps(serialize_operator(nop), indent=2) + "\n"
     else:
         text = (f"normal operator (translation-invariant in t = log r):\n"
-                f"  {nop.base}\n")
+                f"  {nop}\n")
     _echo_or_write(text, out)
     sys.exit(0)
 
@@ -622,7 +622,7 @@ def transform(spec_path, fmt, out):
     else:
         text = (f"on the cylinder (t = log r): {cyl}\n"
                 f"coefficients converge as t -> -infinity to: "
-                f"{cyl.boundary_coefficients()}\n")
+                f"{normal_operator(op)}\n")
     _echo_or_write(text, out)
     sys.exit(0)
 
@@ -638,12 +638,7 @@ def transform(spec_path, fmt, out):
 def bracket_table(kind, gamma, collar_dim, fmt, out):
     """Print the frame bracket table and isotropy group of a structure."""
     try:
-        if kind == "c_gamma":
-            if gamma is None:
-                raise FredholmKitError("c_gamma needs --gamma")
-            s = LieStructure.c_gamma(gamma, collar_dim - 1)
-        else:
-            s = LieStructure(_STRUCTURES[kind], collar_dim)
+        s = LieStructure(_STRUCTURES[kind], collar_dim, gamma)
         iso = isotropy(s)
         c = structure_constants(s)
     except (FredholmKitError, ValueError) as e:
@@ -663,7 +658,7 @@ def bracket_table(kind, gamma, collar_dim, fmt, out):
             "group": iso.group,
         }
         if gamma is not None:
-            payload["gamma"] = gamma if math.isfinite(gamma) else None
+            payload["gamma"] = gamma
         text = _dumps(payload, indent=2) + "\n"
     else:
         lines = [f"frame: {', '.join(f'e{i} = {f}' for i, f in enumerate(frame))}",

@@ -19,12 +19,11 @@ from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
-    LimitOperator,
-    NormalOperator,
     ScSymbol,
     _winding_counts,
+    freeze_coefficients,
+    full_symbol,
     indicial_family,
-    limit_operator,
     newton_correction,
     normal_operator,
     root_boxes,
@@ -298,13 +297,13 @@ def _positive_root(coeffs: np.ndarray) -> float:
     return best
 
 
-def tail_bound(n: NormalOperator, delta_abs: float, mu0: float) -> TailBound:
+def tail_bound(base: BoundaryOperator, delta_abs: float, mu0: float) -> TailBound:
     """Certificate that high modes stay invertible on every line
-    |Re z| <= delta_abs, from coefficient norms and the symbol floor mu0
-    (`symbol_min_singular` of n.base at r = 0).  Without a positive floor,
+    |Re z| <= delta_abs, from the coefficient norms of the normal operator
+    `base` (as `normal_operator` returns it) and the symbol floor mu0
+    (`symbol_min_singular` of base at r = 0).  Without a positive floor,
     or when an envelope weight overflows, the tail is uncertified: s0 and
     lambda_certified are infinite."""
-    base = n.base
     m = base.order
     envelope: dict[int, float] = {}
     for mi, co in base.terms:
@@ -335,18 +334,18 @@ def tail_bound(n: NormalOperator, delta_abs: float, mu0: float) -> TailBound:
     return TailBound(mu0, m, tuple(sorted(envelope.items())), s0, s0 * s0)
 
 
-def certified_weight_range(n: NormalOperator, cutoff: float, mu0: float) -> float:
+def certified_weight_range(base: BoundaryOperator, cutoff: float, mu0: float) -> float:
     """Largest W with tail certification for all |delta| <= W at this
-    cutoff, from the symbol floor mu0 of `tail_bound` (monotone in delta,
-    solved by bisection)."""
-    if tail_bound(n, 0.0, mu0).lambda_certified > cutoff:
+    cutoff, for the normal operator `base` and the symbol floor mu0 of
+    `tail_bound` (monotone in delta, solved by bisection)."""
+    if tail_bound(base, 0.0, mu0).lambda_certified > cutoff:
         return 0.0
     lo, hi = 0.0, 1.0
-    while tail_bound(n, hi, mu0).lambda_certified <= cutoff and hi < 1e6:
+    while tail_bound(base, hi, mu0).lambda_certified <= cutoff and hi < 1e6:
         lo, hi = hi, 2 * hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if tail_bound(n, mid, mu0).lambda_certified <= cutoff:
+        if tail_bound(base, mid, mu0).lambda_certified <= cutoff:
             lo = mid
         else:
             hi = mid
@@ -440,10 +439,11 @@ def _sc_scan(sym: ScSymbol, radius: float, n_axis: int, zooms: int):
     return best, point
 
 
-def sc_invertible(target: LimitOperator | ScSymbol, n_axis: int | None = None,
+def sc_invertible(sym: ScSymbol, n_axis: int | None = None,
                   zooms: int = 8) -> ScVerdict:
     """Invertibility of a constant-coefficient symbol on the abelian
-    tangent group.
+    tangent group, such as `full_symbol(freeze_coefficients(p))` of an sc
+    or c_gamma operator.
 
     |det| of the full symbol is evaluated on a grid over the box
     |xi_j| <= R, where R is the radius beyond which the principal symbol
@@ -453,9 +453,6 @@ def sc_invertible(target: LimitOperator | ScSymbol, n_axis: int | None = None,
     runs at two base resolutions; the status is "no" when the minimum is
     at most _SC_THRESHOLD, "yes" above it, and "undecided" when the two
     resolutions disagree."""
-    sym = target.symbol if isinstance(target, LimitOperator) else target
-    if sym is None:
-        raise FredholmKitError("limit operator carries no symbol data")
     k = sym.system_size
     xi, eta, eta2 = unit_covectors(sym.covector_dim, FLOOR_DIRECTIONS, sym.magnitude_slot)
     mu0 = _min_singular(sym.stack(xi, eta, eta2, principal=True))
@@ -526,6 +523,18 @@ class LimitVerdict:
             "witness": self.witness,
             "detail": self.detail,
         }
+
+
+# the structures whose limit operator is a full symbol on an abelian tangent
+# group: the report's mechanism, and the caveat that makes the symbol scan
+# numerical evidence only (None where the scan is the criterion)
+_SYMBOL_LIMITS = {
+    StructureKind.SC: ("sc full symbol on the abelian tangent group", None),
+    StructureKind.C_GAMMA: (
+        "c_gamma frozen symbol (abelian isotropy)",
+        "c_gamma limit operators fall outside the cylindrical and scattering "
+        "frames; the symbol test below is numerical evidence, not a criterion"),
+}
 
 
 @dataclass(frozen=True)
@@ -616,13 +625,13 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             str(p), p.system_size, p.order)
 
     kind = p.structure.kind
-    if kind in (StructureKind.B,):
+    if kind is StructureKind.B:
         nop = normal_operator(p)
-        mu0 = symbol_min_singular(nop.base)
+        mu0 = symbol_min_singular(nop)
         tb = tail_bound(nop, abs(delta), mu0)
         cutoff = opts.mode_cutoff if opts.mode_cutoff is not None else default_mode_cutoff(p)
         needed = tb.lambda_certified * 1.05
-        signed = nop.base.needs_signed_modes()
+        signed = nop.needs_signed_modes()
         tail_fits = (math.isfinite(needed)
                      and mode_count(p.cross_section, needed, signed) <= MODE_BUDGET)
         if tail_fits:
@@ -669,23 +678,11 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         if line.status == "borderline":
             caveats.append("an indicial root sits within 1e-8 of the tested "
                            "line; refusing to guess")
-    elif kind is StructureKind.SC:
-        lim = limit_operator(p)
-        sv = sc_invertible(lim)
-        limit_verdicts.append(LimitVerdict(
-            lim.orbit, "sc full symbol on the abelian tangent group",
-            sv.status if sv.status != "undecided" else "numerical-evidence",
-            {"covector": [round12(x) for x in sv.witness]} if sv.witness else None,
-            sv.as_dict()))
-        cutoffs = {"sc_search_radius": round12(sv.radius)}
-        if sv.status == "undecided":
-            caveats.append("sc symbol scan was inconclusive")
     elif kind is StructureKind.ZERO:
         from .numoracle import half_space_sample  # deferred to avoid a cycle
-        lim = limit_operator(p)
-        scan = half_space_sample(lim)
+        scan = half_space_sample(freeze_coefficients(p))
         limit_verdicts.append(LimitVerdict(
-            lim.orbit, "zero half-space model, sampled min singular values",
+            "point:x0", "zero half-space model, sampled min singular values",
             "numerical-evidence",
             {"argmin": scan.argmin_label()},
             scan.as_dict()))
@@ -694,18 +691,19 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
                        "noncommutative group; min-singular-value samples on "
                        "the flat log-coordinate L2 of the model half-space "
                        "are numerical evidence, not a criterion")
-    elif kind is StructureKind.C_GAMMA:
-        lim = limit_operator(p)
-        sv = sc_invertible(lim)
+    else:  # sc and c_gamma
+        mechanism, evidence_only = _SYMBOL_LIMITS[kind]
+        sv = sc_invertible(full_symbol(freeze_coefficients(p)))
         limit_verdicts.append(LimitVerdict(
-            lim.orbit, "c_gamma frozen symbol (abelian isotropy)",
-            "numerical-evidence",
+            "point:x0", mechanism,
+            "numerical-evidence" if evidence_only or sv.status == "undecided" else sv.status,
             {"covector": [round12(x) for x in sv.witness]} if sv.witness else None,
             sv.as_dict()))
         cutoffs = {"sc_search_radius": round12(sv.radius)}
-        caveats.append(lim.warning)
-    else:  # pragma: no cover
-        raise FredholmKitError(f"unsupported structure kind {kind}")
+        if evidence_only:
+            caveats.append(evidence_only)
+        elif sv.status == "undecided":
+            caveats.append("sc symbol scan was inconclusive")
 
     if not ell.elliptic:
         verdict = VERDICT_NOT

@@ -18,6 +18,7 @@ monomials with nu >= 0; brackets are computed exactly in that class.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -187,6 +188,9 @@ class LieStructure:
         if self.kind is StructureKind.C_GAMMA:
             if self.gamma is None:
                 raise ValueError("c_gamma structures need a gamma parameter")
+            if not math.isfinite(self.gamma):
+                raise FredholmKitError(
+                    f"c_gamma exponent must be finite, got gamma={self.gamma}")
             if self.gamma < 1:
                 raise NotRepresentableError(
                     f"c_gamma frame with gamma={self.gamma:g} is not closed under "

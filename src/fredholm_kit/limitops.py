@@ -1,14 +1,17 @@
-"""Limit operators at the boundary: frozen coefficients, indicial families,
-and the structure-specific invariant operators on the isotropy groups.
+"""Limit operators at the boundary: frozen coefficients, indicial families
+and full symbols.  Each kind of end has its own plain object, and every
+one starts from `freeze_coefficients`.
 
-For the b frame the limit operator is the translation-invariant normal
-operator on the cylinder and its Fourier transform in t is the indicial
+For the b frame the limit operator is the normal operator, the frozen
+`BoundaryOperator` that `normal_operator` returns; it is translation
+invariant on the cylinder, and its Fourier transform in t is the indicial
 family, a polynomial in tau acting mode by mode.  For the sc frame (and
 the rescaled c_gamma frames, whose isotropy is likewise abelian) the limit
-operator at a boundary point is a constant-coefficient full symbol on the
-tangent group.  For the zero frame it is the frozen operator in the
-half-space frame {s d/ds, s d/dw_j}; no closed-form invertibility
-criterion is implemented for it, only numerical sampling.
+operator at a boundary point is the constant-coefficient full symbol
+`full_symbol(freeze_coefficients(p))` on the tangent group.  For the zero
+frame it is the frozen operator itself, read in the half-space frame
+{s d/ds, s d/dw_j}; no closed-form invertibility criterion is implemented
+for it, only numerical sampling (`numoracle.half_space_sample`).
 """
 
 from __future__ import annotations
@@ -52,30 +55,14 @@ def freeze_coefficients(p: BoundaryOperator) -> BoundaryOperator:
                             symbolic_only=p.symbolic_only)
 
 
-@dataclass(frozen=True)
-class NormalOperator:
-    """The coefficient-frozen, translation-invariant operator of a b-type
-    (or c_gamma-type) operator; commutes with t-translations after the
-    log-radius substitution."""
-
-    base: BoundaryOperator
-    translation_invariant: bool = True
-
-    @property
-    def order(self) -> int:
-        return self.base.order
-
-    @property
-    def system_size(self) -> int:
-        return self.base.system_size
-
-
-def normal_operator(p: BoundaryOperator) -> NormalOperator:
+def normal_operator(p: BoundaryOperator) -> BoundaryOperator:
+    """The normal operator of a b (or c_gamma) operator: its frozen
+    coefficients, translation-invariant in t = log r."""
     if p.structure.kind not in (StructureKind.B, StructureKind.C_GAMMA):
         raise FredholmKitError(
-            "normal operators are defined for the b and c_gamma frames; use "
-            "limit_operator for zero/sc structures")
-    return NormalOperator(freeze_coefficients(p))
+            "normal operators are defined for the b and c_gamma frames; zero "
+            "and sc structures freeze to a half-space operator or a full symbol")
+    return freeze_coefficients(p)
 
 
 def matrix_polyval(coeffs: np.ndarray, taus, derivative: bool = False):
@@ -339,11 +326,11 @@ def _mode_factors(mi: MultiIndex, chans: tuple[Channel, ...]) -> list[np.ndarray
     return out
 
 
-def indicial_family(n: NormalOperator, table: ModeTable) -> IndicialFamily:
-    """Fourier transform of the normal operator in the cylinder direction:
-    per mode of eigenvalue lambda, substitute the radial frame derivative
-    by i tau, Laplacian powers by -lambda, tangential partials by the
-    signed frequencies.
+def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
+    """Fourier transform of the normal operator `base` (as `normal_operator`
+    returns it) in the cylinder direction: per mode of eigenvalue lambda,
+    substitute the radial frame derivative by i tau, Laplacian powers by
+    -lambda, tangential partials by the signed frequencies.
 
     Mode-diagonal coefficients are the only tangential dependence the
     algebra admits, so the family is block-diagonal by construction;
@@ -360,7 +347,6 @@ def indicial_family(n: NormalOperator, table: ModeTable) -> IndicialFamily:
     (`_cpow`); and only the product of the factor with a matrix value is
     numpy's, as it was in the loop.
     """
-    base = n.base
     chans = base.mode_channels(table)
     k = base.system_size
     warning = None
@@ -445,36 +431,3 @@ def full_symbol(frozen: BoundaryOperator) -> ScSymbol:
     d, mag = _covector_dim(frozen)
     return ScSymbol(tuple(terms), frozen.system_size, frozen.order, d, mag)
 
-
-@dataclass(frozen=True)
-class LimitOperator:
-    """The invariant operator induced on the isotropy group of a boundary
-    orbit.  Exactly one payload is set: a normal operator (b), a full
-    symbol (sc / c_gamma), or a frozen half-space operator (zero)."""
-
-    structure_kind: StructureKind
-    orbit: str
-    normal: NormalOperator | None = None
-    symbol: ScSymbol | None = None
-    half_space: BoundaryOperator | None = None
-    warning: str | None = None
-
-
-def limit_operator(p: BoundaryOperator, point: str | None = None) -> LimitOperator:
-    """Restrict to a boundary orbit and let the frame act on the isotropy
-    group: the whole boundary component with group R for b, a point with
-    the tangent (semi)direct product groups otherwise."""
-    kind = p.structure.kind
-    if kind is StructureKind.B:
-        return LimitOperator(kind, "boundary:0", normal=normal_operator(p))
-    label = f"point:{point}" if point else "point:x0"
-    frozen = freeze_coefficients(p)
-    if kind is StructureKind.ZERO:
-        return LimitOperator(kind, label, half_space=frozen)
-    if kind is StructureKind.SC:
-        return LimitOperator(kind, label, symbol=full_symbol(frozen))
-    return LimitOperator(
-        kind, label, symbol=full_symbol(frozen),
-        warning=("c_gamma limit operators fall outside the cylindrical and "
-                 "scattering frames; the symbol test below is numerical "
-                 "evidence, not a criterion"))

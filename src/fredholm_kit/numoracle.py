@@ -50,8 +50,9 @@ from .fredholm import _resolve_roots, _RootFailure
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
-    LimitOperator,
     _winding_counts,
+    freeze_coefficients,
+    full_symbol,
     indicial_family,
     matrix_polyval,
     newton_correction,
@@ -403,20 +404,20 @@ _HALFSPACE_TRUNCATIONS = ((4.0, 48), (6.0, 72), (8.0, 96))  # (T, n): window [-T
 _HALFSPACE_ETA = (0.0, 0.5, 1.0, 2.0)  # tangential frequency magnitudes
 
 
-def half_space_sample(lim: LimitOperator) -> ScanResult:
-    """Smallest singular values of the frozen half-space operator across
-    the window sizes of _HALFSPACE_TRUNCATIONS and the tangential
-    frequencies of _HALFSPACE_ETA.
+def half_space_sample(frozen: BoundaryOperator) -> ScanResult:
+    """Smallest singular values of the frozen half-space operator (a
+    zero-structure operator after `freeze_coefficients`) across the window
+    sizes of _HALFSPACE_TRUNCATIONS and the tangential frequencies of
+    _HALFSPACE_ETA.
 
     The discretization lives on the flat L2 of the log coordinates (the
     window is truncated with Dirichlet ends), so the numbers are evidence
     about the model operator, not a theorem-grade invertibility test; the
     caveat flag says so.
     """
-    if lim.structure_kind is not StructureKind.ZERO or lim.half_space is None:
+    if frozen.structure.kind is not StructureKind.ZERO:
         raise FredholmKitError("half-space sampling applies to zero-structure "
                                "limit operators")
-    frozen = lim.half_space
     dcross = frozen.cross_section.coordinate_count
     vectors: list[np.ndarray] = []
     for magnitude in _HALFSPACE_ETA:
@@ -525,7 +526,6 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     fails the entries of its own channels only.
     """
     from .fredholm import FredholmOptions, sc_invertible
-    from .limitops import full_symbol, freeze_coefficients
 
     opts = opts or FredholmOptions()
     entries: list[LedgerEntry] = []

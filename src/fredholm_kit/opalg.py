@@ -304,6 +304,45 @@ def _radial_frame_expansion(n: int, c: float) -> tuple:
     return poly
 
 
+def _round6(c: complex) -> float | complex:
+    """A q(lambda) coefficient rounded to 6 digits, real when its imaginary
+    part is 0; 0.0 + turns a signed zero into +0."""
+    if c.imag == 0:
+        return 0.0 + round(c.real, 6)
+    return complex(0.0 + round(c.real, 6), 0.0 + round(c.imag, 6))
+
+
+def _power(word: str, p: int) -> str:
+    return word + (f"^{p}" if p > 1 else "")
+
+
+def _render_terms(terms, radial: str, cross, laplacian: str, weight) -> str:
+    """The display of a sorted term list: per coefficient term its value,
+    weight(nu) for its r^nu, its q(lambda) and its frame monomial, whose
+    fields read as radial, cross(j) (j from 1) and laplacian."""
+    chunks = []
+    for mi, co in terms:
+        for ct in co.terms:
+            factors = []
+            val = ct.value
+            if _is_matrix(val):
+                factors.append(f"[{val.shape[0]}x{val.shape[0]}]")
+            elif val != 1 or (ct.nu == 0 and ct.lam_poly is None and mi.total == 0):
+                v = val.real if val.imag == 0 else val
+                factors.append(f"({v:g})")
+            if ct.nu:
+                factors.append(weight(ct.nu))
+            if ct.lam_poly is not None:
+                factors.append(f"q{tuple(_round6(c) for c in ct.lam_poly)}(lam)")
+            if mi.radial:
+                factors.append(_power(radial, mi.radial))
+            factors += [_power(cross(j + 1), p) for j, p in enumerate(mi.cross) if p]
+            if mi.laplacian:
+                factors.append(_power(laplacian, mi.laplacian))
+            chunks.append(" ".join(factors) if factors else "1")
+    return " + ".join(chunks)
+
+
 class BoundaryOperator:
     """A differential operator on the collar, canonically represented as a
     sorted tuple of (MultiIndex, Coefficient) pairs over the structure's
@@ -372,41 +411,15 @@ class BoundaryOperator:
     def __hash__(self):
         return hash((self.structure, self.cross_section, self.terms))
 
-    def _monomial_str(self, mi: MultiIndex) -> str:
-        a, s = self.structure.radial_exponent, self.structure.cross_exponent
-        parts = []
-        if mi.radial:
-            base = "r d/dr" if a == 1 else f"r^{a:g} d/dr"
-            parts.append(f"({base})" + (f"^{mi.radial}" if mi.radial > 1 else ""))
-        for j, p in enumerate(mi.cross):
-            if p:
-                base = f"d/dy{j + 1}" if s == 0 else (
-                    f"(r d/dy{j + 1})" if s == 1 else f"(r^{s:g} d/dy{j + 1})")
-                parts.append(base + (f"^{p}" if p > 1 else ""))
-        if mi.laplacian:
-            parts.append("L" + (f"^{mi.laplacian}" if mi.laplacian > 1 else ""))
-        return " ".join(parts) if parts else "1"
-
     def __str__(self):
-        chunks = []
-        for mi, co in self.terms:
-            for ct in co.terms:
-                factors = []
-                val = ct.value
-                if _is_matrix(val):
-                    factors.append(f"[{val.shape[0]}x{val.shape[0]}]")
-                elif val != 1 or (ct.nu == 0 and ct.lam_poly is None and mi.total == 0):
-                    v = val.real if val.imag == 0 else val
-                    factors.append(f"({v:g})")
-                if ct.nu:
-                    factors.append("r" if ct.nu == 1 else f"r^{ct.nu:g}")
-                if ct.lam_poly is not None:
-                    factors.append("q" + str(tuple(round(abs(c), 6) for c in ct.lam_poly)) + "(lam)")
-                mono = self._monomial_str(mi)
-                if mono != "1":
-                    factors.append(mono)
-                chunks.append(" ".join(factors) if factors else "1")
-        return " + ".join(chunks)
+        a, s = self.structure.radial_exponent, self.structure.cross_exponent
+        return _render_terms(
+            self.terms,
+            radial="(r d/dr)" if a == 1 else f"(r^{a:g} d/dr)",
+            cross=lambda j: f"d/dy{j}" if s == 0 else (
+                f"(r d/dy{j})" if s == 1 else f"(r^{s:g} d/dy{j})"),
+            laplacian="L",
+            weight=lambda nu: "r" if nu == 1 else f"r^{nu:g}")
 
     def __repr__(self):
         return f"BoundaryOperator<{self.structure.kind.value}, {self.cross_section}; {self}>"
@@ -696,7 +709,8 @@ class CylinderOperator:
     """A b operator rewritten on the full cylinder R x cross-section via
     t = log r: radial frame derivatives become d/dt and each coefficient
     monomial r^nu becomes e^(nu t), so the coefficients converge to the
-    boundary values as t -> -infinity."""
+    boundary values (`limitops.normal_operator` of base) as t -> -infinity.
+    It only renders; base does the acting (`apply`) and the freezing."""
 
     __slots__ = ("base",)
 
@@ -706,48 +720,13 @@ class CylinderOperator:
     def __setattr__(self, *a):
         raise AttributeError("CylinderOperator is immutable")
 
-    @property
-    def cross_section(self):
-        return self.base.cross_section
-
-    @property
-    def order(self):
-        return self.base.order
-
-    def boundary_coefficients(self) -> BoundaryOperator:
-        """The t -> -infinity limit of the coefficients (the frozen part)."""
-        from .limitops import normal_operator  # local import to avoid a cycle
-        return normal_operator(self.base).base
-
-    def apply(self, u: np.ndarray, grid: RadialGrid, table: ModeTable) -> np.ndarray:
-        """Act on samples over a uniform t grid (grid.t is the coordinate)."""
-        chans = self.base.mode_channels(table)
-        return _apply_bterms(self.base._bterms, self.base.system_size, chans, grid, u)
-
     def __eq__(self, other):
         return isinstance(other, CylinderOperator) and self.base == other.base
 
     def __str__(self):
-        chunks = []
-        for mi, co in self.base.terms:
-            for ct in co.terms:
-                factors = []
-                if _is_matrix(ct.value):
-                    factors.append(f"[{ct.value.shape[0]}x{ct.value.shape[0]}]")
-                elif ct.value != 1 or (ct.nu == 0 and mi.total == 0):
-                    v = ct.value.real if ct.value.imag == 0 else ct.value
-                    factors.append(f"({v:g})")
-                if ct.nu:
-                    factors.append("e^t" if ct.nu == 1 else f"e^{ct.nu:g}t")
-                if mi.radial:
-                    factors.append("(d/dt)" + (f"^{mi.radial}" if mi.radial > 1 else ""))
-                for j, pw in enumerate(mi.cross):
-                    if pw:
-                        factors.append(f"d/dy{j + 1}" + (f"^{pw}" if pw > 1 else ""))
-                if mi.laplacian:
-                    factors.append("Lap" + (f"^{mi.laplacian}" if mi.laplacian > 1 else ""))
-                chunks.append(" ".join(factors) if factors else "1")
-        return " + ".join(chunks)
+        return _render_terms(self.base.terms, radial="(d/dt)", cross=lambda j: f"d/dy{j}",
+                             laplacian="Lap",
+                             weight=lambda nu: "e^t" if nu == 1 else f"e^{nu:g}t")
 
     def __repr__(self):
         return f"CylinderOperator<{self}>"
@@ -963,8 +942,8 @@ def cgamma_rewrite(n: int, gamma: float, v0) -> tuple[float, BoundaryOperator]:
     if n < 2:
         raise ValueError("ambient dimension n must be >= 2")
     gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     v0 = _as_coefficient(v0)
     cross = CrossSection.sphere(n - 1)
     if 2 * gamma in (0.0, 1.0, 2.0):

@@ -207,6 +207,16 @@ def test_non_finite_input_is_a_usage_error(tmp_path, runner, spec_text, args):
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args", [["c_gamma", "--gamma", "nan"], ["c_gamma", "--gamma", "inf"],
+                                  ["c_gamma"], ["b", "--gamma", "nan"]])
+def test_bracket_table_gamma_is_finite_and_for_c_gamma_only(runner, args, fmt):
+    res = runner.invoke(main, ["bracket-table", "--structure", *args, "--format", fmt])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "gamma" in res.stderr
+
+
 def run_cli(*args, timeout=60, code=None):
     """Run a Python snippet (`code`) or the CLI with `args` in a fresh
     interpreter on this checkout's package; the timeout fails a hang."""
@@ -348,10 +358,10 @@ def test_operator_and_bracket_json_write_non_finite_numbers_as_null(tmp_path, ru
         payload = json.loads(res.stdout, parse_constant=_reject_constant)
         assert [t["coefficient"][0]["value"] for t in payload["terms"]
                 if t["alpha"] == [0]] == [emitted]
+    # a non-finite gamma never reaches the bracket JSON: it is a usage error
     res = runner.invoke(main, ["bracket-table", "--structure", "c_gamma", "--gamma", "nan",
                                "--format", "json"])
-    assert res.exit_code == 0, res.exception
-    assert json.loads(res.stdout, parse_constant=_reject_constant)["gamma"] is None
+    assert (res.exit_code, res.stdout) == (3, "")
 
 
 def test_reports_record_the_fixed_sampling_values(tmp_path, runner):
@@ -442,7 +452,9 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     labels = [label for label, _argv in digest.runs(str(tmp_path))]
-    assert len(labels) == len(set(labels)) == 172
+    # 172 check/verify reports, roots/normal/transform of the seven built-ins
+    # in two formats, bracket-table of four structures in two formats
+    assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2
 
 
 def test_sc_and_cgamma_runs_import_only_numpy_and_click():

@@ -25,7 +25,6 @@ from fredholm_kit import (
     full_symbol,
     indicial_family,
     indicial_roots,
-    limit_operator,
     make_model,
     make_operator,
     normal_invertible,
@@ -309,28 +308,32 @@ def test_line_verdict_borderline():
 
 
 def test_sc_flat_laplacian_not_invertible_at_origin():
-    v = sc_invertible(limit_operator(make_model("sc_laplacian", cross_dim=2)))
+    v = sc_invertible(full_symbol(freeze_coefficients(
+        make_model("sc_laplacian", cross_dim=2))))
     assert v.status == "no"
     assert np.allclose(v.witness, 0.0, atol=1e-12)
 
 
 def test_sc_shifted_down_is_invertible():
-    v = sc_invertible(limit_operator(make_model("sc_laplacian", cross_dim=2, shift=-1.0)))
+    v = sc_invertible(full_symbol(freeze_coefficients(
+        make_model("sc_laplacian", cross_dim=2, shift=-1.0))))
     assert v.status == "yes"
     assert v.min_abs_det > 0.9
 
 
 def test_sc_shifted_up_vanishes_on_sphere():
-    v = sc_invertible(limit_operator(make_model("sc_laplacian", cross_dim=2, shift=1.0)))
+    v = sc_invertible(full_symbol(freeze_coefficients(
+        make_model("sc_laplacian", cross_dim=2, shift=1.0))))
     assert v.status == "no"
     assert np.hypot(*v.witness) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_sc_verdicts_stable_under_refinement():
     for shift, expected in ((-1.0, "yes"), (0.0, "no"), (1.0, "no")):
-        lim = limit_operator(make_model("sc_laplacian", cross_dim=2, shift=shift))
+        sym = full_symbol(freeze_coefficients(
+            make_model("sc_laplacian", cross_dim=2, shift=shift)))
         for n_axis in (101, 201):
-            v = sc_invertible(lim, n_axis=n_axis)
+            v = sc_invertible(sym, n_axis=n_axis)
             assert v.status == expected
             assert all(s == expected for _, _, s in v.resolutions)
 
@@ -339,7 +342,7 @@ def test_sc_non_elliptic_input_undecided():
     sc = LieStructure.sc(1)
     degenerate = make_operator(sc, CIRCLE, {
         MultiIndex(2): 1.0, MultiIndex(0, (), 1): -1.0})
-    v = sc_invertible(limit_operator(degenerate))
+    v = sc_invertible(full_symbol(freeze_coefficients(degenerate)))
     assert v.status == "undecided"
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fredholm_kit import (
     FrameField,
+    FredholmKitError,
     GroupKind,
     LieStructure,
     NotRepresentableError,
@@ -135,6 +136,12 @@ def test_bracket_rejects_negative_exponents():
         bracket(vf(1, 0.5, RADIAL), vf(1, 0.3, 0))
     with pytest.raises(NotRepresentableError):
         LieStructure.c_gamma(0.75, 1)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+def test_cgamma_rejects_non_finite_exponent(gamma):
+    with pytest.raises(FredholmKitError, match="must be finite"):
+        LieStructure.c_gamma(gamma, 1)
 
 
 def test_frame_shapes():

@@ -21,10 +21,11 @@ from fredholm_kit import (
     builtin_suite,
     compose,
     conjugate,
+    fredholm_check,
     freeze_coefficients,
+    full_symbol,
     indicial_family,
     indicial_roots,
-    limit_operator,
     make_model,
     make_operator,
     normal_operator,
@@ -59,13 +60,13 @@ def poly_of(p, cutoff, label):
 def test_normal_drops_decaying_potential():
     s = make_model("spherical_schrodinger", n=3, Z=1.0)
     n = normal_operator(s)
-    assert MultiIndex(0) not in dict(n.base.terms)
-    assert dict(n.base.terms)[MultiIndex(1)] == Coefficient.constant(1.0)
+    assert MultiIndex(0) not in dict(n.terms)
+    assert dict(n.terms)[MultiIndex(1)] == Coefficient.constant(1.0)
 
 
 def test_normal_of_polar_is_itself():
     p = make_model("polar_laplacian")
-    assert normal_operator(p).base == p
+    assert normal_operator(p) == p
 
 
 def test_normal_drops_scaled_partial():
@@ -73,7 +74,7 @@ def test_normal_drops_scaled_partial():
         MultiIndex(2): 1.0,
         MultiIndex(0, (1,), 0): Coefficient.monomial(1.0, 1.0),
     })
-    assert normal_operator(p).base == make_operator(B1, CIRCLE, {MultiIndex(2): 1.0})
+    assert normal_operator(p) == make_operator(B1, CIRCLE, {MultiIndex(2): 1.0})
 
 
 def test_normal_rejects_zero_and_sc_frames():
@@ -124,7 +125,7 @@ def _reference_rows(p, table):
     """The indicial family of p channel by channel, term by term, in
     Python arithmetic: the reference the one-array build must equal bit
     for bit."""
-    base = normal_operator(p).base
+    base = normal_operator(p)
     k = base.system_size
     deg = max(mi.radial for mi, _ in base.terms)
     rows = []
@@ -330,8 +331,8 @@ def test_family_multiplicative_under_compose(seed):
 def test_normal_operator_is_algebra_homomorphism(seed):
     rng = np.random.default_rng(seed)
     p, q = random_b_operator(rng), random_b_operator(rng)
-    lhs = normal_operator(compose(p, q)).base
-    rhs = compose(normal_operator(p).base, normal_operator(q).base)
+    lhs = normal_operator(compose(p, q))
+    rhs = compose(normal_operator(p), normal_operator(q))
     assert lhs == rhs
 
 
@@ -364,18 +365,15 @@ def test_real_coefficient_roots_conjugate_closed():
 
 def test_limit_operator_b_is_normal_operator():
     p = make_model("polar_laplacian")
-    lim = limit_operator(p)
-    assert lim.structure_kind is StructureKind.B
-    assert lim.orbit == "boundary:0"
-    assert lim.normal.base == p
-    assert lim.symbol is None and lim.half_space is None
+    lim = normal_operator(p)
+    assert isinstance(lim, BoundaryOperator)
+    assert lim.structure.kind is StructureKind.B
+    assert lim == p
 
 
 def test_limit_operator_sc_full_symbol():
     p = make_model("sc_laplacian", cross_dim=2, shift=3.0)
-    lim = limit_operator(p, point="north")
-    assert lim.orbit == "point:north"
-    sym = lim.symbol
+    sym = full_symbol(freeze_coefficients(p))
     assert sym.eval(1.0, (0.0,)) == pytest.approx(-1.0 + 3.0)
     assert sym.eval(1.0, (2.0,)) == pytest.approx(-1.0 - 4.0 + 3.0)
     assert sym.eval(0.0, (0.0,)) == pytest.approx(3.0)
@@ -389,18 +387,20 @@ def test_limit_operator_zero_freezes_in_halfspace_frame():
         MultiIndex(0, (), 1): 1.0,
         MultiIndex(1): Coefficient.monomial(1.0, 7.0),  # decays at the boundary
     })
-    lim = limit_operator(p, point="p")
-    assert lim.structure_kind is StructureKind.ZERO
+    lim = freeze_coefficients(p)
+    assert lim.structure.kind is StructureKind.ZERO
     expected = make_operator(z, tor, {MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0})
-    assert lim.half_space == expected
+    assert lim == expected
 
 
 def test_limit_operator_cgamma_warns():
     p = make_model("cgamma_schrodinger", n=3, gamma=2.0, V0=1.0)
-    lim = limit_operator(p)
-    assert lim.structure_kind is StructureKind.C_GAMMA
-    assert lim.warning is not None
-    assert lim.symbol is not None
+    assert full_symbol(freeze_coefficients(p)).system_size == 1
+    rep = fredholm_check(p)
+    (lv,) = rep.limit_verdicts
+    assert (lv.orbit, lv.mechanism, lv.status) == (
+        "point:x0", "c_gamma frozen symbol (abelian isotropy)", "numerical-evidence")
+    assert any(c.startswith("c_gamma limit operators fall outside") for c in rep.caveats)
 
 
 def test_sc_symbol_rejects_mode_diagonal_coefficients():
@@ -409,5 +409,5 @@ def test_sc_symbol_rejects_mode_diagonal_coefficients():
         MultiIndex(2): 1.0,
         MultiIndex(0): Coefficient.laplacian_poly([0.0, 1.0]),
     })
-    with pytest.raises(FredholmKitError):
-        limit_operator(p)
+    with pytest.raises(FredholmKitError, match="mode-diagonal"):
+        full_symbol(freeze_coefficients(p))

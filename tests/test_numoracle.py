@@ -22,11 +22,11 @@ from fredholm_kit import (
     cross_check,
     default_mode_cutoff,
     fredholm_check,
+    freeze_coefficients,
     half_space_sample,
     identity_operator,
     indicial_family,
     indicial_roots,
-    limit_operator,
     make_model,
     make_operator,
     normal_operator,
@@ -373,28 +373,28 @@ def geometers_hyperbolic_model(shift):
 
 
 def test_half_space_shifted_model_bounded_below():
-    scan = half_space_sample(limit_operator(geometers_hyperbolic_model(1.0)))
+    scan = half_space_sample(freeze_coefficients(geometers_hyperbolic_model(1.0)))
     mins = [step["global_min"] for step in scan.ladder]
     assert all(m >= 1.0 - 1e-9 for m in mins)
     assert scan.caveat is not None
 
 
 def test_half_space_bare_model_decays_toward_zero():
-    scan = half_space_sample(limit_operator(geometers_hyperbolic_model(0.0)))
+    scan = half_space_sample(freeze_coefficients(geometers_hyperbolic_model(0.0)))
     mins = [step["global_min"] for step in scan.ladder]
     assert mins[-1] < mins[0] / 2
     assert mins[-1] < 0.05
 
 
 def test_half_space_identity_is_exactly_one():
-    scan = half_space_sample(limit_operator(identity_operator(
+    scan = half_space_sample(freeze_coefficients(identity_operator(
         LieStructure.zero(1), CrossSection.torus(1))))
     assert scan.global_min == pytest.approx(1.0, abs=1e-12)
 
 
 def test_half_space_rejects_non_zero_structures():
     with pytest.raises(FredholmKitError):
-        half_space_sample(limit_operator(make_model("sc_laplacian", cross_dim=1)))
+        half_space_sample(freeze_coefficients(make_model("sc_laplacian", cross_dim=1)))
 
 
 def reference_halfspace_matrix(frozen, eta, T, n):
@@ -437,7 +437,7 @@ def test_halfspace_matrix_matches_per_node_loop(system):
         MultiIndex(0, (2, 0)): 1.0,
         MultiIndex(0): 2.0,
     }, order=4)
-    frozen = limit_operator(p).half_space
+    frozen = freeze_coefficients(p)
     for eta in (np.zeros(2), np.array([0.5, 1.5]), np.array([2.0, -0.7])):
         assert np.array_equal(numoracle._halfspace_matrix(frozen, eta, 4.0, 24),
                               reference_halfspace_matrix(frozen, eta, 4.0, 24))

@@ -402,20 +402,26 @@ def test_kondratiev_examples():
     assert "e^t" in str(kondratiev_transform(s))
 
 
-def test_kondratiev_limit_coefficients():
-    s = make_model("spherical_schrodinger", n=3, Z=1.0)
-    frozen = kondratiev_transform(s).boundary_coefficients()
-    assert MultiIndex(0) not in dict(frozen.terms)  # the Z r term decays
+def test_kondratiev_text_shows_mode_diagonal_coefficients():
+    p = b_op({
+        MultiIndex(2): 1.0,
+        MultiIndex(0): Coefficient([CoeffTerm(0.0, 1.0, (0.0, 1.0)),
+                                    CoeffTerm(1.0, 1.0, (2.0, 3.0))]),
+    })
+    assert str(kondratiev_transform(p)) == (
+        "(d/dt)^2 + q(0.0, 1.0)(lam) + e^t q(2.0, 3.0)(lam)")
+    assert str(p) == "(r d/dr)^2 + q(0.0, 1.0)(lam) + r q(2.0, 3.0)(lam)"
 
 
-def test_kondratiev_apply_matches_radial_apply(rng):
-    s = make_model("spherical_schrodinger", n=3, Z=1.0)
-    cyl = kondratiev_transform(s)
-    table = spectrum(s.cross_section, 6.5)
-    u = np.array([windowed_trig(rng, GRID.t, -6.0, 0.0)
-                  for _ in range(len(table))], dtype=complex)
-    assert_allclose(s.apply(u, GRID, table), cyl.apply(u, GRID, table),
-                    rtol=0, atol=1e-10)
+def test_operator_display_keeps_sign_and_phase_of_q_coefficients():
+    def shifted(*q):
+        return b_op({MultiIndex(2): 1.0, MultiIndex(0): Coefficient.laplacian_poly(q)})
+
+    minus, plus = shifted(-2.0, 1.0), shifted(2.0, 1.0)
+    assert minus != plus
+    assert str(minus) == "(r d/dr)^2 + q(-2.0, 1.0)(lam)"
+    assert str(plus) == "(r d/dr)^2 + q(2.0, 1.0)(lam)"
+    assert str(shifted(1j, -1e-9, 1.0)) == "(r d/dr)^2 + q(1j, 0.0, 1.0)(lam)"
 
 
 def test_kondratiev_rejects_non_b():
@@ -512,6 +518,12 @@ def test_cgamma_rescaled_route():
 def test_cgamma_gap_rejected():
     with pytest.raises(NotRepresentableError):
         cgamma_rewrite(3, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_cgamma_model_rejects_non_finite_exponent(gamma):
+    with pytest.raises(ValueError, match="must be finite"):
+        make_model("cgamma_schrodinger", gamma=gamma)
 
 
 def test_cgamma_frame_composition():

@@ -10,7 +10,12 @@ Run it in each checkout and diff the two files.  Each line reads
   workloads `cli-cold`, `modes`, `systems` and `symbols` at seeds 1 and 2,
   with the arguments the benchmark passes (perfbench/workloads.py);
 - the text and JSON `check` and `verify` reports of the seven built-in
-  models at weights -0.5, 0 and 0.3, with default options.
+  models at weights -0.5, 0 and 0.3, with default options;
+- the text and JSON `roots`, `normal` and `transform` output of the seven
+  built-in models (a structure a command does not apply to gives its
+  exit code and an empty stdout);
+- the text and JSON `bracket-table` of the b, zero and sc structures and
+  of c_gamma at gamma = 2.
 
 The CLI runs in this process, on the `src/` of the checkout this file is
 in.  A full run takes about 20 s on two cores.
@@ -51,12 +56,22 @@ def runs(workdir: str):
     sub = os.path.join(workdir, "builtins")
     os.makedirs(sub)
     builtins = workloads.build("cli-cold", SEEDS[0])
-    for spec, path in zip(builtins.specs, workloads.write_specs(builtins, sub)):
+    paths = workloads.write_specs(builtins, sub)
+    for spec, path in zip(builtins.specs, paths):
         for weight in WEIGHTS:
             for fmt in ("text", "json"):
                 for command in ("check", "verify"):
                     yield (f"builtin/{spec.name}/{weight}/{fmt}/{command}",
                            [command, path, "--weight", weight, "--format", fmt])
+    for spec, path in zip(builtins.specs, paths):
+        for command in ("roots", "normal", "transform"):
+            for fmt in ("text", "json"):
+                yield (f"builtin/{spec.name}/{fmt}/{command}",
+                       [command, path, "--format", fmt])
+    for kind, extra in (("b", []), ("zero", []), ("sc", []), ("c_gamma", ["--gamma", "2"])):
+        for fmt in ("text", "json"):
+            yield (f"bracket-table/{kind}/{fmt}",
+                   ["bracket-table", "--structure", kind, *extra, "--format", fmt])
 
 
 def main() -> int:
