@@ -19,10 +19,9 @@ from .liestruct import (
     structure_constants,
 )
 from .crosssec import (
-    Channel,
+    ChannelTable,
     CrossKind,
     CrossSection,
-    Mode,
     ModeTable,
     channels,
     spectrum,

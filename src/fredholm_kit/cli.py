@@ -594,9 +594,12 @@ def normal(spec_path, fmt, out):
         nop = normal_operator(op)
     if fmt == "json":
         text = _dumps(serialize_operator(nop), indent=2) + "\n"
+    elif nop.structure.kind is StructureKind.C_GAMMA:  # r^gamma d/dr is not d/dt
+        text = ("frozen operator (c_gamma frame: formal, not translation-invariant in "
+                f"t = log r; no invertibility criterion is attached to it here):\n  {nop}\n")
     else:
-        text = (f"normal operator (translation-invariant in t = log r):\n"
-                f"  {nop}\n")
+        text = f"normal operator (translation-invariant in t = log r):\n  {nop}\n"
+
     _echo_or_write(text, out)
     sys.exit(0)
 

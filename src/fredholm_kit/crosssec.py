@@ -1,16 +1,16 @@
 """Spectral backends for boundary cross-sections.
 
-Mode tables list the eigenvalues of the nonnegative Laplace-Beltrami
-operator of the cross-section, with multiplicities.  The operator algebra
-consumes them with the analyst sign convention (a Laplacian power acts as
--lambda on a mode).  Sphere and circle spectra are closed-form;
+Mode tables hold the eigenvalues of the nonnegative Laplace-Beltrami
+operator of the cross-section as an array, with multiplicities; channel
+tables split them into arrays of the blocks an operator acts on.  The
+operator algebra consumes them with the analyst sign convention (a
+Laplacian power acts as -lambda on a mode).  Sphere and circle spectra are closed-form;
 eigenfunctions are never materialized.  Arbitrary cross-section operators
 must be pre-discretized into a Hermitian matrix (the "generic" kind).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,31 +124,27 @@ class CrossSection:
         return f"generic({self.matrix.shape[0]}x{self.matrix.shape[0]})"
 
 
-@dataclass(frozen=True)
-class Mode:
-    mode_id: int
-    eigenvalue: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTable:
-    entries: tuple[Mode, ...]
+    """The Laplace eigenvalues <= cutoff, ascending, as a read-only float64
+    array, with their multiplicities as exact Python ints (a sphere's pass
+    2^63 at high degree)."""
+
+    eigenvalues: np.ndarray
+    multiplicities: tuple[int, ...]
     cutoff: float
     cross_section: CrossSection
 
     def __post_init__(self):
-        evs = [m.eigenvalue for m in self.entries]
-        if any(e < 0 for e in evs):
+        evs = self.eigenvalues
+        if np.any(evs < 0):
             raise ValueError("Laplace eigenvalues are nonnegative")
-        if sorted(evs) != evs:
+        if np.any(evs[1:] < evs[:-1]):
             raise ValueError("mode table must be sorted by eigenvalue")
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([m.eigenvalue for m in self.entries])
+        evs.setflags(write=False)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.multiplicities)
 
 
 def sphere_multiplicity(dim: int, l: int) -> int:
@@ -164,21 +160,28 @@ def sphere_multiplicity(dim: int, l: int) -> int:
     return math.comb(l + dim, dim) - math.comb(l - 2 + dim, dim)
 
 
-def _torus_lattice(d: int, n: int):
-    """Points of Z^d with |k|^2 <= n, in lexicographic order, one
-    coordinate at a time (the walk never leaves the ball)."""
-    if d == 0:
-        yield ()
-        return
+def _signed_points(d: int, cutoff: float) -> np.ndarray | None:
+    """The lattice ball |k|^2 <= cutoff of Z^d as the rows of an int array,
+    in lexicographic order, built one coordinate at a time; None when it
+    has more than MODE_BUDGET points.  Every point of one step starts at
+    least one point of the ball, so no step holds more than MODE_BUDGET."""
+    n = int(cutoff)
     k = math.isqrt(n)
-    for j in range(-k, k + 1):
-        for rest in _torus_lattice(d - 1, n - j * j):
-            yield (j,) + rest
-
-
-def _signed_points(d: int, cutoff: float) -> list[tuple[int, ...]]:
-    """The lattice ball of a torus, at most MODE_BUDGET + 1 points of it."""
-    return list(itertools.islice(_torus_lattice(d, int(cutoff)), MODE_BUDGET + 1))
+    if 2 * k + 1 > MODE_BUDGET:
+        return None
+    pts = np.arange(-k, k + 1)[:, None]
+    rest = n - pts[:, 0] ** 2
+    for _ in range(d - 1):
+        s = np.sqrt(rest).astype(np.int64)  # floor: rest < 2^52 here
+        span = 2 * s + 1
+        total = int(span.sum())
+        if total > MODE_BUDGET:
+            return None
+        # coordinate j runs from -s to s after each point, in order
+        j = np.arange(total) - np.repeat(np.cumsum(span) - span + s, span)
+        pts = np.column_stack([np.repeat(pts, span, axis=0), j])
+        rest = np.repeat(rest, span) - j * j
+    return pts
 
 
 def _torus_shells(d: int, n: int) -> np.ndarray:
@@ -210,7 +213,8 @@ def mode_count(x: CrossSection, cutoff: float, signed: bool = False) -> int:
         return k + 1
     if x.kind is CrossKind.TORUS:
         if signed:
-            return len(_signed_points(x.dim, cutoff))
+            pts = _signed_points(x.dim, cutoff)
+            return MODE_BUDGET + 1 if pts is None else len(pts)
         return int(np.count_nonzero(_torus_shells(x.dim, min(int(cutoff), _SHELL_CAP))))
     return x.matrix.shape[0]
 
@@ -234,90 +238,78 @@ def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
     than MODE_BUDGET entries, is an error.
     """
     check_cutoff(cutoff)
-    if mode_count(x, cutoff) > MODE_BUDGET:
+    n = mode_count(x, cutoff)
+    if n > MODE_BUDGET:
         raise _over_budget(x, cutoff, "modes")
-    modes: list[tuple[float, int]] = []
     if x.coordinate_count == 1:  # circle or T^1
-        k = 0
-        while k * k <= cutoff:
-            modes.append((float(k * k), 1 if k == 0 else 2))
-            k += 1
+        k = np.arange(n)
+        evs, mults = k * k, [1] + [2] * (n - 1)
     elif x.kind is CrossKind.SPHERE:
-        l = 0
-        while l * (l + x.dim - 1) <= cutoff:
-            modes.append((float(l * (l + x.dim - 1)), sphere_multiplicity(x.dim, l)))
-            l += 1
+        # Python ints: l (l + dim - 1) may pass int64 on a high-dimensional sphere
+        evs = [l * (l + x.dim - 1) for l in range(n)]
+        mults = [sphere_multiplicity(x.dim, l) for l in range(n)]
     elif x.kind is CrossKind.TORUS:
         shells = _torus_shells(x.dim, int(cutoff))
-        modes = [(float(n2), int(shells[n2])) for n2 in np.flatnonzero(shells)]
+        evs = np.flatnonzero(shells)
+        mults = shells[evs].tolist()
     else:
         evs = np.linalg.eigvalsh(x.matrix)
         scale = max(1.0, float(np.max(np.abs(evs))))
-        clusters: list[list[float]] = []
-        for e in evs:
-            if clusters and abs(e - clusters[-1][-1]) <= 1e-10 * scale:
-                clusters[-1].append(float(e))
-            else:
-                clusters.append([float(e)])
-        modes = [(float(np.mean(c)), len(c)) for c in clusters]
-        if any(e < 0 for e, _ in modes):
+        clusters = np.split(evs, np.flatnonzero(np.diff(evs) > 1e-10 * scale) + 1)
+        evs = np.array([np.mean(c) for c in clusters])
+        mults = [c.size for c in clusters]
+        if np.any(evs < 0):
             raise FredholmKitError(
                 "generic cross-section matrix must be positive semidefinite "
                 "(it stands in for a Laplacian)"
             )
-        kept = [(e, m) for e, m in modes if e <= cutoff]
-        modes = kept if kept else modes[:1]
-    entries = tuple(Mode(i, e, m) for i, (e, m) in enumerate(modes))
-    return ModeTable(entries, float(cutoff), x)
+        n = max(1, int(np.count_nonzero(evs <= cutoff)))
+        evs, mults = evs[:n], mults[:n]
+    return ModeTable(np.array(evs, dtype=float), tuple(mults), float(cutoff), x)
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One diagonal block of the mode decomposition.
+@dataclass(frozen=True, eq=False)
+class ChannelTable:
+    """The diagonal blocks of the mode decomposition, in channel order: a
+    label and a Laplace eigenvalue per channel, and the signed lattice
+    frequencies, one row per channel, when explicit circle/torus partial
+    derivatives force the modes apart (None when the operator only sees
+    the eigenvalue)."""
 
-    vector is the signed lattice frequency when explicit circle/torus
-    partial derivatives force the table apart, None when the operator only
-    sees the eigenvalue.  weight entries sum back to the multiplicities.
-    """
+    labels: tuple[str, ...]
+    eigenvalues: np.ndarray  # float64, shape (C,)
+    vectors: np.ndarray | None = None  # int, shape (C, d)
 
-    label: str
-    eigenvalue: float
-    weight: int
-    mode_id: int
-    vector: tuple[int, ...] | None = None
+    def __len__(self):
+        return len(self.labels)
 
 
-def channels(x: CrossSection, table: ModeTable, signed: bool) -> tuple[Channel, ...]:
-    """Split a mode table into the blocks an operator acts on diagonally."""
-    out: list[Channel] = []
-    signed = signed and x.coordinate_count > 0
-    if signed and mode_count(x, table.cutoff, signed=True) > MODE_BUDGET:
-        raise _over_budget(x, table.cutoff, "signed mode channels")
-    if not signed:
-        for m in table.entries:
-            if x.kind is CrossKind.CIRCLE:
-                label = f"k={m.mode_id}"
-            elif x.kind is CrossKind.SPHERE:
-                label = f"l={m.mode_id}"
-            elif x.kind is CrossKind.TORUS:
-                label = f"|k|^2={int(m.eigenvalue)}"
-            else:
-                label = f"mode{m.mode_id}"
-            out.append(Channel(label, m.eigenvalue, m.multiplicity, m.mode_id))
-        return tuple(out)
+def channels(x: CrossSection, table: ModeTable, signed: bool) -> ChannelTable:
+    """Split a mode table into the blocks an operator acts on diagonally.
+
+    Unsigned channels are the table's modes.  Signed ones are the lattice
+    points: on a circle k=0, k=+1, k=-1, k=+2, ...; on a torus ordered by
+    |k|^2, lexicographically within a shell."""
+    if not (signed and x.coordinate_count):
+        if x.kind is CrossKind.TORUS:
+            labels = [f"|k|^2={int(e)}" for e in table.eigenvalues.tolist()]
+        else:
+            prefix = {CrossKind.CIRCLE: "k=", CrossKind.SPHERE: "l="}.get(x.kind, "mode")
+            labels = [f"{prefix}{i}" for i in range(len(table))]
+        return ChannelTable(tuple(labels), table.eigenvalues)
     if x.kind is CrossKind.CIRCLE:
-        for m in table.entries:
-            k = m.mode_id
-            vecs = [(0,)] if k == 0 else [(k,), (-k,)]
-            for v in vecs:
-                out.append(Channel(f"k={v[0]:+d}" if k else "k=0", m.eigenvalue, 1, k, v))
-        return tuple(out)
-    # torus: enumerate the lattice points of each norm shell
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    for vec in _signed_points(x.dim, table.cutoff):
-        shells.setdefault(sum(k * k for k in vec), []).append(vec)
-    for m in table.entries:
-        for vec in sorted(shells.get(int(m.eigenvalue), [])):
-            label = "k=(" + ",".join(f"{k:+d}" if k else "0" for k in vec) + ")"
-            out.append(Channel(label, m.eigenvalue, 1, m.mode_id, vec))
-    return tuple(out)
+        if 2 * len(table) - 1 > MODE_BUDGET:
+            raise _over_budget(x, table.cutoff, "signed mode channels")
+        k = np.arange(1, len(table))
+        vectors = np.zeros((2 * len(table) - 1, 1), dtype=np.int64)
+        vectors[1::2, 0], vectors[2::2, 0] = k, -k
+        labels = ["k=0"] + [f"k={v:+d}" for v in vectors[1:, 0].tolist()]
+    else:
+        pts = _signed_points(x.dim, table.cutoff)
+        if pts is None:
+            raise _over_budget(x, table.cutoff, "signed mode channels")
+        vectors = pts[np.argsort((pts * pts).sum(axis=1), kind="stable")]
+        k = math.isqrt(int(table.cutoff))
+        names = np.array([f"{j:+d}" if j else "0" for j in range(-k, k + 1)], dtype=object)
+        labels = ["k=(" + ",".join(row) + ")" for row in names[vectors + k].tolist()]
+    return ChannelTable(tuple(labels), (vectors * vectors).sum(axis=1).astype(float), vectors)

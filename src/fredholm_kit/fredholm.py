@@ -192,7 +192,7 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     from the roots of the interpolated `IndicialFamily.det_poly`."""
     first, class_of = f.class_rows
     reps = f.coeffs[first]
-    labels = [f.channels[i].label for i in first]
+    labels = [f.channels.labels[i] for i in first]
     nonzero = reps.any(axis=(2, 3))
     batches: dict[int, list[int]] = {}  # degree -> classes
     for c, row in enumerate(nonzero):
@@ -217,8 +217,9 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
                                    f"{e}") from None
         for c, roots in zip(chosen, found):
             by_class[c] = roots
-    roots = [IndicialRoot(ch.label, tau, 1j * tau, mult)
-             for ch, c in zip(f.channels, class_of.tolist()) for tau, mult, _ in by_class[c]]
+    roots = [IndicialRoot(label, tau, 1j * tau, mult)
+             for label, c in zip(f.channels.labels, class_of.tolist())
+             for tau, mult, _ in by_class[c]]
     roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
     return roots
 

@@ -5,7 +5,8 @@ one starts from `freeze_coefficients`.
 For the b frame the limit operator is the normal operator, the frozen
 `BoundaryOperator` that `normal_operator` returns; it is translation
 invariant on the cylinder, and its Fourier transform in t is the indicial
-family, a polynomial in tau acting mode by mode.  For the sc frame (and
+family, one polynomial in tau per row of the `crosssec.channels` table,
+held as one coefficient array.  For the sc frame (and
 the rescaled c_gamma frames, whose isotropy is likewise abelian) the limit
 operator at a boundary point is the constant-coefficient full symbol
 `full_symbol(freeze_coefficients(p))` on the tangent group.  For the zero
@@ -24,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .crosssec import Channel, ModeTable
+from .crosssec import ChannelTable, ModeTable
 from .liestruct import FredholmKitError, StructureKind, _nu_key
 from .opalg import (
     BoundaryOperator,
@@ -207,27 +208,24 @@ class IndicialFamily:
     radial substitution (frame radial derivative -> i tau).
 
     coeffs is one complex array of shape (C, m + 1, k, k): row i holds the
-    k x k coefficients of channels[i], ascending in the tau power, and
-    every consumer reads slices of it; treat it as read-only.  The
-    label-keyed `polys` view stays because the benchmark's tracer
-    (perfbench/tracing.py) counts distinct rows through it; `det_poly`
-    stays for the singular-leading root path, and the tracer wraps it by
-    name."""
+    k x k coefficients of channel i of the table `channels`, ascending in
+    the tau power, and every consumer reads slices of it; treat it as
+    read-only.  The label-keyed `polys` view stays because the benchmark's
+    tracer (perfbench/tracing.py) counts distinct rows through it;
+    `det_poly` stays for the singular-leading root path, and the tracer
+    wraps it by name."""
 
-    channels: tuple[Channel, ...]
+    channels: ChannelTable
     coeffs: np.ndarray
     source_cutoff: float
     system_size: int
     structure_kind: StructureKind
     warning: str | None = None
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.channels)
-
     @cached_property
     def polys(self) -> Mapping[str, np.ndarray]:
         """Read-only label -> coefficient row view, built on first use."""
-        return MappingProxyType({ch.label: row for ch, row in zip(self.channels, self.coeffs)})
+        return MappingProxyType(dict(zip(self.channels.labels, self.coeffs)))
 
     def poly(self, label: str) -> np.ndarray:
         return self.polys[label]
@@ -252,8 +250,8 @@ class IndicialFamily:
         of first appearance; every label of a class has the same roots."""
         first, class_of = self.class_rows
         groups: list[list[str]] = [[] for _ in first]
-        for ch, c in zip(self.channels, class_of.tolist()):
-            groups[c].append(ch.label)
+        for label, c in zip(self.channels.labels, class_of.tolist()):
+            groups[c].append(label)
         return [tuple(g) for g in groups]
 
     def stack(self, label: str, taus: np.ndarray) -> np.ndarray:
@@ -299,26 +297,23 @@ def _cpow(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _mode_factors(mi: MultiIndex, chans: tuple[Channel, ...]) -> list[np.ndarray]:
+def _mode_factors(mi: MultiIndex, chans: ChannelTable) -> list[np.ndarray]:
     """The Laplacian power and the tangential partials of one multi-index
     on every channel, as float or complex arrays to multiply in turn."""
-    eigs = [ch.eigenvalue for ch in chans]
+    lams = chans.eigenvalues.tolist()  # Python floats: CPython float powers
     out = []
     if mi.laplacian:
-        out.append(np.array([(-lam) ** mi.laplacian for lam in eigs], dtype=float))
+        out.append(np.array([(-lam) ** mi.laplacian for lam in lams]))
     if any(mi.cross):
-        signed = bool(chans) and chans[0].vector is not None
-        vectors = np.array([ch.vector for ch in chans], dtype=float) if signed else None
         factor = np.ones(len(chans), dtype=complex)
         for j, p in enumerate(mi.cross):
             if not p:
                 continue
-            if signed:
-                factor = _cmul(factor, _cpow(_cmul(1j, vectors[:, j]), p))
+            if chans.vectors is not None:
+                factor = _cmul(factor, _cpow(_cmul(1j, chans.vectors[:, j].astype(float)), p))
             elif p % 2 == 0 and len(mi.cross) == 1:
                 h = p // 2
-                factor = _cmul(factor, (-1.0) ** h * np.array([lam ** h for lam in eigs],
-                                                             dtype=float))
+                factor = _cmul(factor, (-1.0) ** h * np.array([lam ** h for lam in lams]))
             else:
                 raise FredholmKitError(
                     "explicit tangential partials need signed mode channels")
@@ -337,11 +332,12 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     anything else must be pre-discretized as a generic cross-section.
 
     The (C, m + 1, k, k) array, in channel order, is filled by one numpy
-    pass per frozen (multi-index, coefficient term) over all channels,
-    each added into coeffs[:, radial] in term order.  Every coefficient
-    equals, bit for bit, the one a channel-by-channel Python loop gives:
-    the factor q(lambda) (-lambda)^l (partials) i^radial is multiplied up
-    in that order by CPython's complex product (`_cmul`); the Laplacian
+    pass per frozen (multi-index, coefficient term) over the eigenvalue
+    and frequency arrays of the channel table, each added into
+    coeffs[:, radial] in term order.  Every coefficient equals, bit for
+    bit, the one a channel-by-channel Python loop gives: the factor
+    q(lambda) (-lambda)^l (partials) i^radial is multiplied up in that
+    order by CPython's complex product (`_cmul`); the Laplacian
     and unsigned even-partial powers are CPython float powers, element by
     element; the signed partials (i v)^p use CPython's binary powering
     (`_cpow`); and only the product of the factor with a matrix value is
@@ -355,7 +351,6 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
                    "no invertibility criterion is attached to it here")
     deg = max(mi.radial for mi, _ in base.terms)
     coeffs = np.zeros((len(chans), deg + 1, k, k), dtype=complex)
-    lams = np.array([ch.eigenvalue for ch in chans], dtype=float)
     eye = np.eye(k)
     for mi, co in base.terms:
         mode = _mode_factors(mi, chans)
@@ -365,7 +360,7 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
             else:  # Horner, as CoeffTerm.lam_value
                 factor = np.zeros(len(chans), dtype=complex)
                 for c in reversed(ct.lam_poly):
-                    factor = _cmul(factor, lams) + c
+                    factor = _cmul(factor, chans.eigenvalues) + c
             for f in mode:
                 factor = _cmul(factor, f)
             factor = _cmul(factor, 1j ** mi.radial)

@@ -554,17 +554,17 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         reported_by_mode: dict[str, list] = {}
         for r in report.roots:
             reported_by_mode.setdefault(r.mode, []).append(r)
-        for ch, c in zip(fam.channels, class_of.tolist()):
+        for label, c in zip(fam.channels.labels, class_of.tolist()):
             found, failure = by_class[c]
             if failure is None:
-                problems = _match_roots(found, reported_by_mode.get(ch.label, []))
+                problems = _match_roots(found, reported_by_mode.get(label, []))
                 failure = problems[0] if problems else None
             if failure is None:
                 entries.append(LedgerEntry(
-                    f"roots[{ch.label}]", "pass",
+                    f"roots[{label}]", "pass",
                     f"{sum(m for _, m, _ in found)} roots re-found by contours"))
             else:
-                entries.append(LedgerEntry(f"roots[{ch.label}]", "fail", failure))
+                entries.append(LedgerEntry(f"roots[{label}]", "fail", failure))
 
         line = next((lv for lv in report.limit_verdicts
                      if lv.mechanism.startswith("b normal")), None)

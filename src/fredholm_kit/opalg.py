@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .crosssec import Channel, CrossKind, CrossSection, ModeTable, channels
+from .crosssec import ChannelTable, CrossKind, CrossSection, ModeTable, channels
 from .liestruct import (
     FredholmKitError,
     LieStructure,
@@ -312,6 +312,11 @@ def _round6(c: complex) -> float | complex:
     return complex(0.0 + round(c.real, 6), 0.0 + round(c.imag, 6))
 
 
+def _fmt_value(v: complex) -> str:
+    """A coefficient value or matrix entry as `:g`, real when it is."""
+    return f"{v.real if v.imag == 0 else v:g}"
+
+
 def _power(word: str, p: int) -> str:
     return word + (f"^{p}" if p > 1 else "")
 
@@ -326,10 +331,10 @@ def _render_terms(terms, radial: str, cross, laplacian: str, weight) -> str:
             factors = []
             val = ct.value
             if _is_matrix(val):
-                factors.append(f"[{val.shape[0]}x{val.shape[0]}]")
+                rows = (", ".join(_fmt_value(v) for v in row) for row in val.tolist())
+                factors.append("[" + ", ".join(f"[{r}]" for r in rows) + "]")
             elif val != 1 or (ct.nu == 0 and ct.lam_poly is None and mi.total == 0):
-                v = val.real if val.imag == 0 else val
-                factors.append(f"({v:g})")
+                factors.append(f"({_fmt_value(val)})")
             if ct.nu:
                 factors.append(weight(ct.nu))
             if ct.lam_poly is not None:
@@ -506,7 +511,7 @@ class BoundaryOperator:
             return True
         return any(any(p % 2 for p in mi.cross) for mi, _ in self.terms)
 
-    def mode_channels(self, table: ModeTable) -> tuple[Channel, ...]:
+    def mode_channels(self, table: ModeTable) -> ChannelTable:
         if table.cross_section != self.cross_section:
             raise ValueError("mode table belongs to a different cross-section")
         return channels(self.cross_section, table, self.needs_signed_modes())
@@ -514,8 +519,7 @@ class BoundaryOperator:
     def apply(self, u: np.ndarray, grid: "RadialGrid", table: ModeTable) -> np.ndarray:
         """Act on mode-expanded samples u of shape (n_channels, n) or
         (n_channels, k, n) over the grid, channel by channel."""
-        chans = self.mode_channels(table)
-        return _apply_bterms(self._bterms, self.system_size, chans, grid, u)
+        return _apply_bterms(self._bterms, self.system_size, self.mode_channels(table), grid, u)
 
     # -- algebra -------------------------------------------------------------
 
@@ -590,20 +594,21 @@ class RadialGrid:
         return 2j * np.pi * np.fft.fftfreq(self.n, d=self.dt)
 
 
-def cross_partial_factor(cross: tuple[int, ...], ch: Channel) -> complex:
-    """Mode action of explicit tangential partials d/dy^cross on a channel.
+def cross_partial_factor(cross: tuple[int, ...], lam: float, vector) -> complex:
+    """Mode action of explicit tangential partials d/dy^cross on a channel
+    of eigenvalue lam and signed lattice frequencies vector (ints).
 
     Signed channels use the lattice frequencies; unsigned circle channels
-    admit even powers through lambda = k^2.
+    (vector None) admit even powers through lambda = k^2.
     """
     factor = 1.0 + 0j
     for j, p in enumerate(cross):
         if not p:
             continue
-        if ch.vector is not None:
-            factor *= (1j * ch.vector[j]) ** p
+        if vector is not None:
+            factor *= (1j * vector[j]) ** p
         elif p % 2 == 0 and len(cross) == 1:
-            factor *= (-1.0) ** (p // 2) * ch.eigenvalue ** (p // 2)
+            factor *= (-1.0) ** (p // 2) * lam ** (p // 2)
         else:
             raise FredholmKitError(
                 "explicit tangential partials need signed mode channels")
@@ -626,6 +631,9 @@ def _apply_bterms(bterms, k, chans, grid: RadialGrid, u: np.ndarray) -> np.ndarr
         raise ValueError("sample array does not match system size or grid")
     spectra = np.fft.fft(u, axis=-1)
     out = np.zeros_like(u)
+    # Python floats and ints, so that each channel's factor is CPython's
+    lams = chans.eigenvalues.tolist()
+    vectors = [None] * len(lams) if chans.vectors is None else chans.vectors.tolist()
     for bt in bterms:
         if bt.t:
             w = np.fft.ifft(spectra * grid.ik ** bt.t, axis=-1)
@@ -633,16 +641,16 @@ def _apply_bterms(bterms, k, chans, grid: RadialGrid, u: np.ndarray) -> np.ndarr
             w = u.copy()
         if bt.nu:
             w *= np.exp(bt.nu * grid.t)
-        for ci, ch in enumerate(chans):
+        for ci, (lam, vector) in enumerate(zip(lams, vectors)):
             factor = 1.0 + 0j
             if bt.lap:
-                factor *= (-ch.eigenvalue) ** bt.lap
+                factor *= (-lam) ** bt.lap
             if any(bt.cross):
-                factor *= cross_partial_factor(bt.cross, ch)
+                factor *= cross_partial_factor(bt.cross, lam, vector)
             if bt.lam_poly is not None:
                 acc = 0j
                 for c in reversed(bt.lam_poly):
-                    acc = acc * ch.eigenvalue + c
+                    acc = acc * lam + c
                 factor *= acc
             if factor == 0:
                 continue

@@ -120,7 +120,7 @@ def test_03_conjugation_covariance_exact():
         for delta in (-0.5, 0.3, 1.0):
             lhs = indicial_family(normal_operator(conjugate(p, delta)), table)
             rhs = indicial_family(normal_operator(p), table).shifted(delta)
-            for label in lhs.labels():
+            for label in lhs.channels.labels:
                 assert np.array_equal(lhs.poly(label), rhs.poly(label))
     _pass(3, "indicial family of the conjugated operator equals the "
              "tau - i delta shift, exactly, for all b models and deltas")
@@ -136,7 +136,7 @@ def test_04_homomorphism_suite():
         fp = indicial_family(normal_operator(p), table)
         fq = indicial_family(normal_operator(q), table)
         fpq = indicial_family(normal_operator(pq), table)
-        for label in fpq.labels():
+        for label in fpq.channels.labels:
             a, b = fp.poly(label), fq.poly(label)
             prod = np.zeros((a.shape[0] + b.shape[0] - 1, 1, 1), dtype=complex)
             for i in range(a.shape[0]):
@@ -152,7 +152,7 @@ def cylinder_action(cyl, u, grid, table):
     coefficient e^(nu t) value q(lambda) (-lambda)^l times (d/dt)^radial,
     with d/dt by FFT, on every channel of a scalar operator without
     explicit tangential partials."""
-    lams = np.array([ch.eigenvalue for ch in cyl.base.mode_channels(table)])[:, None]
+    lams = cyl.base.mode_channels(table).eigenvalues[:, None]
     spectra = np.fft.fft(u, axis=-1)
     out = np.zeros_like(u)
     for mi, co in cyl.base.terms:

@@ -453,8 +453,9 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     spec.loader.exec_module(digest)
     labels = [label for label, _argv in digest.runs(str(tmp_path))]
     # 172 check/verify reports, roots/normal/transform of the seven built-ins
-    # in two formats, bracket-table of four structures in two formats
-    assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2
+    # in two formats, bracket-table of four structures in two formats,
+    # check/verify/roots of five channel-kind specs
+    assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2 + 5 * 3
 
 
 def test_sc_and_cgamma_runs_import_only_numpy_and_click():
@@ -550,6 +551,32 @@ def test_normal_command(tmp_path, runner):
     res = runner.invoke(main, ["normal", sph, "--format", "json"])
     payload = json.loads(res.output)
     assert all(t["alpha"] != [0] or "laplacian" in t for t in payload["terms"])
+
+
+def test_normal_text_header_names_the_frame(tmp_path, runner):
+    # a c_gamma frame's radial field r^gamma d/dr is not d/dt for t = log r
+    cgamma = write(tmp_path, "c.json", {
+        "schema": SCHEMA, "model": "cgamma_schrodinger",
+        "params": {"n": 3, "gamma": 2, "V0": 1}})
+    res = runner.invoke(main, ["normal", cgamma])
+    assert res.exit_code == 0
+    assert res.output == (
+        "frozen operator (c_gamma frame: formal, not translation-invariant in "
+        "t = log r; no invertibility criterion is attached to it here):\n"
+        "  (r^2 d/dr)^2 + L + (1)\n")
+    polar = write(tmp_path, "p.json", {"schema": SCHEMA, "model": "polar_laplacian"})
+    res = runner.invoke(main, ["normal", polar])
+    assert res.output.startswith("normal operator (translation-invariant in t = log r):\n")
+
+
+def test_normal_text_shows_matrix_coefficients(tmp_path, runner):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    spec = {"schema": SCHEMA, "structure": {"kind": "b"}, "cross_section": {"kind": "circle"},
+            "order": 2, "system_size": 2, "terms": [
+                {"alpha": [2], "coefficient": [{"nu": 0, "value": [[1.0, 0.0], [0.0, 2.0]]}]},
+                {"alpha": [0], "laplacian": 1, "coefficient": [{"nu": 0, "value": eye}]}]}
+    res = runner.invoke(main, ["normal", write(tmp_path, "s.json", spec)])
+    assert res.output.splitlines()[1] == "  [[1, 0], [0, 2]] (r d/dr)^2 + [[1, 0], [0, 1]] L"
 
 
 def test_transform_command(tmp_path, runner):

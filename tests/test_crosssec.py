@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fredholm_kit import CrossSection, FredholmKitError, channels, spectrum, sphere_multiplicity
-from fredholm_kit.crosssec import MODE_BUDGET, mode_count
+from fredholm_kit.crosssec import MODE_BUDGET, ModeTable, mode_count
 
 
 def entries(table):
-    return [(m.mode_id, m.eigenvalue, m.multiplicity) for m in table.entries]
+    return list(zip(range(len(table)), table.eigenvalues.tolist(), table.multiplicities))
 
 
 def test_circle_spectrum():
@@ -50,7 +51,7 @@ def test_non_hermitian_rejected():
 
 def test_torus_spectrum_counts_lattice_points():
     t = spectrum(CrossSection.torus(2), 4.0)
-    got = {m.eigenvalue: m.multiplicity for m in t.entries}
+    got = dict(zip(t.eigenvalues.tolist(), t.multiplicities))
     assert got == {0.0: 1, 1.0: 4, 2.0: 4, 4.0: 4}
 
 
@@ -166,23 +167,23 @@ def test_sphere_spectrum_matches_finite_differences():
 def test_spectrum_monotone_in_cutoff(c1, factor):
     c2 = c1 * factor
     for x in (CrossSection.circle(), CrossSection.sphere(2), CrossSection.torus(2)):
-        small = {(m.eigenvalue, m.multiplicity) for m in spectrum(x, c1).entries}
-        large = {(m.eigenvalue, m.multiplicity) for m in spectrum(x, c2).entries}
+        small = {(e, m) for _, e, m in entries(spectrum(x, c1))}
+        large = {(e, m) for _, e, m in entries(spectrum(x, c2))}
         assert small <= large
 
 
 def test_signed_channels_on_circle():
     table = spectrum(CrossSection.circle(), 4.5)
     ch = channels(CrossSection.circle(), table, signed=True)
-    assert [c.label for c in ch] == ["k=0", "k=+1", "k=-1", "k=+2", "k=-2"]
-    assert sum(c.weight for c in ch) == sum(m.multiplicity for m in table.entries)
+    assert ch.labels == ("k=0", "k=+1", "k=-1", "k=+2", "k=-2")
+    assert len(ch) == sum(table.multiplicities)
 
 
 def test_torus_channel_vectors_cover_shells():
     x = CrossSection.torus(2)
     table = spectrum(x, 2.0)
     ch = channels(x, table, signed=True)
-    shell1 = {c.vector for c in ch if c.eigenvalue == 1.0}
+    shell1 = {tuple(v) for v, e in zip(ch.vectors.tolist(), ch.eigenvalues) if e == 1.0}
     assert shell1 == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
@@ -219,7 +220,7 @@ def test_signed_mode_count_is_the_lattice_ball(x):
         ball = lattice_ball(x.dim, cutoff)
         chans = channels(x, spectrum(x, cutoff), signed=True)
         assert mode_count(x, cutoff, signed=True) == len(chans) == len(ball)
-        assert sorted(c.vector for c in chans) == ball
+        assert sorted(map(tuple, chans.vectors.tolist())) == ball
 
 
 def test_cutoff_over_the_mode_budget_is_an_error():
@@ -240,3 +241,89 @@ def test_cutoff_over_the_mode_budget_is_an_error():
     assert len(channels(x, table, signed=False)) == len(table) == 5336
     with pytest.raises(FredholmKitError, match="budget"):
         channels(x, table, signed=True)
+
+
+# ---------------------------------------------------------------------------
+# channel tables against an independent enumeration
+# ---------------------------------------------------------------------------
+
+
+def _signed_reference(x, cutoff):
+    """(labels, eigenvalues, vectors) of the signed channels, from
+    itertools.product: the circle as k=0, k=+1, k=-1, ...; a torus by
+    |k|^2, lexicographically within a shell."""
+    k = math.isqrt(int(cutoff))
+    if x.kind.value == "circle":
+        vecs = [(0,)] + [(s * j,) for j in range(1, k + 1) for s in (1, -1)]
+        labels = ["k=0"] + [f"k={v[0]:+d}" for v in vecs[1:]]
+    else:
+        vecs = sorted((v for v in itertools.product(range(-k, k + 1), repeat=x.dim)
+                       if sum(j * j for j in v) <= cutoff),
+                      key=lambda v: (sum(j * j for j in v), v))
+        labels = ["k=(" + ",".join(f"{j:+d}" if j else "0" for j in v) + ")" for v in vecs]
+    return tuple(labels), [float(sum(j * j for j in v)) for v in vecs], [list(v) for v in vecs]
+
+
+@pytest.mark.parametrize("x", [CrossSection.circle(), CrossSection.torus(1),
+                               CrossSection.torus(2), CrossSection.torus(3)],
+                         ids=["circle", "T1", "T2", "T3"])
+def test_signed_channel_table_matches_product_enumeration(x):
+    for cutoff in [0.5, 1.0, 2.0, 3.99, 9.0, 24.9, 50.0]:
+        table = spectrum(x, cutoff)
+        ch = channels(x, table, signed=True)
+        labels, eigenvalues, vectors = _signed_reference(x, cutoff)
+        assert ch.labels == labels
+        assert ch.eigenvalues.dtype == np.float64
+        assert ch.eigenvalues.tolist() == eigenvalues
+        assert ch.vectors.shape == (len(labels), x.dim)
+        assert ch.vectors.tolist() == vectors
+        assert len(ch) == sum(table.multiplicities)
+
+
+def test_signed_torus_order_within_a_shell():
+    x = CrossSection.torus(1)
+    assert channels(x, spectrum(x, 1.0), signed=True).labels == ("k=(0)", "k=(-1)", "k=(+1)")
+
+
+def test_unsigned_channel_tables():
+    cases = [
+        (CrossSection.circle(), 9.0, ("k=0", "k=1", "k=2", "k=3"), [0.0, 1.0, 4.0, 9.0]),
+        (CrossSection.torus(2), 2.0, ("|k|^2=0", "|k|^2=1", "|k|^2=2"), [0.0, 1.0, 2.0]),
+        (CrossSection.sphere(3), 30.0, tuple(f"l={l}" for l in range(5)),
+         [float(l * (l + 2)) for l in range(5)]),
+    ]
+    for x, cutoff, labels, eigenvalues in cases:
+        table = spectrum(x, cutoff)
+        ch = channels(x, table, signed=False)
+        assert ch.labels == labels and ch.vectors is None
+        assert ch.eigenvalues.tolist() == table.eigenvalues.tolist() == eigenvalues
+    assert spectrum(CrossSection.sphere(3), 30.0).multiplicities == (1, 4, 9, 16, 25)
+
+
+def test_generic_channel_table_merges_a_double_eigenvalue():
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    x = CrossSection.generic(q @ np.diag([2.0, 0.5, 2.0]) @ q.T)
+    table = spectrum(x, 10.0)
+    assert table.multiplicities == (1, 2)
+    assert_allclose(table.eigenvalues, [0.5, 2.0], rtol=0, atol=1e-12)
+    ch = channels(x, table, signed=True)  # no coordinates: signed has no effect
+    assert ch.labels == ("mode0", "mode1") and ch.vectors is None
+    assert ch.eigenvalues.tolist() == table.eigenvalues.tolist()
+
+
+def test_sphere_multiplicities_stay_exact_past_int64():
+    table = spectrum(CrossSection.sphere(60), 2670.0)
+    assert len(table) == 31  # l (l + 59) <= 2670 up to l = 30
+    assert all(type(m) is int for m in table.multiplicities)
+    assert max(table.multiplicities) > 2 ** 63
+    assert list(table.multiplicities) == [sphere_multiplicity(60, l) for l in range(31)]
+
+
+def test_signed_torus_over_the_budget_fails_fast():
+    # the lattice ball of T^4 at |k|^2 <= 1e6 has about 4.9e12 points
+    x = CrossSection.torus(4)
+    start = time.perf_counter()
+    assert mode_count(x, 1e6, signed=True) > MODE_BUDGET
+    with pytest.raises(FredholmKitError, match="budget"):
+        channels(x, ModeTable(np.zeros(1), (1,), 1e6, x), signed=True)
+    assert time.perf_counter() - start < 1.0

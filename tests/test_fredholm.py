@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
-    Channel,
+    ChannelTable,
     Coefficient,
     CrossSection,
     FredholmKitError,
@@ -147,12 +147,12 @@ def test_singular_leading_matrix_roots_are_exact_or_refused(cutoff):
     by_mode = {}
     for r in roots:
         by_mode.setdefault(r.mode, []).extend([r.mellin] * r.multiplicity)
-    for ch in fam.channels:
-        want = np.sort_complex(np.array(order4_singular_mellin_roots(int(ch.label[2:])),
+    for label in fam.channels.labels:
+        want = np.sort_complex(np.array(order4_singular_mellin_roots(int(label[2:])),
                                         dtype=complex))
-        got = np.sort_complex(np.array(by_mode.get(ch.label, [])))
-        assert got.shape == want.shape, ch.label
-        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), ch.label
+        got = np.sort_complex(np.array(by_mode.get(label, [])))
+        assert got.shape == want.shape, label
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), label
 
 
 def test_non_elliptic_verdict_survives_a_root_failure():
@@ -229,8 +229,8 @@ def jordan_chains(s, r, p):
 def assert_one_root(coeffs, r, mult, oracle_tol=1e-9):
     """Engine and oracle both find det P = (tau - r)^mult: one root within
     1e-9 * max(1, |r|) of r (oracle_tol * max(1, |r|) for the oracle)."""
-    ch = Channel("k=0", 0.0, 1, 0)
-    fam = IndicialFamily((ch,), coeffs[None], 0.0, coeffs.shape[1], StructureKind.B)
+    fam = IndicialFamily(ChannelTable(("k=0",), np.zeros(1)), coeffs[None], 0.0,
+                         coeffs.shape[1], StructureKind.B)
     engine = [(x.tau, x.multiplicity) for x in indicial_roots(fam)]
     oracle = [(z, m) for z, m, _ in brute_roots(coeffs)]
     for found, tol in ((engine, 1e-9), (oracle, oracle_tol)):
@@ -268,7 +268,7 @@ def test_torus_b_laplacian_with_default_cutoff_gets_a_verdict(d, scale):
 
 def test_roots_zero_polynomial_rejected():
     fam = family_of(make_model("polar_laplacian"), 0.5)
-    assert fam.labels()[0] == "k=0"
+    assert fam.channels.labels[0] == "k=0"
     broken = fam.coeffs.copy()
     broken[0] = 0
     from dataclasses import replace
@@ -476,7 +476,7 @@ def test_check_consistent_with_conjugation(delta):
 def test_root_count_matches_degree():
     fam = family_of(make_model("spherical_schrodinger", n=3, Z=1.0), 20.0)
     roots = indicial_roots(fam)
-    for label in fam.labels():
+    for label in fam.channels.labels:
         count = sum(r.multiplicity for r in roots if r.mode == label)
         assert count == 2
 

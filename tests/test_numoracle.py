@@ -14,6 +14,7 @@ from fredholm_kit import (
     CrossSection,
     FredholmKitError,
     FredholmOptions,
+    ChannelTable,
     IndicialFamily,
     LieStructure,
     MultiIndex,
@@ -516,7 +517,7 @@ def test_cross_check_fails_only_the_class_whose_roots_fail():
         MultiIndex(0): Coefficient.constant(np.diag([-2.0, -2.0])),
     })
     report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=10.0))
-    labels = family_of(p, report.cutoffs["mode_cutoff"]).labels()
+    labels = family_of(p, report.cutoffs["mode_cutoff"]).channels.labels
     entries = [e for e in cross_check(p, report).entries if e.name.startswith("roots[")]
     assert [e.name for e in entries] == [f"roots[{label}]" for label in labels]
     assert [e.status for e in entries] == ["fail" if label == "k=1" else "pass"
@@ -568,12 +569,13 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     fam = family_of(p, 10.0)
     classes = fam.classes()
     assert len(classes) < len(fam.channels)
-    assert sorted(label for c in classes for label in c) == sorted(fam.labels())
+    assert sorted(label for c in classes for label in c) == sorted(fam.channels.labels)
     roots = indicial_roots(fam)
-    for i, ch in enumerate(fam.channels):
-        alone = IndicialFamily((ch,), fam.coeffs[i:i + 1],
-                               fam.source_cutoff, 1, fam.structure_kind)
-        mine = [(r.tau, r.multiplicity) for r in roots if r.mode == ch.label]
+    for i, label in enumerate(fam.channels.labels):
+        one = ChannelTable((label,), fam.channels.eigenvalues[i:i + 1])
+        alone = IndicialFamily(one, fam.coeffs[i:i + 1], fam.source_cutoff, 1,
+                               fam.structure_kind)
+        mine = [(r.tau, r.multiplicity) for r in roots if r.mode == label]
         assert mine == [(r.tau, r.multiplicity) for r in indicial_roots(alone)]
 
     handed = []  # the polynomials of every batch cross_check solves
@@ -589,7 +591,7 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     assert ledger.passed
     checked = family_of(p, report.cutoffs["mode_cutoff"])
     assert [e.name for e in ledger.entries if e.name.startswith("roots[")] == \
-        [f"roots[{label}]" for label in checked.labels()]
+        [f"roots[{label}]" for label in checked.channels.labels]
     assert len(handed) == len(checked.classes()) < len(checked.channels)
     assert [c.tobytes() for c in handed] == \
         [checked.poly(labels[0]).tobytes() for labels in checked.classes()]
@@ -600,8 +602,8 @@ def test_batched_system_scan_matches_per_point_svd():
     assert fam.system_size == 2
     taus = np.linspace(-10.0, 10.0, 2501) - 0.3j  # spans several chunks
     reference = np.full(taus.shape, np.inf)
-    for ch in fam.channels:
-        coeffs = fam.poly(ch.label)
+    for label in fam.channels.labels:
+        coeffs = fam.poly(label)
         for i, tau in enumerate(taus):
             m = np.zeros_like(coeffs[0])
             for c in coeffs[::-1]:  # Horner, one point at a time

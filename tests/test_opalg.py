@@ -424,6 +424,19 @@ def test_operator_display_keeps_sign_and_phase_of_q_coefficients():
     assert str(shifted(1j, -1e-9, 1.0)) == "(r d/dr)^2 + q(1j, 0.0, 1.0)(lam)"
 
 
+def test_operator_display_shows_matrix_entries():
+    eye = Coefficient.constant(np.eye(2))
+    unequal = b_op({MultiIndex(2): Coefficient.constant(np.diag([1.0, 2.0])),
+                    MultiIndex(0, (), 1): eye})
+    equal = b_op({MultiIndex(2): eye, MultiIndex(0, (), 1): eye})
+    assert unequal != equal
+    assert str(unequal) == "[[1, 0], [0, 2]] (r d/dr)^2 + [[1, 0], [0, 1]] L"
+    assert str(equal) == "[[1, 0], [0, 1]] (r d/dr)^2 + [[1, 0], [0, 1]] L"
+    # each entry reads as a scalar value does: real when its imaginary part is 0
+    mixed = b_op({MultiIndex(2): Coefficient.constant(np.array([[1.5, 2j], [-0.25, 1 + 1j]]))})
+    assert str(mixed) == "[[1.5, 0+2j], [-0.25, 1+1j]] (r d/dr)^2"
+
+
 def test_kondratiev_rejects_non_b():
     with pytest.raises(FredholmKitError):
         kondratiev_transform(make_model("sc_laplacian", cross_dim=1))
@@ -559,7 +572,7 @@ def test_laplacian_poly_coefficient_matches_laplacian_slot(rng):
     from fredholm_kit import indicial_family, normal_operator
     fa = indicial_family(normal_operator(via_slot), table)
     fb = indicial_family(normal_operator(via_poly), table)
-    for label in fa.labels():
+    for label in fa.channels.labels:
         assert np.array_equal(fa.poly(label), fb.poly(label))
 
 
@@ -569,7 +582,8 @@ def test_signed_channels_for_odd_partials():
     assert drift.needs_signed_modes()
     table = spectrum(CIRCLE, 1.5)
     chans = drift.mode_channels(table)
-    assert [c.label for c in chans] == ["k=0", "k=+1", "k=-1"]
+    assert chans.labels == ("k=0", "k=+1", "k=-1")
+    assert chans.vectors.tolist() == [[0], [1], [-1]]
     from fredholm_kit import indicial_family, normal_operator
     fam = indicial_family(normal_operator(drift), table)
     # (i tau)^2 + i k distinguishes the signs
