@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -383,11 +384,51 @@ def _dumps(obj, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
+# One `IndicialRoot.as_dict()` as an item of a top-level list, laid out by
+# `json.dumps(indent=2, sort_keys=True)`, with %s for its six values.
+_ROOT_JSON = "    " + json.dumps(
+    {"mellin": ["%s"] * 2, "mode": "%s", "multiplicity": "%s", "tau": ["%s"] * 2},
+    indent=2, sort_keys=True).replace("\n", "\n    ").replace('"%s"', "%s")
+
+
+class _FloatText(dict):
+    """`json`'s text for round12(x), computed once per nonzero x (roots repeat
+    across modes; -0.0 == 0.0 prints apart).  `float.__repr__`, because
+    numpy 2 reprs an np.float64 with its type name."""
+
+    def __missing__(self, x: float) -> str:
+        if not x:
+            return float.__repr__(x)  # round12 keeps a zero as it is
+        v = round12(x)
+        self[x] = s = "null" if v is None else float.__repr__(v)
+        return s
+
+
+def _render_json(payload: dict, key: str, roots) -> str:
+    """`_dumps({**payload, key: [r.as_dict() for r in roots]}, indent=2) + "\\n"`,
+    byte for byte, but with the root list (most of a large report) written
+    from a template: `indent` makes `json` use its pure-Python encoder."""
+    num = _FloatText()
+    items = ",\n".join(_ROOT_JSON % (
+        num[r.mellin.real], num[r.mellin.imag], encode_basestring_ascii(r.mode),
+        int.__repr__(r.multiplicity), num[r.tau.real], num[r.tau.imag]) for r in roots)
+    entry = f'  "{key}": ' + (f"[\n{items}\n  ]" if items else "[]")
+    text = _dumps(payload, indent=2)
+    # JSON escapes newlines inside strings, so a line that starts with exactly
+    # two spaces and a quote holds a top-level key (ours need no escaping)
+    at = text.find('\n  "')
+    while at >= 0 and text[at + 4:text.index('"', at + 4)] < key:
+        at = text.find('\n  "', at + 4)
+    if at < 0:  # after the last key, before the closing brace
+        return f"{text[:-2]},\n{entry}\n}}\n"
+    return f"{text[:at]}\n{entry},{text[at:]}\n"
+
+
 def render_report(report: FredholmReport, fmt: str = "text") -> str:
     """Stable text or machine-readable rendering of a report; floats are
     fixed at 12 significant digits, orderings are deterministic."""
     if fmt == "json":
-        return _dumps(report.to_dict(), indent=2) + "\n"
+        return _render_json(report._dict_without_roots(), "indicial_roots", report.roots)
     lines = [f"VERDICT: {report.verdict}"]
     lines.append(f"weight: delta = {fmt12(report.delta)}  "
                  f"(tested {report.convention})")
@@ -514,9 +555,9 @@ def verify(spec_path, weight, cutoff, tau_range, pts, fmt, out, scan_csv):
         report = fredholm_check(op, weight, opts)
         ledger = cross_check(op, report, opts)
     if fmt == "json":
-        payload = report.to_dict()
+        payload = report._dict_without_roots()
         payload["oracle"] = ledger.as_dict()
-        text = _dumps(payload, indent=2) + "\n"
+        text = _render_json(payload, "indicial_roots", report.roots)
     else:
         text = render_report(report, "text") + str(ledger) + "\n"
     _echo_or_write(text, out)
@@ -566,11 +607,10 @@ def roots(spec_path, cutoff, fmt, out):
             "schema": SCHEMA,
             "mode_cutoff": c,
             "convention": WEIGHT_CONVENTION,
-            "roots": [r.as_dict() for r in rts],
         }
         if fam.warning:
             payload["warning"] = fam.warning
-        text = _dumps(payload, indent=2) + "\n"
+        text = _render_json(payload, "roots", rts)
     else:
         lines = [f"indicial roots (mode cutoff {fmt12(c)}; z = i tau)"]
         if fam.warning:

@@ -208,9 +208,9 @@ def mode_count(x: CrossSection, cutoff: float, signed: bool = False) -> int:
     if x.coordinate_count == 1:  # circle or T^1
         return 2 * k + 1 if signed else k + 1
     if x.kind is CrossKind.SPHERE:
-        while k * (k + x.dim - 1) > cutoff:
-            k -= 1
-        return k + 1
+        # l(l + a) <= cutoff iff (2l + a)^2 <= a^2 + 4 floor(cutoff), a = d - 1
+        a = x.dim - 1
+        return (math.isqrt(a * a + 4 * int(cutoff)) - a) // 2 + 1
     if x.kind is CrossKind.TORUS:
         if signed:
             pts = _signed_points(x.dim, cutoff)

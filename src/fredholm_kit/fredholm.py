@@ -566,6 +566,12 @@ class FredholmReport:
                     "Undecided verdicts require borderline or numerical evidence")
 
     def to_dict(self) -> dict:
+        return {**self._dict_without_roots(),
+                "indicial_roots": [r.as_dict() for r in self.roots]}
+
+    def _dict_without_roots(self) -> dict:
+        """`to_dict` less its root list, which the JSON renderer writes
+        from a template."""
         return {
             "verdict": self.verdict,
             "weight": {"delta": round12(self.delta), "convention": self.convention},
@@ -578,7 +584,6 @@ class FredholmReport:
             },
             "elliptic": self.elliptic.as_dict(),
             "limit_operators": [lv.as_dict() for lv in self.limit_verdicts],
-            "indicial_roots": [r.as_dict() for r in self.roots],
             "safe_weight_intervals": [[round12(a), round12(b)] for a, b in self.safe_weights],
             "cutoffs": self.cutoffs,
             "caveats": list(self.caveats),

@@ -347,6 +347,58 @@ def test_report_roots_are_encoded_as_they_stand():
             _dumps(payload, indent=2)
 
 
+def _json_module_text(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_json_reports_equal_the_json_module_encoding(tmp_path, runner):
+    # root lists are written from a template; every report must still be
+    # what json.dumps(indent=2, sort_keys=True) writes
+    from fredholm_kit.opalg import _MODELS
+    runs = []
+    for name in sorted(_MODELS):
+        path = write(tmp_path, f"{name}.json", {"schema": SCHEMA, "model": name})
+        runs += [[command, path, "--weight", w] for command in ("check", "verify")
+                 for w in ("-0.5", "0", "0.3")]
+        runs.append(["roots", path])
+    runs.append(["check", write(tmp_path, "cyl.json", {
+        "schema": SCHEMA, "model": "cyl_coord_laplacian"}), "--cutoff", "400"])
+    listed = 0
+    for argv in runs:
+        res = runner.invoke(main, [*argv, "--format", "json"])
+        assert res.exception is None or isinstance(res.exception, SystemExit), argv
+        if argv[0] == "roots" and res.exit_code == 3:  # no indicial family
+            assert res.stdout == ""
+            continue
+        assert res.stdout == _json_module_text(res.stdout), argv
+        payload = json.loads(res.stdout)
+        listed += len(payload["roots" if argv[0] == "roots" else "indicial_roots"])
+    assert listed > 2473  # the cutoff-400 report alone lists 2473
+
+
+def test_root_template_matches_the_json_module():
+    from fredholm_kit.cli import _render_json
+    from fredholm_kit.fredholm import IndicialRoot
+    inf, nan = float("inf"), float("nan")
+    taus = [complex(0.0, -0.0), complex(-0.0, 2.5), complex(inf, 1 / 3),
+            complex(nan, -1e-7), complex(123456789012345.0, 2.5), complex(1e16, -0.0),
+            np.complex128(0.1 + 0.25j), np.complex128(0.25j), np.complex128(-0.1 - 0.0j)]
+    roots = [IndicialRoot(f"k={i}", tau, 1j * tau, i + 1) for i, tau in enumerate(taus)]
+    roots.append(IndicialRoot('a "quoted" \\ label, \u03bb = \u221a2\n', 2.5 - 1j, 1 + 2.5j, 2))
+    assert isinstance(roots[6].tau.real, np.float64)
+    payloads = [
+        ({"schema": SCHEMA, "verdict": "Fredholm"}, "indicial_roots"),  # in the middle
+        ({"a": 1, "caveats": ['\n  "zz": "x"', '  "roots": []']}, "roots"),  # last
+        ({"z": [1, {"b": [2.0, None]}]}, "roots"),  # first
+    ]
+    for payload, key in payloads:
+        for listed in (roots, []):
+            expected = json.dumps({**payload, key: [r.as_dict() for r in listed]},
+                                  indent=2, sort_keys=True, allow_nan=False) + "\n"
+            assert _render_json(payload, key, listed) == expected
+    assert f'"{key}": []' in _render_json(payload, key, [])
+
+
 def test_operator_and_bracket_json_write_non_finite_numbers_as_null(tmp_path, runner):
     # two finite terms whose sum overflows, real and complex
     for value, emitted in ((1e308, None), ([1e308, 1], [None, 2.0])):

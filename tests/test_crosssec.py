@@ -203,6 +203,37 @@ def test_mode_count_matches_enumeration(x):
         assert mode_count(x, cutoff) == len(spectrum(x, cutoff)), cutoff
 
 
+def _sphere_count_by_descent(dim, cutoff):
+    """The sphere count as a loop: lower l from isqrt(cutoff) until
+    l(l + dim - 1) <= cutoff."""
+    k = math.isqrt(int(cutoff))
+    while k * (k + dim - 1) > cutoff:
+        k -= 1
+    return k + 1
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sphere_mode_count_closed_form_matches_descent(dim):
+    x = CrossSection.sphere(dim)
+    # below the first nonzero eigenvalue dim only l = 0 counts
+    for cutoff in (0.0, 0.5, math.nextafter(dim, 0)):
+        assert mode_count(x, cutoff) == _sphere_count_by_descent(dim, cutoff) == 1
+    for l in range(1, 60):
+        ev = l * (l + dim - 1)
+        for cutoff in (math.nextafter(ev, 0), ev - 0.5, float(ev), ev + 0.5,
+                       math.nextafter(ev, math.inf)):
+            assert mode_count(x, cutoff) == _sphere_count_by_descent(dim, cutoff), cutoff
+        assert mode_count(x, ev) == l + 1 == mode_count(x, math.nextafter(ev, 0)) + 1
+
+
+def test_huge_sphere_is_over_budget_at_once():
+    # the descent takes about sqrt(cutoff) steps here
+    start = time.perf_counter()
+    with pytest.raises(FredholmKitError, match="budget"):
+        spectrum(CrossSection.sphere(10**16), 1e21)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_torus_spectrum_counts_the_lattice_ball(d):
     x = CrossSection.torus(d)
