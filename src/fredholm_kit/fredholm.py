@@ -46,6 +46,7 @@ _ROOT_STEP_TOL = 1e-9
 _ROOT_NOISE = 1e-13  # relative rounding of the coefficients (about 500 ulp)
 _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
+_WEIGHT_CAP = 2.0 ** 20  # the largest certified weight range reported
 
 VERDICT_FREDHOLM = "Fredholm"
 VERDICT_NOT = "NotFredholm"
@@ -298,15 +299,11 @@ def _positive_root(coeffs: np.ndarray) -> float:
     return best
 
 
-def tail_bound(base: BoundaryOperator, delta_abs: float, mu0: float) -> TailBound:
-    """Certificate that high modes stay invertible on every line
-    |Re z| <= delta_abs, from the coefficient norms of the normal operator
-    `base` (as `normal_operator` returns it) and the symbol floor mu0
-    (`symbol_min_singular` of base at r = 0).  Without a positive floor,
-    or when an envelope weight overflows, the tail is uncertified: s0 and
-    lambda_certified are infinite."""
+def _envelope_pieces(base: BoundaryOperator) -> list[tuple[int, int, float]]:
+    """The tail envelope of the normal operator `base` as pieces (d, e, w):
+    each bounds a non-principal term by w * delta^e * s^d on |Re z| <= delta."""
     m = base.order
-    envelope: dict[int, float] = {}
+    pieces = []
     for mi, co in base.terms:
         for ct in co.terms:
             q = ct.lam_poly or (1.0 + 0j,)
@@ -319,12 +316,32 @@ def tail_bound(base: BoundaryOperator, delta_abs: float, mu0: float) -> TailBoun
                     d = j + sum(mi.cross) + 2 * mi.laplacian + 2 * i
                     if d == m and j == mi.radial and i == qtop:
                         continue  # this piece is the principal symbol itself
-                    try:
-                        power = delta_abs ** (mi.radial - j)
-                    except OverflowError:
-                        power = math.inf
-                    w = vnorm * abs(qi) * math.comb(mi.radial, j) * power
-                    envelope[d] = envelope.get(d, 0.0) + w
+                    pieces.append((d, mi.radial - j, vnorm * abs(qi) * math.comb(mi.radial, j)))
+    return pieces
+
+
+def _collect(pieces: list[tuple[int, int, float]], x: float) -> dict[int, float]:
+    """Sums of w * x^e over the pieces (key, e, w), by key."""
+    out: dict[int, float] = {}
+    for key, e, w in pieces:
+        try:
+            power = x ** e
+        except OverflowError:
+            power = math.inf
+        out[key] = out.get(key, 0.0) + w * power
+    return out
+
+
+def tail_bound(base: BoundaryOperator, delta_abs: float, mu0: float) -> TailBound:
+    """Certificate that high modes stay invertible on every line
+    |Re z| <= delta_abs, from the coefficient norms of the normal operator
+    `base` (as `normal_operator` returns it) and the symbol floor mu0
+    (`symbol_min_singular` of base at r = 0), with the `_envelope_pieces`
+    summed at delta_abs.  Without a positive floor, or when an envelope
+    weight overflows, the tail is uncertified: s0 and lambda_certified are
+    infinite."""
+    m = base.order
+    envelope = _collect(_envelope_pieces(base), delta_abs)
     if mu0 <= 0 or not all(math.isfinite(w) for w in envelope.values()):
         return TailBound(mu0, m, tuple(sorted(envelope.items())), math.inf, math.inf)
     coeffs = np.zeros(m + 1)
@@ -338,19 +355,24 @@ def tail_bound(base: BoundaryOperator, delta_abs: float, mu0: float) -> TailBoun
 def certified_weight_range(base: BoundaryOperator, cutoff: float, mu0: float) -> float:
     """Largest W with tail certification for all |delta| <= W at this
     cutoff, for the normal operator `base` and the symbol floor mu0 of
-    `tail_bound` (monotone in delta, solved by bisection)."""
-    if tail_bound(base, 0.0, mu0).lambda_certified > cutoff:
+    `tail_bound`, which certifies delta when s0 <= sqrt(cutoff): when
+    f(delta) = mu0 - sum w * delta^e * S^(d - m) >= 0 over the
+    `_envelope_pieces` (d, e, w), S = sqrt(cutoff) / (1 + 1e-9).  W is the
+    positive root of f, and no root of f is smaller in modulus, so 1/W is
+    the largest root of f reversed.  W is 0 when the cutoff is below 1 or
+    f(0) <= 0 (as when mu0 <= 0 or a piece is not finite), and 2^20 when
+    it is larger or when no piece depends on delta."""
+    if cutoff < 1:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while tail_bound(base, hi, mu0).lambda_certified <= cutoff and hi < 1e6:
-        lo, hi = hi, 2 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if tail_bound(base, mid, mu0).lambda_certified <= cutoff:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    by_power = _collect([(e, d - base.order, w) for d, e, w in _envelope_pieces(base)],
+                        math.sqrt(cutoff) / (1 + 1e-9))
+    f = np.zeros(max(by_power, default=0) + 1)
+    f[list(by_power)] -= list(by_power.values())
+    f[0] += mu0
+    if not (np.isfinite(f).all() and f[0] > 0):
+        return 0.0
+    y = _positive_root(f[::-1])  # 1/W, or 0 when no piece depends on delta
+    return 1.0 / y if y * _WEIGHT_CAP > 1 else _WEIGHT_CAP
 
 
 def safe_weight_intervals(roots: list[IndicialRoot], lo: float, hi: float,

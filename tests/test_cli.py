@@ -506,8 +506,9 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     labels = [label for label, _argv in digest.runs(str(tmp_path))]
     # 172 check/verify reports, roots/normal/transform of the seven built-ins
     # in two formats, bracket-table of four structures in two formats,
-    # check/verify/roots of five channel-kind specs
-    assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2 + 5 * 3
+    # check/verify/roots of five channel-kind specs, check of three systems
+    # specs at two weights and two cutoffs
+    assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 * 2
 
 
 def test_sc_and_cgamma_runs_import_only_numpy_and_click():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
@@ -20,6 +22,7 @@ from fredholm_kit import (
     VERDICT_NOT,
     VERDICT_UNDECIDED,
     brute_roots,
+    builtin_suite,
     conjugate,
     fredholm_check,
     full_symbol,
@@ -32,9 +35,12 @@ from fredholm_kit import (
     safe_weight_intervals,
     sc_invertible,
     spectrum,
+    tail_bound,
 )
 from fredholm_kit import fredholm
+from fredholm_kit.fredholm import certified_weight_range
 from fredholm_kit.limitops import freeze_coefficients
+from fredholm_kit.opalg import symbol_min_singular
 from conftest import (
     JORDAN_SHIFTS,
     LARGE_SHIFTS,
@@ -45,6 +51,7 @@ from conftest import (
     order2_mellin_roots,
     order4_mellin_roots,
     order4_singular_mellin_roots,
+    random_b_operator,
     shifted_mellin_roots,
 )
 
@@ -300,6 +307,114 @@ def test_line_verdict_borderline():
     fam = family_of(make_model("polar_laplacian"), 4.5)
     v = normal_invertible(fam, 1e-9)
     assert v.status == "borderline"
+
+
+# ---------------------------------------------------------------------------
+# mode-tail certificate
+# ---------------------------------------------------------------------------
+
+
+def bisected_weight_range(base, cutoff, mu0):
+    """The certified weight range as it was found before the closed form:
+    doubling to 2^20, then 60 bisection steps on `tail_bound`."""
+    if tail_bound(base, 0.0, mu0).lambda_certified > cutoff:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while tail_bound(base, hi, mu0).lambda_certified <= cutoff and hi < 1e6:
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if tail_bound(base, mid, mu0).lambda_certified <= cutoff:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def drawn_b_operator(seed, system_size):
+    """A scalar b operator of `random_b_operator`, or a 2x2 one with unit
+    leading blocks and small-integer lower-order matrices."""
+    rng = np.random.default_rng(seed)
+    if system_size == 1:
+        return random_b_operator(rng, allow_lam_poly=True)
+
+    def block():
+        return Coefficient.constant(rng.integers(-3, 4, (2, 2)).astype(float))
+
+    eye = Coefficient.constant(np.eye(2))
+    return make_operator(B1, CIRCLE, {
+        MultiIndex(2): eye, MultiIndex(0, (), 1): eye,
+        MultiIndex(1): block(), MultiIndex(0): block()})
+
+
+def assert_weight_ranges_match(p, cutoff):
+    """The closed form matches the bisection to 1e-12 relative, or to the
+    bisection's own resolution 2^-60 (60 halvings of [0, 1]) below 1."""
+    nop = normal_operator(p)
+    mu0 = symbol_min_singular(nop)
+    assert certified_weight_range(nop, cutoff, mu0) == pytest.approx(
+        bisected_weight_range(nop, cutoff, mu0), rel=1e-12, abs=2.0 ** -60)
+
+
+WEIGHT_RANGE_OPERATORS = [
+    *((name, p) for name, p in builtin_suite() if p.structure.kind is StructureKind.B),
+    ("b_system_order2", b_system_order2()),
+    ("b_system_order4", b_system_order4()),
+    ("b_system_shifted", b_system_shifted((0.0, 1.0, 2.0, 3.0))),
+]
+
+
+@pytest.mark.parametrize("p", [p for _, p in WEIGHT_RANGE_OPERATORS],
+                         ids=[name for name, _ in WEIGHT_RANGE_OPERATORS])
+def test_certified_weight_range_closed_form_matches_bisection(p):
+    for cutoff in (30.0, 80.0, 250.0, 400.0, 840.0, 1e4):
+        assert_weight_ranges_match(p, cutoff)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.floats(30.0, 1e4))
+def test_certified_weight_range_closed_form_matches_bisection_on_drawn_operators(
+        seed, system_size, cutoff):
+    assert_weight_ranges_match(drawn_b_operator(seed, system_size), cutoff)
+
+
+def test_certified_weight_range_edges_are_exact():
+    cyl = normal_operator(make_model("cyl_coord_laplacian"))
+    assert symbol_min_singular(cyl) == 0.0
+    assert certified_weight_range(cyl, 1e4, 0.0) == 0.0
+    assert bisected_weight_range(cyl, 1e4, 0.0) == 0.0
+    order4 = normal_operator(b_system_order4())
+    mu0 = symbol_min_singular(order4)
+    below = tail_bound(order4, 0.0, mu0).lambda_certified * (1 - 1e-6)
+    assert below > 1.0
+    for cutoff in (below, 0.5):
+        assert certified_weight_range(order4, cutoff, mu0) == 0.0
+        assert bisected_weight_range(order4, cutoff, mu0) == 0.0
+    # an order-0 envelope is empty: nothing depends on delta
+    flat = normal_operator(make_operator(B1, CIRCLE, {MultiIndex(0): 2.0}))
+    mu0 = symbol_min_singular(flat)
+    assert tail_bound(flat, 0.0, mu0).envelope == ()
+    for cutoff, w in ((1.0, 1048576.0), (0.5, 0.0)):
+        assert certified_weight_range(flat, cutoff, mu0) == w
+        assert bisected_weight_range(flat, cutoff, mu0) == w
+    # W is about 0.4 sqrt(cutoff) = 4e6, above the cap
+    polar = normal_operator(make_model("polar_laplacian"))
+    mu0 = symbol_min_singular(polar)
+    assert certified_weight_range(polar, 1e14, mu0) == 1048576.0
+    assert bisected_weight_range(polar, 1e14, mu0) == 1048576.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.floats(30.0, 1e4))
+def test_certified_weight_range_brackets_the_tail_certificate(seed, system_size, cutoff):
+    # at W itself the test s0 * s0 <= cutoff is decided by rounding, since
+    # W is the exact crossing: check just inside and just outside it
+    nop = normal_operator(drawn_b_operator(seed, system_size))
+    mu0 = symbol_min_singular(nop)
+    w = certified_weight_range(nop, cutoff, mu0)
+    assume(0.0 < w < 2.0 ** 20)
+    assert tail_bound(nop, w * (1 - 1e-12), mu0).lambda_certified <= cutoff
+    assert tail_bound(nop, w * (1 + 1e-6), mu0).lambda_certified > cutoff
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ Run it in each checkout and diff the two files.  Each line reads
 - the JSON `check`, `verify` (weight 0.3) and `roots` output of five
   explicit b specs, one per kind of mode channel table: signed channels
   on a circle, T^1 and T^3, and the modes of S^3 and of a generic 3x3
-  cross-section with a double eigenvalue.
+  cross-section with a double eigenvalue;
+- the JSON `check` output of the three `systems` specs (seed 1) at
+  weights -2.5 and 1.5 and mode cutoffs 30 and 1e4, which pin the
+  certified weight range away from the benchmark's weight.
 
 The CLI runs in this process, on the `src/` of the checkout this file is
 in.  A full run takes about 20 s on two cores.
@@ -45,6 +48,8 @@ from fredholm_kit.cli import main as cli_main  # noqa: E402
 WORKLOADS = ("cli-cold", "modes", "systems", "symbols")
 SEEDS = (1, 2)
 WEIGHTS = ("-0.5", "0", "0.3")
+SYSTEM_WEIGHTS = ("-2.5", "1.5")
+SYSTEM_CUTOFFS = ("30", "1e4")
 
 
 def _b_spec(cross: dict, terms: dict) -> dict:
@@ -117,6 +122,15 @@ def runs(workdir: str):
             yield (f"channels/{name}/{command}",
                    [command, path, "--weight", "0.3", "--format", "json", *extra])
         yield f"channels/{name}/roots", ["roots", path, "--format", "json", *extra]
+    sub = os.path.join(workdir, "system-weights")
+    os.makedirs(sub)
+    systems = workloads.build("systems", SEEDS[0])
+    for spec, path in zip(systems.specs, workloads.write_specs(systems, sub)):
+        for weight in SYSTEM_WEIGHTS:
+            for cutoff in SYSTEM_CUTOFFS:
+                yield (f"system-weights/{spec.name}/{weight}/{cutoff}/check",
+                       ["check", path, "--weight", weight, "--format", "json",
+                        "--cutoff", cutoff])
 
 
 def main() -> int:
