@@ -655,7 +655,8 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
     kind = p.structure.kind
     if kind is StructureKind.B:
         nop = normal_operator(p)
-        mu0 = symbol_min_singular(nop)
+        # a floor on a symbol that is not elliptic is rounding noise: no tail
+        mu0 = symbol_min_singular(nop) if ell.elliptic else 0.0
         tb = tail_bound(nop, abs(delta), mu0)
         cutoff = opts.mode_cutoff if opts.mode_cutoff is not None else default_mode_cutoff(p)
         needed = tb.lambda_certified * 1.05

@@ -120,18 +120,26 @@ _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
                   for n in _RESOLUTIONS}
 
 
+def _det(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., k, k) stack.  A 1 x 1 determinant is read
+    directly: np.linalg.det runs LAPACK on each matrix and returns
+    sign * exp(log|a|), which need not round back to the entry a."""
+    return stack[..., 0, 0] if stack.shape[-1] == 1 else np.linalg.det(stack)
+
+
 def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
     """Boundary winding numbers of det P on the rectangles (x0, x1, y0, y1)
     at n_side points per side, or None for a box this resolution cannot
     settle; all boxes go through one Horner pass of the (m + 1, k, k)
     coefficient stack, or of an (m + 1, len(boxes), 1, k, k) stack that
-    gives each box its own polynomial."""
-    corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
-                        for x0, x1, y0, y1 in boxes])
+    gives each box its own polynomial.  The determinants come from `_det`,
+    so a scalar polynomial's values are used as they are."""
+    x0, x1, y0, y1 = np.array(boxes, dtype=float).T
+    corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
     steps = np.roll(corners, -1, axis=1) - corners
     sides = corners[:, :, None] + steps[:, :, None] * _UNIT_SEGMENTS[n_side]
     path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
-    vals = np.linalg.det(matrix_polyval(coeffs, path))
+    vals = _det(matrix_polyval(coeffs, path))
     absvals = np.abs(vals)
     scale = absvals.max(axis=1)
     low = absvals.min(axis=1)

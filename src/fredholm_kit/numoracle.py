@@ -24,7 +24,10 @@ it would give on its own, and its neighbours' roots stay bit-identical.
 The winding count runs in passes of at most `limitops._CONTOUR_CHUNK`
 matrix entries, which bounds peak memory: a single pass over the 928
 root boxes of a 4x4 order-4 family would hold 61 MB in each array of
-contour values.
+contour values.  A 1x1 determinant, on a contour or at a root, is the
+entry itself (`limitops._det`), not a LAPACK call per point.  The found
+roots are matched against the report once per class and reported root
+list: channels that share both take one result.
 
 A line scan evaluates its finest grid once and reads the coarser levels
 of its resolution ladder off it as strided subsets.  For a system it
@@ -50,6 +53,7 @@ from .fredholm import _resolve_roots, _RootFailure
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
+    _det,
     _winding_counts,
     freeze_coefficients,
     full_symbol,
@@ -203,8 +207,7 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
         ladder.append({"points": g.shape[0], "global_min": round12(float(v[i])),
                        "argmin_tau": round12(float(g[i]))})
     i = int(np.argmin(vals))
-    return ScanResult(tuple(float(t) for t in grid),
-                      tuple(float(v) for v in vals),
+    return ScanResult(tuple(grid.tolist()), tuple(vals.tolist()),
                       float(vals[i]), float(grid[i]), tuple(ladder))
 
 
@@ -281,7 +284,10 @@ def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None
     The iterates of all polynomials move together; one resolve takes them
     all, and a polynomial it fails on is dropped and the rest resolved
     again; the boxes of all polynomials share the chunked passes of one
-    `_winding_counts` call."""
+    `_winding_counts` call.  Per polynomial, the wide boxes and moment
+    rings are built only when it has a merged root, and the residuals
+    |det P| at the roots go through `limitops._det`, which reads a 1x1
+    determinant directly."""
     m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
     # every root lies within twice the largest ||A_m^-1 A_j||^(1/(m-j))
     ratios = np.linalg.solve(coeffs[-1, :, None], np.moveaxis(coeffs[:-1], 0, 1))
@@ -334,13 +340,15 @@ def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None
         # of a merged root is the first moment of tr(P^-1 P') on the circle
         # of 0.45 times the distance to the nearest other root (its box when
         # it is alone): the mean of the roots inside
-        wide = root_boxes(c, np.full(c.size, np.inf))
-        for i, (tau, size, box) in enumerate(found):
-            if box > 0:
-                reach = wide[i][1] - tau.real
-                ring = tau + (reach if math.isfinite(reach) else box) * _UNIT_CIRCLE
-                c[i] = tau + np.mean((ring - tau) ** 2 / newton_correction(coeffs[:, b], ring)) / size
-        residuals = np.abs(np.linalg.det(matrix_polyval(coeffs[:, b], c)))
+        own = coeffs[:, b]
+        merged = [i for i, (_, _, box) in enumerate(found) if box > 0]
+        wide = root_boxes(c, np.full(c.size, np.inf)) if merged else []
+        for i in merged:
+            tau, size, box = found[i]
+            reach = wide[i][1] - tau.real
+            ring = tau + (reach if math.isfinite(reach) else box) * _UNIT_CIRCLE
+            c[i] = tau + np.mean((ring - tau) ** 2 / newton_correction(own, ring)) / size
+        residuals = np.abs(_det(matrix_polyval(own, c)))
         results[b] = ([(complex(tau), size, float(r))
                        for tau, (_, size, _), r in zip(c, found, residuals)], None)
     return results
@@ -490,27 +498,28 @@ class CheckLedger:
 
 
 def _match_roots(brute, reported):
-    """Match brute-force roots against the reported roots of one mode,
-    both directions, with multiplicities, to _ROOT_TOL * max(1, |z|)."""
+    """Match brute-force roots against the reported (tau, multiplicity)
+    pairs of one mode, both directions, with multiplicities, to
+    _ROOT_TOL * max(1, |z|)."""
     problems = []
     used = [False] * len(reported)
     for z, mult, residual in brute:
         hit = None
-        for i, r in enumerate(reported):
-            if not used[i] and abs(r.tau - z) <= _ROOT_TOL * max(1.0, abs(z)):
+        for i, (tau, _) in enumerate(reported):
+            if not used[i] and abs(tau - z) <= _ROOT_TOL * max(1.0, abs(z)):
                 hit = i
                 break
         if hit is None:
             problems.append(f"brute root tau={z:.9g} (x{mult}) missing from report")
             continue
         used[hit] = True
-        if reported[hit].multiplicity != mult:
+        if reported[hit][1] != mult:
             problems.append(
                 f"multiplicity mismatch at tau={z:.9g}: "
-                f"report {reported[hit].multiplicity} vs contour {mult}")
-    for i, r in enumerate(reported):
+                f"report {reported[hit][1]} vs contour {mult}")
+    for i, (tau, _) in enumerate(reported):
         if not used[i]:
-            problems.append(f"reported root tau={r.tau:.9g} not re-found by contours")
+            problems.append(f"reported root tau={tau:.9g} not re-found by contours")
     return problems
 
 
@@ -523,7 +532,9 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
 
     The roots of every nonzero class polynomial come from one call of
     `_brute_roots_batch`; a class whose roots cannot be found or confirmed
-    fails the entries of its own channels only.
+    fails the entries of its own channels only.  Matching runs once per
+    class and reported root list: a channel whose class and reported
+    (tau, multiplicity) pairs equal an earlier channel's takes its result.
     """
     from .fredholm import FredholmOptions, sc_invertible
 
@@ -553,12 +564,16 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
             by_class[c] = found
         reported_by_mode: dict[str, list] = {}
         for r in report.roots:
-            reported_by_mode.setdefault(r.mode, []).append(r)
+            reported_by_mode.setdefault(r.mode, []).append((r.tau, r.multiplicity))
+        matched: dict[tuple, str | None] = {}  # (class, reported pairs) -> failure
         for label, c in zip(fam.channels.labels, class_of.tolist()):
             found, failure = by_class[c]
             if failure is None:
-                problems = _match_roots(found, reported_by_mode.get(label, []))
-                failure = problems[0] if problems else None
+                key = (c, tuple(reported_by_mode.get(label, ())))
+                if key not in matched:
+                    problems = _match_roots(found, key[1])
+                    matched[key] = problems[0] if problems else None
+                failure = matched[key]
             if failure is None:
                 entries.append(LedgerEntry(
                     f"roots[{label}]", "pass",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -835,13 +835,15 @@ _COVECTOR_SEED = 20260809  # of the random directions sampled in dimensions abov
 FLOOR_DIRECTIONS = 720  # covector samples behind a symbol floor
 
 
+@lru_cache(maxsize=None)
 def unit_covectors(dim_total: int, n_dir: int,
                    magnitude_slot: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic samples of the unit covector sphere in R^dim_total,
     always including the coordinate axes (where degenerate symbols tend to
     vanish).  When the tangential slot is a magnitude, only eta >= 0 is
     sampled.  Returns xi (n,), eta (n, dim_total - 1) and |eta|^2 (n,),
-    the last rounded as principal_symbol rounds it."""
+    the last rounded as principal_symbol rounds it.  Computed once per
+    argument triple; the arrays are read-only."""
     rows = [[sign if j == i else 0.0 for j in range(dim_total)]
             for i in range(dim_total) for sign in (1.0, -1.0)
             if not (magnitude_slot and i >= 1 and sign < 0)]
@@ -861,7 +863,10 @@ def unit_covectors(dim_total: int, n_dir: int,
         rows += (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
     rows = np.array(rows)
     eta = rows[:, 1:]
-    return rows[:, 0], eta, np.array([np.dot(e, e) for e in eta])
+    out = rows[:, 0], eta, np.array([np.dot(e, e) for e in eta])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _covector_dim(p: BoundaryOperator) -> tuple[int, bool]:

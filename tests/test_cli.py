@@ -509,6 +509,11 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # check/verify/roots of five channel-kind specs, check of three systems
     # specs at two weights and two cutoffs
     assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 * 2
+    # the verify --scan-csv runs: a scalar modes spec, a systems spec, a "no" line
+    scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]
+    assert [name for name, _ in scans] == ["torus_laplacian@400", "2x2_order2",
+                                           "polar_laplacian"]
+    assert all(csv.endswith(".csv") for _, csv in scans)
 
 
 def test_sc_and_cgamma_runs_import_only_numpy_and_click():

@@ -417,6 +417,20 @@ def test_certified_weight_range_brackets_the_tail_certificate(seed, system_size,
     assert tail_bound(nop, w * (1 + 1e-6), mu0).lambda_certified > cutoff
 
 
+def test_non_elliptic_operator_certifies_no_tail():
+    # 2 (r d/dr)^2 + 2 lambda on the circle: the principal symbol vanishes
+    # at xi = |eta|, where its sampled floor is 4.4e-16 of rounding noise,
+    # which once gave s0 = 2.7e15 and a certified range of +-9.9e-16
+    p = drawn_b_operator(2001, 1)
+    assert symbol_min_singular(normal_operator(p)) > 0.0
+    report = fredholm_check(p, 0.3)
+    assert report.verdict == VERDICT_NOT and not report.elliptic.elliptic
+    tail = report.cutoffs["tail"]
+    assert (tail["mu0"], tail["s0"], tail["lambda_certified"]) == (0.0, None, None)
+    assert report.cutoffs["certified_weight_range"] == [0.0, 0.0]
+    assert report.safe_weights == ()
+
+
 # ---------------------------------------------------------------------------
 # sc symbol criterion
 # ---------------------------------------------------------------------------

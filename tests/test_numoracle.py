@@ -360,6 +360,80 @@ def test_batched_winding_counts_fail_one_polynomial_only():
         assert limitops._winding_counts(coeffs, boxes, [0, 0, 1, 1]) == [None, 1, 1, 1]
 
 
+def lapack_contour_counts(coeffs, boxes, n_side):
+    """The reference: `limitops._contour_counts` with every determinant,
+    1 x 1 included, taken by np.linalg.det, as the counter did before it
+    read scalar values directly."""
+    corners = np.array([[x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]
+                        for x0, x1, y0, y1 in boxes])
+    steps = np.roll(corners, -1, axis=1) - corners
+    sides = corners[:, :, None] + steps[:, :, None] * limitops._UNIT_SEGMENTS[n_side]
+    path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
+    vals = np.linalg.det(limitops.matrix_polyval(coeffs, path))
+    absvals = np.abs(vals)
+    scale = absvals.max(axis=1)
+    low = absvals.min(axis=1)
+    unsettled = (scale == 0) | (low < 1e-12 * scale)
+    if n_side < limitops._RESOLUTIONS[-1]:
+        near = ~unsettled & (low < 1e-6 * scale)
+        if near.any():
+            unsettled[near] = low[near] < 1e-6 * np.median(absvals[near], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dargs = np.angle(vals[:, 1:] / vals[:, :-1])
+    total = dargs.sum(axis=1) / (2 * np.pi)
+    k = np.round(total)
+    unsettled |= (np.abs(dargs).max(axis=1) > 1.8) | ~(np.abs(total - k) <= 0.25)
+    return [None if u else int(c) for u, c in zip(unsettled, k)]
+
+
+def test_scalar_contour_counts_match_lapack_determinants():
+    rng = np.random.default_rng(20261019)
+    unit = (0.0, 1.0, 0.0, 1.0)
+    cases = [  # (roots, boxes): a root on a side, on a corner, hugging a side
+        ([0.5 + 0j, 3.0 + 2j], [unit, (2.0, 4.0, 1.0, 3.0)]),
+        ([1.0 + 1j, -2.0 + 0j], [unit, (-3.0, -1.0, -1.0, 1.0)]),
+        ([0.5 + 1e-9j, 0.25 + 0.5j], [unit, (0.0, 0.5, 0.0, 0.75)]),
+        ([0.5 + 1 / 128 + 1e-4j, 2.5 + 0.5j], [unit, (2.0, 3.0, 0.0, 1.0)]),
+    ]
+    for _ in range(40):
+        roots = rng.normal(size=int(rng.integers(1, 9))) * 2 + 2j * rng.normal()
+        lo = rng.uniform(-3.0, 0.0, (4, 2))
+        hi = lo + rng.uniform(0.2, 4.0, (4, 2))
+        cases.append((roots, [(a, c, b, d) for (a, b), (c, d) in zip(lo, hi)]))
+    seen = set()
+    for roots, boxes in cases:
+        row = np.polynomial.polynomial.polyfromroots(roots) * (1 + 2 * rng.random())
+        one = row[:, None, None]
+        per_box = np.repeat(row[:, None], len(boxes), axis=1)[:, :, None, None, None]
+        for n_side in limitops._RESOLUTIONS[:3]:
+            for coeffs in (one, per_box):
+                counts = limitops._contour_counts(coeffs, boxes, n_side)
+                assert counts == lapack_contour_counts(coeffs, boxes, n_side)
+                seen.update(c is None for c in counts)
+    assert seen == {True, False}
+
+
+def test_scalar_determinants_are_read_directly(monkeypatch):
+    det = np.linalg.det
+
+    def refuse_scalars(a):
+        assert np.shape(a)[-1] > 1, "np.linalg.det on a 1 x 1 stack"
+        return det(a)
+
+    row = np.polynomial.polynomial.polyfromroots([0.5 + 1 / 128 + 1e-4j, 2.5 + 0.5j, -1.0])
+    boxes = [(-1.5, -0.5, -0.5, 0.5), (0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
+    stack = np.random.default_rng(3).normal(size=(5, 2, 2))
+    monkeypatch.setattr(np.linalg, "det", refuse_scalars)
+    assert limitops._winding_counts(row[:, None, None], boxes) == [1, 1, 1]
+    assert np.array_equal(limitops._det(stack[:, :1, :1]), stack[:, 0, 0])
+    assert np.array_equal(limitops._det(stack), det(stack))
+    # the oracle's residuals are |P(root)| of the scaled polynomial, exactly
+    monkeypatch.setattr(np.linalg, "det", det)
+    scaled = (row / np.max(np.abs(row)))[:, None, None]
+    for z, _, residual in brute_roots(row):
+        assert residual == abs(limitops.matrix_polyval(scaled, z)[0, 0])
+
+
 # ---------------------------------------------------------------------------
 # half-space sampling
 # ---------------------------------------------------------------------------
@@ -595,6 +669,25 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     assert len(handed) == len(checked.classes()) < len(checked.channels)
     assert [c.tobytes() for c in handed] == \
         [checked.poly(labels[0]).tobytes() for labels in checked.classes()]
+
+
+def test_perturbed_root_fails_only_its_own_channel_of_a_shared_class():
+    p = make_model("cyl_coord_laplacian")
+    report = fredholm_check(p, 0.5, FredholmOptions(mode_cutoff=10.0))
+    fam = family_of(p, report.cutoffs["mode_cutoff"])
+    shared = next(c for c in fam.classes() if len(c) > 2)
+    target = shared[1]
+    i = next(j for j, r in enumerate(report.roots) if r.mode == target)
+    roots = list(report.roots)
+    roots[i] = dataclasses.replace(roots[i], tau=roots[i].tau + 1e-6)
+    ledger = cross_check(p, dataclasses.replace(report, roots=tuple(roots)))
+    failed = [e for e in ledger.entries if e.status == "fail"]
+    assert [e.name for e in failed] == [f"roots[{target}]"]
+    assert "missing from report" in failed[0].detail
+    clean = {e.name: e for e in cross_check(p, report).entries}
+    for e in ledger.entries:
+        if e.name != f"roots[{target}]":
+            assert e == clean[e.name]
 
 
 def test_batched_system_scan_matches_per_point_svd():

@@ -362,6 +362,18 @@ def test_principal_stack_matches_per_covector_loop(name):
                               reference_principal(p, 0.61, x, e))
 
 
+@pytest.mark.parametrize("dim_total,n_dir,mag", [
+    (1, 96, False), (2, 96, True), (2, 720, False), (3, 720, False), (5, 96, False)])
+def test_unit_covectors_are_cached_read_only(dim_total, n_dir, mag):
+    cached = unit_covectors(dim_total, n_dir, mag)
+    assert unit_covectors(dim_total, n_dir, mag) is cached
+    for got, want in zip(cached, unit_covectors.__wrapped__(dim_total, n_dir, mag)):
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[...] = 0.0
+
+
 @pytest.mark.parametrize("name", SYMBOL_OPERATORS)
 def test_is_elliptic_and_symbol_floor_match_per_covector_loop(name):
     p = symbol_operator(name)

@@ -22,7 +22,12 @@ Run it in each checkout and diff the two files.  Each line reads
   cross-section with a double eigenvalue;
 - the JSON `check` output of the three `systems` specs (seed 1) at
   weights -2.5 and 1.5 and mode cutoffs 30 and 1e4, which pin the
-  certified weight range away from the benchmark's weight.
+  certified weight range away from the benchmark's weight;
+- the `verify --scan-csv` files of a scalar `modes` spec and a `systems`
+  spec (seed 1, the benchmark's arguments) and of the built-in
+  `polar_laplacian` at weight 0, whose line verdict "no" also writes the
+  `line-local` scan.  Each file gets its own line, labelled
+  `scan-csv/<spec>/<file>`, with the exit code of its `verify`.
 
 The CLI runs in this process, on the `src/` of the checkout this file is
 in.  A full run takes about 20 s on two cores.
@@ -50,6 +55,9 @@ SEEDS = (1, 2)
 WEIGHTS = ("-0.5", "0", "0.3")
 SYSTEM_WEIGHTS = ("-2.5", "1.5")
 SYSTEM_CUTOFFS = ("30", "1e4")
+# (workload, spec name, weight or None for the benchmark's arguments)
+SCAN_SPECS = (("modes", "torus_laplacian@400", None), ("systems", "2x2_order2", None),
+              ("cli-cold", "polar_laplacian", "0"))
 
 
 def _b_spec(cross: dict, terms: dict) -> dict:
@@ -133,15 +141,40 @@ def runs(workdir: str):
                         "--cutoff", cutoff])
 
 
+def scan_runs(workdir: str):
+    """(spec name, argv, directory) for every `verify --scan-csv` run; the
+    CSV files are the only files in their directory."""
+    for name, spec_name, weight in SCAN_SPECS:
+        spec = next(s for s in workloads.build(name, SEEDS[0]).specs if s.name == spec_name)
+        path = os.path.join(workdir, "scans", f"{spec_name}.json")
+        sub = os.path.join(workdir, "scans", spec_name)
+        os.makedirs(sub)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec.doc, fh, indent=2)
+        args = spec.cli_args(path) if weight is None else [path, "--weight", weight]
+        yield spec_name, ["verify", *args, "--scan-csv", os.path.join(sub, "scan.csv")], sub
+
+
+def _invoke(runner: CliRunner, argv: list[str]):
+    result = runner.invoke(cli_main, argv)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    return result
+
+
 def main() -> int:
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as workdir:
         for label, argv in runs(workdir):
-            result = runner.invoke(cli_main, argv)
-            if result.exception is not None and not isinstance(result.exception, SystemExit):
-                raise result.exception
+            result = _invoke(runner, argv)
             digest = hashlib.sha256(result.stdout_bytes).hexdigest()
             print(f"{digest} {result.exit_code} {label}", flush=True)
+        for spec_name, argv, sub in scan_runs(workdir):
+            result = _invoke(runner, argv)
+            for name in sorted(os.listdir(sub)):
+                with open(os.path.join(sub, name), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{digest} {result.exit_code} scan-csv/{spec_name}/{name}", flush=True)
     return 0
 
 
