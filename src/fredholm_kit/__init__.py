@@ -49,9 +49,7 @@ from .opalg import (
 )
 from .limitops import (
     IndicialFamily,
-    ScSymbol,
     freeze_coefficients,
-    full_symbol,
     indicial_family,
     normal_operator,
 )

@@ -511,6 +511,10 @@ _cutoff = click.option("--cutoff", type=float, default=None,
                        help="Cross-section mode cutoff (default: "
                             "10 * max coefficient * order^2, raised if the "
                             "tail certificate needs more).")
+_tau_range = click.option("--tau-range", nargs=2, type=float, default=(-10.0, 10.0),
+                          show_default=True, help="Line scan window of the oracle (verify).")
+_pts = click.option("--pts", type=int, default=2001, show_default=True,
+                    help="Line scan points of the oracle (verify).")
 _fmt = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                     default="text", show_default=True)
 _out = click.option("--out", type=click.Path(), default=None,
@@ -521,10 +525,8 @@ _out = click.option("--out", type=click.Path(), default=None,
 @_spec_argument
 @_weight
 @_cutoff
-@click.option("--tau-range", nargs=2, type=float, default=(-10.0, 10.0),
-              show_default=True, help="Line scan window (used by verify).")
-@click.option("--pts", type=int, default=2001, show_default=True,
-              help="Line scan points (used by verify).")
+@_tau_range
+@_pts
 @_fmt
 @_out
 def check(spec_path, weight, cutoff, tau_range, pts, fmt, out):
@@ -540,9 +542,8 @@ def check(spec_path, weight, cutoff, tau_range, pts, fmt, out):
 @_spec_argument
 @_weight
 @_cutoff
-@click.option("--tau-range", nargs=2, type=float, default=(-10.0, 10.0),
-              show_default=True)
-@click.option("--pts", type=int, default=2001, show_default=True)
+@_tau_range
+@_pts
 @_fmt
 @_out
 @click.option("--scan-csv", type=click.Path(), default=None,

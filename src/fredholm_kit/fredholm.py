@@ -19,10 +19,8 @@ from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
-    ScSymbol,
     _winding_counts,
     freeze_coefficients,
-    full_symbol,
     indicial_family,
     newton_correction,
     normal_operator,
@@ -33,12 +31,12 @@ from .opalg import (
     FLOOR_DIRECTIONS,
     BoundaryOperator,
     EllipticityResult,
-    _min_singular,
+    _covector_dim,
+    _symbol_stack,
     _value_norm,
     default_mode_cutoff,
     is_elliptic,
     symbol_min_singular,
-    unit_covectors,
 )
 
 _ROOT_CLUSTER_TOL = 1e-7
@@ -424,78 +422,84 @@ class ScVerdict:
         }
 
 
-def _sc_axes(sym: ScSymbol, radius: float, n_axis: int) -> list[np.ndarray]:
+def _sc_axes(frozen: BoundaryOperator, radius: float, n_axis: int) -> list[np.ndarray]:
+    dim_total, magnitude_slot = _covector_dim(frozen)
     axes = [np.linspace(-radius, radius, n_axis)]
-    for _ in range(sym.covector_dim - 1):
-        if sym.magnitude_slot:
+    for _ in range(dim_total - 1):
+        if magnitude_slot:
             axes.append(np.linspace(0.0, radius, (n_axis + 1) // 2))
         else:
             axes.append(np.linspace(-radius, radius, n_axis))
     return axes
 
 
-def _sc_eval_grid(sym: ScSymbol, axes: list[np.ndarray]):
+def _sc_eval_grid(frozen: BoundaryOperator, axes: list[np.ndarray]):
     pts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     eta = pts[:, 1:]
     eta2 = sum((e * e for e in eta.T), np.zeros(pts.shape[0]))
-    vals = sym.stack(pts[:, 0], eta, eta2)
-    dets = np.abs(vals if sym.system_size == 1 else np.linalg.det(vals))
+    vals = _symbol_stack(frozen, 0.0, pts[:, 0], eta, eta2, principal=False)
+    dets = np.abs(vals if frozen.system_size == 1 else np.linalg.det(vals))
     idx = int(np.argmin(dets))
     return float(dets[idx]), tuple(float(x) for x in pts[idx])
 
 
-def _sc_scan(sym: ScSymbol, radius: float, n_axis: int, zooms: int):
-    axes = _sc_axes(sym, radius, n_axis)
-    best, point = _sc_eval_grid(sym, axes)
+def _sc_scan(frozen: BoundaryOperator, radius: float, n_axis: int, zooms: int):
+    magnitude_slot = _covector_dim(frozen)[1]
+    axes = _sc_axes(frozen, radius, n_axis)
+    best, point = _sc_eval_grid(frozen, axes)
     width = 2 * radius / max(1, n_axis - 1)
     for _ in range(zooms):
         zoom_axes = []
         for d, x in enumerate(point):
-            lo_lim = 0.0 if (sym.magnitude_slot and d > 0) else -radius
+            lo_lim = 0.0 if (magnitude_slot and d > 0) else -radius
             a = max(lo_lim, x - 2 * width)
             b = min(radius, x + 2 * width)
             zoom_axes.append(np.linspace(a, b, 33))
-        v, p = _sc_eval_grid(sym, zoom_axes)
+        v, p = _sc_eval_grid(frozen, zoom_axes)
         if v < best:
             best, point = v, p
         width = (zoom_axes[0][-1] - zoom_axes[0][0]) / 32
     return best, point
 
 
-def sc_invertible(sym: ScSymbol, n_axis: int | None = None,
+def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
                   zooms: int = 8) -> ScVerdict:
-    """Invertibility of a constant-coefficient symbol on the abelian
-    tangent group, such as `full_symbol(freeze_coefficients(p))` of an sc
-    or c_gamma operator.
+    """Invertibility of the limit operator of an sc or c_gamma operator p
+    at a boundary point: the full symbol of the frozen operator
+    `frozen = freeze_coefficients(p)` on the abelian tangent group, a
+    constant-coefficient polynomial in the covector (`_symbol_stack` with
+    principal=False).  Coefficient polynomials q(lambda) act on
+    cross-section modes and have no pointwise value there; they raise.
 
     |det| of the full symbol is evaluated on a grid over the box
     |xi_j| <= R, where R is the radius beyond which the principal symbol
-    floor keeps |det| above _SC_THRESHOLD.  Each of `zooms` rounds
-    re-grids a box of four grid steps around the running minimum with 33
-    points per axis, so the step shrinks eightfold per round.  The scan
-    runs at two base resolutions; the status is "no" when the minimum is
-    at most _SC_THRESHOLD, "yes" above it, and "undecided" when the two
-    resolutions disagree."""
-    k = sym.system_size
-    xi, eta, eta2 = unit_covectors(sym.covector_dim, FLOOR_DIRECTIONS, sym.magnitude_slot)
-    mu0 = _min_singular(sym.stack(xi, eta, eta2, principal=True))
+    floor (`symbol_min_singular`) keeps |det| above _SC_THRESHOLD against
+    the lower-order coefficient norms (`_envelope_pieces` at delta = 0).
+    Each of `zooms` rounds re-grids a box of four grid steps around the
+    running minimum with 33 points per axis, so the step shrinks eightfold
+    per round.  The scan runs at two base resolutions; the status is "no"
+    when the minimum is at most _SC_THRESHOLD, "yes" above it, and
+    "undecided" when the two resolutions disagree."""
+    if any(ct.lam_degree for _, co in frozen.terms for ct in co.terms):
+        raise FredholmKitError(
+            "mode-diagonal coefficient polynomials have no pointwise "
+            "boundary value; pre-discretize via a generic cross-section")
+    k = frozen.system_size
+    mu0 = symbol_min_singular(frozen)
     if mu0 <= 1e-12:
         return ScVerdict("undecided", math.nan, None, math.nan, ())
-    thr_sigma = _SC_THRESHOLD ** (1.0 / k)
-    norms = sym.coefficient_norms_by_degree()
-    coeffs = np.zeros(sym.order + 1)
-    coeffs[sym.order] = mu0
-    for d, w in norms.items():
-        if d < sym.order:
-            coeffs[d] -= w
-    coeffs[0] -= thr_sigma
+    coeffs = np.zeros(frozen.order + 1)
+    coeffs[frozen.order] = mu0
+    for d, w in _collect(_envelope_pieces(frozen), 0.0).items():
+        coeffs[d] -= w
+    coeffs[0] -= _SC_THRESHOLD ** (1.0 / k)
     radius = max(1.0, _positive_root(coeffs) * 1.01)
     if n_axis is None:
-        n_axis = {1: 4001, 2: 201, 3: 61}.get(sym.covector_dim, 21)
+        n_axis = {1: 4001, 2: 201, 3: 61}.get(_covector_dim(frozen)[0], 21)
     resolutions = []
     final = None
     for n in (max(5, (2 * n_axis) // 3) | 1, n_axis | 1):
-        v, p = _sc_scan(sym, radius, n, zooms)
+        v, p = _sc_scan(frozen, radius, n, zooms)
         status = "yes" if v > _SC_THRESHOLD else "no"
         resolutions.append((n, v, status))
         final = (v, p, status)
@@ -722,7 +726,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
                        "are numerical evidence, not a criterion")
     else:  # sc and c_gamma
         mechanism, evidence_only = _SYMBOL_LIMITS[kind]
-        sv = sc_invertible(full_symbol(freeze_coefficients(p)))
+        sv = sc_invertible(freeze_coefficients(p))
         limit_verdicts.append(LimitVerdict(
             "point:x0", mechanism,
             "numerical-evidence" if evidence_only or sv.status == "undecided" else sv.status,

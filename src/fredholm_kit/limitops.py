@@ -1,18 +1,19 @@
-"""Limit operators at the boundary: frozen coefficients, indicial families
-and full symbols.  Each kind of end has its own plain object, and every
-one starts from `freeze_coefficients`.
+"""Limit operators at the boundary: frozen coefficients and indicial
+families.  Every limit operator is the frozen `BoundaryOperator` that
+`freeze_coefficients` returns, read in the frame of its end.
 
-For the b frame the limit operator is the normal operator, the frozen
-`BoundaryOperator` that `normal_operator` returns; it is translation
-invariant on the cylinder, and its Fourier transform in t is the indicial
-family, one polynomial in tau per row of the `crosssec.channels` table,
-held as one coefficient array.  For the sc frame (and
-the rescaled c_gamma frames, whose isotropy is likewise abelian) the limit
-operator at a boundary point is the constant-coefficient full symbol
-`full_symbol(freeze_coefficients(p))` on the tangent group.  For the zero
-frame it is the frozen operator itself, read in the half-space frame
-{s d/ds, s d/dw_j}; no closed-form invertibility criterion is implemented
-for it, only numerical sampling (`numoracle.half_space_sample`).
+For the b frame it is the normal operator (`normal_operator`); it is
+translation invariant on the cylinder, and its Fourier transform in t is
+the indicial family, one polynomial in tau per row of the
+`crosssec.channels` table, held as one coefficient array.  For the sc
+frame (and the rescaled c_gamma frames, whose isotropy is likewise
+abelian) the frozen operator acts on the tangent group, and its Fourier
+transform there is its full symbol, a constant-coefficient polynomial in
+the covector; `fredholm.sc_invertible` scans it through the same term
+walker as the principal symbol (`opalg._symbol_stack`).  For the zero
+frame it is read in the half-space frame {s d/ds, s d/dw_j}; no
+closed-form invertibility criterion is implemented for it, only
+numerical sampling (`numoracle.half_space_sample`).
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ from .liestruct import FredholmKitError, StructureKind, _nu_key
 from .opalg import (
     BoundaryOperator,
     Coefficient,
-    MultiIndex,
     _cmul,
-    _covector_dim,
     _is_matrix,
-    _value_norm,
-    symbol_monomial,
-    symbol_stack,
+    _mode_factor,
 )
 
 
@@ -292,43 +289,6 @@ class IndicialFamily:
         return replace(self, coeffs=out)
 
 
-def _cpow(x: np.ndarray, n: int) -> np.ndarray:
-    """x ** n for an integer n >= 1 by CPython's binary powering of a
-    complex (c_powu), product for product."""
-    out = np.ones_like(x)
-    mask = 1
-    while mask <= n:
-        if n & mask:
-            out = _cmul(out, x)
-        mask <<= 1
-        x = _cmul(x, x)
-    return out
-
-
-def _mode_factors(mi: MultiIndex, chans: ChannelTable) -> list[np.ndarray]:
-    """The Laplacian power and the tangential partials of one multi-index
-    on every channel, as float or complex arrays to multiply in turn."""
-    lams = chans.eigenvalues.tolist()  # Python floats: CPython float powers
-    out = []
-    if mi.laplacian:
-        out.append(np.array([(-lam) ** mi.laplacian for lam in lams]))
-    if any(mi.cross):
-        factor = np.ones(len(chans), dtype=complex)
-        for j, p in enumerate(mi.cross):
-            if not p:
-                continue
-            if chans.vectors is not None:
-                factor = _cmul(factor, _cpow(_cmul(1j, chans.vectors[:, j].astype(float)), p))
-            elif p % 2 == 0 and len(mi.cross) == 1:
-                h = p // 2
-                factor = _cmul(factor, (-1.0) ** h * np.array([lam ** h for lam in lams]))
-            else:
-                raise FredholmKitError(
-                    "explicit tangential partials need signed mode channels")
-        out.append(factor)
-    return out
-
-
 def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     """Fourier transform of the normal operator `base` (as `normal_operator`
     returns it) in the cylinder direction: per mode of eigenvalue lambda,
@@ -344,12 +304,10 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     and frequency arrays of the channel table, each added into
     coeffs[:, radial] in term order.  Every coefficient equals, bit for
     bit, the one a channel-by-channel Python loop gives: the factor
-    q(lambda) (-lambda)^l (partials) i^radial is multiplied up in that
-    order by CPython's complex product (`_cmul`); the Laplacian
-    and unsigned even-partial powers are CPython float powers, element by
-    element; the signed partials (i v)^p use CPython's binary powering
-    (`_cpow`); and only the product of the factor with a matrix value is
-    numpy's, as it was in the loop.
+    q(lambda) (-lambda)^l (partials) of `opalg._mode_factor`, the same
+    one `BoundaryOperator.apply` uses, times i^radial by CPython's complex
+    product (`_cmul`); only the product of the factor with a matrix value
+    is numpy's, as it was in the loop.
     """
     chans = base.mode_channels(table)
     k = base.system_size
@@ -361,76 +319,12 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     coeffs = np.zeros((len(chans), deg + 1, k, k), dtype=complex)
     eye = np.eye(k)
     for mi, co in base.terms:
-        mode = _mode_factors(mi, chans)
         for ct in co.terms:
-            if ct.lam_poly is None:
-                factor = np.ones(len(chans), dtype=complex)
-            else:  # Horner, as CoeffTerm.lam_value
-                factor = np.zeros(len(chans), dtype=complex)
-                for c in reversed(ct.lam_poly):
-                    factor = _cmul(factor, chans.eigenvalues) + c
-            for f in mode:
-                factor = _cmul(factor, f)
-            factor = _cmul(factor, 1j ** mi.radial)
+            factor = _cmul(_mode_factor(ct.lam_poly, mi.cross, mi.laplacian, chans),
+                           1j ** mi.radial)
             if _is_matrix(ct.value):
                 coeffs[:, mi.radial] += factor[:, None, None] * ct.value
             else:
                 coeffs[:, mi.radial] += _cmul(factor, ct.value)[:, None, None] * eye
     return IndicialFamily(chans, coeffs, table.cutoff, k,
                           base.structure.kind, warning)
-
-
-@dataclass(frozen=True)
-class ScSymbol:
-    """Constant-coefficient full symbol on the abelian tangent group
-    R x T_x(dM): a polynomial in (xi, eta)."""
-
-    terms: tuple[tuple[MultiIndex, complex | np.ndarray], ...]
-    system_size: int
-    order: int
-    covector_dim: int
-    magnitude_slot: bool
-
-    def stack(self, xi: np.ndarray, eta: np.ndarray, eta2: np.ndarray,
-              principal: bool = False) -> np.ndarray:
-        """The symbol (or its principal part, the terms of top order) at n
-        covectors, as an opalg.symbol_stack."""
-        pieces = ((symbol_monomial(mi, xi, eta, eta2), value)
-                  for mi, value in self.terms
-                  if not principal or mi.total == self.order)
-        return symbol_stack(pieces, self.system_size, xi.shape[0])
-
-    def eval(self, xi: float, eta=()) -> complex | np.ndarray:
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        v = self.stack(np.array([xi], dtype=float), eta[None, :],
-                       np.array([np.dot(eta, eta)]))[0]
-        return v if self.system_size > 1 else complex(v)
-
-    def det_at(self, xi: float, eta=()) -> complex:
-        v = self.eval(xi, eta)
-        return complex(np.linalg.det(v)) if _is_matrix(v) else complex(v)
-
-    def coefficient_norms_by_degree(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for mi, value in self.terms:
-            out[mi.total] = out.get(mi.total, 0.0) + _value_norm(value)
-        return out
-
-
-def full_symbol(frozen: BoundaryOperator) -> ScSymbol:
-    """Full Fourier symbol of a frozen operator on the abelian tangent
-    group: frame radial derivative -> i xi, frame tangential -> i eta_j,
-    Laplacian powers -> -|eta|^2."""
-    terms = []
-    for mi, co in frozen.terms:
-        for ct in co.terms:
-            if _nu_key(ct.nu) != 0.0:
-                raise FredholmKitError("full symbols need frozen coefficients")
-            if ct.lam_degree:
-                raise FredholmKitError(
-                    "mode-diagonal coefficient polynomials have no pointwise "
-                    "boundary value; pre-discretize via a generic cross-section")
-            terms.append((mi, ct.value))
-    d, mag = _covector_dim(frozen)
-    return ScSymbol(tuple(terms), frozen.system_size, frozen.order, d, mag)
-

@@ -56,14 +56,13 @@ from .limitops import (
     _det,
     _winding_counts,
     freeze_coefficients,
-    full_symbol,
     indicial_family,
     matrix_polyval,
     newton_correction,
     normal_operator,
     root_boxes,
 )
-from .opalg import BoundaryOperator, MultiIndex, _is_matrix, symbol_monomial
+from .opalg import BoundaryOperator, MultiIndex, _is_matrix, _symbol_stack, symbol_monomial
 
 _YES_FLOOR = 1e-4   # scan minima above this confirm "yes"
 _NO_CEILING = 1e-6  # scan minima below this confirm "no"
@@ -91,10 +90,13 @@ class ScanResult:
     caveat: str | None = None
 
     def __post_init__(self):
-        if any(v < 0 for v in self.min_singular):
+        if not self.min_singular:
+            return
+        # one reduction; a NaN sample makes the minimum NaN, equal to no global_min
+        low = np.fromiter(self.min_singular, float, len(self.min_singular)).min()
+        if low < 0:
             raise ValueError("singular values are nonnegative")
-        if self.min_singular and not math.isclose(
-                self.global_min, min(self.min_singular), rel_tol=0, abs_tol=0):
+        if not low == self.global_min:
             raise ValueError("global_min must be the minimum of the samples")
 
     def argmin_label(self) -> str:
@@ -526,8 +528,9 @@ def _match_roots(brute, reported):
 def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     """Re-derive every verdict in a report with independent machinery:
     roots re-found by Aberth iteration on the true matrix polynomial and
-    confirmed by winding counts, line scans for yes/no verdicts, symbol
-    re-evaluation at witnesses.  Any mismatch fails the ledger with the
+    confirmed by winding counts, line scans for yes/no verdicts, a symbol
+    rescan and |det| of the full symbol at the report's own witness
+    covector.  Any mismatch fails the ledger with the
     first discrepancy spelled out.
 
     The roots of every nonzero class polynomial come from one call of
@@ -621,12 +624,12 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
                         f"witness drops below {_NO_CEILING:g} "
                         f"(local min {local.global_min:.3e})"))
     elif kind in (StructureKind.SC, StructureKind.C_GAMMA):
-        sym = full_symbol(freeze_coefficients(p))
+        frozen = freeze_coefficients(p)
         lv = report.limit_verdicts[0] if report.limit_verdicts else None
         if lv is None:
             entries.append(LedgerEntry("symbol", "fail", "no limit verdict recorded"))
         else:
-            redo = sc_invertible(sym, zooms=9)
+            redo = sc_invertible(frozen, zooms=9)
             reported_status = lv.status
             if reported_status == "numerical-evidence":
                 reported_status = lv.detail.get("status", reported_status)
@@ -639,8 +642,13 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
                 entries.append(LedgerEntry(
                     "symbol", "fail",
                     f"rescan says {redo.status}, report says {reported_status}"))
-            if lv.witness and redo.witness is not None:
-                v = abs(sym.det_at(redo.witness[0], redo.witness[1:]))
+            if lv.witness:
+                # the report's own witness, not the rescan's
+                xi, *eta = lv.witness["covector"]
+                eta = np.array(eta, dtype=float)
+                sym = _symbol_stack(frozen, 0.0, np.array([float(xi)]), eta[None, :],
+                                    np.array([np.dot(eta, eta)]), principal=False)
+                v = abs(complex((sym if sym.ndim == 1 else np.linalg.det(sym))[0]))
                 status = "pass" if v < _NO_CEILING else "fail"
                 entries.append(LedgerEntry(
                     "symbol-witness", status,

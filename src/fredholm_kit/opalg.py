@@ -20,9 +20,15 @@ coefficient freezing are exact on monomial coefficients.
 
 Symbols are built in one place: `symbol_monomial` evaluates
 (i xi)^a (-|eta|^2)^l prod_j (i eta_j)^p_j for a stack of covectors and
-`symbol_stack` sums factor * value over the terms.  The principal symbol
-and the ellipticity scans here, the full sc symbol (`limitops.ScSymbol`)
-and the half-space diagonal (`numoracle`) all go through them.
+`symbol_stack` sums factor * value over the terms.  One term walker,
+`_symbol_stack`, feeds them the principal symbol (the ellipticity scans
+and symbol floors here) and the full symbol of a frozen operator (the sc
+and c_gamma limit operator, `fredholm.sc_invertible`); the half-space
+diagonal (`numoracle`) goes through `symbol_monomial` as well.  Mode
+actions are built in one place too: `_mode_factor` gives q(lambda), the
+Laplacian powers and the tangential partials on every channel of a
+table, for `apply` and for the indicial family
+(`limitops.indicial_family`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .crosssec import ChannelTable, CrossKind, CrossSection, ModeTable, channels
+from .crosssec import ChannelTable, CrossSection, ModeTable, channels
 from .liestruct import (
     FredholmKitError,
     LieStructure,
@@ -594,24 +600,51 @@ class RadialGrid:
         return 2j * np.pi * np.fft.fftfreq(self.n, d=self.dt)
 
 
-def cross_partial_factor(cross: tuple[int, ...], lam: float, vector) -> complex:
-    """Mode action of explicit tangential partials d/dy^cross on a channel
-    of eigenvalue lam and signed lattice frequencies vector (ints).
+def _cpow(x: np.ndarray, n: int) -> np.ndarray:
+    """x ** n for an integer n >= 1 by CPython's binary powering of a
+    complex (c_powu), product for product."""
+    out = np.ones_like(x)
+    mask = 1
+    while mask <= n:
+        if n & mask:
+            out = _cmul(out, x)
+        mask <<= 1
+        x = _cmul(x, x)
+    return out
 
-    Signed channels use the lattice frequencies; unsigned circle channels
-    (vector None) admit even powers through lambda = k^2.
-    """
-    factor = 1.0 + 0j
-    for j, p in enumerate(cross):
-        if not p:
-            continue
-        if vector is not None:
-            factor *= (1j * vector[j]) ** p
-        elif p % 2 == 0 and len(cross) == 1:
-            factor *= (-1.0) ** (p // 2) * lam ** (p // 2)
-        else:
-            raise FredholmKitError(
-                "explicit tangential partials need signed mode channels")
+
+def _mode_factor(lam_poly, cross: tuple[int, ...], laplacian: int,
+                 chans: ChannelTable) -> np.ndarray:
+    """q(lambda) (-lambda)^laplacian (d/dy^cross) on every channel, one
+    complex array, multiplied up in that order by CPython's complex product
+    (`_cmul`).  q(lambda) is a Horner pass as `CoeffTerm.lam_value`; the
+    Laplacian and unsigned even-partial powers are CPython float powers,
+    element by element; signed partials (i v)^p use CPython's binary
+    powering (`_cpow`).  Unsigned circle channels admit even partials
+    through lambda = k^2 only."""
+    lams = chans.eigenvalues.tolist()  # Python floats: CPython float powers
+    if lam_poly is None:
+        factor = np.ones(len(chans), dtype=complex)
+    else:
+        factor = np.zeros(len(chans), dtype=complex)
+        for c in reversed(lam_poly):
+            factor = _cmul(factor, chans.eigenvalues) + c
+    if laplacian:
+        factor = _cmul(factor, np.array([(-lam) ** laplacian for lam in lams]))
+    if any(cross):
+        partials = np.ones(len(chans), dtype=complex)
+        for j, p in enumerate(cross):
+            if not p:
+                continue
+            if chans.vectors is not None:
+                partials = _cmul(partials, _cpow(_cmul(1j, chans.vectors[:, j].astype(float)), p))
+            elif p % 2 == 0 and len(cross) == 1:
+                h = p // 2
+                partials = _cmul(partials, (-1.0) ** h * np.array([lam ** h for lam in lams]))
+            else:
+                raise FredholmKitError(
+                    "explicit tangential partials need signed mode channels")
+        factor = _cmul(factor, partials)
     return factor
 
 
@@ -631,33 +664,12 @@ def _apply_bterms(bterms, k, chans, grid: RadialGrid, u: np.ndarray) -> np.ndarr
         raise ValueError("sample array does not match system size or grid")
     spectra = np.fft.fft(u, axis=-1)
     out = np.zeros_like(u)
-    # Python floats and ints, so that each channel's factor is CPython's
-    lams = chans.eigenvalues.tolist()
-    vectors = [None] * len(lams) if chans.vectors is None else chans.vectors.tolist()
     for bt in bterms:
-        if bt.t:
-            w = np.fft.ifft(spectra * grid.ik ** bt.t, axis=-1)
-        else:
-            w = u.copy()
+        w = np.fft.ifft(spectra * grid.ik ** bt.t, axis=-1) if bt.t else u
         if bt.nu:
-            w *= np.exp(bt.nu * grid.t)
-        for ci, (lam, vector) in enumerate(zip(lams, vectors)):
-            factor = 1.0 + 0j
-            if bt.lap:
-                factor *= (-lam) ** bt.lap
-            if any(bt.cross):
-                factor *= cross_partial_factor(bt.cross, lam, vector)
-            if bt.lam_poly is not None:
-                acc = 0j
-                for c in reversed(bt.lam_poly):
-                    acc = acc * lam + c
-                factor *= acc
-            if factor == 0:
-                continue
-            if _is_matrix(bt.value):
-                out[ci] += bt.value @ (factor * w[ci])
-            else:
-                out[ci] += bt.value * factor * w[ci]
+            w = w * np.exp(bt.nu * grid.t)
+        w = _mode_factor(bt.lam_poly, bt.cross, bt.lap, chans)[:, None, None] * w
+        out += bt.value @ w if _is_matrix(bt.value) else bt.value * w
     return out[:, 0, :] if flat else out
 
 
@@ -807,13 +819,16 @@ def symbol_stack(pieces, k: int, n: int) -> np.ndarray:
     return acc[:, 0, 0] if k == 1 else acc
 
 
-def _principal_stack(p: BoundaryOperator, r: float, xi: np.ndarray,
-                     eta: np.ndarray, eta2: np.ndarray) -> np.ndarray:
-    """sigma_m(P) at radius r for n covectors, as a symbol_stack."""
+def _symbol_stack(p: BoundaryOperator, r: float, xi: np.ndarray, eta: np.ndarray,
+                  eta2: np.ndarray, principal: bool = True) -> np.ndarray:
+    """sigma_m(P) at radius r for n covectors, as a symbol_stack.  With
+    principal=False every term counts: the full symbol, which for a frozen
+    operator without q(lambda) coefficients at r = 0 is the limit operator
+    at an sc or c_gamma end."""
     pieces = []
     for mi, co in p.terms:
         for ct in co.terms:
-            if mi.total + 2 * ct.lam_degree != p.order:
+            if principal and mi.total + 2 * ct.lam_degree != p.order:
                 continue
             factor = symbol_monomial(mi, xi, eta, eta2)
             if ct.lam_degree:
@@ -826,8 +841,8 @@ def principal_symbol(p: BoundaryOperator, r: float, xi: float, eta=()):
     """sigma_m(P) at radius r and covector (xi, eta) in the frame-rescaled
     cotangent variables; Laplacian powers contribute -|eta|^2 per power."""
     eta = _eta_vector(p, eta)
-    sym = _principal_stack(p, r, np.array([xi], dtype=float), eta[None, :],
-                           np.array([np.dot(eta, eta)]))[0]
+    sym = _symbol_stack(p, r, np.array([xi], dtype=float), eta[None, :],
+                        np.array([np.dot(eta, eta)]))[0]
     return sym if p.system_size > 1 else complex(sym)
 
 
@@ -920,7 +935,7 @@ def is_elliptic(p: BoundaryOperator) -> EllipticityResult:
     rs = np.linspace(0.0, _ELLIPTIC_R_MAX, _ELLIPTIC_RADII)
     absdet = np.empty((_ELLIPTIC_RADII, xi.shape[0]))
     for row, r in zip(absdet, rs):
-        sym = _principal_stack(p, r, xi, eta, eta2)
+        sym = _symbol_stack(p, r, xi, eta, eta2)
         det = sym if sym.ndim == 1 else np.linalg.det(sym)
         row[:] = np.hypot(det.real, det.imag)  # abs() of a Python complex
     i, j = np.unravel_index(np.argmin(absdet), absdet.shape)
@@ -935,7 +950,7 @@ def symbol_min_singular(p: BoundaryOperator, r: float = 0.0,
     """min over unit covectors of the smallest singular value of sigma_m
     at the given radius (used for quantitative tail bounds)."""
     dim_total, mag = _covector_dim(p)
-    return _min_singular(_principal_stack(p, r, *unit_covectors(dim_total, n_dir, mag)))
+    return _min_singular(_symbol_stack(p, r, *unit_covectors(dim_total, n_dir, mag)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fredholm_kit import (
     CoeffTerm,
     Coefficient,
     CrossSection,
+    FredholmKitError,
     LieStructure,
     MultiIndex,
     make_operator,
@@ -31,6 +32,26 @@ def windowed_trig(rng, t, a, b, max_freq=3, tau=0.25):
     for k in range(max_freq + 1):
         g = g + rng.normal() * np.cos(k * t) + rng.normal() * np.sin(k * t)
     return smooth_window(t, a, b, tau) * g
+
+
+def cross_partial_factor(cross, lam, vector):
+    """Mode action of the tangential partials d/dy^cross on one channel of
+    eigenvalue lam and signed lattice frequencies vector (ints, or None for
+    an unsigned circle channel, which admits even powers through
+    lambda = k^2), in CPython complex arithmetic: the per-channel
+    reference for the array-wide mode factors."""
+    factor = 1.0 + 0j
+    for j, p in enumerate(cross):
+        if not p:
+            continue
+        if vector is not None:
+            factor *= (1j * vector[j]) ** p
+        elif p % 2 == 0 and len(cross) == 1:
+            factor *= (-1.0) ** (p // 2) * lam ** (p // 2)
+        else:
+            raise FredholmKitError(
+                "explicit tangential partials need signed mode channels")
+    return factor
 
 
 def gaussian_packet(rho, center, width, freq):

@@ -28,7 +28,6 @@ from fredholm_kit import (
     cross_check,
     fredholm_check,
     freeze_coefficients,
-    full_symbol,
     indicial_family,
     indicial_roots,
     isotropy,
@@ -227,9 +226,8 @@ def test_07_structure_constants():
 
 
 def test_08_sc_symbol_criterion():
-    flat = full_symbol(freeze_coefficients(make_model("sc_laplacian", cross_dim=2)))
-    down = full_symbol(freeze_coefficients(
-        make_model("sc_laplacian", cross_dim=2, shift=-1.0)))
+    flat = freeze_coefficients(make_model("sc_laplacian", cross_dim=2))
+    down = freeze_coefficients(make_model("sc_laplacian", cross_dim=2, shift=-1.0))
     for n_axis in (101, 201):
         v_flat = sc_invertible(flat, n_axis=n_axis)
         assert v_flat.status == "no"

@@ -506,9 +506,10 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     labels = [label for label, _argv in digest.runs(str(tmp_path))]
     # 172 check/verify reports, roots/normal/transform of the seven built-ins
     # in two formats, bracket-table of four structures in two formats,
-    # check/verify/roots of five channel-kind specs, check of three systems
-    # specs at two weights and two cutoffs
-    assert len(labels) == len(set(labels)) == 172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 * 2
+    # check/verify/roots of five channel-kind specs, check/verify of three sc
+    # specs, check of three systems specs at two weights and two cutoffs
+    assert len(labels) == len(set(labels)) == \
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2
     # the verify --scan-csv runs: a scalar modes spec, a systems spec, a "no" line
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]
     assert [name for name, _ in scans] == ["torus_laplacian@400", "2x2_order2",
@@ -644,6 +645,20 @@ def test_transform_command(tmp_path, runner):
     sc = write(tmp_path, "sc.json", {
         "schema": SCHEMA, "model": "sc_laplacian", "params": {"cross_dim": 1}})
     assert runner.invoke(main, ["transform", sc]).exit_code == 3
+
+
+def test_sc_check_rejects_mode_diagonal_coefficients(tmp_path, runner):
+    # q(lambda) acts on cross-section modes: the sc full symbol has no value for it
+    spec = write(tmp_path, "sc.json", {
+        "schema": SCHEMA, "structure": {"kind": "sc"}, "cross_section": {"kind": "circle"},
+        "order": 2, "terms": [
+            {"alpha": [2], "coefficient": [{"nu": 0, "value": 1.0}]},
+            {"alpha": [0], "coefficient": [{"nu": 0, "value": 1.0, "cross_dependence":
+                                            {"laplacian_poly": [0.0, 1.0]}}]}]})
+    for command in ("check", "verify"):
+        res = runner.invoke(main, [command, spec])
+        assert res.exit_code == 3, res.output
+        assert res.stdout == "" and "mode-diagonal" in res.stderr
 
 
 def test_bracket_table_zero_structure(runner):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from fredholm_kit import (
     ChannelTable,
+    CoeffTerm,
     Coefficient,
     CrossSection,
     FredholmKitError,
@@ -25,7 +26,6 @@ from fredholm_kit import (
     builtin_suite,
     conjugate,
     fredholm_check,
-    full_symbol,
     indicial_family,
     indicial_roots,
     make_model,
@@ -40,7 +40,17 @@ from fredholm_kit import (
 from fredholm_kit import fredholm
 from fredholm_kit.fredholm import certified_weight_range
 from fredholm_kit.limitops import freeze_coefficients
-from fredholm_kit.opalg import symbol_min_singular
+from fredholm_kit.opalg import (
+    FLOOR_DIRECTIONS,
+    _covector_dim,
+    _min_singular,
+    _symbol_stack,
+    _value_norm,
+    symbol_min_singular,
+    symbol_monomial,
+    symbol_stack,
+    unit_covectors,
+)
 from conftest import (
     JORDAN_SHIFTS,
     LARGE_SHIFTS,
@@ -437,32 +447,31 @@ def test_non_elliptic_operator_certifies_no_tail():
 
 
 def test_sc_flat_laplacian_not_invertible_at_origin():
-    v = sc_invertible(full_symbol(freeze_coefficients(
-        make_model("sc_laplacian", cross_dim=2))))
+    v = sc_invertible(freeze_coefficients(
+        make_model("sc_laplacian", cross_dim=2)))
     assert v.status == "no"
     assert np.allclose(v.witness, 0.0, atol=1e-12)
 
 
 def test_sc_shifted_down_is_invertible():
-    v = sc_invertible(full_symbol(freeze_coefficients(
-        make_model("sc_laplacian", cross_dim=2, shift=-1.0))))
+    v = sc_invertible(freeze_coefficients(
+        make_model("sc_laplacian", cross_dim=2, shift=-1.0)))
     assert v.status == "yes"
     assert v.min_abs_det > 0.9
 
 
 def test_sc_shifted_up_vanishes_on_sphere():
-    v = sc_invertible(full_symbol(freeze_coefficients(
-        make_model("sc_laplacian", cross_dim=2, shift=1.0))))
+    v = sc_invertible(freeze_coefficients(
+        make_model("sc_laplacian", cross_dim=2, shift=1.0)))
     assert v.status == "no"
     assert np.hypot(*v.witness) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_sc_verdicts_stable_under_refinement():
     for shift, expected in ((-1.0, "yes"), (0.0, "no"), (1.0, "no")):
-        sym = full_symbol(freeze_coefficients(
-            make_model("sc_laplacian", cross_dim=2, shift=shift)))
+        frozen = freeze_coefficients(make_model("sc_laplacian", cross_dim=2, shift=shift))
         for n_axis in (101, 201):
-            v = sc_invertible(sym, n_axis=n_axis)
+            v = sc_invertible(frozen, n_axis=n_axis)
             assert v.status == expected
             assert all(s == expected for _, _, s in v.resolutions)
 
@@ -471,25 +480,27 @@ def test_sc_non_elliptic_input_undecided():
     sc = LieStructure.sc(1)
     degenerate = make_operator(sc, CIRCLE, {
         MultiIndex(2): 1.0, MultiIndex(0, (), 1): -1.0})
-    v = sc_invertible(full_symbol(freeze_coefficients(degenerate)))
+    v = sc_invertible(freeze_coefficients(degenerate))
     assert v.status == "undecided"
 
 
-def reference_full_symbol(sym, xi, eta, eta2):
-    """The full symbol at one covector, term by term with Python scalars."""
-    k = sym.system_size
+def reference_full_symbol(frozen, xi, eta, eta2):
+    """The full symbol of a frozen operator at one covector, term by term
+    with Python scalars."""
+    k = frozen.system_size
     total = np.zeros((k, k), dtype=complex)
-    for mi, value in sym.terms:
-        factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
-        for j, pw in enumerate(mi.cross):
-            if pw:
-                factor *= (1j * eta[j]) ** pw
-        piece = factor * value
-        total += piece if isinstance(piece, np.ndarray) else piece * np.eye(k)
+    for mi, co in frozen.terms:
+        for ct in co.terms:
+            factor = (1j * xi) ** mi.radial * (-eta2) ** mi.laplacian
+            for j, pw in enumerate(mi.cross):
+                if pw:
+                    factor *= (1j * eta[j]) ** pw
+            piece = factor * ct.value
+            total += piece if isinstance(piece, np.ndarray) else piece * np.eye(k)
     return total if k > 1 else complex(total[0, 0])
 
 
-def sc_symbol(name):
+def sc_operator(name):
     rng = np.random.default_rng(41)
 
     def scalar():
@@ -498,7 +509,7 @@ def sc_symbol(name):
     if name == "torus_system":
         # T^2 partials (two at once, and one with a Laplacian), a Laplacian
         # power, matrix and scalar values: a 3-D covector grid
-        return full_symbol(freeze_coefficients(make_operator(
+        return freeze_coefficients(make_operator(
             LieStructure.sc(2), CrossSection.torus(2), {
                 MultiIndex(4): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
                 MultiIndex(2, (1, 1)): scalar(),
@@ -506,39 +517,119 @@ def sc_symbol(name):
                 MultiIndex(0, (), 2): scalar(),
                 MultiIndex(1): rng.normal(size=(2, 2)),
                 MultiIndex(0): scalar(),
-            }, order=4)))
+            }, order=4))
     # S^2: the tangential slot is a magnitude; a cube of |eta|^2
-    return full_symbol(freeze_coefficients(make_operator(
+    return freeze_coefficients(make_operator(
         LieStructure.sc(2), CrossSection.sphere(2), {
             MultiIndex(6): scalar(), MultiIndex(2, (), 2): scalar(),
-            MultiIndex(0, (), 3): scalar(), MultiIndex(0): scalar()}, order=6)))
+            MultiIndex(0, (), 3): scalar(), MultiIndex(0): scalar()}, order=6))
+
+
+def full_stack(frozen, pts):
+    """The full symbol at the rows (xi, eta_1, ...) of pts, |eta|^2 summed
+    coordinate by coordinate as the sc grid sums it."""
+    return _symbol_stack(frozen, 0.0, pts[:, 0], pts[:, 1:],
+                         sum(e * e for e in pts[:, 1:].T), principal=False)
 
 
 @pytest.mark.parametrize("name", ["torus_system", "sphere_scalar"])
 def test_sc_symbol_eval_and_grid_match_per_covector_loop(name):
-    sym = sc_symbol(name)
+    frozen = sc_operator(name)
+    dim = _covector_dim(frozen)[0]
     rng = np.random.default_rng(6)
     for _ in range(300):
-        x = float(rng.normal())
-        e = np.abs(rng.normal(size=sym.covector_dim - 1))
-        assert np.array_equal(sym.eval(x, tuple(e)),
-                              reference_full_symbol(sym, x, e, float(np.dot(e, e))))
-    grids = [fredholm._sc_axes(sym, 2.0, 9)]
+        pt = np.array([[float(rng.normal()), *np.abs(rng.normal(size=dim - 1))]])
+        assert np.array_equal(full_stack(frozen, pt)[0],
+                              reference_full_symbol(frozen, pt[0, 0], pt[0, 1:],
+                                                    sum(e * e for e in pt[0, 1:])))
+    grids = [fredholm._sc_axes(frozen, 2.0, 9)]
     for _ in range(20):  # zoom windows, whose |eta|^2 sums round
         grids.append([np.linspace(c - 0.3, c + 0.3, 5)
-                      for c in rng.uniform(0.0, 1.5, sym.covector_dim)])
+                      for c in rng.uniform(0.0, 1.5, dim)])
     for axes in grids:
         points = [tuple(float(v) for v in pt)
                   for pt in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))]
         # the grid sums |eta|^2 elementwise, coordinate by coordinate
-        vals = [reference_full_symbol(sym, pt[0], pt[1:], sum(e * e for e in pt[1:]))
+        vals = [reference_full_symbol(frozen, pt[0], pt[1:], sum(e * e for e in pt[1:]))
                 for pt in points]
-        pts = np.array(points)
-        stack = sym.stack(pts[:, 0], pts[:, 1:], sum(e * e for e in pts[:, 1:].T))
+        stack = full_stack(frozen, np.array(points))
         assert all(np.array_equal(a, b) for a, b in zip(stack, vals))
-        dets = np.abs(np.array(vals) if sym.system_size == 1 else np.linalg.det(np.array(vals)))
+        dets = np.abs(np.array(vals) if frozen.system_size == 1
+                      else np.linalg.det(np.array(vals)))
         i = int(np.argmin(dets))
-        assert fredholm._sc_eval_grid(sym, axes) == (float(dets[i]), points[i])
+        assert fredholm._sc_eval_grid(frozen, axes) == (float(dets[i]), points[i])
+
+
+def reference_sc_floor_and_norms(frozen):
+    """The sc principal-symbol floor and the coefficient norms by degree as
+    a separate full-symbol object computed them, from the frozen terms
+    (mi, value) with the top-order ones alone in the floor: the reference
+    the shared symbol walker and tail envelope must equal bit for bit."""
+    dim, mag = _covector_dim(frozen)
+    xi, eta, eta2 = unit_covectors(dim, FLOOR_DIRECTIONS, mag)
+    terms = [(mi, ct.value) for mi, co in frozen.terms for ct in co.terms]
+    floor = _min_singular(symbol_stack(
+        ((symbol_monomial(mi, xi, eta, eta2), value) for mi, value in terms
+         if mi.total == frozen.order), frozen.system_size, xi.shape[0]))
+    norms = {}
+    for mi, value in terms:
+        norms[mi.total] = norms.get(mi.total, 0.0) + _value_norm(value)
+    return floor, norms
+
+
+def drawn_sc_operator(seed):
+    """An sc operator on the circle, T^2 or S^2, scalar or 2x2, with
+    random complex values: second-order radial and tangential terms, and
+    lower-order radial, tangential-partial, matrix and decaying terms."""
+    rng = np.random.default_rng(seed)
+    cross = (CrossSection.circle(), CrossSection.torus(2), CrossSection.sphere(2))[seed % 3]
+    k = 1 + (seed // 3) % 2
+
+    def value(matrix=True):
+        if k > 1 and matrix:
+            return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        return complex(rng.normal(), rng.normal())
+
+    lead = np.eye(k) if k > 1 else 1.0
+    terms = {MultiIndex(2): Coefficient.constant(lead), MultiIndex(1): value(),
+             MultiIndex(0): Coefficient([CoeffTerm(0.0, value()), CoeffTerm(1.0, value())])}
+    if cross.coordinate_count:
+        d = cross.coordinate_count
+        for j in range(d):
+            terms[MultiIndex(0, (0,) * j + (2,))] = Coefficient.constant(lead)
+            terms[MultiIndex(0, (0,) * j + (1,))] = value(rng.random() < 0.5)
+        terms[MultiIndex(1, (0,) * (d - 1) + (1,))] = Coefficient.monomial(0.0, 0.2 * value())
+        terms[MultiIndex(0, (1,) * d)] = Coefficient.monomial(0.5, value())
+    else:
+        terms[MultiIndex(0, (), 1)] = Coefficient.constant(lead)
+        terms[MultiIndex(1)] = Coefficient([CoeffTerm(0.0, value()), CoeffTerm(2.0, value())])
+    return make_operator(LieStructure.sc(cross.dimension), cross, terms)
+
+
+@pytest.mark.parametrize("seed", range(0, 36, 3))
+def test_sc_floor_and_radius_weights_match_the_full_symbol_object(seed):
+    ops = [drawn_sc_operator(seed + i) for i in range(3)]
+    if seed == 0:
+        ops += [op for name, op in builtin_suite() if name.startswith(("sc_", "cgamma_"))]
+        ops += [make_model("sc_laplacian", cross_dim=2, shift=s) for s in (0.0, 1.0)]
+    for p in ops:
+        frozen = freeze_coefficients(p)
+        floor, norms = reference_sc_floor_and_norms(frozen)
+        assert symbol_min_singular(frozen) == floor
+        weights = fredholm._collect(fredholm._envelope_pieces(frozen), 0.0)
+        assert set(weights) <= set(range(frozen.order))
+        assert all(weights.get(d, 0.0) == norms.get(d, 0.0) for d in range(frozen.order))
+        coeffs = np.zeros(frozen.order + 1)
+        coeffs[frozen.order] = floor
+        for d, w in norms.items():
+            if d < frozen.order:
+                coeffs[d] -= w
+        coeffs[0] -= fredholm._SC_THRESHOLD ** (1.0 / frozen.system_size)
+        v = sc_invertible(frozen, n_axis=9, zooms=0)
+        if floor <= 1e-12:
+            assert v.status == "undecided"
+        else:
+            assert v.radius == max(1.0, fredholm._positive_root(coeffs) * 1.01)
 
 
 # ---------------------------------------------------------------------------

@@ -23,22 +23,22 @@ from fredholm_kit import (
     conjugate,
     fredholm_check,
     freeze_coefficients,
-    full_symbol,
     indicial_family,
     indicial_roots,
     make_model,
     make_operator,
     normal_operator,
+    sc_invertible,
     spectrum,
 )
 from fredholm_kit.crosssec import ChannelTable
-from fredholm_kit.limitops import _cmul, _cpow
-from fredholm_kit.opalg import _is_matrix, _value_mul, cross_partial_factor
+from fredholm_kit.opalg import _cmul, _cpow, _is_matrix, _symbol_stack, _value_mul
 from conftest import (
     b_system_order2,
     b_system_order4,
     b_system_order4_singular,
     b_system_shifted,
+    cross_partial_factor,
     random_b_operator,
 )
 
@@ -374,11 +374,16 @@ def test_limit_operator_b_is_normal_operator():
 
 
 def test_limit_operator_sc_full_symbol():
+    # the limit operator is the frozen operator; its full symbol is the
+    # term walker's principal=False stack at r = 0
     p = make_model("sc_laplacian", cross_dim=2, shift=3.0)
-    sym = full_symbol(freeze_coefficients(p))
-    assert sym.eval(1.0, (0.0,)) == pytest.approx(-1.0 + 3.0)
-    assert sym.eval(1.0, (2.0,)) == pytest.approx(-1.0 - 4.0 + 3.0)
-    assert sym.eval(0.0, (0.0,)) == pytest.approx(3.0)
+    frozen = freeze_coefficients(p)
+    assert frozen == p
+    xi, eta = np.array([1.0, 1.0, 0.0]), np.array([[0.0], [2.0], [0.0]])
+    sym = _symbol_stack(frozen, 0.0, xi, eta, (eta * eta)[:, 0], principal=False)
+    assert sym.tolist() == [-1.0 + 3.0, -1.0 - 4.0 + 3.0, 3.0]
+    principal = _symbol_stack(frozen, 0.0, xi, eta, (eta * eta)[:, 0])
+    assert principal.tolist() == [-1.0, -1.0 - 4.0, 0.0]
 
 
 def test_limit_operator_zero_freezes_in_halfspace_frame():
@@ -397,7 +402,7 @@ def test_limit_operator_zero_freezes_in_halfspace_frame():
 
 def test_limit_operator_cgamma_warns():
     p = make_model("cgamma_schrodinger", n=3, gamma=2.0, V0=1.0)
-    assert full_symbol(freeze_coefficients(p)).system_size == 1
+    assert freeze_coefficients(p).system_size == 1
     rep = fredholm_check(p)
     (lv,) = rep.limit_verdicts
     assert (lv.orbit, lv.mechanism, lv.status) == (
@@ -412,4 +417,6 @@ def test_sc_symbol_rejects_mode_diagonal_coefficients():
         MultiIndex(0): Coefficient.laplacian_poly([0.0, 1.0]),
     })
     with pytest.raises(FredholmKitError, match="mode-diagonal"):
-        full_symbol(freeze_coefficients(p))
+        sc_invertible(freeze_coefficients(p))
+    with pytest.raises(FredholmKitError, match="mode-diagonal"):
+        fredholm_check(p)

@@ -2,6 +2,7 @@
 and the cross-check ledger (including a tampered-report negative control)."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from fredholm_kit import (
     IndicialFamily,
     LieStructure,
     MultiIndex,
+    ScanResult,
     brute_roots,
     builtin_suite,
     cross_check,
@@ -107,6 +109,25 @@ def test_scan_refinement_monotone():
     scan = scan_line(fam, 0.3, (-7.0, 7.0), 501)
     mins = [step["global_min"] for step in scan.ladder]
     assert all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))
+
+
+@pytest.mark.parametrize("samples,global_min,message", [
+    ((0.5, -1e-300, 0.25), -1e-300, "nonnegative"),
+    ((0.5, 0.25, 0.75), 0.5, "minimum"),
+    ((0.5, 0.25, 0.75), 0.25 * (1 + 2 ** -52), "minimum"),
+    ((math.nan, 0.25, 0.75), 0.25, "minimum"),
+    ((0.5, 0.25, math.nan), 0.25, "minimum"),
+    ((0.5, math.nan), math.nan, "minimum"),
+])
+def test_scan_result_rejects_bad_samples(samples, global_min, message):
+    with pytest.raises(ValueError, match=message):
+        ScanResult(tuple(range(len(samples))), samples, global_min, 0, ())
+
+
+def test_scan_result_accepts_its_minimum():
+    ScanResult((0, 1, 2), (0.5, 0.0, 0.75), 0.0, 1, ())
+    ScanResult((0, 1), (math.inf, math.inf), math.inf, 0, ())
+    ScanResult((), (), math.nan, None, ())
 
 
 def test_scan_rejects_negative_refinements():
@@ -548,6 +569,20 @@ def test_cross_check_fails_on_tampered_report():
     assert "not re-found" in bad.detail or "missing" in bad.detail
     missing = report.roots[0]
     assert f"{missing.tau:.9g}"[:6] in bad.detail or "brute root" in bad.detail
+
+
+def test_cross_check_evaluates_the_reported_sc_witness():
+    # |(i xi)^2 - eta^2 + 1| vanishes on the unit circle; at (5, 5) it is 49
+    p = make_model("sc_laplacian", cross_dim=2, shift=1.0)
+    report = fredholm_check(p)
+    (lv,) = report.limit_verdicts
+    honest = {e.name: e for e in cross_check(p, report).entries}["symbol-witness"]
+    assert honest.status == "pass"
+    moved = dataclasses.replace(lv, witness={"covector": [5.0, 5.0]})
+    ledger = cross_check(p, dataclasses.replace(report, limit_verdicts=(moved,)))
+    assert not ledger.passed
+    bad = ledger.first_failure()
+    assert (bad.name, bad.detail) == ("symbol-witness", "|det| at witness = 4.900e+01")
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3])

@@ -30,11 +30,12 @@ from fredholm_kit import (
 )
 from fredholm_kit.opalg import (
     _covector_dim,
-    _principal_stack,
+    _is_matrix,
+    _symbol_stack,
     symbol_min_singular,
     unit_covectors,
 )
-from conftest import gaussian_packet, smooth_window, windowed_trig
+from conftest import cross_partial_factor, gaussian_packet, smooth_window, windowed_trig
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -349,7 +350,7 @@ def test_principal_stack_matches_per_covector_loop(name):
     dim_total, mag = _covector_dim(p)
     xi, eta, eta2 = unit_covectors(dim_total, 96, mag)
     for r in (0.0, 0.37, 1.0):
-        stack = _principal_stack(p, r, xi, eta, eta2)
+        stack = _symbol_stack(p, r, xi, eta, eta2)
         assert stack.shape[0] == xi.shape[0]
         for i, (x, e) in enumerate(zip(xi.tolist(), eta.tolist())):
             assert np.array_equal(stack[i], reference_principal(p, r, x, e))
@@ -360,6 +361,73 @@ def test_principal_stack_matches_per_covector_loop(name):
         e = tuple(float(v) for v in np.abs(rng.normal(size=dim_total - 1)))
         assert np.array_equal(principal_symbol(p, 0.61, x, e),
                               reference_principal(p, 0.61, x, e))
+
+
+def reference_apply(p, u, grid, table):
+    """`apply` channel by channel, as the per-channel loop computed it: the
+    factor (-lambda)^l, then the partials, then q(lambda), in Python
+    complex arithmetic, times each channel's transformed samples, for u of
+    shape (channels, k, n)."""
+    chans = p.mode_channels(table)
+    spectra = np.fft.fft(u, axis=-1)
+    out = np.zeros_like(u)
+    lams = chans.eigenvalues.tolist()
+    vectors = [None] * len(lams) if chans.vectors is None else chans.vectors.tolist()
+    for bt in p._bterms:
+        w = np.fft.ifft(spectra * grid.ik ** bt.t, axis=-1) if bt.t else u.copy()
+        if bt.nu:
+            w *= np.exp(bt.nu * grid.t)
+        for ci, (lam, vector) in enumerate(zip(lams, vectors)):
+            factor = 1.0 + 0j
+            if bt.lap:
+                factor *= (-lam) ** bt.lap
+            if any(bt.cross):
+                factor *= cross_partial_factor(bt.cross, lam, vector)
+            if bt.lam_poly is not None:
+                acc = 0j
+                for c in reversed(bt.lam_poly):
+                    acc = acc * lam + c
+                factor *= acc
+            if factor == 0:
+                continue
+            if _is_matrix(bt.value):
+                out[ci] += bt.value @ (factor * w[ci])
+            else:
+                out[ci] += bt.value * factor * w[ci]
+    return out
+
+
+# signed T^2 channels with explicit partials, q(lambda) coefficients and
+# 2x2 values; S^2 Laplacian powers; signed and unsigned circle channels
+APPLY_OPERATORS = {
+    "torus_system": (lambda: symbol_operator("torus_system"), 5.0),
+    "torus_scalar": (lambda: symbol_operator("torus_scalar"), 5.0),
+    "sphere_system": (lambda: symbol_operator("sphere_system"), 12.0),
+    "circle_odd_partial": (lambda: symbol_operator("circle_scalar"), 10.0),
+    "circle_even_partial": (lambda: b_op({
+        MultiIndex(2): 1.0, MultiIndex(0, (2,)): Coefficient.monomial(0.5, -2.0),
+        MultiIndex(0, (4,)): 0.25,
+        MultiIndex(0): Coefficient.laplacian_poly([1.0, -0.5, 0.125], 0.0, 1.5)}), 10.0),
+}
+
+
+@pytest.mark.parametrize("name", list(APPLY_OPERATORS))
+def test_apply_matches_per_channel_loop(name, rng):
+    make, cutoff = APPLY_OPERATORS[name]
+    p = make()
+    table = spectrum(p.cross_section, cutoff)
+    grid = RadialGrid(-8.0, 2.0, 128)
+    n_chan, k = len(p.mode_channels(table)), p.system_size
+    u = np.array([[windowed_trig(rng, grid.t, -6.0, 0.0) for _ in range(k)]
+                  for _ in range(n_chan)], dtype=complex)
+    u = u * np.exp(1j * rng.uniform(0, 2 * np.pi, u.shape[:2]))[..., None]
+    out = p.apply(u if k > 1 else u[:, 0], grid, table)
+    expected = reference_apply(p, u, grid, table)
+    if k == 1:
+        expected = expected[:, 0]
+    assert out.shape == expected.shape
+    for got, want in zip(out, expected):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim_total,n_dir,mag", [

@@ -20,6 +20,9 @@ Run it in each checkout and diff the two files.  Each line reads
   explicit b specs, one per kind of mode channel table: signed channels
   on a circle, T^1 and T^3, and the modes of S^3 and of a generic 3x3
   cross-section with a double eigenvalue;
+- the JSON `check` and `verify` output of three explicit sc specs with
+  lower-order radial, tangential-partial and matrix terms: a scalar on
+  the circle, and 2x2 systems on T^2 and S^2;
 - the JSON `check` output of the three `systems` specs (seed 1) at
   weights -2.5 and 1.5 and mode cutoffs 30 and 1e4, which pin the
   certified weight range away from the benchmark's weight;
@@ -60,9 +63,10 @@ SCAN_SPECS = (("modes", "torus_laplacian@400", None), ("systems", "2x2_order2", 
               ("cli-cold", "polar_laplacian", "0"))
 
 
-def _b_spec(cross: dict, terms: dict) -> dict:
-    """A scalar second-order b spec; terms maps an alpha (with a trailing
-    "L" for one Laplacian power) to a real value."""
+def _spec(cross: dict, terms: dict, kind: str = "b") -> dict:
+    """A second-order spec; terms maps an alpha (with a trailing "L" for
+    one Laplacian power) to a real value or a real 2x2 matrix, which makes
+    the spec a 2x2 system."""
     out = []
     for alpha, value in terms.items():
         term = {"alpha": [a for a in alpha if a != "L"],
@@ -70,24 +74,46 @@ def _b_spec(cross: dict, terms: dict) -> dict:
         if "L" in alpha:
             term["laplacian"] = 1
         out.append(term)
-    return {"schema": workloads.SCHEMA, "structure": {"kind": "b"}, "cross_section": cross,
-            "order": 2, "terms": out}
+    doc = {"schema": workloads.SCHEMA, "structure": {"kind": kind}, "cross_section": cross,
+           "order": 2, "terms": out}
+    if any(isinstance(v, list) for v in terms.values()):
+        doc["system_size"] = 2
+    return doc
+
+
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
 # (name, spec, mode cutoff or None for the default): one per channel kind
 CHANNEL_SPECS = (
-    ("circle_odd_partial", _b_spec({"kind": "circle"}, {
+    ("circle_odd_partial", _spec({"kind": "circle"}, {
         (2,): 1.0, (0, 2): 1.0, (0, 1): 0.5, (0,): -0.25}), None),
-    ("T1_odd_partial", _b_spec({"kind": "torus", "dim": 1}, {
+    ("T1_odd_partial", _spec({"kind": "torus", "dim": 1}, {
         (2,): 1.0, (1, 1): 0.3, (0, 2): 1.0, (0,): -0.5}), None),
-    ("T3_partials", _b_spec({"kind": "torus", "dim": 3}, {
+    ("T3_partials", _spec({"kind": "torus", "dim": 3}, {
         (2,): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0,
         (0, 0, 1, 0): 0.4, (0,): 0.25}), 12.0),
-    ("generic_double_eigenvalue", _b_spec(
+    ("generic_double_eigenvalue", _spec(
         {"kind": "generic", "matrix": [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]},
         {(2,): 1.0, (0, "L"): 1.0, (0,): -0.5}), None),
-    ("S3", _b_spec({"kind": "sphere", "dim": 3}, {
+    ("S3", _spec({"kind": "sphere", "dim": 3}, {
         (2,): 1.0, (1,): 2.0, (0, "L"): 1.0, (0,): 0.3}), None),
+)
+
+
+# explicit sc specs with lower-order radial, tangential-partial and matrix
+# terms: a scalar on the circle whose symbol vanishes (a witness), a 2x2
+# system on T^2, and a 2x2 system on S^2 with one vanishing block
+SC_SPECS = (
+    ("circle_partials", _spec({"kind": "circle"}, {
+        (2,): 1.0, (0, 2): 1.0, (1,): 0.5, (0, 1): 0.3, (0,): 1.0}, "sc")),
+    ("T2_system", _spec({"kind": "torus", "dim": 2}, {
+        (2,): _I2, (0, 2, 0): _I2, (0, 0, 2): _I2, (1,): [[0.2, 0.5], [0.0, 0.1]],
+        (0, 1, 0): [[0.0, 0.3], [0.3, 0.0]], (0, 0, 1): [[0.1, 0.0], [0.0, -0.2]],
+        (0,): [[-1.0, 0.4], [0.0, -2.0]]}, "sc")),
+    ("S2_system", _spec({"kind": "sphere", "dim": 2}, {
+        (2,): _I2, (0, "L"): _I2, (1,): [[0.3, 0.0], [0.2, -0.1]],
+        (0,): [[1.0, 0.5], [0.0, -1.0]]}, "sc")),
 )
 
 
@@ -130,6 +156,12 @@ def runs(workdir: str):
             yield (f"channels/{name}/{command}",
                    [command, path, "--weight", "0.3", "--format", "json", *extra])
         yield f"channels/{name}/roots", ["roots", path, "--format", "json", *extra]
+    for name, doc in SC_SPECS:
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        for command in ("check", "verify"):
+            yield f"sc/{name}/{command}", [command, path, "--format", "json"]
     sub = os.path.join(workdir, "system-weights")
     os.makedirs(sub)
     systems = workloads.build("systems", SEEDS[0])
