@@ -72,19 +72,11 @@ class IndicialRoot:
         }
 
 
-class _RootFailure(FredholmKitError):
-    """A root of the index-th polynomial of a batch that cannot be resolved."""
-
-    def __init__(self, index: int, detail: str):
-        super().__init__(detail)
-        self.index = index
-
-
-def _resolve_roots(coeffs: np.ndarray,
-                   points: np.ndarray) -> list[list[tuple[complex, int, float]]]:
+def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | None, str | None]]:
     """Roots of det P_b for a batch of matrix polynomials, coeffs[:, b] of
     shape (m + 1, k, k), from approximations points[b], one per root
-    counted with multiplicity: for each b, (tau, multiplicity, box) triples.
+    counted with multiplicity: for each b, (roots, None) with roots a list
+    of (tau, multiplicity, box) triples, or (None, failure detail).
 
     Each approximation z gets a disc whose radius is the larger of
     _ROOT_NOISE times its `root_sensitivity` (how far rounding of the
@@ -97,8 +89,9 @@ def _resolve_roots(coeffs: np.ndarray,
     half-width of the square, reaching past every member's disc, on which
     the winding number of det P confirmed that count, in one chunked
     `_winding_counts` pass over the merged roots of the whole batch.  A lone
-    approximation takes one Newton step (box 0), and a step above
-    _ROOT_STEP_TOL of the root raises _RootFailure."""
+    approximation takes one Newton step (box 0).  A polynomial fails alone:
+    on its first Newton step above _ROOT_STEP_TOL of the root (it then
+    skips the winding pass), or on a merged root whose count fails."""
     points = np.sort(points, axis=-1)
     stack = coeffs[:, :, None]
     sensitivity = root_sensitivity(stack, points)
@@ -108,14 +101,13 @@ def _resolve_roots(coeffs: np.ndarray,
         <= radius[:, :, None] + radius[:, None, :]
     lone = near.sum(axis=2) == 1
     steps = np.where(lone, newton_correction(stack, points), 0)
-    failed = np.argwhere(np.abs(steps) > _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points)))
-    if failed.size:
-        b, i = failed[0]
-        raise _RootFailure(b, f"Newton step {abs(steps[b, i]):.2e} at tau={points[b, i]:.6g}")
+    failed = np.abs(steps) > _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points))
+    failures = [f"Newton step {abs(step[bad][0]):.2e} at tau={row[bad][0]:.6g}" if bad.any()
+                else None for row, step, bad in zip(points, steps, failed)]
     # 0 + turns a signed zero into +0
     out = [[(complex(tau), 1, 0.0) for tau in 0 + (row - step)[keep]]
            for row, step, keep in zip(points, steps, lone)]
-    grouped = np.flatnonzero(~lone.all(axis=1))
+    grouped = np.flatnonzero(~lone.all(axis=1) & ~failed.any(axis=1))
     reach = near[grouped]
     while True:  # transitive closure of the overlaps, by boolean squaring
         wider = reach @ reach
@@ -141,42 +133,43 @@ def _resolve_roots(coeffs: np.ndarray,
     for b, roots in merged.items():
         mine = [next(counts) for _ in roots]
         if None in mine:
-            raise _RootFailure(b, "contour counting failed to stabilize")
+            failures[b] = "contour counting failed to stabilize"
+            continue
         for (c, size, box), count in zip(roots, mine):
             if count != size:
-                raise _RootFailure(b, f"winding number {count} around tau={c:.6g} "
-                                      f"disagrees with {size} merged roots")
+                failures[b] = (f"winding number {count} around tau={c:.6g} "
+                               f"disagrees with {size} merged roots")
+                break
             out[b].append((complex(c), size, box[1] - c.real))
-    return out
+    return [(None, failure) if failure else (roots, None)
+            for roots, failure in zip(out, failures)]
 
 
-def _linearized_roots(coeffs: np.ndarray) -> list[list[tuple[complex, int, float]]]:
+def _linearized_roots(coeffs: np.ndarray) -> list[tuple[list | None, str | None]]:
     """`_resolve_roots` of a batch of matrix polynomials with invertible
     leading matrices A_m, coeffs[:, b] of shape (m + 1, k, k), from the
     eigenvalues of their reduced block companion matrices
     [[0, I, ...], [-A_m^-1 A_0, ..., -A_m^-1 A_(m-1)]]."""
     m, n, k = coeffs.shape[0] - 1, coeffs.shape[1], coeffs.shape[2]
     if m == 0:
-        return [[] for _ in range(n)]
+        return [([], None) for _ in range(n)]
     companion = np.zeros((n, m * k, m * k), dtype=complex)
     companion[:, :-k, k:] = np.eye((m - 1) * k)
     companion[:, -k:] = -np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=-1))
     return _resolve_roots(coeffs, np.linalg.eigvals(companion))
 
 
-def _interpolated_roots(f: IndicialFamily, label: str) -> list[tuple[complex, int, float]]:
-    """Roots of a system with a singular leading matrix: the roots of its
-    interpolated determinant, cut after the last coefficient above 1e-12
-    of the largest, resolved against the true matrix polynomial."""
+def _interpolated_roots(f: IndicialFamily, label: str) -> tuple[list | None, str | None]:
+    """Roots of a system with a singular leading matrix, as the pair
+    `_resolve_roots` gives: the roots of its interpolated determinant, cut
+    after the last coefficient above 1e-12 of the largest, resolved
+    against the true matrix polynomial."""
     det = f.det_poly(label)
     det = det[:np.flatnonzero(np.abs(det) > 1e-12 * float(np.max(np.abs(det))))[-1] + 1]
     if det.shape[0] == 1:
-        return []
+        return [], None
     raw = np.polynomial.polynomial.polyroots(det)
-    try:
-        return _resolve_roots(f.poly(label)[:, None], raw[None])[0]
-    except _RootFailure as e:
-        raise FredholmKitError(f"root refinement failed on mode {label}: {e}") from None
+    return _resolve_roots(f.poly(label)[:, None], raw[None])[0]
 
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
@@ -188,7 +181,9 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     approximations are the eigenvalues of the block companion matrix,
     with all polynomials of one degree in one batch of slices of the
     family's array.  A system whose leading matrix is singular takes them
-    from the roots of the interpolated `IndicialFamily.det_poly`."""
+    from the roots of the interpolated `IndicialFamily.det_poly`, solved
+    first in their degree batch.  The first failing class in that order
+    raises FredholmKitError."""
     first, class_of = f.class_rows
     reps = f.coeffs[first]
     labels = [f.channels.labels[i] for i in first]
@@ -204,17 +199,12 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
         members = np.array(members)
         stack = reps[members, :deg + 1].swapaxes(0, 1)
         full = np.linalg.matrix_rank(stack[-1]) == f.system_size
-        for c in members[~full]:
-            by_class[c] = _interpolated_roots(f, labels[c])
-        if not full.any():
-            continue
-        chosen = members[full]
-        try:
-            found = _linearized_roots(stack[:, full])
-        except _RootFailure as e:
-            raise FredholmKitError(f"root refinement failed on mode {labels[chosen[e.index]]}: "
-                                   f"{e}") from None
-        for c, roots in zip(chosen, found):
+        solved = [_interpolated_roots(f, labels[c]) for c in members[~full]]
+        if full.any():
+            solved += _linearized_roots(stack[:, full])
+        for c, (roots, failure) in zip([*members[~full], *members[full]], solved):
+            if failure is not None:
+                raise FredholmKitError(f"root refinement failed on mode {labels[c]}: {failure}")
             by_class[c] = roots
     roots = [IndicialRoot(label, tau, 1j * tau, mult)
              for label, c in zip(f.channels.labels, class_of.tolist())

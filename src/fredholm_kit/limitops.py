@@ -107,10 +107,6 @@ def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
 
 
-class _ContourError(Exception):
-    pass
-
-
 _RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
 _CONTOUR_CHUNK = 2 ** 14  # matrix entries per pass of the coarsest resolution
 _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
@@ -160,24 +156,18 @@ def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
     return [None if u else int(c) for u, c in zip(unsettled, k)]
 
 
-def _winding_counts(coeffs: np.ndarray, boxes, owners=None) -> list[int | None]:
+def _winding_counts(coeffs: np.ndarray, boxes, owners) -> list[int | None]:
     """Zeros of det P inside each rectangle (x0, x1, y0, y1), counted with
-    multiplicity via the boundary winding number.
+    multiplicity via the boundary winding number, one count per box.
 
-    coeffs is one (m + 1, k, k) stack for every box or, with owners, an
-    (m + 1, B, k, k) batch in which box i belongs to polynomial owners[i].
-    All boxes share the coarsest resolution, in passes of at most
-    _CONTOUR_CHUNK matrix entries (boxes x contour points x k^2), which
-    bounds peak memory.  A box it cannot settle climbs the finer
-    resolutions on its own, in box order.  A box that never settles
-    counts None, and the later unsettled boxes of its polynomial do not
-    climb; with a single stack it raises _ContourError instead.
+    coeffs is an (m + 1, B, k, k) batch in which box i belongs to
+    polynomial owners[i].  All boxes share the coarsest resolution, in
+    passes of at most _CONTOUR_CHUNK matrix entries (boxes x contour
+    points x k^2), which bounds peak memory.  A box it cannot settle
+    climbs the finer resolutions on its own, in box order.  A box that
+    never settles counts None, and the later unsettled boxes of its
+    polynomial do not climb.
     """
-    if owners is None:
-        counts = _winding_counts(coeffs[:, None], boxes, np.zeros(len(boxes), dtype=int))
-        if None in counts:
-            raise _ContourError
-        return counts
     owners = np.asarray(owners)
     k = coeffs.shape[-1]
     per_pass = max(1, _CONTOUR_CHUNK // ((4 * _RESOLUTIONS[0] + 1) * k * k))

@@ -19,8 +19,9 @@ The oracle solves all mode classes of a family in one batch per
 polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
 leading coefficients, one Aberth-Ehrlich iteration over every iterate of
 every polynomial, one resolve, and one winding count over every root's
-box.  A polynomial that fails any of these fails alone, with the message
-it would give on its own, and its neighbours' roots stay bit-identical.
+box.  Each stage reports one (roots, failure) pair per polynomial, so a
+polynomial that fails any of these fails alone, with the message it
+would give on its own, and its neighbours' roots stay bit-identical.
 The winding count runs in passes of at most `limitops._CONTOUR_CHUNK`
 matrix entries, which bounds peak memory: a single pass over the 928
 root boxes of a 4x4 order-4 family would hold 61 MB in each array of
@@ -49,7 +50,7 @@ import numpy as np
 
 from ._util import round12
 from .crosssec import spectrum
-from .fredholm import _resolve_roots, _RootFailure
+from .fredholm import _resolve_roots
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
@@ -201,7 +202,12 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
     if not b > a:
         raise ValueError("scan range must be nondegenerate")
     grid = np.linspace(a, b, (pts - 1) * 2 ** refinements + 1)
-    vals = _family_min_singular(f, grid - 1j * delta)
+    # an overflowing value is kept: inf for a scalar, NaN from a system's SVD
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _family_min_singular(f, grid - 1j * delta)
+    if np.isnan(vals).any():
+        tau = grid[np.isnan(vals).argmax()] - 1j * delta
+        raise FredholmKitError(f"line scan overflows at tau={tau:.6g}; use a narrower --tau-range")
     ladder = []
     for level in range(refinements, -1, -1):
         g, v = grid[::2 ** level], vals[::2 ** level]
@@ -242,7 +248,8 @@ def brute_roots(coeffs) -> list[tuple[complex, int, float]]:
 
 def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
     """`brute_roots` of many matrix polynomials at once, as (roots, None)
-    or (None, failure detail) per polynomial, in order.
+    or (None, failure detail) per polynomial, in order: the pairs of
+    `fredholm._resolve_roots`.
 
     The polynomials are trimmed of exact zero top coefficients, scaled to
     a largest coefficient of magnitude one and grouped by shape
@@ -284,8 +291,8 @@ def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None
     separate was confirmed (less when another root is nearer).
 
     The iterates of all polynomials move together; one resolve takes them
-    all, and a polynomial it fails on is dropped and the rest resolved
-    again; the boxes of all polynomials share the chunked passes of one
+    all and reports a polynomial it fails on in that polynomial's place;
+    the boxes of the others share the chunked passes of one
     `_winding_counts` call.  Per polynomial, the wide boxes and moment
     rings are built only when it has a merged root, and the residuals
     |det P| at the roots go through `limitops._det`, which reads a 1x1
@@ -311,15 +318,9 @@ def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None
             step[~np.isfinite(step)] = 0
             z[rows, cols] -= step
             active[rows, cols] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[rows, cols]))
-    results: list = [None] * z.shape[0]
-    live, roots = np.arange(z.shape[0]), []
-    while live.size:
-        try:
-            roots = _resolve_roots(coeffs[:, live], z[live])
-            break
-        except _RootFailure as e:
-            results[live[e.index]] = (None, str(e))
-            live = np.delete(live, e.index)
+    results = _resolve_roots(coeffs, z)  # failures stay in place
+    live = [b for b, (found, _) in enumerate(results) if found is not None]
+    roots = [results[b][0] for b in live]
     centers = [np.array([c for c, _, _ in found]) for found in roots]
     boxes = [root_boxes(c, np.maximum(_ROOT_TOL * np.maximum(1.0, np.abs(c)),
                                       np.array([box for _, _, box in found])))

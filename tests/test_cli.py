@@ -262,6 +262,29 @@ def test_huge_weight_or_cutoff_ends_in_a_verdict_or_usage_error(tmp_path, spec_t
         assert message in res.stderr and res.stdout == ""
 
 
+# I (r d/dr)^2 + I L + [[2, 0.5], [0, 3]] on the circle
+OVERFLOW_SYSTEM_TEXT = json.dumps(dict(SHIFTED_CYLINDER, system_size=2, terms=[
+    {"alpha": [2], "coefficient": [{"nu": 0, "value": [[1, 0], [0, 1]]}]},
+    {"alpha": [0], "laplacian": 1, "coefficient": [{"nu": 0, "value": [[1, 0], [0, 1]]}]},
+    {"alpha": [0], "coefficient": [{"nu": 0, "value": [[2, 0.5], [0, 3]]}]}]))
+
+
+@pytest.mark.parametrize("spec_text, reach, code, stderr", [
+    pytest.param(POLAR_TEXT, "1e200", 0, "", id="scalar-inf-samples"),
+    pytest.param(OVERFLOW_SYSTEM_TEXT, "10", 0, "", id="system"),
+    pytest.param(OVERFLOW_SYSTEM_TEXT, "1e160", 3,
+                 "error: line scan overflows at tau=-1e+160-0.5j; use a narrower --tau-range\n",
+                 id="system-nan-samples"),
+])
+def test_verify_over_a_wide_tau_range(tmp_path, spec_text, reach, code, stderr):
+    # in a fresh interpreter, where an overflow warning would reach stderr
+    path = tmp_path / "spec.json"
+    path.write_text(spec_text)
+    res = run_cli("verify", str(path), "--weight", "0.5", "--tau-range", f"-{reach}", reach)
+    assert (res.returncode, res.stderr) == (code, stderr)
+    assert res.stdout.startswith("VERDICT: Fredholm") if code == 0 else res.stdout == ""
+
+
 def test_verify_at_a_huge_weight_runs_no_line_scan(tmp_path, runner):
     # the tail is uncertified, so the line verdict is numerical evidence
     # and a scan of the family shifted by 1e300 would only overflow
@@ -507,9 +530,10 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # 172 check/verify reports, roots/normal/transform of the seven built-ins
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
-    # specs, check of three systems specs at two weights and two cutoffs
+    # specs, check of three systems specs at two weights and two cutoffs,
+    # and four root-failure runs
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4
     # the verify --scan-csv runs: a scalar modes spec, a systems spec, a "no" line
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]
     assert [name for name, _ in scans] == ["torus_laplacian@400", "2x2_order2",

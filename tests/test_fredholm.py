@@ -172,6 +172,27 @@ def test_singular_leading_matrix_roots_are_exact_or_refused(cutoff):
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), label
 
 
+def test_root_failure_names_the_first_failing_class(monkeypatch):
+    # one degree batch, k=0, k=1, k=2, roots +-i sqrt(k^2 + 1): k=0 gets
+    # two approximations of one simple root (a winding failure), k=1 an
+    # approximation 1e-3 off (a Newton failure); the error names k=0, the
+    # first class solved, although its failure comes from the later pass
+    eigvals = np.linalg.eigvals
+
+    def spoiled(a):
+        points = eigvals(a)
+        points[0, 1] = points[0, 0] * (1 + 1e-12)
+        points[1, 0] += 1e-3
+        return points
+
+    fam = family_of(cylinder_shifted(1.0), 4.5)
+    monkeypatch.setattr(np.linalg, "eigvals", spoiled)
+    with pytest.raises(FredholmKitError, match=r"^root refinement failed on mode k=0: "
+                                               r"winding number 1 around tau=.* disagrees "
+                                               r"with 2 merged roots$"):
+        indicial_roots(fam)
+
+
 def test_non_elliptic_verdict_survives_a_root_failure():
     # the singular leading matrix sends roots through the interpolated
     # determinant, which is too poor here for the Newton check

@@ -36,7 +36,7 @@ from fredholm_kit import (
     scan_line,
     spectrum,
 )
-from fredholm_kit import limitops, numoracle
+from fredholm_kit import fredholm, limitops, numoracle
 from fredholm_kit._util import round12
 from conftest import (
     JORDAN_SHIFTS,
@@ -134,6 +134,22 @@ def test_scan_rejects_negative_refinements():
     fam = family_of(make_model("polar_laplacian"), 4.5)
     with pytest.raises(ValueError, match="refinements"):
         scan_line(fam, 0.0, (-1.0, 1.0), 11, refinements=-1)
+
+
+def test_scan_line_over_an_overflowing_range():
+    # a scalar's |P(tau)| overflows to inf, without a RuntimeWarning (an
+    # error in this suite); a system's overflowing matrix has a NaN
+    # smallest singular value, which fails the scan at its tau
+    polar = scan_line(family_of(make_model("polar_laplacian"), 4.5), 0.5,
+                      (-1e200, 1e200), 11, refinements=0)
+    assert polar.min_singular[0] == math.inf and polar.global_min == 0.25
+    system = make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.eye(2)),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(np.array([[2.0, 0.5], [0.0, 3.0]]))})
+    with pytest.raises(FredholmKitError, match=r"^line scan overflows at tau=-1e\+160-0\.5j; "
+                                               r"use a narrower --tau-range$"):
+        scan_line(family_of(system, 4.5), 0.5, (-1e160, 1e160), 11, refinements=0)
 
 
 W = 3.0 ** 0.5  # a witness-like window center off every dyadic grid
@@ -306,6 +322,41 @@ def test_brute_roots_batch_matches_one_polynomial_at_a_time():
     assert numoracle._brute_roots_batch(healthy) == [b for b in batch if b[1] is None]
 
 
+def companion_eigenvalues(coeffs):
+    """Eigenvalues of the block companion matrix of an (m + 1, k, k) stack
+    with an invertible leading matrix."""
+    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
+    top = np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=-1))
+    return np.linalg.eigvals(np.block([[np.zeros(((m - 1) * k, k)), np.eye((m - 1) * k)],
+                                       [-top]]))
+
+
+def test_resolve_roots_fails_each_polynomial_alone():
+    s = np.array([[1.0, 0.4, 0.0], [-0.3, 1.2, 0.5], [0.2, 0.0, 0.9]])
+    blocks = [np.polynomial.polynomial.polyfromroots(r)
+              for r in ([1.0, 1.0, -2.0], [0.5, -1.0, 3j], [2.0, -0.5j, 1.5])]
+    # S diag(p_1, p_2, p_3) S^-1 with a double root at 1: merged, confirmed
+    healthy = np.array([s @ np.diag(d) @ np.linalg.inv(s) for d in np.array(blocks).T])
+    coeffs = np.stack([healthy, ill_scaled_stack(30), ill_scaled_stack(1),
+                       ill_scaled_stack(30)], axis=1)
+    points = np.sort(np.stack([companion_eigenvalues(c) for c in np.moveaxis(coeffs, 1, 0)]))
+    # two approximations of one simple root: a winding number of 1 against
+    # 2 merged roots; on the Newton-failing polynomial the same merge never
+    # reaches the winding pass
+    points[2, 1] = points[2, 0] * (1 + 1e-12)
+    points[3, -1] = points[3, -2] * (1 + 1e-12)
+    batch = fredholm._resolve_roots(coeffs, points)
+    for b, result in enumerate(batch):
+        assert result == fredholm._resolve_roots(coeffs[:, [b]], points[[b]])[0]
+    healthy_roots, failure = batch[0]
+    assert failure is None and [m for _, m, _ in healthy_roots].count(2) == 1
+    assert all(roots is None for roots, _ in batch[1:])
+    assert batch[1][1].startswith("Newton step ")
+    assert batch[2][1].startswith("winding number 1 around tau=")
+    assert batch[2][1].endswith(" disagrees with 2 merged roots")
+    assert batch[3][1] == batch[1][1]
+
+
 def roots_inside(roots, box):
     x0, x1, y0, y1 = box
     return int(sum(x0 < r.real < x1 and y0 < r.imag < y1 for r in roots))
@@ -323,24 +374,23 @@ def test_batched_winding_counts_match_single_boxes():
     for _ in range(60):
         deg = int(rng.integers(1, 9))
         row = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        coeffs = row[:, None, None]
+        coeffs = row[:, None, None, None]
         x0, y0 = rng.uniform(-3.0, 0.0, 2)
         x1, y1 = x0 + rng.uniform(0.5, 4.0), y0 + rng.uniform(0.5, 4.0)
         fx, fy = rng.uniform(0.3, 0.7, 2)
         xm, ym = x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)
         boxes = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        singles = []
-        for box in boxes:
-            try:
-                singles.append(limitops._winding_counts(coeffs, [box])[0])
-            except limitops._ContourError:
-                singles.append(None)
+        singles = [limitops._winding_counts(coeffs, [box], [0])[0] for box in boxes]
+        counts = limitops._winding_counts(coeffs, boxes, [0] * 4)
         if None in singles:
-            with pytest.raises(limitops._ContourError):
-                limitops._winding_counts(coeffs, boxes)
+            # up to the first box that never settles, the counts are the
+            # single ones; after it, an unsettled box does not climb
+            first = singles.index(None) + 1
+            assert counts[:first] == singles[:first]
+            assert all(c is None or c == s for c, s in zip(counts, singles))
             continue
         settled += 1
-        assert limitops._winding_counts(coeffs, boxes) == singles
+        assert counts == singles
         roots = np.polynomial.polynomial.polyroots(row)
         for box, count in zip(boxes, singles):
             if edge_distance(roots, box) > 1e-3:
@@ -356,17 +406,16 @@ def test_batched_winding_counts_escalate_one_box():
     coeffs = coeffs[:, None, None]
     boxes = [(-1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
     assert limitops._contour_counts(coeffs, boxes, 64) == [0, None, 1]
-    assert limitops._winding_counts(coeffs, boxes) == [0, 1, 1]
+    assert limitops._winding_counts(coeffs[:, None], boxes, [0] * 3) == [0, 1, 1]
 
 
 def test_winding_counts_root_on_corner_raises_without_warning():
-    coeffs = np.array([-2.0, 1.0, 1.0], dtype=complex)[:, None, None]  # (z - 1)(z + 2)
+    coeffs = np.array([-2.0, 1.0, 1.0], dtype=complex)[:, None, None, None]  # (z - 1)(z + 2)
     boxes = [(1.0, 2.0, 0.0, 1.0), (-3.0, -1.0, -1.0, 1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(limitops._ContourError):
-            limitops._winding_counts(coeffs, boxes)
-        assert limitops._winding_counts(coeffs, boxes[1:]) == [1]
+        assert limitops._winding_counts(coeffs, boxes, [0, 0]) == [None, 1]
+        assert limitops._winding_counts(coeffs, boxes[1:], [0]) == [1]
 
 
 def test_batched_winding_counts_fail_one_polynomial_only():
@@ -445,7 +494,7 @@ def test_scalar_determinants_are_read_directly(monkeypatch):
     boxes = [(-1.5, -0.5, -0.5, 0.5), (0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
     stack = np.random.default_rng(3).normal(size=(5, 2, 2))
     monkeypatch.setattr(np.linalg, "det", refuse_scalars)
-    assert limitops._winding_counts(row[:, None, None], boxes) == [1, 1, 1]
+    assert limitops._winding_counts(row[:, None, None, None], boxes, [0] * 3) == [1, 1, 1]
     assert np.array_equal(limitops._det(stack[:, :1, :1]), stack[:, 0, 0])
     assert np.array_equal(limitops._det(stack), det(stack))
     # the oracle's residuals are |P(root)| of the scaled polynomial, exactly

@@ -26,6 +26,14 @@ Run it in each checkout and diff the two files.  Each line reads
 - the JSON `check` output of the three `systems` specs (seed 1) at
   weights -2.5 and 1.5 and mode cutoffs 30 and 1e4, which pin the
   certified weight range away from the benchmark's weight;
+- the root-failure paths: the JSON `check` at weight 0.3 of
+  `b_system_order4_singular` (tests/conftest.py; singular leading
+  matrix, refinement fails, NotFredholm with a caveat) at cutoffs 30 and
+  4000, and of P_eps = (T^2 + L - 1)(T^2 + L - 1.01) on the circle,
+  T = r d/dr, at cutoff 1e4 (refinement fails on mode k=92, exit 3); and
+  `verify` of the 2x2 system T^2 + L + [[2, 0.5], [0, 3]] on the circle
+  at weight 0.5 over `--tau-range -1e160 1e160`, whose line scan
+  overflows (exit 3);
 - the `verify --scan-csv` files of a scalar `modes` spec and a `systems`
   spec (seed 1, the benchmark's arguments) and of the built-in
   `polar_laplacian` at weight 0, whose line verdict "no" also writes the
@@ -33,7 +41,9 @@ Run it in each checkout and diff the two files.  Each line reads
   `scan-csv/<spec>/<file>`, with the exit code of its `verify`.
 
 The CLI runs in this process, on the `src/` of the checkout this file is
-in.  A full run takes about 20 s on two cores.
+in.  A run that raises instead of exiting prints `raised:<exception
+name>` in place of its exit code.  A full run takes about 20 s on two
+cores.
 """
 
 from __future__ import annotations
@@ -47,11 +57,20 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from click.testing import CliRunner  # noqa: E402
 
 import workloads  # noqa: E402
-from fredholm_kit.cli import main as cli_main  # noqa: E402
+from conftest import b_system_order4_singular  # noqa: E402
+from fredholm_kit import (  # noqa: E402
+    CrossSection,
+    LieStructure,
+    MultiIndex,
+    compose,
+    make_operator,
+)
+from fredholm_kit.cli import main as cli_main, serialize_operator  # noqa: E402
 
 WORKLOADS = ("cli-cold", "modes", "systems", "symbols")
 SEEDS = (1, 2)
@@ -117,6 +136,29 @@ SC_SPECS = (
 )
 
 
+def _shifted_laplacian(c: float):
+    """T^2 + L - c on the circle, T = r d/dr."""
+    return make_operator(LieStructure.b(1), CrossSection.circle(),
+                         {MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0, MultiIndex(0): -c})
+
+
+# (name, spec, command and options) of the runs whose roots or line
+# scan fail: a singular leading matrix, roots too close for one Newton
+# step, and a line scan that overflows
+FAILURE_SPECS = (
+    ("b_system_order4_singular/30", serialize_operator(b_system_order4_singular()),
+     ["check", "--weight", "0.3", "--format", "json", "--cutoff", "30"]),
+    ("b_system_order4_singular/4000", serialize_operator(b_system_order4_singular()),
+     ["check", "--weight", "0.3", "--format", "json", "--cutoff", "4000"]),
+    ("close_roots/1e4", serialize_operator(compose(_shifted_laplacian(1.0),
+                                                   _shifted_laplacian(1.01))),
+     ["check", "--weight", "0.3", "--format", "json", "--cutoff", "1e4"]),
+    ("wide_tau_range", _spec({"kind": "circle"}, {
+        (2,): _I2, (0, "L"): _I2, (0,): [[2.0, 0.5], [0.0, 3.0]]}),
+     ["verify", "--weight", "0.5", "--tau-range", "-1e160", "1e160"]),
+)
+
+
 def runs(workdir: str):
     """(label, argv) for every report, in a fixed order."""
     for name in WORKLOADS:
@@ -171,6 +213,11 @@ def runs(workdir: str):
                 yield (f"system-weights/{spec.name}/{weight}/{cutoff}/check",
                        ["check", path, "--weight", weight, "--format", "json",
                         "--cutoff", cutoff])
+    for name, doc, argv in FAILURE_SPECS:
+        path = os.path.join(workdir, f"{name.replace('/', '-')}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        yield f"failures/{name}/{argv[0]}", [argv[0], path, *argv[1:]]
 
 
 def scan_runs(workdir: str):
@@ -187,26 +234,26 @@ def scan_runs(workdir: str):
         yield spec_name, ["verify", *args, "--scan-csv", os.path.join(sub, "scan.csv")], sub
 
 
-def _invoke(runner: CliRunner, argv: list[str]):
+def _invoke(runner: CliRunner, argv: list[str]) -> tuple:
+    """(stdout bytes, exit code, or `raised:<name>` for an exception)."""
     result = runner.invoke(cli_main, argv)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
-        raise result.exception
-    return result
+        return result.stdout_bytes, f"raised:{type(result.exception).__name__}"
+    return result.stdout_bytes, result.exit_code
 
 
 def main() -> int:
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as workdir:
         for label, argv in runs(workdir):
-            result = _invoke(runner, argv)
-            digest = hashlib.sha256(result.stdout_bytes).hexdigest()
-            print(f"{digest} {result.exit_code} {label}", flush=True)
+            stdout, code = _invoke(runner, argv)
+            print(f"{hashlib.sha256(stdout).hexdigest()} {code} {label}", flush=True)
         for spec_name, argv, sub in scan_runs(workdir):
-            result = _invoke(runner, argv)
+            _, code = _invoke(runner, argv)
             for name in sorted(os.listdir(sub)):
                 with open(os.path.join(sub, name), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{digest} {result.exit_code} scan-csv/{spec_name}/{name}", flush=True)
+                print(f"{digest} {code} scan-csv/{spec_name}/{name}", flush=True)
     return 0
 
 
