@@ -30,21 +30,29 @@ entry itself (`limitops._det`), not a LAPACK call per point.  The found
 roots are matched against the report once per class and reported root
 list: channels that share both take one result.
 
-A line scan evaluates its finest grid once and reads the coarser levels
-of its resolution ladder off it as strided subsets.  For a system it
-runs a class's SVD only where that class could lower the running
-minimum: Weyl's inequality bounds sigma_min(P(tau)) below by
-|d(tau)| - sum_j ||A_j - d_j I|| |tau|^j, with d_j = tr(A_j) / k, and a
-rounding allowance of 1e-12 sum_j ||A_j|| |tau|^j makes the bound hold
-for the computed value too.  A point skipped on that bound could not
-have changed the minimum, so every scanned value is bit-identical to an
-SVD of every class at every point.  The bound reads only the class's own
-coefficients, none of the engine's machinery."""
+A line scan reads the coarser levels of its resolution ladder off its
+finest grid as strided subsets, and the ledger reads only each level's
+minimum and argmin.  Those it finds exactly, bit for bit as a full
+evaluation of every class at every point would, but it computes
+sigma_min only at the (class, point) pairs that a rigorous lower bound
+on the computed value cannot rule out.  A pair is ruled out when its
+bound exceeds U, the least value computed at the anchors (every 64th
+point and the last, which lie on every level).  At
+a point, Weyl's inequality bounds sigma_min(P(tau)) below by
+|d(tau)| - sum_j ||A_j - d_j I|| |tau|^j, with d_j = tr(A_j) / k; between
+two anchors, the Lipschitz bound of Piyavskii and Shubert reads the
+class's anchor values and L = sum_j j ||A_j|| R^(j-1).  A rounding
+allowance of 1e-12 sum_j ||A_j|| |tau|^j per computed value makes both
+bounds hold for computed values.  The full samples, for `--scan-csv`,
+are computed only when read, by the same evaluator.  The bounds read
+only the class's own coefficients, none of the engine's machinery."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +75,7 @@ from .opalg import BoundaryOperator, MultiIndex, _is_matrix, _symbol_stack, symb
 
 _YES_FLOOR = 1e-4   # scan minima above this confirm "yes"
 _NO_CEILING = 1e-6  # scan minima below this confirm "no"
-_SCAN_CHUNK = 1024  # scan points per stacked SVD for systems
+_SCAN_CHUNK = 1 << 13  # matrix entries per chunk of a scan's evaluation: 512 4x4 pairs
 
 
 # ---------------------------------------------------------------------------
@@ -78,23 +86,40 @@ _SCAN_CHUNK = 1024  # scan points per stacked SVD for systems
 @dataclass(frozen=True)
 class ScanResult:
     """Sampled smallest singular values over a parameter grid, with a
-    resolution ladder.  For a line scan, points and min_singular hold the
-    finest grid and each ladder level is a strided subset of it, so the
-    global minimum is monotone under refinement; for a half-space sample
-    the levels are separate truncations."""
+    resolution ladder.  For a line scan, points hold the finest grid and
+    each ladder level is a strided subset of it, so the global minimum is
+    monotone under refinement; for a half-space sample the levels are
+    separate truncations.
+
+    samples holds the value at every point, or a function that computes
+    them: a line scan finds its minima without them (`scan_line`) and
+    computes them only when `min_singular` is first read (for the CSV).
+    Explicit samples are validated here, computed ones when computed."""
 
     points: tuple
-    min_singular: tuple[float, ...]
+    samples: tuple[float, ...] | Callable[[], np.ndarray]
     global_min: float
     argmin: object
     ladder: tuple[dict, ...]
     caveat: str | None = None
 
     def __post_init__(self):
-        if not self.min_singular:
+        if not callable(self.samples):
+            self._validate(self.samples)
+
+    @cached_property
+    def min_singular(self) -> tuple[float, ...]:
+        if not callable(self.samples):
+            return self.samples
+        values = tuple(self.samples().tolist())
+        self._validate(values)
+        return values
+
+    def _validate(self, samples) -> None:
+        if not samples:
             return
         # one reduction; a NaN sample makes the minimum NaN, equal to no global_min
-        low = np.fromiter(self.min_singular, float, len(self.min_singular)).min()
+        low = np.fromiter(samples, float, len(samples)).min()
         if low < 0:
             raise ValueError("singular values are nonnegative")
         if not low == self.global_min:
@@ -110,7 +135,7 @@ class ScanResult:
             "global_min": round12(self.global_min),
             "argmin": self.argmin_label(),
             "ladder": list(self.ladder),
-            "samples": len(self.min_singular),
+            "samples": len(self.points),
         }
         if self.caveat:
             d["caveat"] = self.caveat
@@ -139,7 +164,33 @@ class ScanResult:
 # ---------------------------------------------------------------------------
 
 
-_ROUNDING = 1e-12  # allowance, relative to sum_j ||A_j|| |tau|^j, in `_weyl_lower_bound`
+_ROUNDING = 1e-12  # allowance, relative to sum_j ||A_j|| |tau|^j, for the computed sigma_min
+_ANCHOR_STRIDE = 64  # finest-grid points between the anchors of a bounded line scan
+_PAIR_BATCH = 1 << 13  # (class, point) pairs expanded at once from the open intervals
+
+
+def _norm_terms(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, w, size) of an (..., m + 1, k, k) stack, each with the power
+    first: d_j = tr(A_j) / k, w_j = ||A_j - d_j I||_2 + 1e-12 ||A_j||_2 and
+    size_j = ||A_j||_2."""
+    k = coeffs.shape[-1]
+    d = np.trace(coeffs, axis1=-2, axis2=-1) / k
+    if k == 1:  # a 1x1 norm is the modulus, and the spread is 0
+        size = np.abs(d)
+        return d.T, (_ROUNDING * size).T, size.T
+    size = np.linalg.norm(coeffs, 2, axis=(-2, -1))
+    spread = np.linalg.norm(coeffs - d[..., None, None] * np.eye(k), 2, axis=(-2, -1))
+    return d.T, (spread + _ROUNDING * size).T, size.T
+
+
+def _weyl_bound(d: np.ndarray, w: np.ndarray, taus: np.ndarray,
+                tensor: bool = False) -> np.ndarray:
+    """|d(tau)| - w(|tau|) for the coefficient columns d and w of
+    `_norm_terms`: at every tau for one column, at each tau for its own
+    column, or with tensor, at every tau for every column (one row each)."""
+    polyval = np.polynomial.polynomial.polyval
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(polyval(taus, d, tensor)) - polyval(np.abs(taus), w, tensor)
 
 
 def _weyl_lower_bound(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -152,47 +203,145 @@ def _weyl_lower_bound(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     Horner evaluation and the backward-stable SVD can move the computed
     value, so the computed value is never below the bound.  inf - inf
     gives NaN, which callers must read as "no bound"."""
-    k = coeffs.shape[-1]
-    d = np.trace(coeffs, axis1=-2, axis2=-1) / k
-    spread = np.linalg.norm(coeffs - d[:, None, None] * np.eye(k), 2, axis=(-2, -1))
-    size = np.linalg.norm(coeffs, 2, axis=(-2, -1))
-    polyval = np.polynomial.polynomial.polyval
+    d, w, _ = _norm_terms(coeffs)
+    return _weyl_bound(d, w, taus)
+
+
+def _pair_min_singular(reps: np.ndarray, classes: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The computed smallest singular value of P_c(tau) for every pair
+    (classes[i], taus[i]), with reps the (C, m + 1, k, k) class stack.
+
+    A system takes a batched Horner step (`matrix_polyval`) and one
+    stacked SVD per chunk of _SCAN_CHUNK matrix entries, a scalar
+    |Horner|; each value is the one that evaluator gives at that point
+    alone, bit for bit, wherever the pair sits in the batch.  An
+    overflowing value is kept: inf for a scalar, NaN from a system's SVD."""
+    k = reps.shape[-1]
+    chunk = _SCAN_CHUNK // (k * k)
+    out = np.empty(taus.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(polyval(taus, d)) - polyval(np.abs(taus), spread + _ROUNDING * size)
+        for lo in range(0, taus.shape[0], chunk):
+            c, t = classes[lo:lo + chunk], taus[lo:lo + chunk]
+            if k == 1:
+                vals = np.polynomial.polynomial.polyval(t, reps[c, :, 0, 0].T, tensor=False)
+                out[lo:lo + chunk] = np.abs(vals)
+            else:
+                stack = matrix_polyval(np.moveaxis(reps[c], 0, 1), t)
+                out[lo:lo + chunk] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    return out
 
 
 def _family_min_singular(f: IndicialFamily, taus: np.ndarray) -> np.ndarray:
     """min over distinct mode polynomials of the smallest singular value
-    at each complex tau.
+    at every complex tau: the full samples of a line scan.
 
-    Systems are evaluated a chunk of points at a time by a batched Horner
-    step and one stacked SVD, and only at the points where the class's
+    A system class is evaluated only at the points where its
     `_weyl_lower_bound` does not exceed the running minimum: elsewhere the
     computed value is at least the bound, so it could not lower the
     minimum, and every returned value is the one an SVD at every point of
     every class would give, bit for bit."""
+    reps = f.coeffs[f.class_rows[0]]
     out = np.full(taus.shape, np.inf)
-    for coeffs in f.coeffs[f.class_rows[0]]:
+    for c in range(reps.shape[0]):
         if f.system_size == 1:
-            vals = np.polynomial.polynomial.polyval(taus, coeffs[:, 0, 0])
-            out = np.minimum(out, np.abs(vals))
-            continue
-        # a NaN bound is no bound: those points are evaluated
-        todo = np.flatnonzero(~(_weyl_lower_bound(coeffs, taus) > out))
-        for lo in range(0, todo.shape[0], _SCAN_CHUNK):
-            idx = todo[lo:lo + _SCAN_CHUNK]
-            smin = np.linalg.svd(matrix_polyval(coeffs, taus[idx]), compute_uv=False)[:, -1]
-            out[idx] = np.minimum(out[idx], smin)
+            todo = np.arange(taus.shape[0])
+        else:  # a NaN bound is no bound: those points are evaluated
+            todo = np.flatnonzero(~(_weyl_lower_bound(reps[c], taus) > out))
+        vals = _pair_min_singular(reps, np.full(todo.shape, c), taus[todo])
+        out[todo] = np.minimum(out[todo], vals)
     return out
+
+
+def _ruled_out(bound: np.ndarray, ceiling: float) -> np.ndarray:
+    """Where a lower bound proves the computed value above the ceiling: a
+    finite bound above it.  A NaN or infinite bound proves nothing."""
+    return np.isfinite(bound) & (bound > ceiling)
+
+
+def _bounded_line_min(reps: np.ndarray, taus: np.ndarray, stride: int) -> np.ndarray:
+    """Per point of a line scan, the least computed sigma_min over the
+    classes evaluated there (inf where none is): equal to the full sample
+    wherever that sample is at most U, and above U elsewhere.
+
+    U is the least value computed at the anchors, every stride-th point
+    and the last.  The stride is a multiple of every ladder level's, so
+    the anchors lie on every level and U is at or above each level's
+    minimum; a level's minimum and the points attaining it are therefore
+    those of the full samples.  A (class, point) pair is evaluated unless
+    a finite lower bound on its computed value exceeds U:
+
+    - at an anchor, `_weyl_lower_bound` (a scalar is evaluated outright);
+      the class with the lowest bound is evaluated first, to set U;
+    - inside the interval between anchors a and b, the Lipschitz bound of
+      Piyavskii and Shubert, (v(a) + v(b) - L |b - a|) / 2, with v the
+      class's value (or bound) at the anchors and
+      L = sum_j j ||A_j|| R^(j-1), R = max(|tau_a|, |tau_b|), a Lipschitz
+      constant of sigma_min(P(tau)) on the segment; it subtracts
+      2e-12 sum_j ||A_j|| R^j for the rounding of the three computed
+      values, as `_weyl_lower_bound` does for one.  A point the interval
+      bound keeps must still pass its own Weyl bound.
+
+    A value that overflows has a non-finite bound, so every NaN sample is
+    evaluated."""
+    (n_cls, n_coef), n = reps.shape[:2], taus.shape[0]
+    scalar = reps.shape[-1] == 1
+    d, w, size = _norm_terms(reps)
+    anchors = np.minimum(np.arange(0, n - 1 + stride, stride), n - 1)
+    n_anc = anchors.shape[0]
+    classes, points = np.repeat(np.arange(n_cls), n_anc), np.tile(anchors, n_cls)
+    if scalar:  # a scalar's value is its own bound
+        vals = _pair_min_singular(reps, classes, taus[points])
+        done = np.ones(vals.shape, dtype=bool)
+    else:
+        vals = _weyl_bound(d, w, taus[anchors], tensor=True).ravel()
+        lowest = np.argmin(vals.reshape(n_cls, n_anc), axis=0) * n_anc + np.arange(n_anc)
+        vals[lowest] = _pair_min_singular(reps, classes[lowest], taus[anchors])
+        done = ~_ruled_out(vals, np.min(vals[lowest]))
+        done[lowest] = False
+        vals[done] = _pair_min_singular(reps, classes[done], taus[points[done]])
+        done[lowest] = True
+    ceiling = np.min(vals[done])
+    best = np.full(n, np.inf)
+    best[anchors] = np.where(done, vals, np.inf).reshape(n_cls, n_anc).min(axis=0)
+    # one row per class, one column per interval between anchors
+    vals = vals.reshape(n_cls, n_anc)
+    radius = np.maximum(np.abs(taus[anchors[:-1]]), np.abs(taus[anchors[1:]]))
+    width = (taus[anchors[1:]] - taus[anchors[:-1]]).real
+    polyval = np.polynomial.polynomial.polyval
+    lipschitz = polyval(radius, np.arange(1, n_coef)[:, None] * size[1:]) if n_coef > 1 else 0.0
+    rounding = 2 * _ROUNDING * polyval(radius, size)
+    bound = (vals[:, :-1] + vals[:, 1:] - lipschitz * width) / 2 - rounding
+    cls, interval = np.nonzero(~_ruled_out(bound, ceiling))
+    inner = anchors[interval + 1] - anchors[interval] - 1
+    step = max(1, _PAIR_BATCH // stride)
+    for lo in range(0, cls.shape[0], step):
+        counts = inner[lo:lo + step]
+        pair_cls = np.repeat(cls[lo:lo + step], counts)
+        # the inner points a + 1, ..., b - 1 of each open interval, end to end
+        pair_pts = (np.repeat(anchors[interval[lo:lo + step]] + 1 + counts - np.cumsum(counts),
+                              counts) + np.arange(pair_cls.shape[0]))
+        if not scalar:
+            bound = _weyl_bound(d[:, pair_cls], w[:, pair_cls], taus[pair_pts])
+            keep = ~_ruled_out(bound, ceiling)
+            pair_cls, pair_pts = pair_cls[keep], pair_pts[keep]
+        np.minimum.at(best, pair_pts, _pair_min_singular(reps, pair_cls, taus[pair_pts]))
+    return best
 
 
 def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
               pts: int = 2001, refinements: int = 2) -> ScanResult:
-    """Evaluate the family along tau - i delta on nested grids over trange.
+    """Scan the family along tau - i delta on nested grids over trange.
 
-    Only the finest grid is evaluated; ladder level j keeps every
-    2**(refinements - j)-th sample of it, which is bit for bit the
-    linspace grid of that level because halving a linspace step is exact.
+    Ladder level j is every 2**(refinements - j)-th point of the finest
+    grid, which is bit for bit the linspace grid of that level because
+    halving a linspace step is exact.  Each level's minimum and argmin,
+    and the scan's, are those of a full evaluation of every class at
+    every point, bit for bit, but `_bounded_line_min` evaluates only the
+    (class, point) pairs that a lower bound cannot rule out, a few hundred
+    of the 8,001 points per class of a default scan.  The full samples
+    (`ScanResult.min_singular`, the CSV) are computed on first use, by
+    `_family_min_singular`.  A NaN value (an overflowing system) fails the
+    scan at the first such point.
     """
     if pts < 2:
         raise ValueError("need at least two scan points")
@@ -202,11 +351,13 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
     if not b > a:
         raise ValueError("scan range must be nondegenerate")
     grid = np.linspace(a, b, (pts - 1) * 2 ** refinements + 1)
+    taus = grid - 1j * delta
+    stride = max(_ANCHOR_STRIDE, 2 ** refinements)
     # an overflowing value is kept: inf for a scalar, NaN from a system's SVD
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _family_min_singular(f, grid - 1j * delta)
+        vals = _bounded_line_min(f.coeffs[f.class_rows[0]], taus, stride)
     if np.isnan(vals).any():
-        tau = grid[np.isnan(vals).argmax()] - 1j * delta
+        tau = taus[np.isnan(vals).argmax()]
         raise FredholmKitError(f"line scan overflows at tau={tau:.6g}; use a narrower --tau-range")
     ladder = []
     for level in range(refinements, -1, -1):
@@ -215,7 +366,7 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
         ladder.append({"points": g.shape[0], "global_min": round12(float(v[i])),
                        "argmin_tau": round12(float(g[i]))})
     i = int(np.argmin(vals))
-    return ScanResult(tuple(grid.tolist()), tuple(vals.tolist()),
+    return ScanResult(tuple(grid.tolist()), lambda: _family_min_singular(f, taus),
                       float(vals[i]), float(grid[i]), tuple(ladder))
 
 
@@ -526,6 +677,54 @@ def _match_roots(brute, reported):
     return problems
 
 
+def _witness_resolution(coeffs: np.ndarray, tau: complex) -> float:
+    """How far from 0 a scan can read |P| at a reported witness tau of an
+    (m + 1, k, k) stack: the report's 12 significant digits put tau up to
+    5e-12 |tau| from the root, where sigma_min can reach
+    5e-12 sum_j j ||A_j|| |tau|^j, and the computed value carries up to
+    1e-12 sum_j ||A_j|| |tau|^j of rounding (`_weyl_lower_bound`)."""
+    size = np.linalg.norm(coeffs, 2, axis=(-2, -1))
+    j = np.arange(size.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum((5e-12 * j + _ROUNDING) * size * abs(tau) ** j))
+
+
+def _witness_entry(fam: IndicialFamily, delta: float, line, scans: dict) -> LedgerEntry:
+    """The line-verdict entry of a "no" or "borderline" verdict: a local
+    scan of 801 points, refined once, over the witness +-0.02, or
+    +-0.02 |Re tau| beyond |Re tau| = 1, where a fixed window would shrink
+    below the spacing of the floats.  A local minimum below _NO_CEILING
+    confirms the witness; one within `_witness_resolution` of 0 is
+    inconclusive, and so is a scan that overflows (coefficients near the
+    largest float)."""
+    witness = line.witness or {}
+    tau_w = complex(*witness.get("tau", (0.0, 0.0)))
+    half = 0.02 * max(1.0, abs(tau_w.real))
+    try:
+        local = scan_line(fam, delta, (tau_w.real - half, tau_w.real + half), 801,
+                          refinements=1)
+    except FredholmKitError:
+        return LedgerEntry("line-verdict", "inconclusive",
+                           f"the local scan around the witness tau={tau_w:.6g} overflows")
+    scans["line-local"] = local
+    if local.global_min < _NO_CEILING:
+        return LedgerEntry("line-verdict", "pass",
+                           f"witness confirmed: local scan min {local.global_min:.3e}")
+    labels = fam.channels.labels
+    mode = witness.get("mode")
+    resolution = _witness_resolution(fam.coeffs[labels.index(mode)], tau_w) \
+        if mode in labels else 0.0
+    if local.global_min <= resolution:
+        return LedgerEntry("line-verdict", "inconclusive",
+                           f"local scan min {local.global_min:.3e} near the witness "
+                           f"tau={tau_w:.6g} is within its resolution {resolution:.3e} "
+                           f"of 0")
+    return LedgerEntry("line-verdict", "fail",
+                       f"'{line.status}' verdict but no scan point near the "
+                       f"witness drops below {_NO_CEILING:g} "
+                       f"(local min {local.global_min:.3e})")
+
+
 def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     """Re-derive every verdict in a report with independent machinery:
     roots re-found by Aberth iteration on the true matrix polynomial and
@@ -608,22 +807,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
                         "line-verdict", "inconclusive",
                         f"scan min {scan.global_min:.3e} in the gray zone"))
             elif line.status in ("no", "borderline"):
-                tau_w = complex(line.witness["tau"][0], line.witness["tau"][1]) \
-                    if line.witness else 0.0
-                local = scan_line(fam, delta,
-                                  (tau_w.real - 0.02, tau_w.real + 0.02), 801,
-                                  refinements=1)
-                scans["line-local"] = local
-                if local.global_min < _NO_CEILING:
-                    entries.append(LedgerEntry(
-                        "line-verdict", "pass",
-                        f"witness confirmed: local scan min {local.global_min:.3e}"))
-                else:
-                    entries.append(LedgerEntry(
-                        "line-verdict", "fail",
-                        f"'{line.status}' verdict but no scan point near the "
-                        f"witness drops below {_NO_CEILING:g} "
-                        f"(local min {local.global_min:.3e})"))
+                entries.append(_witness_entry(fam, delta, line, scans))
     elif kind in (StructureKind.SC, StructureKind.C_GAMMA):
         frozen = freeze_coefficients(p)
         lv = report.limit_verdicts[0] if report.limit_verdicts else None

@@ -298,6 +298,31 @@ def test_verify_at_a_huge_weight_runs_no_line_scan(tmp_path, runner):
     assert not csv.exists()
 
 
+def shifted_scalar(c):
+    """(r d/dr)^2 + c on the circle: for c > 0 the roots of every mode lie
+    on the weight-0 line, at tau = +-sqrt(c)."""
+    return dict(SHIFTED_CYLINDER, terms=[
+        {"alpha": [2], "coefficient": [{"nu": 0, "value": 1.0}]},
+        {"alpha": [0], "coefficient": [{"nu": 0, "value": c}]}])
+
+
+@pytest.mark.parametrize("c, status, detail", [
+    # the witness tau = -1e17, where a window of +-0.02 is a single float
+    pytest.param(1e34, "pass", "witness confirmed: local scan min 0.000e+00", id="1e34"),
+    # the witness's 12 digits sit 5e-9 off the root, where |P| is about 1e-5
+    pytest.param(2.000000001e6, "inconclusive",
+                 "local scan min 9.479e-06 near the witness tau=-1414.21+0j is within its "
+                 "resolution 2.400e-05 of 0", id="2e6"),
+])
+def test_verify_at_a_large_witness_ends_in_a_ledger_entry(tmp_path, runner, c, status, detail):
+    path = write(tmp_path, "spec.json", shifted_scalar(c))
+    res = runner.invoke(main, ["verify", path, "--weight", "0", "--cutoff", "4",
+                               "--format", "json"])
+    assert isinstance(res.exception, SystemExit), res.exception
+    entries = json.loads(res.stdout)["oracle"]["entries"]
+    assert {"name": "line-verdict", "status": status, "detail": detail} in entries
+
+
 def test_verify_over_the_mode_budget_still_exports_its_line_scan(tmp_path, runner):
     # the tail is certified but needs more modes than the budget: the
     # verdict is numerical evidence, and the line scan behind it is kept
@@ -531,13 +556,15 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
     # specs, check of three systems specs at two weights and two cutoffs,
-    # and four root-failure runs
+    # four root-failure runs and two line-scan runs
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4
-    # the verify --scan-csv runs: a scalar modes spec, a systems spec, a "no" line
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2
+    # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
+    # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]
     assert [name for name, _ in scans] == ["torus_laplacian@400", "2x2_order2",
-                                           "polar_laplacian"]
+                                           "polar_laplacian", "4x4_order4",
+                                           "polar_laplacian@wide_tau_range"]
     assert all(csv.endswith(".csv") for _, csv in scans)
 
 

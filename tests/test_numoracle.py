@@ -3,6 +3,8 @@ and the cross-check ledger (including a tampered-report negative control)."""
 
 import dataclasses
 import math
+import re
+import types
 import warnings
 
 import numpy as np
@@ -46,6 +48,7 @@ from conftest import (
     b_system_shifted,
     order2_mellin_roots,
     order4_mellin_roots,
+    random_b_operator,
     shifted_mellin_roots,
 )
 
@@ -792,11 +795,15 @@ def test_batched_system_scan_matches_per_point_svd():
 
 
 def _unpruned_min_singular(fam, taus):
-    """min over classes of one stacked SVD per class at every point."""
+    """min over classes of one stacked SVD per class at every point (of
+    |polyval| for a scalar)."""
     out = np.full(taus.shape, np.inf)
     for labels in fam.classes():
-        out = np.minimum(out, np.linalg.svd(fam.stack(labels[0], taus),
-                                            compute_uv=False)[:, -1])
+        if fam.system_size == 1:
+            vals = np.abs(np.polynomial.polynomial.polyval(taus, fam.poly(labels[0])[:, 0, 0]))
+        else:
+            vals = np.linalg.svd(fam.stack(labels[0], taus), compute_uv=False)[:, -1]
+        out = np.minimum(out, vals)
     return out
 
 
@@ -864,3 +871,215 @@ def test_system_scan_runs_few_svd_rows(monkeypatch):
     scan = scan_line(fam, 0.0, (-10.0, 10.0), 2001, refinements=2)
     assert len(scan.points) == 8001
     assert 0 < sum(rows) <= 2 * 8001
+
+
+# ---------------------------------------------------------------------------
+# bounded line scans: exact minima from few evaluations
+# ---------------------------------------------------------------------------
+
+
+def _reference_scan(fam, delta, trange, pts, refinements):
+    """(global_min, argmin, ladder) of `scan_line` from a full evaluation of
+    every class at every point of the finest grid."""
+    grid = np.linspace(trange[0], trange[1], (pts - 1) * 2 ** refinements + 1)
+    vals = _unpruned_min_singular(fam, grid - 1j * delta)
+    ladder = []
+    for level in range(refinements, -1, -1):
+        g, v = grid[::2 ** level], vals[::2 ** level]
+        i = int(np.argmin(v))
+        ladder.append({"points": g.shape[0], "global_min": round12(float(v[i])),
+                       "argmin_tau": round12(float(g[i]))})
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(grid[i]), tuple(ladder)
+
+
+def scalar_rows_family(rows):
+    """A scalar family whose classes are the given coefficient rows
+    (ascending in tau), on a channel table with one channel per row."""
+    rows = np.asarray(rows, dtype=complex)
+    labels = tuple(f"k={i}" for i in range(rows.shape[0]))
+    return IndicialFamily(ChannelTable(labels, np.arange(float(rows.shape[0]))),
+                          rows[:, :, None, None], 0.0, 1, B1.kind)
+
+
+def near_scalar_system(eps, seed):
+    """(T^2 + L - 2) I + N_1 T + N_0 on the circle, N_j seeded normal 3x3
+    matrices of scale eps: a system whose Weyl bound is nearly tight."""
+    n1, n0 = eps * np.random.default_rng(seed).standard_normal((2, 3, 3))
+    return make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.eye(3)),
+        MultiIndex(1): Coefficient.constant(n1),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(3)),
+        MultiIndex(0): Coefficient.constant(-2.0 * np.eye(3) + n0)})
+
+
+def bounded_scan_families():
+    rng = np.random.default_rng(2020)
+    return [
+        family_of(make_model("spherical_schrodinger", n=3, Z=1.0), 40.0),
+        family_of(make_model("polar_laplacian"), 40.0),
+        family_of(cylinder_shifted(2.25), 12.0),
+        *(family_of(random_b_operator(rng), 10.0) for _ in range(4)),
+        family_of(conjugated_system(), 20.0),
+        family_of(near_scalar_system(1e-9, 1), 6.0),
+        family_of(near_scalar_system(1e-3, 2), 6.0),
+        family_of(b_system_order2(), 20.0),
+        family_of(b_system_shifted((-102.25, 1.0, 2.0, 3.0)), 120.0),
+        family_of(b_system_shifted(JORDAN_SHIFTS, coupled=True), 6.0),
+    ]
+
+
+def test_bounded_scan_finds_the_minima_of_the_full_scan():
+    """A seeded sweep: every ladder level's minimum and argmin, and the
+    scan's, equal a full per-point evaluation, bit for bit."""
+    rng = np.random.default_rng(17)
+    centers = (0.0, 1.5, W, 2.0 ** 0.5 * 3, -2.5)  # roots, a witness-like point, others
+    for fam in bounded_scan_families():
+        for trial in range(8):
+            delta = (0.0, 0.3, 0.5)[trial % 3]
+            half = float(rng.choice([0.02, 0.5, 5.0, 10.0]))
+            center = float(rng.choice(centers)) if half < 5 else 0.0
+            pts = int(rng.choice([2, 3, 11, 64, 201, 801, 2001]))
+            refinements = int(rng.integers(0, 4 if pts <= 801 else 3))
+            trange = (center - half, center + half)
+            scan = scan_line(fam, delta, trange, pts, refinements)
+            assert (scan.global_min, scan.argmin, scan.ladder) == \
+                _reference_scan(fam, delta, trange, pts, refinements), (trange, pts, refinements)
+
+
+def test_bounded_scan_keeps_a_tie_on_a_tight_lipschitz_cone():
+    """|s (tau - t0)| at delta = 0 meets the interval bound exactly: a zero
+    on an interior point t0 ties a later zero on an anchor, and the argmin
+    must stay on t0 where rounding lifts the bound above 0 (about one
+    draw in five)."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        a, b, slope = rng.uniform(-3.0, -1.0), rng.uniform(1.0, 3.0), rng.uniform(0.5, 3.0)
+        grid = np.linspace(a, b, 201)
+        t0 = grid[int(rng.integers(1, 64))]  # inside the first interval
+        t1 = grid[128]  # the third anchor
+        fam = scalar_rows_family([[-slope * t0, slope], [-t1, 1.0]])
+        scan = scan_line(fam, 0.0, (a, b), 201, refinements=0)
+        assert (scan.global_min, scan.argmin, scan.ladder) == \
+            _reference_scan(fam, 0.0, (a, b), 201, 0)
+        assert scan.argmin == t0
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+def test_every_ladder_level_keeps_its_own_minimum(refinements):
+    """Zeros at every finest point off the coarsest level, and a minimum of
+    1e-4 on it: the coarsest level's minimum survives only because no
+    anchor sits on a zero, as an anchor off some level would."""
+    grid = np.linspace(-1.0, 1.0, 100 * 2 ** refinements + 1)
+    off = np.flatnonzero(np.arange(grid.shape[0]) % 2 ** refinements)
+    t2 = grid[37 * 2 ** refinements]
+    rows = [[-1.5 * t, 1.5] for t in grid[off]] + [[-(t2 + 1e-4j), 1.0]]
+    fam = scalar_rows_family(rows)
+    scan = scan_line(fam, 0.0, (-1.0, 1.0), 101, refinements)
+    assert (scan.global_min, scan.argmin, scan.ladder) == \
+        _reference_scan(fam, 0.0, (-1.0, 1.0), 101, refinements)
+    assert scan.ladder[0] == {"points": 101, "global_min": round12(1e-4),
+                              "argmin_tau": round12(t2)}
+
+
+@pytest.mark.parametrize("system", [b_system_order4(), b_system_order2()],
+                         ids=["4x4-order4", "4x4-order2"])
+def test_default_system_scan_evaluates_few_pairs(monkeypatch, system):
+    """The default scan evaluates at most 1,000 (class, point) pairs of the
+    8,001 points per class; before the interval bounds a 4x4 order-2 scan
+    took about 15,000 SVD rows."""
+    fam = family_of(system, default_mode_cutoff(system))
+    rows = []
+    polyval = numoracle.matrix_polyval
+
+    def counted(coeffs, taus, *args, **kwargs):
+        rows.append(np.asarray(taus).shape[0])
+        return polyval(coeffs, taus, *args, **kwargs)
+
+    monkeypatch.setattr(numoracle, "matrix_polyval", counted)
+    scan = scan_line(fam, 0.3)
+    assert 0 < sum(rows) <= 1000
+    assert (scan.global_min, scan.argmin, scan.ladder) == \
+        _reference_scan(fam, 0.3, (-10.0, 10.0), 2001, 2)
+
+
+@pytest.mark.parametrize("which", ["scalar", "system"])
+def test_scan_samples_are_computed_on_first_use(monkeypatch, which):
+    fam = (family_of(make_model("spherical_schrodinger", n=3, Z=1.0), 40.0) if which == "scalar"
+           else family_of(b_system_order2(), 20.0))
+    calls = []
+    full = numoracle._family_min_singular
+
+    def counted(f, taus):
+        calls.append(taus.shape[0])
+        return full(f, taus)
+
+    monkeypatch.setattr(numoracle, "_family_min_singular", counted)
+    scan = scan_line(fam, 0.3)
+    assert calls == []
+    taus = np.linspace(-10.0, 10.0, 8001) - 0.3j
+    assert scan.min_singular == tuple(_unpruned_min_singular(fam, taus).tolist())
+    assert scan.min_singular is scan.min_singular and calls == [8001]
+    assert scan.as_dict()["samples"] == 8001
+
+
+def test_computed_samples_are_validated_when_read():
+    scan = ScanResult((0, 1), lambda: np.array([0.5, 0.25]), 0.5, 0, ())
+    with pytest.raises(ValueError, match="minimum"):
+        scan.min_singular
+
+
+@pytest.mark.parametrize("fam", [
+    pytest.param(family_of(make_model("polar_laplacian"), 4.5), id="scalar"),
+    pytest.param(family_of(make_operator(B1, CIRCLE, {
+        MultiIndex(2): Coefficient.constant(np.eye(2)),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(np.array([[2.0, 0.5], [0.0, 3.0]]))}), 4.5),
+        id="system"),
+    pytest.param(family_of(b_system_order4(), 12.0), id="4x4-order4"),
+    pytest.param(family_of(near_scalar_system(1e-9, 1), 6.0), id="near-scalar"),
+])
+@pytest.mark.parametrize("reach, pts, refinements", [
+    (1e160, 11, 0), (1e155, 11, 2), (1e154, 201, 1), (1e100, 64, 1), (1e200, 101, 0)])
+def test_overflowing_scans_fail_at_the_first_nan_of_the_full_scan(fam, reach, pts, refinements):
+    """Every pair whose value overflows has a non-finite bound and is
+    evaluated: the scan fails exactly when a full evaluation has a NaN,
+    at its first NaN in grid order, and otherwise finds its minima."""
+    trange = (-reach, reach)
+    grid = np.linspace(-reach, reach, (pts - 1) * 2 ** refinements + 1)
+    taus = grid - 0.5j
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = _unpruned_min_singular(fam, taus)
+        reps = fam.coeffs[fam.class_rows[0]]
+        if fam.system_size > 1:
+            for c in range(reps.shape[0]):
+                vals = np.linalg.svd(limitops.matrix_polyval(reps[c], taus),
+                                     compute_uv=False)[:, -1]
+                bound = numoracle._weyl_lower_bound(reps[c], taus)
+                assert not np.isfinite(bound[np.isnan(vals)]).any()
+        reference = None if np.isnan(full).any() else \
+            _reference_scan(fam, 0.5, trange, pts, refinements)
+    if reference is None:
+        tau = taus[np.isnan(full).argmax()]
+        message = "^" + re.escape(f"line scan overflows at tau={tau:.6g};")
+        with pytest.raises(FredholmKitError, match=message):
+            scan_line(fam, 0.5, trange, pts, refinements)
+    else:
+        scan = scan_line(fam, 0.5, trange, pts, refinements)
+        assert (scan.global_min, scan.argmin, scan.ladder) == reference
+
+
+def test_a_witness_scan_that_overflows_is_inconclusive():
+    # I T^4 - diag(1.7e308, 2) has a root at tau = 1.7e308^(1/4) = 1.14e77,
+    # where T^4 overflows within the local window
+    system = make_operator(B1, CIRCLE, {
+        MultiIndex(4): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(np.diag([-1.7e308, -2.0]))})
+    line = types.SimpleNamespace(status="no", witness={"tau": [1.14185834544e77, 0.0],
+                                                       "mode": "k=0"})
+    scans = {}
+    entry = numoracle._witness_entry(family_of(system, 2.0), 0.0, line, scans)
+    assert entry == numoracle.LedgerEntry(
+        "line-verdict", "inconclusive",
+        "the local scan around the witness tau=1.14186e+77+0j overflows")
+    assert scans == {}

@@ -4,7 +4,9 @@ for byte-identical output.
     python3 tools/report_digest.py > digests.txt
 
 Run it in each checkout and diff the two files.  Each line reads
-`<sha256 of stdout> <exit code> <label>`.  The reports are:
+`<sha256 of stdout> <exit code> <label>`; a run that exits 3 (an
+`error:` line, empty stdout) adds a line `<sha256 of stderr> 3
+<label>/stderr`.  The reports are:
 
 - the JSON `check` and `verify` output for every spec of the benchmark
   workloads `cli-cold`, `modes`, `systems` and `symbols` at seeds 1 and 2,
@@ -34,11 +36,18 @@ Run it in each checkout and diff the two files.  Each line reads
   `verify` of the 2x2 system T^2 + L + [[2, 0.5], [0, 3]] on the circle
   at weight 0.5 over `--tau-range -1e160 1e160`, whose line scan
   overflows (exit 3);
-- the `verify --scan-csv` files of a scalar `modes` spec and a `systems`
-  spec (seed 1, the benchmark's arguments) and of the built-in
-  `polar_laplacian` at weight 0, whose line verdict "no" also writes the
-  `line-local` scan.  Each file gets its own line, labelled
-  `scan-csv/<spec>/<file>`, with the exit code of its `verify`.
+- the JSON `verify` at weight 0 of two line scans the benchmark's specs
+  do not reach: `b_system_shifted((-102.25, 1, 2, 3))` (tests/conftest.py)
+  at cutoff 120, whose scan minimum sits on its last mode class, and
+  (r d/dr)^2 + 1e34 on the circle at cutoff 4, whose witness tau = -1e17
+  is too large for a fixed local window;
+- the `verify --scan-csv` files of a scalar `modes` spec and the
+  `systems` specs `2x2_order2` and `4x4_order4` (seed 1, the benchmark's
+  arguments), and of the built-in `polar_laplacian` at weight 0, whose
+  line verdict "no" also writes the `line-local` scan, and at weight 0.5
+  over `--tau-range -1e200 1e200`, whose samples overflow to inf.  Each
+  file gets its own line, labelled `scan-csv/<run>/<file>`, with the exit
+  code of its `verify`.
 
 The CLI runs in this process, on the `src/` of the checkout this file is
 in.  A run that raises instead of exiting prints `raised:<exception
@@ -62,7 +71,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from click.testing import CliRunner  # noqa: E402
 
 import workloads  # noqa: E402
-from conftest import b_system_order4_singular  # noqa: E402
+from conftest import b_system_order4_singular, b_system_shifted  # noqa: E402
 from fredholm_kit import (  # noqa: E402
     CrossSection,
     LieStructure,
@@ -77,9 +86,13 @@ SEEDS = (1, 2)
 WEIGHTS = ("-0.5", "0", "0.3")
 SYSTEM_WEIGHTS = ("-2.5", "1.5")
 SYSTEM_CUTOFFS = ("30", "1e4")
-# (workload, spec name, weight or None for the benchmark's arguments)
-SCAN_SPECS = (("modes", "torus_laplacian@400", None), ("systems", "2x2_order2", None),
-              ("cli-cold", "polar_laplacian", "0"))
+# (run name, workload, spec name, options or None for the benchmark's arguments)
+SCAN_SPECS = (("torus_laplacian@400", "modes", "torus_laplacian@400", None),
+              ("2x2_order2", "systems", "2x2_order2", None),
+              ("polar_laplacian", "cli-cold", "polar_laplacian", ["--weight", "0"]),
+              ("4x4_order4", "systems", "4x4_order4", None),
+              ("polar_laplacian@wide_tau_range", "cli-cold", "polar_laplacian",
+               ["--weight", "0.5", "--tau-range", "-1e200", "1e200"]))
 
 
 def _spec(cross: dict, terms: dict, kind: str = "b") -> dict:
@@ -159,6 +172,17 @@ FAILURE_SPECS = (
 )
 
 
+# (name, spec, options) of the `verify` runs whose line scans the
+# benchmark's specs do not reach: a scan minimum on the last mode class,
+# and a witness far out on the line
+LINE_SCAN_SPECS = (
+    ("later_class_minimum", serialize_operator(b_system_shifted((-102.25, 1.0, 2.0, 3.0))),
+     ["--weight", "0", "--cutoff", "120", "--format", "json"]),
+    ("large_witness", _spec({"kind": "circle"}, {(2,): 1.0, (0,): 1e34}),
+     ["--weight", "0", "--cutoff", "4", "--format", "json"]),
+)
+
+
 def runs(workdir: str):
     """(label, argv) for every report, in a fixed order."""
     for name in WORKLOADS:
@@ -218,42 +242,51 @@ def runs(workdir: str):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         yield f"failures/{name}/{argv[0]}", [argv[0], path, *argv[1:]]
+    for name, doc, options in LINE_SCAN_SPECS:
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        yield f"line-scans/{name}/verify", ["verify", path, *options]
 
 
 def scan_runs(workdir: str):
-    """(spec name, argv, directory) for every `verify --scan-csv` run; the
+    """(run name, argv, directory) for every `verify --scan-csv` run; the
     CSV files are the only files in their directory."""
-    for name, spec_name, weight in SCAN_SPECS:
+    for run_name, name, spec_name, options in SCAN_SPECS:
         spec = next(s for s in workloads.build(name, SEEDS[0]).specs if s.name == spec_name)
-        path = os.path.join(workdir, "scans", f"{spec_name}.json")
-        sub = os.path.join(workdir, "scans", spec_name)
+        path = os.path.join(workdir, "scans", f"{run_name}.json")
+        sub = os.path.join(workdir, "scans", run_name)
         os.makedirs(sub)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(spec.doc, fh, indent=2)
-        args = spec.cli_args(path) if weight is None else [path, "--weight", weight]
-        yield spec_name, ["verify", *args, "--scan-csv", os.path.join(sub, "scan.csv")], sub
+        args = spec.cli_args(path) if options is None else [path, *options]
+        yield run_name, ["verify", *args, "--scan-csv", os.path.join(sub, "scan.csv")], sub
 
 
 def _invoke(runner: CliRunner, argv: list[str]) -> tuple:
-    """(stdout bytes, exit code, or `raised:<name>` for an exception)."""
+    """(stdout bytes, stderr bytes, exit code, or `raised:<name>` for an
+    exception)."""
     result = runner.invoke(cli_main, argv)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
-        return result.stdout_bytes, f"raised:{type(result.exception).__name__}"
-    return result.stdout_bytes, result.exit_code
+        return (result.stdout_bytes, result.stderr_bytes,
+                f"raised:{type(result.exception).__name__}")
+    return result.stdout_bytes, result.stderr_bytes, result.exit_code
 
 
 def main() -> int:
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as workdir:
         for label, argv in runs(workdir):
-            stdout, code = _invoke(runner, argv)
+            stdout, stderr, code = _invoke(runner, argv)
             print(f"{hashlib.sha256(stdout).hexdigest()} {code} {label}", flush=True)
-        for spec_name, argv, sub in scan_runs(workdir):
-            _, code = _invoke(runner, argv)
+            if code == 3:
+                print(f"{hashlib.sha256(stderr).hexdigest()} {code} {label}/stderr", flush=True)
+        for run_name, argv, sub in scan_runs(workdir):
+            _, _, code = _invoke(runner, argv)
             for name in sorted(os.listdir(sub)):
                 with open(os.path.join(sub, name), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{digest} {code} scan-csv/{spec_name}/{name}", flush=True)
+                print(f"{digest} {code} scan-csv/{run_name}/{name}", flush=True)
     return 0
 
 
