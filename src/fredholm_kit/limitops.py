@@ -87,7 +87,8 @@ def newton_correction(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     stack, or a stack that broadcasts against taus as in `matrix_polyval`."""
     p, dp = matrix_polyval(coeffs, taus, derivative=True)
     out = np.zeros(p.shape[:-2], dtype=complex)
-    regular = np.linalg.det(p) != 0
+    with np.errstate(over="ignore", invalid="ignore"):  # one past the largest float is not 0
+        regular = np.linalg.det(p) != 0
     trace = np.trace(np.linalg.solve(p[regular], dp[regular]), axis1=-2, axis2=-1)
     out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
     return out
@@ -98,13 +99,21 @@ def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     singular vectors of the smallest singular value of P(tau): the
     first-order distance a simple root there moves per unit relative
     change of the coefficients (inf where the slope y* P' x vanishes).
-    coeffs as for `newton_correction`."""
+    coeffs as for `newton_correction`.  Each coefficient is divided by its
+    largest entry before its Frobenius norm is taken, so that the squares
+    of entries near the largest float do not overflow; a sensitivity that
+    overflows all the same is inf or NaN, never a warning."""
     p, dp = matrix_polyval(coeffs, taus, derivative=True)
     u, _, vh = np.linalg.svd(p)
     slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
-    norms = np.linalg.norm(coeffs, axis=(-2, -1))
-    size = sum(norm * np.abs(taus) ** j for j, norm in enumerate(norms))
-    return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
+    top = np.max(np.abs(coeffs), axis=(-2, -1), keepdims=True)
+    scaled = np.divide(coeffs, top, out=np.zeros_like(coeffs), where=top > 0)
+    norms = top[..., 0, 0] * np.linalg.norm(scaled, axis=(-2, -1))
+    # a sum past the largest float is inf, and inf / inf NaN: both read as
+    # no finite sensitivity
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = sum(norm * np.abs(taus) ** j for j, norm in enumerate(norms))
+        return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
 
 
 _RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
@@ -132,7 +141,8 @@ def _contour_counts(coeffs: np.ndarray, boxes, n_side: int) -> list:
     steps = np.roll(corners, -1, axis=1) - corners
     sides = corners[:, :, None] + steps[:, :, None] * _UNIT_SEGMENTS[n_side]
     path = np.concatenate([sides.reshape(len(boxes), -1), corners[:, :1]], axis=1)
-    vals = _det(matrix_polyval(coeffs, path))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: unsettled below
+        vals = _det(matrix_polyval(coeffs, path))
     absvals = np.abs(vals)
     scale = absvals.max(axis=1)
     low = absvals.min(axis=1)

@@ -1,34 +1,38 @@
 """Numerical cross-checks of the symbolic verdicts.
 
-The machinery differs from the decision engine's.  Where the engine
-solves a mode's matrix polynomial P(tau) through its companion matrix,
-the oracle re-finds the roots of det P by Aberth-Ehrlich iteration on
-tr(P^-1 P') and confirms each root by the winding number of det P around
-a small box (`limitops._winding_counts`).  It evaluates the true
-coefficients, never the interpolated `IndicialFamily.det_poly`.  Both
-sides resolve their approximations with `fredholm._resolve_roots`: each
-gets a disc as wide as rounding can move it, and approximations whose
-discs overlap become one multiple root, confirmed by a winding count;
-the oracle takes the center of such a root from a contour moment instead
-of the mean of its iterates.  Line
-verdicts are confirmed by scanning smallest singular values of the
-indicial family on the tested line, and zero-structure limit operators
-are sampled on a truncated half-space in log coordinates.
+The machinery differs from the decision engine's, and shares none of its
+root rules.  Where the engine solves a mode's matrix polynomial P(tau)
+through its companion matrix and resolves the eigenvalues by
+`fredholm._resolve_roots`, the oracle re-finds the roots of det P by
+Aberth-Ehrlich iteration on tr(P^-1 P') and certifies them with
+inclusion discs.  With W_i the Weierstrass corrections of its n
+iterates z_i, a connected component of p of the discs D(z_i, n |W_i|)
+holds exactly p roots (Gerschgorin's theorem on diag(z) - W 1^T;
+Braess-Hadeler, Carstensen), and every |det P(z_i)| carries a stated
+rounding allowance: one determinant per root.  A component of one disc
+is a simple root.  A component of more, a cluster (a multiple root, or
+roots closer than rounding lets det P resolve), has its count confirmed
+a second way, by the winding number of det P around one box
+(`limitops._winding_counts`), and its center is a contour moment.  The
+oracle evaluates the true coefficients, never the interpolated
+`IndicialFamily.det_poly`.  Line verdicts are confirmed by scanning
+smallest singular values of the indicial family on the tested line, and
+zero-structure limit operators are sampled on a truncated half-space in
+log coordinates.
 
 The oracle solves all mode classes of a family in one batch per
 polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
 leading coefficients, one Aberth-Ehrlich iteration over every iterate of
-every polynomial, one resolve, and one winding count over every root's
-box.  Each stage reports one (roots, failure) pair per polynomial, so a
-polynomial that fails any of these fails alone, with the message it
-would give on its own, and its neighbours' roots stay bit-identical.
-The winding count runs in passes of at most `limitops._CONTOUR_CHUNK`
-matrix entries, which bounds peak memory: a single pass over the 928
-root boxes of a 4x4 order-4 family would hold 61 MB in each array of
-contour values.  A 1x1 determinant, on a contour or at a root, is the
-entry itself (`limitops._det`), not a LAPACK call per point.  The found
-roots are matched against the report once per class and reported root
-list: channels that share both take one result.
+every polynomial, one pass of inclusion discs, and one winding count
+over the boxes of every cluster.  Each stage reports one (roots,
+failure) pair per polynomial, so a polynomial that fails any of these
+fails alone, with the message it would give on its own, and its
+neighbours' roots stay bit-identical.  The winding count runs in passes
+of at most `limitops._CONTOUR_CHUNK` matrix entries, which bounds peak
+memory.  A 1x1 determinant, on a contour or at a root, is the entry
+itself (`limitops._det`), not a LAPACK call per point.  The found roots
+are matched against the report once per class and reported root list:
+channels that share both take one result.
 
 A line scan reads the coarser levels of its resolution ladder off its
 finest grid as strided subsets, and the ledger reads only each level's
@@ -58,7 +62,6 @@ import numpy as np
 
 from ._util import round12
 from .crosssec import spectrum
-from .fredholm import _resolve_roots
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     IndicialFamily,
@@ -376,7 +379,10 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
 
 
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
-_ROOT_TOL = 1e-7  # relative: the least half-width of a root's box, and the match distance
+_ROOT_TOL = 1e-7  # relative: the least half-width of a cluster's box, and the match distance
+_SPLIT = 1e-10  # relative: how far apart iterates that coincide exactly are moved
+_EXTENDED_EPS = float(np.finfo(np.longdouble).eps)  # machine epsilon of a scalar's Horner pass
+_EVAL_ROUNDING = 2.0 ** -46  # a system's evaluation error, relative to sum_j ||A_j||_F |z|^j
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # moment quadrature nodes
 
 
@@ -384,30 +390,39 @@ def brute_roots(coeffs) -> list[tuple[complex, int, float]]:
     """Roots of det P for a matrix polynomial P, independent of the
     engine's companion matrices: the batch of one of `_brute_roots_batch`,
     which `cross_check` runs on all classes of a family at once (Aberth
-    iteration, a resolve and winding counts in passes of bounded memory).
+    iteration, inclusion discs, and winding counts on clusters only).
 
     coeffs is a scalar coefficient row or an (m + 1, k, k) stack, ascending
-    in the power.  Returns (root, multiplicity, residual |det P(root)|)
-    triples, with P scaled to a largest coefficient of magnitude one, and
-    raises FredholmKitError when a root cannot be found or confirmed.
+    in the power.  Returns (root, multiplicity, residual) triples, one per
+    connected component of the inclusion discs: a simple root, or a
+    cluster of as many roots as its multiplicity, centered at their mean.
+    The residual is |det| at the root of P(2^e sigma) scaled to a largest
+    coefficient of magnitude one (`_brute_roots_batch`).  Raises
+    FredholmKitError when the roots cannot be found or confirmed.
     """
     (roots, failure), = _brute_roots_batch([coeffs])
     if failure is not None:
         raise FredholmKitError(failure)
-    return roots
+    return [root[:3] for root in roots]
 
 
 def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
     """`brute_roots` of many matrix polynomials at once, as (roots, None)
-    or (None, failure detail) per polynomial, in order: the pairs of
-    `fredholm._resolve_roots`.
+    or (None, failure detail) per polynomial, in order.  Each root is a
+    (center, multiplicity, residual, discs) tuple, discs holding the
+    (point, radius) pairs of its component of inclusion discs.
 
-    The polynomials are trimmed of exact zero top coefficients, scaled to
-    a largest coefficient of magnitude one and grouped by shape
-    (m + 1, k, k).  Each group takes one stacked SVD for the floor on its
-    leading coefficients and runs as one batch (`_brute_roots_group`).  A
-    failure fails only its own polynomial, with the detail `brute_roots`
-    raises for it alone."""
+    The polynomials are trimmed of exact zero top coefficients.  Each
+    takes tau = 2^e sigma, with 2^e the power of two nearest to
+    (|A_0| / |A_m|)^(1/m) (largest entries; e = 0 when A_0 = 0), so that
+    its end coefficients are of one size and the floor below does not
+    depend on the scale of tau.  The polynomials in sigma are scaled to a
+    largest coefficient of magnitude one and grouped by shape (m + 1, k, k).
+    Each group takes one stacked SVD for the floor of 1e-14 on the
+    smallest singular value of its leading coefficients and runs as one
+    batch (`_brute_roots_group`).  A power of two scales exactly, so the
+    roots map back to tau without rounding.  A failure fails only its own
+    polynomial, with the detail `brute_roots` raises for it alone."""
     out: list = [([], None) for _ in polys]  # a constant has no roots
     groups: dict[tuple, list] = {}
     for i, coeffs in enumerate(polys):
@@ -419,44 +434,117 @@ def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
             n -= 1
         if n > 1:
             groups.setdefault((n, coeffs.shape[-1]), []).append((i, coeffs[:n]))
-    for members in groups.values():
+    for (n, _), members in groups.items():
         index = np.array([i for i, _ in members])
         coeffs = np.stack([c for _, c in members], axis=1)
-        coeffs = coeffs / np.max(np.abs(coeffs), axis=(0, 2, 3))[:, None, None]
+        ends = np.max(np.abs(coeffs[[0, -1]]), axis=(2, 3))
+        with np.errstate(divide="ignore"):
+            ratio = np.log2(ends[0]) - np.log2(ends[1])
+        e = np.rint(np.where(ends[0] > 0, ratio, 0.0) / (n - 1)).astype(int)
+        shift = (np.arange(n)[:, None] * e)[:, :, None, None]
+        scaled = np.empty_like(coeffs)
+        scaled.real, scaled.imag = np.ldexp(coeffs.real, shift), np.ldexp(coeffs.imag, shift)
+        coeffs = scaled / np.max(np.abs(scaled), axis=(0, 2, 3))[:, None, None]
         low = np.linalg.svd(coeffs[-1], compute_uv=False)[:, -1] < 1e-14
         for i in index[low]:
             out[i] = (None, "leading coefficient below 1e-14")
         if not low.all():
-            for i, result in zip(index[~low], _brute_roots_group(coeffs[:, ~low])):
+            scale = np.ldexp(1.0, e[~low])
+            for i, result in zip(index[~low], _brute_roots_group(coeffs[:, ~low], scale)):
                 out[i] = result
     return out
 
 
-def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None]]:
-    """Roots of det P_b for a batch of polynomials coeffs[:, b] of one
-    shape (m + 1, k, k), m >= 1, with invertible leading coefficients:
-    Aberth-Ehrlich iteration on tr(P^-1 P'), with the iterates resolved by
-    `fredholm._resolve_roots` and every root confirmed by the winding
-    number of det P around a box of half-width _ROOT_TOL * max(1, |z|), or the
-    box on which a root merged from iterates closer than rounding can
-    separate was confirmed (less when another root is nearer).
+def _det_spread(singular: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """prod_i (s_i + eta) - prod_i s_i over the singular values s of a
+    matrix, summed as eta sum_i prod_(j < i) (s_j + eta) prod_(j > i) s_j,
+    without cancellation: the bound of Ipsen and Rehman on
+    |det(A + E) - det A| for ||E||_2 <= eta."""
+    eta = eta[..., None]
+    one = np.ones_like(eta)
+    before = np.cumprod(np.concatenate([one, singular[..., :-1] + eta], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([one, singular[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    return eta[..., 0] * np.sum(before * after, axis=-1)
 
-    The iterates of all polynomials move together; one resolve takes them
-    all and reports a polynomial it fails on in that polynomial's place;
-    the boxes of the others share the chunked passes of one
-    `_winding_counts` call.  Per polynomial, the wide boxes and moment
-    rings are built only when it has a merged root, and the residuals
-    |det P| at the roots go through `limitops._det`, which reads a 1x1
-    determinant directly."""
+
+def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, residuals) at distinct points z[b] of det P_b, one per root
+    counted with multiplicity, for polynomials coeffs[:, b] of shape
+    (m + 1, k, k): the radius n |W_i| of the inclusion disc of every point
+    and the computed |det P_b(z_i)|.
+
+    W_i = det P(z_i) / (det A_m prod_(j != i) (z_i - z_j)) is the
+    Weierstrass correction.  The matrix diag(z) - W 1^T has the
+    characteristic polynomial det P / det A_m, and its Gerschgorin discs
+    D(z_i - W_i, (n - 1) |W_i|) lie in D(z_i, n |W_i|): a connected
+    component of p of these discs holds exactly p roots of det P
+    (Braess-Hadeler; Carstensen).  |det P(z_i)| takes a rounding allowance
+    so that this holds for computed values.  For a system it is
+    `_det_spread` of the singular values of the computed P(z_i) at
+    eta = _EVAL_ROUNDING sum_j ||A_j||_F |z_i|^j, which covers the Horner
+    pass, the LU factorization and the singular values themselves; det A_m
+    takes off its own.  A scalar's value comes from a Horner pass in
+    extended precision, within 4 m eps sum_j |a_j| |z_i|^j of the exact
+    one, eps the machine epsilon of np.longdouble.  The radius takes 1e-12
+    more, relative, for the rounding of the product and the quotient.  A
+    radius is inf or NaN where a value overflows or det A_m is within its
+    allowance of 0."""
     m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
+    stack = coeffs[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = matrix_polyval(stack, z)
+        residuals = np.abs(_det(values))
+        norms = np.linalg.norm(coeffs, axis=(-2, -1))
+        size = np.polynomial.polynomial.polyval(np.abs(z), norms[:, :, None], tensor=False)
+        lead = np.abs(_det(coeffs[-1]))
+        if k == 1:
+            dets = np.abs(matrix_polyval(stack.astype(np.clongdouble), z)[..., 0, 0]).astype(float)
+            dets += 4 * m * _EXTENDED_EPS * size
+        else:
+            finite = np.isfinite(values).all(axis=(-2, -1))
+            singular = np.full(values.shape[:-1], np.inf)
+            singular[finite] = np.linalg.svd(values[finite], compute_uv=False)
+            dets = residuals + _det_spread(singular, _EVAL_ROUNDING * size)
+            lead = np.maximum(lead - _det_spread(np.linalg.svd(coeffs[-1], compute_uv=False),
+                                                 _EVAL_ROUNDING * norms[-1]), 0.0)
+        gaps = z[:, :, None] - z[:, None, :]
+        gaps[:, np.arange(z.shape[1]), np.arange(z.shape[1])] = 1.0
+        radii = (z.shape[1] * (1 + _ROUNDING)) * dets / (lead[:, None] * np.abs(gaps.prod(axis=2)))
+    return radii, residuals
+
+
+def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list | None, str | None]]:
+    """Roots of det P_b(scale_b sigma) for a batch of polynomials
+    coeffs[:, b] in sigma of one shape (m + 1, k, k), m >= 1, with
+    invertible leading coefficients, reported in tau = scale_b sigma as
+    `_brute_roots_batch` pairs.
+
+    Aberth-Ehrlich iteration on tr(P^-1 P') gives n = m k iterates per
+    polynomial; iterates that coincide exactly are moved _SPLIT apart,
+    relative.  One batched `limitops._det` pass gives their inclusion
+    discs (`_inclusion_radii`).  Where discs meet, the points of each
+    cluster are spread on a circle (`_spread_clusters`) and the discs of
+    that polynomial are taken again.  The connected components of the
+    discs are the roots.  A component of one disc is a simple root at its
+    point, with no contour and no Newton step.  A component of p > 1
+    discs, a cluster, must have its count confirmed by the winding number
+    of det P around one box that holds all its discs (`_cluster_boxes`);
+    the boxes of every polynomial share the chunked passes of one
+    `limitops._winding_counts` call, which runs only when there is a
+    cluster.  A polynomial fails alone: on a disc that is not finite (a
+    value that overflows), a count that does not settle, or a count other
+    than p.  Iterates converge only linearly to a multiple root, so a
+    cluster is centered at a contour moment (`_cluster_roots`)."""
+    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
+    n = m * k
     # every root lies within twice the largest ||A_m^-1 A_j||^(1/(m-j))
     ratios = np.linalg.solve(coeffs[-1, :, None], np.moveaxis(coeffs[:-1], 0, 1))
     powers = 1.0 / (m - np.arange(m))
     radius = 2 * np.max(np.linalg.norm(ratios, 2, axis=(2, 3)) ** powers, axis=1)
     radius[radius == 0] = 1.0
-    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(m * k) / (m * k) + 0.4))
+    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
     active = np.ones(z.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_ABERTH_STEPS):
             rows, cols = np.nonzero(active)
             if rows.size == 0:
@@ -465,47 +553,152 @@ def _brute_roots_group(coeffs: np.ndarray) -> list[tuple[list | None, str | None
             gaps = z[rows, cols, None] - z[rows]
             gaps[np.arange(rows.size), cols] = np.inf
             step = newton / (1 - newton * (1 / gaps).sum(axis=1))
-            # coinciding iterates or a vanishing trace: stop that iterate
+            # coinciding iterates, a vanishing trace or an overflowing
+            # value: stop that iterate
             step[~np.isfinite(step)] = 0
             z[rows, cols] -= step
             active[rows, cols] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[rows, cols]))
-    results = _resolve_roots(coeffs, z)  # failures stay in place
-    live = [b for b, (found, _) in enumerate(results) if found is not None]
-    roots = [results[b][0] for b in live]
-    centers = [np.array([c for c, _, _ in found]) for found in roots]
-    boxes = [root_boxes(c, np.maximum(_ROOT_TOL * np.maximum(1.0, np.abs(c)),
-                                      np.array([box for _, _, box in found])))
-             for c, found in zip(centers, roots)]
-    counts = iter(_winding_counts(coeffs, [box for bs in boxes for box in bs],
-                                  [b for b, bs in zip(live, boxes) for _ in bs]))
-    for b, found, c in zip(live, roots, centers):
-        mine = [next(counts) for _ in found]
+    z = np.sort(z, axis=1)
+    # the t-th repeat of a value moves by t * _SPLIT * max(1, |z|)
+    pos = np.arange(n)
+    first = np.ones(z.shape, dtype=bool)
+    first[:, 1:] = z[:, 1:] != z[:, :-1]
+    repeat = pos - np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+    z = z + repeat * _SPLIT * np.maximum(1.0, np.abs(z))
+    radii, residuals = _inclusion_radii(coeffs, z)
+    finite = np.isfinite(radii).all(axis=1)
+    label = _components(_discs_touch(z, radii))
+    # the points of a cluster sit closer than rounding lets det P resolve
+    # them, so their discs are far wider than the cluster: spread them and
+    # take the discs again
+    again = np.flatnonzero(finite & (label != pos).any(axis=1))
+    if again.size:
+        z[again] = _spread_clusters(z[again], radii[again])
+        radii[again], residuals[again] = _inclusion_radii(coeffs[:, again], z[again])
+        finite = np.isfinite(radii).all(axis=1)
+        label = _components(_discs_touch(z, radii))
+    # the components, by least member, of every polynomial with finite
+    # discs and a cluster, and the box of each of its clusters
+    parts = {b: [np.flatnonzero(label[b] == c) for c in np.flatnonzero(label[b] == pos)]
+             for b in np.flatnonzero(finite & (label != pos).any(axis=1))}
+    boxes = {b: _cluster_boxes(z[b], radii[b], gs) for b, gs in parts.items()}
+    owners = [b for b, bs in boxes.items() for _ in bs]
+    counts = iter(_winding_counts(coeffs, [box for bs in boxes.values() for box in bs], owners)
+                  if owners else ())
+    results = []
+    for b, s in enumerate(scale):
+        if not finite[b]:
+            i = int(np.argmin(np.isfinite(radii[b])))
+            results.append((None, f"inclusion disc not finite at tau={z[b, i] * s:.6g}"))
+            continue
+        if b not in parts:  # every disc is a simple root
+            results.append(([(t, 1, res, ((t, r),)) for t, res, r in zip(
+                (z[b] * s).tolist(), residuals[b].tolist(), (radii[b] * s).tolist())], None))
+            continue
+        clusters = [g for g in parts[b] if g.size > 1]
+        mine = [next(counts) for _ in clusters]
+        wrong = next(((g, count) for g, count in zip(clusters, mine) if count != g.size), None)
         if None in mine:
-            results[b] = (None, "contour counting failed to stabilize")
-            continue
-        wrong = next(((tau, size, count) for (tau, size, _), count in zip(found, mine)
-                      if count != size), None)
-        if wrong is not None:
-            tau, size, count = wrong
-            results[b] = (None, f"winding number {count} around tau={tau:.9g} "
-                                f"disagrees with {size} converged iterates")
-            continue
-        # iterates converge only linearly to a multiple root, so the center
-        # of a merged root is the first moment of tr(P^-1 P') on the circle
-        # of 0.45 times the distance to the nearest other root (its box when
-        # it is alone): the mean of the roots inside
-        own = coeffs[:, b]
-        merged = [i for i, (_, _, box) in enumerate(found) if box > 0]
-        wide = root_boxes(c, np.full(c.size, np.inf)) if merged else []
-        for i in merged:
-            tau, size, box = found[i]
-            reach = wide[i][1] - tau.real
-            ring = tau + (reach if math.isfinite(reach) else box) * _UNIT_CIRCLE
-            c[i] = tau + np.mean((ring - tau) ** 2 / newton_correction(own, ring)) / size
-        residuals = np.abs(_det(matrix_polyval(own, c)))
-        results[b] = ([(complex(tau), size, float(r))
-                       for tau, (_, size, _), r in zip(c, found, residuals)], None)
+            results.append((None, "contour counting failed to stabilize"))
+        elif wrong is not None:
+            g, count = wrong
+            results.append((None, f"winding number {count} around tau={z[b, g].mean() * s:.9g} "
+                                  f"disagrees with {g.size} converged iterates"))
+        else:
+            results.append((_cluster_roots(coeffs[:, b], z[b], radii[b], residuals[b],
+                                           parts[b], boxes[b], s), None))
     return results
+
+
+def _components(touch: np.ndarray) -> np.ndarray:
+    """The connected components of the graph of every row b of a boolean
+    (B, n, n) adjacency with a true diagonal, as the least index of each
+    vertex's component."""
+    n = touch.shape[-1]
+    label = np.broadcast_to(np.arange(n), touch.shape[:-1])
+    while True:
+        wider = np.where(touch, label[:, None, :], n).min(axis=2)
+        if (wider == label).all():
+            return label
+        label = wider
+
+
+def _discs_touch(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Which discs D(z[b, i], radii[b, i]) of each row meet."""
+    return np.abs(z[:, :, None] - z[:, None, :]) <= radii[:, :, None] + radii[:, None, :]
+
+
+def _spread_clusters(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """z with the points of every cluster moved onto a circle around their
+    mean, so that its inclusion discs come out tight.
+
+    The points of a p-fold root sit closer than rounding lets det P
+    resolve them, and |W_i| grows as they close in.  For q = 1, 2, ...,
+    rho_q(i) = (|W_i| d_1 ... d_(q-1))^(1/q), with d_t the distance from
+    z_i to its t-th nearest point, estimates the radius within which
+    |det P| stays at its size at z_i if z_i belongs with its q - 1 nearest
+    points.  Point i takes the least q whose next point lies beyond
+    4 rho_q (1 + n / q); points linked that way, in either direction, form a
+    cluster.  Its p points go onto the circle of radius 2 rho_p (rho_p the
+    largest over its points, and at least their spread) around their mean,
+    at angles 2 pi (j + 1/2) / p.  There |W| is about 2 rho_p / p, so the
+    cluster's discs reach about 2 rho_p (1 + n / p) from the mean.  Any
+    distinct points give valid discs; these give tight ones."""
+    z = z.copy()
+    n = z.shape[1]
+    q = np.arange(1, n + 1)
+    dist = np.abs(z[:, :, None] - z[:, None, :])
+    order = np.argsort(dist, axis=2)  # the point itself first
+    near = np.take_along_axis(dist, order, axis=2)
+    rho = np.cumprod(np.concatenate([radii[:, :, None] / n, near[:, :, 1:]], axis=2),
+                     axis=2) ** (1 / q)
+    beyond = np.concatenate([near[:, :, 1:], np.full(near.shape[:2] + (1,), np.inf)], axis=2)
+    size = np.argmax(beyond > 4 * rho * (1 + n / q), axis=2) + 1
+    link = np.take_along_axis(np.arange(n) < size[:, :, None], np.argsort(order, axis=2), axis=2)
+    label = _components(link | link.swapaxes(1, 2))
+    for b, row in enumerate(label):
+        for lead in np.flatnonzero(np.bincount(row, minlength=n) > 1):
+            g = np.flatnonzero(row == lead)
+            center = z[b, g].mean()
+            reach = max(np.max(rho[b, g, g.size - 1]), np.max(np.abs(z[b, g] - center)))
+            z[b, g] = center + 2 * reach * np.exp(2j * np.pi * (np.arange(g.size) + 0.5) / g.size)
+    return z
+
+
+def _cluster_boxes(z: np.ndarray, radii: np.ndarray, parts: list) -> list[tuple]:
+    """The box of every cluster (a component of more than one disc) among
+    the components parts of one polynomial: a square around the mean of
+    its points that holds all its discs, of half-width at least
+    _ROOT_TOL * max(1, |mean|), capped by `limitops.root_boxes` at 0.45
+    times the distance to the nearest other component's mean."""
+    centers = np.array([z[g].mean() for g in parts])
+    reach = np.array([np.max(np.abs(z[g] - c) + radii[g]) for g, c in zip(parts, centers)])
+    half = np.maximum(_ROOT_TOL * np.maximum(1.0, np.abs(centers)), reach)
+    return [box for g, box in zip(parts, root_boxes(centers, half)) if g.size > 1]
+
+
+def _cluster_roots(own: np.ndarray, z: np.ndarray, radii: np.ndarray, residuals: np.ndarray,
+                   parts: list, boxes: list, scale: float) -> list[tuple]:
+    """The roots of one polynomial of `_brute_roots_group` whose cluster
+    counts were confirmed, in tau = scale sigma: a simple root at its point,
+    with the residual there; a cluster at the first moment of tr(P^-1 P')
+    over its count on the circle of 0.45 times the distance to the
+    nearest other component (the half-width of its box when it is
+    alone), with the residual |det P| there."""
+    centers = np.array([z[g].mean() for g in parts])
+    wide = root_boxes(centers, np.full(centers.size, np.inf))
+    boxes = iter(boxes)
+    for i, g in enumerate(parts):
+        if g.size > 1:
+            c, (x0, x1, _, _) = centers[i], next(boxes)
+            reach = wide[i][1] - c.real
+            ring = c + (reach if math.isfinite(reach) else (x1 - x0) / 2) * _UNIT_CIRCLE
+            centers[i] = c + np.mean((ring - c) ** 2 / newton_correction(own, ring)) / g.size
+    moved = np.abs(_det(matrix_polyval(own, centers)))
+    return [(complex(centers[i] * scale), int(g.size),
+             float(residuals[g[0]] if g.size == 1 else moved[i]),
+             tuple((complex(z[j] * scale), float(radii[j] * scale)) for j in g))
+            for i, g in enumerate(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -651,29 +844,36 @@ class CheckLedger:
         return "\n".join(lines)
 
 
-def _match_roots(brute, reported):
-    """Match brute-force roots against the reported (tau, multiplicity)
-    pairs of one mode, both directions, with multiplicities, to
-    _ROOT_TOL * max(1, |z|)."""
+def _match_roots(found, reported):
+    """Match the reported (tau, multiplicity) pairs of one mode against
+    the oracle's roots (`_brute_roots_batch`).  Each reported root is
+    assigned to the root whose component of inclusion discs it lies
+    nearest, if it lies within _ROOT_TOL * max(1, |z|) of one of them,
+    z that disc's point; the multiplicities assigned to a root must sum
+    to its count."""
     problems = []
-    used = [False] * len(reported)
-    for z, mult, residual in brute:
-        hit = None
-        for i, (tau, _) in enumerate(reported):
-            if not used[i] and abs(tau - z) <= _ROOT_TOL * max(1.0, abs(z)):
-                hit = i
-                break
-        if hit is None:
+    discs = [(i, z, r + _ROOT_TOL * max(1.0, abs(z)))
+             for i, (*_, ds) in enumerate(found) for z, r in ds]
+    totals = [None] * len(found)  # reported multiplicity per root, None if none
+    stray = []
+    for tau, mult in reported:
+        best, owner = 0.0, None
+        for i, z, reach in discs:
+            gap = abs(tau - z) - reach
+            if gap <= best:
+                best, owner = gap, i
+        if owner is None:
+            stray.append(tau)
+        else:
+            totals[owner] = (totals[owner] or 0) + mult
+    for (z, mult, _, _), total in zip(found, totals):
+        if total is None:
             problems.append(f"brute root tau={z:.9g} (x{mult}) missing from report")
-            continue
-        used[hit] = True
-        if reported[hit][1] != mult:
+        elif total != mult:
             problems.append(
                 f"multiplicity mismatch at tau={z:.9g}: "
-                f"report {reported[hit][1]} vs contour {mult}")
-    for i, (tau, _) in enumerate(reported):
-        if not used[i]:
-            problems.append(f"reported root tau={tau:.9g} not re-found by contours")
+                f"report {total} vs contour {mult}")
+    problems += [f"reported root tau={tau:.9g} not re-found by contours" for tau in stray]
     return problems
 
 
@@ -728,16 +928,19 @@ def _witness_entry(fam: IndicialFamily, delta: float, line, scans: dict) -> Ledg
 def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     """Re-derive every verdict in a report with independent machinery:
     roots re-found by Aberth iteration on the true matrix polynomial and
-    confirmed by winding counts, line scans for yes/no verdicts, a symbol
-    rescan and |det| of the full symbol at the report's own witness
-    covector.  Any mismatch fails the ledger with the
-    first discrepancy spelled out.
+    certified by inclusion discs, with a winding count on every cluster;
+    line scans for yes/no verdicts; a symbol rescan and |det| of the full
+    symbol at the report's own witness covector.  Any mismatch fails the
+    ledger with the first discrepancy spelled out.
 
     The roots of every nonzero class polynomial come from one call of
-    `_brute_roots_batch`; a class whose roots cannot be found or confirmed
-    fails the entries of its own channels only.  Matching runs once per
-    class and reported root list: a channel whose class and reported
-    (tau, multiplicity) pairs equal an earlier channel's takes its result.
+    `_brute_roots_batch`; a class whose roots cannot be found or certified
+    fails the entries of its own channels only.  Each reported root
+    belongs to the component of discs it lies within _ROOT_TOL of, and the
+    reported multiplicities in a component must sum to its count
+    (`_match_roots`).  Matching runs once per class and reported root
+    list: a channel whose class and reported (tau, multiplicity) pairs
+    equal an earlier channel's takes its result.
     """
     from .fredholm import FredholmOptions, sc_invertible
 
@@ -756,7 +959,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         table = spectrum(p.cross_section, cutoff)
         fam = indicial_family(normal_operator(p), table)
 
-        # contour roots of every nonzero class polynomial in one batch, as
+        # certified roots of every nonzero class polynomial in one batch, as
         # (roots, None) or (None, failure detail), shared by every channel
         # of the class
         first, class_of = fam.class_rows
@@ -780,7 +983,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
             if failure is None:
                 entries.append(LedgerEntry(
                     f"roots[{label}]", "pass",
-                    f"{sum(m for _, m, _ in found)} roots re-found by contours"))
+                    f"{sum(root[1] for root in found)} roots re-found by contours"))
             else:
                 entries.append(LedgerEntry(f"roots[{label}]", "fail", failure))
 

@@ -198,3 +198,42 @@ def order4_singular_mellin_roots(k):
     """Mode k of b_system_order4_singular: +-sqrt(k^2 + x) for x in a and
     c_0, c_1, c_2."""
     return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C[:3]) for sign in (-1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# root lists that a merge gets wrong, and a diagonal system with a double root
+# ---------------------------------------------------------------------------
+
+
+# (r, neighbour of r): the roots of det P are r x3, r + neighbour, r - 1, r + 2i
+MERGE_CASES = {"A": (1 + 0.5j, 0.1), "B": (100 * (1 + 0.5j), 0.01)}
+
+
+def merge_case_roots(case):
+    """The roots of det P for `merge_case(case)`, with multiplicities."""
+    r, near = MERGE_CASES[case]
+    return [(r, 3), (r + near, 1), (r - 1, 1), (r + 2j, 1)]
+
+
+def merge_case(case):
+    """A 2x2 b system on the circle whose indicial family is the same on
+    every mode: P(tau) = S diag((tau - r)^3, q(tau)) S^-1, with S a seeded
+    standard normal matrix and q the cubic with roots r + neighbour, r - 1
+    and r + 2i (`MERGE_CASES`).  T = r d/dr enters as i tau, so T^j takes
+    the coefficient of tau^j over i^j.  Not elliptic: no tangential term."""
+    r, near = MERGE_CASES[case]
+    s = np.random.default_rng(3).standard_normal((2, 2))
+    cube = np.polynomial.polynomial.polyfromroots([r] * 3)
+    q = np.polynomial.polynomial.polyfromroots([r + near, r - 1, r + 2j])
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(j): Coefficient.constant(s @ np.diag([cube[j], q[j]]) @ np.linalg.inv(s) / 1j ** j)
+        for j in range(4)})
+
+
+def diagonal_system():
+    """I T^2 + I L + diag(1, 2) on the circle, T = r d/dr: det P on mode k
+    is (tau^2 + k^2 - 1)(tau^2 + k^2 - 2), a double root at 0 on k = +-1."""
+    eye = Coefficient.constant(np.eye(2))
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(2): eye, MultiIndex(0, (), 1): eye,
+        MultiIndex(0): Coefficient.constant(np.diag([1.0, 2.0]))})

@@ -20,7 +20,7 @@ from fredholm_kit.cli import (
     render_report,
     serialize_operator,
 )
-from conftest import b_system_order4_singular, windowed_trig
+from conftest import b_system_order4_singular, diagonal_system, merge_case, windowed_trig
 
 SHIFTED_CYLINDER = {
     "schema": SCHEMA,
@@ -323,6 +323,60 @@ def test_verify_at_a_large_witness_ends_in_a_ledger_entry(tmp_path, runner, c, s
     assert {"name": "line-verdict", "status": status, "detail": detail} in entries
 
 
+def verify_entries(runner, path, *options):
+    """(exit code, oracle ledger entries) of `verify PATH --format json`."""
+    res = runner.invoke(main, ["verify", path, *options, "--format", "json"])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    return res.exit_code, json.loads(res.stdout)["oracle"]["entries"]
+
+
+def test_verify_re_finds_the_roots_of_a_badly_scaled_operator(tmp_path, runner):
+    # (r d/dr)^2 + 1e34: tau = +-1e17 on mode 0, on the weight-0 line
+    path = write(tmp_path, "spec.json", shifted_scalar(1e34))
+    code, entries = verify_entries(runner, path, "--weight", "0", "--cutoff", "4")
+    assert code == 1
+    roots = [e for e in entries if e["name"].startswith("roots[")]
+    assert [e["status"] for e in roots] == ["pass"] * 3
+    assert all(e["detail"] == "2 roots re-found by contours" for e in roots)
+
+
+@pytest.mark.parametrize("weight, code", [("0", 1), ("0.3", 0), ("0.5", 0)])
+def test_verify_passes_on_a_double_root_of_a_diagonal_system(tmp_path, runner, weight, code):
+    # a double root at tau = 0 on mode k=1, beside simple roots at +-1; at
+    # weight 0 the roots of mode 0 lie on the line (NotFredholm)
+    path = write(tmp_path, "spec.json", serialize_operator(diagonal_system()))
+    got, entries = verify_entries(runner, path, "--weight", weight)
+    assert got == code
+    assert {"name": "roots[k=1]", "status": "pass",
+            "detail": "4 roots re-found by contours"} in entries
+    assert all(e["status"] != "fail" for e in entries)
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("A", "brute root tau=1+0.5j (x3) missing from report"),
+    ("B", "brute root tau=99+50j (x1) missing from report"),
+])
+def test_verify_fails_a_merged_root_list(tmp_path, runner, case, detail):
+    # the engine merges r x3 with its neighbour (case A: x4 at r + 0.025;
+    # case B: x6 with r - 1 as well); the oracle's discs keep them apart
+    path = write(tmp_path, "spec.json", serialize_operator(merge_case(case)))
+    code, entries = verify_entries(runner, path, "--weight", "0", "--cutoff", "1")
+    assert code == 4
+    failed = [e for e in entries if e["status"] == "fail"]
+    assert failed[0] == {"name": "roots[k=0]", "status": "fail", "detail": detail}
+    assert {e["name"] for e in failed} == {"roots[k=0]", "roots[k=1]"}
+
+
+def test_check_of_a_coefficient_near_the_largest_float_warns_nothing(tmp_path, runner):
+    # I (r d/dr)^4 - diag(1.7e308, 2); a RuntimeWarning is an error here
+    path = write(tmp_path, "spec.json", dict(SHIFTED_CYLINDER, order=4, system_size=2, terms=[
+        {"alpha": [4], "coefficient": [{"nu": 0, "value": [[1, 0], [0, 1]]}]},
+        {"alpha": [0], "coefficient": [{"nu": 0, "value": [[-1.7e308, 0], [0, -2]]}]}]))
+    res = runner.invoke(main, ["check", path, "--cutoff", "2"])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1 and res.stdout.startswith("VERDICT: NotFredholm")
+
+
 def test_verify_over_the_mode_budget_still_exports_its_line_scan(tmp_path, runner):
     # the tail is certified but needs more modes than the budget: the
     # verdict is numerical evidence, and the line scan behind it is kept
@@ -556,9 +610,10 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
     # specs, check of three systems specs at two weights and two cutoffs,
-    # four root-failure runs and two line-scan runs
+    # four root-failure runs, two line-scan runs and five verify runs of
+    # the oracle's root certificates
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2 + 5
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

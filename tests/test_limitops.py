@@ -1,6 +1,7 @@
 """Normal operators, indicial families, and limit operators per structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fredholm_kit import (
     sc_invertible,
     spectrum,
 )
+from fredholm_kit import limitops
 from fredholm_kit.crosssec import ChannelTable
 from fredholm_kit.opalg import _cmul, _cpow, _is_matrix, _symbol_stack, _value_mul
 from conftest import (
@@ -420,3 +422,24 @@ def test_sc_symbol_rejects_mode_diagonal_coefficients():
         sc_invertible(freeze_coefficients(p))
     with pytest.raises(FredholmKitError, match="mode-diagonal"):
         fredholm_check(p)
+
+
+def test_root_sensitivity_of_coefficients_near_the_largest_float():
+    # the Frobenius norm of diag(-1.7e308, -2) squares its entries; each
+    # coefficient is scaled by its largest entry first
+    coeffs = np.zeros((5, 2, 2), dtype=complex)
+    coeffs[0] = np.diag([-1.7e308, -2.0])
+    coeffs[4] = np.eye(2)
+    tau = 2 ** 0.25  # a root of tau^4 - 2, where the slope is 4 tau^3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = limitops.root_sensitivity(coeffs, np.array([tau]))
+    assert_allclose(got, [(1.7e308 + math.sqrt(2) * tau ** 4) / (4 * tau ** 3)], rtol=1e-12)
+    # ordinary coefficients: the unscaled norms, to rounding
+    row = np.random.default_rng(5).normal(size=(3, 2, 2)).astype(complex)
+    taus = np.array([0.3, 1.0 + 1.0j])
+    p, dp = limitops.matrix_polyval(row, taus, derivative=True)
+    u, _, vh = np.linalg.svd(p)
+    slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
+    size = sum(np.linalg.norm(a) * np.abs(taus) ** j for j, a in enumerate(row))
+    assert_allclose(limitops.root_sensitivity(row, taus), size / slope, rtol=1e-14)

@@ -1,8 +1,10 @@
-"""The independent oracle: line scans, contour roots, half-space sampling,
-and the cross-check ledger (including a tampered-report negative control)."""
+"""The independent oracle: line scans, roots certified by inclusion discs,
+half-space sampling, and the cross-check ledger (including a
+tampered-report negative control)."""
 
 import dataclasses
 import math
+import os
 import re
 import types
 import warnings
@@ -38,20 +40,26 @@ from fredholm_kit import (
     scan_line,
     spectrum,
 )
-from fredholm_kit import fredholm, limitops, numoracle
+from fredholm_kit import compose, fredholm, limitops, numoracle
 from fredholm_kit._util import round12
+from fredholm_kit.cli import parse_spec
 from conftest import (
     JORDAN_SHIFTS,
     LARGE_SHIFTS,
     b_system_order2,
     b_system_order4,
+    b_system_order4_singular,
     b_system_shifted,
+    diagonal_system,
+    merge_case,
+    merge_case_roots,
     order2_mellin_roots,
     order4_mellin_roots,
     random_b_operator,
     shifted_mellin_roots,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
 
@@ -202,7 +210,7 @@ def test_scan_csv_format(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# argument-principle roots
+# roots: Aberth iterates, inclusion discs, winding counts on clusters
 # ---------------------------------------------------------------------------
 
 
@@ -229,8 +237,26 @@ def test_brute_roots_difference_of_squares():
 
 
 def test_brute_roots_rejects_vanishing_leading_coefficient():
-    with pytest.raises(FredholmKitError):
-        brute_roots([1.0, 1e-15])
+    # vanishing at every scale of tau: 1 + 1e10 tau + 1e-10 tau^2, whose
+    # roots lie 1e30 apart, and a singular leading matrix
+    singular = family_of(b_system_order4_singular(), 30.0).poly("k=0")
+    for coeffs in ([1.0, 1e10, 1e-10], singular):
+        with pytest.raises(FredholmKitError, match="^leading coefficient below 1e-14$"):
+            brute_roots(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([1.0, 1e-15], [-1e15]),
+    ([1e34, 0.0, -1.0], [-1e17, 1e17]),  # mode 0 of (r d/dr)^2 + 1e34
+    ([4e-30, 0.0, 1e-30], [-2j, 2j]),
+], ids=["1e-15-leading", "1e34-constant", "1e-30-scaled"])
+def test_brute_roots_floor_is_scale_free(coeffs, want):
+    # tau = 2^e sigma with the end coefficients of one size: the floor on
+    # the leading coefficient does not depend on the scale of tau
+    found = brute_roots(coeffs)
+    assert [m for _, m, _ in found] == [1] * len(want)
+    got = np.sort_complex(np.array([z for z, _, _ in found]))
+    assert np.all(np.abs(got - np.array(want)) <= 1e-12 * np.abs(want))
 
 
 def test_brute_roots_agrees_with_companion_on_random_polys():
@@ -278,11 +304,63 @@ def test_brute_roots_merge_a_multiple_root_that_rounding_splits(shifts, coupled,
     assert np.all(np.abs(rest - want) <= 1e-10 * np.abs(want))
 
 
+def shifted_laplacian(c):
+    """T^2 + L - c on the circle, T = r d/dr."""
+    return make_operator(B1, CIRCLE, {MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0,
+                                      MultiIndex(0): -c})
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("k", [92, 100])
+def test_close_simple_roots_stay_simple(k, eps):
+    # P_eps = (T^2 + L - 1)(T^2 + L - 1 - eps): on mode k its roots are
+    # +-i sqrt(k^2 + 1) and +-i sqrt(k^2 + 1 + eps), pairs 5e-6 apart at
+    # eps = 1e-3
+    p = compose(shifted_laplacian(1.0), shifted_laplacian(1.0 + eps))
+    found = brute_roots(family_of(p, 1e4).poly(f"k={k}"))
+    assert [m for _, m, _ in found] == [1] * 4
+    got = sorted((z for z, _, _ in found), key=lambda z: z.imag)
+    want = sorted(s * math.sqrt(k * k + c) for c in (1.0, 1.0 + eps) for s in (-1, 1))
+    # the pairs lie 5.9e-8 apart, relative; rounding of the stored
+    # coefficients moves each root by about 1e-9
+    assert max(abs(z - 1j * w) / abs(w) for z, w in zip(got, want)) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_inclusion_discs_separate_what_a_merge_joins(case):
+    # case A: r x3 and r + 0.1 are two roots; case B: r + 0.01 lies within
+    # the reach of the triple root r, so one cluster holds all four
+    fam = family_of(merge_case(case), 1.0)
+    found = brute_roots(fam.poly("k=0"))
+    roots = merge_case_roots(case)
+    if case == "B":
+        (r, _), (near, _), *rest = roots
+        roots = [((3 * r + near) / 4, 4), *rest]
+    assert sorted(m for _, m, _ in found) == sorted(m for _, m in roots)
+    for z, m in roots:
+        assert any(mult == m and abs(w - z) <= 1e-7 * abs(z) for w, mult, _ in found), (z, m)
+
+
+def test_a_double_root_of_a_diagonal_system_is_one_cluster():
+    # mode k=1 of I T^2 + I L + diag(1, 2): det P = tau^2 (tau^2 - 1)
+    found = brute_roots(family_of(diagonal_system(), 2.0).poly("k=1"))
+    assert [(round(z.real, 9) + 0.0, m) for z, m, _ in found] == [(-1.0, 1), (0.0, 2), (1.0, 1)]
+    assert all(abs(z.imag) < 1e-9 for z, _, _ in found)
+
+
 def ill_scaled_stack(seed):
     """A seeded (4, 3, 3) stack whose coefficient scales spread over twelve
     orders of magnitude."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((4, 3, 3)) * 10.0 ** rng.uniform(-6, 6, (4, 1, 1))
+
+
+def overflowing_row():
+    """1 + 1e13 tau^24 + tau^25: a root near -1e13, where |det P| of the
+    scaled polynomial, about 1e13^24, overflows a float."""
+    row = np.zeros(26)
+    row[[0, 24, 25]] = 1.0, 1e13, 1.0
+    return row
 
 
 def test_brute_roots_batch_matches_one_polynomial_at_a_time():
@@ -300,10 +378,12 @@ def test_brute_roots_batch_matches_one_polynomial_at_a_time():
         # leading matrix
         np.stack([similar(-1.0, -2.0), similar(0.0, 0.5), np.eye(2)]),
         np.stack([similar(-1.0, -2.0), similar(0.0, 0.5), similar(1.0, 0.0)]),
-        jordan.poly("k=0"),  # a Jordan chain of length 4 at 0: merged, moment-centered
+        jordan.poly("k=0"),  # a Jordan chain of length 4 at 0: a cluster, moment-centered
         jordan.poly("k=1"),
         ill_scaled_stack(0),
-        ill_scaled_stack(30),  # a Newton step in `_resolve_roots` fails
+        overflowing_row(),  # its inclusion discs are not finite
+        # 25 simple roots on the circle of radius 1.5, in the same batch
+        np.polynomial.polynomial.polyfromroots(1.5 * np.exp(2j * np.pi * np.arange(25) / 25)),
     ]
     batch = numoracle._brute_roots_batch(polys)
     assert len(batch) == len(polys)
@@ -313,13 +393,14 @@ def test_brute_roots_batch_matches_one_polynomial_at_a_time():
         except FredholmKitError as e:
             assert roots is None and failure == str(e)
         else:
-            assert failure is None and roots == alone
+            assert failure is None and [root[:3] for root in roots] == alone
     failures = [failure for _, failure in batch]
     assert failures[4] == "leading coefficient below 1e-14"
-    assert failures[8].startswith("Newton step")
+    assert failures[8].startswith("inclusion disc not finite at tau=-")
     assert [i for i, f in enumerate(failures) if f is not None] == [4, 8]
+    assert [m for _, m, _, _ in batch[9][0]] == [1] * 25
     assert batch[2] == ([], None)
-    assert [m for _, m, _ in batch[5][0]].count(4) == 1
+    assert [root[1] for root in batch[5][0]].count(4) == 1
     # the failing polynomials change nothing for their neighbours
     healthy = [c for c, failure in zip(polys, failures) if failure is None]
     assert numoracle._brute_roots_batch(healthy) == [b for b in batch if b[1] is None]
@@ -688,12 +769,13 @@ def test_cross_check_fails_only_the_class_whose_roots_fail():
 
 
 def test_contour_passes_stay_within_the_chunk(monkeypatch):
-    """The oracle's winding counts on the 4x4 order-4 system take passes of
+    """The oracle's winding counts on the clusters of a Jordan-coupled 4x4
+    system (a defective double root at +-ik on every mode k) take passes of
     at most _CONTOUR_CHUNK matrix entries, and boxes of different
     polynomials share a pass."""
-    p = b_system_order4()
-    report = fredholm_check(p, 0.3)
-    assert len(family_of(p, report.cutoffs["mode_cutoff"]).classes()) == 29
+    p = b_system_shifted(JORDAN_SHIFTS, coupled=True)
+    report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=30.0))
+    assert len(family_of(p, report.cutoffs["mode_cutoff"]).classes()) == 6
     passes = []  # (matrix entries, distinct polynomials) per pass
     counts = limitops._contour_counts
 
@@ -703,9 +785,37 @@ def test_contour_passes_stay_within_the_chunk(monkeypatch):
         return counts(coeffs, boxes, n_side)
 
     monkeypatch.setattr(limitops, "_contour_counts", recorded)
-    assert cross_check(p, report).passed
+    assert cross_check(p, report, FredholmOptions(mode_cutoff=30.0)).passed
     assert passes and max(entries for entries, _ in passes) <= limitops._CONTOUR_CHUNK
     assert max(polys for _, polys in passes) > 1
+
+
+def test_simple_roots_take_no_winding_count(monkeypatch, tmp_path):
+    # the benchmark's three systems specs: every root is simple, and its
+    # disc confirms it alone
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    boxes = []  # of every `_winding_counts` call the oracle makes
+    counts = numoracle._winding_counts
+
+    def recorded(coeffs, bs, owners):
+        boxes.extend(bs)
+        return counts(coeffs, bs, owners)
+
+    monkeypatch.setattr(numoracle, "_winding_counts", recorded)
+    wl = workloads.build("systems", 1)
+    for spec, path in zip(wl.specs, workloads.write_specs(wl, str(tmp_path))):
+        op = parse_spec(path)[0]
+        opts = FredholmOptions(mode_cutoff=spec.cutoff)
+        report = fredholm_check(op, workloads.WEIGHT, opts)
+        assert report.roots and cross_check(op, report, opts).passed, spec.name
+    assert boxes == []
+    # a double root is a cluster of two discs, with a box of its own
+    p = diagonal_system()
+    report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=2.0))
+    assert cross_check(p, report, FredholmOptions(mode_cutoff=2.0)).passed
+    assert len(boxes) == 1
 
 
 def test_a_full_rank_leading_coefficient_is_never_interpolated(monkeypatch):

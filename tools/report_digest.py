@@ -36,6 +36,11 @@ Run it in each checkout and diff the two files.  Each line reads
   `verify` of the 2x2 system T^2 + L + [[2, 0.5], [0, 3]] on the circle
   at weight 0.5 over `--tau-range -1e160 1e160`, whose line scan
   overflows (exit 3);
+- the JSON `verify` of the oracle's root certificates: I T^2 + I L +
+  diag(1, 2) on the circle (a double root at 0 beside simple roots on
+  mode k=1) at weights 0, 0.3 and 0.5, and the merge cases A and B of
+  tests/conftest.py (`merge_case`; weight 0, cutoff 1), whose root lists
+  the engine merges wrongly (exit 4);
 - the JSON `verify` at weight 0 of two line scans the benchmark's specs
   do not reach: `b_system_shifted((-102.25, 1, 2, 3))` (tests/conftest.py)
   at cutoff 120, whose scan minimum sits on its last mode class, and
@@ -71,7 +76,12 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from click.testing import CliRunner  # noqa: E402
 
 import workloads  # noqa: E402
-from conftest import b_system_order4_singular, b_system_shifted  # noqa: E402
+from conftest import (  # noqa: E402
+    b_system_order4_singular,
+    b_system_shifted,
+    diagonal_system,
+    merge_case,
+)
 from fredholm_kit import (  # noqa: E402
     CrossSection,
     LieStructure,
@@ -172,6 +182,17 @@ FAILURE_SPECS = (
 )
 
 
+# (name, spec, options) of the `verify` runs of the oracle's root
+# certificates: a double root of a diagonal system, and root lists that
+# the engine merges wrongly
+ORACLE_SPECS = (
+    *((f"diagonal_system/{weight}", serialize_operator(diagonal_system()),
+       ["--weight", weight, "--format", "json"]) for weight in ("0", "0.3", "0.5")),
+    *((f"merge_case_{case}", serialize_operator(merge_case(case)),
+       ["--weight", "0", "--cutoff", "1", "--format", "json"]) for case in ("A", "B")),
+)
+
+
 # (name, spec, options) of the `verify` runs whose line scans the
 # benchmark's specs do not reach: a scan minimum on the last mode class,
 # and a witness far out on the line
@@ -247,6 +268,11 @@ def runs(workdir: str):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         yield f"line-scans/{name}/verify", ["verify", path, *options]
+    for name, doc, options in ORACLE_SPECS:
+        path = os.path.join(workdir, f"{name.replace('/', '-')}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        yield f"oracle-roots/{name}/verify", ["verify", path, *options]
 
 
 def scan_runs(workdir: str):
