@@ -16,6 +16,27 @@ def round12(x: float) -> float | None:
     return float(f"{x:.12g}")
 
 
+class FloatCache(dict):
+    """fn(x) for a float x, computed once per value: report values repeat
+    (a root's parts across modes, zeros most of all).  -0.0 == 0.0 would
+    share one entry, and the two print apart, so zeros are kept by sign,
+    apart from the other values."""
+
+    def __init__(self, fn=round12):
+        super().__init__()
+        self.fn = fn
+        self.zeros = {}
+
+    def __missing__(self, x: float):
+        if x:
+            self[x] = out = self.fn(x)
+            return out
+        sign = math.copysign(1.0, x)
+        if sign not in self.zeros:
+            self.zeros[sign] = self.fn(x)
+        return self.zeros[sign]
+
+
 def fmt12(x: float) -> str:
     """Fixed 12-significant-digit text rendering of a float."""
     return f"{float(x):.12g}"

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 import click
 import numpy as np
 
-from ._util import fmt12, fmt_complex, round12
+from ._util import FloatCache, fmt12, fmt_complex, round12
 from .crosssec import CrossKind, CrossSection, check_cutoff, spectrum
 from .fredholm import (
     FredholmOptions,
@@ -384,44 +384,57 @@ def _dumps(obj, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
-# One `IndicialRoot.as_dict()` as an item of a top-level list, laid out by
-# `json.dumps(indent=2, sort_keys=True)`, with %s for its six values.
+# One `IndicialRoot.as_dict()` as an item of a top-level list, and one
+# `LedgerEntry.as_dict()` as an item of the list "entries" of a top-level
+# object, laid out by `json.dumps(indent=2, sort_keys=True)`, with %s for
+# their values.
 _ROOT_JSON = "    " + json.dumps(
     {"mellin": ["%s"] * 2, "mode": "%s", "multiplicity": "%s", "tau": ["%s"] * 2},
     indent=2, sort_keys=True).replace("\n", "\n    ").replace('"%s"', "%s")
+_ENTRY_JSON = "      " + json.dumps(
+    {"detail": "%s", "name": "%s", "status": "%s"},
+    indent=2, sort_keys=True).replace("\n", "\n      ").replace('"%s"', "%s")
 
 
-class _FloatText(dict):
-    """`json`'s text for round12(x), computed once per nonzero x (roots repeat
-    across modes; -0.0 == 0.0 prints apart).  `float.__repr__`, because
-    numpy 2 reprs an np.float64 with its type name."""
-
-    def __missing__(self, x: float) -> str:
-        if not x:
-            return float.__repr__(x)  # round12 keeps a zero as it is
-        v = round12(x)
-        self[x] = s = "null" if v is None else float.__repr__(v)
-        return s
+def _float_text(x: float) -> str:
+    """`json`'s text for round12(x).  `float.__repr__`, because numpy 2
+    reprs an np.float64 with its type name."""
+    v = round12(x)
+    return "null" if v is None else float.__repr__(v)
 
 
-def _render_json(payload: dict, key: str, roots) -> str:
-    """`_dumps({**payload, key: [r.as_dict() for r in roots]}, indent=2) + "\\n"`,
-    byte for byte, but with the root list (most of a large report) written
-    from a template: `indent` makes `json` use its pure-Python encoder."""
-    num = _FloatText()
+def _roots_text(roots) -> str:
+    """The text of `[r.as_dict() for r in roots]` as a top-level value."""
+    num = FloatCache(_float_text)
     items = ",\n".join(_ROOT_JSON % (
         num[r.mellin.real], num[r.mellin.imag], encode_basestring_ascii(r.mode),
         int.__repr__(r.multiplicity), num[r.tau.real], num[r.tau.imag]) for r in roots)
-    entry = f'  "{key}": ' + (f"[\n{items}\n  ]" if items else "[]")
-    text = _dumps(payload, indent=2)
-    # JSON escapes newlines inside strings, so a line that starts with exactly
-    # two spaces and a quote holds a top-level key (ours need no escaping)
-    at = text.find('\n  "')
-    while at >= 0 and text[at + 4:text.index('"', at + 4)] < key:
-        at = text.find('\n  "', at + 4)
-    if at < 0:  # after the last key, before the closing brace
-        return f"{text[:-2]},\n{entry}\n}}\n"
-    return f"{text[:at]}\n{entry},{text[at:]}\n"
+    return f"[\n{items}\n  ]" if items else "[]"
+
+
+def _ledger_text(ledger) -> str:
+    """The text of `ledger.as_dict()` as a top-level value."""
+    items = ",\n".join(_ENTRY_JSON % (
+        encode_basestring_ascii(e.detail), encode_basestring_ascii(e.name),
+        encode_basestring_ascii(e.status)) for e in ledger.entries)
+    entries = f"[\n{items}\n    ]" if items else "[]"
+    return f'{{\n    "entries": {entries},\n    "passed": {json.dumps(ledger.passed)}\n  }}'
+
+
+def _render_json(payload: dict, key: str, roots, ledger=None) -> str:
+    """`_dumps({**payload, key: [r.as_dict() for r in roots]}, indent=2) + "\\n"`,
+    with "oracle": ledger.as_dict() as well when a ledger is given, byte
+    for byte, but with the root list and the ledger (most of a large
+    report) written from templates: `indent` makes `json` use its
+    pure-Python encoder.  JSON escapes newlines inside strings, so
+    indenting every line of a value's own text by two spaces lays it out
+    as it is at depth 1."""
+    items = {k: _dumps(v, indent=2).replace("\n", "\n  ") for k, v in payload.items()}
+    items[key] = _roots_text(roots)
+    if ledger is not None:
+        items["oracle"] = _ledger_text(ledger)
+    body = ",\n".join(f"  {encode_basestring_ascii(k)}: {items[k]}" for k in sorted(items))
+    return f"{{\n{body}\n}}\n"
 
 
 def render_report(report: FredholmReport, fmt: str = "text") -> str:
@@ -556,9 +569,8 @@ def verify(spec_path, weight, cutoff, tau_range, pts, fmt, out, scan_csv):
         report = fredholm_check(op, weight, opts)
         ledger = cross_check(op, report, opts)
     if fmt == "json":
-        payload = report._dict_without_roots()
-        payload["oracle"] = ledger.as_dict()
-        text = _render_json(payload, "indicial_roots", report.roots)
+        text = _render_json(report._dict_without_roots(), "indicial_roots", report.roots,
+                            ledger)
     else:
         text = render_report(report, "text") + str(ledger) + "\n"
     _echo_or_write(text, out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import round12
+from ._util import FloatCache, round12
 from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
@@ -63,11 +63,12 @@ class IndicialRoot:
     mellin: complex
     multiplicity: int
 
-    def as_dict(self):
+    def as_dict(self, rounded=round12):
+        """The report entry; rounded is `round12`, or a cache of it."""
         return {
             "mode": self.mode,
-            "tau": [round12(self.tau.real), round12(self.tau.imag)],
-            "mellin": [round12(self.mellin.real), round12(self.mellin.imag)],
+            "tau": [rounded(self.tau.real), rounded(self.tau.imag)],
+            "mellin": [rounded(self.mellin.real), rounded(self.mellin.imag)],
             "multiplicity": self.multiplicity,
         }
 
@@ -582,8 +583,9 @@ class FredholmReport:
                     "Undecided verdicts require borderline or numerical evidence")
 
     def to_dict(self) -> dict:
+        rounded = FloatCache().__getitem__  # each distinct value rounded once
         return {**self._dict_without_roots(),
-                "indicial_roots": [r.as_dict() for r in self.roots]}
+                "indicial_roots": [r.as_dict(rounded) for r in self.roots]}
 
     def _dict_without_roots(self) -> dict:
         """`to_dict` less its root list, which the JSON renderer writes

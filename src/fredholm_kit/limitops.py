@@ -82,14 +82,29 @@ def matrix_polyval(coeffs: np.ndarray, taus, derivative: bool = False):
 
 def newton_correction(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """The Newton step det P / (det P)' = 1 / tr(P^-1 P') of the matrix
-    polynomial at every tau: 0 where P(tau) is exactly singular (tau is a
-    root), inf where the trace vanishes.  coeffs is an (m + 1, k, k)
-    stack, or a stack that broadcasts against taus as in `matrix_polyval`."""
-    p, dp = matrix_polyval(coeffs, taus, derivative=True)
+    polynomial at every tau (`newton_from_values` of one Horner pass).
+    coeffs is an (m + 1, k, k) stack, or a stack that broadcasts against
+    taus as in `matrix_polyval`."""
+    return newton_from_values(*matrix_polyval(coeffs, taus, derivative=True))
+
+
+def newton_from_values(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """1 / tr(P^-1 P') for every pair of values P, P' of two (..., k, k)
+    stacks, from one batched LU solve: 0 where P is exactly singular (tau
+    is a root), inf where the trace vanishes.  A 1 x 1 P is singular where
+    it is 0, which the exact roots of scalar modes hit often, so those are
+    left out of the solve from the start.  A k x k one rarely is: only when
+    the solve meets one does a `det` pass find the regular ones, which are
+    solved again on their own."""
     out = np.zeros(p.shape[:-2], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # one past the largest float is not 0
-        regular = np.linalg.det(p) != 0
-    trace = np.trace(np.linalg.solve(p[regular], dp[regular]), axis1=-2, axis2=-1)
+    regular = p[..., 0, 0] != 0 if p.shape[-1] == 1 else ...
+    try:
+        ratio = np.linalg.solve(p[regular], dp[regular])
+    except np.linalg.LinAlgError:
+        with np.errstate(over="ignore", invalid="ignore"):  # one past the largest float is not 0
+            regular = np.linalg.det(p) != 0
+        ratio = np.linalg.solve(p[regular], dp[regular])
+    trace = np.trace(ratio, axis1=-2, axis2=-1)
     out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
     return out
 

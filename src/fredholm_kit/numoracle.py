@@ -4,16 +4,18 @@ The machinery differs from the decision engine's, and shares none of its
 root rules.  Where the engine solves a mode's matrix polynomial P(tau)
 through its companion matrix and resolves the eigenvalues by
 `fredholm._resolve_roots`, the oracle re-finds the roots of det P by
-Aberth-Ehrlich iteration on tr(P^-1 P') and certifies them with
-inclusion discs.  With W_i the Weierstrass corrections of its n
-iterates z_i, a connected component of p of the discs D(z_i, n |W_i|)
-holds exactly p roots (Gerschgorin's theorem on diag(z) - W 1^T;
-Braess-Hadeler, Carstensen), and every |det P(z_i)| carries a stated
-rounding allowance: one determinant per root.  A component of one disc
-is a simple root.  A component of more, a cluster (a multiple root, or
-roots closer than rounding lets det P resolve), has its count confirmed
-a second way, by the winding number of det P around one box
-(`limitops._winding_counts`), and its center is a contour moment.  The
+Aberth-Ehrlich iteration on tr(P^-1 P'), started on the circles of the
+tropical roots of the norms ||A_j|| (the Newton polygon of
+log ||A_j||), and certifies them with inclusion discs.  With W_i the
+Weierstrass corrections of its n iterates z_i, a connected component of
+p of the discs D(z_i, n |W_i|) holds exactly p roots (Gerschgorin's
+theorem on diag(z) - W 1^T; Braess-Hadeler, Carstensen), and every
+|det P(z_i)| carries a stated rounding allowance: one determinant per
+root.  A component of one disc is a simple root.  A component of more,
+a cluster (a multiple root, or roots closer than rounding lets det P
+resolve), has its count confirmed a second way, by the winding number of
+det P around one box (`limitops._winding_counts`), and its center is a
+contour moment.  The
 oracle evaluates the true coefficients, never the interpolated
 `IndicialFamily.det_poly`.  Line verdicts are confirmed by scanning
 smallest singular values of the indicial family on the tested line, and
@@ -24,9 +26,13 @@ The oracle solves all mode classes of a family in one batch per
 polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
 leading coefficients, one Aberth-Ehrlich iteration over every iterate of
 every polynomial, one pass of inclusion discs, and one winding count
-over the boxes of every cluster.  Each stage reports one (roots,
-failure) pair per polynomial, so a polynomial that fails any of these
-fails alone, with the message it would give on its own, and its
+over the boxes of every cluster.  One step of the iteration is one
+batched product of the power rows [1, z, ..., z^m] and their derivative
+rows against the coefficients, for P and P' at every iterate of every
+polynomial with an iterate still moving, and one batched LU solve for
+the Newton corrections of the moving iterates.  Each stage reports one
+(roots, failure) pair per polynomial, so a polynomial that fails any of
+these fails alone, with the message it would give on its own, and its
 neighbours' roots stay bit-identical.  The winding count runs in passes
 of at most `limitops._CONTOUR_CHUNK` matrix entries, which bounds peak
 memory.  A 1x1 determinant, on a contour or at a root, is the entry
@@ -71,6 +77,7 @@ from .limitops import (
     indicial_family,
     matrix_polyval,
     newton_correction,
+    newton_from_values,
     normal_operator,
     root_boxes,
 )
@@ -513,6 +520,61 @@ def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.
     return radii, residuals
 
 
+def _tropical_starts(coeffs: np.ndarray) -> np.ndarray:
+    """The n = m k starting points of the Aberth-Ehrlich iteration of each
+    polynomial coeffs[:, b] of shape (m + 1, k, k), as a (B, n) array: k
+    points per unit of multiplicity on the circle of every tropical root
+    of the norms ||A_j||_2 (Bini, Noferini and Sharify, SIAM J. Matrix
+    Anal. Appl. 34 (2013)).
+
+    The tropical roots are exp(-s), s the slopes of the upper convex hull
+    (the Newton polygon) of the points (j, log ||A_j||).  Its slope on
+    [t - 1, t] is the least over i < t of the greatest chord slope from i
+    to any l >= t, so the whole batch takes array operations only.  A zero
+    coefficient has height -inf: when A_0 = ... = A_(t-1) = 0 the slope is
+    inf and the circle has radius 0.  Each run of equal slopes is one
+    circle, numbered h = 0, 1, ... from the inside; its p points sit evenly
+    at angles 2 pi (i / p + h / n) + 0.7, the layout of Bini's polzeros
+    (Numer. Algorithms 13 (1996)), so no two points coincide."""
+    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
+    n = m * k
+    norms = np.abs(coeffs[..., 0, 0]) if k == 1 else np.linalg.norm(coeffs, 2, axis=(-2, -1))
+    j = np.arange(m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        height = np.log(norms.T)
+        chord = (height[:, None, :] - height[:, :, None]) / (j - j[:, None])  # [b, i, l]
+    chord[np.isnan(chord)] = -np.inf  # two zero coefficients bound nothing
+    t = np.arange(1, m + 1)[:, None]
+    reach = np.where((j >= t)[:, None], chord[:, None], -np.inf).max(axis=3)  # [b, t - 1, i]
+    slope = np.where(j < t, reach, np.inf).min(axis=2)
+    # unit segment t - 1 of circle h, the rank-th of its mult, takes the
+    # points i mult + rank of the circle's k mult, i < k
+    seg = np.arange(m)
+    new = np.ones(slope.shape, dtype=bool)
+    new[:, 1:] = slope[:, 1:] != slope[:, :-1]
+    circle = np.cumsum(new, axis=1) - 1
+    mult = (circle[:, :, None] == circle[:, None, :]).sum(axis=2)
+    rank = seg - np.maximum.accumulate(np.where(new, seg, 0), axis=1)
+    point = np.arange(k)[:, None] * mult[:, None] + rank[:, None]  # [b, i, t - 1]
+    angle = 2 * np.pi * (point / (k * mult[:, None]) + circle[:, None] / n) + 0.7
+    return (np.exp(-slope)[:, None] * np.exp(1j * angle)).reshape(-1, n)
+
+
+def _values_and_slopes(block: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_b(z[b, i]), P_b'(z[b, i])) as two (B, n, k, k) stacks, for the
+    coefficients of each polynomial P_b as a (B, m + 1, k, k) block: one
+    batched product of the power rows [1, z, ..., z^m] and the derivative
+    rows [0, 1, 2 z, ..., m z^(m-1)] of its n points against its block."""
+    (b, n), (m, k) = z.shape, (block.shape[1] - 1, block.shape[-1])
+    rows = np.zeros((b, 2, n, m + 1), dtype=complex)
+    rows[:, 0, :, 0] = 1
+    rows[:, 0, :, 1:] = np.cumprod(np.repeat(z[:, :, None], m, axis=2), axis=2)
+    rows[:, 1, :, 1:] = rows[:, 0, :, :-1] * np.arange(1, m + 1)
+    values = rows.reshape(b, 2 * n, m + 1) @ block.reshape(b, m + 1, k * k)
+    values = values.reshape(b, 2, n, k, k)
+    return values[:, 0], values[:, 1]
+
+
 def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list | None, str | None]]:
     """Roots of det P_b(scale_b sigma) for a batch of polynomials
     coeffs[:, b] in sigma of one shape (m + 1, k, k), m >= 1, with
@@ -520,12 +582,18 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
     `_brute_roots_batch` pairs.
 
     Aberth-Ehrlich iteration on tr(P^-1 P') gives n = m k iterates per
-    polynomial; iterates that coincide exactly are moved _SPLIT apart,
-    relative.  One batched `limitops._det` pass gives their inclusion
-    discs (`_inclusion_radii`).  Where discs meet, the points of each
-    cluster are spread on a circle (`_spread_clusters`) and the discs of
-    that polynomial are taken again.  The connected components of the
-    discs are the roots.  A component of one disc is a simple root at its
+    polynomial, started on the circles of the tropical roots of the
+    coefficient norms (`_tropical_starts`).  One step costs one batched
+    product of power rows against the coefficients of every polynomial
+    with an iterate still moving, for P and P' at all its iterates
+    (`_values_and_slopes`), and one batched LU solve for the Newton
+    corrections of the moving iterates (`limitops.newton_from_values`).
+    Iterates that coincide exactly are moved _SPLIT apart, relative.  One
+    batched `limitops._det` pass gives their inclusion discs
+    (`_inclusion_radii`).  Where discs meet, the points of each cluster
+    are spread on a circle (`_spread_clusters`) and the discs of that
+    polynomial are taken again.  The connected components of the discs
+    are the roots.  A component of one disc is a simple root at its
     point, with no contour and no Newton step.  A component of p > 1
     discs, a cluster, must have its count confirmed by the winding number
     of det P around one box that holds all its discs (`_cluster_boxes`);
@@ -537,19 +605,19 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
     cluster is centered at a contour moment (`_cluster_roots`)."""
     m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
     n = m * k
-    # every root lies within twice the largest ||A_m^-1 A_j||^(1/(m-j))
-    ratios = np.linalg.solve(coeffs[-1, :, None], np.moveaxis(coeffs[:-1], 0, 1))
-    powers = 1.0 / (m - np.arange(m))
-    radius = 2 * np.max(np.linalg.norm(ratios, 2, axis=(2, 3)) ** powers, axis=1)
-    radius[radius == 0] = 1.0
-    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
+    z = _tropical_starts(coeffs)
+    block = np.moveaxis(coeffs, 0, 1)
     active = np.ones(z.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_ABERTH_STEPS):
-            rows, cols = np.nonzero(active)
-            if rows.size == 0:
+            live = np.flatnonzero(active.any(axis=1))
+            if live.size == 0:
                 break
-            newton = newton_correction(coeffs[:, rows], z[rows, cols])
+            values, slopes = _values_and_slopes(block[live], z[live])
+            mine = active[live]
+            newton = newton_from_values(values[mine], slopes[mine])
+            rows, cols = np.nonzero(mine)
+            rows = live[rows]
             gaps = z[rows, cols, None] - z[rows]
             gaps[np.arange(rows.size), cols] = np.inf
             step = newton / (1 - newton * (1 / gaps).sum(axis=1))

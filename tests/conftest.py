@@ -237,3 +237,25 @@ def diagonal_system():
     return make_operator(LieStructure.b(1), CrossSection.circle(), {
         MultiIndex(2): eye, MultiIndex(0, (), 1): eye,
         MultiIndex(0): Coefficient.constant(np.diag([1.0, 2.0]))})
+
+
+# ---------------------------------------------------------------------------
+# vanishing constant coefficients: roots at 0, where the oracle starts
+# ---------------------------------------------------------------------------
+
+
+def zero_constant_system():
+    """I T^2 + B T + I L on the circle, T = r d/dr, B = [[1, 0.5], [0, 2]]:
+    on mode 0, P(tau) = -tau^2 I + i tau B has A_0 = 0, and
+    det P = tau^2 (tau - i) (tau - 2i), a double root at 0."""
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(2): Coefficient.constant(np.eye(2)),
+        MultiIndex(1): Coefficient.constant(np.array([[1.0, 0.5], [0.0, 2.0]])),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2))})
+
+
+def quartic_laplacian():
+    """(r d/dr)^4 + L^2 - 16 on the circle: mode k is tau^4 + k^4 - 16, so
+    mode 2 is tau^4, a fourfold root at 0."""
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(4): 1.0, MultiIndex(0, (), 2): 1.0, MultiIndex(0): -16.0})

@@ -501,6 +501,25 @@ def test_root_template_matches_the_json_module():
     assert f'"{key}": []' in _render_json(payload, key, [])
 
 
+def test_ledger_template_matches_the_json_module():
+    from fredholm_kit import cross_check
+    from fredholm_kit.cli import _render_json
+    from fredholm_kit.numoracle import CheckLedger, LedgerEntry
+    p = make_model("polar_laplacian")
+    report = fredholm_check(p, 0.3)
+    passing = cross_check(p, report)
+    failing = CheckLedger((
+        LedgerEntry('roots[k="1"]', "fail", 'brute root "tau=1j" \\ missing,\n\u03bb = \u221a2'),
+        LedgerEntry("line-scan", "pass", "min 0.5 at \"tau\"=0")), {})
+    assert passing.passed and len(passing.entries) > 2 and not failing.passed
+    for ledger in (passing, failing, CheckLedger((), {})):
+        payload = report._dict_without_roots()
+        expected = json.dumps({**payload, "indicial_roots": [r.as_dict() for r in report.roots],
+                               "oracle": ledger.as_dict()},
+                              indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert _render_json(payload, "indicial_roots", report.roots, ledger) == expected
+
+
 def test_operator_and_bracket_json_write_non_finite_numbers_as_null(tmp_path, runner):
     # two finite terms whose sum overflows, real and complex
     for value, emitted in ((1e308, None), ([1e308, 1], [None, 2.0])):
@@ -610,10 +629,10 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
     # specs, check of three systems specs at two weights and two cutoffs,
-    # four root-failure runs, two line-scan runs and five verify runs of
+    # four root-failure runs, two line-scan runs and seven verify runs of
     # the oracle's root certificates
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2 + 5
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2 + 7
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

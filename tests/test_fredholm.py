@@ -811,3 +811,40 @@ def test_report_serialization_shape():
     assert all(len(iv) == 2 for iv in d["safe_weight_intervals"])
     w = d["cutoffs"]["certified_weight_range"]
     assert w[0] < -0.5 < 0.5 < w[1]
+
+
+def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
+    # to_dict rounds each distinct float once; its text is that of each
+    # root's own as_dict(), on every built-in and the modes specs, and a
+    # -0.0 part still prints apart from 0.0
+    import dataclasses
+    import json
+    import os
+
+    from fredholm_kit.cli import parse_spec
+    from fredholm_kit.fredholm import IndicialRoot
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    reports = []
+    for name in ("cli-cold", "modes"):
+        wl = workloads.build(name, 1)
+        sub = tmp_path / name
+        sub.mkdir()
+        for spec, path in zip(wl.specs, workloads.write_specs(wl, str(sub))):
+            op, compact = parse_spec(path)
+            opts = FredholmOptions(mode_cutoff=spec.cutoff, empty_boundary=compact)
+            reports.append(fredholm_check(op, workloads.WEIGHT, opts))
+    signed = (IndicialRoot("k=0", complex(-0.0, 1.5), complex(-1.5, -0.0), 1),
+              IndicialRoot("k=0", complex(0.0, 1.5), complex(-1.5, 0.0), 1))
+    reports.append(dataclasses.replace(reports[0], roots=reports[0].roots + signed))
+    assert sum(len(r.roots) for r in reports) > 2473
+    for rep in reports:
+        alone = {**rep._dict_without_roots(), "indicial_roots": [r.as_dict() for r in rep.roots]}
+        assert json.dumps(rep.to_dict(), indent=2, sort_keys=True) == \
+            json.dumps(alone, indent=2, sort_keys=True)
+    last = rep.to_dict()["indicial_roots"][-2:]
+    assert [math.copysign(1.0, r["tau"][0]) for r in last] == [-1.0, 1.0]
+    assert [math.copysign(1.0, r["mellin"][1]) for r in last] == [-1.0, 1.0]

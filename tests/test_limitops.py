@@ -443,3 +443,30 @@ def test_root_sensitivity_of_coefficients_near_the_largest_float():
     slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
     size = sum(np.linalg.norm(a) * np.abs(taus) ** j for j, a in enumerate(row))
     assert_allclose(limitops.root_sensitivity(row, taus), size / slope, rtol=1e-14)
+
+
+def test_newton_from_values_solves_once_and_falls_back_on_an_exact_root():
+    rng = np.random.default_rng(8)
+    p = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    dp = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    want = 1 / np.trace(np.linalg.solve(p, dp), axis1=-2, axis2=-1)
+    assert_allclose(limitops.newton_from_values(p, dp), want, rtol=0, atol=0)
+    # an exactly singular P (the zero matrix, two equal rows: tau is a
+    # root) gives 0, a vanishing trace inf, and the others what they give
+    # alone
+    p[1] = 0.0
+    p[2, 0] = p[2, 1]
+    p[3], dp[3] = np.eye(3), np.diag([1.0, -1.0, 0.0])
+    got = limitops.newton_from_values(p, dp)
+    assert got[1] == 0 and got[2] == 0 and np.isinf(got[3])
+    assert got[0] == want[0]
+    # a 1 x 1 P is singular where it is 0
+    one = np.array([0.0, 2.0, 4.0, np.inf])[:, None, None].astype(complex)
+    got = limitops.newton_from_values(one, np.array([1.0, 1.0, 0.0, 1.0])[:, None, None] + 0j)
+    assert got.tolist() == [0, 2, np.inf, np.inf]
+    # newton_correction is one Horner pass, then the same formula
+    row = rng.standard_normal((3, 2, 2)).astype(complex)
+    taus = np.array([0.3, 1.0 + 1.0j])
+    assert_allclose(limitops.newton_correction(row, taus),
+                    limitops.newton_from_values(*limitops.matrix_polyval(row, taus, True)),
+                    rtol=0, atol=0)

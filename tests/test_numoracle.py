@@ -55,8 +55,10 @@ from conftest import (
     merge_case_roots,
     order2_mellin_roots,
     order4_mellin_roots,
+    quartic_laplacian,
     random_b_operator,
     shifted_mellin_roots,
+    zero_constant_system,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -348,6 +350,114 @@ def test_a_double_root_of_a_diagonal_system_is_one_cluster():
     assert all(abs(z.imag) < 1e-9 for z, _, _ in found)
 
 
+@pytest.mark.parametrize("row, radii", [
+    ([0.0, 0.0, 2.0, 3.0, 1.0], [0.0, 0.0, 2 / 3, 3.0]),  # zero trailing coefficients
+    ([8.0, 0.0, 0.0, 1.0], [2.0, 2.0, 2.0]),  # zero interior coefficients: one circle
+    ([1.0, 1e3, 0.0, 1e-3], [1e-3, 1e3, 1e3]),  # two circles, one of them double
+], ids=["zero-trailing", "zero-interior", "two-circles"])
+def test_tropical_starts_lie_on_the_tropical_roots(row, radii):
+    # the tropical roots of max_j |a_j| x^j, by hand: the exponentials of
+    # minus the slopes of the upper hull of the points (j, log |a_j|)
+    starts = numoracle._tropical_starts(np.asarray(row, dtype=complex)[:, None, None, None])
+    assert starts.shape == (1, len(radii))
+    assert_allclose(np.sort(np.abs(starts[0])), radii, rtol=1e-14, atol=0)
+    nonzero = starts[starts != 0]
+    assert np.unique(nonzero).size == nonzero.size == np.count_nonzero(radii)
+
+
+def test_starts_at_a_vanishing_constant_stop_on_the_root(monkeypatch):
+    # mode 0 of I T^2 + B T + I L has A_0 = 0: its k = 2 starts sit at the
+    # root 0, where P is exactly the zero matrix; the batched solve fails
+    # there, the Newton correction is 0, and both stop at once
+    coeffs = family_of(zero_constant_system(), 1.0).poly("k=0")
+    assert not coeffs[0].any()
+    starts = numoracle._tropical_starts(coeffs[:, None])
+    assert np.count_nonzero(starts == 0) == 2
+    calls = []
+    step = numoracle.newton_from_values
+
+    def recorded(p, dp):
+        out = step(p, dp)
+        calls.append((~p.any(axis=(1, 2)), out))
+        return out
+
+    monkeypatch.setattr(numoracle, "newton_from_values", recorded)
+    found = brute_roots(coeffs)
+    (zero, corrections), *later = calls
+    assert np.count_nonzero(zero) == 2 and (corrections[zero] == 0).all()
+    assert np.isfinite(corrections[~zero]).all() and (corrections[~zero] != 0).all()
+    assert not any(zero.any() for zero, _ in later)
+    assert [m for _, m, _ in found].count(2) == 1
+
+
+@pytest.mark.parametrize("make, mode, want", [
+    (zero_constant_system, "k=0", [(0, 2), (1j, 1), (2j, 1)]),
+    (quartic_laplacian, "k=2", [(0, 4)]),
+], ids=["2x2-system", "quartic"])
+def test_a_root_at_a_vanishing_constant_is_one_cluster(make, mode, want):
+    p = make()
+    fam = family_of(p, 4.0)
+    found = brute_roots(fam.poly(mode))
+    assert len(found) == len(want)
+    for z, m in want:
+        assert any(mult == m and abs(w - z) <= 1e-9 for w, mult, _ in found), (z, m)
+    report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=4.0))
+    ledger = cross_check(p, report, FredholmOptions(mode_cutoff=4.0))
+    assert ledger.passed
+    assert any(e.name == f"roots[{mode}]" and e.status == "pass" for e in ledger.entries)
+
+
+def test_power_rows_match_horner():
+    # one product of power rows against the coefficient block: P and P'
+    # within (m + 1) eps of the sizes sum_j ||A_j|| |z|^j and
+    # sum_j j ||A_j|| |z|^(j - 1) of Horner's values
+    rng = np.random.default_rng(22)
+    m, b, k, n = 4, 3, 3, 12
+    coeffs = rng.standard_normal((m + 1, b, k, k)) + 1j * rng.standard_normal((m + 1, b, k, k))
+    coeffs *= 10.0 ** rng.uniform(-2, 2, (m + 1, b, 1, 1))
+    z = 2 * rng.standard_normal((b, n)) + 2j * rng.standard_normal((b, n))
+    z[:, 0] = 0.0
+    values, slopes = numoracle._values_and_slopes(np.moveaxis(coeffs, 0, 1), z)
+    p, dp = limitops.matrix_polyval(coeffs[:, :, None], z, derivative=True)
+    norms = np.linalg.norm(coeffs, 2, axis=(-2, -1))[:, :, None]
+    j = np.arange(m + 1)[:, None, None]
+    polyval = np.polynomial.polynomial.polyval
+    size = polyval(np.abs(z), norms, tensor=False)
+    slope_size = polyval(np.abs(z), (j * norms)[1:], tensor=False)
+    eps = np.finfo(float).eps
+    assert (np.abs(values - p).max(axis=(-2, -1)) <= (m + 1) * eps * size).all()
+    assert (np.abs(slopes - dp).max(axis=(-2, -1)) <= (m + 1) * eps * slope_size).all()
+    assert_allclose(slopes[:, 0], coeffs[1], rtol=0, atol=0)  # P'(0) = A_1
+
+
+def test_aberth_iteration_on_the_systems_specs_evaluates_few_iterates(monkeypatch, tmp_path):
+    """Newton corrections of the oracle's Aberth iteration on the
+    benchmark's three systems specs.  From the tropical starts they take
+    416 / 897 / 11,852; from one circle of twice the root bound they took
+    308 / 1,330 / 15,594."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    evals = {}
+    step = numoracle.newton_from_values
+
+    def counted(p, dp):
+        evals[name] = evals.get(name, 0) + p.shape[0]
+        return step(p, dp)
+
+    monkeypatch.setattr(numoracle, "newton_from_values", counted)
+    wl = workloads.build("systems", 1)
+    for spec, path in zip(wl.specs, workloads.write_specs(wl, str(tmp_path))):
+        op = parse_spec(path)[0]
+        opts = FredholmOptions(mode_cutoff=spec.cutoff)
+        report = fredholm_check(op, workloads.WEIGHT, opts)
+        name = spec.name
+        assert cross_check(op, report, opts).passed, name
+    assert evals["2x2_order2"] <= 416
+    assert evals["4x4_order2"] <= 897
+    assert evals["4x4_order4"] <= 11852
+
+
 def ill_scaled_stack(seed):
     """A seeded (4, 3, 3) stack whose coefficient scales spread over twelve
     orders of magnitude."""
@@ -396,7 +506,9 @@ def test_brute_roots_batch_matches_one_polynomial_at_a_time():
             assert failure is None and [root[:3] for root in roots] == alone
     failures = [failure for _, failure in batch]
     assert failures[4] == "leading coefficient below 1e-14"
-    assert failures[8].startswith("inclusion disc not finite at tau=-")
+    # the row overflows where |tau| reaches about 1e12
+    assert failures[8].startswith("inclusion disc not finite at tau=")
+    assert abs(complex(failures[8].rsplit("=", 1)[1])) >= 1e12
     assert [i for i, f in enumerate(failures) if f is not None] == [4, 8]
     assert [m for _, m, _, _ in batch[9][0]] == [1] * 25
     assert batch[2] == ([], None)

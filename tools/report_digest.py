@@ -40,7 +40,11 @@ Run it in each checkout and diff the two files.  Each line reads
   diag(1, 2) on the circle (a double root at 0 beside simple roots on
   mode k=1) at weights 0, 0.3 and 0.5, and the merge cases A and B of
   tests/conftest.py (`merge_case`; weight 0, cutoff 1), whose root lists
-  the engine merges wrongly (exit 4);
+  the engine merges wrongly (exit 4), and at weight 0.3 two specs with
+  a mode whose constant coefficient vanishes, where the oracle starts
+  iterates at the root 0: (r d/dr)^4 + L^2 - 16 on the circle (mode k=2
+  is tau^4) and I T^2 + [[1, 0.5], [0, 2]] T + I L (mode 0 has a double
+  root at 0) (`quartic_laplacian`, `zero_constant_system`);
 - the JSON `verify` at weight 0 of two line scans the benchmark's specs
   do not reach: `b_system_shifted((-102.25, 1, 2, 3))` (tests/conftest.py)
   at cutoff 120, whose scan minimum sits on its last mode class, and
@@ -81,6 +85,8 @@ from conftest import (  # noqa: E402
     b_system_shifted,
     diagonal_system,
     merge_case,
+    quartic_laplacian,
+    zero_constant_system,
 )
 from fredholm_kit import (  # noqa: E402
     CrossSection,
@@ -183,13 +189,18 @@ FAILURE_SPECS = (
 
 
 # (name, spec, options) of the `verify` runs of the oracle's root
-# certificates: a double root of a diagonal system, and root lists that
-# the engine merges wrongly
+# certificates: a double root of a diagonal system, root lists that the
+# engine merges wrongly, and modes whose constant coefficient vanishes
+# (the oracle starts iterates at 0)
 ORACLE_SPECS = (
     *((f"diagonal_system/{weight}", serialize_operator(diagonal_system()),
        ["--weight", weight, "--format", "json"]) for weight in ("0", "0.3", "0.5")),
     *((f"merge_case_{case}", serialize_operator(merge_case(case)),
        ["--weight", "0", "--cutoff", "1", "--format", "json"]) for case in ("A", "B")),
+    ("quartic_laplacian", serialize_operator(quartic_laplacian()),
+     ["--weight", "0.3", "--format", "json"]),
+    ("zero_constant_system", serialize_operator(zero_constant_system()),
+     ["--weight", "0.3", "--format", "json"]),
 )
 
 
