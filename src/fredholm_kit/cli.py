@@ -493,11 +493,6 @@ def _echo_or_write(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
-def _options(cutoff, tau_range, pts, compact) -> FredholmOptions:
-    return FredholmOptions(mode_cutoff=cutoff, tau_range=tuple(tau_range), pts=pts,
-                           empty_boundary=compact)
-
-
 @contextlib.contextmanager
 def _usage_errors(spec_path: str):
     """Turn a spec error or a kit error into one line on stderr and the
@@ -510,7 +505,29 @@ def _usage_errors(spec_path: str):
         sys.exit(EXIT_SPEC_ERROR)
 
 
-@click.group()
+@contextlib.contextmanager
+def _click_usage_errors():
+    try:
+        yield
+    except click.UsageError as e:
+        e.exit_code = EXIT_SPEC_ERROR
+        raise
+
+
+class _Group(click.Group):
+    """Click's own usage errors (an unknown option or command, a bad value,
+    a missing argument) exit 3 here, not 2, which is Undecided."""
+
+    def make_context(self, *args, **kwargs):
+        with _click_usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _click_usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 @click.version_option(package_name="fredholm-kit")
 def main():
     """Fredholm conditions for operators on collars with cylindrical,
@@ -524,10 +541,6 @@ _cutoff = click.option("--cutoff", type=float, default=None,
                        help="Cross-section mode cutoff (default: "
                             "10 * max coefficient * order^2, raised if the "
                             "tail certificate needs more).")
-_tau_range = click.option("--tau-range", nargs=2, type=float, default=(-10.0, 10.0),
-                          show_default=True, help="Line scan window of the oracle (verify).")
-_pts = click.option("--pts", type=int, default=2001, show_default=True,
-                    help="Line scan points of the oracle (verify).")
 _fmt = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                     default="text", show_default=True)
 _out = click.option("--out", type=click.Path(), default=None,
@@ -538,15 +551,14 @@ _out = click.option("--out", type=click.Path(), default=None,
 @_spec_argument
 @_weight
 @_cutoff
-@_tau_range
-@_pts
 @_fmt
 @_out
-def check(spec_path, weight, cutoff, tau_range, pts, fmt, out):
+def check(spec_path, weight, cutoff, fmt, out):
     """Decide Fredholmness of the operator in SPEC_PATH at the given weight."""
     with _usage_errors(spec_path):
         op, compact = parse_spec(spec_path)
-        report = fredholm_check(op, weight, _options(cutoff, tau_range, pts, compact))
+        opts = FredholmOptions(mode_cutoff=cutoff, empty_boundary=compact)
+        report = fredholm_check(op, weight, opts)
     _echo_or_write(render_report(report, fmt), out)
     sys.exit(_EXIT[report.verdict])
 
@@ -555,8 +567,10 @@ def check(spec_path, weight, cutoff, tau_range, pts, fmt, out):
 @_spec_argument
 @_weight
 @_cutoff
-@_tau_range
-@_pts
+@click.option("--tau-range", nargs=2, type=float, default=(-10.0, 10.0), show_default=True,
+              help="Line scan window of the oracle.")
+@click.option("--pts", type=int, default=2001, show_default=True,
+              help="Line scan points of the oracle.")
 @_fmt
 @_out
 @click.option("--scan-csv", type=click.Path(), default=None,
@@ -565,7 +579,8 @@ def verify(spec_path, weight, cutoff, tau_range, pts, fmt, out, scan_csv):
     """Run check plus the independent numerical oracle; fail on mismatch."""
     with _usage_errors(spec_path):
         op, compact = parse_spec(spec_path)
-        opts = _options(cutoff, tau_range, pts, compact)
+        opts = FredholmOptions(mode_cutoff=cutoff, tau_range=tuple(tau_range), pts=pts,
+                               empty_boundary=compact)
         report = fredholm_check(op, weight, opts)
         ledger = cross_check(op, report, opts)
     if fmt == "json":

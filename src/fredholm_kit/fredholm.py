@@ -18,13 +18,14 @@ from ._util import FloatCache, round12
 from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
+    ROOT_TOL,
     IndicialFamily,
-    _winding_counts,
+    cluster_counts,
+    disc_components,
     freeze_coefficients,
     indicial_family,
     newton_correction,
     normal_operator,
-    root_boxes,
     root_sensitivity,
 )
 from .opalg import (
@@ -39,7 +40,6 @@ from .opalg import (
     symbol_min_singular,
 )
 
-_ROOT_CLUSTER_TOL = 1e-7
 _ROOT_STEP_TOL = 1e-9
 _ROOT_NOISE = 1e-13  # relative rounding of the coefficients (about 500 ulp)
 _ON_LINE_TOL = 1e-12
@@ -77,71 +77,46 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | 
     """Roots of det P_b for a batch of matrix polynomials, coeffs[:, b] of
     shape (m + 1, k, k), from approximations points[b], one per root
     counted with multiplicity: for each b, (roots, None) with roots a list
-    of (tau, multiplicity, box) triples, or (None, failure detail).
+    of (tau, multiplicity) pairs, or (None, failure detail).
 
     Each approximation z gets a disc whose radius is the larger of
     _ROOT_NOISE times its `root_sensitivity` (how far rounding of the
     coefficients can move a simple root; left out where it is not finite)
-    and _ROOT_CLUSTER_TOL * max(1, |z|).  Approximations whose discs
-    overlap, directly or through others, cannot be told apart in floating
-    point (rounding splits a root that is defective in the linearization,
-    or a double root beside large coefficients): they become one root at
-    their mean, with their count as its multiplicity, and box is the
-    half-width of the square, reaching past every member's disc, on which
-    the winding number of det P confirmed that count, in one chunked
-    `_winding_counts` pass over the merged roots of the whole batch.  A lone
-    approximation takes one Newton step (box 0).  A polynomial fails alone:
+    and ROOT_TOL * max(1, |z|).  Approximations whose discs overlap,
+    directly or through others, cannot be told apart in floating point
+    (rounding splits a root that is defective in the linearization, or a
+    double root beside large coefficients): they become one root at their
+    mean, with their count as its multiplicity, once a winding number of
+    det P confirms it (`limitops.cluster_counts`, one call per batch).  A
+    lone approximation takes one Newton step.  A polynomial fails alone:
     on its first Newton step above _ROOT_STEP_TOL of the root (it then
-    skips the winding pass), or on a merged root whose count fails."""
+    skips the winding count), or on a merged root whose count fails."""
     points = np.sort(points, axis=-1)
     stack = coeffs[:, :, None]
     sensitivity = root_sensitivity(stack, points)
-    radius = np.maximum(_ROOT_CLUSTER_TOL * np.maximum(1.0, np.abs(points)),
+    radius = np.maximum(ROOT_TOL * np.maximum(1.0, np.abs(points)),
                         np.where(np.isfinite(sensitivity), _ROOT_NOISE * sensitivity, 0))
-    near = np.abs(points[:, :, None] - points[:, None, :]) \
-        <= radius[:, :, None] + radius[:, None, :]
-    lone = near.sum(axis=2) == 1
+    label = disc_components(points, radius)
+    lone = (label[:, :, None] == label[:, None, :]).sum(axis=2) == 1
     steps = np.where(lone, newton_correction(stack, points), 0)
     failed = np.abs(steps) > _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points))
     failures = [f"Newton step {abs(step[bad][0]):.2e} at tau={row[bad][0]:.6g}" if bad.any()
                 else None for row, step, bad in zip(points, steps, failed)]
     # 0 + turns a signed zero into +0
-    out = [[(complex(tau), 1, 0.0) for tau in 0 + (row - step)[keep]]
+    out = [[(complex(tau), 1) for tau in 0 + (row - step)[keep]]
            for row, step, keep in zip(points, steps, lone)]
     grouped = np.flatnonzero(~lone.all(axis=1) & ~failed.any(axis=1))
-    reach = near[grouped]
-    while True:  # transitive closure of the overlaps, by boolean squaring
-        wider = reach @ reach
-        if (wider == reach).all():
-            break
-        reach = wider
-    merged = {}  # b -> [(center, members, box)]
-    for b, linked in zip(grouped, reach):
-        taken, groups = lone[b].copy(), []
-        for i in np.flatnonzero(~lone[b]):
-            if not taken[i]:
-                taken |= linked[i]
-                groups.append(linked[i])
-        centers = np.array([points[b, g].mean() for g in groups])
-        half = [np.max(np.abs(points[b, g] - c) + radius[b, g]) for g, c in zip(groups, centers)]
-        alone = len(out[b])
-        boxes = root_boxes(np.concatenate([[tau for tau, _, _ in out[b]], centers]),
-                           np.concatenate([np.zeros(alone), half]))[alone:]
-        merged[b] = [(c, int(g.sum()), box) for c, g, box in zip(centers, groups, boxes)]
-    owners = [b for b, roots in merged.items() for _ in roots]
-    counts = iter(_winding_counts(coeffs, [box for roots in merged.values()
-                                           for _, _, box in roots], owners))
-    for b, roots in merged.items():
-        mine = [next(counts) for _ in roots]
-        if None in mine:
+    for b, (parts, _, counts) in cluster_counts(coeffs, points, radius, grouped).items():
+        if None in counts:
             failures[b] = "contour counting failed to stabilize"
             continue
-        for (c, size, box), count in zip(roots, mine):
-            if count != size:
+        for g, count in zip([g for g in parts if g.size > 1], counts):
+            c = points[b, g].mean()
+            if count != g.size:
                 failures[b] = (f"winding number {count} around tau={c:.6g} "
-                               f"disagrees with {size} merged roots")
+                               f"disagrees with {g.size} merged roots")
                 break
-            out[b].append((complex(c), size, box[1] - c.real))
+            out[b].append((complex(c), g.size))
     return [(None, failure) if failure else (roots, None)
             for roots, failure in zip(out, failures)]
 
@@ -209,7 +184,7 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
             by_class[c] = roots
     roots = [IndicialRoot(label, tau, 1j * tau, mult)
              for label, c in zip(f.channels.labels, class_of.tolist())
-             for tau, mult, _ in by_class[c]]
+             for tau, mult in by_class[c]]
     roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
     return roots
 

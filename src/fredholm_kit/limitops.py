@@ -131,6 +131,7 @@ def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
 
 
+ROOT_TOL = 1e-7  # relative to max(1, |tau|): the least half-width of a cluster's box
 _RESOLUTIONS = (64, 256, 1024, 4096)  # contour points per box side
 _CONTOUR_CHUNK = 2 ** 14  # matrix entries per pass of the coarsest resolution
 _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
@@ -220,6 +221,49 @@ def root_boxes(centers: np.ndarray, half: np.ndarray) -> list[tuple]:
     gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(centers.size, np.inf))
     half = np.minimum(half, 0.45 * gaps.min(axis=1, initial=np.inf))
     return [(c.real - h, c.real + h, c.imag - h, c.imag + h) for c, h in zip(centers, half)]
+
+
+def components(touch: np.ndarray) -> np.ndarray:
+    """The connected components of the graph of every row b of a boolean
+    (B, n, n) adjacency with a true diagonal, as the least index of each
+    vertex's component."""
+    n = touch.shape[-1]
+    label = np.broadcast_to(np.arange(n), touch.shape[:-1])
+    while True:
+        wider = np.where(touch, label[:, None, :], n).min(axis=2)
+        if (wider == label).all():
+            return label
+        label = wider
+
+
+def disc_components(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """`components` of the discs D(points[b, i], radii[b, i]) that meet."""
+    return components(np.abs(points[:, :, None] - points[:, None, :])
+                      <= radii[:, :, None] + radii[:, None, :])
+
+
+def cluster_counts(coeffs: np.ndarray, points: np.ndarray, radii: np.ndarray,
+                   polys) -> dict[int, tuple[list, list, list]]:
+    """b -> (parts, boxes, counts) for every b of polys: parts are the
+    `disc_components` of the discs D(points[b, i], radii[b, i]) around
+    approximations of the roots of det P_b, coeffs[:, b] of shape
+    (m + 1, k, k), as index arrays in order of least member.  A component
+    of more than one disc is a cluster; its box is a square around the
+    mean of its points that holds all its discs, at least
+    ROOT_TOL * max(1, |mean|) in half-width and capped by `root_boxes`,
+    and its count the zeros of det P_b there (None if it does not
+    settle), from one `_winding_counts` call for all boxes."""
+    out = {}
+    for b, label in zip(polys, disc_components(points[polys], radii[polys])):
+        parts = [np.flatnonzero(label == c) for c in np.flatnonzero(label == np.arange(label.size))]
+        centers = np.array([points[b, g].mean() for g in parts])
+        reach = [np.max(np.abs(points[b, g] - c) + radii[b, g]) for g, c in zip(parts, centers)]
+        half = np.maximum(ROOT_TOL * np.maximum(1.0, np.abs(centers)), reach)
+        out[b] = parts, [box for g, box in zip(parts, root_boxes(centers, half)) if g.size > 1]
+    owners = [b for b, (_, boxes) in out.items() for _ in boxes]
+    counts = iter(_winding_counts(coeffs, [box for _, boxes in out.values() for box in boxes],
+                                  owners))
+    return {b: (parts, boxes, [next(counts) for _ in boxes]) for b, (parts, boxes) in out.items()}
 
 
 @dataclass(frozen=True)

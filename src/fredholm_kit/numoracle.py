@@ -1,7 +1,9 @@
 """Numerical cross-checks of the symbolic verdicts.
 
-The machinery differs from the decision engine's, and shares none of its
-root rules.  Where the engine solves a mode's matrix polynomial P(tau)
+The machinery differs from the decision engine's: the points, disc
+radii, cluster centers and failure messages are each side's own, and
+only the step from discs to counted clusters (`limitops.cluster_counts`)
+is shared.  Where the engine solves a mode's matrix polynomial P(tau)
 through its companion matrix and resolves the eigenvalues by
 `fredholm._resolve_roots`, the oracle re-finds the roots of det P by
 Aberth-Ehrlich iteration on tr(P^-1 P'), started on the circles of the
@@ -14,9 +16,8 @@ theorem on diag(z) - W 1^T; Braess-Hadeler, Carstensen), and every
 root.  A component of one disc is a simple root.  A component of more,
 a cluster (a multiple root, or roots closer than rounding lets det P
 resolve), has its count confirmed a second way, by the winding number of
-det P around one box (`limitops._winding_counts`), and its center is a
-contour moment.  The
-oracle evaluates the true coefficients, never the interpolated
+det P around one box, and its center is a contour moment.  The oracle
+evaluates the true coefficients, never the interpolated
 `IndicialFamily.det_poly`.  Line verdicts are confirmed by scanning
 smallest singular values of the indicial family on the tested line, and
 zero-structure limit operators are sampled on a truncated half-space in
@@ -70,9 +71,12 @@ from ._util import round12
 from .crosssec import spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
+    ROOT_TOL,
     IndicialFamily,
     _det,
-    _winding_counts,
+    cluster_counts,
+    components,
+    disc_components,
     freeze_coefficients,
     indicial_family,
     matrix_polyval,
@@ -386,7 +390,6 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
 
 
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
-_ROOT_TOL = 1e-7  # relative: the least half-width of a cluster's box, and the match distance
 _SPLIT = 1e-10  # relative: how far apart iterates that coincide exactly are moved
 _EXTENDED_EPS = float(np.finfo(np.longdouble).eps)  # machine epsilon of a scalar's Horner pass
 _EVAL_ROUNDING = 2.0 ** -46  # a system's evaluation error, relative to sum_j ||A_j||_F |z|^j
@@ -596,13 +599,12 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
     are the roots.  A component of one disc is a simple root at its
     point, with no contour and no Newton step.  A component of p > 1
     discs, a cluster, must have its count confirmed by the winding number
-    of det P around one box that holds all its discs (`_cluster_boxes`);
-    the boxes of every polynomial share the chunked passes of one
-    `limitops._winding_counts` call, which runs only when there is a
-    cluster.  A polynomial fails alone: on a disc that is not finite (a
-    value that overflows), a count that does not settle, or a count other
-    than p.  Iterates converge only linearly to a multiple root, so a
-    cluster is centered at a contour moment (`_cluster_roots`)."""
+    of det P around one box that holds all its discs, for every
+    polynomial with a cluster in one `limitops.cluster_counts` call.  A
+    polynomial fails alone: on a disc that is not finite (a value that
+    overflows), a count that does not settle, or a count other than p.
+    Iterates converge only linearly to a multiple root, so a cluster is
+    centered at a contour moment (`_cluster_roots`)."""
     m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
     n = m * k
     z = _tropical_starts(coeffs)
@@ -635,38 +637,31 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
     z = z + repeat * _SPLIT * np.maximum(1.0, np.abs(z))
     radii, residuals = _inclusion_radii(coeffs, z)
     finite = np.isfinite(radii).all(axis=1)
-    label = _components(_discs_touch(z, radii))
     # the points of a cluster sit closer than rounding lets det P resolve
     # them, so their discs are far wider than the cluster: spread them and
     # take the discs again
+    label = disc_components(z, radii)
     again = np.flatnonzero(finite & (label != pos).any(axis=1))
     if again.size:
         z[again] = _spread_clusters(z[again], radii[again])
         radii[again], residuals[again] = _inclusion_radii(coeffs[:, again], z[again])
         finite = np.isfinite(radii).all(axis=1)
-        label = _components(_discs_touch(z, radii))
-    # the components, by least member, of every polynomial with finite
-    # discs and a cluster, and the box of each of its clusters
-    parts = {b: [np.flatnonzero(label[b] == c) for c in np.flatnonzero(label[b] == pos)]
-             for b in np.flatnonzero(finite & (label != pos).any(axis=1))}
-    boxes = {b: _cluster_boxes(z[b], radii[b], gs) for b, gs in parts.items()}
-    owners = [b for b, bs in boxes.items() for _ in bs]
-    counts = iter(_winding_counts(coeffs, [box for bs in boxes.values() for box in bs], owners)
-                  if owners else ())
+        label = disc_components(z, radii)
+    clusters = cluster_counts(coeffs, z, radii, np.flatnonzero(finite & (label != pos).any(axis=1)))
     results = []
     for b, s in enumerate(scale):
         if not finite[b]:
             i = int(np.argmin(np.isfinite(radii[b])))
             results.append((None, f"inclusion disc not finite at tau={z[b, i] * s:.6g}"))
             continue
-        if b not in parts:  # every disc is a simple root
+        if b not in clusters:  # every disc is a simple root
             results.append(([(t, 1, res, ((t, r),)) for t, res, r in zip(
                 (z[b] * s).tolist(), residuals[b].tolist(), (radii[b] * s).tolist())], None))
             continue
-        clusters = [g for g in parts[b] if g.size > 1]
-        mine = [next(counts) for _ in clusters]
-        wrong = next(((g, count) for g, count in zip(clusters, mine) if count != g.size), None)
-        if None in mine:
+        parts, boxes, counts = clusters[b]
+        wrong = next(((g, count) for g, count in zip([g for g in parts if g.size > 1], counts)
+                      if count != g.size), None)
+        if None in counts:
             results.append((None, "contour counting failed to stabilize"))
         elif wrong is not None:
             g, count = wrong
@@ -674,26 +669,8 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
                                   f"disagrees with {g.size} converged iterates"))
         else:
             results.append((_cluster_roots(coeffs[:, b], z[b], radii[b], residuals[b],
-                                           parts[b], boxes[b], s), None))
+                                           parts, boxes, s), None))
     return results
-
-
-def _components(touch: np.ndarray) -> np.ndarray:
-    """The connected components of the graph of every row b of a boolean
-    (B, n, n) adjacency with a true diagonal, as the least index of each
-    vertex's component."""
-    n = touch.shape[-1]
-    label = np.broadcast_to(np.arange(n), touch.shape[:-1])
-    while True:
-        wider = np.where(touch, label[:, None, :], n).min(axis=2)
-        if (wider == label).all():
-            return label
-        label = wider
-
-
-def _discs_touch(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Which discs D(z[b, i], radii[b, i]) of each row meet."""
-    return np.abs(z[:, :, None] - z[:, None, :]) <= radii[:, :, None] + radii[:, None, :]
 
 
 def _spread_clusters(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -723,7 +700,7 @@ def _spread_clusters(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
     beyond = np.concatenate([near[:, :, 1:], np.full(near.shape[:2] + (1,), np.inf)], axis=2)
     size = np.argmax(beyond > 4 * rho * (1 + n / q), axis=2) + 1
     link = np.take_along_axis(np.arange(n) < size[:, :, None], np.argsort(order, axis=2), axis=2)
-    label = _components(link | link.swapaxes(1, 2))
+    label = components(link | link.swapaxes(1, 2))
     for b, row in enumerate(label):
         for lead in np.flatnonzero(np.bincount(row, minlength=n) > 1):
             g = np.flatnonzero(row == lead)
@@ -731,18 +708,6 @@ def _spread_clusters(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
             reach = max(np.max(rho[b, g, g.size - 1]), np.max(np.abs(z[b, g] - center)))
             z[b, g] = center + 2 * reach * np.exp(2j * np.pi * (np.arange(g.size) + 0.5) / g.size)
     return z
-
-
-def _cluster_boxes(z: np.ndarray, radii: np.ndarray, parts: list) -> list[tuple]:
-    """The box of every cluster (a component of more than one disc) among
-    the components parts of one polynomial: a square around the mean of
-    its points that holds all its discs, of half-width at least
-    _ROOT_TOL * max(1, |mean|), capped by `limitops.root_boxes` at 0.45
-    times the distance to the nearest other component's mean."""
-    centers = np.array([z[g].mean() for g in parts])
-    reach = np.array([np.max(np.abs(z[g] - c) + radii[g]) for g, c in zip(parts, centers)])
-    half = np.maximum(_ROOT_TOL * np.maximum(1.0, np.abs(centers)), reach)
-    return [box for g, box in zip(parts, root_boxes(centers, half)) if g.size > 1]
 
 
 def _cluster_roots(own: np.ndarray, z: np.ndarray, radii: np.ndarray, residuals: np.ndarray,
@@ -916,11 +881,11 @@ def _match_roots(found, reported):
     """Match the reported (tau, multiplicity) pairs of one mode against
     the oracle's roots (`_brute_roots_batch`).  Each reported root is
     assigned to the root whose component of inclusion discs it lies
-    nearest, if it lies within _ROOT_TOL * max(1, |z|) of one of them,
+    nearest, if it lies within ROOT_TOL * max(1, |z|) of one of them,
     z that disc's point; the multiplicities assigned to a root must sum
     to its count."""
     problems = []
-    discs = [(i, z, r + _ROOT_TOL * max(1.0, abs(z)))
+    discs = [(i, z, r + ROOT_TOL * max(1.0, abs(z)))
              for i, (*_, ds) in enumerate(found) for z, r in ds]
     totals = [None] * len(found)  # reported multiplicity per root, None if none
     stray = []
@@ -1004,7 +969,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     The roots of every nonzero class polynomial come from one call of
     `_brute_roots_batch`; a class whose roots cannot be found or certified
     fails the entries of its own channels only.  Each reported root
-    belongs to the component of discs it lies within _ROOT_TOL of, and the
+    belongs to the component of discs it lies within ROOT_TOL of, and the
     reported multiplicities in a component must sum to its count
     (`_match_roots`).  Matching runs once per class and reported root
     list: a channel whose class and reported (tau, multiplicity) pairs

@@ -1,5 +1,6 @@
 """Spec files, commands, exit codes, determinism, report formatting."""
 
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -157,6 +158,31 @@ def test_check_exit_codes(tmp_path, runner):
     assert runner.invoke(main, ["check", polar, "--weight", "0.5"]).exit_code == 0
     assert runner.invoke(main, ["check", hyp]).exit_code == 2
     assert runner.invoke(main, ["check", str(tmp_path / "absent.json")]).exit_code == 3
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["check", "SPEC", "--bogus"], id="unknown-option"),
+    pytest.param(["check", "SPEC", "--weight", "abc"], id="weight-not-a-number"),
+    pytest.param(["check"], id="no-spec-path"),
+    # the line scan options are the oracle's, and only verify runs it
+    pytest.param(["check", "SPEC", "--pts", "5"], id="check-pts"),
+])
+def test_click_usage_errors_exit_3_not_undecided(tmp_path, runner, args):
+    spec = write(tmp_path, "polar.json", {"schema": SCHEMA, "model": "polar_laplacian"})
+    res = runner.invoke(main, [spec if a == "SPEC" else a for a in args])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert res.stdout == "" and res.stderr.startswith("Usage: ")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["check", "--help"], ["--version"]])
+def test_help_and_version_exit_0(runner, monkeypatch, args):
+    # --version reads the installed metadata; a run from the source tree
+    # has none, so the lookup is stubbed
+    real = importlib.metadata.version
+    monkeypatch.setattr(importlib.metadata, "version",
+                        lambda name: "0.0" if name == "fredholm-kit" else real(name))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0 and res.stdout and res.stderr == ""
 
 
 def test_check_of_a_non_elliptic_system_without_roots_says_not_fredholm(tmp_path, runner):

@@ -470,3 +470,36 @@ def test_newton_from_values_solves_once_and_falls_back_on_an_exact_root():
     assert_allclose(limitops.newton_correction(row, taus),
                     limitops.newton_from_values(*limitops.matrix_polyval(row, taus, True)),
                     rtol=0, atol=0)
+
+
+def union_find_components(touch):
+    """The least member of each vertex's component, by union-find on the
+    edges of one adjacency: each union hangs the larger root under the
+    smaller, so every root is the least member of its set."""
+    parent = list(range(len(touch)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(touch)):
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(touch))]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.15, 0.4])
+def test_components_match_union_find(density):
+    # random symmetric graphs, sparse ones mostly isolated vertices, and a
+    # chain through all vertices in a random order on every fourth row:
+    # the longest path a label has to travel
+    rng = np.random.default_rng(2300 + int(100 * density))
+    n = 12
+    touch = rng.random((40, n, n)) < density
+    for row in touch[::4]:
+        order = rng.permutation(n)
+        row[order[:-1], order[1:]] = True
+    touch |= touch.swapaxes(1, 2)
+    touch[:, np.arange(n), np.arange(n)] = True
+    assert limitops.components(touch).tolist() == [union_find_components(t) for t in touch]
