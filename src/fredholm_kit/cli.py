@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 import click
 import numpy as np
 
+from . import __version__
 from ._util import FloatCache, fmt12, fmt_complex, round12
 from .crosssec import CrossKind, CrossSection, check_cutoff, spectrum
 from .fredholm import (
@@ -28,6 +29,7 @@ from .fredholm import (
     WEIGHT_CONVENTION,
     fredholm_check,
     indicial_roots,
+    per_class_root,
 )
 from .limitops import indicial_family, normal_operator
 from .liestruct import (
@@ -387,10 +389,10 @@ def _dumps(obj, indent: int | None = None) -> str:
 # One `IndicialRoot.as_dict()` as an item of a top-level list, and one
 # `LedgerEntry.as_dict()` as an item of the list "entries" of a top-level
 # object, laid out by `json.dumps(indent=2, sort_keys=True)`, with %s for
-# their values.
-_ROOT_JSON = "    " + json.dumps(
-    {"mellin": ["%s"] * 2, "mode": "%s", "multiplicity": "%s", "tau": ["%s"] * 2},
-    indent=2, sort_keys=True).replace("\n", "\n    ").replace('"%s"', "%s")
+# their values; the root's text is split where its mode goes.
+_ROOT_HEAD, _ROOT_TAIL = ("    " + json.dumps(
+    {"mellin": ["%s"] * 2, "mode": None, "multiplicity": "%s", "tau": ["%s"] * 2},
+    indent=2, sort_keys=True).replace("\n", "\n    ").replace('"%s"', "%s")).split("null")
 _ENTRY_JSON = "      " + json.dumps(
     {"detail": "%s", "name": "%s", "status": "%s"},
     indent=2, sort_keys=True).replace("\n", "\n      ").replace('"%s"', "%s")
@@ -404,11 +406,16 @@ def _float_text(x: float) -> str:
 
 
 def _roots_text(roots) -> str:
-    """The text of `[r.as_dict() for r in roots]` as a top-level value."""
+    """The text of `[r.as_dict() for r in roots]` as a top-level value.
+    The text before and after each root's mode is written once per class
+    root (`per_class_root`), from numbers formatted once per distinct
+    value (`FloatCache`)."""
     num = FloatCache(_float_text)
-    items = ",\n".join(_ROOT_JSON % (
-        num[r.mellin.real], num[r.mellin.imag], encode_basestring_ascii(r.mode),
-        int.__repr__(r.multiplicity), num[r.tau.real], num[r.tau.imag]) for r in roots)
+    parts = per_class_root(roots, lambda r: (
+        _ROOT_HEAD % (num[r.mellin.real], num[r.mellin.imag]),
+        _ROOT_TAIL % (int.__repr__(r.multiplicity), num[r.tau.real], num[r.tau.imag])))
+    items = ",\n".join(f"{head}{encode_basestring_ascii(r.mode)}{tail}"
+                       for r, (head, tail) in zip(roots, parts))
     return f"[\n{items}\n  ]" if items else "[]"
 
 
@@ -464,9 +471,10 @@ def render_report(report: FredholmReport, fmt: str = "text") -> str:
         lines.append("limit operators: none (empty boundary)")
     if report.roots:
         lines.append("indicial roots (z = i tau; obstruction lines Re(z) = delta):")
-        for r in report.roots:
-            lines.append(f"  mode {r.mode}: z = {fmt_complex(r.mellin)}"
-                         f"  (tau = {fmt_complex(r.tau)}, multiplicity {r.multiplicity})")
+        tails = per_class_root(report.roots, lambda r: (
+            f": z = {fmt_complex(r.mellin)}  (tau = {fmt_complex(r.tau)}, "
+            f"multiplicity {r.multiplicity})"))
+        lines += [f"  mode {r.mode}{tail}" for r, tail in zip(report.roots, tails)]
     if report.safe_weights:
         ivs = ", ".join(f"({fmt12(a)}, {fmt12(b)})" for a, b in report.safe_weights)
         lines.append(f"safe weight intervals: {ivs}")
@@ -528,7 +536,7 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.version_option(package_name="fredholm-kit")
+@click.version_option(version=__version__)
 def main():
     """Fredholm conditions for operators on collars with cylindrical,
     hyperbolic, and conical ends."""
@@ -643,9 +651,9 @@ def roots(spec_path, cutoff, fmt, out):
         lines = [f"indicial roots (mode cutoff {fmt12(c)}; z = i tau)"]
         if fam.warning:
             lines.append(f"warning: {fam.warning}")
-        for r in rts:
-            lines.append(f"  mode {r.mode}: z = {fmt_complex(r.mellin)} "
-                         f"(multiplicity {r.multiplicity})")
+        tails = per_class_root(rts, lambda r: (
+            f": z = {fmt_complex(r.mellin)} (multiplicity {r.multiplicity})"))
+        lines += [f"  mode {r.mode}{tail}" for r, tail in zip(rts, tails)]
         text = "\n".join(lines) + "\n"
     _echo_or_write(text, out)
     sys.exit(0)

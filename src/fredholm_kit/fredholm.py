@@ -10,6 +10,7 @@ r^(-delta) (r d/dr) r^delta = r d/dr + delta.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
 _WEIGHT_CAP = 2.0 ** 20  # the largest certified weight range reported
 
+_new, _set = object.__new__, object.__setattr__
+
 VERDICT_FREDHOLM = "Fredholm"
 VERDICT_NOT = "NotFredholm"
 VERDICT_UNDECIDED = "Undecided"
@@ -63,14 +66,30 @@ class IndicialRoot:
     mellin: complex
     multiplicity: int
 
-    def as_dict(self, rounded=round12):
-        """The report entry; rounded is `round12`, or a cache of it."""
+    def as_dict(self):
         return {
             "mode": self.mode,
-            "tau": [rounded(self.tau.real), rounded(self.tau.imag)],
-            "mellin": [rounded(self.mellin.real), rounded(self.mellin.imag)],
+            "tau": [round12(self.tau.real), round12(self.tau.imag)],
+            "mellin": [round12(self.mellin.real), round12(self.mellin.imag)],
             "multiplicity": self.multiplicity,
         }
+
+
+def per_class_root(roots, part) -> list:
+    """[part(r) for r in roots], with part called once per run of
+    consecutive roots that hold the same tau and mellin objects and
+    multiplicity: `indicial_roots` lists every channel of a class root
+    so.  Objects, not values, are compared, because 0j == -0j and the two
+    print apart; any list of roots, shared objects or not, gets the part
+    of each of its roots."""
+    out = []
+    last = None
+    for r in roots:
+        if (last is None or r.tau is not last.tau or r.mellin is not last.mellin
+                or r.multiplicity != last.multiplicity):
+            last, value = r, part(r)
+        out.append(value)
+    return out
 
 
 def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | None, str | None]]:
@@ -89,8 +108,9 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | 
     mean, with their count as its multiplicity, once a winding number of
     det P confirms it (`limitops.cluster_counts`, one call per batch).  A
     lone approximation takes one Newton step.  A polynomial fails alone:
-    on its first Newton step above _ROOT_STEP_TOL of the root (it then
-    skips the winding count), or on a merged root whose count fails."""
+    on its first Newton step that is not within _ROOT_STEP_TOL of the root
+    (NaN included; it then skips the winding count), or on a merged root
+    whose count fails."""
     points = np.sort(points, axis=-1)
     stack = coeffs[:, :, None]
     sensitivity = root_sensitivity(stack, points)
@@ -99,12 +119,14 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | 
     label = disc_components(points, radius)
     lone = (label[:, :, None] == label[:, None, :]).sum(axis=2) == 1
     steps = np.where(lone, newton_correction(stack, points), 0)
-    failed = np.abs(steps) > _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points))
-    failures = [f"Newton step {abs(step[bad][0]):.2e} at tau={row[bad][0]:.6g}" if bad.any()
-                else None for row, step, bad in zip(points, steps, failed)]
+    failed = ~(np.abs(steps) <= _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points)))
+    failures: list = [None] * len(points)
+    for b in np.flatnonzero(failed.any(axis=1)).tolist():
+        bad = failed[b]
+        failures[b] = f"Newton step {abs(steps[b][bad][0]):.2e} at tau={points[b][bad][0]:.6g}"
     # 0 + turns a signed zero into +0
-    out = [[(complex(tau), 1) for tau in 0 + (row - step)[keep]]
-           for row, step, keep in zip(points, steps, lone)]
+    out = [[(tau, 1) for tau, alone in zip(row, keep) if alone]
+           for row, keep in zip((0 + (points - steps)).tolist(), lone.tolist())]
     grouped = np.flatnonzero(~lone.all(axis=1) & ~failed.any(axis=1))
     for b, (parts, _, counts) in cluster_counts(coeffs, points, radius, grouped).items():
         if None in counts:
@@ -125,14 +147,23 @@ def _linearized_roots(coeffs: np.ndarray) -> list[tuple[list | None, str | None]
     """`_resolve_roots` of a batch of matrix polynomials with invertible
     leading matrices A_m, coeffs[:, b] of shape (m + 1, k, k), from the
     eigenvalues of their reduced block companion matrices
-    [[0, I, ...], [-A_m^-1 A_0, ..., -A_m^-1 A_(m-1)]]."""
+    [[0, I, ...], [-A_m^-1 A_0, ..., -A_m^-1 A_(m-1)]].  A polynomial
+    whose companion matrix is not finite (A_m^-1 A_j overflows) fails
+    alone."""
     m, n, k = coeffs.shape[0] - 1, coeffs.shape[1], coeffs.shape[2]
     if m == 0:
         return [([], None) for _ in range(n)]
     companion = np.zeros((n, m * k, m * k), dtype=complex)
     companion[:, :-k, k:] = np.eye((m - 1) * k)
     companion[:, -k:] = -np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=-1))
-    return _resolve_roots(coeffs, np.linalg.eigvals(companion))
+    finite = np.isfinite(companion).all(axis=(1, 2))
+    if finite.all():
+        return _resolve_roots(coeffs, np.linalg.eigvals(companion))
+    out: list = [(None, "the block companion matrix is not finite")] * n
+    if finite.any():
+        for b, found in zip(np.flatnonzero(finite).tolist(), _linearized_roots(coeffs[:, finite])):
+            out[b] = found
+    return out
 
 
 def _interpolated_roots(f: IndicialFamily, label: str) -> tuple[list | None, str | None]:
@@ -150,8 +181,9 @@ def _interpolated_roots(f: IndicialFamily, label: str) -> tuple[list | None, str
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     """All tau roots of the per-mode determinants det P(tau), with
-    multiplicities, resolved by `_resolve_roots`; each distinct mode
-    polynomial is solved once, for its first label.  Exact zero top
+    multiplicities, resolved by `_resolve_roots`, sorted by (Re z, Im z,
+    mode) with ties in channel order.  Each distinct mode polynomial (a
+    class) is solved once, for its first label.  Exact zero top
     coefficients are dropped; when the leading coefficient is then
     invertible (every scalar, and every elliptic system) the
     approximations are the eigenvalues of the block companion matrix,
@@ -159,34 +191,57 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     family's array.  A system whose leading matrix is singular takes them
     from the roots of the interpolated `IndicialFamily.det_poly`, solved
     first in their degree batch.  The first failing class in that order
-    raises FredholmKitError."""
+    raises FredholmKitError.
+
+    The roots stay per class root up to the list: one `np.lexsort` over
+    (label rank, Im z, Re z) of the class roots repeated to their
+    channels orders them, and every channel's root of one class root
+    holds that class root's tau and mellin objects (`per_class_root`)."""
     first, class_of = f.class_rows
     reps = f.coeffs[first]
-    labels = [f.channels.labels[i] for i in first]
+    labels = f.channels.labels
     nonzero = reps.any(axis=(2, 3))
-    batches: dict[int, list[int]] = {}  # degree -> classes
-    for c, row in enumerate(nonzero):
-        if not row.any():
-            raise FredholmKitError(
-                f"indicial polynomial of mode {labels[c]} is identically zero")
-        batches.setdefault(int(np.flatnonzero(row)[-1]), []).append(c)
+    zero = ~nonzero.any(axis=1)
+    if zero.any():
+        raise FredholmKitError(f"indicial polynomial of mode {labels[first[np.argmax(zero)]]} "
+                               "is identically zero")
+    degree = nonzero.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
     by_class: list = [None] * len(first)
-    for deg, members in batches.items():
-        members = np.array(members)
+    for deg in dict.fromkeys(degree.tolist()):  # in order of first appearance
+        members = np.flatnonzero(degree == deg)
         stack = reps[members, :deg + 1].swapaxes(0, 1)
         full = np.linalg.matrix_rank(stack[-1]) == f.system_size
-        solved = [_interpolated_roots(f, labels[c]) for c in members[~full]]
+        solved = [_interpolated_roots(f, labels[first[c]]) for c in members[~full]]
         if full.any():
             solved += _linearized_roots(stack[:, full])
         for c, (roots, failure) in zip([*members[~full], *members[full]], solved):
             if failure is not None:
-                raise FredholmKitError(f"root refinement failed on mode {labels[c]}: {failure}")
+                raise FredholmKitError(
+                    f"root refinement failed on mode {labels[first[c]]}: {failure}")
             by_class[c] = roots
-    roots = [IndicialRoot(label, tau, 1j * tau, mult)
-             for label, c in zip(f.channels.labels, class_of.tolist())
-             for tau, mult in by_class[c]]
-    roots.sort(key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
-    return roots
+    # the class roots, then the index of every channel's root into them
+    shared = [(tau, 1j * tau, mult) for roots in by_class for tau, mult in roots]
+    count = np.array([len(roots) for roots in by_class], dtype=np.intp)
+    per_channel = count[class_of]
+    channel = np.repeat(np.arange(len(labels)), per_channel)
+    shift = np.cumsum(per_channel) - per_channel - (np.cumsum(count) - count)[class_of]
+    class_root = np.arange(channel.size) - np.repeat(shift, per_channel)
+    mellin = np.array([z for _, z, _ in shared], dtype=complex)
+    rank = np.empty(len(labels), dtype=np.intp)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    order = np.lexsort((rank[channel], mellin.imag[class_root], mellin.real[class_root]))
+    out = []
+    for i, j in zip(channel[order].tolist(), class_root[order].tolist()):
+        # IndicialRoot(labels[i], *shared[j]), without calling the frozen
+        # __init__ that makes these same four calls
+        tau, z, mult = shared[j]
+        root = _new(IndicialRoot)
+        _set(root, "mode", labels[i])
+        _set(root, "tau", tau)
+        _set(root, "mellin", z)
+        _set(root, "multiplicity", mult)
+        out.append(root)
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,16 +258,31 @@ class LineVerdict:
         }
 
 
+def _re(root: IndicialRoot) -> float:
+    return root.mellin.real
+
+
 def normal_invertible(f: IndicialFamily, delta: float,
                       roots: list[IndicialRoot] | None = None) -> LineVerdict:
     """Invertibility of the normal operator on the weight-delta line: yes
     iff no indicial root satisfies Re(z) = delta.  Roots within 1e-8 of
-    the line are reported as borderline rather than guessed."""
+    the line are reported as borderline rather than guessed.  Given roots
+    must be sorted by Re(z), as `indicial_roots` returns them; the
+    witness is the first of them nearest the line."""
     if roots is None:
         roots = indicial_roots(f)
     if not roots:
         return LineVerdict("yes", math.inf, None)
-    best = min(roots, key=lambda r: abs(r.mellin.real - delta))
+    # |Re z - delta| falls up to the line and rises after it, so the
+    # nearest root is the first one past it, or the first one before it at
+    # the distance of the last one before it
+    i = bisect_left(roots, delta, key=_re)
+    best = roots[i] if i < len(roots) else None
+    if i > 0:
+        before = abs(roots[i - 1].mellin.real - delta)
+        if best is None or before <= abs(best.mellin.real - delta):
+            best = roots[bisect_left(roots, -before, hi=i,
+                                     key=lambda r: -abs(r.mellin.real - delta))]
     dist = abs(best.mellin.real - delta)
     if dist <= _ON_LINE_TOL * max(1.0, abs(best.tau)):
         return LineVerdict("no", dist, best)
@@ -254,7 +324,12 @@ class TailBound:
 
 def _positive_root(coeffs: np.ndarray) -> float:
     """Largest positive real root of a polynomial whose leading coefficient
-    is positive and whose lower coefficients are <= 0 (one sign change)."""
+    is positive and whose lower coefficients are <= 0 (one sign change);
+    inf, a bound that certifies nothing, when a coefficient over the
+    leading one overflows."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(coeffs[:-1] / coeffs[-1]).all():
+            return math.inf
     roots = np.polynomial.polynomial.polyroots(coeffs)
     best = 0.0
     for z in roots:
@@ -342,17 +417,16 @@ def certified_weight_range(base: BoundaryOperator, cutoff: float, mu0: float) ->
 def safe_weight_intervals(roots: list[IndicialRoot], lo: float, hi: float,
                           ) -> list[tuple[float, float]]:
     """Maximal open delta intervals inside [lo, hi] avoiding every
-    Re(mellin) of the given roots (which must be complete on that range)."""
+    Re(mellin) of the given roots (which must be complete on that range,
+    and sorted by Re(mellin), as `indicial_roots` returns them).  Values
+    within 1e-9 of the last one kept are one value."""
     if hi <= lo:
         return []
     bad: list[float] = []
-    for r in sorted(roots, key=lambda r: r.mellin.real):
-        x = r.mellin.real
-        if x < lo - 1e-12 or x > hi + 1e-12:
-            continue
-        if bad and abs(x - bad[-1]) <= 1e-9:
-            continue
+    i = bisect_left(roots, lo - 1e-12, key=_re)
+    while i < len(roots) and (x := roots[i].mellin.real) <= hi + 1e-12:
         bad.append(x)
+        i = bisect_right(roots, 1e-9, lo=i, key=lambda r: r.mellin.real - x)
     points = [lo] + bad + [hi]
     out = []
     for a, b in zip(points[:-1], points[1:]):
@@ -445,7 +519,8 @@ def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
     running minimum with 33 points per axis, so the step shrinks eightfold
     per round.  The scan runs at two base resolutions; the status is "no"
     when the minimum is at most _SC_THRESHOLD, "yes" above it, and
-    "undecided" when the two resolutions disagree."""
+    "undecided" when the two resolutions disagree, or when there is no
+    finite radius to scan."""
     if any(ct.lam_degree for _, co in frozen.terms for ct in co.terms):
         raise FredholmKitError(
             "mode-diagonal coefficient polynomials have no pointwise "
@@ -460,6 +535,8 @@ def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
         coeffs[d] -= w
     coeffs[0] -= _SC_THRESHOLD ** (1.0 / k)
     radius = max(1.0, _positive_root(coeffs) * 1.01)
+    if math.isinf(radius):
+        return ScVerdict("undecided", math.nan, None, radius, ())
     if n_axis is None:
         n_axis = {1: 4001, 2: 201, 3: 61}.get(_covector_dim(frozen)[0], 21)
     resolutions = []
@@ -558,9 +635,16 @@ class FredholmReport:
                     "Undecided verdicts require borderline or numerical evidence")
 
     def to_dict(self) -> dict:
-        rounded = FloatCache().__getitem__  # each distinct value rounded once
-        return {**self._dict_without_roots(),
-                "indicial_roots": [r.as_dict(rounded) for r in self.roots]}
+        """The report as JSON-ready values.  Each root's entry is its
+        `as_dict()`, with the numbers rounded once per class root
+        (`per_class_root`) and once per distinct value (`FloatCache`)."""
+        rounded = FloatCache().__getitem__
+        parts = per_class_root(self.roots, lambda r: (
+            rounded(r.tau.real), rounded(r.tau.imag), rounded(r.mellin.real),
+            rounded(r.mellin.imag)))
+        return {**self._dict_without_roots(), "indicial_roots": [
+            {"mode": r.mode, "tau": [t, u], "mellin": [z, w], "multiplicity": r.multiplicity}
+            for r, (t, u, z, w) in zip(self.roots, parts)]}
 
     def _dict_without_roots(self) -> dict:
         """`to_dict` less its root list, which the JSON renderer writes

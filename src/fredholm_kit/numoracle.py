@@ -973,7 +973,8 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     reported multiplicities in a component must sum to its count
     (`_match_roots`).  Matching runs once per class and reported root
     list: a channel whose class and reported (tau, multiplicity) pairs
-    equal an earlier channel's takes its result.
+    equal an earlier channel's takes its result.  The detail of a passing
+    entry is written once per class.
     """
     from .fredholm import FredholmOptions, sc_invertible
 
@@ -1001,6 +1002,9 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         by_class = [(None, "identically zero mode polynomial")] * len(first)
         for c, found in zip(nonzero, _brute_roots_batch(list(reps[nonzero]))):
             by_class[c] = found
+        passed = [None if found is None else
+                  f"{sum(root[1] for root in found)} roots re-found by contours"
+                  for found, _ in by_class]
         reported_by_mode: dict[str, list] = {}
         for r in report.roots:
             reported_by_mode.setdefault(r.mode, []).append((r.tau, r.multiplicity))
@@ -1014,9 +1018,7 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
                     matched[key] = problems[0] if problems else None
                 failure = matched[key]
             if failure is None:
-                entries.append(LedgerEntry(
-                    f"roots[{label}]", "pass",
-                    f"{sum(root[1] for root in found)} roots re-found by contours"))
+                entries.append(LedgerEntry(f"roots[{label}]", "pass", passed[c]))
             else:
                 entries.append(LedgerEntry(f"roots[{label}]", "fail", failure))
 

@@ -11,6 +11,7 @@ from fredholm_kit import (
     Coefficient,
     CrossSection,
     FredholmKitError,
+    IndicialRoot,
     LieStructure,
     MultiIndex,
     make_operator,
@@ -259,3 +260,17 @@ def quartic_laplacian():
     mode 2 is tau^4, a fourfold root at 0."""
     return make_operator(LieStructure.b(1), CrossSection.circle(), {
         MultiIndex(4): 1.0, MultiIndex(0, (), 2): 1.0, MultiIndex(0): -16.0})
+
+
+def shared_class_root_roots():
+    """Roots as `indicial_roots` lists a class root: many labels holding
+    its tau and mellin objects, in runs broken by a root of equal values
+    but opposite zero signs, by one with its own objects of the same
+    values and signs, and by another multiplicity."""
+    tau = complex(-1.5, 0.0)
+    mellin = 1j * tau  # (-0.0, -1.5)
+    shared = [IndicialRoot(f"k=+{k}", tau, mellin, 2) for k in (10, 11, 2, 3, 4, 5)]
+    flipped = IndicialRoot("k=-1", complex(-1.5, -0.0), complex(0.0, -1.5), 2)
+    own = IndicialRoot("k=-2", complex(-1.5, 0.0), complex(-0.0, -1.5), 2)
+    single = IndicialRoot("k=-3", tau, mellin, 1)
+    return [*shared[:3], flipped, *shared[3:5], own, single, shared[5], flipped]

@@ -1,6 +1,5 @@
 """Spec files, commands, exit codes, determinism, report formatting."""
 
-import importlib.metadata
 import json
 import os
 import subprocess
@@ -21,7 +20,13 @@ from fredholm_kit.cli import (
     render_report,
     serialize_operator,
 )
-from conftest import b_system_order4_singular, diagonal_system, merge_case, windowed_trig
+from conftest import (
+    b_system_order4_singular,
+    diagonal_system,
+    merge_case,
+    shared_class_root_roots,
+    windowed_trig,
+)
 
 SHIFTED_CYLINDER = {
     "schema": SCHEMA,
@@ -175,14 +180,17 @@ def test_click_usage_errors_exit_3_not_undecided(tmp_path, runner, args):
 
 
 @pytest.mark.parametrize("args", [["--help"], ["check", "--help"], ["--version"]])
-def test_help_and_version_exit_0(runner, monkeypatch, args):
-    # --version reads the installed metadata; a run from the source tree
-    # has none, so the lookup is stubbed
-    real = importlib.metadata.version
-    monkeypatch.setattr(importlib.metadata, "version",
-                        lambda name: "0.0" if name == "fredholm-kit" else real(name))
+def test_help_and_version_exit_0(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 0 and res.stdout and res.stderr == ""
+
+
+def test_version_of_a_source_tree_run_needs_no_installed_metadata():
+    # the package is imported from src/, not installed: --version is
+    # fredholm_kit.__version__
+    res = run_cli("--version")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == fredholm_kit.__version__ == "0.1.0"
 
 
 def test_check_of_a_non_elliptic_system_without_roots_says_not_fredholm(tmp_path, runner):
@@ -191,6 +199,35 @@ def test_check_of_a_non_elliptic_system_without_roots_says_not_fredholm(tmp_path
     assert res.exit_code == 1
     assert res.output.splitlines()[0] == "VERDICT: NotFredholm"
     assert "indicial roots not computed (root refinement failed" in res.output
+
+
+def _overflow_spec(scale):
+    """scale ((r d/dr)^2 + L) + 1e302 on the circle: -A_2^-1 A_0 overflows."""
+    return dict(SHIFTED_CYLINDER, terms=[
+        {"alpha": [2], "coefficient": [{"nu": 0, "value": scale}]},
+        {"alpha": [0], "laplacian": 1, "coefficient": [{"nu": 0, "value": scale}]},
+        {"alpha": [0], "coefficient": [{"nu": 0, "value": 1e302}]}])
+
+
+@pytest.mark.parametrize("command", ["check", "roots", "verify"])
+def test_overflowing_companion_matrix_is_a_named_failure(tmp_path, runner, command):
+    # elliptic (symbol floor 1e-7): the root failure is an error, not a
+    # traceback; RuntimeWarnings are errors here
+    spec = write(tmp_path, "spec.json", _overflow_spec(1e-7))
+    res = runner.invoke(main, [command, spec, "--cutoff", "4"])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.exception
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: root refinement failed on mode k=0: the block companion matrix is not finite"]
+
+
+def test_overflowing_companion_of_a_non_elliptic_operator_keeps_not_fredholm(tmp_path, runner):
+    spec = write(tmp_path, "spec.json", _overflow_spec(1e-170))
+    res = runner.invoke(main, ["check", spec, "--cutoff", "4"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+    assert res.output.splitlines()[0] == "VERDICT: NotFredholm"
+    assert ("indicial roots not computed (root refinement failed on mode k=0: the block "
+            "companion matrix is not finite)") in res.output
 
 
 POLAR_TEXT = '{"schema": "fredholm-kit/1", "model": "polar_laplacian"}'
@@ -514,6 +551,7 @@ def test_root_template_matches_the_json_module():
     roots = [IndicialRoot(f"k={i}", tau, 1j * tau, i + 1) for i, tau in enumerate(taus)]
     roots.append(IndicialRoot('a "quoted" \\ label, \u03bb = \u221a2\n', 2.5 - 1j, 1 + 2.5j, 2))
     assert isinstance(roots[6].tau.real, np.float64)
+    roots += shared_class_root_roots()
     payloads = [
         ({"schema": SCHEMA, "verdict": "Fredholm"}, "indicial_roots"),  # in the middle
         ({"a": 1, "caveats": ['\n  "zz": "x"', '  "roots": []']}, "roots"),  # last
@@ -525,6 +563,19 @@ def test_root_template_matches_the_json_module():
                                   indent=2, sort_keys=True, allow_nan=False) + "\n"
             assert _render_json(payload, key, listed) == expected
     assert f'"{key}": []' in _render_json(payload, key, [])
+
+
+def test_text_report_lists_every_root_of_a_shared_class_root():
+    import dataclasses
+
+    from fredholm_kit._util import fmt_complex
+    report = fredholm_check(make_model("polar_laplacian"), 0.3)
+    roots = tuple(shared_class_root_roots())
+    text = render_report(dataclasses.replace(report, roots=report.roots + roots), "text")
+    listed = [line for line in text.splitlines() if line.startswith("  mode ")]
+    assert listed[-len(roots):] == [
+        f"  mode {r.mode}: z = {fmt_complex(r.mellin)}  (tau = {fmt_complex(r.tau)}, "
+        f"multiplicity {r.multiplicity})" for r in roots]
 
 
 def test_ledger_template_matches_the_json_module():
@@ -655,10 +706,11 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
     # specs, check of three systems specs at two weights and two cutoffs,
-    # four root-failure runs, two line-scan runs and seven verify runs of
-    # the oracle's root certificates
+    # four root-failure runs, two line-scan runs, seven verify runs of
+    # the oracle's root certificates, text check and text/JSON roots of two
+    # modes specs, and four runs whose companion matrix overflows
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2 + 7
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2 + 7 + 2 * 3 + 4
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

@@ -24,6 +24,7 @@ from fredholm_kit import (
     VERDICT_UNDECIDED,
     brute_roots,
     builtin_suite,
+    compose,
     conjugate,
     fredholm_check,
     indicial_family,
@@ -62,6 +63,7 @@ from conftest import (
     order4_mellin_roots,
     order4_singular_mellin_roots,
     random_b_operator,
+    shared_class_root_roots,
     shifted_mellin_roots,
 )
 
@@ -314,6 +316,90 @@ def test_roots_zero_polynomial_rejected():
         indicial_roots(replace(fam, coeffs=broken))
 
 
+def _listed(roots):
+    """Each root as mode, multiplicity and the values and zero signs of its
+    tau and mellin parts: == on these tells 0.0 from -0.0."""
+    parts = [(r.tau.real, r.tau.imag, r.mellin.real, r.mellin.imag) for r in roots]
+    return [(r.mode, r.multiplicity, x, [math.copysign(1.0, v) for v in x])
+            for r, x in zip(roots, parts)]
+
+
+def _reference_order(fam):
+    """The root list `indicial_roots` promises, by its definition: every
+    channel solved alone, the lists joined in channel order, and one
+    stable sort by (Re z, Im z, mode)."""
+    joined = []
+    for i, label in enumerate(fam.channels.labels):
+        one = ChannelTable((label,), fam.channels.eigenvalues[i:i + 1])
+        joined += indicial_roots(IndicialFamily(one, fam.coeffs[i:i + 1], fam.source_cutoff,
+                                                fam.system_size, fam.structure_kind))
+    return sorted(joined, key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
+
+
+# scalar mode polynomials, ascending in tau: roots +-i, a copy with a -0.0
+# coefficient and one twice as large (other classes, the same roots), real
+# roots +-1 (their mellin parts hold -0.0), double roots +-i and +-2i, and
+# roots shared with the first at +-i
+_ORDER_POLYS = (
+    (1.0, 0.0, 1.0), (1.0, -0.0, 1.0), (2.0, 0.0, 2.0), (-1.0, 0.0, 1.0),
+    (1.0, 0.0, 2.0, 0.0, 1.0), (4.0, 0.0, 4.0, 0.0, 1.0), (2.0, 0.0, 3.0, 0.0, 1.0),
+    (0.5, 1.0, 1.0), (-3.0, 1.0, 1.0),
+)
+# labels whose string order is not their channel order
+_ORDER_LABELS = (*(f"k={k:+d}" for k in range(-12, 13) if k), "k=0",
+                 *(f"l={j}" for j in range(13)), "k=(+1,-2)", "k=(0,+10)", "k=(-10,0)",
+                 "|k|^2=4", "|k|^2=16", "mode3", "mode10")
+
+
+def _drawn_order_family(seed):
+    rng = np.random.default_rng(seed)
+    labels = tuple(rng.permutation(_ORDER_LABELS)[:rng.integers(8, 40)].tolist())
+    coeffs = np.zeros((len(labels), 5, 1, 1), dtype=complex)
+    for row, c in zip(coeffs, rng.integers(0, len(_ORDER_POLYS), len(labels))):
+        row[:len(_ORDER_POLYS[c]), 0, 0] = _ORDER_POLYS[c]
+    table = ChannelTable(labels, np.zeros(len(labels)))
+    return IndicialFamily(table, coeffs, 1.0, 1, StructureKind.B)
+
+
+def _shifted_torus_family(seed):
+    rng = np.random.default_rng(seed)
+    torus = CrossSection.torus(2)
+    p = make_operator(LieStructure.b(2), torus, {
+        MultiIndex(2): 1.0, MultiIndex(0, (2, 0)): 1.0, MultiIndex(0, (0, 2)): 1.0,
+        MultiIndex(0, (1, 0)): float(rng.uniform(-0.5, 0.5)), MultiIndex(0): -0.25})
+    return family_of(p, 30.0)
+
+
+@pytest.mark.parametrize("fam", [
+    *(pytest.param(_drawn_order_family(seed), id=f"drawn-{seed}") for seed in range(12)),
+    *(pytest.param(_shifted_torus_family(seed), id=f"torus-{seed}") for seed in range(2)),
+    pytest.param(family_of(make_model("spherical_schrodinger", n=3, Z=1.0), 150.0),
+                 id="sphere-l"),
+    pytest.param(family_of(make_operator(B1, CIRCLE, {
+        MultiIndex(2): 1.0, MultiIndex(0, (2,)): 1.0, MultiIndex(0, (1,)): 0.5,
+        MultiIndex(0): -0.25}), 150.0), id="circle-signed"),
+    pytest.param(family_of(compose(cylinder_shifted(2.0), cylinder_shifted(2.0)), 40.0),
+                 id="double-roots"),
+])
+def test_root_order_is_the_stable_sort_of_the_channel_lists(fam):
+    assert _listed(indicial_roots(fam)) == _listed(_reference_order(fam))
+
+
+def test_root_order_sweep_covers_ties_double_roots_and_signed_zeros():
+    roots = [r for seed in range(12) for r in indicial_roots(_drawn_order_family(seed))]
+    assert any(r.multiplicity == 2 for r in roots)
+    assert any(math.copysign(1.0, r.mellin.real) < 0 and r.mellin.real == 0 for r in roots)
+    # roots of different classes at the same z, listed by label
+    fam = _drawn_order_family(0)
+    first, class_of = fam.class_rows
+    cls = dict(zip(fam.channels.labels, class_of.tolist()))
+    listed = indicial_roots(fam)
+    assert any(a.mellin == b.mellin and cls[a.mode] != cls[b.mode]
+               for a, b in zip(listed, listed[1:]))
+    labels = fam.channels.labels
+    assert any(a > b for a, b in zip(labels, labels[1:]))
+
+
 # ---------------------------------------------------------------------------
 # invertibility on the weight line
 # ---------------------------------------------------------------------------
@@ -338,6 +424,49 @@ def test_line_verdict_borderline():
     fam = family_of(make_model("polar_laplacian"), 4.5)
     v = normal_invertible(fam, 1e-9)
     assert v.status == "borderline"
+
+
+def _sorted_roots(rng, n):
+    """n roots sorted as `indicial_roots` sorts them, with repeated and
+    nearly equal real parts, +-0.0 among them."""
+    pool = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 0.5 + 2e-16, 0.75, 1.0, 1.0 + 6e-10,
+                     1.0 + 2e-9, 3.0, 1e6, 1e6 + 1.2e-10])
+    re = rng.choice(pool, n) + rng.choice([0.0, 0.0, 0.0, 1e-13, -1e-13], n)
+    im = rng.choice([-1.0, 0.0, 2.0], n)
+    roots = [fredholm.IndicialRoot(f"k={i}", complex(y, -x), complex(x, y), 1)
+             for i, (x, y) in enumerate(zip(re.tolist(), im.tolist()))]
+    return sorted(roots, key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nearest_root_and_safe_intervals_match_a_scan_of_every_root(seed):
+    # the sorted-list searches give what the scans over every root give:
+    # the first root at the least distance, and the merged bad weights;
+    # three roots share the real part nearest 0.5, below it
+    rng = np.random.default_rng(seed)
+    roots = _sorted_roots(rng, int(rng.integers(1, 30)))
+    roots = sorted(roots + [fredholm.IndicialRoot(f"tie{j}", complex(y, -(0.5 - 1e-13)),
+                                                  complex(0.5 - 1e-13, y), 1)
+                            for j, y in enumerate(rng.permutation([-1.0, 0.0, 2.0]))],
+                   key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
+    for delta in [*rng.choice([-1.0, 0.0, 0.5, 0.625, 1.0, 2.0, 1e6 + 6e-11, 1e7], 4),
+                  float(rng.uniform(-2, 4))]:
+        best = min(roots, key=lambda r: abs(r.mellin.real - delta))
+        v = normal_invertible(None, float(delta), roots)
+        assert v.distance == abs(best.mellin.real - delta)
+        assert v.witness is None or v.witness is best
+    for lo, hi in [(-5.0, 5.0), (0.0, 1.0), (0.25, 0.5), (1.0, 1e6), (-0.0, 0.0)]:
+        bad: list[float] = []
+        for r in roots:
+            x = r.mellin.real
+            if lo - 1e-12 <= x <= hi + 1e-12 and not (bad and abs(x - bad[-1]) <= 1e-9):
+                bad.append(x)
+        points = [lo, *bad, hi]
+        expected = [(a, b) for a, b in zip(points, points[1:]) if b - a > 1e-12]
+        got = safe_weight_intervals(roots, lo, hi)
+        assert got == expected and all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                                       for iv, ev in zip(got, expected)
+                                       for a, b in zip(iv, ev))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +632,21 @@ def test_sc_non_elliptic_input_undecided():
         MultiIndex(2): 1.0, MultiIndex(0, (), 1): -1.0})
     v = sc_invertible(freeze_coefficients(degenerate))
     assert v.status == "undecided"
+
+
+def test_tail_and_sc_radius_that_overflow_certify_nothing():
+    # a floor of 1e-7 or 1e-11 against a constant of 1e302: the root of
+    # the tail or radius polynomial, over its leading coefficient,
+    # overflows; the tail is uncertified and the sc scan has no radius
+    cyl = make_operator(B1, CIRCLE, {
+        MultiIndex(2): 1e-7, MultiIndex(0, (), 1): 1e-7, MultiIndex(0): 1e302})
+    nop = normal_operator(cyl)
+    tb = tail_bound(nop, 0.0, symbol_min_singular(nop))
+    assert math.isinf(tb.s0) and math.isinf(tb.lambda_certified)
+    sc = make_operator(LieStructure.sc(1), CIRCLE, {
+        MultiIndex(2): 1e-11, MultiIndex(0, (2,)): 1e-11, MultiIndex(0): 1e300})
+    v = sc_invertible(freeze_coefficients(sc))
+    assert v.status == "undecided" and math.isinf(v.radius) and v.resolutions == ()
 
 
 def reference_full_symbol(frozen, xi, eta, eta2):
@@ -814,9 +958,10 @@ def test_report_serialization_shape():
 
 
 def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
-    # to_dict rounds each distinct float once; its text is that of each
-    # root's own as_dict(), on every built-in and the modes specs, and a
-    # -0.0 part still prints apart from 0.0
+    # to_dict rounds each class root's floats once; its text is that of
+    # each root's own as_dict(), on every built-in and the modes specs, on
+    # runs of roots that share one class root's objects, and a -0.0 part
+    # still prints apart from 0.0
     import dataclasses
     import json
     import os
@@ -839,6 +984,8 @@ def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
             reports.append(fredholm_check(op, workloads.WEIGHT, opts))
     signed = (IndicialRoot("k=0", complex(-0.0, 1.5), complex(-1.5, -0.0), 1),
               IndicialRoot("k=0", complex(0.0, 1.5), complex(-1.5, 0.0), 1))
+    shared = tuple(shared_class_root_roots())
+    reports.append(dataclasses.replace(reports[0], roots=reports[0].roots + shared))
     reports.append(dataclasses.replace(reports[0], roots=reports[0].roots + signed))
     assert sum(len(r.roots) for r in reports) > 2473
     for rep in reports:

@@ -50,6 +50,13 @@ Run it in each checkout and diff the two files.  Each line reads
   at cutoff 120, whose scan minimum sits on its last mode class, and
   (r d/dr)^2 + 1e34 on the circle at cutoff 4, whose witness tau = -1e17
   is too large for a fixed local window;
+- the text `check` (weight 0.3) and the text and JSON `roots` of the
+  `modes` specs `cyl_coord_laplacian@400` and `torus_laplacian@400`
+  (seed 1, cutoff 400), whose channels share few mode classes;
+- `check`, `roots` and `verify` at cutoff 4 of 1e-7 ((r d/dr)^2 + L) +
+  1e302 on the circle, whose block companion matrix overflows (exit 3),
+  and `check` of the same with 1e-170 in place of 1e-7, which is not
+  elliptic (NotFredholm, no roots);
 - the `verify --scan-csv` files of a scalar `modes` spec and the
   `systems` specs `2x2_order2` and `4x4_order4` (seed 1, the benchmark's
   arguments), and of the built-in `polar_laplacian` at weight 0, whose
@@ -215,6 +222,22 @@ LINE_SCAN_SPECS = (
 )
 
 
+# the `modes` specs whose channels share mode classes most
+SHARED_CLASS_SPECS = ("cyl_coord_laplacian@400", "torus_laplacian@400")
+
+
+def _overflow_spec(scale: float) -> dict:
+    """scale ((r d/dr)^2 + L) + 1e302 on the circle."""
+    return _spec({"kind": "circle"}, {(2,): scale, (0, "L"): scale, (0,): 1e302})
+
+
+# (name, spec, commands) of the runs whose block companion matrix overflows
+OVERFLOW_SPECS = (
+    ("elliptic", _overflow_spec(1e-7), ("check", "roots", "verify")),
+    ("non_elliptic", _overflow_spec(1e-170), ("check",)),
+)
+
+
 def runs(workdir: str):
     """(label, argv) for every report, in a fixed order."""
     for name in WORKLOADS:
@@ -284,6 +307,24 @@ def runs(workdir: str):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         yield f"oracle-roots/{name}/verify", ["verify", path, *options]
+    sub = os.path.join(workdir, "shared-classes")
+    os.makedirs(sub)
+    modes = workloads.build("modes", SEEDS[0])
+    for spec, path in zip(modes.specs, workloads.write_specs(modes, sub)):
+        if spec.name in SHARED_CLASS_SPECS:
+            cutoff = ["--cutoff", repr(spec.cutoff)]
+            yield (f"shared-classes/{spec.name}/text/check",
+                   ["check", path, "--weight", "0.3", "--format", "text", *cutoff])
+            for fmt in ("text", "json"):
+                yield (f"shared-classes/{spec.name}/{fmt}/roots",
+                       ["roots", path, "--format", fmt, *cutoff])
+    for name, doc, commands in OVERFLOW_SPECS:
+        path = os.path.join(workdir, f"overflow-{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        for command in commands:
+            yield (f"overflow/{name}/{command}",
+                   [command, path, "--cutoff", "4", "--format", "json"])
 
 
 def scan_runs(workdir: str):
