@@ -55,6 +55,8 @@ VERDICT_UNDECIDED = "Undecided"
 
 WEIGHT_CONVENTION = "line Re(z) = delta"
 
+ROOTS_NOT_COMPUTED = "indicial roots not computed"  # a caveat; `cross_check` skips those roots
+
 
 @dataclass(frozen=True)
 class IndicialRoot:
@@ -144,39 +146,32 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | 
 
 
 def _linearized_roots(coeffs: np.ndarray) -> list[tuple[list | None, str | None]]:
-    """`_resolve_roots` of a batch of matrix polynomials with invertible
-    leading matrices A_m, coeffs[:, b] of shape (m + 1, k, k), from the
-    eigenvalues of their reduced block companion matrices
-    [[0, I, ...], [-A_m^-1 A_0, ..., -A_m^-1 A_(m-1)]].  A polynomial
-    whose companion matrix is not finite (A_m^-1 A_j overflows) fails
-    alone."""
+    """`_resolve_roots` of a batch of matrix polynomials, coeffs[:, b] of
+    shape (m + 1, k, k), from the eigenvalues of their reduced block
+    companion matrices [[0, I, ...], [-A_m^-1 A_0, ..., -A_m^-1 A_(m-1)]].
+    A polynomial fails alone when its leading matrix A_m is singular
+    (numerically rank-deficient; a trimmed nonzero scalar never is) or
+    its companion matrix is not finite (A_m^-1 A_j overflows, or A_m
+    itself is not finite)."""
     m, n, k = coeffs.shape[0] - 1, coeffs.shape[1], coeffs.shape[2]
     if m == 0:
         return [([], None) for _ in range(n)]
+    finite = np.isfinite(coeffs[-1]).all(axis=(1, 2))  # the SVD refuses inf and NaN
+    full = finite.copy()
+    if k > 1:
+        full[finite] = np.linalg.matrix_rank(coeffs[-1, finite]) == k
     companion = np.zeros((n, m * k, m * k), dtype=complex)
     companion[:, :-k, k:] = np.eye((m - 1) * k)
-    companion[:, -k:] = -np.linalg.solve(coeffs[-1], np.concatenate(coeffs[:-1], axis=-1))
-    finite = np.isfinite(companion).all(axis=(1, 2))
-    if finite.all():
-        return _resolve_roots(coeffs, np.linalg.eigvals(companion))
-    out: list = [(None, "the block companion matrix is not finite")] * n
-    if finite.any():
-        for b, found in zip(np.flatnonzero(finite).tolist(), _linearized_roots(coeffs[:, finite])):
-            out[b] = found
+    companion[full, -k:] = -np.linalg.solve(coeffs[-1, full],
+                                            np.concatenate(coeffs[:-1, full], axis=-1))
+    ok = full & np.isfinite(companion).all(axis=(1, 2))
+    out: list = [(None, "the leading matrix is singular" if f and not g else
+                  "the block companion matrix is not finite")
+                 for f, g in zip(finite.tolist(), full.tolist())]
+    for b, found in zip(np.flatnonzero(ok).tolist(),
+                        _resolve_roots(coeffs[:, ok], np.linalg.eigvals(companion[ok]))):
+        out[b] = found
     return out
-
-
-def _interpolated_roots(f: IndicialFamily, label: str) -> tuple[list | None, str | None]:
-    """Roots of a system with a singular leading matrix, as the pair
-    `_resolve_roots` gives: the roots of its interpolated determinant, cut
-    after the last coefficient above 1e-12 of the largest, resolved
-    against the true matrix polynomial."""
-    det = f.det_poly(label)
-    det = det[:np.flatnonzero(np.abs(det) > 1e-12 * float(np.max(np.abs(det))))[-1] + 1]
-    if det.shape[0] == 1:
-        return [], None
-    raw = np.polynomial.polynomial.polyroots(det)
-    return _resolve_roots(f.poly(label)[:, None], raw[None])[0]
 
 
 def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
@@ -184,14 +179,13 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     multiplicities, resolved by `_resolve_roots`, sorted by (Re z, Im z,
     mode) with ties in channel order.  Each distinct mode polynomial (a
     class) is solved once, for its first label.  Exact zero top
-    coefficients are dropped; when the leading coefficient is then
-    invertible (every scalar, and every elliptic system) the
-    approximations are the eigenvalues of the block companion matrix,
-    with all polynomials of one degree in one batch of slices of the
-    family's array.  A system whose leading matrix is singular takes them
-    from the roots of the interpolated `IndicialFamily.det_poly`, solved
-    first in their degree batch.  The first failing class in that order
-    raises FredholmKitError.
+    coefficients are dropped; the approximations are the eigenvalues of
+    the block companion matrices (`_linearized_roots`), one batch per
+    degree.  A singular leading matrix fails: for an elliptic operator of
+    order m the tau^m coefficient of every mode is i^m sigma_m(P)(0; 1, 0),
+    at a covector `is_elliptic` samples, so only an operator whose verdict
+    needs no roots has one.  The first failing class, in order of degree
+    batch and then of class, raises FredholmKitError.
 
     The roots stay per class root up to the list: one `np.lexsort` over
     (label rank, Im z, Re z) of the class roots repeated to their
@@ -209,12 +203,8 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     by_class: list = [None] * len(first)
     for deg in dict.fromkeys(degree.tolist()):  # in order of first appearance
         members = np.flatnonzero(degree == deg)
-        stack = reps[members, :deg + 1].swapaxes(0, 1)
-        full = np.linalg.matrix_rank(stack[-1]) == f.system_size
-        solved = [_interpolated_roots(f, labels[first[c]]) for c in members[~full]]
-        if full.any():
-            solved += _linearized_roots(stack[:, full])
-        for c, (roots, failure) in zip([*members[~full], *members[full]], solved):
+        solved = _linearized_roots(reps[members, :deg + 1].swapaxes(0, 1))
+        for c, (roots, failure) in zip(members.tolist(), solved):
             if failure is not None:
                 raise FredholmKitError(
                     f"root refinement failed on mode {labels[first[c]]}: {failure}")
@@ -735,7 +725,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             # the symbol alone decides NotFredholm: keep that verdict, list
             # no roots and no safe weights, and say why
             line = LineVerdict("numerical-evidence", math.inf, None)
-            caveats.append(f"indicial roots not computed ({e}); the verdict "
+            caveats.append(f"{ROOTS_NOT_COMPUTED} ({e}); the verdict "
                            "rests on the failed ellipticity alone")
         else:
             line = normal_invertible(fam, delta, list(roots))

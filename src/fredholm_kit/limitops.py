@@ -123,10 +123,10 @@ def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
     top = np.max(np.abs(coeffs), axis=(-2, -1), keepdims=True)
     scaled = np.divide(coeffs, top, out=np.zeros_like(coeffs), where=top > 0)
-    norms = top[..., 0, 0] * np.linalg.norm(scaled, axis=(-2, -1))
-    # a sum past the largest float is inf, and inf / inf NaN: both read as
-    # no finite sensitivity
+    # a norm or a sum past the largest float is inf, and inf / inf NaN:
+    # both read as no finite sensitivity
     with np.errstate(over="ignore", invalid="ignore"):
+        norms = top[..., 0, 0] * np.linalg.norm(scaled, axis=(-2, -1))
         size = sum(norm * np.abs(taus) ** j for j, norm in enumerate(norms))
         return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
 
@@ -275,9 +275,9 @@ class IndicialFamily:
     k x k coefficients of channel i of the table `channels`, ascending in
     the tau power, and every consumer reads slices of it; treat it as
     read-only.  The label-keyed `polys` view stays because the benchmark's
-    tracer (perfbench/tracing.py) counts distinct rows through it;
-    `det_poly` stays for the singular-leading root path, and the tracer
-    wraps it by name."""
+    tracer (perfbench/tracing.py) counts distinct rows through it.
+    `det_poly` is no root path: it stays only as a reference for tests and
+    because the tracer wraps it by name."""
 
     channels: ChannelTable
     coeffs: np.ndarray
@@ -325,7 +325,7 @@ class IndicialFamily:
     def det_poly(self, label: str) -> np.ndarray:
         """Determinant of the mode polynomial, as a scalar polynomial in tau
         (exact for scalars; interpolated for systems, inaccurate at high
-        degree, and used for roots only when the leading matrix is singular)."""
+        degree).  Nothing in the kit takes roots from it."""
         coeffs = self.poly(label)
         if self.system_size == 1:
             return coeffs[:, 0, 0].copy()
@@ -377,13 +377,15 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     deg = max(mi.radial for mi, _ in base.terms)
     coeffs = np.zeros((len(chans), deg + 1, k, k), dtype=complex)
     eye = np.eye(k)
-    for mi, co in base.terms:
-        for ct in co.terms:
-            factor = _cmul(_mode_factor(ct.lam_poly, mi.cross, mi.laplacian, chans),
-                           1j ** mi.radial)
-            if _is_matrix(ct.value):
-                coeffs[:, mi.radial] += factor[:, None, None] * ct.value
-            else:
-                coeffs[:, mi.radial] += _cmul(factor, ct.value)[:, None, None] * eye
+    # a coefficient past the largest float is inf or NaN: the roots refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mi, co in base.terms:
+            for ct in co.terms:
+                factor = _cmul(_mode_factor(ct.lam_poly, mi.cross, mi.laplacian, chans),
+                               1j ** mi.radial)
+                if _is_matrix(ct.value):
+                    coeffs[:, mi.radial] += factor[:, None, None] * ct.value
+                else:
+                    coeffs[:, mi.radial] += _cmul(factor, ct.value)[:, None, None] * eye
     return IndicialFamily(chans, coeffs, table.cutoff, k,
                           base.structure.kind, warning)

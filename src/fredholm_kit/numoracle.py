@@ -16,12 +16,10 @@ theorem on diag(z) - W 1^T; Braess-Hadeler, Carstensen), and every
 root.  A component of one disc is a simple root.  A component of more,
 a cluster (a multiple root, or roots closer than rounding lets det P
 resolve), has its count confirmed a second way, by the winding number of
-det P around one box, and its center is a contour moment.  The oracle
-evaluates the true coefficients, never the interpolated
-`IndicialFamily.det_poly`.  Line verdicts are confirmed by scanning
-smallest singular values of the indicial family on the tested line, and
-zero-structure limit operators are sampled on a truncated half-space in
-log coordinates.
+det P around one box, and its center is a contour moment.  Line
+verdicts are confirmed by scanning smallest singular values of the
+indicial family on the tested line, and zero-structure limit operators
+are sampled on a truncated half-space in log coordinates.
 
 The oracle solves all mode classes of a family in one batch per
 polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
@@ -974,9 +972,11 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     (`_match_roots`).  Matching runs once per class and reported root
     list: a channel whose class and reported (tau, multiplicity) pairs
     equal an earlier channel's takes its result.  The detail of a passing
-    entry is written once per class.
+    entry is written once per class.  A non-elliptic report without roots
+    and with the caveat `fredholm.ROOTS_NOT_COMPUTED` gets one skipped
+    `roots` entry holding that caveat instead.
     """
-    from .fredholm import FredholmOptions, sc_invertible
+    from .fredholm import ROOTS_NOT_COMPUTED, FredholmOptions, sc_invertible
 
     opts = opts or FredholmOptions()
     entries: list[LedgerEntry] = []
@@ -993,34 +993,39 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
         table = spectrum(p.cross_section, cutoff)
         fam = indicial_family(normal_operator(p), table)
 
-        # certified roots of every nonzero class polynomial in one batch, as
-        # (roots, None) or (None, failure detail), shared by every channel
-        # of the class
-        first, class_of = fam.class_rows
-        reps = fam.coeffs[first]
-        nonzero = np.flatnonzero(reps.any(axis=(1, 2, 3)))
-        by_class = [(None, "identically zero mode polynomial")] * len(first)
-        for c, found in zip(nonzero, _brute_roots_batch(list(reps[nonzero]))):
-            by_class[c] = found
-        passed = [None if found is None else
-                  f"{sum(root[1] for root in found)} roots re-found by contours"
-                  for found, _ in by_class]
-        reported_by_mode: dict[str, list] = {}
-        for r in report.roots:
-            reported_by_mode.setdefault(r.mode, []).append((r.tau, r.multiplicity))
-        matched: dict[tuple, str | None] = {}  # (class, reported pairs) -> failure
-        for label, c in zip(fam.channels.labels, class_of.tolist()):
-            found, failure = by_class[c]
-            if failure is None:
-                key = (c, tuple(reported_by_mode.get(label, ())))
-                if key not in matched:
-                    problems = _match_roots(found, key[1])
-                    matched[key] = problems[0] if problems else None
-                failure = matched[key]
-            if failure is None:
-                entries.append(LedgerEntry(f"roots[{label}]", "pass", passed[c]))
-            else:
-                entries.append(LedgerEntry(f"roots[{label}]", "fail", failure))
+        # roots that failed on an operator that is not elliptic decide nothing
+        not_computed = [c for c in report.caveats if c.startswith(ROOTS_NOT_COMPUTED)]
+        if not_computed and not report.roots and not report.elliptic.elliptic:
+            entries.append(LedgerEntry("roots", "skipped", not_computed[0]))
+        else:
+            # certified roots of every nonzero class polynomial in one batch, as
+            # (roots, None) or (None, failure detail), shared by every channel
+            # of the class
+            first, class_of = fam.class_rows
+            reps = fam.coeffs[first]
+            nonzero = np.flatnonzero(reps.any(axis=(1, 2, 3)))
+            by_class = [(None, "identically zero mode polynomial")] * len(first)
+            for c, found in zip(nonzero, _brute_roots_batch(list(reps[nonzero]))):
+                by_class[c] = found
+            passed = [None if found is None else
+                      f"{sum(root[1] for root in found)} roots re-found by contours"
+                      for found, _ in by_class]
+            reported_by_mode: dict[str, list] = {}
+            for r in report.roots:
+                reported_by_mode.setdefault(r.mode, []).append((r.tau, r.multiplicity))
+            matched: dict[tuple, str | None] = {}  # (class, reported pairs) -> failure
+            for label, c in zip(fam.channels.labels, class_of.tolist()):
+                found, failure = by_class[c]
+                if failure is None:
+                    key = (c, tuple(reported_by_mode.get(label, ())))
+                    if key not in matched:
+                        problems = _match_roots(found, key[1])
+                        matched[key] = problems[0] if problems else None
+                    failure = matched[key]
+                if failure is None:
+                    entries.append(LedgerEntry(f"roots[{label}]", "pass", passed[c]))
+                else:
+                    entries.append(LedgerEntry(f"roots[{label}]", "fail", failure))
 
         line = next((lv for lv in report.limit_verdicts
                      if lv.mechanism.startswith("b normal")), None)

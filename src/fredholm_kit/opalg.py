@@ -936,7 +936,8 @@ def is_elliptic(p: BoundaryOperator) -> EllipticityResult:
     absdet = np.empty((_ELLIPTIC_RADII, xi.shape[0]))
     for row, r in zip(absdet, rs):
         sym = _symbol_stack(p, r, xi, eta, eta2)
-        det = sym if sym.ndim == 1 else np.linalg.det(sym)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, not a warning
+            det = sym if sym.ndim == 1 else np.linalg.det(sym)
         row[:] = np.hypot(det.real, det.imag)  # abs() of a Python complex
     i, j = np.unravel_index(np.argmin(absdet), absdet.shape)
     best = float(absdet[i, j])

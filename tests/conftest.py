@@ -161,6 +161,18 @@ def b_system_order4_singular():
         MultiIndex(0): _similar(a * c)})
 
 
+def degree_drop_system():
+    """diag(T^2 + L - 1, T + L - 2) on the circle, T = r d/dr: the leading
+    matrix diag(1, 0) is singular on every mode, and det P on mode k drops
+    from degree 4 to 3, with roots tau = +-i sqrt(k^2 + 1) and
+    tau = -i (k^2 + 2).  Not elliptic."""
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(2): Coefficient.constant(np.diag([1.0, 0.0])),
+        MultiIndex(1): Coefficient.constant(np.diag([0.0, 1.0])),
+        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(np.diag([-1.0, -2.0]))})
+
+
 def b_system_shifted(shifts, coupled=False, seed=7):
     """Blocks T^2 + L - c_i, conjugated by fixed_similarity(seed); coupled
     adds 1 in the (0, 1) entry before conjugation, a Jordan coupling of
@@ -193,12 +205,6 @@ def order2_mellin_roots(k):
 def order4_mellin_roots(k):
     """Mode k of b_system_order4: +-sqrt(k^2 + x) for x in a and c."""
     return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C) for sign in (-1, 1)]
-
-
-def order4_singular_mellin_roots(k):
-    """Mode k of b_system_order4_singular: +-sqrt(k^2 + x) for x in a and
-    c_0, c_1, c_2."""
-    return [sign * math.sqrt(k * k + x) for x in (*ORDER4_A, *ORDER4_C[:3]) for sign in (-1, 1)]
 
 
 # ---------------------------------------------------------------------------

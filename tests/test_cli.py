@@ -230,6 +230,46 @@ def test_overflowing_companion_of_a_non_elliptic_operator_keeps_not_fredholm(tmp
             "companion matrix is not finite)") in res.output
 
 
+@pytest.mark.parametrize("payload", [
+    pytest.param(lambda: serialize_operator(b_system_order4_singular()), id="singular-leading"),
+    pytest.param(lambda: _overflow_spec(1e-170), id="overflowing-companion"),
+])
+def test_verify_skips_roots_a_non_elliptic_report_could_not_compute(tmp_path, runner, payload):
+    # NotFredholm rests on the failed ellipticity; the oracle writes one
+    # skipped entry for the missing roots instead of failing every mode
+    spec = write(tmp_path, "spec.json", payload())
+    res = runner.invoke(main, ["verify", spec, "--weight", "0.3", "--cutoff", "30"])
+    assert res.exit_code == 1, res.output
+    [roots] = [line for line in res.output.splitlines() if "] roots" in line]
+    assert roots.startswith("[     skipped] roots: indicial roots not computed (root "
+                            "refinement failed on mode k=0: ")
+
+
+def test_roots_of_a_singular_leading_matrix_is_an_error(tmp_path, runner):
+    spec = write(tmp_path, "spec.json", serialize_operator(b_system_order4_singular()))
+    res = runner.invoke(main, ["roots", spec, "--cutoff", "30"])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: root refinement failed on mode k=0: the leading matrix is singular"]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_an_overflowing_family_prints_its_error_line_alone(tmp_path, size):
+    # (r d/dr)^2 + 1e306 L on the circle, and I (r d/dr)^2 + 1e306 I L:
+    # the overflowing products in the family, the symbol determinants and
+    # the root sensitivities print no RuntimeWarning before the error
+    value = (lambda x: [[x, 0.0], [0.0, x]]) if size == 2 else (lambda x: x)
+    doc = dict(SHIFTED_CYLINDER, terms=[
+        {"alpha": [2], "coefficient": [{"nu": 0, "value": value(1.0)}]},
+        {"alpha": [0], "laplacian": 1, "coefficient": [{"nu": 0, "value": value(1e306)}]}])
+    if size == 2:
+        doc["system_size"] = 2
+    res = run_cli("check", write(tmp_path, "spec.json", doc), "--cutoff", "400")
+    assert res.returncode == 3 and res.stdout == ""
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: root refinement failed on mode k=")
+
+
 POLAR_TEXT = '{"schema": "fredholm-kit/1", "model": "polar_laplacian"}'
 SHIFTED_TEXT = json.dumps(SHIFTED_CYLINDER)
 
@@ -706,11 +746,13 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
     # specs, check of three systems specs at two weights and two cutoffs,
-    # four root-failure runs, two line-scan runs, seven verify runs of
-    # the oracle's root certificates, text check and text/JSON roots of two
-    # modes specs, and four runs whose companion matrix overflows
+    # nine root-failure runs (check/roots/verify of two singular leading
+    # matrices, one more check, close roots, an overflowing scan), two
+    # line-scan runs, seven verify runs of the oracle's root certificates,
+    # text check and text/JSON roots of two modes specs, and five runs
+    # whose companion matrix overflows
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 4 + 2 + 7 + 2 * 3 + 4
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 9 + 2 + 7 + 2 * 3 + 5
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

@@ -1,9 +1,11 @@
 """The decision engine: roots, line tests, symbol scans, verdicts, weights."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -39,6 +41,7 @@ from fredholm_kit import (
     tail_bound,
 )
 from fredholm_kit import fredholm
+from fredholm_kit.cli import main as cli_main, serialize_operator
 from fredholm_kit.fredholm import certified_weight_range
 from fredholm_kit.limitops import freeze_coefficients
 from fredholm_kit.opalg import (
@@ -59,9 +62,9 @@ from conftest import (
     b_system_order4,
     b_system_order4_singular,
     b_system_shifted,
+    degree_drop_system,
     order2_mellin_roots,
     order4_mellin_roots,
-    order4_singular_mellin_roots,
     random_b_operator,
     shared_class_root_roots,
     shifted_mellin_roots,
@@ -131,47 +134,115 @@ def test_roots_of_high_modes_are_not_trimmed():
             assert np.min(np.abs(got - t)) <= 1e-9 * max(1.0, abs(t)), (k, t)
 
 
-def test_singular_leading_matrix_lists_no_spurious_roots():
-    # diag((r d/dr)^2 + L - 1, r d/dr + L - 2) on the circle: the leading
-    # matrix diag(1, 0) drops the interpolated determinant from degree 4 to
-    # 3, with roots tau = +-i sqrt(k^2 + 1) and tau = -i (k^2 + 2)
-    p = make_operator(B1, CIRCLE, {
-        MultiIndex(2): Coefficient.constant(np.diag([1.0, 0.0])),
-        MultiIndex(1): Coefficient.constant(np.diag([0.0, 1.0])),
-        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
-        MultiIndex(0): Coefficient.constant(np.diag([-1.0, -2.0])),
-    })
-    by_mode = {}
-    for r in indicial_roots(family_of(p, 30.0)):
-        by_mode.setdefault(r.mode, []).extend([r.tau] * r.multiplicity)
-    assert sorted(by_mode) == sorted(f"k={k}" for k in range(6))
-    for k in range(6):
-        want = [1j * math.sqrt(k * k + 1), -1j * math.sqrt(k * k + 1), -1j * (k * k + 2)]
-        assert_allclose(sorted(by_mode[f"k={k}"], key=lambda t: t.imag),
-                        sorted(want, key=lambda t: t.imag), atol=1e-8)
+SINGULAR_LEADING = "root refinement failed on mode k=0: the leading matrix is singular"
+
+
+def test_singular_leading_matrix_lists_no_spurious_roots(tmp_path):
+    # diag(T^2 + L - 1, T + L - 2): the leading matrix diag(1, 0) fails
+    # every mode by name, and the operator is not elliptic, so `check`
+    # keeps NotFredholm with a caveat and `verify` skips the roots
+    p = degree_drop_system()
+    with pytest.raises(FredholmKitError, match=f"^{SINGULAR_LEADING}$"):
+        indicial_roots(family_of(p, 30.0))
+    report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=30.0))
+    assert not report.elliptic.elliptic and report.verdict == VERDICT_NOT
+    assert report.roots == () and report.safe_weights == ()
+    assert (f"indicial roots not computed ({SINGULAR_LEADING}); the verdict rests on "
+            "the failed ellipticity alone") in report.caveats
+    spec = tmp_path / "degree_drop.json"
+    spec.write_text(json.dumps(serialize_operator(p)))
+    res = CliRunner().invoke(cli_main, ["verify", str(spec), "--weight", "0.3",
+                                        "--cutoff", "30"])
+    assert res.exit_code == 1, res.output
+    assert "[     skipped] roots: indicial roots not computed" in res.output
 
 
 @pytest.mark.parametrize("cutoff", [30.0, 4000.0])
 def test_singular_leading_matrix_roots_are_exact_or_refused(cutoff):
-    # 14 roots per mode from a degree-16 interpolated determinant whose
-    # top coefficients are round-off: the interpolation alone is off by
-    # percents, so every listed root must survive a Newton step on the
-    # true matrix polynomial
+    # the leading matrix S diag(1, 1, 1, 0) S^-1 has no linearization with
+    # an invertible top; its roots are refused by name, never interpolated
     fam = family_of(b_system_order4_singular(), cutoff)
-    try:
-        roots = indicial_roots(fam)
-    except FredholmKitError as e:
-        assert str(e).startswith("root refinement failed on mode k=")
-        return
-    by_mode = {}
-    for r in roots:
-        by_mode.setdefault(r.mode, []).extend([r.mellin] * r.multiplicity)
-    for label in fam.channels.labels:
-        want = np.sort_complex(np.array(order4_singular_mellin_roots(int(label[2:])),
-                                        dtype=complex))
-        got = np.sort_complex(np.array(by_mode.get(label, [])))
-        assert got.shape == want.shape, label
-        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), label
+    with pytest.raises(FredholmKitError, match=f"^{SINGULAR_LEADING}$"):
+        indicial_roots(fam)
+
+
+def test_linearized_roots_fail_each_polynomial_alone():
+    # one degree batch: diag(tau^2 - 1, tau^2 - 4); a singular leading
+    # matrix; a leading matrix holding NaN (an overflowing family makes
+    # inf * 0), which the rank test's SVD cannot take; and a companion
+    # matrix that overflows
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    polys = [(np.diag([-1.0, -4.0]), zero, eye),
+             (eye, zero, np.diag([1.0, 0.0])),
+             (eye, zero, np.array([[1.0, np.nan], [0.0, 1.0]])),
+             (1e300 * eye, zero, 1e-300 * eye)]
+    coeffs = np.array(polys, dtype=complex).swapaxes(0, 1)
+    good, *failed = fredholm._linearized_roots(coeffs)
+    assert sorted(tau.real for tau, mult in good[0]) == [-2.0, -1.0, 1.0, 2.0]
+    assert failed == [(None, "the leading matrix is singular"),
+                      (None, "the block companion matrix is not finite"),
+                      (None, "the block companion matrix is not finite")]
+
+
+def _rank_deficient(rng, k):
+    """A nonzero k x k matrix of rank below k: a product of small integer
+    matrices, exact in floating point."""
+    while True:
+        rank = int(rng.integers(1, k))
+        a = rng.integers(-3, 4, (k, rank)) @ rng.integers(-3, 4, (rank, k))
+        if a.any():
+            return a.astype(float)
+
+
+def _singular_leading_system(rng):
+    """A b system of size 2 or 3 and order 1-4 on the circle or T^2 whose
+    (r d/dr)^m coefficient is rank-deficient, with random lower-order
+    radial, Laplacian, partial and laplacian_poly terms, and r^nu terms
+    (nu > 0) on the top order and on some lower ones."""
+    k, m = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    cross = CrossSection.circle() if rng.random() < 0.5 else CrossSection.torus(2)
+
+    def value():
+        return rng.integers(-3, 4, (k, k)).astype(float)
+
+    terms = {MultiIndex(m): Coefficient([CoeffTerm(0, _rank_deficient(rng, k)),
+                                         CoeffTerm(1, value())])}
+    for _ in range(int(rng.integers(2, 6))):
+        radial = int(rng.integers(0, m))
+        room = m - radial
+        kind = rng.integers(0, 3)
+        if kind == 0 and room >= 2:
+            mi, co = MultiIndex(radial, (), 1), Coefficient.constant(value())
+        elif kind == 1 and room >= 2:
+            mi = MultiIndex(radial)
+            co = Coefficient.laplacian_poly([int(rng.integers(-3, 4)), 1], value=value())
+        elif kind == 2 and cross.dimension == 2:
+            first = int(rng.integers(0, 2)) if room >= 2 else 0
+            mi, co = MultiIndex(radial, (first, 1)), Coefficient.constant(value())
+        else:
+            mi, co = MultiIndex(radial), Coefficient.constant(value())
+        if rng.random() < 0.5:
+            co = Coefficient([*co.terms, CoeffTerm(float(rng.integers(1, 3)) / 2, value())])
+        terms[mi] = co
+    return make_operator(LieStructure.b(cross.dimension), cross, terms)
+
+
+def test_a_singular_leading_matrix_belongs_to_a_non_elliptic_operator():
+    # the tau^m coefficient of every mode is i^m sigma_m(P)(0; 1, 0), a
+    # covector is_elliptic samples: so the root path's refusal of a
+    # singular leading matrix never meets an elliptic operator
+    from fredholm_kit import cross_check
+    rng = np.random.default_rng(2510)
+    for draw in range(40):
+        p = _singular_leading_system(rng)
+        opts = FredholmOptions(mode_cutoff=8.0)
+        report = fredholm_check(p, 0.3, opts)
+        assert not report.elliptic.elliptic, (draw, p)
+        assert report.verdict == VERDICT_NOT, (draw, p)
+        assert report.roots == (), (draw, p)
+        [caveat] = [c for c in report.caveats if c.startswith("indicial roots not computed")]
+        assert "the leading matrix is singular" in caveat, (draw, p)
+        assert cross_check(p, report, opts).passed, (draw, p)
 
 
 def test_root_failure_names_the_first_failing_class(monkeypatch):
@@ -196,8 +267,7 @@ def test_root_failure_names_the_first_failing_class(monkeypatch):
 
 
 def test_non_elliptic_verdict_survives_a_root_failure():
-    # the singular leading matrix sends roots through the interpolated
-    # determinant, which is too poor here for the Newton check
+    # the singular leading matrix fails the root path by name
     report = fredholm_check(b_system_order4_singular(), 0.3)
     assert not report.elliptic.elliptic
     assert report.verdict == VERDICT_NOT

@@ -14,7 +14,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fredholm_kit import (
-    CoeffTerm,
     Coefficient,
     CrossSection,
     FredholmKitError,
@@ -24,6 +23,7 @@ from fredholm_kit import (
     LieStructure,
     MultiIndex,
     ScanResult,
+    StructureKind,
     brute_roots,
     builtin_suite,
     cross_check,
@@ -50,6 +50,7 @@ from conftest import (
     b_system_order4,
     b_system_order4_singular,
     b_system_shifted,
+    degree_drop_system,
     diagonal_system,
     merge_case,
     merge_case_roots,
@@ -819,6 +820,19 @@ def test_cross_check_fails_on_tampered_report():
     assert f"{missing.tau:.9g}"[:6] in bad.detail or "brute root" in bad.detail
 
 
+def test_cross_check_skips_roots_only_for_a_non_elliptic_report():
+    # an elliptic report that drops its roots behind the caveat of a root
+    # failure still has every mode checked
+    p = make_model("polar_laplacian")
+    report = fredholm_check(p, 0.5)
+    tampered = dataclasses.replace(report, roots=(), caveats=(
+        *report.caveats, f"{fredholm.ROOTS_NOT_COMPUTED} (root refinement failed)"))
+    ledger = cross_check(p, tampered)
+    assert not ledger.passed
+    assert ledger.first_failure().name.startswith("roots[")
+    assert all(e.status != "skipped" for e in ledger.entries)
+
+
 def test_cross_check_evaluates_the_reported_sc_witness():
     # |(i xi)^2 - eta^2 + 1| vanishes on the unit circle; at (5, 5) it is 49
     p = make_model("sc_laplacian", cross_dim=2, shift=1.0)
@@ -865,22 +879,25 @@ def test_cross_check_names_a_root_moved_by_1e_6():
     assert f"{moved.tau.imag:.6g}" in bad.detail
 
 
-def test_cross_check_fails_only_the_class_whose_roots_fail():
-    # leading matrix diag(1, L - 1): singular on the modes k = +-1 alone
-    p = make_operator(B1, CIRCLE, {
-        MultiIndex(2): Coefficient([CoeffTerm(0, np.diag([1.0, 0.0])),
-                                    CoeffTerm(0, np.diag([0.0, 1.0]), (-1.0, 1.0))]),
-        MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
-        MultiIndex(0): Coefficient.constant(np.diag([-2.0, -2.0])),
-    })
+def test_cross_check_fails_only_the_class_whose_roots_fail(monkeypatch):
+    # the engine solves every mode of the diagonal system; the oracle is
+    # made to refuse its second class, mode k=1, alone
+    p = diagonal_system()
     report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=10.0))
     labels = family_of(p, report.cutoffs["mode_cutoff"]).channels.labels
+    group = numoracle._brute_roots_group
+
+    def refuse_the_second(coeffs, scale):
+        out = group(coeffs, scale)
+        out[1] = (None, "refused by this test")
+        return out
+
+    monkeypatch.setattr(numoracle, "_brute_roots_group", refuse_the_second)
     entries = [e for e in cross_check(p, report).entries if e.name.startswith("roots[")]
     assert [e.name for e in entries] == [f"roots[{label}]" for label in labels]
     assert [e.status for e in entries] == ["fail" if label == "k=1" else "pass"
                                            for label in labels]
-    assert [e.detail for e in entries if e.status == "fail"] == \
-        ["leading coefficient below 1e-14"]
+    assert [e.detail for e in entries if e.status == "fail"] == ["refused by this test"]
 
 
 def test_contour_passes_stay_within_the_chunk(monkeypatch):
@@ -939,15 +956,35 @@ def test_simple_roots_take_no_winding_count(monkeypatch, tmp_path):
     assert len(boxes) == 1
 
 
-def test_a_full_rank_leading_coefficient_is_never_interpolated(monkeypatch):
+def test_det_poly_is_never_called(monkeypatch, tmp_path):
+    # the interpolated determinant is no root path: not for an elliptic
+    # operator, and not for a singular leading matrix, whose roots fail by
+    # name and whose verify skips them
     def refuse(self, label):
         raise AssertionError(f"det_poly called for {label}")
 
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    wl = workloads.build("systems", 1)
+    cases = [(name, p, FredholmOptions()) for name, p in builtin_suite()]
+    cases += [(spec.name, parse_spec(path)[0], FredholmOptions(mode_cutoff=spec.cutoff))
+              for spec, path in zip(wl.specs, workloads.write_specs(wl, str(tmp_path)))]
+    cases += [(name, p, FredholmOptions(mode_cutoff=30.0))
+              for name, p in (("order4_singular", b_system_order4_singular()),
+                              ("degree_drop", degree_drop_system()))]
     monkeypatch.setattr(IndicialFamily, "det_poly", refuse)
-    for p in (conjugated_system(), b_system_order2(), make_model("polar_laplacian"),
-              make_model("cyl_coord_laplacian")):
-        report = fredholm_check(p, 0.3)
-        assert report.roots and cross_check(p, report).passed
+    for name, p, opts in cases:
+        report = fredholm_check(p, 0.3, opts)
+        ledger = cross_check(p, report, opts)
+        assert ledger.passed, (name, ledger.first_failure())
+        if p.structure.kind is not StructureKind.B:
+            continue
+        if name in ("order4_singular", "degree_drop"):
+            assert report.roots == () and [e.status for e in ledger.entries
+                                           if e.name.startswith("roots")] == ["skipped"], name
+        else:
+            assert report.roots, name
 
 
 # ---------------------------------------------------------------------------

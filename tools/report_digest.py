@@ -29,10 +29,14 @@ Run it in each checkout and diff the two files.  Each line reads
   weights -2.5 and 1.5 and mode cutoffs 30 and 1e4, which pin the
   certified weight range away from the benchmark's weight;
 - the root-failure paths: the JSON `check` at weight 0.3 of
-  `b_system_order4_singular` (tests/conftest.py; singular leading
-  matrix, refinement fails, NotFredholm with a caveat) at cutoffs 30 and
-  4000, and of P_eps = (T^2 + L - 1)(T^2 + L - 1.01) on the circle,
-  T = r d/dr, at cutoff 1e4 (refinement fails on mode k=92, exit 3); and
+  `b_system_order4_singular` (tests/conftest.py; a singular leading
+  matrix fails the roots, NotFredholm with a caveat) at cutoffs 30 and
+  4000, with its `roots` (exit 3) and `verify` (the roots skipped) at
+  cutoff 30; the same three runs of `degree_drop_system`
+  (tests/conftest.py; diag(T^2 + L - 1, T + L - 2), leading matrix
+  diag(1, 0)) at cutoff 30; the JSON `check` of
+  P_eps = (T^2 + L - 1)(T^2 + L - 1.01) on the circle, T = r d/dr, at
+  cutoff 1e4 (refinement fails on mode k=92, exit 3); and
   `verify` of the 2x2 system T^2 + L + [[2, 0.5], [0, 3]] on the circle
   at weight 0.5 over `--tau-range -1e160 1e160`, whose line scan
   overflows (exit 3);
@@ -55,8 +59,8 @@ Run it in each checkout and diff the two files.  Each line reads
   (seed 1, cutoff 400), whose channels share few mode classes;
 - `check`, `roots` and `verify` at cutoff 4 of 1e-7 ((r d/dr)^2 + L) +
   1e302 on the circle, whose block companion matrix overflows (exit 3),
-  and `check` of the same with 1e-170 in place of 1e-7, which is not
-  elliptic (NotFredholm, no roots);
+  and `check` and `verify` of the same with 1e-170 in place of 1e-7,
+  which is not elliptic (NotFredholm, no roots, the roots skipped);
 - the `verify --scan-csv` files of a scalar `modes` spec and the
   `systems` specs `2x2_order2` and `4x4_order4` (seed 1, the benchmark's
   arguments), and of the built-in `polar_laplacian` at weight 0, whose
@@ -90,6 +94,7 @@ import workloads  # noqa: E402
 from conftest import (  # noqa: E402
     b_system_order4_singular,
     b_system_shifted,
+    degree_drop_system,
     diagonal_system,
     merge_case,
     quartic_laplacian,
@@ -178,14 +183,24 @@ def _shifted_laplacian(c: float):
                          {MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0, MultiIndex(0): -c})
 
 
+def _singular_leading_runs(name: str, op, cutoff: str):
+    """`check`, `roots` and `verify` (weight 0.3) of a system whose
+    leading matrix is singular, at one mode cutoff."""
+    doc = serialize_operator(op)
+    options = ["--format", "json", "--cutoff", cutoff]
+    return ((f"{name}/{cutoff}", doc, ["check", "--weight", "0.3", *options]),
+            (f"{name}/{cutoff}", doc, ["roots", *options]),
+            (f"{name}/{cutoff}", doc, ["verify", "--weight", "0.3", *options]))
+
+
 # (name, spec, command and options) of the runs whose roots or line
 # scan fail: a singular leading matrix, roots too close for one Newton
 # step, and a line scan that overflows
 FAILURE_SPECS = (
-    ("b_system_order4_singular/30", serialize_operator(b_system_order4_singular()),
-     ["check", "--weight", "0.3", "--format", "json", "--cutoff", "30"]),
+    *_singular_leading_runs("b_system_order4_singular", b_system_order4_singular(), "30"),
     ("b_system_order4_singular/4000", serialize_operator(b_system_order4_singular()),
      ["check", "--weight", "0.3", "--format", "json", "--cutoff", "4000"]),
+    *_singular_leading_runs("degree_drop", degree_drop_system(), "30"),
     ("close_roots/1e4", serialize_operator(compose(_shifted_laplacian(1.0),
                                                    _shifted_laplacian(1.01))),
      ["check", "--weight", "0.3", "--format", "json", "--cutoff", "1e4"]),
@@ -234,7 +249,7 @@ def _overflow_spec(scale: float) -> dict:
 # (name, spec, commands) of the runs whose block companion matrix overflows
 OVERFLOW_SPECS = (
     ("elliptic", _overflow_spec(1e-7), ("check", "roots", "verify")),
-    ("non_elliptic", _overflow_spec(1e-170), ("check",)),
+    ("non_elliptic", _overflow_spec(1e-170), ("check", "verify")),
 )
 
 
