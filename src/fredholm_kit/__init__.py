@@ -58,6 +58,7 @@ from .fredholm import (
     FredholmReport,
     IndicialRoot,
     LineVerdict,
+    RootTable,
     ScVerdict,
     TailBound,
     VERDICT_FREDHOLM,

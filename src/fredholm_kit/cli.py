@@ -27,9 +27,9 @@ from .fredholm import (
     VERDICT_NOT,
     VERDICT_UNDECIDED,
     WEIGHT_CONVENTION,
+    RootTable,
     fredholm_check,
     indicial_roots,
-    per_class_root,
 )
 from .limitops import indicial_family, normal_operator
 from .liestruct import (
@@ -406,17 +406,27 @@ def _float_text(x: float) -> str:
 
 
 def _roots_text(roots) -> str:
-    """The text of `[r.as_dict() for r in roots]` as a top-level value.
-    The text before and after each root's mode is written once per class
-    root (`per_class_root`), from numbers formatted once per distinct
-    value (`FloatCache`)."""
+    """The text of `[r.as_dict() for r in roots]` as a top-level value,
+    read from the roots' `RootTable`.  The text before and after a root's
+    mode is written once per class root, from numbers formatted once per
+    distinct value (`FloatCache`), and each label is encoded once."""
+    table = RootTable.from_roots(roots)
     num = FloatCache(_float_text)
-    parts = per_class_root(roots, lambda r: (
-        _ROOT_HEAD % (num[r.mellin.real], num[r.mellin.imag]),
-        _ROOT_TAIL % (int.__repr__(r.multiplicity), num[r.tau.real], num[r.tau.imag])))
-    items = ",\n".join(f"{head}{encode_basestring_ascii(r.mode)}{tail}"
-                       for r, (head, tail) in zip(roots, parts))
+    parts = [(_ROOT_HEAD % (num[z.real], num[z.imag]),
+              _ROOT_TAIL % (int.__repr__(m), num[t.real], num[t.imag]))
+             for t, z, m in table.class_roots()]
+    modes = [encode_basestring_ascii(label) for label in table.labels]
+    items = ",\n".join(f"{parts[j][0]}{modes[i]}{parts[j][1]}" for i, j in table.listed())
     return f"[\n{items}\n  ]" if items else "[]"
+
+
+def _roots_lines(roots, tail) -> list[str]:
+    """The text line of every root, its label after "  mode " and then
+    tail(tau, mellin, multiplicity), called once per class root of the
+    roots' `RootTable`."""
+    table = RootTable.from_roots(roots)
+    tails = [tail(*root) for root in table.class_roots()]
+    return [f"  mode {table.labels[i]}{tails[j]}" for i, j in table.listed()]
 
 
 def _ledger_text(ledger) -> str:
@@ -471,10 +481,8 @@ def render_report(report: FredholmReport, fmt: str = "text") -> str:
         lines.append("limit operators: none (empty boundary)")
     if report.roots:
         lines.append("indicial roots (z = i tau; obstruction lines Re(z) = delta):")
-        tails = per_class_root(report.roots, lambda r: (
-            f": z = {fmt_complex(r.mellin)}  (tau = {fmt_complex(r.tau)}, "
-            f"multiplicity {r.multiplicity})"))
-        lines += [f"  mode {r.mode}{tail}" for r, tail in zip(report.roots, tails)]
+        lines += _roots_lines(report.roots, lambda t, z, m: (
+            f": z = {fmt_complex(z)}  (tau = {fmt_complex(t)}, multiplicity {m})"))
     if report.safe_weights:
         ivs = ", ".join(f"({fmt12(a)}, {fmt12(b)})" for a, b in report.safe_weights)
         lines.append(f"safe weight intervals: {ivs}")
@@ -651,9 +659,7 @@ def roots(spec_path, cutoff, fmt, out):
         lines = [f"indicial roots (mode cutoff {fmt12(c)}; z = i tau)"]
         if fam.warning:
             lines.append(f"warning: {fam.warning}")
-        tails = per_class_root(rts, lambda r: (
-            f": z = {fmt_complex(r.mellin)} (multiplicity {r.multiplicity})"))
-        lines += [f"  mode {r.mode}{tail}" for r, tail in zip(rts, tails)]
+        lines += _roots_lines(rts, lambda t, z, m: f": z = {fmt_complex(z)} (multiplicity {m})")
         text = "\n".join(lines) + "\n"
     _echo_or_write(text, out)
     sys.exit(0)

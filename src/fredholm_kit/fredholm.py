@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,6 @@ _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
 _WEIGHT_CAP = 2.0 ** 20  # the largest certified weight range reported
 
-_new, _set = object.__new__, object.__setattr__
-
 VERDICT_FREDHOLM = "Fredholm"
 VERDICT_NOT = "NotFredholm"
 VERDICT_UNDECIDED = "Undecided"
@@ -77,21 +76,59 @@ class IndicialRoot:
         }
 
 
-def per_class_root(roots, part) -> list:
-    """[part(r) for r in roots], with part called once per run of
-    consecutive roots that hold the same tau and mellin objects and
-    multiplicity: `indicial_roots` lists every channel of a class root
-    so.  Objects, not values, are compared, because 0j == -0j and the two
-    print apart; any list of roots, shared objects or not, gets the part
-    of each of its roots."""
-    out = []
-    last = None
-    for r in roots:
-        if (last is None or r.tau is not last.tau or r.mellin is not last.mellin
-                or r.multiplicity != last.multiplicity):
-            last, value = r, part(r)
-        out.append(value)
-    return out
+@dataclass(frozen=True, eq=False)
+class RootTable(Sequence):
+    """Indicial roots listed per class root, as `indicial_roots` finds
+    them: the channel `labels`; the class-root arrays `tau`, `mellin` and
+    `multiplicity`; and for every listed root, in order, its `channel`
+    (an index into labels) and its `class_root` (an index into the
+    class-root arrays).  As a sequence it lists each root as an
+    `IndicialRoot`, built on demand; a slice is a table of the same class
+    roots.  Readers that go through every root read the arrays instead,
+    and do the work of a class root once."""
+
+    labels: tuple[str, ...]
+    tau: np.ndarray
+    mellin: np.ndarray
+    multiplicity: np.ndarray
+    channel: np.ndarray
+    class_root: np.ndarray
+
+    @classmethod
+    def from_roots(cls, roots: Sequence[IndicialRoot]) -> RootTable:
+        """The table of any sequence of roots, one class root per root (a
+        table is returned as it is)."""
+        if isinstance(roots, RootTable):
+            return roots
+        index: dict[str, int] = {}
+        channel = [index.setdefault(r.mode, len(index)) for r in roots]
+        return cls(tuple(index), np.array([r.tau for r in roots], dtype=complex),
+                   np.array([r.mellin for r in roots], dtype=complex),
+                   np.array([r.multiplicity for r in roots], dtype=np.intp),
+                   np.array(channel, dtype=np.intp), np.arange(len(channel)))
+
+    def __len__(self) -> int:
+        return len(self.channel)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RootTable(self.labels, self.tau, self.mellin, self.multiplicity,
+                             self.channel[i], self.class_root[i])
+        j = self.class_root[i]
+        return IndicialRoot(self.labels[self.channel[i]], complex(self.tau[j]),
+                            complex(self.mellin[j]), int(self.multiplicity[j]))
+
+    def class_roots(self) -> list[tuple[complex, complex, int]]:
+        """(tau, mellin, multiplicity) of every class root."""
+        return list(zip(self.tau.tolist(), self.mellin.tolist(), self.multiplicity.tolist()))
+
+    def listed(self):
+        """(channel, class root) of every listed root, in order."""
+        return zip(self.channel.tolist(), self.class_root.tolist())
+
+    def mellin_real(self) -> list[float]:
+        """Re(z) of every listed root, in order."""
+        return self.mellin.real[self.class_root].tolist()
 
 
 def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | None, str | None]]:
@@ -174,7 +211,7 @@ def _linearized_roots(coeffs: np.ndarray) -> list[tuple[list | None, str | None]
     return out
 
 
-def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
+def indicial_roots(f: IndicialFamily) -> RootTable:
     """All tau roots of the per-mode determinants det P(tau), with
     multiplicities, resolved by `_resolve_roots`, sorted by (Re z, Im z,
     mode) with ties in channel order.  Each distinct mode polynomial (a
@@ -187,10 +224,10 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
     needs no roots has one.  The first failing class, in order of degree
     batch and then of class, raises FredholmKitError.
 
-    The roots stay per class root up to the list: one `np.lexsort` over
-    (label rank, Im z, Re z) of the class roots repeated to their
-    channels orders them, and every channel's root of one class root
-    holds that class root's tau and mellin objects (`per_class_root`)."""
+    The roots stay per class root: the result is a `RootTable` of the
+    class roots, and one `np.lexsort` over (label rank, Im z, Re z) of the
+    class roots repeated to their channels gives the channel and the
+    class root of every listed root.  No `IndicialRoot` is built here."""
     first, class_of = f.class_rows
     reps = f.coeffs[first]
     labels = f.channels.labels
@@ -210,28 +247,18 @@ def indicial_roots(f: IndicialFamily) -> list[IndicialRoot]:
                     f"root refinement failed on mode {labels[first[c]]}: {failure}")
             by_class[c] = roots
     # the class roots, then the index of every channel's root into them
-    shared = [(tau, 1j * tau, mult) for roots in by_class for tau, mult in roots]
+    tau = np.array([tau for roots in by_class for tau, _ in roots], dtype=complex)
+    mult = np.array([mult for roots in by_class for _, mult in roots], dtype=np.intp)
+    mellin = 1j * tau
     count = np.array([len(roots) for roots in by_class], dtype=np.intp)
     per_channel = count[class_of]
     channel = np.repeat(np.arange(len(labels)), per_channel)
     shift = np.cumsum(per_channel) - per_channel - (np.cumsum(count) - count)[class_of]
     class_root = np.arange(channel.size) - np.repeat(shift, per_channel)
-    mellin = np.array([z for _, z, _ in shared], dtype=complex)
     rank = np.empty(len(labels), dtype=np.intp)
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     order = np.lexsort((rank[channel], mellin.imag[class_root], mellin.real[class_root]))
-    out = []
-    for i, j in zip(channel[order].tolist(), class_root[order].tolist()):
-        # IndicialRoot(labels[i], *shared[j]), without calling the frozen
-        # __init__ that makes these same four calls
-        tau, z, mult = shared[j]
-        root = _new(IndicialRoot)
-        _set(root, "mode", labels[i])
-        _set(root, "tau", tau)
-        _set(root, "mellin", z)
-        _set(root, "multiplicity", mult)
-        out.append(root)
-    return out
+    return RootTable(labels, tau, mellin, mult, channel[order], class_root[order])
 
 
 @dataclass(frozen=True)
@@ -248,36 +275,34 @@ class LineVerdict:
         }
 
 
-def _re(root: IndicialRoot) -> float:
-    return root.mellin.real
-
-
 def normal_invertible(f: IndicialFamily, delta: float,
-                      roots: list[IndicialRoot] | None = None) -> LineVerdict:
+                      roots: Sequence[IndicialRoot] | None = None) -> LineVerdict:
     """Invertibility of the normal operator on the weight-delta line: yes
     iff no indicial root satisfies Re(z) = delta.  Roots within 1e-8 of
     the line are reported as borderline rather than guessed.  Given roots
     must be sorted by Re(z), as `indicial_roots` returns them; the
-    witness is the first of them nearest the line."""
+    witness is the first of them nearest the line, the only one taken
+    from the sequence."""
     if roots is None:
         roots = indicial_roots(f)
     if not roots:
         return LineVerdict("yes", math.inf, None)
+    re = RootTable.from_roots(roots).mellin_real()
     # |Re z - delta| falls up to the line and rises after it, so the
     # nearest root is the first one past it, or the first one before it at
     # the distance of the last one before it
-    i = bisect_left(roots, delta, key=_re)
-    best = roots[i] if i < len(roots) else None
+    i = bisect_left(re, delta)
+    best = i if i < len(re) else None
     if i > 0:
-        before = abs(roots[i - 1].mellin.real - delta)
-        if best is None or before <= abs(best.mellin.real - delta):
-            best = roots[bisect_left(roots, -before, hi=i,
-                                     key=lambda r: -abs(r.mellin.real - delta))]
-    dist = abs(best.mellin.real - delta)
-    if dist <= _ON_LINE_TOL * max(1.0, abs(best.tau)):
-        return LineVerdict("no", dist, best)
+        before = abs(re[i - 1] - delta)
+        if best is None or before <= abs(re[best] - delta):
+            best = bisect_left(re, -before, hi=i, key=lambda x: -abs(x - delta))
+    dist = abs(re[best] - delta)
+    witness = roots[best]
+    if dist <= _ON_LINE_TOL * max(1.0, abs(witness.tau)):
+        return LineVerdict("no", dist, witness)
     if dist <= _BORDERLINE_TOL:
-        return LineVerdict("borderline", dist, best)
+        return LineVerdict("borderline", dist, witness)
     return LineVerdict("yes", dist, None)
 
 
@@ -404,7 +429,7 @@ def certified_weight_range(base: BoundaryOperator, cutoff: float, mu0: float) ->
     return 1.0 / y if y * _WEIGHT_CAP > 1 else _WEIGHT_CAP
 
 
-def safe_weight_intervals(roots: list[IndicialRoot], lo: float, hi: float,
+def safe_weight_intervals(roots: Sequence[IndicialRoot], lo: float, hi: float,
                           ) -> list[tuple[float, float]]:
     """Maximal open delta intervals inside [lo, hi] avoiding every
     Re(mellin) of the given roots (which must be complete on that range,
@@ -412,11 +437,12 @@ def safe_weight_intervals(roots: list[IndicialRoot], lo: float, hi: float,
     within 1e-9 of the last one kept are one value."""
     if hi <= lo:
         return []
+    re = RootTable.from_roots(roots).mellin_real()
     bad: list[float] = []
-    i = bisect_left(roots, lo - 1e-12, key=_re)
-    while i < len(roots) and (x := roots[i].mellin.real) <= hi + 1e-12:
+    i = bisect_left(re, lo - 1e-12)
+    while i < len(re) and (x := re[i]) <= hi + 1e-12:
         bad.append(x)
-        i = bisect_right(roots, 1e-9, lo=i, key=lambda r: r.mellin.real - x)
+        i = bisect_right(re, 1e-9, lo=i, key=lambda v: v - x)
     points = [lo] + bad + [hi]
     out = []
     for a, b in zip(points[:-1], points[1:]):
@@ -599,12 +625,16 @@ _SYMBOL_LIMITS = {
 
 @dataclass(frozen=True)
 class FredholmReport:
+    """A verdict with its evidence.  `roots` holds the `RootTable` of
+    `indicial_roots` as it is; a report built by hand may hold any
+    sequence of roots (readers go through `RootTable.from_roots`)."""
+
     verdict: str
     delta: float
     convention: str
     elliptic: EllipticityResult
     limit_verdicts: tuple[LimitVerdict, ...]
-    roots: tuple[IndicialRoot, ...]
+    roots: Sequence[IndicialRoot]
     safe_weights: tuple[tuple[float, float], ...]
     cutoffs: dict
     caveats: tuple[str, ...]
@@ -626,15 +656,16 @@ class FredholmReport:
 
     def to_dict(self) -> dict:
         """The report as JSON-ready values.  Each root's entry is its
-        `as_dict()`, with the numbers rounded once per class root
-        (`per_class_root`) and once per distinct value (`FloatCache`)."""
+        `as_dict()`, read from the roots' `RootTable` with the numbers
+        rounded once per class root and once per distinct value
+        (`FloatCache`); no `IndicialRoot` is built."""
+        table = RootTable.from_roots(self.roots)
         rounded = FloatCache().__getitem__
-        parts = per_class_root(self.roots, lambda r: (
-            rounded(r.tau.real), rounded(r.tau.imag), rounded(r.mellin.real),
-            rounded(r.mellin.imag)))
+        parts = [(rounded(t.real), rounded(t.imag), rounded(z.real), rounded(z.imag), m)
+                 for t, z, m in table.class_roots()]
         return {**self._dict_without_roots(), "indicial_roots": [
-            {"mode": r.mode, "tau": [t, u], "mellin": [z, w], "multiplicity": r.multiplicity}
-            for r, (t, u, z, w) in zip(self.roots, parts)]}
+            {"mode": table.labels[i], "tau": [t, u], "mellin": [z, w], "multiplicity": m}
+            for i, j in table.listed() for t, u, z, w, m in (parts[j],)]}
 
     def _dict_without_roots(self) -> dict:
         """`to_dict` less its root list, which the JSON renderer writes
@@ -684,7 +715,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         caveats.append("operator is flagged symbolic-only: its frame mixes "
                        "scaling types, so verdicts are indicative")
     cutoffs: dict = {}
-    roots: tuple[IndicialRoot, ...] = ()
+    roots: Sequence[IndicialRoot] = ()
     safe: tuple[tuple[float, float], ...] = ()
     limit_verdicts: list[LimitVerdict] = []
 
@@ -718,7 +749,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         fam = indicial_family(nop, table)
         w_cert = certified_weight_range(nop, cutoff, mu0)
         try:
-            roots = tuple(indicial_roots(fam))
+            roots = indicial_roots(fam)
         except FredholmKitError as e:
             if ell.elliptic:
                 raise
@@ -728,8 +759,8 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             caveats.append(f"{ROOTS_NOT_COMPUTED} ({e}); the verdict "
                            "rests on the failed ellipticity alone")
         else:
-            line = normal_invertible(fam, delta, list(roots))
-            safe = tuple(safe_weight_intervals(list(roots), -w_cert, w_cert))
+            line = normal_invertible(fam, delta, roots)
+            safe = tuple(safe_weight_intervals(roots, -w_cert, w_cert))
         cutoffs = {
             "mode_cutoff": cutoff,
             "tail": tb.as_dict(),

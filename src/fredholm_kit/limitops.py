@@ -114,13 +114,18 @@ def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     singular vectors of the smallest singular value of P(tau): the
     first-order distance a simple root there moves per unit relative
     change of the coefficients (inf where the slope y* P' x vanishes).
+    For a scalar, whose singular vectors are phases, the slope is |P'|.
     coeffs as for `newton_correction`.  Each coefficient is divided by its
     largest entry before its Frobenius norm is taken, so that the squares
     of entries near the largest float do not overflow; a sensitivity that
     overflows all the same is inf or NaN, never a warning."""
     p, dp = matrix_polyval(coeffs, taus, derivative=True)
-    u, _, vh = np.linalg.svd(p)
-    slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
+    if p.shape[-1] == 1:
+        slope = np.abs(dp[..., 0, 0])
+    else:
+        u, _, vh = np.linalg.svd(p)
+        slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp,
+                                 vh[..., -1, :].conj()))
     top = np.max(np.abs(coeffs), axis=(-2, -1), keepdims=True)
     scaled = np.divide(coeffs, top, out=np.zeros_like(coeffs), where=top > 0)
     # a norm or a sum past the largest float is inf, and inf / inf NaN:
@@ -308,15 +313,6 @@ class IndicialFamily:
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         return first[order], rank[inverse.ravel()]
-
-    def classes(self) -> list[tuple[str, ...]]:
-        """Channel labels grouped by identical coefficient arrays, in order
-        of first appearance; every label of a class has the same roots."""
-        first, class_of = self.class_rows
-        groups: list[list[str]] = [[] for _ in first]
-        for label, c in zip(self.channels.labels, class_of.tolist()):
-            groups[c].append(label)
-        return [tuple(g) for g in groups]
 
     def stack(self, label: str, taus: np.ndarray) -> np.ndarray:
         """The mode polynomial at every tau, as an (n, k, k) stack."""

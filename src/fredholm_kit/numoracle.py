@@ -969,14 +969,16 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     fails the entries of its own channels only.  Each reported root
     belongs to the component of discs it lies within ROOT_TOL of, and the
     reported multiplicities in a component must sum to its count
-    (`_match_roots`).  Matching runs once per class and reported root
-    list: a channel whose class and reported (tau, multiplicity) pairs
-    equal an earlier channel's takes its result.  The detail of a passing
+    (`_match_roots`).  The report's roots are read from their `RootTable`,
+    without building an `IndicialRoot`, and matching runs once per class
+    and list of reported class roots: a channel whose class and reported
+    class roots equal an earlier channel's takes its result (a hand-built
+    list of roots has one class root per root).  The detail of a passing
     entry is written once per class.  A non-elliptic report without roots
     and with the caveat `fredholm.ROOTS_NOT_COMPUTED` gets one skipped
     `roots` entry holding that caveat instead.
     """
-    from .fredholm import ROOTS_NOT_COMPUTED, FredholmOptions, sc_invertible
+    from .fredholm import ROOTS_NOT_COMPUTED, FredholmOptions, RootTable, sc_invertible
 
     opts = opts or FredholmOptions()
     entries: list[LedgerEntry] = []
@@ -1010,16 +1012,19 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
             passed = [None if found is None else
                       f"{sum(root[1] for root in found)} roots re-found by contours"
                       for found, _ in by_class]
-            reported_by_mode: dict[str, list] = {}
-            for r in report.roots:
-                reported_by_mode.setdefault(r.mode, []).append((r.tau, r.multiplicity))
-            matched: dict[tuple, str | None] = {}  # (class, reported pairs) -> failure
+            # the reported class roots of every channel, in listed order
+            table = RootTable.from_roots(report.roots)
+            reported: dict[str, list] = {}
+            for i, j in table.listed():
+                reported.setdefault(table.labels[i], []).append(j)
+            taus, mults = table.tau.tolist(), table.multiplicity.tolist()
+            matched: dict[tuple, str | None] = {}  # (class, reported class roots) -> failure
             for label, c in zip(fam.channels.labels, class_of.tolist()):
                 found, failure = by_class[c]
                 if failure is None:
-                    key = (c, tuple(reported_by_mode.get(label, ())))
+                    key = (c, tuple(reported.get(label, ())))
                     if key not in matched:
-                        problems = _match_roots(found, key[1])
+                        problems = _match_roots(found, [(taus[j], mults[j]) for j in key[1]])
                         matched[key] = problems[0] if problems else None
                     failure = matched[key]
                 if failure is None:

@@ -14,6 +14,7 @@ from fredholm_kit import (
     IndicialRoot,
     LieStructure,
     MultiIndex,
+    RootTable,
     make_operator,
 )
 
@@ -280,3 +281,25 @@ def shared_class_root_roots():
     own = IndicialRoot("k=-2", complex(-1.5, 0.0), complex(-0.0, -1.5), 2)
     single = IndicialRoot("k=-3", tau, mellin, 1)
     return [*shared[:3], flipped, *shared[3:5], own, single, shared[5], flipped]
+
+
+def shared_class_root_table():
+    """`shared_class_root_roots()` as `indicial_roots` would table them:
+    the roots holding the shared objects on one class root, and the
+    flipped, own and single roots on class roots of their own."""
+    tau = complex(-1.5, 0.0)
+    labels = ("k=+10", "k=+11", "k=+2", "k=-1", "k=+3", "k=+4", "k=-2", "k=-3", "k=+5")
+    return RootTable(labels, np.array([tau, complex(-1.5, -0.0), tau, tau]),
+                     np.array([1j * tau, complex(0.0, -1.5), complex(-0.0, -1.5), 1j * tau]),
+                     np.array([2, 2, 2, 1]), np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 3]),
+                     np.array([0, 0, 0, 1, 0, 0, 2, 3, 0, 1]))
+
+
+def mode_classes(fam):
+    """Channel labels grouped by identical coefficient arrays
+    (`IndicialFamily.class_rows`), in order of first appearance."""
+    first, class_of = fam.class_rows
+    groups: list[list[str]] = [[] for _ in first]
+    for label, c in zip(fam.channels.labels, class_of.tolist()):
+        groups[c].append(label)
+    return [tuple(g) for g in groups]

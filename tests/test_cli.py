@@ -10,7 +10,15 @@ import pytest
 from click.testing import CliRunner
 
 import fredholm_kit
-from fredholm_kit import FredholmOptions, RadialGrid, fredholm_check, make_model, spectrum
+from fredholm_kit import (
+    FredholmOptions,
+    RadialGrid,
+    RootTable,
+    cross_check,
+    fredholm_check,
+    make_model,
+    spectrum,
+)
 from fredholm_kit.cli import (
     SCHEMA,
     SpecFileError,
@@ -25,6 +33,7 @@ from conftest import (
     diagonal_system,
     merge_case,
     shared_class_root_roots,
+    shared_class_root_table,
     windowed_trig,
 )
 
@@ -597,8 +606,11 @@ def test_root_template_matches_the_json_module():
         ({"a": 1, "caveats": ['\n  "zz": "x"', '  "roots": []']}, "roots"),  # last
         ({"z": [1, {"b": [2.0, None]}]}, "roots"),  # first
     ]
+    # tables: one class root per root, and the shared class roots with
+    # their signed zeros
+    tables = (RootTable.from_roots(roots), shared_class_root_table(), RootTable.from_roots([]))
     for payload, key in payloads:
-        for listed in (roots, []):
+        for listed in (roots, [], *tables):
             expected = json.dumps({**payload, key: [r.as_dict() for r in listed]},
                                   indent=2, sort_keys=True, allow_nan=False) + "\n"
             assert _render_json(payload, key, listed) == expected
@@ -611,11 +623,49 @@ def test_text_report_lists_every_root_of_a_shared_class_root():
     from fredholm_kit._util import fmt_complex
     report = fredholm_check(make_model("polar_laplacian"), 0.3)
     roots = tuple(shared_class_root_roots())
-    text = render_report(dataclasses.replace(report, roots=report.roots + roots), "text")
-    listed = [line for line in text.splitlines() if line.startswith("  mode ")]
-    assert listed[-len(roots):] == [
-        f"  mode {r.mode}: z = {fmt_complex(r.mellin)}  (tau = {fmt_complex(r.tau)}, "
-        f"multiplicity {r.multiplicity})" for r in roots]
+    for given in ((*report.roots, *roots), shared_class_root_table()):
+        text = render_report(dataclasses.replace(report, roots=given), "text")
+        listed = [line for line in text.splitlines() if line.startswith("  mode ")]
+        assert listed[-len(roots):] == [
+            f"  mode {r.mode}: z = {fmt_complex(r.mellin)}  (tau = {fmt_complex(r.tau)}, "
+            f"multiplicity {r.multiplicity})" for r in roots]
+
+
+def test_a_modes_report_builds_no_root_per_channel(monkeypatch, tmp_path):
+    # torus_laplacian@400 lists 2,514 roots on 146 class roots: the check,
+    # its JSON and text reports, to_dict and cross_check read the root
+    # table, and build at most the line witness as an IndicialRoot, kept
+    # or not
+    import gc
+
+    from fredholm_kit.fredholm import IndicialRoot
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    wl = workloads.build("modes", 1)
+    [(spec, path)] = [(spec, path) for spec, path in zip(wl.specs, workloads.write_specs(
+        wl, str(tmp_path))) if spec.name == "torus_laplacian@400"]
+    op, compact = parse_spec(path)
+    opts = FredholmOptions(mode_cutoff=spec.cutoff, empty_boundary=compact)
+    built = []
+    init = IndicialRoot.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(IndicialRoot, "__init__", counted)
+    gc.collect()
+    before = sum(isinstance(o, IndicialRoot) for o in gc.get_objects())
+    report = fredholm_check(op, workloads.WEIGHT, opts)
+    kept = [report, render_report(report, "json"), render_report(report, "text"),
+            report.to_dict(), cross_check(op, report, opts)]
+    gc.collect()
+    alive = sum(isinstance(o, IndicialRoot) for o in gc.get_objects()) - before
+    assert len(report.roots) == 2514 and len(report.roots.tau) == 292
+    assert kept[-1].passed
+    assert len(built) + alive <= 4, (len(built), alive)
 
 
 def test_ledger_template_matches_the_json_module():

@@ -20,6 +20,7 @@ from fredholm_kit import (
     IndicialFamily,
     LieStructure,
     MultiIndex,
+    RootTable,
     StructureKind,
     VERDICT_FREDHOLM,
     VERDICT_NOT,
@@ -67,6 +68,7 @@ from conftest import (
     order4_mellin_roots,
     random_b_operator,
     shared_class_root_roots,
+    shared_class_root_table,
     shifted_mellin_roots,
 )
 
@@ -440,7 +442,7 @@ def _shifted_torus_family(seed):
     return family_of(p, 30.0)
 
 
-@pytest.mark.parametrize("fam", [
+_ORDER_FAMILIES = [
     *(pytest.param(_drawn_order_family(seed), id=f"drawn-{seed}") for seed in range(12)),
     *(pytest.param(_shifted_torus_family(seed), id=f"torus-{seed}") for seed in range(2)),
     pytest.param(family_of(make_model("spherical_schrodinger", n=3, Z=1.0), 150.0),
@@ -450,9 +452,44 @@ def _shifted_torus_family(seed):
         MultiIndex(0): -0.25}), 150.0), id="circle-signed"),
     pytest.param(family_of(compose(cylinder_shifted(2.0), cylinder_shifted(2.0)), 40.0),
                  id="double-roots"),
-])
+]
+
+
+@pytest.mark.parametrize("fam", _ORDER_FAMILIES)
 def test_root_order_is_the_stable_sort_of_the_channel_lists(fam):
     assert _listed(indicial_roots(fam)) == _listed(_reference_order(fam))
+
+
+def _optional(root):
+    return _listed([root] if root is not None else [])
+
+
+@pytest.mark.parametrize("fam", _ORDER_FAMILIES)
+def test_root_table_readers_equal_those_of_its_listed_roots(fam):
+    # every reader of the root table gives what it gives from the
+    # IndicialRoots the table lists, zero signs included
+    import dataclasses
+
+    from fredholm_kit.cli import _roots_lines, _roots_text
+    table = indicial_roots(fam)
+    listed = list(table)
+    assert isinstance(table, RootTable) and len(table.tau) <= len(table)
+    assert _listed(table) == _listed(listed) == _listed(table[:])
+    assert _listed(table[2:-3]) == _listed(listed[2:-3])
+    assert _listed([table[-1], table[0]]) == _listed([listed[-1], listed[0]])
+    assert _roots_text(table) == _roots_text(listed)
+    assert _roots_lines(table, lambda *root: repr(root)) == \
+        _roots_lines(listed, lambda *root: repr(root))
+    report = fredholm_check(make_model("polar_laplacian"), 0.3)
+    assert json.dumps(dataclasses.replace(report, roots=table).to_dict()) == \
+        json.dumps(dataclasses.replace(report, roots=listed).to_dict())
+    for delta in [*(r.mellin.real for r in listed[::5]), -2.0, 0.0, 0.3, 1e3]:
+        v, w = normal_invertible(fam, delta, table), normal_invertible(fam, delta, listed)
+        assert (v.status, v.distance) == (w.status, w.distance)
+        assert _optional(v.witness) == _optional(w.witness)
+    for lo, hi in [(-5.0, 5.0), (-1.0, 1.0), (0.0, 0.5), (-1e3, 1e3)]:
+        assert repr(safe_weight_intervals(table, lo, hi)) == \
+            repr(safe_weight_intervals(listed, lo, hi))
 
 
 def test_root_order_sweep_covers_ties_double_roots_and_signed_zeros():
@@ -508,6 +545,25 @@ def _sorted_roots(rng, n):
     return sorted(roots, key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
 
 
+def _shared_table(roots):
+    """The roots as a RootTable on which roots of equal tau, mellin (zero
+    signs included) and multiplicity share one class root."""
+    labels: dict[str, int] = {}
+    index: dict[tuple, int] = {}
+    class_roots, channel, class_root = [], [], []
+    for r in roots:
+        key = (repr(r.tau), repr(r.mellin), r.multiplicity)
+        if key not in index:
+            index[key] = len(class_roots)
+            class_roots.append(r)
+        channel.append(labels.setdefault(r.mode, len(labels)))
+        class_root.append(index[key])
+    return RootTable(tuple(labels), np.array([r.tau for r in class_roots], dtype=complex),
+                     np.array([r.mellin for r in class_roots], dtype=complex),
+                     np.array([r.multiplicity for r in class_roots]), np.array(channel),
+                     np.array(class_root))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_nearest_root_and_safe_intervals_match_a_scan_of_every_root(seed):
     # the sorted-list searches give what the scans over every root give:
@@ -519,12 +575,18 @@ def test_nearest_root_and_safe_intervals_match_a_scan_of_every_root(seed):
                                                   complex(0.5 - 1e-13, y), 1)
                             for j, y in enumerate(rng.permutation([-1.0, 0.0, 2.0]))],
                    key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
+    # the same roots as a table, equal roots on one class root
+    table = _shared_table(roots)
+    assert _listed(table) == _listed(roots)
     for delta in [*rng.choice([-1.0, 0.0, 0.5, 0.625, 1.0, 2.0, 1e6 + 6e-11, 1e7], 4),
                   float(rng.uniform(-2, 4))]:
         best = min(roots, key=lambda r: abs(r.mellin.real - delta))
         v = normal_invertible(None, float(delta), roots)
         assert v.distance == abs(best.mellin.real - delta)
         assert v.witness is None or v.witness is best
+        w = normal_invertible(None, float(delta), table)
+        assert (w.status, w.distance) == (v.status, v.distance)
+        assert _optional(w.witness) == _optional(v.witness)
     for lo, hi in [(-5.0, 5.0), (0.0, 1.0), (0.25, 0.5), (1.0, 1e6), (-0.0, 0.0)]:
         bad: list[float] = []
         for r in roots:
@@ -533,10 +595,11 @@ def test_nearest_root_and_safe_intervals_match_a_scan_of_every_root(seed):
                 bad.append(x)
         points = [lo, *bad, hi]
         expected = [(a, b) for a, b in zip(points, points[1:]) if b - a > 1e-12]
-        got = safe_weight_intervals(roots, lo, hi)
-        assert got == expected and all(math.copysign(1.0, a) == math.copysign(1.0, b)
-                                       for iv, ev in zip(got, expected)
-                                       for a, b in zip(iv, ev))
+        for given in (roots, table):
+            got = safe_weight_intervals(given, lo, hi)
+            assert got == expected and all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                                           for iv, ev in zip(got, expected)
+                                           for a, b in zip(iv, ev))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,8 +1118,11 @@ def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
     signed = (IndicialRoot("k=0", complex(-0.0, 1.5), complex(-1.5, -0.0), 1),
               IndicialRoot("k=0", complex(0.0, 1.5), complex(-1.5, 0.0), 1))
     shared = tuple(shared_class_root_roots())
-    reports.append(dataclasses.replace(reports[0], roots=reports[0].roots + shared))
-    reports.append(dataclasses.replace(reports[0], roots=reports[0].roots + signed))
+    assert _listed(shared_class_root_table()) == _listed(shared)
+    reports.append(dataclasses.replace(reports[0], roots=(*reports[0].roots, *shared)))
+    reports.append(dataclasses.replace(reports[0], roots=shared_class_root_table()))
+    reports.append(dataclasses.replace(reports[0], roots=RootTable.from_roots(signed)))
+    reports.append(dataclasses.replace(reports[0], roots=(*reports[0].roots, *signed)))
     assert sum(len(r.roots) for r in reports) > 2473
     for rep in reports:
         alone = {**rep._dict_without_roots(), "indicial_roots": [r.as_dict() for r in rep.roots]}

@@ -54,6 +54,7 @@ from conftest import (
     diagonal_system,
     merge_case,
     merge_case_roots,
+    mode_classes,
     order2_mellin_roots,
     order4_mellin_roots,
     quartic_laplacian,
@@ -907,7 +908,7 @@ def test_contour_passes_stay_within_the_chunk(monkeypatch):
     polynomials share a pass."""
     p = b_system_shifted(JORDAN_SHIFTS, coupled=True)
     report = fredholm_check(p, 0.3, FredholmOptions(mode_cutoff=30.0))
-    assert len(family_of(p, report.cutoffs["mode_cutoff"]).classes()) == 6
+    assert len(mode_classes(family_of(p, report.cutoffs["mode_cutoff"]))) == 6
     passes = []  # (matrix entries, distinct polynomials) per pass
     counts = limitops._contour_counts
 
@@ -996,7 +997,7 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     # on T^2 the frozen polynomial depends on |k1| only, so classes collapse
     p = make_model("cyl_coord_laplacian")
     fam = family_of(p, 10.0)
-    classes = fam.classes()
+    classes = mode_classes(fam)
     assert len(classes) < len(fam.channels)
     assert sorted(label for c in classes for label in c) == sorted(fam.channels.labels)
     roots = indicial_roots(fam)
@@ -1021,16 +1022,16 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     checked = family_of(p, report.cutoffs["mode_cutoff"])
     assert [e.name for e in ledger.entries if e.name.startswith("roots[")] == \
         [f"roots[{label}]" for label in checked.channels.labels]
-    assert len(handed) == len(checked.classes()) < len(checked.channels)
+    assert len(handed) == len(mode_classes(checked)) < len(checked.channels)
     assert [c.tobytes() for c in handed] == \
-        [checked.poly(labels[0]).tobytes() for labels in checked.classes()]
+        [checked.poly(labels[0]).tobytes() for labels in mode_classes(checked)]
 
 
 def test_perturbed_root_fails_only_its_own_channel_of_a_shared_class():
     p = make_model("cyl_coord_laplacian")
     report = fredholm_check(p, 0.5, FredholmOptions(mode_cutoff=10.0))
     fam = family_of(p, report.cutoffs["mode_cutoff"])
-    shared = next(c for c in fam.classes() if len(c) > 2)
+    shared = next(c for c in mode_classes(fam) if len(c) > 2)
     target = shared[1]
     i = next(j for j, r in enumerate(report.roots) if r.mode == target)
     roots = list(report.roots)
@@ -1066,7 +1067,7 @@ def _unpruned_min_singular(fam, taus):
     """min over classes of one stacked SVD per class at every point (of
     |polyval| for a scalar)."""
     out = np.full(taus.shape, np.inf)
-    for labels in fam.classes():
+    for labels in mode_classes(fam):
         if fam.system_size == 1:
             vals = np.abs(np.polynomial.polynomial.polyval(taus, fam.poly(labels[0])[:, 0, 0]))
         else:
@@ -1086,7 +1087,7 @@ def _unpruned_min_singular(fam, taus):
 def test_pruned_system_scan_is_bit_identical_to_the_full_scan(system, cutoff, classes,
                                                               delta):
     fam = family_of(system, cutoff or default_mode_cutoff(system))
-    assert len(fam.classes()) == classes
+    assert len(mode_classes(fam)) == classes
     taus = np.linspace(-10.0, 10.0, 8001) - 1j * delta
     reference = _unpruned_min_singular(fam, taus)
     assert np.array_equal(numoracle._family_min_singular(fam, taus), reference)
@@ -1095,7 +1096,7 @@ def test_pruned_system_scan_is_bit_identical_to_the_full_scan(system, cutoff, cl
 def test_later_class_holds_the_scan_minimum():
     fam = family_of(b_system_shifted((-102.25, 1.0, 2.0, 3.0)), 120.0)
     taus = np.linspace(-10.0, 10.0, 8001)
-    first = np.linalg.svd(fam.stack(fam.classes()[0][0], taus), compute_uv=False)[:, -1]
+    first = np.linalg.svd(fam.stack(mode_classes(fam)[0][0], taus), compute_uv=False)[:, -1]
     pruned = numoracle._family_min_singular(fam, taus)
     assert pruned.min() < 1e-12 < first.min()
     assert abs(abs(taus[np.argmin(pruned)]) - 1.5) < 1e-12
