@@ -56,6 +56,7 @@ from .limitops import (
 from .fredholm import (
     FredholmOptions,
     FredholmReport,
+    HalfSpaceSample,
     IndicialRoot,
     LineVerdict,
     RootTable,
@@ -65,6 +66,7 @@ from .fredholm import (
     VERDICT_NOT,
     VERDICT_UNDECIDED,
     fredholm_check,
+    half_space_sample,
     indicial_roots,
     normal_invertible,
     safe_weight_intervals,
@@ -76,7 +78,6 @@ from .numoracle import (
     ScanResult,
     brute_roots,
     cross_check,
-    half_space_sample,
     scan_line,
 )
 

@@ -34,12 +34,15 @@ from .opalg import (
     FLOOR_DIRECTIONS,
     BoundaryOperator,
     EllipticityResult,
+    MultiIndex,
     _covector_dim,
+    _is_matrix,
     _symbol_stack,
     _value_norm,
     default_mode_cutoff,
     is_elliptic,
     symbol_min_singular,
+    symbol_monomial,
 )
 
 _ROOT_STEP_TOL = 1e-9
@@ -571,6 +574,146 @@ def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
 
 
 # ---------------------------------------------------------------------------
+# zero-structure half-space sampling
+# ---------------------------------------------------------------------------
+
+
+def _check_samples(samples: Sequence[float], global_min: float) -> None:
+    """Reject sampled smallest singular values that are negative, or whose
+    minimum is not global_min."""
+    # one reduction; a NaN sample makes the minimum NaN, equal to no global_min
+    low = np.fromiter(samples, float, len(samples)).min()
+    if low < 0:
+        raise ValueError("singular values are nonnegative")
+    if not low == global_min:
+        raise ValueError("global_min must be the minimum of the samples")
+
+
+@dataclass(frozen=True)
+class HalfSpaceSample:
+    """Smallest singular values of a frozen half-space model, one per
+    point (T, n, eta) of `half_space_sample`, with one ladder level per
+    truncation (T, n).  The samples are validated here."""
+
+    points: tuple[tuple, ...]
+    min_singular: tuple[float, ...]
+    global_min: float
+    argmin: tuple
+    ladder: tuple[dict, ...]
+
+    def __post_init__(self):
+        _check_samples(self.min_singular, self.global_min)
+
+    def argmin_label(self) -> str:
+        return ";".join(f"{x}" for x in self.argmin)
+
+    def as_dict(self) -> dict:
+        return {
+            "global_min": round12(self.global_min),
+            "argmin": self.argmin_label(),
+            "ladder": list(self.ladder),
+            "samples": len(self.points),
+            "caveat": "half-space truncation on flat log-coordinate L2; numerical evidence only",
+        }
+
+
+def _chebyshev_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev collocation differentiation matrix on [-1, 1], n+1 nodes."""
+    if n < 2:
+        raise ValueError("need at least 3 collocation nodes")
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[n] = 2.0
+    c = c * (-1.0) ** np.arange(n + 1)
+    dx = x[:, None] - x[None, :]
+    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
+    d = d - np.diag(d.sum(axis=1))
+    return d, x
+
+
+def _halfspace_matrix(frozen: BoundaryOperator, eta: np.ndarray,
+                      T: float, n: int) -> np.ndarray:
+    """Spectral discretization of the frozen zero-frame operator at
+    tangential frequency eta, on sigma = log s in [-T, T] with Dirichlet
+    truncation."""
+    d, x = _chebyshev_matrix(n)
+    d = d / T
+    sigma = T * x
+    k = frozen.system_size
+    size = n + 1
+    spatial_total = np.zeros((k * size, k * size), dtype=complex)
+    es = np.exp(sigma)
+    # the tangential symbol at the frequency es * eta seen at s = e^sigma
+    eta_s = es[:, None] * eta
+    eta2_s = es ** 2 * float(np.dot(eta, eta))
+    for mi, co in frozen.terms:
+        mat = np.eye(size, dtype=complex)
+        for _ in range(mi.radial):
+            mat = d @ mat
+        diag = symbol_monomial(MultiIndex(0, mi.cross, mi.laplacian),
+                               np.zeros(size), eta_s, eta2_s)
+        mat = mat * diag  # scales column j by diag[j]
+        for ct in co.terms:
+            if ct.lam_degree:
+                raise FredholmKitError(
+                    "mode-diagonal coefficient polynomials cannot be frozen "
+                    "onto the half-space model")
+            value = ct.value if _is_matrix(ct.value) else np.array([[ct.value]])
+            if value.shape[0] != k:
+                value = value[0, 0] * np.eye(k)
+            spatial_total += np.kron(value, mat)
+    keep = [b * size + i for b in range(k) for i in range(1, size - 1)]
+    return spatial_total[np.ix_(keep, keep)]
+
+
+_HALFSPACE_TRUNCATIONS = ((4.0, 48), (6.0, 72), (8.0, 96))  # (T, n): window [-T, T], n + 1 nodes
+_HALFSPACE_ETA = (0.0, 0.5, 1.0, 2.0)  # tangential frequency magnitudes
+
+
+def half_space_sample(frozen: BoundaryOperator) -> HalfSpaceSample:
+    """Smallest singular values of the frozen half-space operator (a
+    zero-structure operator after `freeze_coefficients`) across the window
+    sizes of _HALFSPACE_TRUNCATIONS and the tangential frequencies of
+    _HALFSPACE_ETA.
+
+    The discretization lives on the flat L2 of the log coordinates (the
+    window is truncated with Dirichlet ends), so the numbers are evidence
+    about the model operator, not a theorem-grade invertibility test; the
+    caveat of `HalfSpaceSample.as_dict` says so.
+    """
+    if frozen.structure.kind is not StructureKind.ZERO:
+        raise FredholmKitError("half-space sampling applies to zero-structure "
+                               "limit operators")
+    dcross = frozen.cross_section.coordinate_count
+    vectors: list[np.ndarray] = []
+    for magnitude in _HALFSPACE_ETA:
+        if dcross == 0:
+            vectors.append(np.array([float(magnitude)]))
+        else:
+            v = np.zeros(dcross)
+            v[0] = magnitude
+            vectors.append(v)
+            if dcross >= 2 and magnitude:
+                vectors.append(np.full(dcross, float(magnitude) / math.sqrt(dcross)))
+    points = []
+    mins = []
+    ladder = []
+    for T, n in _HALFSPACE_TRUNCATIONS:
+        local = []
+        for eta in vectors:
+            a = _halfspace_matrix(frozen, eta, T, n)
+            smin = float(np.linalg.svd(a, compute_uv=False)[-1])
+            points.append((T, n, tuple(round12(float(x)) for x in eta)))
+            mins.append(smin)
+            local.append(smin)
+        ladder.append({"T": T, "n": n,
+                       "global_min": round12(min(local))})
+    i = int(np.argmin(mins))
+    return HalfSpaceSample(tuple(points), tuple(mins), float(mins[i]), points[i],
+                           tuple(ladder))
+
+
+# ---------------------------------------------------------------------------
 # the decision engine
 # ---------------------------------------------------------------------------
 
@@ -784,14 +927,13 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             caveats.append("an indicial root sits within 1e-8 of the tested "
                            "line; refusing to guess")
     elif kind is StructureKind.ZERO:
-        from .numoracle import half_space_sample  # deferred to avoid a cycle
-        scan = half_space_sample(freeze_coefficients(p))
+        sample = half_space_sample(freeze_coefficients(p))
         limit_verdicts.append(LimitVerdict(
             "point:x0", "zero half-space model, sampled min singular values",
             "numerical-evidence",
-            {"argmin": scan.argmin_label()},
-            scan.as_dict()))
-        cutoffs = {"halfspace_truncations": [[lv["T"], lv["n"]] for lv in scan.ladder]}
+            {"argmin": sample.argmin_label()},
+            sample.as_dict()))
+        cutoffs = {"halfspace_truncations": [[lv["T"], lv["n"]] for lv in sample.ladder]}
         caveats.append("zero-structure limit operators live on a "
                        "noncommutative group; min-singular-value samples on "
                        "the flat log-coordinate L2 of the model half-space "

@@ -13,7 +13,7 @@ the covector; `fredholm.sc_invertible` scans it through the same term
 walker as the principal symbol (`opalg._symbol_stack`).  For the zero
 frame it is read in the half-space frame {s d/ds, s d/dw_j}; no
 closed-form invertibility criterion is implemented for it, only
-numerical sampling (`numoracle.half_space_sample`).
+numerical sampling (`fredholm.half_space_sample`).
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ a cluster (a multiple root, or roots closer than rounding lets det P
 resolve), has its count confirmed a second way, by the winding number of
 det P around one box, and its center is a contour moment.  Line
 verdicts are confirmed by scanning smallest singular values of the
-indicial family on the tested line, and zero-structure limit operators
-are sampled on a truncated half-space in log coordinates.
+indicial family on the tested line.
 
 The oracle solves all mode classes of a family in one batch per
 polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
@@ -67,6 +66,9 @@ import numpy as np
 
 from ._util import round12
 from .crosssec import spectrum
+# half_space_sample is unused here; perfbench/tracing.py wraps it under this module's name
+from .fredholm import (ROOTS_NOT_COMPUTED, FredholmOptions, RootTable, _check_samples,
+                       half_space_sample, sc_invertible)
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
     ROOT_TOL,
@@ -83,7 +85,7 @@ from .limitops import (
     normal_operator,
     root_boxes,
 )
-from .opalg import BoundaryOperator, MultiIndex, _is_matrix, _symbol_stack, symbol_monomial
+from .opalg import BoundaryOperator, _symbol_stack
 
 _YES_FLOOR = 1e-4   # scan minima above this confirm "yes"
 _NO_CEILING = 1e-6  # scan minima below this confirm "no"
@@ -97,73 +99,27 @@ _SCAN_CHUNK = 1 << 13  # matrix entries per chunk of a scan's evaluation: 512 4x
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Sampled smallest singular values over a parameter grid, with a
-    resolution ladder.  For a line scan, points hold the finest grid and
+    """A line scan (`scan_line`): points hold the finest grid of tau, and
     each ladder level is a strided subset of it, so the global minimum is
-    monotone under refinement; for a half-space sample the levels are
-    separate truncations.
+    monotone under refinement.  The scan finds its minima without the
+    samples at every point; `samples` computes them when `min_singular` is
+    first read (for the CSV), and they are validated then."""
 
-    samples holds the value at every point, or a function that computes
-    them: a line scan finds its minima without them (`scan_line`) and
-    computes them only when `min_singular` is first read (for the CSV).
-    Explicit samples are validated here, computed ones when computed."""
-
-    points: tuple
-    samples: tuple[float, ...] | Callable[[], np.ndarray]
+    points: tuple[float, ...]
+    samples: Callable[[], np.ndarray]
     global_min: float
-    argmin: object
+    argmin: float
     ladder: tuple[dict, ...]
-    caveat: str | None = None
-
-    def __post_init__(self):
-        if not callable(self.samples):
-            self._validate(self.samples)
 
     @cached_property
     def min_singular(self) -> tuple[float, ...]:
-        if not callable(self.samples):
-            return self.samples
         values = tuple(self.samples().tolist())
-        self._validate(values)
+        _check_samples(values, self.global_min)
         return values
-
-    def _validate(self, samples) -> None:
-        if not samples:
-            return
-        # one reduction; a NaN sample makes the minimum NaN, equal to no global_min
-        low = np.fromiter(samples, float, len(samples)).min()
-        if low < 0:
-            raise ValueError("singular values are nonnegative")
-        if not low == self.global_min:
-            raise ValueError("global_min must be the minimum of the samples")
-
-    def argmin_label(self) -> str:
-        if isinstance(self.argmin, (tuple, list)):
-            return ";".join(f"{x}" for x in self.argmin)
-        return f"{self.argmin}"
-
-    def as_dict(self) -> dict:
-        d = {
-            "global_min": round12(self.global_min),
-            "argmin": self.argmin_label(),
-            "ladder": list(self.ladder),
-            "samples": len(self.points),
-        }
-        if self.caveat:
-            d["caveat"] = self.caveat
-        return d
 
     def to_csv(self) -> str:
         lines = ["point,minSingular"]
-        for p, v in zip(self.points, self.min_singular):
-            if isinstance(p, (tuple, list)):
-                label = ";".join(f"{x:.12g}" if isinstance(x, float) else f"{x}" for x in p)
-            elif isinstance(p, float):
-                label = f"{p:.12g}"
-            else:
-                label = f"{p}"
-            lines.append(f"{label},{v:.12g}")
-
+        lines += [f"{p:.12g},{v:.12g}" for p, v in zip(self.points, self.min_singular)]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -733,109 +689,6 @@ def _cluster_roots(own: np.ndarray, z: np.ndarray, radii: np.ndarray, residuals:
 
 
 # ---------------------------------------------------------------------------
-# zero-structure half-space sampling
-# ---------------------------------------------------------------------------
-
-
-def _chebyshev_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev collocation differentiation matrix on [-1, 1], n+1 nodes."""
-    if n < 2:
-        raise ValueError("need at least 3 collocation nodes")
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = np.ones(n + 1)
-    c[0] = c[n] = 2.0
-    c = c * (-1.0) ** np.arange(n + 1)
-    dx = x[:, None] - x[None, :]
-    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
-    d = d - np.diag(d.sum(axis=1))
-    return d, x
-
-
-def _halfspace_matrix(frozen: BoundaryOperator, eta: np.ndarray,
-                      T: float, n: int) -> np.ndarray:
-    """Spectral discretization of the frozen zero-frame operator at
-    tangential frequency eta, on sigma = log s in [-T, T] with Dirichlet
-    truncation."""
-    d, x = _chebyshev_matrix(n)
-    d = d / T
-    sigma = T * x
-    k = frozen.system_size
-    size = n + 1
-    spatial_total = np.zeros((k * size, k * size), dtype=complex)
-    es = np.exp(sigma)
-    # the tangential symbol at the frequency es * eta seen at s = e^sigma
-    eta_s = es[:, None] * eta
-    eta2_s = es ** 2 * float(np.dot(eta, eta))
-    for mi, co in frozen.terms:
-        mat = np.eye(size, dtype=complex)
-        for _ in range(mi.radial):
-            mat = d @ mat
-        diag = symbol_monomial(MultiIndex(0, mi.cross, mi.laplacian),
-                               np.zeros(size), eta_s, eta2_s)
-        mat = mat * diag  # scales column j by diag[j]
-        for ct in co.terms:
-            if ct.lam_degree:
-                raise FredholmKitError(
-                    "mode-diagonal coefficient polynomials cannot be frozen "
-                    "onto the half-space model")
-            value = ct.value if _is_matrix(ct.value) else np.array([[ct.value]])
-            if value.shape[0] != k:
-                value = value[0, 0] * np.eye(k)
-            spatial_total += np.kron(value, mat)
-    keep = [b * size + i for b in range(k) for i in range(1, size - 1)]
-    return spatial_total[np.ix_(keep, keep)]
-
-
-_HALFSPACE_TRUNCATIONS = ((4.0, 48), (6.0, 72), (8.0, 96))  # (T, n): window [-T, T], n + 1 nodes
-_HALFSPACE_ETA = (0.0, 0.5, 1.0, 2.0)  # tangential frequency magnitudes
-
-
-def half_space_sample(frozen: BoundaryOperator) -> ScanResult:
-    """Smallest singular values of the frozen half-space operator (a
-    zero-structure operator after `freeze_coefficients`) across the window
-    sizes of _HALFSPACE_TRUNCATIONS and the tangential frequencies of
-    _HALFSPACE_ETA.
-
-    The discretization lives on the flat L2 of the log coordinates (the
-    window is truncated with Dirichlet ends), so the numbers are evidence
-    about the model operator, not a theorem-grade invertibility test; the
-    caveat flag says so.
-    """
-    if frozen.structure.kind is not StructureKind.ZERO:
-        raise FredholmKitError("half-space sampling applies to zero-structure "
-                               "limit operators")
-    dcross = frozen.cross_section.coordinate_count
-    vectors: list[np.ndarray] = []
-    for magnitude in _HALFSPACE_ETA:
-        if dcross == 0:
-            vectors.append(np.array([float(magnitude)]))
-        else:
-            v = np.zeros(dcross)
-            v[0] = magnitude
-            vectors.append(v)
-            if dcross >= 2 and magnitude:
-                vectors.append(np.full(dcross, float(magnitude) / math.sqrt(dcross)))
-    points = []
-    mins = []
-    ladder = []
-    for T, n in _HALFSPACE_TRUNCATIONS:
-        local = []
-        for eta in vectors:
-            a = _halfspace_matrix(frozen, eta, T, n)
-            smin = float(np.linalg.svd(a, compute_uv=False)[-1])
-            points.append((T, n, tuple(round12(float(x)) for x in eta)))
-            mins.append(smin)
-            local.append(smin)
-        ladder.append({"T": T, "n": n,
-                       "global_min": round12(min(local))})
-    i = int(np.argmin(mins))
-    return ScanResult(tuple(points), tuple(mins), float(mins[i]), points[i],
-                      tuple(ladder),
-                      caveat="half-space truncation on flat log-coordinate L2; "
-                             "numerical evidence only")
-
-
-# ---------------------------------------------------------------------------
 # the cross-check ledger
 # ---------------------------------------------------------------------------
 
@@ -978,8 +831,6 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     and with the caveat `fredholm.ROOTS_NOT_COMPUTED` gets one skipped
     `roots` entry holding that caveat instead.
     """
-    from .fredholm import ROOTS_NOT_COMPUTED, FredholmOptions, RootTable, sc_invertible
-
     opts = opts or FredholmOptions()
     entries: list[LedgerEntry] = []
     scans: dict[str, ScanResult] = {}

@@ -24,10 +24,10 @@ Symbols are built in one place: `symbol_monomial` evaluates
 `_symbol_stack`, feeds them the principal symbol (the ellipticity scans
 and symbol floors here) and the full symbol of a frozen operator (the sc
 and c_gamma limit operator, `fredholm.sc_invertible`); the half-space
-diagonal (`numoracle`) goes through `symbol_monomial` as well.  Mode
-actions are built in one place too: `_mode_factor` gives q(lambda), the
-Laplacian powers and the tangential partials on every channel of a
-table, for `apply` and for the indicial family
+diagonal (`fredholm.half_space_sample`) goes through `symbol_monomial`
+as well.  Mode actions are built in one place too: `_mode_factor` gives
+q(lambda), the Laplacian powers and the tangential partials on every
+channel of a table, for `apply` and for the indicial family
 (`limitops.indicial_family`).
 """
 

@@ -1,7 +1,9 @@
 """The decision engine: roots, line tests, symbol scans, verdicts, weights."""
 
+import ast
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from fredholm_kit import (
     compose,
     conjugate,
     fredholm_check,
+    half_space_sample,
+    identity_operator,
     indicial_family,
     indicial_roots,
     make_model,
@@ -931,6 +935,90 @@ def test_sc_floor_and_radius_weights_match_the_full_symbol_object(seed):
 
 
 # ---------------------------------------------------------------------------
+# half-space sampling
+# ---------------------------------------------------------------------------
+
+
+def geometers_hyperbolic_model(shift):
+    z1, tor = LieStructure.zero(1), CrossSection.torus(1)
+    terms = {MultiIndex(2): -1.0, MultiIndex(0, (), 1): -1.0}
+    if shift:
+        terms[MultiIndex(0)] = float(shift)
+    return make_operator(z1, tor, terms)
+
+
+def test_half_space_shifted_model_bounded_below():
+    scan = half_space_sample(freeze_coefficients(geometers_hyperbolic_model(1.0)))
+    mins = [step["global_min"] for step in scan.ladder]
+    assert all(m >= 1.0 - 1e-9 for m in mins)
+    assert scan.as_dict()["caveat"] is not None
+
+
+def test_half_space_bare_model_decays_toward_zero():
+    scan = half_space_sample(freeze_coefficients(geometers_hyperbolic_model(0.0)))
+    mins = [step["global_min"] for step in scan.ladder]
+    assert mins[-1] < mins[0] / 2
+    assert mins[-1] < 0.05
+
+
+def test_half_space_identity_is_exactly_one():
+    scan = half_space_sample(freeze_coefficients(identity_operator(
+        LieStructure.zero(1), CrossSection.torus(1))))
+    assert scan.global_min == pytest.approx(1.0, abs=1e-12)
+
+
+def test_half_space_rejects_non_zero_structures():
+    with pytest.raises(FredholmKitError):
+        half_space_sample(freeze_coefficients(make_model("sc_laplacian", cross_dim=1)))
+
+
+def reference_halfspace_matrix(frozen, eta, T, n):
+    """The half-space discretization with its tangential diagonal built one
+    collocation node at a time from Python scalars."""
+    d, x = fredholm._chebyshev_matrix(n)
+    d = d / T
+    es = np.exp(T * x)
+    k, size = frozen.system_size, n + 1
+    eta2 = float(np.dot(eta, eta))
+    total = np.zeros((k * size, k * size), dtype=complex)
+    for mi, co in frozen.terms:
+        mat = np.eye(size, dtype=complex)
+        for _ in range(mi.radial):
+            mat = d @ mat
+        diag = []
+        for s in es:  # the covector s * eta at the node s = e^sigma
+            factor = complex((-(s * s * eta2)) ** mi.laplacian)
+            for j, pw in enumerate(mi.cross):
+                if pw:
+                    factor *= (1j * (s * eta[j])) ** pw
+            diag.append(factor)
+        mat = mat * np.array(diag)
+        for ct in co.terms:
+            value = ct.value if isinstance(ct.value, np.ndarray) else ct.value * np.eye(k)
+            total += np.kron(value, mat)
+    keep = [b * size + i for b in range(k) for i in range(1, size - 1)]
+    return total[np.ix_(keep, keep)]
+
+
+@pytest.mark.parametrize("system", [False, True])
+def test_halfspace_matrix_matches_per_node_loop(system):
+    rng = np.random.default_rng(8)
+    lead = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) if system else 1.0
+    p = make_operator(LieStructure.zero(2), CrossSection.torus(2), {
+        MultiIndex(4): lead,
+        MultiIndex(2): -1.0,
+        MultiIndex(0, (1, 1), 1): complex(rng.normal(), rng.normal()),
+        MultiIndex(0, (), 2): complex(rng.normal(), rng.normal()),
+        MultiIndex(0, (2, 0)): 1.0,
+        MultiIndex(0): 2.0,
+    }, order=4)
+    frozen = freeze_coefficients(p)
+    for eta in (np.zeros(2), np.array([0.5, 1.5]), np.array([2.0, -0.7])):
+        assert np.array_equal(fredholm._halfspace_matrix(frozen, eta, 4.0, 24),
+                              reference_halfspace_matrix(frozen, eta, 4.0, 24))
+
+
+# ---------------------------------------------------------------------------
 # full checks
 # ---------------------------------------------------------------------------
 
@@ -984,6 +1072,45 @@ def test_check_consistent_with_conjugation(delta):
         direct = fredholm_check(p, delta).verdict
         conjugated = fredholm_check(conjugate(p, delta), 0.0).verdict
         assert direct == conjugated
+
+
+def mode_roots(f):
+    """Mellin roots and multiplicities of every channel of a family."""
+    out = {}
+    for r in indicial_roots(f):
+        out.setdefault(r.mode, []).append((r.mellin, r.multiplicity))
+    return out
+
+
+# c and d on a grid of 1/64, and the draws fixed: the engine can merge roots
+# 1e-6 apart and fail a double root beside a close one (ROADMAP item 4), and a
+# subnormal d fails the Newton step
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.sampled_from([CIRCLE, CrossSection.torus(2)]),
+       st.lists(st.integers(-192, 192).map(lambda i: i / 64), min_size=1, max_size=3),
+       st.integers(-64, 64).map(lambda i: i / 64), st.floats(-1.0, 1.0))
+def test_conjugation_shifts_roots_and_verdict_through_the_engine(cross, shifts, d, delta):
+    """conjugate(p, d) = r^(-d) p r^d has the Mellin roots of p moved by
+    -d, with their modes and multiplicities, so its line test at delta is
+    p's at delta + d; p is a product of factors T^2 + L - c."""
+    factors = [make_operator(LieStructure.b(cross.dimension), cross, {
+        MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0, MultiIndex(0): -c}) for c in shifts]
+    p = factors[0]
+    for q in factors[1:]:
+        p = compose(p, q)
+    table = spectrum(cross, 12.0)
+    fam = indicial_family(normal_operator(p), table)
+    moved = indicial_family(normal_operator(conjugate(p, d)), table)
+    want, got = mode_roots(fam), mode_roots(moved)
+    assert want.keys() == got.keys()
+    for mode, roots in want.items():
+        left = [(z + d, m) for z, m in got[mode]]
+        assert len(left) == len(roots)
+        for z, m in roots:
+            j = min(range(len(left)), key=lambda i: abs(left[i][0] - z))
+            assert abs(left[j][0] - z) <= 1e-8 * max(1.0, abs(z))
+            assert left.pop(j)[1] == m
+    assert normal_invertible(moved, delta).status == normal_invertible(fam, delta + d).status
 
 
 # ---------------------------------------------------------------------------
@@ -1131,3 +1258,29 @@ def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
     last = rep.to_dict()["indicial_roots"][-2:]
     assert [math.copysign(1.0, r["tau"][0]) for r in last] == [-1.0, 1.0]
     assert [math.copysign(1.0, r["mellin"][1]) for r in last] == [-1.0, 1.0]
+
+
+def test_imports_run_one_way():
+    """Only the CLI and the package root import the oracle, and every
+    import sits at module top, none inside a function."""
+    src = os.path.dirname(fredholm.__file__)
+    problems = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        nested = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) in nested:
+                problems.append(f"{name}:{node.lineno} imports inside a function")
+            module = getattr(node, "module", None)
+            names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+            oracle = any("numoracle" in n.split(".") for n in names)
+            if oracle and name not in ("cli.py", "__init__.py"):
+                problems.append(f"{name}:{node.lineno} imports numoracle")
+    assert problems == []

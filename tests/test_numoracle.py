@@ -1,6 +1,6 @@
 """The independent oracle: line scans, roots certified by inclusion discs,
-half-space sampling, and the cross-check ledger (including a
-tampered-report negative control)."""
+and the cross-check ledger (including a tampered-report negative
+control)."""
 
 import dataclasses
 import math
@@ -19,6 +19,7 @@ from fredholm_kit import (
     FredholmKitError,
     FredholmOptions,
     ChannelTable,
+    HalfSpaceSample,
     IndicialFamily,
     LieStructure,
     MultiIndex,
@@ -29,9 +30,6 @@ from fredholm_kit import (
     cross_check,
     default_mode_cutoff,
     fredholm_check,
-    freeze_coefficients,
-    half_space_sample,
-    identity_operator,
     indicial_family,
     indicial_roots,
     make_model,
@@ -135,14 +133,20 @@ def test_scan_refinement_monotone():
     ((0.5, math.nan), math.nan, "minimum"),
 ])
 def test_scan_result_rejects_bad_samples(samples, global_min, message):
+    points = tuple(range(len(samples)))
     with pytest.raises(ValueError, match=message):
-        ScanResult(tuple(range(len(samples))), samples, global_min, 0, ())
+        HalfSpaceSample(points, samples, global_min, 0, ())
+    scan = ScanResult(points, lambda: np.array(samples), global_min, 0, ())
+    with pytest.raises(ValueError, match=message):
+        scan.min_singular
 
 
 def test_scan_result_accepts_its_minimum():
-    ScanResult((0, 1, 2), (0.5, 0.0, 0.75), 0.0, 1, ())
-    ScanResult((0, 1), (math.inf, math.inf), math.inf, 0, ())
-    ScanResult((), (), math.nan, None, ())
+    for samples, global_min in (((0.5, 0.0, 0.75), 0.0), ((math.inf, math.inf), math.inf)):
+        points = tuple(range(len(samples)))
+        assert HalfSpaceSample(points, samples, global_min, 0, ()).min_singular == samples
+        scan = ScanResult(points, lambda: np.array(samples), global_min, 0, ())
+        assert scan.min_singular == samples
 
 
 def test_scan_rejects_negative_refinements():
@@ -706,90 +710,6 @@ def test_scalar_determinants_are_read_directly(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# half-space sampling
-# ---------------------------------------------------------------------------
-
-
-def geometers_hyperbolic_model(shift):
-    z1, tor = LieStructure.zero(1), CrossSection.torus(1)
-    terms = {MultiIndex(2): -1.0, MultiIndex(0, (), 1): -1.0}
-    if shift:
-        terms[MultiIndex(0)] = float(shift)
-    return make_operator(z1, tor, terms)
-
-
-def test_half_space_shifted_model_bounded_below():
-    scan = half_space_sample(freeze_coefficients(geometers_hyperbolic_model(1.0)))
-    mins = [step["global_min"] for step in scan.ladder]
-    assert all(m >= 1.0 - 1e-9 for m in mins)
-    assert scan.caveat is not None
-
-
-def test_half_space_bare_model_decays_toward_zero():
-    scan = half_space_sample(freeze_coefficients(geometers_hyperbolic_model(0.0)))
-    mins = [step["global_min"] for step in scan.ladder]
-    assert mins[-1] < mins[0] / 2
-    assert mins[-1] < 0.05
-
-
-def test_half_space_identity_is_exactly_one():
-    scan = half_space_sample(freeze_coefficients(identity_operator(
-        LieStructure.zero(1), CrossSection.torus(1))))
-    assert scan.global_min == pytest.approx(1.0, abs=1e-12)
-
-
-def test_half_space_rejects_non_zero_structures():
-    with pytest.raises(FredholmKitError):
-        half_space_sample(freeze_coefficients(make_model("sc_laplacian", cross_dim=1)))
-
-
-def reference_halfspace_matrix(frozen, eta, T, n):
-    """The half-space discretization with its tangential diagonal built one
-    collocation node at a time from Python scalars."""
-    d, x = numoracle._chebyshev_matrix(n)
-    d = d / T
-    es = np.exp(T * x)
-    k, size = frozen.system_size, n + 1
-    eta2 = float(np.dot(eta, eta))
-    total = np.zeros((k * size, k * size), dtype=complex)
-    for mi, co in frozen.terms:
-        mat = np.eye(size, dtype=complex)
-        for _ in range(mi.radial):
-            mat = d @ mat
-        diag = []
-        for s in es:  # the covector s * eta at the node s = e^sigma
-            factor = complex((-(s * s * eta2)) ** mi.laplacian)
-            for j, pw in enumerate(mi.cross):
-                if pw:
-                    factor *= (1j * (s * eta[j])) ** pw
-            diag.append(factor)
-        mat = mat * np.array(diag)
-        for ct in co.terms:
-            value = ct.value if isinstance(ct.value, np.ndarray) else ct.value * np.eye(k)
-            total += np.kron(value, mat)
-    keep = [b * size + i for b in range(k) for i in range(1, size - 1)]
-    return total[np.ix_(keep, keep)]
-
-
-@pytest.mark.parametrize("system", [False, True])
-def test_halfspace_matrix_matches_per_node_loop(system):
-    rng = np.random.default_rng(8)
-    lead = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) if system else 1.0
-    p = make_operator(LieStructure.zero(2), CrossSection.torus(2), {
-        MultiIndex(4): lead,
-        MultiIndex(2): -1.0,
-        MultiIndex(0, (1, 1), 1): complex(rng.normal(), rng.normal()),
-        MultiIndex(0, (), 2): complex(rng.normal(), rng.normal()),
-        MultiIndex(0, (2, 0)): 1.0,
-        MultiIndex(0): 2.0,
-    }, order=4)
-    frozen = freeze_coefficients(p)
-    for eta in (np.zeros(2), np.array([0.5, 1.5]), np.array([2.0, -0.7])):
-        assert np.array_equal(numoracle._halfspace_matrix(frozen, eta, 4.0, 24),
-                              reference_halfspace_matrix(frozen, eta, 4.0, 24))
-
-
-# ---------------------------------------------------------------------------
 # the cross-check ledger
 # ---------------------------------------------------------------------------
 
@@ -1289,7 +1209,7 @@ def test_scan_samples_are_computed_on_first_use(monkeypatch, which):
     taus = np.linspace(-10.0, 10.0, 8001) - 0.3j
     assert scan.min_singular == tuple(_unpruned_min_singular(fam, taus).tolist())
     assert scan.min_singular is scan.min_singular and calls == [8001]
-    assert scan.as_dict()["samples"] == 8001
+    assert len(scan.points) == 8001
 
 
 def test_computed_samples_are_validated_when_read():
