@@ -20,15 +20,14 @@ from ._util import FloatCache, round12
 from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
-    ROOT_TOL,
     IndicialFamily,
     cluster_counts,
     disc_components,
     freeze_coefficients,
+    inclusion_discs,
     indicial_family,
     newton_correction,
     normal_operator,
-    root_sensitivity,
 )
 from .opalg import (
     FLOOR_DIRECTIONS,
@@ -46,7 +45,7 @@ from .opalg import (
 )
 
 _ROOT_STEP_TOL = 1e-9
-_ROOT_NOISE = 1e-13  # relative rounding of the coefficients (about 500 ulp)
+_NEWTON_STEPS = 16  # the most Newton steps an approximation of a root takes
 _ON_LINE_TOL = 1e-12
 _BORDERLINE_TOL = 1e-8
 _WEIGHT_CAP = 2.0 ** 20  # the largest certified weight range reported
@@ -140,37 +139,59 @@ def _resolve_roots(coeffs: np.ndarray, points: np.ndarray) -> list[tuple[list | 
     counted with multiplicity: for each b, (roots, None) with roots a list
     of (tau, multiplicity) pairs, or (None, failure detail).
 
-    Each approximation z gets a disc whose radius is the larger of
-    _ROOT_NOISE times its `root_sensitivity` (how far rounding of the
-    coefficients can move a simple root; left out where it is not finite)
-    and ROOT_TOL * max(1, |z|).  Approximations whose discs overlap,
-    directly or through others, cannot be told apart in floating point
-    (rounding splits a root that is defective in the linearization, or a
-    double root beside large coefficients): they become one root at their
-    mean, with their count as its multiplicity, once a winding number of
-    det P confirms it (`limitops.cluster_counts`, one call per batch).  A
-    lone approximation takes one Newton step.  A polynomial fails alone:
-    on its first Newton step that is not within _ROOT_STEP_TOL of the root
-    (NaN included; it then skips the winding count), or on a merged root
-    whose count fails."""
+    Each approximation takes Newton steps while they exceed _ROOT_STEP_TOL
+    of the root, at most _NEWTON_STEPS, and gets the oracle's inclusion
+    disc (`limitops.inclusion_discs`); where discs meet, the discs of the
+    iterates replace them if they only split components and their lone
+    iterates settled.  A lone disc grows to reach its iterate; one still
+    alone is a simple root there, and a component of p discs one root of
+    multiplicity p at the mean of its approximations once a winding number
+    confirms p (`limitops.cluster_counts`).  A polynomial fails alone: on a disc that
+    is not finite, a simple root whose steps did not settle, or a count."""
     points = np.sort(points, axis=-1)
-    stack = coeffs[:, :, None]
-    sensitivity = root_sensitivity(stack, points)
-    radius = np.maximum(ROOT_TOL * np.maximum(1.0, np.abs(points)),
-                        np.where(np.isfinite(sensitivity), _ROOT_NOISE * sensitivity, 0))
-    label = disc_components(points, radius)
+    tol = _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points))
+    roots, steps = points.copy(), np.zeros_like(points)
+    moving = np.ones(points.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        rows, cols = np.nonzero(moving)
+        if rows.size == 0:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows: a NaN step
+            steps[rows, cols] = step = newton_correction(coeffs[:, rows], roots[rows, cols])
+        roots[rows, cols] -= np.where(np.isfinite(step), step, 0)
+        moving[rows, cols] = np.abs(step) > tol[rows, cols]
+    settled = np.abs(steps) <= tol
+    z, radius, _, finite, label = inclusion_discs(coeffs, points)
+    # close simple roots may part at the iterates (unmoved ones give the same discs)
+    again = np.flatnonzero(finite & (label != np.arange(points.shape[1])).any(axis=1)
+                           & (roots != points).any(axis=1))
+    if again.size:
+        z2, radius2, _, finite2, label2 = inclusion_discs(coeffs[:, again], roots[again])
+        same, same2 = (lab[:, :, None] == lab[:, None, :] for lab in (label[again], label2))
+        take = (finite2 & (same2 <= same).all(axis=(1, 2))
+                & (settled[again] | (same2.sum(axis=2) > 1)).all(axis=1))
+        z[again[take]], radius[again[take]], label[again[take]] = \
+            z2[take], radius2[take], label2[take]
     lone = (label[:, :, None] == label[:, None, :]).sum(axis=2) == 1
-    steps = np.where(lone, newton_correction(stack, points), 0)
-    failed = ~(np.abs(steps) <= _ROOT_STEP_TOL * np.maximum(1.0, np.abs(points)))
+    # a lone disc grows to reach its iterate; a component of grown discs
+    # still holds as many roots as it has discs
+    grow = finite[:, None] & lone & (np.abs(roots - z) > radius)
+    if grow.any():
+        radius = np.where(grow, np.abs(roots - z), radius)
+        label = disc_components(z, radius)
+        lone = (label[:, :, None] == label[:, None, :]).sum(axis=2) == 1
+    failed = lone & ~settled
     failures: list = [None] * len(points)
-    for b in np.flatnonzero(failed.any(axis=1)).tolist():
+    for b in np.flatnonzero(~finite).tolist():
+        failures[b] = f"inclusion disc not finite at tau={z[b][~np.isfinite(radius[b])][0]:.6g}"
+    for b in np.flatnonzero(finite & failed.any(axis=1)).tolist():
         bad = failed[b]
         failures[b] = f"Newton step {abs(steps[b][bad][0]):.2e} at tau={points[b][bad][0]:.6g}"
     # 0 + turns a signed zero into +0
     out = [[(tau, 1) for tau, alone in zip(row, keep) if alone]
-           for row, keep in zip((0 + (points - steps)).tolist(), lone.tolist())]
-    grouped = np.flatnonzero(~lone.all(axis=1) & ~failed.any(axis=1))
-    for b, (parts, _, counts) in cluster_counts(coeffs, points, radius, grouped).items():
+           for row, keep in zip((0 + roots).tolist(), lone.tolist())]
+    grouped = np.flatnonzero(finite & ~lone.all(axis=1) & ~failed.any(axis=1))
+    for b, (parts, _, counts) in cluster_counts(coeffs, z, radius, grouped).items():
         if None in counts:
             failures[b] = "contour counting failed to stabilize"
             continue

@@ -91,8 +91,9 @@ def newton_correction(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def newton_from_values(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     """1 / tr(P^-1 P') for every pair of values P, P' of two (..., k, k)
     stacks, from one batched LU solve: 0 where P is exactly singular (tau
-    is a root), inf where the trace vanishes.  A 1 x 1 P is singular where
-    it is 0, which the exact roots of scalar modes hit often, so those are
+    is a root), inf where the trace vanishes, inf or NaN (no warning) where
+    a value overflows.  A 1 x 1 P is singular where it is 0, which the
+    exact roots of scalar modes hit often, so those are
     left out of the solve from the start.  A k x k one rarely is: only when
     the solve meets one does a `det` pass find the regular ones, which are
     solved again on their own."""
@@ -105,35 +106,13 @@ def newton_from_values(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
             regular = np.linalg.det(p) != 0
         ratio = np.linalg.solve(p[regular], dp[regular])
     trace = np.trace(ratio, axis1=-2, axis2=-1)
-    out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out[regular] = np.divide(1, trace, out=np.full_like(trace, np.inf), where=trace != 0)
+        if p.shape[-1] == 1:
+            # the solve's complex division of subnormal values gives NaN
+            redo = np.isnan(out) & (dp[..., 0, 0] != 0)
+            out[redo] = p[redo, 0, 0] / dp[redo, 0, 0]
     return out
-
-
-def root_sensitivity(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """sum_j |A_j| |tau|^j / |y* P'(tau) x| at every tau, with x and y the
-    singular vectors of the smallest singular value of P(tau): the
-    first-order distance a simple root there moves per unit relative
-    change of the coefficients (inf where the slope y* P' x vanishes).
-    For a scalar, whose singular vectors are phases, the slope is |P'|.
-    coeffs as for `newton_correction`.  Each coefficient is divided by its
-    largest entry before its Frobenius norm is taken, so that the squares
-    of entries near the largest float do not overflow; a sensitivity that
-    overflows all the same is inf or NaN, never a warning."""
-    p, dp = matrix_polyval(coeffs, taus, derivative=True)
-    if p.shape[-1] == 1:
-        slope = np.abs(dp[..., 0, 0])
-    else:
-        u, _, vh = np.linalg.svd(p)
-        slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp,
-                                 vh[..., -1, :].conj()))
-    top = np.max(np.abs(coeffs), axis=(-2, -1), keepdims=True)
-    scaled = np.divide(coeffs, top, out=np.zeros_like(coeffs), where=top > 0)
-    # a norm or a sum past the largest float is inf, and inf / inf NaN:
-    # both read as no finite sensitivity
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = top[..., 0, 0] * np.linalg.norm(scaled, axis=(-2, -1))
-        size = sum(norm * np.abs(taus) ** j for j, norm in enumerate(norms))
-        return np.divide(size, slope, out=np.full(slope.shape, np.inf), where=slope > 0)
 
 
 ROOT_TOL = 1e-7  # relative to max(1, |tau|): the least half-width of a cluster's box
@@ -245,6 +224,130 @@ def disc_components(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """`components` of the discs D(points[b, i], radii[b, i]) that meet."""
     return components(np.abs(points[:, :, None] - points[:, None, :])
                       <= radii[:, :, None] + radii[:, None, :])
+
+
+_SPLIT = 1e-10  # relative: how far apart points that coincide exactly are moved
+_EXTENDED_EPS = float(np.finfo(np.longdouble).eps)  # machine epsilon of a scalar's Horner pass
+_EVAL_ROUNDING = 2.0 ** -46  # a system's evaluation error, relative to sum_j ||A_j||_F |z|^j
+_QUOTIENT_ROUNDING = 1e-12  # relative: the rounding of a radius's product and quotient
+
+
+def inclusion_discs(coeffs: np.ndarray, points: np.ndarray):
+    """(z, radii, residuals, finite, label): the inclusion discs of det P_b,
+    coeffs[:, b] of shape (m + 1, k, k), around approximations points[b]
+    of its roots counted with multiplicity.  Exact repeats move apart, the
+    t-th by t * _SPLIT * max(1, |z|); where discs meet, clusters are spread
+    (`_spread_clusters`) and their discs taken again.  z holds the centers,
+    finite[b] whether all radii of b are finite, and label the
+    `disc_components`: p discs of one hold exactly p roots."""
+    repeat = np.tril(points[:, :, None] == points[:, None, :], -1).sum(axis=2)
+    z = points + repeat * _SPLIT * np.maximum(1.0, np.abs(points))
+    radii, residuals = _inclusion_radii(coeffs, z)
+    label = disc_components(z, radii)
+    again = np.flatnonzero(np.isfinite(radii).all(axis=1)
+                           & (label != np.arange(z.shape[1])).any(axis=1))
+    if again.size:
+        z[again] = _spread_clusters(z[again], radii[again])
+        radii[again], residuals[again] = _inclusion_radii(coeffs[:, again], z[again])
+        label = disc_components(z, radii)
+    return z, radii, residuals, np.isfinite(radii).all(axis=1), label
+
+
+def _det_spread(singular: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """prod_i (s_i + eta) - prod_i s_i over the singular values s of a
+    matrix, summed as eta sum_i prod_(j < i) (s_j + eta) prod_(j > i) s_j,
+    without cancellation: the bound of Ipsen and Rehman on
+    |det(A + E) - det A| for ||E||_2 <= eta."""
+    eta = eta[..., None]
+    one = np.ones_like(eta)
+    before = np.cumprod(np.concatenate([one, singular[..., :-1] + eta], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([one, singular[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    return eta[..., 0] * np.sum(before * after, axis=-1)
+
+
+def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, residuals) at distinct points z[b] of det P_b, one per root
+    counted with multiplicity, for polynomials coeffs[:, b] of shape
+    (m + 1, k, k): the radius n |W_i| of the inclusion disc of every point
+    and the computed |det P_b(z_i)|.
+
+    W_i = det P(z_i) / (det A_m prod_(j != i) (z_i - z_j)) is the
+    Weierstrass correction.  The matrix diag(z) - W 1^T has the
+    characteristic polynomial det P / det A_m, and its Gerschgorin discs
+    D(z_i - W_i, (n - 1) |W_i|) lie in D(z_i, n |W_i|): a connected
+    component of p of these discs holds exactly p roots of det P
+    (Braess-Hadeler; Carstensen, Numer. Math. 59 (1991)).  |det P(z_i)|
+    takes a rounding allowance so that this holds for computed values:
+    for a system, `_det_spread` of the singular values of the computed
+    P(z_i) at eta = _EVAL_ROUNDING sum_j ||A_j||_F |z_i|^j, which covers
+    the Horner pass, the LU factorization and the singular values (det A_m
+    takes off its own); for a scalar, evaluated in extended precision,
+    4 m eps sum_j |a_j| |z_i|^j, eps the machine epsilon of np.longdouble.
+    The radius takes _QUOTIENT_ROUNDING more, relative, for the product
+    and the quotient.  A radius is inf or NaN, without a warning, where a
+    value or the product overflows or det A_m is within its allowance of 0."""
+    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # P scaled exactly by a power of two, so that its scale alone overflows nothing
+        shift = (1 - np.frexp(np.max(np.abs(coeffs), axis=(0, 2, 3)))[1])[:, None, None]
+        coeffs = np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
+        stack = coeffs[:, :, None]
+        values = matrix_polyval(stack, z)
+        residuals = np.abs(_det(values))
+        # Frobenius norms that neither overflow nor underflow
+        norms = np.hypot.reduce(np.abs(coeffs).reshape(*coeffs.shape[:2], k * k), axis=-1)
+        size = np.polynomial.polynomial.polyval(np.abs(z), norms[:, :, None], tensor=False)
+        lead = np.abs(_det(coeffs[-1]))
+        if k == 1:
+            dets = np.abs(matrix_polyval(stack.astype(np.clongdouble), z)[..., 0, 0]).astype(float)
+            dets += 4 * m * _EXTENDED_EPS * size
+        else:
+            finite = np.isfinite(values).all(axis=(-2, -1))
+            singular = np.full(values.shape[:-1], np.inf)
+            singular[finite] = np.linalg.svd(values[finite], compute_uv=False)
+            dets = residuals + _det_spread(singular, _EVAL_ROUNDING * size)
+            lead = np.maximum(lead - _det_spread(np.linalg.svd(coeffs[-1], compute_uv=False),
+                                                 _EVAL_ROUNDING * norms[-1]), 0.0)
+        gaps = z[:, :, None] - z[:, None, :]
+        gaps[:, np.arange(z.shape[1]), np.arange(z.shape[1])] = 1.0
+        bound = lead[:, None] * np.abs(gaps.prod(axis=2))
+        radii = (z.shape[1] * (1 + _QUOTIENT_ROUNDING)) * dets / bound
+    radii[np.isinf(bound)] = np.inf  # a product past the largest float bounds nothing
+    return radii, residuals
+
+
+def _spread_clusters(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """z with the points of every cluster moved onto a circle around their
+    mean, so that its inclusion discs come out tight.  rho_q(i) =
+    (|W_i| d_1 ... d_(q-1))^(1/q), d_t the distance from z_i to its t-th
+    nearest point, estimates the radius within which |det P| keeps its
+    size at z_i if z_i belongs with its q - 1 nearest points (|W_i| grows
+    as the points of a p-fold root close in).  Point i takes the least q
+    whose next point lies beyond 4 rho_q (1 + n / q); points so linked,
+    either way, form a cluster.  Its p points go onto the circle of radius
+    2 rho_p (the largest over its points, and at least their spread)
+    around their mean, at angles 2 pi (j + 1/2) / p, where the cluster's
+    discs reach about 2 rho_p (1 + n / p).  Any distinct points give valid
+    discs; these give tight ones."""
+    z = z.copy()
+    n = z.shape[1]
+    q = np.arange(1, n + 1)
+    dist = np.abs(z[:, :, None] - z[:, None, :])
+    order = np.argsort(dist, axis=2)  # the point itself first
+    near = np.take_along_axis(dist, order, axis=2)
+    rho = np.cumprod(np.concatenate([radii[:, :, None] / n, near[:, :, 1:]], axis=2),
+                     axis=2) ** (1 / q)
+    beyond = np.concatenate([near[:, :, 1:], np.full(near.shape[:2] + (1,), np.inf)], axis=2)
+    size = np.argmax(beyond > 4 * rho * (1 + n / q), axis=2) + 1
+    link = np.take_along_axis(np.arange(n) < size[:, :, None], np.argsort(order, axis=2), axis=2)
+    label = components(link | link.swapaxes(1, 2))
+    for b, row in enumerate(label):
+        for lead in np.flatnonzero(np.bincount(row, minlength=n) > 1):
+            g = np.flatnonzero(row == lead)
+            center = z[b, g].mean()
+            reach = max(np.max(rho[b, g, g.size - 1]), np.max(np.abs(z[b, g] - center)))
+            z[b, g] = center + 2 * reach * np.exp(2j * np.pi * (np.arange(g.size) + 0.5) / g.size)
+    return z
 
 
 def cluster_counts(coeffs: np.ndarray, points: np.ndarray, radii: np.ndarray,

@@ -1,24 +1,20 @@
 """Numerical cross-checks of the symbolic verdicts.
 
-The machinery differs from the decision engine's: the points, disc
-radii, cluster centers and failure messages are each side's own, and
-only the step from discs to counted clusters (`limitops.cluster_counts`)
-is shared.  Where the engine solves a mode's matrix polynomial P(tau)
-through its companion matrix and resolves the eigenvalues by
-`fredholm._resolve_roots`, the oracle re-finds the roots of det P by
+The oracle shares with the decision engine only the disc theorem with
+its rounding allowance (`limitops.inclusion_discs`: a connected component
+of p discs holds exactly p roots) and the step from discs to counted
+clusters (`limitops.cluster_counts`); its points, cluster centers,
+matching of the report and line scans are its own.  Where the engine
+resolves the eigenvalues of a mode's companion matrix
+(`fredholm._resolve_roots`), the oracle re-finds the roots of det P by
 Aberth-Ehrlich iteration on tr(P^-1 P'), started on the circles of the
-tropical roots of the norms ||A_j|| (the Newton polygon of
-log ||A_j||), and certifies them with inclusion discs.  With W_i the
-Weierstrass corrections of its n iterates z_i, a connected component of
-p of the discs D(z_i, n |W_i|) holds exactly p roots (Gerschgorin's
-theorem on diag(z) - W 1^T; Braess-Hadeler, Carstensen), and every
-|det P(z_i)| carries a stated rounding allowance: one determinant per
-root.  A component of one disc is a simple root.  A component of more,
-a cluster (a multiple root, or roots closer than rounding lets det P
-resolve), has its count confirmed a second way, by the winding number of
-det P around one box, and its center is a contour moment.  Line
-verdicts are confirmed by scanning smallest singular values of the
-indicial family on the tested line.
+tropical roots of the norms ||A_j|| (the Newton polygon of log ||A_j||),
+and takes the discs of its iterates, one determinant per root.  A
+component of one disc is a simple root.  A cluster, a component of more
+(a multiple root, or roots closer than rounding lets det P resolve), has
+its count confirmed by the winding number of det P around one box, and
+its center is a contour moment.  Line verdicts are confirmed by scanning
+smallest singular values of the indicial family on the tested line.
 
 The oracle solves all mode classes of a family in one batch per
 polynomial shape (m + 1, k, k): one stacked SVD for the floor on the
@@ -75,9 +71,8 @@ from .limitops import (
     IndicialFamily,
     _det,
     cluster_counts,
-    components,
-    disc_components,
     freeze_coefficients,
+    inclusion_discs,
     indicial_family,
     matrix_polyval,
     newton_correction,
@@ -344,9 +339,6 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
 
 
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
-_SPLIT = 1e-10  # relative: how far apart iterates that coincide exactly are moved
-_EXTENDED_EPS = float(np.finfo(np.longdouble).eps)  # machine epsilon of a scalar's Horner pass
-_EVAL_ROUNDING = 2.0 ** -46  # a system's evaluation error, relative to sum_j ||A_j||_F |z|^j
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # moment quadrature nodes
 
 
@@ -419,64 +411,6 @@ def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
     return out
 
 
-def _det_spread(singular: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """prod_i (s_i + eta) - prod_i s_i over the singular values s of a
-    matrix, summed as eta sum_i prod_(j < i) (s_j + eta) prod_(j > i) s_j,
-    without cancellation: the bound of Ipsen and Rehman on
-    |det(A + E) - det A| for ||E||_2 <= eta."""
-    eta = eta[..., None]
-    one = np.ones_like(eta)
-    before = np.cumprod(np.concatenate([one, singular[..., :-1] + eta], axis=-1), axis=-1)
-    after = np.cumprod(np.concatenate([one, singular[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-    return eta[..., 0] * np.sum(before * after, axis=-1)
-
-
-def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(radii, residuals) at distinct points z[b] of det P_b, one per root
-    counted with multiplicity, for polynomials coeffs[:, b] of shape
-    (m + 1, k, k): the radius n |W_i| of the inclusion disc of every point
-    and the computed |det P_b(z_i)|.
-
-    W_i = det P(z_i) / (det A_m prod_(j != i) (z_i - z_j)) is the
-    Weierstrass correction.  The matrix diag(z) - W 1^T has the
-    characteristic polynomial det P / det A_m, and its Gerschgorin discs
-    D(z_i - W_i, (n - 1) |W_i|) lie in D(z_i, n |W_i|): a connected
-    component of p of these discs holds exactly p roots of det P
-    (Braess-Hadeler; Carstensen).  |det P(z_i)| takes a rounding allowance
-    so that this holds for computed values.  For a system it is
-    `_det_spread` of the singular values of the computed P(z_i) at
-    eta = _EVAL_ROUNDING sum_j ||A_j||_F |z_i|^j, which covers the Horner
-    pass, the LU factorization and the singular values themselves; det A_m
-    takes off its own.  A scalar's value comes from a Horner pass in
-    extended precision, within 4 m eps sum_j |a_j| |z_i|^j of the exact
-    one, eps the machine epsilon of np.longdouble.  The radius takes 1e-12
-    more, relative, for the rounding of the product and the quotient.  A
-    radius is inf or NaN where a value overflows or det A_m is within its
-    allowance of 0."""
-    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
-    stack = coeffs[:, :, None]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = matrix_polyval(stack, z)
-        residuals = np.abs(_det(values))
-        norms = np.linalg.norm(coeffs, axis=(-2, -1))
-        size = np.polynomial.polynomial.polyval(np.abs(z), norms[:, :, None], tensor=False)
-        lead = np.abs(_det(coeffs[-1]))
-        if k == 1:
-            dets = np.abs(matrix_polyval(stack.astype(np.clongdouble), z)[..., 0, 0]).astype(float)
-            dets += 4 * m * _EXTENDED_EPS * size
-        else:
-            finite = np.isfinite(values).all(axis=(-2, -1))
-            singular = np.full(values.shape[:-1], np.inf)
-            singular[finite] = np.linalg.svd(values[finite], compute_uv=False)
-            dets = residuals + _det_spread(singular, _EVAL_ROUNDING * size)
-            lead = np.maximum(lead - _det_spread(np.linalg.svd(coeffs[-1], compute_uv=False),
-                                                 _EVAL_ROUNDING * norms[-1]), 0.0)
-        gaps = z[:, :, None] - z[:, None, :]
-        gaps[:, np.arange(z.shape[1]), np.arange(z.shape[1])] = 1.0
-        radii = (z.shape[1] * (1 + _ROUNDING)) * dets / (lead[:, None] * np.abs(gaps.prod(axis=2)))
-    return radii, residuals
-
-
 def _tropical_starts(coeffs: np.ndarray) -> np.ndarray:
     """The n = m k starting points of the Aberth-Ehrlich iteration of each
     polynomial coeffs[:, b] of shape (m + 1, k, k), as a (B, n) array: k
@@ -545,22 +479,17 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
     with an iterate still moving, for P and P' at all its iterates
     (`_values_and_slopes`), and one batched LU solve for the Newton
     corrections of the moving iterates (`limitops.newton_from_values`).
-    Iterates that coincide exactly are moved _SPLIT apart, relative.  One
-    batched `limitops._det` pass gives their inclusion discs
-    (`_inclusion_radii`).  Where discs meet, the points of each cluster
-    are spread on a circle (`_spread_clusters`) and the discs of that
-    polynomial are taken again.  The connected components of the discs
-    are the roots.  A component of one disc is a simple root at its
-    point, with no contour and no Newton step.  A component of p > 1
-    discs, a cluster, must have its count confirmed by the winding number
-    of det P around one box that holds all its discs, for every
-    polynomial with a cluster in one `limitops.cluster_counts` call.  A
+    `limitops.inclusion_discs` gives their inclusion discs, whose
+    connected components are the roots.  A component of one disc is a
+    simple root at its point, with no contour and no Newton step.  A
+    component of p > 1 discs, a cluster, must have its count confirmed by
+    the winding number of det P around one box that holds all its discs,
+    for every polynomial with a cluster in one `limitops.cluster_counts`
+    call.  A
     polynomial fails alone: on a disc that is not finite (a value that
     overflows), a count that does not settle, or a count other than p.
     Iterates converge only linearly to a multiple root, so a cluster is
     centered at a contour moment (`_cluster_roots`)."""
-    m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
-    n = m * k
     z = _tropical_starts(coeffs)
     block = np.moveaxis(coeffs, 0, 1)
     active = np.ones(z.shape, dtype=bool)
@@ -582,26 +511,9 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
             step[~np.isfinite(step)] = 0
             z[rows, cols] -= step
             active[rows, cols] = np.abs(step) > 1e-13 * np.maximum(1.0, np.abs(z[rows, cols]))
-    z = np.sort(z, axis=1)
-    # the t-th repeat of a value moves by t * _SPLIT * max(1, |z|)
-    pos = np.arange(n)
-    first = np.ones(z.shape, dtype=bool)
-    first[:, 1:] = z[:, 1:] != z[:, :-1]
-    repeat = pos - np.maximum.accumulate(np.where(first, pos, 0), axis=1)
-    z = z + repeat * _SPLIT * np.maximum(1.0, np.abs(z))
-    radii, residuals = _inclusion_radii(coeffs, z)
-    finite = np.isfinite(radii).all(axis=1)
-    # the points of a cluster sit closer than rounding lets det P resolve
-    # them, so their discs are far wider than the cluster: spread them and
-    # take the discs again
-    label = disc_components(z, radii)
-    again = np.flatnonzero(finite & (label != pos).any(axis=1))
-    if again.size:
-        z[again] = _spread_clusters(z[again], radii[again])
-        radii[again], residuals[again] = _inclusion_radii(coeffs[:, again], z[again])
-        finite = np.isfinite(radii).all(axis=1)
-        label = disc_components(z, radii)
-    clusters = cluster_counts(coeffs, z, radii, np.flatnonzero(finite & (label != pos).any(axis=1)))
+    z, radii, residuals, finite, label = inclusion_discs(coeffs, np.sort(z, axis=1))
+    clusters = cluster_counts(coeffs, z, radii,
+                              np.flatnonzero(finite & (label != np.arange(z.shape[1])).any(axis=1)))
     results = []
     for b, s in enumerate(scale):
         if not finite[b]:
@@ -625,43 +537,6 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
             results.append((_cluster_roots(coeffs[:, b], z[b], radii[b], residuals[b],
                                            parts, boxes, s), None))
     return results
-
-
-def _spread_clusters(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """z with the points of every cluster moved onto a circle around their
-    mean, so that its inclusion discs come out tight.
-
-    The points of a p-fold root sit closer than rounding lets det P
-    resolve them, and |W_i| grows as they close in.  For q = 1, 2, ...,
-    rho_q(i) = (|W_i| d_1 ... d_(q-1))^(1/q), with d_t the distance from
-    z_i to its t-th nearest point, estimates the radius within which
-    |det P| stays at its size at z_i if z_i belongs with its q - 1 nearest
-    points.  Point i takes the least q whose next point lies beyond
-    4 rho_q (1 + n / q); points linked that way, in either direction, form a
-    cluster.  Its p points go onto the circle of radius 2 rho_p (rho_p the
-    largest over its points, and at least their spread) around their mean,
-    at angles 2 pi (j + 1/2) / p.  There |W| is about 2 rho_p / p, so the
-    cluster's discs reach about 2 rho_p (1 + n / p) from the mean.  Any
-    distinct points give valid discs; these give tight ones."""
-    z = z.copy()
-    n = z.shape[1]
-    q = np.arange(1, n + 1)
-    dist = np.abs(z[:, :, None] - z[:, None, :])
-    order = np.argsort(dist, axis=2)  # the point itself first
-    near = np.take_along_axis(dist, order, axis=2)
-    rho = np.cumprod(np.concatenate([radii[:, :, None] / n, near[:, :, 1:]], axis=2),
-                     axis=2) ** (1 / q)
-    beyond = np.concatenate([near[:, :, 1:], np.full(near.shape[:2] + (1,), np.inf)], axis=2)
-    size = np.argmax(beyond > 4 * rho * (1 + n / q), axis=2) + 1
-    link = np.take_along_axis(np.arange(n) < size[:, :, None], np.argsort(order, axis=2), axis=2)
-    label = components(link | link.swapaxes(1, 2))
-    for b, row in enumerate(label):
-        for lead in np.flatnonzero(np.bincount(row, minlength=n) > 1):
-            g = np.flatnonzero(row == lead)
-            center = z[b, g].mean()
-            reach = max(np.max(rho[b, g, g.size - 1]), np.max(np.abs(z[b, g] - center)))
-            z[b, g] = center + 2 * reach * np.exp(2j * np.pi * (np.arange(g.size) + 0.5) / g.size)
-    return z
 
 
 def _cluster_roots(own: np.ndarray, z: np.ndarray, radii: np.ndarray, residuals: np.ndarray,

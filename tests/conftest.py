@@ -238,6 +238,31 @@ def merge_case(case):
         for j in range(4)})
 
 
+def two_double_roots_system():
+    """S p(T) S^-1 on the circle, T = r d/dr, with S a seeded standard
+    normal 2x2 matrix and p the quadratic with roots tau = -5.5 - 1.5i and
+    6 - 0.5i (T^j takes the coefficient of tau^j over i^j): two double
+    roots 12 apart on every mode, z = 1.5 - 5.5i and 0.5 + 6i.  Not
+    elliptic: no tangential term."""
+    s = np.random.default_rng(39).standard_normal((2, 2))
+    p = np.polynomial.polynomial.polyfromroots([-5.5 - 1.5j, 6 - 0.5j])
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(j): Coefficient.constant(s @ (c * np.eye(2)) @ np.linalg.inv(s) / 1j ** j)
+        for j, c in enumerate(p)})
+
+
+def near_singular_leading_system():
+    """(T^2 diag(1, L - 1 + 1e-15) + I L - 2I) on the circle, T = r d/dr:
+    on mode k=1 the leading matrix is diag(-1, -9.99e-16), of full rank
+    by `np.linalg.matrix_rank`, and det P has the roots +-i sqrt(3) and
+    +-i sqrt(3 / 9.99e-16) = +-5.479e7 i.  Not elliptic."""
+    top = Coefficient([CoeffTerm(0.0, np.diag([1.0, 0.0])),
+                       CoeffTerm(0.0, np.diag([0.0, 1.0]), (-1.0 + 1e-15, 1.0))])
+    return make_operator(LieStructure.b(1), CrossSection.circle(), {
+        MultiIndex(2): top, MultiIndex(0, (), 1): Coefficient.constant(np.eye(2)),
+        MultiIndex(0): Coefficient.constant(-2.0 * np.eye(2))})
+
+
 def diagonal_system():
     """I T^2 + I L + diag(1, 2) on the circle, T = r d/dr: det P on mode k
     is (tau^2 + k^2 - 1)(tau^2 + k^2 - 2), a double root at 0 on k = +-1."""

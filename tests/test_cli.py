@@ -1,5 +1,6 @@
 """Spec files, commands, exit codes, determinism, report formatting."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 import fredholm_kit
 from fredholm_kit import (
     FredholmOptions,
+    IndicialRoot,
     RadialGrid,
     RootTable,
     cross_check,
@@ -29,9 +31,11 @@ from fredholm_kit.cli import (
     serialize_operator,
 )
 from conftest import (
+    MERGE_CASES,
     b_system_order4_singular,
     diagonal_system,
     merge_case,
+    merge_case_roots,
     shared_class_root_roots,
     shared_class_root_table,
     windowed_trig,
@@ -464,17 +468,42 @@ def test_verify_passes_on_a_double_root_of_a_diagonal_system(tmp_path, runner, w
     assert all(e["status"] != "fail" for e in entries)
 
 
+# the root lists the sensitivity discs of an earlier engine merged: case
+# A, x4 at r + 0.025; case B, all six roots at their mean
+MERGED_ROOTS = {"A": lambda r, near: [(r + near / 4, 4), (r - 1, 1), (r + 2j, 1)],
+                "B": lambda r, near: [(r + (near - 1 + 2j) / 6, 6)]}
+
+
 @pytest.mark.parametrize("case, detail", [
     ("A", "brute root tau=1+0.5j (x3) missing from report"),
     ("B", "brute root tau=99+50j (x1) missing from report"),
 ])
 def test_verify_fails_a_merged_root_list(tmp_path, runner, case, detail):
-    # the engine merges r x3 with its neighbour (case A: x4 at r + 0.025;
-    # case B: x6 with r - 1 as well); the oracle's discs keep them apart
-    path = write(tmp_path, "spec.json", serialize_operator(merge_case(case)))
+    # the engine's inclusion discs keep r x3 apart from r - 1 and r + 2i,
+    # and in case A from r + 0.1; in case B r + 0.01 lies within the reach
+    # of the triple root, so one cluster of 4 holds both, as in the oracle
+    p = merge_case(case)
+    want = merge_case_roots(case)
+    if case == "B":
+        (r, _), (near, _), *rest = want
+        want = [((3 * r + near) / 4, 4), *rest]
+    path = write(tmp_path, "spec.json", serialize_operator(p))
+    res = runner.invoke(main, ["check", path, "--weight", "0", "--cutoff", "1", "--format", "json"])
+    listed = json.loads(res.stdout)["indicial_roots"]
+    for mode in ("k=0", "k=1"):
+        got = [(complex(*r["tau"]), r["multiplicity"]) for r in listed if r["mode"] == mode]
+        assert sorted(m for _, m in got) == sorted(m for _, m in want)
+        for z, m in want:
+            assert any(n == m and abs(w - z) <= 1e-7 * abs(z) for w, n in got), (mode, z, m)
     code, entries = verify_entries(runner, path, "--weight", "0", "--cutoff", "1")
-    assert code == 4
-    failed = [e for e in entries if e["status"] == "fail"]
+    assert code == 1 and all(e["status"] != "fail" for e in entries)
+    # a report doctored to the merged list still fails
+    opts = FredholmOptions(mode_cutoff=1.0)
+    report = fredholm_check(p, 0.0, opts)
+    merged = RootTable.from_roots([IndicialRoot(mode, tau, 1j * tau, m) for mode in ("k=0", "k=1")
+                                   for tau, m in MERGED_ROOTS[case](*MERGE_CASES[case])])
+    ledger = cross_check(p, dataclasses.replace(report, roots=merged), opts)
+    failed = [e.as_dict() for e in ledger.entries if e.status == "fail"]
     assert failed[0] == {"name": "roots[k=0]", "status": "fail", "detail": detail}
     assert {e["name"] for e in failed} == {"roots[k=0]", "roots[k=1]"}
 
@@ -758,8 +787,9 @@ def _scaled_identity_terms(scale, constant):
 
 def test_overflowing_determinant_is_an_error_not_a_verdict(tmp_path):
     # det P(tau) of these 2x2 coefficients overflows on the root contours,
-    # so the winding total is NaN.  In a fresh interpreter: numpy's
-    # overflow warnings would be errors in this one
+    # so the winding total is NaN: a named failure, not four simple roots
+    # at 0.  In a fresh interpreter: numpy's overflow warnings would be
+    # errors in this one
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(dict(SHIFTED_CYLINDER, system_size=2,
                                     terms=_scaled_identity_terms(1e200, False))))
@@ -798,11 +828,11 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # specs, check of three systems specs at two weights and two cutoffs,
     # nine root-failure runs (check/roots/verify of two singular leading
     # matrices, one more check, close roots, an overflowing scan), two
-    # line-scan runs, seven verify runs of the oracle's root certificates,
+    # line-scan runs, nine verify runs of the oracle's root certificates,
     # text check and text/JSON roots of two modes specs, and five runs
     # whose companion matrix overflows
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 9 + 2 + 7 + 2 * 3 + 5
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 9 + 2 + 9 + 2 * 3 + 5
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

@@ -1,9 +1,12 @@
 """The decision engine: roots, line tests, symbol scans, verdicts, weights."""
 
 import ast
+import cmath
+import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +50,7 @@ from fredholm_kit import (
 )
 from fredholm_kit import fredholm
 from fredholm_kit.cli import main as cli_main, serialize_operator
-from fredholm_kit.fredholm import certified_weight_range
+from fredholm_kit.fredholm import ROOTS_NOT_COMPUTED, certified_weight_range
 from fredholm_kit.limitops import freeze_coefficients
 from fredholm_kit.opalg import (
     FLOOR_DIRECTIONS,
@@ -68,12 +71,14 @@ from conftest import (
     b_system_order4_singular,
     b_system_shifted,
     degree_drop_system,
+    near_singular_leading_system,
     order2_mellin_roots,
     order4_mellin_roots,
     random_b_operator,
     shared_class_root_roots,
     shared_class_root_table,
     shifted_mellin_roots,
+    two_double_roots_system,
 )
 
 B1 = LieStructure.b(1)
@@ -251,25 +256,23 @@ def test_a_singular_leading_matrix_belongs_to_a_non_elliptic_operator():
         assert cross_check(p, report, opts).passed, (draw, p)
 
 
-def test_root_failure_names_the_first_failing_class(monkeypatch):
-    # one degree batch, k=0, k=1, k=2, roots +-i sqrt(k^2 + 1): k=0 gets
-    # two approximations of one simple root (a winding failure), k=1 an
-    # approximation 1e-3 off (a Newton failure); the error names k=0, the
-    # first class solved, although its failure comes from the later pass
-    eigvals = np.linalg.eigvals
-
-    def spoiled(a):
-        points = eigvals(a)
-        points[0, 1] = points[0, 0] * (1 + 1e-12)
-        points[1, 0] += 1e-3
-        return points
-
-    fam = family_of(cylinder_shifted(1.0), 4.5)
-    monkeypatch.setattr(np.linalg, "eigvals", spoiled)
-    with pytest.raises(FredholmKitError, match=r"^root refinement failed on mode k=0: "
-                                               r"winding number 1 around tau=.* disagrees "
-                                               r"with 2 merged roots$"):
-        indicial_roots(fam)
+def test_root_failure_names_the_first_failing_class():
+    # one degree batch, k=0, k=1, k=2 of near_singular_leading_system(): the
+    # leading matrix diag(-1, -1e-15) of k=1 is within its rounding
+    # allowance of singular, so its inclusion discs are not finite; k=2,
+    # given a leading matrix of 5e-324 I, fails before the roots are
+    # resolved.  The error names k=1, the first failing class, although
+    # k=2's failure comes from the earlier pass
+    fam = family_of(near_singular_leading_system(), 4.5)
+    assert fam.channels.labels == ("k=0", "k=1", "k=2")
+    coeffs = fam.coeffs.copy()
+    coeffs[2, -1] = 5e-324 * np.eye(2)
+    with pytest.raises(FredholmKitError, match=r"^root refinement failed on mode k=1: "
+                                               r"inclusion disc not finite at tau="):
+        indicial_roots(dataclasses.replace(fam, coeffs=coeffs))
+    [(_, failure)] = fredholm._linearized_roots(coeffs[2:].swapaxes(0, 1))
+    assert failure in ("the leading matrix is singular",
+                       "the block companion matrix is not finite")
 
 
 def test_non_elliptic_verdict_survives_a_root_failure():
@@ -1082,23 +1085,33 @@ def mode_roots(f):
     return out
 
 
-# c and d on a grid of 1/64, and the draws fixed: the engine can merge roots
-# 1e-6 apart and fail a double root beside a close one (ROADMAP item 4), and a
-# subnormal d fails the Newton step
+def on_grid(x):
+    return x * 64 == int(x * 64)
+
+
+# c and d free floats, or on a grid of 1/64, where the products and the
+# conjugation are exact: off the grid their rounding splits a multiple root
+# of p into simple roots of conjugate(p, d), which the engine then rightly
+# lists apart (T^2 + L, d = 0.12643404551702297: z = -d +- 1.36e-9 i on
+# k=0), so free floats draw only simple roots, at least 1/64 apart in k^2 + c
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.sampled_from([CIRCLE, CrossSection.torus(2)]),
-       st.lists(st.integers(-192, 192).map(lambda i: i / 64), min_size=1, max_size=3),
-       st.integers(-64, 64).map(lambda i: i / 64), st.floats(-1.0, 1.0))
+       st.lists(st.one_of(st.integers(-192, 192).map(lambda i: i / 64), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=3),
+       st.one_of(st.integers(-64, 64).map(lambda i: i / 64), st.floats(-1.0, 1.0)),
+       st.floats(-1.0, 1.0))
 def test_conjugation_shifts_roots_and_verdict_through_the_engine(cross, shifts, d, delta):
     """conjugate(p, d) = r^(-d) p r^d has the Mellin roots of p moved by
     -d, with their modes and multiplicities, so its line test at delta is
     p's at delta + d; p is a product of factors T^2 + L - c."""
+    table = spectrum(cross, 12.0)
+    if not all(map(on_grid, (*shifts, d))):
+        assume(np.diff(np.sort([*shifts, *-table.eigenvalues])).min() >= 1 / 64)
     factors = [make_operator(LieStructure.b(cross.dimension), cross, {
         MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0, MultiIndex(0): -c}) for c in shifts]
     p = factors[0]
     for q in factors[1:]:
         p = compose(p, q)
-    table = spectrum(cross, 12.0)
     fam = indicial_family(normal_operator(p), table)
     moved = indicial_family(normal_operator(conjugate(p, d)), table)
     want, got = mode_roots(fam), mode_roots(moved)
@@ -1111,6 +1124,124 @@ def test_conjugation_shifts_roots_and_verdict_through_the_engine(cross, shifts, 
             assert abs(left[j][0] - z) <= 1e-8 * max(1.0, abs(z))
             assert left.pop(j)[1] == m
     assert normal_invertible(moved, delta).status == normal_invertible(fam, delta + d).status
+
+
+# ---------------------------------------------------------------------------
+# root lists with exact truth: the engine groups its companion eigenvalues
+# by inclusion discs, so close roots neither merge nor fail
+# ---------------------------------------------------------------------------
+
+
+def shifted_laplacian(c):
+    """T^2 + L - c on the circle, T = r d/dr."""
+    return make_operator(B1, CIRCLE, {MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0,
+                                      MultiIndex(0): -c})
+
+
+def assert_mode_roots(f, truth, rel=1e-8):
+    """Every mode's roots are truth(k), a list of (Mellin root, multiplicity),
+    each within rel * max(1, |z|), with their multiplicities."""
+    got = mode_roots(f)
+    assert got.keys() == set(f.channels.labels)
+    for label, roots in got.items():
+        want = truth(int(label.split("=")[1]))
+        assert sorted(m for _, m in roots) == sorted(m for _, m in want), label
+        for z, m in want:
+            assert any(n == m and abs(w - z) <= rel * max(1.0, abs(z)) for w, n in roots), \
+                (label, z, m, roots)
+
+
+def test_two_double_roots_twelve_apart_stay_apart():
+    # an approximation where P is nearly the zero matrix once had a
+    # sensitivity disc of radius 4,400, which swallowed the other three
+    assert_mode_roots(family_of(two_double_roots_system(), 1.0),
+                      lambda k: [(1.5 - 5.5j, 2), (0.5 + 6j, 2)], 1e-7)
+
+
+@pytest.mark.parametrize("d", [0.0, 1.0])
+def test_roots_6e_minus_7_apart_stay_simple_after_a_weight_shift(d):
+    # T^2 + L - 1e-13: z = +-3.16e-7 on k=0; at z = -1 a disc that grew
+    # with |tau| once made them one double root.  Shifted, the constant
+    # coefficient 1 - 1e-13 is rounded, which moves the roots by 2e-10
+    fam = family_of(conjugate(shifted_laplacian(1e-13), d), 1.0)
+    roots = mode_roots(fam)["k=0"]
+    assert sorted(m for _, m in roots) == [1, 1]
+    for sign in (-1, 1):
+        assert any(abs(z + d - sign * math.sqrt(1e-13)) <= 1e-9 for z, _ in roots), roots
+
+
+def test_a_double_root_beside_a_close_simple_root_survives_a_weight_shift():
+    # (T^2 + L - 43/64)(T^2 + L - 11/16)^2, conjugated by 1/64: the double
+    # roots +-sqrt(k^2 + 11/16) lie 4.7e-3 / k from the simple ones
+    p = compose(shifted_laplacian(43 / 64), compose(shifted_laplacian(11 / 16),
+                                                    shifted_laplacian(11 / 16)))
+    fam = family_of(conjugate(p, 1 / 64), 12.0)
+    assert_mode_roots(fam, lambda k: [(sign * math.sqrt(k * k + c) - 1 / 64, m)
+                                      for c, m in ((43 / 64, 1), (11 / 16, 2))
+                                      for sign in (-1, 1)])
+
+
+def test_a_double_root_whose_newton_iterates_wander_stays_one_root():
+    # (tau - r)^2 with rounded coefficients: the companion eigenvalues lie
+    # 2.8e-7 apart, each in a lone disc of radius 1.4e-7, and the Newton
+    # steps wander into the other disc, so the discs grow to reach them
+    # and join
+    r = -0.9126964258413675 - 4.231036593493766j
+    coeffs = np.array([-17.06865588973972 + 7.723303952971589j,
+                       1.8253928516827347 + 8.462073186987531j, 1.0])
+    assert np.abs(coeffs - np.polynomial.polynomial.polyfromroots([r, r])).max() < 4e-15
+    [(roots, failure)] = fredholm._linearized_roots(coeffs[:, None, None, None])
+    assert failure is None and len(roots) == 1 and roots[0][1] == 2
+    assert abs(roots[0][0] - r) <= 1e-9
+
+
+@pytest.mark.parametrize("p, truth", [
+    # tau^2 - 2.2e-311 (T + 2.2e-311) - 0.629: the conjugation leaves
+    # subnormal coefficients
+    (conjugate(shifted_laplacian(-0.629), 2.2e-311),
+     lambda k: [(s * cmath.sqrt(k * k - 0.629) - 2.2e-311, 1) for s in (-1, 1)]),
+    # z = +-3.7e-151 on k=0, where the values at the roots are subnormal
+    (shifted_laplacian(1.4e-301),
+     lambda k: [(s * math.sqrt(k * k + 1.4e-301), 1) for s in (-1, 1)]),
+], ids=["subnormal-coefficients", "subnormal-values"])
+def test_roots_near_underflow_warn_nothing(p, truth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_mode_roots(family_of(p, 2.0), truth)
+
+
+def test_a_nearly_singular_leading_matrix_never_merges_four_roots():
+    # mode k=1 has leading matrix diag(-1, -9.99e-16) and the roots
+    # +-1.732i and +-5.479e7i; they are listed, or the roots fail by name
+    # and the verdict rests on ellipticity (not elliptic here)
+    opts = FredholmOptions(mode_cutoff=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fredholm_check(near_singular_leading_system(), 0.3, opts)
+    assert report.verdict == VERDICT_NOT and not report.elliptic.elliptic
+    if report.roots:
+        lead = (-1.0 + 1e-15) + 1.0  # the T^2 coefficient of the second block on k=1
+        found = [(r.mellin, r.multiplicity) for r in report.roots if r.mode == "k=1"]
+        assert sorted(m for _, m in found) == [1, 1, 1, 1], found
+        for z in (math.sqrt(3), math.sqrt(3 / lead)):
+            for sign in (-1, 1):
+                assert any(abs(w - sign * z) <= 1e-8 * z for w, _ in found), (z, found)
+    else:
+        [caveat] = [c for c in report.caveats if c.startswith(ROOTS_NOT_COMPUTED)]
+        assert "root refinement failed on mode k=1: inclusion disc not finite" in caveat
+
+
+@pytest.mark.parametrize("eps, mult", [(1e-2, [1, 1, 1, 1]), (1e-3, [1, 1, 1, 1]), (0.0, [2, 2])])
+def test_close_root_ladder_at_cutoff_1e4(eps, mult):
+    # (T^2 + L - 1)(T^2 + L - 1 - eps) on the circle up to k = 100, where
+    # +-sqrt(k^2 + 1) and +-sqrt(k^2 + 1 + eps) lie eps / 2k apart
+    p = compose(shifted_laplacian(1.0), shifted_laplacian(1.0 + eps))
+    fam = family_of(p, 1e4)
+    assert len(fam.channels.labels) == 101
+    shifts = {1.0: 1, 1.0 + eps: 1} if eps else {1.0: 2}
+    assert_mode_roots(fam, lambda k: [(s * math.sqrt(k * k + c), m)
+                                      for c, m in shifts.items() for s in (-1, 1)])
+    assert all(sorted(m for _, m in roots) == mult for roots in mode_roots(fam).values())
 
 
 # ---------------------------------------------------------------------------

@@ -425,25 +425,38 @@ def test_sc_symbol_rejects_mode_diagonal_coefficients():
         fredholm_check(p)
 
 
-def test_root_sensitivity_of_coefficients_near_the_largest_float():
-    # the Frobenius norm of diag(-1.7e308, -2) squares its entries; each
-    # coefficient is scaled by its largest entry first
-    coeffs = np.zeros((5, 2, 2), dtype=complex)
-    coeffs[0] = np.diag([-1.7e308, -2.0])
-    coeffs[4] = np.eye(2)
-    tau = 2 ** 0.25  # a root of tau^4 - 2, where the slope is 4 tau^3
+def test_inclusion_discs_of_coefficients_near_the_largest_float_warn_nothing():
+    # I tau^4 - diag(1.7e308, 2): the Frobenius norm of diag(-1.7e308, -2)
+    # squares its entries, and the values at the roots near 1.1e77 overflow
+    coeffs = np.zeros((5, 1, 2, 2), dtype=complex)
+    coeffs[0, 0] = np.diag([-1.7e308, -2.0])
+    coeffs[4, 0] = np.eye(2)
+    roots = [r * 1j ** j for r in (1.7e308 ** 0.25, 2 ** 0.25) for j in range(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = limitops.root_sensitivity(coeffs, np.array([tau]))
-    assert_allclose(got, [(1.7e308 + math.sqrt(2) * tau ** 4) / (4 * tau ** 3)], rtol=1e-12)
-    # ordinary coefficients: the unscaled norms, to rounding
-    row = np.random.default_rng(5).normal(size=(3, 2, 2)).astype(complex)
-    taus = np.array([0.3, 1.0 + 1.0j])
-    p, dp = limitops.matrix_polyval(row, taus, derivative=True)
-    u, _, vh = np.linalg.svd(p)
-    slope = np.abs(np.einsum("...j,...jl,...l->...", u[..., -1].conj(), dp, vh[..., -1, :].conj()))
-    size = sum(np.linalg.norm(a) * np.abs(taus) ** j for j, a in enumerate(row))
-    assert_allclose(limitops.root_sensitivity(row, taus), size / slope, rtol=1e-14)
+        z, radii, _, finite, _ = limitops.inclusion_discs(coeffs, np.array([roots]))
+    assert z.shape == radii.shape == (1, 8) and not finite[0]
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    # diag(tau - 1, tau - 2): a system's allowance 2^-46 sum_j ||A_j||_F |z|^j
+    # times the largest singular value of P(z), 1 at both roots
+    (np.array([np.diag([-1.0, -2.0]), np.eye(2)]),
+     [2 * 2.0 ** -46 * (math.sqrt(5) + z * math.sqrt(2)) for z in (1, 2)]),
+    # tau^2 - 3 tau + 2: a scalar's allowance 4 m eps sum_j |a_j| |z|^j, eps
+    # the machine epsilon of np.longdouble
+    (np.array([2.0, -3.0, 1.0])[:, None, None],
+     [2 * 8 * np.finfo(np.longdouble).eps * (2 + 3 * z + z * z) for z in (1, 2)]),
+], ids=["system", "scalar"])
+def test_inclusion_disc_at_an_exact_root_is_its_rounding_allowance(coeffs, want):
+    # at the exact roots 1 and 2 the computed det P is exactly 0, so the
+    # radius n |W| is the rounding allowance alone (n = 2, gap 1, det A_m = 1
+    # less its own allowance); a smaller disc would claim more than the
+    # computed values show
+    z, radii, residuals, finite, label = limitops.inclusion_discs(
+        coeffs[:, None].astype(complex), np.array([[1.0, 2.0]], dtype=complex))
+    assert finite[0] and label.tolist() == [[0, 1]] and residuals.tolist() == [[0.0, 0.0]]
+    assert_allclose(radii[0], want, rtol=1e-9)
 
 
 def test_newton_from_values_solves_once_and_falls_back_on_an_exact_root():

@@ -542,23 +542,23 @@ def test_resolve_roots_fails_each_polynomial_alone():
               for r in ([1.0, 1.0, -2.0], [0.5, -1.0, 3j], [2.0, -0.5j, 1.5])]
     # S diag(p_1, p_2, p_3) S^-1 with a double root at 1: merged, confirmed
     healthy = np.array([s @ np.diag(d) @ np.linalg.inv(s) for d in np.array(blocks).T])
-    coeffs = np.stack([healthy, ill_scaled_stack(30), ill_scaled_stack(1),
-                       ill_scaled_stack(30)], axis=1)
-    points = np.sort(np.stack([companion_eigenvalues(c) for c in np.moveaxis(coeffs, 1, 0)]))
-    # two approximations of one simple root: a winding number of 1 against
-    # 2 merged roots; on the Newton-failing polynomial the same merge never
-    # reaches the winding pass
-    points[2, 1] = points[2, 0] * (1 + 1e-12)
-    points[3, -1] = points[3, -2] * (1 + 1e-12)
+    # a leading matrix 1e-300 times as large puts the roots near 1e100,
+    # where the product of the gaps between them overflows: no finite disc
+    spread = healthy.copy()
+    spread[-1] *= 1e-300
+    # 1e120 times as large: det P overflows on the contour of the double root
+    coeffs = np.stack([healthy, spread, 1e120 * healthy, spread], axis=1)
+    points = np.stack([companion_eigenvalues(c) for c in np.moveaxis(coeffs, 1, 0)])
     batch = fredholm._resolve_roots(coeffs, points)
     for b, result in enumerate(batch):
         assert result == fredholm._resolve_roots(coeffs[:, [b]], points[[b]])[0]
     healthy_roots, failure = batch[0]
     assert failure is None and [m for _, m in healthy_roots].count(2) == 1
+    [double] = [tau for tau, m in healthy_roots if m == 2]
+    assert abs(double - 1) <= 1e-7
     assert all(roots is None for roots, _ in batch[1:])
-    assert batch[1][1].startswith("Newton step ")
-    assert batch[2][1].startswith("winding number 1 around tau=")
-    assert batch[2][1].endswith(" disagrees with 2 merged roots")
+    assert batch[1][1].startswith("inclusion disc not finite at tau=")
+    assert batch[2][1] == "contour counting failed to stabilize"
     assert batch[3][1] == batch[1][1]
 
 

@@ -36,19 +36,25 @@ Run it in each checkout and diff the two files.  Each line reads
   (tests/conftest.py; diag(T^2 + L - 1, T + L - 2), leading matrix
   diag(1, 0)) at cutoff 30; the JSON `check` of
   P_eps = (T^2 + L - 1)(T^2 + L - 1.01) on the circle, T = r d/dr, at
-  cutoff 1e4 (refinement fails on mode k=92, exit 3); and
+  cutoff 1e4 (four simple roots on every mode up to k = 100, the closest
+  5e-5 apart; Fredholm, exit 0); and
   `verify` of the 2x2 system T^2 + L + [[2, 0.5], [0, 3]] on the circle
   at weight 0.5 over `--tau-range -1e160 1e160`, whose line scan
   overflows (exit 3);
 - the JSON `verify` of the oracle's root certificates: I T^2 + I L +
   diag(1, 2) on the circle (a double root at 0 beside simple roots on
   mode k=1) at weights 0, 0.3 and 0.5, and the merge cases A and B of
-  tests/conftest.py (`merge_case`; weight 0, cutoff 1), whose root lists
-  the engine merges wrongly (exit 4), and at weight 0.3 two specs with
+  tests/conftest.py (`merge_case`; weight 0, cutoff 1), whose triple root
+  the engine's inclusion discs keep apart from its neighbours as the
+  oracle's do (NotFredholm, exit 1), and at weight 0.3 two specs with
   a mode whose constant coefficient vanishes, where the oracle starts
   iterates at the root 0: (r d/dr)^4 + L^2 - 16 on the circle (mode k=2
   is tau^4) and I T^2 + [[1, 0.5], [0, 2]] T + I L (mode 0 has a double
-  root at 0) (`quartic_laplacian`, `zero_constant_system`);
+  root at 0) (`quartic_laplacian`, `zero_constant_system`), then two
+  double roots 12 apart (`two_double_roots_system`; weight 0, cutoff 1)
+  and a leading matrix diag(-1, -1e-15) on mode k=1
+  (`near_singular_leading_system`; weight 0.3, cutoff 10), whose roots
+  fail by name (NotFredholm with a caveat, the roots skipped);
 - the JSON `verify` at weight 0 of two line scans the benchmark's specs
   do not reach: `b_system_shifted((-102.25, 1, 2, 3))` (tests/conftest.py)
   at cutoff 120, whose scan minimum sits on its last mode class, and
@@ -97,7 +103,9 @@ from conftest import (  # noqa: E402
     degree_drop_system,
     diagonal_system,
     merge_case,
+    near_singular_leading_system,
     quartic_laplacian,
+    two_double_roots_system,
     zero_constant_system,
 )
 from fredholm_kit import (  # noqa: E402
@@ -194,8 +202,8 @@ def _singular_leading_runs(name: str, op, cutoff: str):
 
 
 # (name, spec, command and options) of the runs whose roots or line
-# scan fail: a singular leading matrix, roots too close for one Newton
-# step, and a line scan that overflows
+# scan are hard: a singular leading matrix (it fails), close roots
+# (P_eps), and a line scan that overflows (it fails)
 FAILURE_SPECS = (
     *_singular_leading_runs("b_system_order4_singular", b_system_order4_singular(), "30"),
     ("b_system_order4_singular/4000", serialize_operator(b_system_order4_singular()),
@@ -211,9 +219,10 @@ FAILURE_SPECS = (
 
 
 # (name, spec, options) of the `verify` runs of the oracle's root
-# certificates: a double root of a diagonal system, root lists that the
-# engine merges wrongly, and modes whose constant coefficient vanishes
-# (the oracle starts iterates at 0)
+# certificates: a double root of a diagonal system, root lists that a
+# merge gets wrong, modes whose constant coefficient vanishes (the oracle
+# starts iterates at 0), two close double roots and a nearly singular
+# leading matrix
 ORACLE_SPECS = (
     *((f"diagonal_system/{weight}", serialize_operator(diagonal_system()),
        ["--weight", weight, "--format", "json"]) for weight in ("0", "0.3", "0.5")),
@@ -223,6 +232,10 @@ ORACLE_SPECS = (
      ["--weight", "0.3", "--format", "json"]),
     ("zero_constant_system", serialize_operator(zero_constant_system()),
      ["--weight", "0.3", "--format", "json"]),
+    ("two_double_roots", serialize_operator(two_double_roots_system()),
+     ["--weight", "0", "--cutoff", "1", "--format", "json"]),
+    ("near_singular_leading", serialize_operator(near_singular_leading_system()),
+     ["--weight", "0.3", "--cutoff", "10", "--format", "json"]),
 )
 
 
