@@ -122,6 +122,20 @@ _UNIT_SEGMENTS = {n: np.linspace(0.0, 1.0, n, endpoint=False)
                   for n in _RESOLUTIONS}
 
 
+def binary_scaled(coeffs: np.ndarray) -> np.ndarray:
+    """Each polynomial coeffs[:, b] of an (m + 1, B, k, k) batch times the
+    power of two that puts its largest coefficient modulus in [1, 2).  A
+    power of two scales without rounding (short of the subnormals), so the
+    roots and every ratio of values stay as they are, but neither the
+    determinant of a value nor its product with the gaps between roots
+    overflows or underflows on the scale of P alone."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a modulus past the floats: exponent 0
+        shift = (1 - np.frexp(np.max(np.abs(coeffs), axis=(0, 2, 3)))[1])[:, None, None]
+    out = np.empty(coeffs.shape, dtype=complex)
+    out.real, out.imag = np.ldexp(coeffs.real, shift), np.ldexp(coeffs.imag, shift)
+    return out
+
+
 def _det(stack: np.ndarray) -> np.ndarray:
     """Determinants of a (..., k, k) stack.  A 1 x 1 determinant is read
     directly: np.linalg.det runs LAPACK on each matrix and returns
@@ -287,10 +301,9 @@ def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.
     and the quotient.  A radius is inf or NaN, without a warning, where a
     value or the product overflows or det A_m is within its allowance of 0."""
     m, k = coeffs.shape[0] - 1, coeffs.shape[-1]
+    # P scaled exactly, so that its scale alone overflows nothing
+    coeffs = binary_scaled(coeffs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # P scaled exactly by a power of two, so that its scale alone overflows nothing
-        shift = (1 - np.frexp(np.max(np.abs(coeffs), axis=(0, 2, 3)))[1])[:, None, None]
-        coeffs = np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
         stack = coeffs[:, :, None]
         values = matrix_polyval(stack, z)
         residuals = np.abs(_det(values))
@@ -360,7 +373,9 @@ def cluster_counts(coeffs: np.ndarray, points: np.ndarray, radii: np.ndarray,
     mean of its points that holds all its discs, at least
     ROOT_TOL * max(1, |mean|) in half-width and capped by `root_boxes`,
     and its count the zeros of det P_b there (None if it does not
-    settle), from one `_winding_counts` call for all boxes."""
+    settle), from one `_winding_counts` call for all boxes on the
+    `binary_scaled` polynomials, whose determinants on a box neither
+    overflow nor underflow on the scale of P alone."""
     out = {}
     for b, label in zip(polys, disc_components(points[polys], radii[polys])):
         parts = [np.flatnonzero(label == c) for c in np.flatnonzero(label == np.arange(label.size))]
@@ -368,9 +383,9 @@ def cluster_counts(coeffs: np.ndarray, points: np.ndarray, radii: np.ndarray,
         reach = [np.max(np.abs(points[b, g] - c) + radii[b, g]) for g, c in zip(parts, centers)]
         half = np.maximum(ROOT_TOL * np.maximum(1.0, np.abs(centers)), reach)
         out[b] = parts, [box for g, box in zip(parts, root_boxes(centers, half)) if g.size > 1]
-    owners = [b for b, (_, boxes) in out.items() for _ in boxes]
-    counts = iter(_winding_counts(coeffs, [box for _, boxes in out.values() for box in boxes],
-                                  owners))
+    owners = [i for i, (_, boxes) in enumerate(out.values()) for _ in boxes]
+    counts = iter(_winding_counts(binary_scaled(coeffs[:, list(out)]),
+                                  [box for _, boxes in out.values() for box in boxes], owners))
     return {b: (parts, boxes, [next(counts) for _ in boxes]) for b, (parts, boxes) in out.items()}
 
 

@@ -7,9 +7,15 @@ clusters (`limitops.cluster_counts`); its points, cluster centers,
 matching of the report and line scans are its own.  Where the engine
 resolves the eigenvalues of a mode's companion matrix
 (`fredholm._resolve_roots`), the oracle re-finds the roots of det P by
-Aberth-Ehrlich iteration on tr(P^-1 P'), started on the circles of the
-tropical roots of the norms ||A_j|| (the Newton polygon of log ||A_j||),
-and takes the discs of its iterates, one determinant per root.  A
+Aberth-Ehrlich iteration on tr(P^-1 P'), and takes the discs of its
+iterates, one determinant per root.  As a verification method does
+(Rump, Acta Numerica 19 (2010)), `cross_check` starts the iteration next
+to the roots the report claims, and on the circles of the tropical roots
+of the norms ||A_j|| (the Newton polygon of log ||A_j||) wherever the
+report claims fewer roots than the polynomial has.  A claim only says
+where to look: every start takes at least one step, and the disc theorem
+holds for any distinct points (Carstensen, Numer. Math. 59 (1991)), so
+a wrong claim costs steps, never a wrong pass.  A
 component of one disc is a simple root.  A cluster, a component of more
 (a multiple root, or roots closer than rounding lets det P resolve), has
 its count confirmed by the winding number of det P around one box, and
@@ -57,6 +63,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -70,6 +77,7 @@ from .limitops import (
     ROOT_TOL,
     IndicialFamily,
     _det,
+    binary_scaled,
     cluster_counts,
     freeze_coefficients,
     inclusion_discs,
@@ -339,6 +347,7 @@ def scan_line(f: IndicialFamily, delta: float, trange=(-10.0, 10.0),
 
 
 _ABERTH_STEPS = 100  # iterations before the iterates are taken as they stand
+_START_OFFSET = 1e-6  # relative: how far a start sits from the claimed root it seeds
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # moment quadrature nodes
 
 
@@ -352,8 +361,9 @@ def brute_roots(coeffs) -> list[tuple[complex, int, float]]:
     in the power.  Returns (root, multiplicity, residual) triples, one per
     connected component of the inclusion discs: a simple root, or a
     cluster of as many roots as its multiplicity, centered at their mean.
-    The residual is |det| at the root of P(2^e sigma) scaled to a largest
-    coefficient of magnitude one (`_brute_roots_batch`).  Raises
+    The residual is |det| at the root of P(2^e sigma) scaled by the power
+    of two that puts its largest coefficient modulus in [1, 2)
+    (`_brute_roots_batch`).  Raises
     FredholmKitError when the roots cannot be found or confirmed.
     """
     (roots, failure), = _brute_roots_batch([coeffs])
@@ -362,23 +372,30 @@ def brute_roots(coeffs) -> list[tuple[complex, int, float]]:
     return [root[:3] for root in roots]
 
 
-def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
+def _brute_roots_batch(polys, near: np.ndarray | None = None) -> list[tuple[list | None, str | None]]:
     """`brute_roots` of many matrix polynomials at once, as (roots, None)
     or (None, failure detail) per polynomial, in order.  Each root is a
     (center, multiplicity, residual, discs) tuple, discs holding the
     (point, radius) pairs of its component of inclusion discs.
 
+    near, if given, says where to look: row i holds claimed roots of
+    polys[i], one per root counted with multiplicity, padded with NaN.
+    The first n finite ones of a polynomial of n roots seed its iteration
+    (`_brute_roots_group`); the rest of its starts stay tropical.
+
     The polynomials are trimmed of exact zero top coefficients.  Each
     takes tau = 2^e sigma, with 2^e the power of two nearest to
     (|A_0| / |A_m|)^(1/m) (largest entries; e = 0 when A_0 = 0), so that
     its end coefficients are of one size and the floor below does not
-    depend on the scale of tau.  The polynomials in sigma are scaled to a
-    largest coefficient of magnitude one and grouped by shape (m + 1, k, k).
-    Each group takes one stacked SVD for the floor of 1e-14 on the
-    smallest singular value of its leading coefficients and runs as one
-    batch (`_brute_roots_group`).  A power of two scales exactly, so the
-    roots map back to tau without rounding.  A failure fails only its own
-    polynomial, with the detail `brute_roots` raises for it alone."""
+    depend on the scale of tau.  The polynomials in sigma are scaled by
+    the power of two that puts their largest coefficient modulus in
+    [1, 2) (`limitops.binary_scaled`) and grouped by shape (m + 1, k, k).
+    Each group takes one stacked SVD for the floor of 1e-14, relative to
+    that largest modulus, on the smallest singular value of its leading
+    coefficients and runs as one batch.  Powers of two scale exactly, so
+    a multiple root stays one and the roots map back to tau without
+    rounding.  A failure fails only its own polynomial, with the detail
+    `brute_roots` raises for it alone."""
     out: list = [([], None) for _ in polys]  # a constant has no roots
     groups: dict[tuple, list] = {}
     for i, coeffs in enumerate(polys):
@@ -400,13 +417,19 @@ def _brute_roots_batch(polys) -> list[tuple[list | None, str | None]]:
         shift = (np.arange(n)[:, None] * e)[:, :, None, None]
         scaled = np.empty_like(coeffs)
         scaled.real, scaled.imag = np.ldexp(coeffs.real, shift), np.ldexp(coeffs.imag, shift)
-        coeffs = scaled / np.max(np.abs(scaled), axis=(0, 2, 3))[:, None, None]
-        low = np.linalg.svd(coeffs[-1], compute_uv=False)[:, -1] < 1e-14
+        coeffs = binary_scaled(scaled)
+        top = np.max(np.abs(coeffs), axis=(0, 2, 3))
+        low = np.linalg.svd(coeffs[-1], compute_uv=False)[:, -1] < 1e-14 * top
         for i in index[low]:
             out[i] = (None, "leading coefficient below 1e-14")
         if not low.all():
-            scale = np.ldexp(1.0, e[~low])
-            for i, result in zip(index[~low], _brute_roots_group(coeffs[:, ~low], scale)):
+            index = index[~low]
+            starts = np.full((index.size, (n - 1) * coeffs.shape[-1]), np.nan, dtype=complex)
+            if near is not None:
+                width = min(near.shape[1], starts.shape[1])
+                starts[:, :width] = near[index, :width]
+            for i, result in zip(index, _brute_roots_group(coeffs[:, ~low],
+                                                           np.ldexp(1.0, e[~low]), starts)):
                 out[i] = result
     return out
 
@@ -466,15 +489,23 @@ def _values_and_slopes(block: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np
     return values[:, 0], values[:, 1]
 
 
-def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list | None, str | None]]:
+def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray,
+                       near: np.ndarray) -> list[tuple[list | None, str | None]]:
     """Roots of det P_b(scale_b sigma) for a batch of polynomials
     coeffs[:, b] in sigma of one shape (m + 1, k, k), m >= 1, with
     invertible leading coefficients, reported in tau = scale_b sigma as
     `_brute_roots_batch` pairs.
 
     Aberth-Ehrlich iteration on tr(P^-1 P') gives n = m k iterates per
-    polynomial, started on the circles of the tropical roots of the
-    coefficient norms (`_tropical_starts`).  One step costs one batched
+    polynomial.  Iterate i starts near the claimed root near[b, i] (in
+    tau) where that start is finite, and on the circles of the tropical
+    roots of the coefficient norms (`_tropical_starts`) elsewhere.  A claimed root
+    tau is moved by _START_OFFSET max(1, |tau|) at the angle
+    0.7 + 2 pi (i + 1/2) / n, so no two starts coincide and no start is
+    taken as a root before it steps: each root is still found by this
+    iteration, and a claim only says where to look.  Nor do the discs
+    below depend on the starts, since the disc theorem holds for any
+    distinct points.  One step costs one batched
     product of power rows against the coefficients of every polynomial
     with an iterate still moving, for P and P' at all its iterates
     (`_values_and_slopes`), and one batched LU solve for the Newton
@@ -491,6 +522,11 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray) -> list[tuple[list
     Iterates converge only linearly to a multiple root, so a cluster is
     centered at a contour moment (`_cluster_roots`)."""
     z = _tropical_starts(coeffs)
+    turn = np.exp(1j * (0.7 + 2 * np.pi * (np.arange(z.shape[1]) + 0.5) / z.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a claim past the floats seeds nothing
+        start = (near + _START_OFFSET * np.maximum(1.0, np.abs(near)) * turn) / scale[:, None]
+    warm = np.isfinite(start)
+    z[warm] = start[warm]
     block = np.moveaxis(coeffs, 0, 1)
     active = np.ones(z.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -684,20 +720,40 @@ def _witness_entry(fam: IndicialFamily, delta: float, line, scans: dict) -> Ledg
                        f"(local min {local.global_min:.3e})")
 
 
+def _reported_starts(table: RootTable, lists: list, width: int) -> np.ndarray:
+    """The claimed roots of each polynomial, for `_brute_roots_batch`: row
+    i holds the class roots table.tau[j], j in lists[i], each repeated as
+    often as its multiplicity, in order, cut at width and padded with
+    NaN."""
+    counts = np.array([len(js) for js in lists], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(counts.sum()))
+    # no row holds more than width roots, whatever multiplicity a report claims
+    times = np.clip(table.multiplicity[flat], 0, width)
+    row = np.repeat(np.repeat(np.arange(len(lists)), counts), times)
+    per_row = np.bincount(row, minlength=len(lists))
+    col = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    keep = col < width
+    near = np.full((len(lists), width), np.nan, dtype=complex)
+    near[row[keep], col[keep]] = np.repeat(table.tau[flat], times)[keep]
+    return near
+
+
 def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
     """Re-derive every verdict in a report with independent machinery:
-    roots re-found by Aberth iteration on the true matrix polynomial and
-    certified by inclusion discs, with a winding count on every cluster;
+    roots re-found by Aberth iteration on the true matrix polynomial,
+    started next to the roots the report claims, and certified by
+    inclusion discs, with a winding count on every cluster;
     line scans for yes/no verdicts; a symbol rescan and |det| of the full
     symbol at the report's own witness covector.  Any mismatch fails the
     ledger with the first discrepancy spelled out.
 
     The roots of every nonzero class polynomial come from one call of
-    `_brute_roots_batch`; a class whose roots cannot be found or certified
-    fails the entries of its own channels only.  Each reported root
-    belongs to the component of discs it lies within ROOT_TOL of, and the
-    reported multiplicities in a component must sum to its count
-    (`_match_roots`).  The report's roots are read from their `RootTable`,
+    `_brute_roots_batch`, which starts each class at the roots its first
+    channel reports (`_reported_starts`); a class whose roots cannot be
+    found or certified fails the entries of its own channels only.  Each
+    reported root belongs to the component of discs it lies within
+    ROOT_TOL of, and the reported multiplicities in a component must sum
+    to its count (`_match_roots`).  The report's roots are read from their `RootTable`,
     without building an `IndicialRoot`, and matching runs once per class
     and list of reported class roots: a channel whose class and reported
     class roots equal an earlier channel's takes its result (a hand-built
@@ -732,17 +788,20 @@ def cross_check(p: BoundaryOperator, report, opts=None) -> CheckLedger:
             first, class_of = fam.class_rows
             reps = fam.coeffs[first]
             nonzero = np.flatnonzero(reps.any(axis=(1, 2, 3)))
-            by_class = [(None, "identically zero mode polynomial")] * len(first)
-            for c, found in zip(nonzero, _brute_roots_batch(list(reps[nonzero]))):
-                by_class[c] = found
-            passed = [None if found is None else
-                      f"{sum(root[1] for root in found)} roots re-found by contours"
-                      for found, _ in by_class]
             # the reported class roots of every channel, in listed order
             table = RootTable.from_roots(report.roots)
             reported: dict[str, list] = {}
             for i, j in table.listed():
                 reported.setdefault(table.labels[i], []).append(j)
+            near = _reported_starts(table, [reported.get(fam.channels.labels[f], ())
+                                            for f in first[nonzero].tolist()],
+                                    (reps.shape[1] - 1) * reps.shape[-1])
+            by_class = [(None, "identically zero mode polynomial")] * len(first)
+            for c, found in zip(nonzero, _brute_roots_batch(list(reps[nonzero]), near)):
+                by_class[c] = found
+            passed = [None if found is None else
+                      f"{sum(root[1] for root in found)} roots re-found by contours"
+                      for found, _ in by_class]
             taus, mults = table.tau.tolist(), table.multiplicity.tolist()
             matched: dict[tuple, str | None] = {}  # (class, reported class roots) -> failure
             for label, c in zip(fam.channels.labels, class_of.tolist()):

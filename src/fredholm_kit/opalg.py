@@ -16,7 +16,8 @@ of L contributes -|eta|^2 to the principal symbol.
 Internally every operator is normal-ordered over the b generators
 T = r d/dr, d/dy_j and the plain Laplacian, where the only nontrivial
 commutation is T r^mu = r^mu (T + mu).  Composition, conjugation, and
-coefficient freezing are exact on monomial coefficients.
+coefficient freezing keep monomial coefficients monomial and drop no
+term; their coefficient arithmetic rounds (`conjugate`).
 
 Symbols are built in one place: `symbol_monomial` evaluates
 (i xi)^a (-|eta|^2)^l prod_j (i eta_j)^p_j for a stack of covectors and
@@ -710,7 +711,15 @@ def compose(p: BoundaryOperator, q: BoundaryOperator) -> BoundaryOperator:
 
 
 def conjugate(p: BoundaryOperator, delta: float) -> BoundaryOperator:
-    """r^(-delta) P r^(delta), computed exactly via r d/dr -> r d/dr + delta."""
+    """r^(-delta) P r^(delta), via r d/dr -> r d/dr + delta: each term
+    (r d/dr)^a becomes sum_j C(a, j) delta^(a - j) (r d/dr)^j.  The
+    products C(a, j) delta^(a - j) c and their sums over terms are
+    rounded in floating point, exact only where they fit the mantissa
+    (delta on a coarse dyadic grid).  Elsewhere the indicial roots move
+    by rounding, and a multiple root of P can become distinct simple
+    roots close together: conjugate(T^2 + L, 0.12643404551702297) has on
+    mode 0 the Mellin roots z = -delta +- 1.36e-9 i, T = r d/dr, where
+    T^2 + L has a double root at 0."""
     if p.structure.kind is not StructureKind.B:
         raise FredholmKitError("weight conjugation is defined on the b frame only")
     delta = float(delta)

@@ -786,18 +786,37 @@ def _scaled_identity_terms(scale, constant):
 
 
 def test_overflowing_determinant_is_an_error_not_a_verdict(tmp_path):
-    # det P(tau) of these 2x2 coefficients overflows on the root contours,
-    # so the winding total is NaN: a named failure, not four simple roots
-    # at 0.  In a fresh interpreter: numpy's overflow warnings would be
+    # I T^2 + I L + diag(1e300, 0): on mode 0, det P = tau^2 (tau^2 - 1e300)
+    # has roots near +-1e150, where (det P)' = det A_2 prod_j (z_i - z_j),
+    # the divisor of every inclusion radius, is about 2e450 and overflows.
+    # No power-of-two scaling of P brings it back: a named failure, not a
+    # verdict.  In a fresh interpreter: numpy's overflow warnings would be
     # errors in this one
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(dict(SHIFTED_CYLINDER, system_size=2,
-                                    terms=_scaled_identity_terms(1e200, False))))
+    terms = [*_scaled_identity_terms(1.0, False),
+             {"alpha": [0], "coefficient": [{"nu": 0, "value": [[1e300, 0], [0, 0]]}]}]
+    path.write_text(json.dumps(dict(SHIFTED_CYLINDER, system_size=2, terms=terms)))
     res = run_cli("check", str(path), "--cutoff", "10")
     assert res.returncode == 3, res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
     assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == [
-        "error: root refinement failed on mode k=0: contour counting failed to stabilize"]
+        "error: root refinement failed on mode k=0: inclusion disc not finite at tau=-1e+150+0j"]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e160, 1e200])
+def test_roots_of_a_scaled_system_do_not_depend_on_its_scale(tmp_path, runner, scale):
+    # s I (T^2 + L) on the circle has the roots of T^2 + L, each twice
+    # (a double root at 0 on mode 0, +-i k on mode k), for every s: the
+    # winding counts of its clusters run on P scaled by a power of two,
+    # so det P neither overflows nor underflows on their boxes
+    def roots_text(s):
+        path = write(tmp_path, f"scaled-{s:g}.json", dict(
+            SHIFTED_CYLINDER, system_size=2, terms=_scaled_identity_terms(s, False)))
+        res = runner.invoke(main, ["roots", path, "--cutoff", "10"])
+        assert res.exit_code == 0, res.output
+        return res.stdout
+
+    assert roots_text(scale) == roots_text(1.0)
 
 
 def test_overflowing_symbol_determinant_is_written_as_null(tmp_path):
@@ -825,14 +844,14 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # 172 check/verify reports, roots/normal/transform of the seven built-ins
     # in two formats, bracket-table of four structures in two formats,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
-    # specs, check of three systems specs at two weights and two cutoffs,
-    # nine root-failure runs (check/roots/verify of two singular leading
-    # matrices, one more check, close roots, an overflowing scan), two
-    # line-scan runs, nine verify runs of the oracle's root certificates,
-    # text check and text/JSON roots of two modes specs, and five runs
-    # whose companion matrix overflows
+    # specs, check of three systems specs at two weights and two cutoffs
+    # and their verify at two cutoffs, nine root-failure runs
+    # (check/roots/verify of two singular leading matrices, one more check,
+    # close roots, an overflowing scan), two line-scan runs, ten verify runs
+    # of the oracle's root certificates, text check and text/JSON roots of
+    # two modes specs, and five runs whose companion matrix overflows
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 9 + 2 + 9 + 2 * 3 + 5
+        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 + 9 + 2 + 10 + 2 * 3 + 5
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

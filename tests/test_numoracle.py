@@ -2,6 +2,7 @@
 and the cross-check ledger (including a tampered-report negative
 control)."""
 
+import cmath
 import dataclasses
 import math
 import os
@@ -337,6 +338,37 @@ def test_close_simple_roots_stay_simple(k, eps):
     assert max(abs(z - 1j * w) / abs(w) for z, w in zip(got, want)) <= 1e-8
 
 
+def test_an_exact_double_root_stays_one_root():
+    # tau^4 + 884 tau^2 + 195364 = (tau^2 + 442)^2, mode k = 21 of
+    # (T^2 + L - 1)^2: scaled by a power of two, its coefficients stay
+    # exact, and so does each double root +-i sqrt(442)
+    found = brute_roots([195364.0, 0.0, 884.0, 0.0, 1.0])
+    assert [m for _, m, _ in found] == [2, 2]
+    got = sorted((z for z, _, _ in found), key=lambda z: z.imag)
+    for z, w in zip(got, (-math.sqrt(442), math.sqrt(442))):
+        assert abs(z - 1j * w) <= 1e-12 * abs(w)
+
+
+def test_verify_confirms_every_double_root_of_a_squared_operator():
+    # (T^2 + L - 1)^2 on the circle: on mode k, +-i sqrt(k^2 + 1), each
+    # twice, up to k = 100
+    p = compose(shifted_laplacian(1.0), shifted_laplacian(1.0))
+    opts = FredholmOptions(mode_cutoff=1e4)
+    report = fredholm_check(p, 0.3, opts)
+    by_mode = {}
+    for r in report.roots:
+        by_mode.setdefault(r.mode, []).append((r.tau, r.multiplicity))
+    assert len(by_mode) == 101
+    for k in range(101):
+        got = sorted(by_mode[f"k={k}"], key=lambda root: root[0].imag)
+        w = math.sqrt(k * k + 1)
+        assert [m for _, m in got] == [2, 2]
+        assert all(abs(tau - 1j * s * w) <= 1e-9 * w for (tau, _), s in zip(got, (-1, 1)))
+    entries = [e for e in cross_check(p, report, opts).entries if e.name.startswith("roots[")]
+    assert len(entries) == 101
+    assert {(e.status, e.detail) for e in entries} == {("pass", "4 roots re-found by contours")}
+
+
 @pytest.mark.parametrize("case", ["A", "B"])
 def test_inclusion_discs_separate_what_a_merge_joins(case):
     # case A: r x3 and r + 0.1 are two roots; case B: r + 0.01 lies within
@@ -440,10 +472,14 @@ def test_power_rows_match_horner():
 
 
 def test_aberth_iteration_on_the_systems_specs_evaluates_few_iterates(monkeypatch, tmp_path):
-    """Newton corrections of the oracle's Aberth iteration on the
-    benchmark's three systems specs.  From the tropical starts they take
-    416 / 897 / 11,852; from one circle of twice the root bound they took
-    308 / 1,330 / 15,594."""
+    """Newton corrections of the oracle's Aberth iteration in `cross_check`
+    of the benchmark's three systems and three modes specs.  Started next
+    to the reported roots, the systems specs take 2, 2 and 3 steps and 72 /
+    176 / 1,267 corrections, the modes specs 112 / 584 / 800 (the double
+    roots of cyl_coord_laplacian@400, met linearly, take 16 steps).  From
+    the tropical starts, which only say how far out the roots lie, they
+    took 416 / 897 / 11,852 and 202 / 1,460 / 1,993: most of the 33 steps
+    on 4x4_order4 closed in on its 8-root clusters near +-k."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import workloads
 
@@ -455,16 +491,21 @@ def test_aberth_iteration_on_the_systems_specs_evaluates_few_iterates(monkeypatc
         return step(p, dp)
 
     monkeypatch.setattr(numoracle, "newton_from_values", counted)
-    wl = workloads.build("systems", 1)
-    for spec, path in zip(wl.specs, workloads.write_specs(wl, str(tmp_path))):
-        op = parse_spec(path)[0]
-        opts = FredholmOptions(mode_cutoff=spec.cutoff)
-        report = fredholm_check(op, workloads.WEIGHT, opts)
-        name = spec.name
-        assert cross_check(op, report, opts).passed, name
-    assert evals["2x2_order2"] <= 416
-    assert evals["4x4_order2"] <= 897
-    assert evals["4x4_order4"] <= 11852
+    for workload in ("systems", "modes"):
+        wl = workloads.build(workload, 1)
+        sub = tmp_path / workload
+        sub.mkdir()
+        for spec, path in zip(wl.specs, workloads.write_specs(wl, str(sub))):
+            op = parse_spec(path)[0]
+            opts = FredholmOptions(mode_cutoff=spec.cutoff)
+            report = fredholm_check(op, workloads.WEIGHT, opts)
+            name = spec.name
+            assert cross_check(op, report, opts).passed, name
+    bounds = {"2x2_order2": 72, "4x4_order2": 176, "4x4_order4": 1267,
+              "cyl_coord_laplacian@400": 112, "torus_laplacian@400": 584,
+              "spherical_schrodinger(4)@4e4": 800}
+    assert set(evals) == set(bounds)
+    assert all(evals[name] <= bound for name, bound in bounds.items()), evals
 
 
 def ill_scaled_stack(seed):
@@ -546,8 +587,11 @@ def test_resolve_roots_fails_each_polynomial_alone():
     # where the product of the gaps between them overflows: no finite disc
     spread = healthy.copy()
     spread[-1] *= 1e-300
-    # 1e120 times as large: det P overflows on the contour of the double root
-    coeffs = np.stack([healthy, spread, 1e120 * healthy, spread], axis=1)
+    # 1e300 times as large puts them near 1e-100, where that product
+    # underflows to 0; scaling P by a power of two changes neither
+    squeezed = healthy.copy()
+    squeezed[-1] *= 1e300
+    coeffs = np.stack([healthy, spread, squeezed, spread], axis=1)
     points = np.stack([companion_eigenvalues(c) for c in np.moveaxis(coeffs, 1, 0)])
     batch = fredholm._resolve_roots(coeffs, points)
     for b, result in enumerate(batch):
@@ -558,8 +602,14 @@ def test_resolve_roots_fails_each_polynomial_alone():
     assert abs(double - 1) <= 1e-7
     assert all(roots is None for roots, _ in batch[1:])
     assert batch[1][1].startswith("inclusion disc not finite at tau=")
-    assert batch[2][1] == "contour counting failed to stabilize"
+    assert batch[2][1].startswith("inclusion disc not finite at tau=")
+    assert abs(complex(batch[2][1].rsplit("=", 1)[1])) <= 1e-90
     assert batch[3][1] == batch[1][1]
+    # 1e120 times as large, the polynomial whose det P overflowed on the
+    # contour of its double root before the winding counts scaled P,
+    # keeps the double root
+    roots, failure = fredholm._resolve_roots(1e120 * healthy[:, None], points[:1])[0]
+    assert failure is None and [m for _, m in roots].count(2) == 1
 
 
 def roots_inside(roots, box):
@@ -702,9 +752,10 @@ def test_scalar_determinants_are_read_directly(monkeypatch):
     assert limitops._winding_counts(row[:, None, None, None], boxes, [0] * 3) == [1, 1, 1]
     assert np.array_equal(limitops._det(stack[:, :1, :1]), stack[:, 0, 0])
     assert np.array_equal(limitops._det(stack), det(stack))
-    # the oracle's residuals are |P(root)| of the scaled polynomial, exactly
+    # the oracle's residuals are |P(root)| of the polynomial scaled by the
+    # power of two that puts its largest modulus in [1, 2), exactly
     monkeypatch.setattr(np.linalg, "det", det)
-    scaled = (row / np.max(np.abs(row)))[:, None, None]
+    scaled = (row * 2.0 ** (1 - np.frexp(np.max(np.abs(row)))[1]))[:, None, None]
     for z, _, residual in brute_roots(row):
         assert residual == abs(limitops.matrix_polyval(scaled, z)[0, 0])
 
@@ -808,8 +859,8 @@ def test_cross_check_fails_only_the_class_whose_roots_fail(monkeypatch):
     labels = family_of(p, report.cutoffs["mode_cutoff"]).channels.labels
     group = numoracle._brute_roots_group
 
-    def refuse_the_second(coeffs, scale):
-        out = group(coeffs, scale)
+    def refuse_the_second(coeffs, scale, near):
+        out = group(coeffs, scale, near)
         out[1] = (None, "refused by this test")
         return out
 
@@ -964,6 +1015,111 @@ def test_perturbed_root_fails_only_its_own_channel_of_a_shared_class():
     for e in ledger.entries:
         if e.name != f"roots[{target}]":
             assert e == clean[e.name]
+
+
+# ---------------------------------------------------------------------------
+# the oracle starts at the reported roots: doctored reports still fail
+# ---------------------------------------------------------------------------
+
+
+def odd_partial_circle():
+    """T^2 + d_theta^2 + 0.5 d_theta - 0.25 on the circle, T = r d/dr: on
+    mode k, tau^2 = -(k^2 + 1/4) + i k / 2, two simple roots off the
+    imaginary axis for k != 0, so the oracle prints them the same to nine
+    digits wherever its iteration starts."""
+    return make_operator(B1, CIRCLE, {MultiIndex(2): 1.0, MultiIndex(0, (2,)): 1.0,
+                                      MultiIndex(0, (1,)): 0.5, MultiIndex(0): -0.25})
+
+
+def doctored_failures(p, report, roots, opts):
+    """The failing ledger entries of the report with its roots replaced,
+    after checking that every other entry is the honest report's."""
+    clean = {e.name: e for e in cross_check(p, report, opts).entries}
+    ledger = cross_check(p, dataclasses.replace(report, roots=tuple(roots)), opts)
+    failed = [e for e in ledger.entries if e.status == "fail"]
+    assert all(e == clean[e.name] for e in ledger.entries if e.status != "fail")
+    return [(e.name, e.detail) for e in failed]
+
+
+def _neighbour_plus_1e_14(roots, plus, minus):
+    roots[plus] = dataclasses.replace(roots[minus], tau=roots[minus].tau + 1e-14)
+
+
+def _merged(roots, plus, minus):
+    roots[plus] = dataclasses.replace(roots[plus], multiplicity=2)
+    del roots[minus]
+
+
+def _moved(roots, plus, minus):
+    roots[plus] = dataclasses.replace(roots[plus], tau=roots[plus].tau * (1 + 1e-5))
+
+
+def _dropped(roots, plus, minus):
+    del roots[plus]
+
+
+def _added(roots, plus, minus):
+    roots.insert(min(plus, minus), dataclasses.replace(roots[plus], tau=5 + 5j))
+
+
+@pytest.mark.parametrize("doctor, detail", [
+    (_neighbour_plus_1e_14, "multiplicity mismatch at tau={minus}: report 2 vs contour 1"),
+    (_merged, "brute root tau={minus} (x1) missing from report"),
+    (_moved, "brute root tau={plus} (x1) missing from report"),
+    (_dropped, "brute root tau={plus} (x1) missing from report"),
+    (_added, "reported root tau=5+5j not re-found by contours"),
+], ids=["neighbour-plus-1e-14", "merged", "moved-1e-5", "dropped", "added"])
+def test_a_doctored_root_list_fails_its_mode_alone(doctor, detail):
+    # mode k=+2 has the roots +-r, r = sqrt(-17/4 + i); the oracle starts
+    # its iteration at the reported roots, which are wrong here
+    p = odd_partial_circle()
+    opts = FredholmOptions(mode_cutoff=9.0)
+    report = fredholm_check(p, 0.3, opts)
+    r = cmath.sqrt(-4.25 + 1j)
+    roots = list(report.roots)
+    plus, minus = (next(i for i, root in enumerate(roots)
+                        if root.mode == "k=+2" and abs(root.tau - w) <= 1e-12) for w in (r, -r))
+    doctor(roots, plus, minus)
+    assert doctored_failures(p, report, roots, opts) == [
+        ("roots[k=+2]", detail.format(plus=f"{r:.9g}", minus=f"{-r:.9g}"))]
+
+
+def test_swapped_multiplicities_fail_their_mode_alone():
+    # merge case A: r x3 and r + 0.1 x1 on mode 0, r = 1 + 0.5i; the
+    # report claims r x1 and r + 0.1 x3, so the oracle starts three
+    # iterates at r + 0.1
+    p = merge_case("A")
+    opts = FredholmOptions(mode_cutoff=1.0)
+    report = fredholm_check(p, 0.0, opts)
+    (r, _), (near, _), *_ = merge_case_roots("A")
+    roots = list(report.roots)
+    triple, single = (next(i for i, root in enumerate(roots)
+                           if root.mode == "k=0" and abs(root.tau - w) <= 1e-9) for w in (r, near))
+    assert (roots[triple].multiplicity, roots[single].multiplicity) == (3, 1)
+    roots[triple] = dataclasses.replace(roots[triple], multiplicity=1)
+    roots[single] = dataclasses.replace(roots[single], multiplicity=3)
+    assert doctored_failures(p, report, roots, opts) == [
+        ("roots[k=0]", f"multiplicity mismatch at tau={r:.9g}: report 1 vs contour 3")]
+
+
+def test_perturbed_root_in_the_first_channel_fails_only_that_channel():
+    # T^2 + d_1^2 + d_2^2 + 0.4 d_2 + 0.25 on T^2: channels k=(-1,-1) and
+    # k=(+1,-1) share tau^2 = -7/4 - 0.4i.  The oracle starts the class at
+    # the roots its first channel reports, here with one moved by 1e-6
+    p = make_operator(LieStructure.b(2), CrossSection.torus(2), {
+        MultiIndex(2): 1.0, MultiIndex(0, (2, 0)): 1.0, MultiIndex(0, (0, 2)): 1.0,
+        MultiIndex(0, (0, 1)): 0.4, MultiIndex(0): 0.25})
+    opts = FredholmOptions(mode_cutoff=10.0)
+    report = fredholm_check(p, 0.5, opts)
+    fam = family_of(p, report.cutoffs["mode_cutoff"])
+    assert ("k=(-1,-1)", "k=(+1,-1)") in mode_classes(fam)
+    r = cmath.sqrt(-1.75 - 0.4j)
+    roots = list(report.roots)
+    i = next(j for j, root in enumerate(roots)
+             if root.mode == "k=(-1,-1)" and abs(root.tau + r) <= 1e-12)
+    roots[i] = dataclasses.replace(roots[i], tau=roots[i].tau + 1e-6)
+    assert doctored_failures(p, report, roots, opts) == [
+        ("roots[k=(-1,-1)]", f"brute root tau={-r:.9g} (x1) missing from report")]
 
 
 def test_batched_system_scan_matches_per_point_svd():

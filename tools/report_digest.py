@@ -27,7 +27,10 @@ Run it in each checkout and diff the two files.  Each line reads
   the circle, and 2x2 systems on T^2 and S^2;
 - the JSON `check` output of the three `systems` specs (seed 1) at
   weights -2.5 and 1.5 and mode cutoffs 30 and 1e4, which pin the
-  certified weight range away from the benchmark's weight;
+  certified weight range away from the benchmark's weight, and their
+  JSON `verify` at the benchmark's weight and the same two cutoffs: at
+  1e4 the 4x4 order-4 spec runs to mode k = 100, where its 8 roots near
+  each of +-k lie within 0.02 of one another;
 - the root-failure paths: the JSON `check` at weight 0.3 of
   `b_system_order4_singular` (tests/conftest.py; a singular leading
   matrix fails the roots, NotFredholm with a caveat) at cutoffs 30 and
@@ -54,7 +57,9 @@ Run it in each checkout and diff the two files.  Each line reads
   double roots 12 apart (`two_double_roots_system`; weight 0, cutoff 1)
   and a leading matrix diag(-1, -1e-15) on mode k=1
   (`near_singular_leading_system`; weight 0.3, cutoff 10), whose roots
-  fail by name (NotFredholm with a caveat, the roots skipped);
+  fail by name (NotFredholm with a caveat, the roots skipped), and
+  (T^2 + L - 1)^2 on the circle at weight 0.3 and cutoff 1e4, a double
+  root +-i sqrt(k^2 + 1) on every mode up to k = 100;
 - the JSON `verify` at weight 0 of two line scans the benchmark's specs
   do not reach: `b_system_shifted((-102.25, 1, 2, 3))` (tests/conftest.py)
   at cutoff 120, whose scan minimum sits on its last mode class, and
@@ -221,8 +226,8 @@ FAILURE_SPECS = (
 # (name, spec, options) of the `verify` runs of the oracle's root
 # certificates: a double root of a diagonal system, root lists that a
 # merge gets wrong, modes whose constant coefficient vanishes (the oracle
-# starts iterates at 0), two close double roots and a nearly singular
-# leading matrix
+# starts iterates at 0), two close double roots, a nearly singular
+# leading matrix and a double root on every mode
 ORACLE_SPECS = (
     *((f"diagonal_system/{weight}", serialize_operator(diagonal_system()),
        ["--weight", weight, "--format", "json"]) for weight in ("0", "0.3", "0.5")),
@@ -236,6 +241,9 @@ ORACLE_SPECS = (
      ["--weight", "0", "--cutoff", "1", "--format", "json"]),
     ("near_singular_leading", serialize_operator(near_singular_leading_system()),
      ["--weight", "0.3", "--cutoff", "10", "--format", "json"]),
+    ("squared_laplacian/1e4", serialize_operator(compose(_shifted_laplacian(1.0),
+                                                         _shifted_laplacian(1.0))),
+     ["--weight", "0.3", "--cutoff", "1e4", "--format", "json"]),
 )
 
 
@@ -320,6 +328,10 @@ def runs(workdir: str):
                 yield (f"system-weights/{spec.name}/{weight}/{cutoff}/check",
                        ["check", path, "--weight", weight, "--format", "json",
                         "--cutoff", cutoff])
+        for cutoff in SYSTEM_CUTOFFS:
+            yield (f"system-weights/{spec.name}/{workloads.WEIGHT!r}/{cutoff}/verify",
+                   ["verify", path, "--weight", repr(workloads.WEIGHT), "--format", "json",
+                    "--cutoff", cutoff])
     for name, doc, argv in FAILURE_SPECS:
         path = os.path.join(workdir, f"{name.replace('/', '-')}.json")
         with open(path, "w", encoding="utf-8") as fh:
