@@ -31,7 +31,6 @@ from .opalg import (
     BoundaryOperator,
     CoeffTerm,
     Coefficient,
-    CylinderOperator,
     EllipticityResult,
     MultiIndex,
     RadialGrid,

@@ -699,7 +699,7 @@ def transform(spec_path, fmt, out):
         payload = {
             "schema": SCHEMA,
             "variable": "t = log r",
-            "operator": serialize_operator(cyl.base),
+            "operator": serialize_operator(op),
             "note": "radial exponents r^nu are e^(nu t); coefficients "
                     "converge to the boundary values as t -> -infinity",
         }

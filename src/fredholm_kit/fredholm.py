@@ -299,29 +299,16 @@ class LineVerdict:
         }
 
 
-def normal_invertible(f: IndicialFamily, delta: float,
-                      roots: Sequence[IndicialRoot] | None = None) -> LineVerdict:
+def normal_invertible(roots: RootTable, delta: float) -> LineVerdict:
     """Invertibility of the normal operator on the weight-delta line: yes
     iff no indicial root satisfies Re(z) = delta.  Roots within 1e-8 of
-    the line are reported as borderline rather than guessed.  Given roots
-    must be sorted by Re(z), as `indicial_roots` returns them; the
-    witness is the first of them nearest the line, the only one taken
-    from the sequence."""
-    if roots is None:
-        roots = indicial_roots(f)
+    the line are reported as borderline rather than guessed.  The witness
+    is the first listed root nearest the line."""
     if not roots:
         return LineVerdict("yes", math.inf, None)
-    re = RootTable.from_roots(roots).mellin_real()
-    # |Re z - delta| falls up to the line and rises after it, so the
-    # nearest root is the first one past it, or the first one before it at
-    # the distance of the last one before it
-    i = bisect_left(re, delta)
-    best = i if i < len(re) else None
-    if i > 0:
-        before = abs(re[i - 1] - delta)
-        if best is None or before <= abs(re[best] - delta):
-            best = bisect_left(re, -before, hi=i, key=lambda x: -abs(x - delta))
-    dist = abs(re[best] - delta)
+    re = roots.mellin.real[roots.class_root]
+    best = int(np.argmin(np.abs(re - delta)))
+    dist = float(abs(re[best] - delta))
     witness = roots[best]
     if dist <= _ON_LINE_TOL * max(1.0, abs(witness.tau)):
         return LineVerdict("no", dist, witness)
@@ -481,6 +468,8 @@ def safe_weight_intervals(roots: Sequence[IndicialRoot], lo: float, hi: float,
 
 
 _SC_THRESHOLD = 1e-6  # on min |det| of the full symbol, absolute
+# points per axis of the sc scan's finer base grid, by covector dimension (21 above 3)
+_SC_AXIS_POINTS = {1: 4001, 2: 201, 3: 61}
 
 
 @dataclass(frozen=True)
@@ -542,8 +531,7 @@ def _sc_scan(frozen: BoundaryOperator, radius: float, n_axis: int, zooms: int):
     return best, point
 
 
-def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
-                  zooms: int = 8) -> ScVerdict:
+def sc_invertible(frozen: BoundaryOperator, zooms: int = 8) -> ScVerdict:
     """Invertibility of the limit operator of an sc or c_gamma operator p
     at a boundary point: the full symbol of the frozen operator
     `frozen = freeze_coefficients(p)` on the abelian tangent group, a
@@ -557,7 +545,8 @@ def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
     the lower-order coefficient norms (`_envelope_pieces` at delta = 0).
     Each of `zooms` rounds re-grids a box of four grid steps around the
     running minimum with 33 points per axis, so the step shrinks eightfold
-    per round.  The scan runs at two base resolutions; the status is "no"
+    per round.  The scan runs at two base resolutions, about 2n/3 and n
+    points per axis with n from _SC_AXIS_POINTS; the status is "no"
     when the minimum is at most _SC_THRESHOLD, "yes" above it, and
     "undecided" when the two resolutions disagree, or when there is no
     finite radius to scan."""
@@ -577,8 +566,7 @@ def sc_invertible(frozen: BoundaryOperator, n_axis: int | None = None,
     radius = max(1.0, _positive_root(coeffs) * 1.01)
     if math.isinf(radius):
         return ScVerdict("undecided", math.nan, None, radius, ())
-    if n_axis is None:
-        n_axis = {1: 4001, 2: 201, 3: 61}.get(_covector_dim(frozen)[0], 21)
+    n_axis = _SC_AXIS_POINTS.get(_covector_dim(frozen)[0], 21)
     resolutions = []
     final = None
     for n in (max(5, (2 * n_axis) // 3) | 1, n_axis | 1):
@@ -923,7 +911,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
             caveats.append(f"{ROOTS_NOT_COMPUTED} ({e}); the verdict "
                            "rests on the failed ellipticity alone")
         else:
-            line = normal_invertible(fam, delta, roots)
+            line = normal_invertible(roots, delta)
             safe = tuple(safe_weight_intervals(roots, -w_cert, w_cert))
         cutoffs = {
             "mode_cutoff": cutoff,

@@ -398,9 +398,8 @@ class IndicialFamily:
     k x k coefficients of channel i of the table `channels`, ascending in
     the tau power, and every consumer reads slices of it; treat it as
     read-only.  The label-keyed `polys` view stays because the benchmark's
-    tracer (perfbench/tracing.py) counts distinct rows through it.
-    `det_poly` is no root path: it stays only as a reference for tests and
-    because the tracer wraps it by name."""
+    tracer (perfbench/tracing.py) counts distinct rows through it, and
+    `det_poly` stays because the tracer wraps it by name."""
 
     channels: ChannelTable
     coeffs: np.ndarray
@@ -432,21 +431,13 @@ class IndicialFamily:
         rank[order] = np.arange(order.size)
         return first[order], rank[inverse.ravel()]
 
-    def stack(self, label: str, taus: np.ndarray) -> np.ndarray:
-        """The mode polynomial at every tau, as an (n, k, k) stack."""
-        return matrix_polyval(self.poly(label), taus)
-
     def det_poly(self, label: str) -> np.ndarray:
-        """Determinant of the mode polynomial, as a scalar polynomial in tau
-        (exact for scalars; interpolated for systems, inaccurate at high
-        degree).  Nothing in the kit takes roots from it."""
-        coeffs = self.poly(label)
-        if self.system_size == 1:
-            return coeffs[:, 0, 0].copy()
-        deg = (coeffs.shape[0] - 1) * self.system_size
-        xs = np.arange(deg + 1, dtype=float) - deg / 2.0
-        ys = np.linalg.det(self.stack(label, xs))
-        return np.polynomial.polynomial.polyfit(xs, ys, deg).astype(complex)
+        """The scalar mode polynomial in tau, as a copy of its coefficients.
+        A system has no determinant polynomial here: its roots come from
+        a linearization (`fredholm.indicial_roots`)."""
+        if self.system_size != 1:
+            raise FredholmKitError("det_poly is defined for scalar families only")
+        return self.poly(label)[:, 0, 0].copy()
 
     def shifted(self, delta: float) -> "IndicialFamily":
         """The family evaluated at tau - i delta, as exact polynomials."""

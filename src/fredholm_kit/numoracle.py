@@ -12,7 +12,8 @@ iterates, one determinant per root.  As a verification method does
 (Rump, Acta Numerica 19 (2010)), `cross_check` starts the iteration next
 to the roots the report claims, and on the circles of the tropical roots
 of the norms ||A_j|| (the Newton polygon of log ||A_j||) wherever the
-report claims fewer roots than the polynomial has.  A claim only says
+report claims fewer roots than the polynomial has, or a root past
+Fujiwara's bound on the roots.  A claim only says
 where to look: every start takes at least one step, and the disc theorem
 holds for any distinct points (Carstensen, Numer. Math. 59 (1991)), so
 a wrong claim costs steps, never a wrong pass.  A
@@ -381,7 +382,8 @@ def _brute_roots_batch(polys, near: np.ndarray | None = None) -> list[tuple[list
     near, if given, says where to look: row i holds claimed roots of
     polys[i], one per root counted with multiplicity, padded with NaN.
     The first n finite ones of a polynomial of n roots seed its iteration
-    (`_brute_roots_group`); the rest of its starts stay tropical.
+    where they lie within Fujiwara's bound (`_brute_roots_group`); the
+    rest of its starts stay tropical.
 
     The polynomials are trimmed of exact zero top coefficients.  Each
     takes tau = 2^e sigma, with 2^e the power of two nearest to
@@ -419,7 +421,8 @@ def _brute_roots_batch(polys, near: np.ndarray | None = None) -> list[tuple[list
         scaled.real, scaled.imag = np.ldexp(coeffs.real, shift), np.ldexp(coeffs.imag, shift)
         coeffs = binary_scaled(scaled)
         top = np.max(np.abs(coeffs), axis=(0, 2, 3))
-        low = np.linalg.svd(coeffs[-1], compute_uv=False)[:, -1] < 1e-14 * top
+        floor = np.linalg.svd(coeffs[-1], compute_uv=False)[:, -1]
+        low = floor < 1e-14 * top
         for i in index[low]:
             out[i] = (None, "leading coefficient below 1e-14")
         if not low.all():
@@ -428,7 +431,7 @@ def _brute_roots_batch(polys, near: np.ndarray | None = None) -> list[tuple[list
             if near is not None:
                 width = min(near.shape[1], starts.shape[1])
                 starts[:, :width] = near[index, :width]
-            for i, result in zip(index, _brute_roots_group(coeffs[:, ~low],
+            for i, result in zip(index, _brute_roots_group(coeffs[:, ~low], floor[~low],
                                                            np.ldexp(1.0, e[~low]), starts)):
                 out[i] = result
     return out
@@ -489,17 +492,22 @@ def _values_and_slopes(block: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np
     return values[:, 0], values[:, 1]
 
 
-def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray,
+def _brute_roots_group(coeffs: np.ndarray, floor: np.ndarray, scale: np.ndarray,
                        near: np.ndarray) -> list[tuple[list | None, str | None]]:
     """Roots of det P_b(scale_b sigma) for a batch of polynomials
     coeffs[:, b] in sigma of one shape (m + 1, k, k), m >= 1, with
     invertible leading coefficients, reported in tau = scale_b sigma as
-    `_brute_roots_batch` pairs.
+    `_brute_roots_batch` pairs; floor[b] is the smallest singular value
+    of the leading coefficient of P_b.
 
     Aberth-Ehrlich iteration on tr(P^-1 P') gives n = m k iterates per
     polynomial.  Iterate i starts near the claimed root near[b, i] (in
-    tau) where that start is finite, and on the circles of the tropical
-    roots of the coefficient norms (`_tropical_starts`) elsewhere.  A claimed root
+    tau) where that start lies within Fujiwara's bound on the roots,
+    |sigma| <= 2 max_j (||A_(m-j)||_F / floor)^(1/j) (rigorous with
+    Frobenius norms: Higham and Tisseur, Linear Algebra Appl. 358 (2003)),
+    and on the circles of the tropical roots of the coefficient norms
+    (`_tropical_starts`) elsewhere: a start far past every root can stall
+    where the trace vanishes.  A claimed root
     tau is moved by _START_OFFSET max(1, |tau|) at the angle
     0.7 + 2 pi (i + 1/2) / n, so no two starts coincide and no start is
     taken as a root before it steps: each root is still found by this
@@ -523,9 +531,11 @@ def _brute_roots_group(coeffs: np.ndarray, scale: np.ndarray,
     centered at a contour moment (`_cluster_roots`)."""
     z = _tropical_starts(coeffs)
     turn = np.exp(1j * (0.7 + 2 * np.pi * (np.arange(z.shape[1]) + 0.5) / z.shape[1]))
+    ratio = np.linalg.norm(coeffs[-2::-1], axis=(2, 3)) / floor  # [j - 1, b]: j = 1..m
+    bound = 2 * np.max(ratio ** (1 / np.arange(1, ratio.shape[0] + 1))[:, None], axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # a claim past the floats seeds nothing
         start = (near + _START_OFFSET * np.maximum(1.0, np.abs(near)) * turn) / scale[:, None]
-    warm = np.isfinite(start)
+        warm = np.abs(start) <= bound[:, None]
     z[warm] = start[warm]
     block = np.moveaxis(coeffs, 0, 1)
     active = np.ones(z.shape, dtype=bool)

@@ -250,14 +250,6 @@ class Coefficient:
     def shifted(self, dnu: float) -> "Coefficient":
         return Coefficient([CoeffTerm(t.nu + dnu, t.value, t.lam_poly) for t in self.terms])
 
-    def at(self, r: float, lam: float) -> complex | np.ndarray:
-        """Evaluate the coefficient at radius r on a mode of eigenvalue lam."""
-        out = None
-        for t in self.terms:
-            piece = _value_mul(float(r) ** t.nu * t.lam_value(lam), t.value)
-            out = piece if out is None else out + piece
-        return 0j if out is None else out
-
     def __eq__(self, other):
         return isinstance(other, Coefficient) and self.terms == other.terms
 
@@ -269,24 +261,7 @@ class Coefficient:
 
 
 def _as_coefficient(v) -> Coefficient:
-    if isinstance(v, Coefficient):
-        return v
-    if isinstance(v, CoeffTerm):
-        return Coefficient([v])
-    if isinstance(v, (list, tuple)) and all(isinstance(t, CoeffTerm) for t in v):
-        return Coefficient(v)
-    return Coefficient.constant(v)
-
-
-def _as_multi_index(key) -> MultiIndex:
-    if isinstance(key, MultiIndex):
-        return key
-    if isinstance(key, int):
-        return MultiIndex(radial=key)
-    if isinstance(key, tuple) and len(key) == 3:
-        radial, cross, lap = key
-        return MultiIndex(int(radial), tuple(int(c) for c in cross), int(lap))
-    raise TypeError(f"cannot interpret {key!r} as a multi-index")
+    return v if isinstance(v, Coefficient) else Coefficient.constant(v)
 
 
 @dataclass(frozen=True)
@@ -372,8 +347,9 @@ class BoundaryOperator:
             )
         merged: dict[MultiIndex, list] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            mi = _as_multi_index(key)
+        for mi, coeff in items:
+            if not isinstance(mi, MultiIndex):
+                raise TypeError(f"cannot interpret {mi!r} as a multi-index")
             co = _as_coefficient(coeff)
             if len(mi.cross) > cross_section.coordinate_count:
                 raise ValueError(
@@ -734,39 +710,17 @@ def conjugate(p: BoundaryOperator, delta: float) -> BoundaryOperator:
                             symbolic_only=p.symbolic_only)
 
 
-class CylinderOperator:
-    """A b operator rewritten on the full cylinder R x cross-section via
-    t = log r: radial frame derivatives become d/dt and each coefficient
-    monomial r^nu becomes e^(nu t), so the coefficients converge to the
-    boundary values (`limitops.normal_operator` of base) as t -> -infinity.
-    It only renders; base does the acting (`apply`) and the freezing."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: BoundaryOperator):
-        object.__setattr__(self, "base", base)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CylinderOperator is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, CylinderOperator) and self.base == other.base
-
-    def __str__(self):
-        return _render_terms(self.base.terms, radial="(d/dt)", cross=lambda j: f"d/dy{j}",
-                             laplacian="Lap",
-                             weight=lambda nu: "e^t" if nu == 1 else f"e^{nu:g}t")
-
-    def __repr__(self):
-        return f"CylinderOperator<{self}>"
-
-
-def kondratiev_transform(p: BoundaryOperator) -> CylinderOperator:
-    """Rewrite a b operator on the cylinder via t = log r."""
+def kondratiev_transform(p: BoundaryOperator) -> str:
+    """The text of a b operator rewritten on the full cylinder
+    R x cross-section via t = log r: radial frame derivatives become d/dt
+    and each coefficient monomial r^nu becomes e^(nu t), so the
+    coefficients converge to the boundary values (`limitops.normal_operator`
+    of p) as t -> -infinity.  p itself does the acting (`apply`)."""
     if p.structure.kind is not StructureKind.B:
         raise FredholmKitError(
             "the log-radius substitution applies to b-frame operators only")
-    return CylinderOperator(p)
+    return _render_terms(p.terms, radial="(d/dt)", cross=lambda j: f"d/dy{j}",
+                         laplacian="Lap", weight=lambda nu: "e^t" if nu == 1 else f"e^{nu:g}t")
 
 
 # ---------------------------------------------------------------------------
@@ -955,12 +909,11 @@ def is_elliptic(p: BoundaryOperator) -> EllipticityResult:
                              (_ELLIPTIC_RADII, xi.shape[0]))
 
 
-def symbol_min_singular(p: BoundaryOperator, r: float = 0.0,
-                        n_dir: int = FLOOR_DIRECTIONS) -> float:
-    """min over unit covectors of the smallest singular value of sigma_m
-    at the given radius (used for quantitative tail bounds)."""
+def symbol_min_singular(p: BoundaryOperator) -> float:
+    """min over FLOOR_DIRECTIONS unit covectors of the smallest singular
+    value of sigma_m at r = 0 (used for quantitative tail bounds)."""
     dim_total, mag = _covector_dim(p)
-    return _min_singular(_symbol_stack(p, r, *unit_covectors(dim_total, n_dir, mag)))
+    return _min_singular(_symbol_stack(p, 0.0, *unit_covectors(dim_total, FLOOR_DIRECTIONS, mag)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from fredholm_kit import (
     spectrum,
     structure_constants,
 )
+from fredholm_kit import fredholm
 from fredholm_kit.cli import SCHEMA, main
 from fredholm_kit.fredholm import FredholmOptions, certified_weight_range, safe_weight_intervals
 from fredholm_kit.opalg import symbol_min_singular
@@ -146,15 +147,15 @@ def test_04_homomorphism_suite():
              "composition, exactly, on 20 random order-<=2 operators")
 
 
-def cylinder_action(cyl, u, grid, table):
-    """The log-cylinder form of cyl.base read off term by term: each
+def cylinder_action(p, u, grid, table):
+    """The log-cylinder form of p read off term by term: each
     coefficient e^(nu t) value q(lambda) (-lambda)^l times (d/dt)^radial,
     with d/dt by FFT, on every channel of a scalar operator without
     explicit tangential partials."""
-    lams = cyl.base.mode_channels(table).eigenvalues[:, None]
+    lams = p.mode_channels(table).eigenvalues[:, None]
     spectra = np.fft.fft(u, axis=-1)
     out = np.zeros_like(u)
-    for mi, co in cyl.base.terms:
+    for mi, co in p.terms:
         assert not any(mi.cross)
         du = np.fft.ifft(spectra * grid.ik ** mi.radial, axis=-1)
         for ct in co.terms:
@@ -168,13 +169,13 @@ def test_05_kondratiev_equivalence():
     grid = RadialGrid(-8.0, 2.0, 512)
     for p in (make_model("polar_laplacian"),
               make_model("spherical_schrodinger", n=3, Z=1.0)):
-        cyl = kondratiev_transform(p)
+        assert kondratiev_transform(p).startswith("(d/dt)^2")
         table = spectrum(p.cross_section, 6.5)
         for _ in range(10):
             u = np.array([windowed_trig(rng, grid.t, -6.0, 0.0)
                           for _ in range(len(table))], dtype=complex)
             before = p.apply(u, grid, table)
-            after = cylinder_action(cyl, u, grid, table)
+            after = cylinder_action(p, u, grid, table)
             assert np.max(np.abs(before - after)) <= 1e-10 * np.max(np.abs(before))
     _pass(5, "radial and log-cylinder application agree to 1e-10 on matched "
              "grids for 10 band-limited functions per model")
@@ -225,14 +226,15 @@ def test_07_structure_constants():
              "[e0, ej] = ej (dilation semidirect product), sc abelian")
 
 
-def test_08_sc_symbol_criterion():
+def test_08_sc_symbol_criterion(monkeypatch):
     flat = freeze_coefficients(make_model("sc_laplacian", cross_dim=2))
     down = freeze_coefficients(make_model("sc_laplacian", cross_dim=2, shift=-1.0))
     for n_axis in (101, 201):
-        v_flat = sc_invertible(flat, n_axis=n_axis)
+        monkeypatch.setitem(fredholm._SC_AXIS_POINTS, 2, n_axis)
+        v_flat = sc_invertible(flat)
         assert v_flat.status == "no"
         assert np.allclose(v_flat.witness, 0.0, atol=1e-9)
-        v_down = sc_invertible(down, n_axis=n_axis)
+        v_down = sc_invertible(down)
         assert v_down.status == "yes"
     _pass(8, "sc criterion: flat symbol fails at xi = 0, the unit-shifted "
              "symbol passes, stably across grid refinements")

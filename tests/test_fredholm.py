@@ -491,7 +491,7 @@ def test_root_table_readers_equal_those_of_its_listed_roots(fam):
     assert json.dumps(dataclasses.replace(report, roots=table).to_dict()) == \
         json.dumps(dataclasses.replace(report, roots=listed).to_dict())
     for delta in [*(r.mellin.real for r in listed[::5]), -2.0, 0.0, 0.3, 1e3]:
-        v, w = normal_invertible(fam, delta, table), normal_invertible(fam, delta, listed)
+        v, w = normal_invertible(table, delta), normal_invertible(RootTable.from_roots(listed), delta)
         assert (v.status, v.distance) == (w.status, w.distance)
         assert _optional(v.witness) == _optional(w.witness)
     for lo, hi in [(-5.0, 5.0), (-1.0, 1.0), (0.0, 0.5), (-1e3, 1e3)]:
@@ -520,23 +520,23 @@ def test_root_order_sweep_covers_ties_double_roots_and_signed_zeros():
 
 
 def test_line_verdicts_polar():
-    fam = family_of(make_model("polar_laplacian"), 4.5)
-    v0 = normal_invertible(fam, 0.0)
+    roots = indicial_roots(family_of(make_model("polar_laplacian"), 4.5))
+    v0 = normal_invertible(roots, 0.0)
     assert v0.status == "no"
     assert v0.witness.mode == "k=0"
-    v_half = normal_invertible(fam, 0.5)
+    v_half = normal_invertible(roots, 0.5)
     assert v_half.status == "yes"
     assert v_half.distance == pytest.approx(0.5, abs=1e-9)
 
 
 def test_line_verdict_shifted_cylinder():
-    fam = family_of(cylinder_shifted(1.0), 4.5)
-    assert normal_invertible(fam, 0.0).status == "yes"
+    roots = indicial_roots(family_of(cylinder_shifted(1.0), 4.5))
+    assert normal_invertible(roots, 0.0).status == "yes"
 
 
 def test_line_verdict_borderline():
-    fam = family_of(make_model("polar_laplacian"), 4.5)
-    v = normal_invertible(fam, 1e-9)
+    roots = indicial_roots(family_of(make_model("polar_laplacian"), 4.5))
+    v = normal_invertible(roots, 1e-9)
     assert v.status == "borderline"
 
 
@@ -588,10 +588,10 @@ def test_nearest_root_and_safe_intervals_match_a_scan_of_every_root(seed):
     for delta in [*rng.choice([-1.0, 0.0, 0.5, 0.625, 1.0, 2.0, 1e6 + 6e-11, 1e7], 4),
                   float(rng.uniform(-2, 4))]:
         best = min(roots, key=lambda r: abs(r.mellin.real - delta))
-        v = normal_invertible(None, float(delta), roots)
+        v = normal_invertible(RootTable.from_roots(roots), float(delta))
         assert v.distance == abs(best.mellin.real - delta)
-        assert v.witness is None or v.witness is best
-        w = normal_invertible(None, float(delta), table)
+        assert v.witness is None or _optional(v.witness) == _optional(best)
+        w = normal_invertible(table, float(delta))
         assert (w.status, w.distance) == (v.status, v.distance)
         assert _optional(w.witness) == _optional(v.witness)
     for lo, hi in [(-5.0, 5.0), (0.0, 1.0), (0.25, 0.5), (1.0, 1e6), (-0.0, 0.0)]:
@@ -757,11 +757,12 @@ def test_sc_shifted_up_vanishes_on_sphere():
     assert np.hypot(*v.witness) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_sc_verdicts_stable_under_refinement():
+def test_sc_verdicts_stable_under_refinement(monkeypatch):
     for shift, expected in ((-1.0, "yes"), (0.0, "no"), (1.0, "no")):
         frozen = freeze_coefficients(make_model("sc_laplacian", cross_dim=2, shift=shift))
         for n_axis in (101, 201):
-            v = sc_invertible(frozen, n_axis=n_axis)
+            monkeypatch.setitem(fredholm._SC_AXIS_POINTS, 2, n_axis)
+            v = sc_invertible(frozen)
             assert v.status == expected
             assert all(s == expected for _, _, s in v.resolutions)
 
@@ -772,6 +773,37 @@ def test_sc_non_elliptic_input_undecided():
         MultiIndex(2): 1.0, MultiIndex(0, (), 1): -1.0})
     v = sc_invertible(freeze_coefficients(degenerate))
     assert v.status == "undecided"
+
+
+def test_sc_resolutions_that_disagree_leave_the_verdict_undecided(monkeypatch):
+    # the flat symbol vanishes at xi = 0; the coarser base grid is made to
+    # miss it, so the two resolutions disagree
+    scan = fredholm._sc_scan
+    sizes = []
+
+    def coarse_misses(frozen, radius, n_axis, zooms):
+        sizes.append(n_axis)
+        best, point = scan(frozen, radius, n_axis, zooms)
+        return (1.0, point) if len(sizes) == 1 else (best, point)
+
+    monkeypatch.setattr(fredholm, "_sc_scan", coarse_misses)
+    report = fredholm_check(make_model("sc_laplacian", cross_dim=2))
+    (lv,) = report.limit_verdicts
+    assert sizes[0] < sizes[1]
+    assert [s for _, _, s in lv.detail["resolutions"]] == ["yes", "no"]
+    assert (lv.detail["status"], lv.status) == ("undecided", "numerical-evidence")
+    assert report.verdict == VERDICT_UNDECIDED
+    assert "sc symbol scan was inconclusive" in report.caveats
+
+
+def test_a_root_within_1e_8_of_the_line_is_borderline():
+    # T^2 + L - 1 has the root z = 1 on mode k=0, 5e-9 from the line
+    report = fredholm_check(cylinder_shifted(1.0), 1 - 5e-9)
+    (lv,) = report.limit_verdicts
+    assert (lv.status, lv.witness["mode"], lv.witness["mellin"]) == ("borderline", "k=0", [1.0, 0.0])
+    assert report.verdict == VERDICT_UNDECIDED
+    assert "an indicial root sits within 1e-8 of the tested line; refusing to guess" \
+        in report.caveats
 
 
 def test_tail_and_sc_radius_that_overflow_certify_nothing():
@@ -912,11 +944,12 @@ def drawn_sc_operator(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 36, 3))
-def test_sc_floor_and_radius_weights_match_the_full_symbol_object(seed):
+def test_sc_floor_and_radius_weights_match_the_full_symbol_object(seed, monkeypatch):
     ops = [drawn_sc_operator(seed + i) for i in range(3)]
     if seed == 0:
         ops += [op for name, op in builtin_suite() if name.startswith(("sc_", "cgamma_"))]
         ops += [make_model("sc_laplacian", cross_dim=2, shift=s) for s in (0.0, 1.0)]
+    monkeypatch.setattr(fredholm, "_SC_AXIS_POINTS", dict.fromkeys(range(1, 9), 9))
     for p in ops:
         frozen = freeze_coefficients(p)
         floor, norms = reference_sc_floor_and_norms(frozen)
@@ -930,7 +963,7 @@ def test_sc_floor_and_radius_weights_match_the_full_symbol_object(seed):
             if d < frozen.order:
                 coeffs[d] -= w
         coeffs[0] -= fredholm._SC_THRESHOLD ** (1.0 / frozen.system_size)
-        v = sc_invertible(frozen, n_axis=9, zooms=0)
+        v = sc_invertible(frozen, zooms=0)
         if floor <= 1e-12:
             assert v.status == "undecided"
         else:
@@ -1123,7 +1156,8 @@ def test_conjugation_shifts_roots_and_verdict_through_the_engine(cross, shifts, 
             j = min(range(len(left)), key=lambda i: abs(left[i][0] - z))
             assert abs(left[j][0] - z) <= 1e-8 * max(1.0, abs(z))
             assert left.pop(j)[1] == m
-    assert normal_invertible(moved, delta).status == normal_invertible(fam, delta + d).status
+    assert normal_invertible(indicial_roots(moved), delta).status == \
+        normal_invertible(indicial_roots(fam), delta + d).status
 
 
 # ---------------------------------------------------------------------------
@@ -1415,3 +1449,32 @@ def test_imports_run_one_way():
             if oracle and name not in ("cli.py", "__init__.py"):
                 problems.append(f"{name}:{node.lineno} imports numoracle")
     assert problems == []
+
+
+# every name the oracle takes from the engine's modules: what it shares with
+# the engine, so an addition must be argued and a removal shortens the list
+ORACLE_SHARED_NAMES = {
+    "crosssec": ["spectrum"],
+    "fredholm": ["FredholmOptions", "ROOTS_NOT_COMPUTED", "RootTable", "_check_samples",
+                 "half_space_sample", "sc_invertible"],
+    "limitops": ["IndicialFamily", "ROOT_TOL", "_det", "binary_scaled", "cluster_counts",
+                 "freeze_coefficients", "inclusion_discs", "indicial_family",
+                 "matrix_polyval", "newton_correction", "newton_from_values",
+                 "normal_operator", "root_boxes"],
+    "opalg": ["BoundaryOperator", "_symbol_stack"],
+}
+
+
+def test_the_oracle_imports_only_the_listed_engine_names():
+    with open(os.path.join(os.path.dirname(fredholm.__file__), "numoracle.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported: dict[str, list[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for a in node.names:
+                imported.setdefault(a.name, []).append("*")  # a whole module
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module in ORACLE_SHARED_NAMES:
+            imported.setdefault(node.module, []).extend(a.name for a in node.names)
+    assert {m: sorted(names) for m, names in imported.items()} == ORACLE_SHARED_NAMES

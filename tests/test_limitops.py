@@ -116,6 +116,17 @@ def test_family_black_scholes():
     assert np.array_equal(c, np.array([-0.25, (0.25 - 0.5) * 1j, -0.5], dtype=complex))
 
 
+def test_det_poly_copies_a_scalar_row_and_refuses_a_system():
+    fam = indicial_family(normal_operator(make_model("polar_laplacian")), spectrum(CIRCLE, 4.5))
+    det = fam.det_poly("k=2")
+    assert np.array_equal(det, np.array([-4, 0, -1], dtype=complex))
+    det[0] = 0
+    assert fam.poly("k=2")[0, 0, 0] == -4
+    system = indicial_family(normal_operator(b_system_order2()), spectrum(CIRCLE, 4.5))
+    with pytest.raises(FredholmKitError, match="scalar families only"):
+        system.det_poly("k=0")
+
+
 def test_family_records_cutoff_and_channels():
     p = make_model("polar_laplacian")
     table = spectrum(CIRCLE, 10.0)

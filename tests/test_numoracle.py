@@ -26,6 +26,8 @@ from fredholm_kit import (
     MultiIndex,
     ScanResult,
     StructureKind,
+    VERDICT_FREDHOLM,
+    VERDICT_NOT,
     brute_roots,
     builtin_suite,
     cross_check,
@@ -859,8 +861,8 @@ def test_cross_check_fails_only_the_class_whose_roots_fail(monkeypatch):
     labels = family_of(p, report.cutoffs["mode_cutoff"]).channels.labels
     group = numoracle._brute_roots_group
 
-    def refuse_the_second(coeffs, scale, near):
-        out = group(coeffs, scale, near)
+    def refuse_the_second(coeffs, floor, scale, near):
+        out = group(coeffs, floor, scale, near)
         out[1] = (None, "refused by this test")
         return out
 
@@ -1018,6 +1020,127 @@ def test_perturbed_root_fails_only_its_own_channel_of_a_shared_class():
 
 
 # ---------------------------------------------------------------------------
+# the ledger's failure branches, each on a report with exact truth
+# ---------------------------------------------------------------------------
+
+
+def failing_entries(p, report):
+    return [(e.name, e.status, e.detail) for e in cross_check(p, report).entries
+            if e.status != "pass"]
+
+
+def with_line(report, verdict, status, witness):
+    (lv,) = report.limit_verdicts
+    return dataclasses.replace(report, verdict=verdict, limit_verdicts=(
+        dataclasses.replace(lv, status=status, witness=witness),))
+
+
+def test_a_report_without_a_mode_cutoff_fails_setup():
+    p = make_model("polar_laplacian")
+    report = dataclasses.replace(fredholm_check(p, 0.5), cutoffs={})
+    assert failing_entries(p, report) == [("setup", "fail", "report carries no mode cutoff")]
+
+
+def test_a_yes_on_a_root_fails_the_line_scan():
+    # weight 0: mode k=0 has the double root z = 0 on the line, so the
+    # scan reads |P(0)| = 0 exactly
+    p = make_model("polar_laplacian")
+    report = fredholm_check(p, 0.0)
+    assert report.verdict == VERDICT_NOT
+    doctored = with_line(report, VERDICT_FREDHOLM, "yes", None)
+    assert failing_entries(p, doctored) == [
+        ("line-verdict", "fail", "'yes' verdict but scan dips to 0.000e+00 at tau=0")]
+
+
+def test_a_no_off_every_root_fails_the_witness_scan():
+    # weight 0.5: on the line z = 1/2 + is, |z^2 - k^2| >= |1/4 - k^2| >= 1/4,
+    # reached at s = 0 on mode k=0, the witness the weight-0 report names
+    p = make_model("polar_laplacian")
+    report = fredholm_check(p, 0.5)
+    assert report.verdict == VERDICT_FREDHOLM
+    witness = fredholm_check(p, 0.0).limit_verdicts[0].witness
+    assert (witness["mode"], witness["tau"]) == ("k=0", [0.0, 0.0])
+    doctored = with_line(report, VERDICT_NOT, "no", witness)
+    assert failing_entries(p, doctored) == [
+        ("line-verdict", "fail", "'no' verdict but no scan point near the witness drops "
+                                 "below 1e-06 (local min 2.500e-01)")]
+
+
+def test_a_yes_next_to_a_root_is_in_the_gray_zone():
+    # T^2 + L - 1 has the roots z = +-sqrt(k^2 + 1); at weight 1 - 1e-5 the
+    # engine says yes, and the scan minimum is 1 - delta^2 = 2e-5 at
+    # tau = -i delta, between the floors of "no" (1e-6) and "yes" (1e-4)
+    p = shifted_laplacian(1.0)
+    report = fredholm_check(p, 1 - 1e-5)
+    assert (report.verdict, report.limit_verdicts[0].status) == (VERDICT_FREDHOLM, "yes")
+    assert failing_entries(p, report) == [
+        ("line-verdict", "inconclusive", "scan min 2.000e-05 in the gray zone")]
+
+
+def test_a_flipped_sc_verdict_fails_the_rescan():
+    # |(i xi)^2 - |eta|^2 - 1| >= 1 everywhere
+    p = make_model("sc_laplacian", cross_dim=2, shift=-1.0)
+    report = fredholm_check(p)
+    assert report.verdict == VERDICT_FREDHOLM
+    doctored = with_line(report, VERDICT_NOT, "no", None)
+    assert failing_entries(p, doctored) == [
+        ("symbol", "fail", "rescan says yes, report says no")]
+
+
+def test_an_sc_report_without_a_limit_verdict_fails():
+    p = make_model("sc_laplacian", cross_dim=2, shift=-1.0)
+    report = dataclasses.replace(fredholm_check(p), limit_verdicts=())
+    assert failing_entries(p, report) == [("symbol", "fail", "no limit verdict recorded")]
+
+
+@pytest.mark.parametrize("count, engine, oracle", [
+    (None, "contour counting failed to stabilize", "contour counting failed to stabilize"),
+    (3, r"winding number 3 around tau=(\S+) disagrees with 2 merged roots",
+     r"winding number 3 around tau=(\S+) disagrees with 2 converged iterates"),
+], ids=["unsettled", "wrong"])
+def test_a_failed_winding_count_fails_its_class_alone(monkeypatch, count, engine, oracle):
+    # (T^2 + L - 1)^2 on the circle: on mode k, double roots at
+    # tau = +-i sqrt(k^2 + 1); the first box of mode k=1 is made to
+    # return no count or a wrong one, for the engine and the oracle alike
+    p = compose(shifted_laplacian(1.0), shifted_laplacian(1.0))
+    opts = FredholmOptions(mode_cutoff=9.0)
+    report = fredholm_check(p, 0.3, opts)
+    clean = cross_check(p, report, opts).entries
+    fam = family_of(p, 9.0)
+    assert fam.channels.labels == ("k=0", "k=1", "k=2", "k=3")
+    reps = list(fam.coeffs[fam.class_rows[0]])
+    honest = numoracle._brute_roots_batch(reps)
+    counts = limitops._winding_counts
+
+    def doctored(coeffs, boxes, owners):
+        out = counts(coeffs, boxes, owners)
+        out[list(owners).index(1)] = count
+        return out
+
+    def near_a_root(detail, pattern):
+        match = re.fullmatch(pattern, detail)
+        return match is not None and (len(match.groups()) == 0 or abs(
+            abs(complex(match.group(1))) - math.sqrt(2)) <= 1e-5)  # printed to 6 digits
+
+    monkeypatch.setattr(limitops, "_winding_counts", doctored)
+    with pytest.raises(FredholmKitError) as err:
+        fredholm_check(p, 0.3, opts)
+    head = "root refinement failed on mode k=1: "
+    assert str(err.value).startswith(head) and near_a_root(str(err.value)[len(head):], engine)
+    entries = cross_check(p, report, opts).entries
+    assert [e.name for e in entries] == [e.name for e in clean]
+    for e, c in zip(entries, clean):
+        if e.name == "roots[k=1]":
+            assert e.status == "fail" and near_a_root(e.detail, oracle)
+        else:
+            assert e == c
+    found = numoracle._brute_roots_batch(reps)
+    assert found[1][0] is None and near_a_root(found[1][1], oracle)
+    assert [repr(f) for i, f in enumerate(found) if i != 1] == \
+        [repr(h) for i, h in enumerate(honest) if i != 1]
+
+
+# ---------------------------------------------------------------------------
 # the oracle starts at the reported roots: doctored reports still fail
 # ---------------------------------------------------------------------------
 
@@ -1084,6 +1207,25 @@ def test_a_doctored_root_list_fails_its_mode_alone(doctor, detail):
         ("roots[k=+2]", detail.format(plus=f"{r:.9g}", minus=f"{-r:.9g}"))]
 
 
+@pytest.mark.parametrize("claim", [1e150 * (1 + 1j), 1e300, 1.7e308],
+                         ids=["1e150(1+i)", "1e300", "1.7e308"])
+def test_a_claim_past_every_root_keeps_its_tropical_start(claim):
+    # mode k=+2, -tau^2 - 17/4 + i, has the roots +-r, r = sqrt(-17/4 + i),
+    # inside Fujiwara's bound 2 |17/4 - i|^(1/2) = 4.19; a claim far past it
+    # seeds no iterate, so the oracle finds r from its tropical start, and
+    # the ledger names r as the root the report lacks
+    p = odd_partial_circle()
+    opts = FredholmOptions(mode_cutoff=9.0)
+    report = fredholm_check(p, 0.3, opts)
+    r = cmath.sqrt(-4.25 + 1j)
+    roots = list(report.roots)
+    plus = next(i for i, root in enumerate(roots)
+                if root.mode == "k=+2" and abs(root.tau - r) <= 1e-12)
+    roots[plus] = dataclasses.replace(roots[plus], tau=complex(claim))
+    assert doctored_failures(p, report, roots, opts) == [
+        ("roots[k=+2]", f"brute root tau={r:.9g} (x1) missing from report")]
+
+
 def test_swapped_multiplicities_fail_their_mode_alone():
     # merge case A: r x3 and r + 0.1 x1 on mode 0, r = 1 + 0.5i; the
     # report claims r x1 and r + 0.1 x3, so the oracle starts three
@@ -1147,7 +1289,8 @@ def _unpruned_min_singular(fam, taus):
         if fam.system_size == 1:
             vals = np.abs(np.polynomial.polynomial.polyval(taus, fam.poly(labels[0])[:, 0, 0]))
         else:
-            vals = np.linalg.svd(fam.stack(labels[0], taus), compute_uv=False)[:, -1]
+            vals = np.linalg.svd(limitops.matrix_polyval(fam.poly(labels[0]), taus),
+                                 compute_uv=False)[:, -1]
         out = np.minimum(out, vals)
     return out
 
@@ -1172,7 +1315,8 @@ def test_pruned_system_scan_is_bit_identical_to_the_full_scan(system, cutoff, cl
 def test_later_class_holds_the_scan_minimum():
     fam = family_of(b_system_shifted((-102.25, 1.0, 2.0, 3.0)), 120.0)
     taus = np.linspace(-10.0, 10.0, 8001)
-    first = np.linalg.svd(fam.stack(mode_classes(fam)[0][0], taus), compute_uv=False)[:, -1]
+    first = np.linalg.svd(limitops.matrix_polyval(fam.poly(mode_classes(fam)[0][0]), taus),
+                          compute_uv=False)[:, -1]
     pruned = numoracle._family_min_singular(fam, taus)
     assert pruned.min() < 1e-12 < first.min()
     assert abs(abs(taus[np.argmin(pruned)]) - 1.5) < 1e-12

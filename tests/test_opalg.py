@@ -29,6 +29,7 @@ from fredholm_kit import (
     spectrum,
 )
 from fredholm_kit.opalg import (
+    FLOOR_DIRECTIONS,
     _covector_dim,
     _is_matrix,
     _symbol_stack,
@@ -92,6 +93,9 @@ def test_operator_validation():
         make_operator(B1, CrossSection.sphere(1), {MultiIndex(0, (1,), 0): 1.0})
     with pytest.raises(ValueError):
         make_operator(B1, CIRCLE, {MultiIndex(2): 0.0})
+    for key in (2, (2, (), 0), "T^2"):  # a term key is a MultiIndex
+        with pytest.raises(TypeError, match="as a multi-index"):
+            make_operator(B1, CIRCLE, {key: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +462,12 @@ def test_is_elliptic_and_symbol_floor_match_per_covector_loop(name):
         assert sum(s[0] == best[0] for s in samples) > 1
 
     floor = math.inf
-    xi, eta, _ = unit_covectors(dim_total, 200, mag)
+    xi, eta, _ = unit_covectors(dim_total, FLOOR_DIRECTIONS, mag)
     for x, e in zip(xi.tolist(), eta.tolist()):
-        sym = reference_principal(p, 0.3, x, e)
+        sym = reference_principal(p, 0.0, x, e)
         floor = min(floor, float(np.linalg.svd(sym, compute_uv=False)[-1])
                     if p.system_size > 1 else abs(sym))
-    assert symbol_min_singular(p, r=0.3, n_dir=200) == floor
+    assert symbol_min_singular(p) == floor
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +476,11 @@ def test_is_elliptic_and_symbol_floor_match_per_covector_loop(name):
 
 
 def test_kondratiev_examples():
-    p = make_model("polar_laplacian")
-    cyl = kondratiev_transform(p)
-    assert cyl.base == p
-    assert "(d/dt)^2" in str(cyl) and "Lap" in str(cyl)
+    assert kondratiev_transform(make_model("polar_laplacian")) == "(d/dt)^2 + Lap"
     scaled = b_op({MultiIndex(1): Coefficient.monomial(1.0, 1.0)})
-    assert str(kondratiev_transform(scaled)) == "e^t (d/dt)"
+    assert kondratiev_transform(scaled) == "e^t (d/dt)"
     s = make_model("spherical_schrodinger", n=3, Z=1.0)
-    assert "e^t" in str(kondratiev_transform(s))
+    assert "e^t" in kondratiev_transform(s)
 
 
 def test_kondratiev_text_shows_mode_diagonal_coefficients():
@@ -488,8 +489,7 @@ def test_kondratiev_text_shows_mode_diagonal_coefficients():
         MultiIndex(0): Coefficient([CoeffTerm(0.0, 1.0, (0.0, 1.0)),
                                     CoeffTerm(1.0, 1.0, (2.0, 3.0))]),
     })
-    assert str(kondratiev_transform(p)) == (
-        "(d/dt)^2 + q(0.0, 1.0)(lam) + e^t q(2.0, 3.0)(lam)")
+    assert kondratiev_transform(p) == "(d/dt)^2 + q(0.0, 1.0)(lam) + e^t q(2.0, 3.0)(lam)"
     assert str(p) == "(r d/dr)^2 + q(0.0, 1.0)(lam) + r q(2.0, 3.0)(lam)"
 
 
@@ -669,16 +669,6 @@ def test_signed_channels_for_odd_partials():
     # (i tau)^2 + i k distinguishes the signs
     assert np.array_equal(fam.poly("k=+1")[:, 0, 0], np.array([1j, 0, -1]))
     assert np.array_equal(fam.poly("k=-1")[:, 0, 0], np.array([-1j, 0, -1]))
-
-
-def test_coefficient_pointwise_evaluation():
-    co = Coefficient([
-        CoeffTerm(1.0, 2.0),
-        CoeffTerm(0.0, 1.0, (0.0, 1.0)),
-    ])
-    # at r=0.5, lam=4: 2*0.5 + q(4) = 1 + 4
-    assert co.at(0.5, 4.0) == pytest.approx(5.0)
-    assert co.at(0.0, 9.0) == pytest.approx(9.0)  # r^1 term dies at the boundary
 
 
 @pytest.mark.parametrize("n,gamma", [(3, 0.0), (3, 0.5), (3, 1.0), (3, 2.0), (4, 1.5)])
