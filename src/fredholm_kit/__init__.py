@@ -12,8 +12,6 @@ from .liestruct import (
     LieStructure,
     NotRepresentableError,
     StructureKind,
-    VectorField,
-    bracket,
     compatible_metric,
     isotropy,
     structure_constants,

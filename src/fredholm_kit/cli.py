@@ -72,11 +72,19 @@ class SpecFileError(FredholmKitError):
 # ---------------------------------------------------------------------------
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, but not a bool (an int subclass)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_scalar(v, path: str) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
+    if isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
         return complex(v[0], v[1])
     raise SpecFileError(path, "expected a number or [re, im] pair")
 
@@ -84,7 +92,7 @@ def _parse_scalar(v, path: str) -> complex:
 def _parse_value(v, path: str):
     # a matrix is a list of rows; a [re, im] pair is a 2-list of numbers
     if isinstance(v, list) and v and isinstance(v[0], list) and not (
-            len(v) == 2 and all(isinstance(x, (int, float)) for x in v)):
+            len(v) == 2 and all(_is_number(x) for x in v)):
         rows = []
         width = None
         for i, row in enumerate(v):
@@ -143,23 +151,26 @@ def _parse_cross_section(obj, path: str) -> CrossSection:
         return CrossSection.circle()
     if kind == "torus":
         _check_keys(obj, {"kind", "dim"}, path)
-        if not isinstance(obj.get("dim"), int) or obj["dim"] < 1:
+        if not _is_int(obj.get("dim")) or obj["dim"] < 1:
             raise SpecFileError(f"{path}.dim", "torus needs an integer dim >= 1")
         return CrossSection.torus(obj["dim"])
     if kind == "sphere":
         _check_keys(obj, {"kind", "dim"}, path)
-        if not isinstance(obj.get("dim"), int) or obj["dim"] < 1:
+        if not _is_int(obj.get("dim")) or obj["dim"] < 1:
             raise SpecFileError(f"{path}.dim", "sphere needs an integer dim >= 1")
         return CrossSection.sphere(obj["dim"])
     if kind == "generic":
         _check_keys(obj, {"kind", "matrix", "dimension"}, path)
         if "matrix" not in obj:
             raise SpecFileError(f"{path}.matrix", "generic cross-sections need a matrix")
+        dimension = obj.get("dimension")
+        if dimension is not None and (not _is_int(dimension) or dimension < 0):
+            raise SpecFileError(f"{path}.dimension", "must be an integer >= 0")
         mat = _parse_value(obj["matrix"], f"{path}.matrix")
         if not _is_matrix(mat):
             mat = np.array([[mat]], dtype=complex)
         try:
-            return CrossSection.generic(mat, obj.get("dimension"))
+            return CrossSection.generic(mat, dimension)
         except FredholmKitError as e:
             raise SpecFileError(f"{path}.matrix", str(e)) from None
     raise SpecFileError(f"{path}.kind",
@@ -178,7 +189,7 @@ def _parse_structure(obj, path: str, cross_dim: int) -> LieStructure:
                             f"(expected one of {sorted(_STRUCTURES)})")
     gamma = obj.get("gamma")
     if kind == "c_gamma":
-        if not isinstance(gamma, (int, float)):
+        if not _is_number(gamma):
             raise SpecFileError(f"{path}.gamma", "c_gamma needs a numeric gamma")
         try:
             return LieStructure.c_gamma(float(gamma), cross_dim)
@@ -199,7 +210,7 @@ def _parse_coefficient(obj, path: str) -> Coefficient:
             raise SpecFileError(tpath, "coefficient terms are objects")
         _check_keys(t, {"nu", "value", "cross_dependence"}, tpath)
         nu = t.get("nu", 0)
-        if not isinstance(nu, (int, float)) or nu < 0:
+        if not _is_number(nu) or nu < 0:
             raise SpecFileError(f"{tpath}.nu", "nu must be a number >= 0")
         if "value" not in t:
             raise SpecFileError(f"{tpath}.value", "missing value")
@@ -246,13 +257,16 @@ def parse_spec_dict(spec: dict, path: str = "") -> tuple[BoundaryOperator, bool]
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise SpecFileError("params", "must be an object")
-        params = {k: (_parse_scalar(v, f"params.{k}") if isinstance(v, list) else v)
-                  for k, v in params.items()}
-        for k, v in list(params.items()):
-            if isinstance(v, complex) and v.imag == 0:
-                params[k] = v.real
+        kwargs = {}
+        for k, v in params.items():
+            if isinstance(v, list):
+                v = _parse_scalar(v, f"params.{k}")
+                v = v.real if v.imag == 0 else v
+            elif not _is_number(v):
+                raise SpecFileError(f"params.{k}", "expected a number or [re, im] pair")
+            kwargs[k] = v
         try:
-            return make_model(name, **params), compact
+            return make_model(name, **kwargs), compact
         except (TypeError, ValueError, FredholmKitError) as e:
             raise SpecFileError("params", str(e)) from None
     for required in ("structure", "cross_section", "order", "terms"):
@@ -261,10 +275,10 @@ def parse_spec_dict(spec: dict, path: str = "") -> tuple[BoundaryOperator, bool]
     cross = _parse_cross_section(spec["cross_section"], "cross_section")
     structure = _parse_structure(spec["structure"], "structure", cross.dimension)
     order = spec["order"]
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise SpecFileError("order", "order must be a nonnegative integer")
     system_size = spec.get("system_size", 1)
-    if not isinstance(system_size, int) or system_size < 1:
+    if not _is_int(system_size) or system_size < 1:
         raise SpecFileError("system_size", "must be a positive integer")
     terms_obj = spec["terms"]
     if not isinstance(terms_obj, list) or not terms_obj:
@@ -277,11 +291,11 @@ def parse_spec_dict(spec: dict, path: str = "") -> tuple[BoundaryOperator, bool]
         _check_keys(t, {"alpha", "laplacian", "coefficient"}, tpath)
         alpha = t.get("alpha")
         if (not isinstance(alpha, list) or not alpha
-                or not all(isinstance(a, int) and a >= 0 for a in alpha)):
+                or not all(_is_int(a) and a >= 0 for a in alpha)):
             raise SpecFileError(f"{tpath}.alpha",
                                 "alpha must be [radial, cross...] of ints >= 0")
         lap = t.get("laplacian", 0)
-        if not isinstance(lap, int) or lap < 0:
+        if not _is_int(lap) or lap < 0:
             raise SpecFileError(f"{tpath}.laplacian", "must be an integer >= 0")
         mi = MultiIndex(alpha[0], tuple(alpha[1:]), lap)
         if mi.total > order:

@@ -11,8 +11,12 @@ tangent to (or vanish at) r = 0:
     c_gamma  r^g d/dr,     r^(g-1) d/dy_j  (g >= 1; radial/tangential
                                             scalings g and g-1)
 
-Coefficients of vector fields live in the class of finite sums of r^nu
-monomials with nu >= 0; brackets are computed exactly in that class.
+Write the frame as e_0 = r^a d/dr and e_j = r^s d/dy_j.  The tangential
+fields commute, and [e_0, e_j] = s r^(a-1) e_j.  At r = 0 the factor
+r^(a-1) is 1 for a = 1 and vanishes for a > 1, so only a frame with a = 1
+and s != 0 keeps a bracket there.  The isotropy algebra is therefore the
+dilation semidirect product for zero (a = s = 1), and abelian for b
+(s = 0), sc (a = 2) and c_gamma (a = g > 1, or g = 1 and s = 0).
 """
 
 from __future__ import annotations
@@ -64,98 +68,6 @@ class FrameField:
             return f"d/d{var}"
         power = "r" if self.r_exponent == 1 else f"r^{self.r_exponent:g}"
         return f"{power} d/d{var}"
-
-
-@dataclass(frozen=True)
-class VTerm:
-    coeff: complex
-    nu: float
-    axis: int
-
-
-class VectorField:
-    """Finite sum of c * r^nu * d/d(axis) terms, nu >= 0, exact arithmetic."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged: dict[tuple[float, int], complex] = {}
-        nus: dict[tuple[float, int], float] = {}
-        for t in terms:
-            if t.nu < 0:
-                raise NotRepresentableError(
-                    f"coefficient r^{t.nu:g} has a negative exponent; only "
-                    "nu >= 0 monomials are supported"
-                )
-            key = (_nu_key(t.nu), t.axis)
-            merged[key] = merged.get(key, 0j) + complex(t.coeff)
-            nus.setdefault(key, float(t.nu))
-        out = tuple(
-            VTerm(c, nus[k], k[1])
-            for k, c in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            if c != 0
-        )
-        object.__setattr__(self, "terms", out)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("VectorField is immutable")
-
-    @staticmethod
-    def monomial(coeff: complex, nu: float, axis: int) -> "VectorField":
-        return VectorField([VTerm(coeff, nu, axis)])
-
-    @staticmethod
-    def of_frame(f: FrameField, coeff: complex = 1.0, nu: float = 0.0) -> "VectorField":
-        return VectorField.monomial(coeff, nu + f.r_exponent, f.axis)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.terms + other.terms)
-
-    def __rmul__(self, c: complex) -> "VectorField":
-        return VectorField([VTerm(c * t.coeff, t.nu, t.axis) for t in self.terms])
-
-    def __neg__(self) -> "VectorField":
-        return (-1) * self
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VectorField) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for t in self.terms:
-            var = "r" if t.axis == RADIAL else f"y{t.axis + 1}"
-            c = t.coeff.real if t.coeff.imag == 0 else t.coeff
-            mono = "" if t.nu == 0 else ("r " if t.nu == 1 else f"r^{t.nu:g} ")
-            parts.append(f"({c:g}) {mono}d/d{var}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"VectorField<{self}>"
-
-
-def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [x, y], expanded exactly in r^nu monomial terms.
-
-    Only the radial direction differentiates the coefficients, so
-    [c1 r^a d_u, c2 r^b d_v] = c1 c2 b r^(a+b-1) d_v  (u radial)
-                             - c1 c2 a r^(a+b-1) d_u  (v radial).
-    """
-    out = []
-    for a in x.terms:
-        for b in y.terms:
-            if a.axis == RADIAL and b.nu != 0:
-                out.append(VTerm(a.coeff * b.coeff * b.nu, a.nu + b.nu - 1, b.axis))
-            if b.axis == RADIAL and a.nu != 0:
-                out.append(VTerm(-a.coeff * b.coeff * a.nu, a.nu + b.nu - 1, a.axis))
-    return VectorField(out)
 
 
 class StructureKind(Enum):
@@ -244,48 +156,19 @@ class LieStructure:
         fields += [FrameField(self.cross_exponent, j) for j in range(self.cross_dim)]
         return tuple(fields)
 
-    def frame_vector_fields(self) -> tuple[VectorField, ...]:
-        return tuple(VectorField.of_frame(f) for f in self.frame)
-
-    def expand_in_frame(self, v: VectorField):
-        """Expand v over the frame with r^nu monomial coefficients.
-
-        Returns a list (one entry per frame field) of coefficient term
-        lists [(c, nu), ...].  Raises NotRepresentableError if v is not in
-        the module generated by the frame over nu >= 0 monomials.
-        """
-        frame = self.frame
-        by_axis = {f.axis: (i, f.r_exponent) for i, f in enumerate(frame)}
-        out: list[list[tuple[complex, float]]] = [[] for _ in frame]
-        for t in v.terms:
-            if t.axis not in by_axis:
-                raise NotRepresentableError(
-                    f"direction axis {t.axis} is outside this {self.collar_dim}-dim collar"
-                )
-            i, exp = by_axis[t.axis]
-            rel = t.nu - exp
-            if rel < -1e-12:
-                raise NotRepresentableError(
-                    f"term r^{t.nu:g} d/d(axis {t.axis}) is not a nu >= 0 multiple "
-                    f"of the frame field r^{exp:g} d/d(axis {t.axis})"
-                )
-            out[i].append((t.coeff, max(rel, 0.0)))
-        return out
-
 
 def structure_constants(s: LieStructure) -> np.ndarray:
-    """Bracket table of the frame evaluated at r = 0: [e_i, e_j] = c[i,j,k] e_k."""
-    frame = s.frame_vector_fields()
-    n = len(frame)
+    """Bracket table of the frame evaluated at r = 0: [e_i, e_j] = c[i,j,k] e_k.
+
+    Of the brackets (module docstring), only [e_0, e_j] = s r^(a-1) e_j,
+    a = `radial_exponent` and s = `cross_exponent`, can be nonzero, and at
+    r = 0 it is for a = 1 and s != 0 alone; every other entry is +0.0."""
+    n = s.collar_dim
     c = np.zeros((n, n, n))
-    for i, j in itertools.product(range(n), repeat=2):
-        expansion = s.expand_in_frame(bracket(frame[i], frame[j]))
-        for k, terms in enumerate(expansion):
-            for coeff, nu in terms:
-                if _nu_key(nu) == 0.0:
-                    if abs(coeff.imag) > 0:
-                        raise FredholmKitError("frame brackets must be real")
-                    c[i, j, k] += coeff.real
+    if s.radial_exponent == 1 and s.cross_exponent != 0:
+        j = np.arange(1, n)
+        c[0, j, j] = s.cross_exponent
+        c[j, 0, j] = -s.cross_exponent
     return c
 
 

@@ -654,8 +654,8 @@ def _match_roots(found, reported):
     the oracle's roots (`_brute_roots_batch`).  Each reported root is
     assigned to the root whose component of inclusion discs it lies
     nearest, if it lies within ROOT_TOL * max(1, |z|) of one of them,
-    z that disc's point; the multiplicities assigned to a root must sum
-    to its count."""
+    z that disc's point (a distance that overflows matches nothing); the
+    multiplicities assigned to a root must sum to its count."""
     problems = []
     discs = [(i, z, r + ROOT_TOL * max(1.0, abs(z)))
              for i, (*_, ds) in enumerate(found) for z, r in ds]
@@ -664,7 +664,10 @@ def _match_roots(found, reported):
     for tau, mult in reported:
         best, owner = 0.0, None
         for i, z, reach in discs:
-            gap = abs(tau - z) - reach
+            try:
+                gap = abs(tau - z) - reach
+            except OverflowError:  # |tau - z| is past the largest float
+                continue
             if gap <= best:
                 best, owner = gap, i
         if owner is None:

@@ -506,18 +506,6 @@ class BoundaryOperator:
 
     # -- algebra -------------------------------------------------------------
 
-    def compose(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        return compose(self, other)
-
-    def __matmul__(self, other):
-        return compose(self, other)
-
-    def scaled(self, factor) -> "BoundaryOperator":
-        return BoundaryOperator(
-            self.structure, self.cross_section,
-            [(mi, co.scaled(factor)) for mi, co in self.terms],
-            symbolic_only=self.symbolic_only)
-
     def coefficient_scale(self) -> float:
         return max(
             _value_norm(ct.value) * max(1.0, sum(abs(c) for c in (ct.lam_poly or (1,))))

@@ -160,6 +160,131 @@ def test_invalid_json_reports_line(tmp_path):
         parse_spec(str(path))
 
 
+def _edited(**fields):
+    """SHIFTED_CYLINDER with top-level fields replaced (None drops one)."""
+    spec = json.loads(json.dumps(SHIFTED_CYLINDER))
+    spec.update(fields)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
+def _term(i, **fields):
+    """SHIFTED_CYLINDER with fields of terms[i] replaced (None drops one)."""
+    terms = json.loads(json.dumps(SHIFTED_CYLINDER["terms"]))
+    terms[i].update(fields)
+    terms[i] = {k: v for k, v in terms[i].items() if v is not None}
+    return _edited(terms=terms)
+
+
+def _coefficient(i, **fields):
+    """SHIFTED_CYLINDER with fields of terms[i].coefficient[0] replaced."""
+    term = dict(SHIFTED_CYLINDER["terms"][i]["coefficient"][0], **fields)
+    return _term(i, coefficient=[{k: v for k, v in term.items() if v is not None}])
+
+
+def _model(**fields):
+    return {"schema": SCHEMA, "model": "black_scholes", **fields}
+
+
+_GENERIC = {"kind": "generic", "matrix": [[1, 0], [0, 2]]}
+
+
+# (id, spec, path, message) of specs that parse_spec_dict refuses
+_MALFORMED_SPECS = [
+    # JSON booleans are not numbers
+    ("bool-value", _coefficient(2, value=True),
+     "terms[2].coefficient[0].value", "expected a number or [re, im] pair"),
+    ("bool-pair", _coefficient(2, value=[True, 0]),
+     "terms[2].coefficient[0].value", "expected a number or [re, im] pair"),
+    ("bool-nu", _coefficient(0, nu=True),
+     "terms[0].coefficient[0].nu", "nu must be a number >= 0"),
+    ("bool-laplacian", _term(1, laplacian=True),
+     "terms[1].laplacian", "must be an integer >= 0"),
+    ("bool-alpha", _term(0, alpha=[True, 0]),
+     "terms[0].alpha", "alpha must be [radial, cross...] of ints >= 0"),
+    ("bool-order", _edited(order=True), "order", "order must be a nonnegative integer"),
+    ("bool-system_size", _edited(system_size=True), "system_size", "must be a positive integer"),
+    ("bool-torus-dim", _edited(cross_section={"kind": "torus", "dim": True}),
+     "cross_section.dim", "torus needs an integer dim >= 1"),
+    ("bool-sphere-dim", _edited(cross_section={"kind": "sphere", "dim": True}),
+     "cross_section.dim", "sphere needs an integer dim >= 1"),
+    ("bool-gamma", _edited(structure={"kind": "c_gamma", "gamma": True}),
+     "structure.gamma", "c_gamma needs a numeric gamma"),
+    ("bool-param", _model(params={"sigma": True}),
+     "params.sigma", "expected a number or [re, im] pair"),
+    # values
+    ("ragged-matrix", _coefficient(2, value=[[1, 0], [0]]),
+     "terms[2].coefficient[0].value[1]", "ragged matrix"),
+    ("non-square-matrix", _coefficient(2, value=[[1, 0]]),
+     "terms[2].coefficient[0].value", "matrix values must be square"),
+    ("matrix-row-not-list", _coefficient(2, value=[[1, 0], 5]),
+     "terms[2].coefficient[0].value[1]", "matrix rows must be lists"),
+    # cross sections
+    ("torus-without-dim", _edited(cross_section={"kind": "torus"}),
+     "cross_section.dim", "torus needs an integer dim >= 1"),
+    ("sphere-dim-0", _edited(cross_section={"kind": "sphere", "dim": 0}),
+     "cross_section.dim", "sphere needs an integer dim >= 1"),
+    ("unknown-cross-section", _edited(cross_section={"kind": "klein"}),
+     "cross_section.kind", "unknown cross-section kind 'klein'"),
+    ("generic-without-matrix", _edited(cross_section={"kind": "generic"}),
+     "cross_section.matrix", "generic cross-sections need a matrix"),
+    ("bool-generic-dimension", _edited(cross_section=_GENERIC | {"dimension": True}),
+     "cross_section.dimension", "must be an integer >= 0"),
+    ("string-generic-dimension", _edited(cross_section=_GENERIC | {"dimension": "x"}),
+     "cross_section.dimension", "must be an integer >= 0"),
+    # structures
+    ("unknown-structure", _edited(structure={"kind": "cusp"}),
+     "structure.kind", "unknown structure 'cusp'"),
+    ("gamma-outside-c_gamma", _edited(structure={"kind": "b", "gamma": 2}),
+     "structure.gamma", "gamma is only valid for c_gamma"),
+    ("string-gamma", _edited(structure={"kind": "c_gamma", "gamma": "2"}),
+     "structure.gamma", "c_gamma needs a numeric gamma"),
+    # coefficient terms
+    ("negative-nu", _coefficient(0, nu=-1),
+     "terms[0].coefficient[0].nu", "nu must be a number >= 0"),
+    ("missing-value", _coefficient(0, value=None),
+     "terms[0].coefficient[0].value", "missing value"),
+    ("bad-cross_dependence", _coefficient(0, cross_dependence={"poly": [1]}),
+     "terms[0].coefficient[0].cross_dependence", "expected {'laplacian_poly': [...]}"),
+    # models
+    ("model-with-terms", _model(terms=SHIFTED_CYLINDER["terms"]),
+     "terms", "not allowed together with 'model'"),
+    ("unknown-model", _model(model="nope"), "model", "unknown model 'nope'"),
+    ("params-not-object", _model(params=[1.0]), "params", "must be an object"),
+    ("string-param", _model(model="spherical_schrodinger", params={"Z": "1"}),
+     "params.Z", "expected a number or [re, im] pair"),
+    # top-level fields
+    ("missing-order", _edited(order=None), "order", "missing required field"),
+    ("negative-order", _edited(order=-1), "order", "order must be a nonnegative integer"),
+    ("system_size-0", _edited(system_size=0), "system_size", "must be a positive integer"),
+    # terms
+    ("terms-not-list", _edited(terms={"alpha": [2]}), "terms", "expected a nonempty list"),
+    ("negative-laplacian", _term(1, laplacian=-1),
+     "terms[1].laplacian", "must be an integer >= 0"),
+    ("alpha-past-order", _term(0, alpha=[3]),
+     "terms[0].alpha", "|alpha| = 3 exceeds declared order 2"),
+    ("too-many-slots", _term(2, alpha=[0, 0, 1]),
+     "terms[2].alpha", "2 tangential slots but cross-section"),
+    ("missing-coefficient", _term(0, coefficient=None),
+     "terms[0].coefficient", "missing coefficient"),
+    ("laplacian_poly-past-order", _coefficient(0, cross_dependence={"laplacian_poly": [1, 1]}),
+     "terms[0].coefficient[0]", "laplacian_poly degree pushes the term past the declared order"),
+    ("system_size-mismatch", _edited(system_size=2),
+     "system_size", "declared 2 but coefficients are 1x1"),
+]
+
+
+@pytest.mark.parametrize("spec, path, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in _MALFORMED_SPECS])
+def test_malformed_specs_name_their_field(tmp_path, runner, spec, path, message):
+    with pytest.raises(SpecFileError) as err:
+        parse_spec_dict(spec)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: {message}")
+    res = runner.invoke(main, ["check", write(tmp_path, "spec.json", spec)])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr.splitlines() == [f"{tmp_path / 'spec.json'}: {err.value}"]
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 # ---------------------------------------------------------------------------
@@ -842,7 +967,8 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     spec.loader.exec_module(digest)
     labels = [label for label, _argv in digest.runs(str(tmp_path))]
     # 172 check/verify reports, roots/normal/transform of the seven built-ins
-    # in two formats, bracket-table of four structures in two formats,
+    # in two formats, bracket-table in two formats of four structures at
+    # three collar dims and of c_gamma at two more gammas,
     # check/verify/roots of five channel-kind specs, check/verify of three sc
     # specs, check of three systems specs at two weights and two cutoffs
     # and their verify at two cutoffs, nine root-failure runs
@@ -851,7 +977,7 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # of the oracle's root certificates, text check and text/JSON roots of
     # two modes specs, and five runs whose companion matrix overflows
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + 4 * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 + 9 + 2 + 10 + 2 * 3 + 5
+        172 + 7 * 3 * 2 + (4 * 3 + 2) * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 + 9 + 2 + 10 + 2 * 3 + 5
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

@@ -1207,13 +1207,14 @@ def test_a_doctored_root_list_fails_its_mode_alone(doctor, detail):
         ("roots[k=+2]", detail.format(plus=f"{r:.9g}", minus=f"{-r:.9g}"))]
 
 
-@pytest.mark.parametrize("claim", [1e150 * (1 + 1j), 1e300, 1.7e308],
-                         ids=["1e150(1+i)", "1e300", "1.7e308"])
+@pytest.mark.parametrize("claim", [1e150 * (1 + 1j), 1e300, 1.7e308, 1.7e308 * (1 + 1j)],
+                         ids=["1e150(1+i)", "1e300", "1.7e308", "1.7e308(1+i)"])
 def test_a_claim_past_every_root_keeps_its_tropical_start(claim):
     # mode k=+2, -tau^2 - 17/4 + i, has the roots +-r, r = sqrt(-17/4 + i),
     # inside Fujiwara's bound 2 |17/4 - i|^(1/2) = 4.19; a claim far past it
     # seeds no iterate, so the oracle finds r from its tropical start, and
-    # the ledger names r as the root the report lacks
+    # the ledger names r as the root the report lacks; the distance from
+    # 1.7e308(1+i) to any root overflows, which matches no root
     p = odd_partial_circle()
     opts = FredholmOptions(mode_cutoff=9.0)
     report = fredholm_check(p, 0.3, opts)

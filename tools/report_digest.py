@@ -17,7 +17,8 @@ Run it in each checkout and diff the two files.  Each line reads
   built-in models (a structure a command does not apply to gives its
   exit code and an empty stdout);
 - the text and JSON `bracket-table` of the b, zero and sc structures and
-  of c_gamma at gamma = 2;
+  of c_gamma at gamma = 2, at the default collar dim 2 and at collar dims
+  1 and 3, and of c_gamma at gamma = 1 and 1.5;
 - the JSON `check`, `verify` (weight 0.3) and `roots` output of five
   explicit b specs, one per kind of mode channel table: signed channels
   on a circle, T^1 and T^3, and the modes of S^3 and of a generic 3x3
@@ -190,6 +191,18 @@ SC_SPECS = (
 )
 
 
+_BRACKET_STRUCTURES = (("b", []), ("zero", []), ("sc", []), ("c_gamma", ["--gamma", "2"]))
+# (name, options) of the `bracket-table` runs: four structures at the
+# default collar dim and at collar dims 1 and 3, and c_gamma at two more gammas
+BRACKET_TABLES = (
+    *((kind, ["--structure", kind, *extra]) for kind, extra in _BRACKET_STRUCTURES),
+    *((f"{kind}/collar-dim-{dim}", ["--structure", kind, *extra, "--collar-dim", dim])
+      for dim in ("1", "3") for kind, extra in _BRACKET_STRUCTURES),
+    *((f"c_gamma/gamma-{gamma}", ["--structure", "c_gamma", "--gamma", gamma])
+      for gamma in ("1", "1.5")),
+)
+
+
 def _shifted_laplacian(c: float):
     """T^2 + L - c on the circle, T = r d/dr."""
     return make_operator(LieStructure.b(1), CrossSection.circle(),
@@ -300,10 +313,9 @@ def runs(workdir: str):
             for fmt in ("text", "json"):
                 yield (f"builtin/{spec.name}/{fmt}/{command}",
                        [command, path, "--format", fmt])
-    for kind, extra in (("b", []), ("zero", []), ("sc", []), ("c_gamma", ["--gamma", "2"])):
+    for name, options in BRACKET_TABLES:
         for fmt in ("text", "json"):
-            yield (f"bracket-table/{kind}/{fmt}",
-                   ["bracket-table", "--structure", kind, *extra, "--format", fmt])
+            yield f"bracket-table/{name}/{fmt}", ["bracket-table", *options, "--format", fmt]
     for name, doc, cutoff in CHANNEL_SPECS:
         path = os.path.join(workdir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
