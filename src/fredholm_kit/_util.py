@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def round12(x: float) -> float | None:
     """Round to 12 significant digits (round-half-even), for report output;
@@ -16,25 +18,33 @@ def round12(x: float) -> float | None:
     return float(f"{x:.12g}")
 
 
-class FloatCache(dict):
-    """fn(x) for a float x, computed once per value: report values repeat
-    (a root's parts across modes, zeros most of all).  -0.0 == 0.0 would
-    share one entry, and the two print apart, so zeros are kept by sign,
-    apart from the other values."""
+def _rounded12(values) -> tuple[list[float], np.ndarray, bool]:
+    """float(f"{x:.12g}") of every distinct value (by bit pattern, so -0.0
+    stays apart from 0.0), formatted in one batch; the index of each value
+    among them; and whether any is inf or NaN (the only texts with an "n")."""
+    bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = ("%.12g " * len(bits)) % tuple(bits.view(float).tolist())
+    return list(map(float, text.split())), index, "n" in text
 
-    def __init__(self, fn=round12):
-        super().__init__()
-        self.fn = fn
-        self.zeros = {}
 
-    def __missing__(self, x: float):
-        if x:
-            self[x] = out = self.fn(x)
-            return out
-        sign = math.copysign(1.0, x)
-        if sign not in self.zeros:
-            self.zeros[sign] = self.fn(x)
-        return self.zeros[sign]
+def round12_all(values) -> list[float | None]:
+    """[round12(x) for x in values], each distinct value rounded once."""
+    out, index, nonfinite = _rounded12(values)
+    if nonfinite:
+        out = [x if math.isfinite(x) else None for x in out]
+    return np.array(out, dtype=object)[index].tolist()
+
+
+def json12_all(values) -> list[str]:
+    """`json`'s text for round12(x) of every x, each distinct value
+    formatted once: `float.__repr__` of the rounded value, "null" for inf
+    and NaN."""
+    out, index, nonfinite = _rounded12(values)
+    text = ("%r " * len(out)) % tuple(out)
+    if nonfinite:
+        text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+    return np.array(text.split(), dtype=object)[index].tolist()
 
 
 def fmt12(x: float) -> str:

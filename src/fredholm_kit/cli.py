@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._util import FloatCache, fmt12, fmt_complex, round12
+from ._util import fmt12, fmt_complex, json12_all, round12
 from .crosssec import CrossKind, CrossSection, check_cutoff, spectrum
 from .fredholm import (
     FredholmOptions,
@@ -57,6 +57,7 @@ SCHEMA = "fredholm-kit/1"
 _EXIT = {VERDICT_FREDHOLM: 0, VERDICT_NOT: 1, VERDICT_UNDECIDED: 2}
 EXIT_SPEC_ERROR = 3
 EXIT_ORACLE_MISMATCH = 4
+MAX_COLLAR_DIM = 32  # of `bracket-table`, whose table holds collar_dim^3 numbers
 
 
 class SpecFileError(FredholmKitError):
@@ -412,25 +413,26 @@ _ENTRY_JSON = "      " + json.dumps(
     indent=2, sort_keys=True).replace("\n", "\n      ").replace('"%s"', "%s")
 
 
-def _float_text(x: float) -> str:
-    """`json`'s text for round12(x).  `float.__repr__`, because numpy 2
-    reprs an np.float64 with its type name."""
-    v = round12(x)
-    return "null" if v is None else float.__repr__(v)
+_ROOT_SEP = "\0"  # between the filled templates; JSON text holds no raw NUL
 
 
 def _roots_text(roots) -> str:
     """The text of `[r.as_dict() for r in roots]` as a top-level value,
     read from the roots' `RootTable`.  The text before and after a root's
-    mode is written once per class root, from numbers formatted once per
-    distinct value (`FloatCache`), and each label is encoded once."""
+    mode is written once per class root: the table's numbers are formatted
+    in one batch (`json12_all`) and fill the templates of every class root
+    with one `%`.  Each label is encoded once."""
     table = RootTable.from_roots(roots)
-    num = FloatCache(_float_text)
-    parts = [(_ROOT_HEAD % (num[z.real], num[z.imag]),
-              _ROOT_TAIL % (int.__repr__(m), num[t.real], num[t.imag]))
-             for t, z, m in table.class_roots()]
+    n = len(table.multiplicity)
+    nums = json12_all(np.stack([table.mellin.real, table.mellin.imag,
+                                table.tau.real, table.tau.imag]).ravel())
+    args = [None] * (5 * n)
+    for col, k in enumerate((0, 1, 3, 4)):
+        args[k::5] = nums[col * n:(col + 1) * n]
+    args[2::5] = table.multiplicity.tolist()
+    parts = (_ROOT_SEP.join([_ROOT_HEAD, _ROOT_TAIL] * n) % tuple(args)).split(_ROOT_SEP)
     modes = [encode_basestring_ascii(label) for label in table.labels]
-    items = ",\n".join(f"{parts[j][0]}{modes[i]}{parts[j][1]}" for i, j in table.listed())
+    items = ",\n".join(f"{parts[2 * j]}{modes[i]}{parts[2 * j + 1]}" for i, j in table.listed())
     return f"[\n{items}\n  ]" if items else "[]"
 
 
@@ -736,6 +738,10 @@ def transform(spec_path, fmt, out):
 @_out
 def bracket_table(kind, gamma, collar_dim, fmt, out):
     """Print the frame bracket table and isotropy group of a structure."""
+    if collar_dim > MAX_COLLAR_DIM:
+        click.echo(f"error: --collar-dim must be at most {MAX_COLLAR_DIM}, got {collar_dim}",
+                   err=True)
+        sys.exit(EXIT_SPEC_ERROR)
     try:
         s = LieStructure(_STRUCTURES[kind], collar_dim, gamma)
         iso = isotropy(s)

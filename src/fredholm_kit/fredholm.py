@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import FloatCache, round12
+from ._util import round12, round12_all
 from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
@@ -37,7 +37,6 @@ from .opalg import (
     _covector_dim,
     _is_matrix,
     _symbol_stack,
-    _value_norm,
     default_mode_cutoff,
     is_elliptic,
     symbol_min_singular,
@@ -364,27 +363,6 @@ def _positive_root(coeffs: np.ndarray) -> float:
     return best
 
 
-def _envelope_pieces(base: BoundaryOperator) -> list[tuple[int, int, float]]:
-    """The tail envelope of the normal operator `base` as pieces (d, e, w):
-    each bounds a non-principal term by w * delta^e * s^d on |Re z| <= delta."""
-    m = base.order
-    pieces = []
-    for mi, co in base.terms:
-        for ct in co.terms:
-            q = ct.lam_poly or (1.0 + 0j,)
-            vnorm = _value_norm(ct.value)
-            qtop = len(q) - 1
-            for i, qi in enumerate(q):
-                if qi == 0:
-                    continue
-                for j in range(mi.radial + 1):
-                    d = j + sum(mi.cross) + 2 * mi.laplacian + 2 * i
-                    if d == m and j == mi.radial and i == qtop:
-                        continue  # this piece is the principal symbol itself
-                    pieces.append((d, mi.radial - j, vnorm * abs(qi) * math.comb(mi.radial, j)))
-    return pieces
-
-
 def _collect(pieces: list[tuple[int, int, float]], x: float) -> dict[int, float]:
     """Sums of w * x^e over the pieces (key, e, w), by key."""
     out: dict[int, float] = {}
@@ -401,12 +379,12 @@ def tail_bound(base: BoundaryOperator, delta_abs: float, mu0: float) -> TailBoun
     """Certificate that high modes stay invertible on every line
     |Re z| <= delta_abs, from the coefficient norms of the normal operator
     `base` (as `normal_operator` returns it) and the symbol floor mu0
-    (`symbol_min_singular` of base at r = 0), with the `_envelope_pieces`
-    summed at delta_abs.  Without a positive floor, or when an envelope
-    weight overflows, the tail is uncertified: s0 and lambda_certified are
-    infinite."""
+    (`symbol_min_singular` of base at r = 0), with the pieces of its
+    `tail_envelope` summed at delta_abs.  Without a positive floor, or
+    when an envelope weight overflows, the tail is uncertified: s0 and
+    lambda_certified are infinite."""
     m = base.order
-    envelope = _collect(_envelope_pieces(base), delta_abs)
+    envelope = _collect(base.tail_envelope, delta_abs)
     if mu0 <= 0 or not all(math.isfinite(w) for w in envelope.values()):
         return TailBound(mu0, m, tuple(sorted(envelope.items())), math.inf, math.inf)
     coeffs = np.zeros(m + 1)
@@ -422,14 +400,14 @@ def certified_weight_range(base: BoundaryOperator, cutoff: float, mu0: float) ->
     cutoff, for the normal operator `base` and the symbol floor mu0 of
     `tail_bound`, which certifies delta when s0 <= sqrt(cutoff): when
     f(delta) = mu0 - sum w * delta^e * S^(d - m) >= 0 over the
-    `_envelope_pieces` (d, e, w), S = sqrt(cutoff) / (1 + 1e-9).  W is the
-    positive root of f, and no root of f is smaller in modulus, so 1/W is
-    the largest root of f reversed.  W is 0 when the cutoff is below 1 or
-    f(0) <= 0 (as when mu0 <= 0 or a piece is not finite), and 2^20 when
-    it is larger or when no piece depends on delta."""
+    `tail_envelope` pieces (d, e, w), S = sqrt(cutoff) / (1 + 1e-9).  W is
+    the positive root of f, and no root of f is smaller in modulus, so
+    1/W is the largest root of f reversed.  W is 0 when the cutoff is
+    below 1 or f(0) <= 0 (as when mu0 <= 0 or a piece is not finite), and
+    2^20 when it is larger or when no piece depends on delta."""
     if cutoff < 1:
         return 0.0
-    by_power = _collect([(e, d - base.order, w) for d, e, w in _envelope_pieces(base)],
+    by_power = _collect([(e, d - base.order, w) for d, e, w in base.tail_envelope],
                         math.sqrt(cutoff) / (1 + 1e-9))
     f = np.zeros(max(by_power, default=0) + 1)
     f[list(by_power)] -= list(by_power.values())
@@ -542,7 +520,7 @@ def sc_invertible(frozen: BoundaryOperator, zooms: int = 8) -> ScVerdict:
     |det| of the full symbol is evaluated on a grid over the box
     |xi_j| <= R, where R is the radius beyond which the principal symbol
     floor (`symbol_min_singular`) keeps |det| above _SC_THRESHOLD against
-    the lower-order coefficient norms (`_envelope_pieces` at delta = 0).
+    the lower-order coefficient norms (`tail_envelope` at delta = 0).
     Each of `zooms` rounds re-grids a box of four grid steps around the
     running minimum with 33 points per axis, so the step shrinks eightfold
     per round.  The scan runs at two base resolutions, about 2n/3 and n
@@ -560,7 +538,7 @@ def sc_invertible(frozen: BoundaryOperator, zooms: int = 8) -> ScVerdict:
         return ScVerdict("undecided", math.nan, None, math.nan, ())
     coeffs = np.zeros(frozen.order + 1)
     coeffs[frozen.order] = mu0
-    for d, w in _collect(_envelope_pieces(frozen), 0.0).items():
+    for d, w in _collect(frozen.tail_envelope, 0.0).items():
         coeffs[d] -= w
     coeffs[0] -= _SC_THRESHOLD ** (1.0 / k)
     radius = max(1.0, _positive_root(coeffs) * 1.01)
@@ -808,13 +786,15 @@ class FredholmReport:
 
     def to_dict(self) -> dict:
         """The report as JSON-ready values.  Each root's entry is its
-        `as_dict()`, read from the roots' `RootTable` with the numbers
-        rounded once per class root and once per distinct value
-        (`FloatCache`); no `IndicialRoot` is built."""
+        `as_dict()`, read from the roots' `RootTable` with the numbers of
+        every class root rounded in one batch (`round12_all`); no
+        `IndicialRoot` is built."""
         table = RootTable.from_roots(self.roots)
-        rounded = FloatCache().__getitem__
-        parts = [(rounded(t.real), rounded(t.imag), rounded(z.real), rounded(z.imag), m)
-                 for t, z, m in table.class_roots()]
+        n = len(table.multiplicity)
+        nums = round12_all(np.stack([table.tau.real, table.tau.imag,
+                                     table.mellin.real, table.mellin.imag]).ravel())
+        parts = list(zip(*(nums[col * n:(col + 1) * n] for col in range(4)),
+                         table.multiplicity.tolist()))
         return {**self._dict_without_roots(), "indicial_roots": [
             {"mode": table.labels[i], "tau": [t, u], "mellin": [z, w], "multiplicity": m}
             for i, j in table.listed() for t, u, z, w, m in (parts[j],)]}

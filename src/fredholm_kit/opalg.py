@@ -22,14 +22,15 @@ term; their coefficient arithmetic rounds (`conjugate`).
 Symbols are built in one place: `symbol_monomial` evaluates
 (i xi)^a (-|eta|^2)^l prod_j (i eta_j)^p_j for a stack of covectors and
 `symbol_stack` sums factor * value over the terms.  One term walker,
-`_symbol_stack`, feeds them the principal symbol (the ellipticity scans
+`_symbol_pieces`, feeds them the principal symbol (the ellipticity scans
 and symbol floors here) and the full symbol of a frozen operator (the sc
-and c_gamma limit operator, `fredholm.sc_invertible`); the half-space
-diagonal (`fredholm.half_space_sample`) goes through `symbol_monomial`
-as well.  Mode actions are built in one place too: `_mode_factor` gives
-q(lambda), the Laplacian powers and the tangential partials on every
-channel of a table, for `apply` and for the indicial family
-(`limitops.indicial_family`).
+and c_gamma limit operator, `fredholm.sc_invertible`), through
+`_symbol_stack` at one radius; `is_elliptic` walks the terms once for
+all its radii.  The half-space diagonal (`fredholm.half_space_sample`)
+goes through `symbol_monomial` as well.  Mode actions are built in one
+place too: `_mode_factor` gives q(lambda), the Laplacian powers and the
+tangential partials on every channel of a table, for `apply` and for the
+indicial family (`limitops.indicial_family`).
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class MultiIndex:
 class CoeffTerm:
     """One coefficient monomial r^nu * value * q(lambda)."""
 
-    __slots__ = ("nu", "value", "lam_poly")
+    __slots__ = ("nu", "value", "lam_poly", "_norm")
 
     def __init__(self, nu: float = 0.0, value=1.0, lam_poly=None):
         if nu < 0:
@@ -166,6 +167,7 @@ class CoeffTerm:
             if lam_poly == (1 + 0j,):
                 lam_poly = None
         object.__setattr__(self, "lam_poly", lam_poly)
+        object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CoeffTerm is immutable")
@@ -173,6 +175,14 @@ class CoeffTerm:
     @property
     def lam_degree(self) -> int:
         return 0 if self.lam_poly is None else len(self.lam_poly) - 1
+
+    @property
+    def norm(self) -> float:
+        """||value||_2 (|value| for a scalar), computed once: the operators
+        derived from one (`limitops.freeze_coefficients`) share its terms."""
+        if self._norm is None:
+            object.__setattr__(self, "_norm", _value_norm(self.value))
+        return self._norm
 
     def lam_value(self, lam: float) -> complex:
         if self.lam_poly is None:
@@ -508,9 +518,32 @@ class BoundaryOperator:
 
     def coefficient_scale(self) -> float:
         return max(
-            _value_norm(ct.value) * max(1.0, sum(abs(c) for c in (ct.lam_poly or (1,))))
+            ct.norm * max(1.0, sum(abs(c) for c in (ct.lam_poly or (1,))))
             for _, co in self.terms for ct in co.terms
         )
+
+    @cached_property
+    def tail_envelope(self) -> tuple[tuple[int, int, float], ...]:
+        """The tail envelope of this operator read as a normal operator,
+        as pieces (d, e, w): each bounds a non-principal term of its
+        indicial family by w * delta^e * s^d on |Re z| <= delta
+        (`fredholm.tail_bound`).  Computed once per operator."""
+        m = self.order
+        pieces = []
+        for mi, co in self.terms:
+            for ct in co.terms:
+                q = ct.lam_poly or (1.0 + 0j,)
+                qtop = len(q) - 1
+                for i, qi in enumerate(q):
+                    if qi == 0:
+                        continue
+                    for j in range(mi.radial + 1):
+                        d = j + sum(mi.cross) + 2 * mi.laplacian + 2 * i
+                        if d == m and j == mi.radial and i == qtop:
+                            continue  # this piece is the principal symbol itself
+                        pieces.append((d, mi.radial - j,
+                                       ct.norm * abs(qi) * math.comb(mi.radial, j)))
+        return tuple(pieces)
 
 
 def make_operator(structure, cross_section, terms, order=None, symbolic_only=False):
@@ -770,13 +803,11 @@ def symbol_stack(pieces, k: int, n: int) -> np.ndarray:
     return acc[:, 0, 0] if k == 1 else acc
 
 
-def _symbol_stack(p: BoundaryOperator, r: float, xi: np.ndarray, eta: np.ndarray,
-                  eta2: np.ndarray, principal: bool = True) -> np.ndarray:
-    """sigma_m(P) at radius r for n covectors, as a symbol_stack.  With
-    principal=False every term counts: the full symbol, which for a frozen
-    operator without q(lambda) coefficients at r = 0 is the limit operator
-    at an sc or c_gamma end."""
-    pieces = []
+def _symbol_pieces(p: BoundaryOperator, xi: np.ndarray, eta: np.ndarray,
+                   eta2: np.ndarray, principal: bool = True):
+    """(nu, factor, value) of every term of sigma_m(P) (of every term with
+    principal=False) at n covectors, one term at a time: the term is
+    r^nu * factor * value."""
     for mi, co in p.terms:
         for ct in co.terms:
             if principal and mi.total + 2 * ct.lam_degree != p.order:
@@ -784,8 +815,23 @@ def _symbol_stack(p: BoundaryOperator, r: float, xi: np.ndarray, eta: np.ndarray
             factor = symbol_monomial(mi, xi, eta, eta2)
             if ct.lam_degree:
                 factor = factor * (ct.lam_poly[-1] * _pow(eta2, ct.lam_degree))
-            pieces.append((factor * float(r) ** ct.nu, ct.value))
-    return symbol_stack(pieces, p.system_size, xi.shape[0])
+            yield ct.nu, factor, ct.value
+
+
+def _at_radius(pieces, r: float):
+    """The (factor, value) pairs of `_symbol_pieces` at radius r, one at a
+    time, so that a single stack holds no more than its sum."""
+    return ((factor * float(r) ** nu, value) for nu, factor, value in pieces)
+
+
+def _symbol_stack(p: BoundaryOperator, r: float, xi: np.ndarray, eta: np.ndarray,
+                  eta2: np.ndarray, principal: bool = True) -> np.ndarray:
+    """sigma_m(P) at radius r for n covectors, as a symbol_stack.  With
+    principal=False every term counts: the full symbol, which for a frozen
+    operator without q(lambda) coefficients at r = 0 is the limit operator
+    at an sc or c_gamma end."""
+    pieces = _symbol_pieces(p, xi, eta, eta2, principal)
+    return symbol_stack(_at_radius(pieces, r), p.system_size, xi.shape[0])
 
 
 def principal_symbol(p: BoundaryOperator, r: float, xi: float, eta=()):
@@ -880,13 +926,19 @@ def is_elliptic(p: BoundaryOperator) -> EllipticityResult:
     """Sampled ellipticity check: min |det sigma_m| over _ELLIPTIC_RADII
     radii in [0, _ELLIPTIC_R_MAX] (including r = 0) and the unit covector
     sphere, against _ELLIPTIC_THRESHOLD.  The witness is the first minimum
-    in (radius, direction) order."""
+    in (radius, direction) order.  The covector factors of the principal
+    terms are built once and scaled by r^nu per radius; when no principal
+    coefficient depends on r, every radius gives the row of r = 0 bit for
+    bit (r^0 is 1), so that row alone is evaluated."""
     dim_total, mag = _covector_dim(p)
     xi, eta, eta2 = unit_covectors(dim_total, _ELLIPTIC_DIRECTIONS, mag)
+    pieces = list(_symbol_pieces(p, xi, eta, eta2))
     rs = np.linspace(0.0, _ELLIPTIC_R_MAX, _ELLIPTIC_RADII)
-    absdet = np.empty((_ELLIPTIC_RADII, xi.shape[0]))
+    if not any(nu for nu, _, _ in pieces):
+        rs = rs[:1]
+    absdet = np.empty((rs.shape[0], xi.shape[0]))
     for row, r in zip(absdet, rs):
-        sym = _symbol_stack(p, r, xi, eta, eta2)
+        sym = symbol_stack(_at_radius(pieces, r), p.system_size, xi.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, not a warning
             det = sym if sym.ndim == 1 else np.linalg.det(sym)
         row[:] = np.hypot(det.real, det.imag)  # abs() of a Python complex

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredholm_kit
 from fredholm_kit import (
@@ -771,6 +773,47 @@ def test_root_template_matches_the_json_module():
     assert f'"{key}": []' in _render_json(payload, key, [])
 
 
+# signed zeros, subnormals, the magnitudes where `%.12g` (1e12) and `repr`
+# (1e16) switch to exponents, ties at the 12th digit that are exact in
+# binary (half-even), a decimal tie that is not, and inf and NaN
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -3.3e-320, 2.2250738585072014e-308,
+               1e11, 99999999999.95, 100000000000.5, 100000000001.5, 123456789012.5,
+               999999999999.5, 1e12, 1234567890125.0, 1e15, 9999999999999998.0, 1e16,
+               1e16 + 2, 1e17, -1.2345678901235e17, 0.1234567890125, 1 / 3,
+               float("inf"), float("-inf"), float("nan"))
+
+
+def edge_root_table():
+    """A table whose class-root numbers run through EDGE_FLOATS, with
+    listed roots that share class roots and channels."""
+    n = len(EDGE_FLOATS)
+    tau = [complex(EDGE_FLOATS[i], EDGE_FLOATS[-1 - i]) for i in range(n)]
+    mellin = [complex(EDGE_FLOATS[(i + 3) % n], EDGE_FLOATS[(i + 7) % n]) for i in range(n)]
+    class_root = [*range(n), *range(0, n, 3), n - 1]
+    return RootTable(tuple(f"k={i}" for i in range(5)), np.array(tau), np.array(mellin),
+                     np.arange(n) % 3 + 1, np.arange(len(class_root)) % 5, np.array(class_root))
+
+
+def test_batched_root_numbers_equal_the_per_value_path():
+    from fredholm_kit.cli import _roots_text
+    table = edge_root_table()
+    per_value = [r.as_dict() for r in table]  # round12, one value at a time
+    assert _roots_text(table) == json.dumps(per_value, indent=2, sort_keys=True,
+                                            allow_nan=False).replace("\n", "\n  ")
+    report = dataclasses.replace(fredholm_check(make_model("polar_laplacian"), 0.3), roots=table)
+    # repr tells -0.0 from 0.0
+    assert repr(report.to_dict()["indicial_roots"]) == repr(per_value)
+    assert "-0.0" in repr(per_value) and "None" in repr(per_value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(), max_size=40))
+def test_batched_round12_equals_round12_per_value(values):
+    from fredholm_kit._util import json12_all, round12, round12_all
+    assert repr(round12_all(values)) == repr([round12(x) for x in values])
+    assert json12_all(values) == [json.dumps(round12(x)) for x in values]
+
+
 def test_text_report_lists_every_root_of_a_shared_class_root():
     import dataclasses
 
@@ -975,9 +1018,11 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # (check/roots/verify of two singular leading matrices, one more check,
     # close roots, an overflowing scan), two line-scan runs, ten verify runs
     # of the oracle's root certificates, text check and text/JSON roots of
-    # two modes specs, and five runs whose companion matrix overflows
+    # two modes specs, five runs whose companion matrix overflows, and
+    # check/verify of two operators whose principal coefficient depends on r
     assert len(labels) == len(set(labels)) == \
-        172 + 7 * 3 * 2 + (4 * 3 + 2) * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 + 9 + 2 + 10 + 2 * 3 + 5
+        172 + 7 * 3 * 2 + (4 * 3 + 2) * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 + 9 + 2 + 10 \
+        + 2 * 3 + 5 + 2 * 2
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]
@@ -1137,6 +1182,24 @@ def test_bracket_table_zero_structure(runner):
     res_sc = runner.invoke(main, ["bracket-table", "--structure", "sc",
                                   "--collar-dim", "3"])
     assert "abelian" in res_sc.output
+
+
+def test_bracket_table_refuses_a_collar_dim_past_its_cap_at_once(runner):
+    # the table holds collar_dim^3 numbers: 10^12 would never end
+    import time
+
+    from fredholm_kit.cli import MAX_COLLAR_DIM
+    for dim in (MAX_COLLAR_DIM + 1, 10 ** 12):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["bracket-table", "--structure", "zero",
+                                   "--collar-dim", str(dim)])
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == f"error: --collar-dim must be at most {MAX_COLLAR_DIM}, got {dim}\n"
+    res = runner.invoke(main, ["bracket-table", "--structure", "zero",
+                               "--collar-dim", str(MAX_COLLAR_DIM)])
+    last = MAX_COLLAR_DIM - 1
+    assert res.exit_code == 0 and f"  [e0, e{last}] = 1 e{last}\n" in res.stdout
 
 
 def test_exit_codes_match_verdicts_across_builtins(tmp_path, runner):

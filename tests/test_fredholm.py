@@ -731,6 +731,30 @@ def test_non_elliptic_operator_certifies_no_tail():
     assert report.safe_weights == ()
 
 
+def test_a_check_takes_one_spectral_norm_per_coefficient_term(monkeypatch):
+    # the default cutoff reads the operator's terms, the tail certificate
+    # and the weight range its normal operator's, which shares them
+    from fredholm_kit import opalg
+    normed = []
+    real = opalg._value_norm
+    monkeypatch.setattr(opalg, "_value_norm", lambda v: normed.append(id(v)) or real(v))
+    p = b_system_order4()
+    report = fredholm_check(p, 0.3)
+    assert report.verdict == VERDICT_FREDHOLM
+    # six terms, two of which are one CoeffTerm (the T^2 and L coefficients)
+    assert set(normed) == {id(ct.value) for _, co in p.terms for ct in co.terms}
+    assert len(normed) == len(set(normed)) == 5
+    # and the cached norms and envelope give what they gave fresh
+    nop = normal_operator(p)
+    mu0 = symbol_min_singular(nop)
+    assert all(ct.norm == real(ct.value) for _, co in nop.terms for ct in co.terms)
+    assert nop.tail_envelope is nop.tail_envelope  # built once per operator
+    fresh = normal_operator(b_system_order4())
+    assert fresh.tail_envelope == nop.tail_envelope
+    assert tail_bound(fresh, 0.3, mu0) == tail_bound(nop, 0.3, mu0)
+    assert certified_weight_range(fresh, 1e4, mu0) == certified_weight_range(nop, 1e4, mu0)
+
+
 # ---------------------------------------------------------------------------
 # sc symbol criterion
 # ---------------------------------------------------------------------------
@@ -954,7 +978,7 @@ def test_sc_floor_and_radius_weights_match_the_full_symbol_object(seed, monkeypa
         frozen = freeze_coefficients(p)
         floor, norms = reference_sc_floor_and_norms(frozen)
         assert symbol_min_singular(frozen) == floor
-        weights = fredholm._collect(fredholm._envelope_pieces(frozen), 0.0)
+        weights = fredholm._collect(frozen.tail_envelope, 0.0)
         assert set(weights) <= set(range(frozen.order))
         assert all(weights.get(d, 0.0) == norms.get(d, 0.0) for d in range(frozen.order))
         coeffs = np.zeros(frozen.order + 1)

@@ -17,7 +17,7 @@ from fredholm_kit import (
     isotropy,
     structure_constants,
 )
-from fredholm_kit.liestruct import RADIAL
+from fredholm_kit.liestruct import RADIAL, IsotropyDescriptor
 
 
 def structures(cross_dim):
@@ -170,6 +170,43 @@ def test_structure_constants_antisymmetry_and_jacobi():
                      + np.einsum("m,ml->l", c[j, k], c[:, i])
                      + np.einsum("m,ml->l", c[k, i], c[:, j]))
             assert np.max(np.abs(total)) < 1e-12
+
+
+def jacobi_defect(c):
+    """The largest coefficient of [[e_i, e_j], e_k] + cyclic, one triple
+    (i, j, k) at a time."""
+    worst = 0.0
+    for i, j, k in itertools.product(range(c.shape[0]), repeat=3):
+        total = (np.einsum("m,ml->l", c[i, j], c[:, k])
+                 + np.einsum("m,ml->l", c[j, k], c[:, i])
+                 + np.einsum("m,ml->l", c[k, i], c[:, j]))
+        worst = max(worst, float(np.max(np.abs(total))))
+    return worst
+
+
+def hand_built_tables():
+    """Antisymmetric tables: [e0, e1] = e2 with [e0, e2] = e0, which breaks
+    the Jacobi identity ([[e0, e1], e2] + cyclic = -e2); so(3), which keeps
+    it; and random ones in dims 2 (always Jacobi) to 4."""
+    broken = np.zeros((3, 3, 3))
+    broken[0, 1, 2], broken[0, 2, 0] = 1.0, 1.0
+    so3 = np.zeros((3, 3, 3))
+    for i, j, k in itertools.permutations(range(3)):
+        so3[i, j, k] = np.linalg.det(np.eye(3)[[i, j, k]])
+    rng = np.random.default_rng(33)
+    drawn = [rng.normal(size=(n, n, n)) for n in (2, 3, 4)]
+    return [c - np.swapaxes(c, 0, 1) for c in (broken, so3, *drawn)]
+
+
+def test_isotropy_refuses_exactly_the_tables_that_break_jacobi():
+    kept = []
+    for c in hand_built_tables():
+        if jacobi_defect(c) <= 1e-12:
+            kept.append(IsotropyDescriptor(c, GroupKind.ABELIAN, "point", c.shape[0], "G"))
+        else:
+            with pytest.raises(ValueError, match="Jacobi"):
+                IsotropyDescriptor(c, GroupKind.ABELIAN, "point", c.shape[0], "G")
+    assert [iso.structure_constants.shape[0] for iso in kept] == [3, 2]  # so(3), dim 2
 
 
 def test_metric_b_at_unit_radius_is_identity():

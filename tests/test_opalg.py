@@ -28,15 +28,23 @@ from fredholm_kit import (
     principal_symbol,
     spectrum,
 )
+from fredholm_kit import opalg
 from fredholm_kit.opalg import (
     FLOOR_DIRECTIONS,
+    EllipticityResult,
     _covector_dim,
     _is_matrix,
     _symbol_stack,
     symbol_min_singular,
     unit_covectors,
 )
-from conftest import cross_partial_factor, gaussian_packet, smooth_window, windowed_trig
+from conftest import (
+    b_system_order4,
+    cross_partial_factor,
+    gaussian_packet,
+    smooth_window,
+    windowed_trig,
+)
 
 B1 = LieStructure.b(1)
 CIRCLE = CrossSection.circle()
@@ -468,6 +476,80 @@ def test_is_elliptic_and_symbol_floor_match_per_covector_loop(name):
         floor = min(floor, float(np.linalg.svd(sym, compute_uv=False)[-1])
                     if p.system_size > 1 else abs(sym))
     assert symbol_min_singular(p) == floor
+
+
+def reference_is_elliptic(p):
+    """`is_elliptic` as a loop over its nine radii, each row a full
+    `_symbol_stack` at that radius."""
+    dim_total, mag = _covector_dim(p)
+    xi, eta, eta2 = unit_covectors(dim_total, 96, mag)
+    rs = np.linspace(0.0, 1.0, 9)
+    absdet = np.empty((9, xi.shape[0]))
+    for row, r in zip(absdet, rs):
+        sym = _symbol_stack(p, r, xi, eta, eta2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = sym if sym.ndim == 1 else np.linalg.det(sym)
+        row[:] = np.hypot(det.real, det.imag)
+    i, j = np.unravel_index(np.argmin(absdet), absdet.shape)
+    best = float(absdet[i, j])
+    return EllipticityResult(best >= 1e-8, best, float(rs[i]),
+                             (float(xi[j]), *(float(e) for e in eta[j])), (9, xi.shape[0]))
+
+
+def one_minus_r_operator():
+    """(r d/dr)^2 + (1 - r) d_theta^2 + 1 on the circle: its principal
+    symbol -xi^2 - (1 - r) eta^2 vanishes exactly at r = 1, xi = 0."""
+    return b_op({MultiIndex(2): 1.0,
+                 MultiIndex(0, (2,)): Coefficient([CoeffTerm(0.0, 1.0), CoeffTerm(1.0, -1.0)]),
+                 MultiIndex(0): 1.0})
+
+
+def system_with_radial_principal():
+    """T^2 + (I + r [[0, 0.5], [0.25, 0]]) L on the circle, 2x2."""
+    eye = np.eye(2)
+    return b_op({MultiIndex(2): Coefficient.constant(eye),
+                 MultiIndex(0, (), 1): Coefficient([
+                     CoeffTerm(0.0, eye), CoeffTerm(1.0, np.array([[0.0, 0.5], [0.25, 0.0]]))])})
+
+
+ELLIPTICITY_CASES = {
+    "polar_laplacian": lambda: make_model("polar_laplacian"),
+    "cyl_coord_laplacian": lambda: make_model("cyl_coord_laplacian"),  # r^2 on a principal term
+    "cgamma_schrodinger": lambda: make_model("cgamma_schrodinger"),
+    "b_system_order4": b_system_order4,  # a 4x4 system
+    "torus_system": lambda: symbol_operator("torus_system"),  # 2x2, r^nu principal terms
+    "radial_system": system_with_radial_principal,
+    "one_minus_r": one_minus_r_operator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPTICITY_CASES))
+def test_is_elliptic_equals_a_loop_over_its_nine_radii(name):
+    p = ELLIPTICITY_CASES[name]()
+    res = is_elliptic(p)
+    assert res == reference_is_elliptic(p)
+    if name == "one_minus_r":
+        # exact truth: the first zero in (radius, direction) order
+        assert res == EllipticityResult(False, 0.0, 1.0, (0.0, 1.0), res.grid)
+    if name == "cyl_coord_laplacian":
+        assert not res.elliptic and res.witness_r == 0.0
+
+
+def test_is_elliptic_walks_the_terms_once_and_skips_radii_that_repeat_a_row(monkeypatch):
+    stacks, monomials = [], []
+    for name, log in (("symbol_stack", stacks), ("symbol_monomial", monomials)):
+        real = getattr(opalg, name)
+        monkeypatch.setattr(opalg, name, lambda *a, real=real, log=log: log.append(1) or real(*a))
+    for name, radii in (("polar_laplacian", 1), ("cgamma_schrodinger", 1), ("b_system_order4", 1),
+                        ("cyl_coord_laplacian", 9), ("torus_system", 9), ("radial_system", 9),
+                        ("one_minus_r", 9)):
+        p = ELLIPTICITY_CASES[name]()
+        principal = sum(mi.total + 2 * ct.lam_degree == p.order
+                        for mi, co in p.terms for ct in co.terms)
+        stacks.clear()
+        monomials.clear()
+        is_elliptic(p)
+        assert (len(stacks), len(monomials)) == (radii, principal), name
 
 
 # ---------------------------------------------------------------------------

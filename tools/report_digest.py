@@ -73,6 +73,11 @@ Run it in each checkout and diff the two files.  Each line reads
   1e302 on the circle, whose block companion matrix overflows (exit 3),
   and `check` and `verify` of the same with 1e-170 in place of 1e-7,
   which is not elliptic (NotFredholm, no roots, the roots skipped);
+- the JSON `check` and `verify` (weight 0.3) of two b operators on the
+  circle whose principal coefficient depends on r, (r d/dr)^2 +
+  (1 - r) d_theta^2 + 1 (its symbol vanishes at r = 1: NotFredholm with
+  witness r = 1) and (r d/dr)^2 + (1 + r) d_theta^2 + 1 (elliptic), so
+  that every sampled radius counts;
 - the `verify --scan-csv` files of a scalar `modes` spec and the
   `systems` specs `2x2_order2` and `4x4_order4` (seed 1, the benchmark's
   arguments), and of the built-in `polar_laplacian` at weight 0, whose
@@ -287,6 +292,21 @@ OVERFLOW_SPECS = (
 )
 
 
+def _radial_principal_spec(sign: float) -> dict:
+    """(r d/dr)^2 + (1 + sign r) d_theta^2 + 1 on the circle."""
+    return {"schema": workloads.SCHEMA, "structure": {"kind": "b"},
+            "cross_section": {"kind": "circle"}, "order": 2, "terms": [
+                {"alpha": [2], "coefficient": [{"nu": 0, "value": 1.0}]},
+                {"alpha": [0, 2], "coefficient": [{"nu": 0, "value": 1.0},
+                                                  {"nu": 1, "value": sign}]},
+                {"alpha": [0], "coefficient": [{"nu": 0, "value": 1.0}]}]}
+
+
+# (name, spec) of the b operators whose principal coefficient depends on r
+RADIAL_PRINCIPAL_SPECS = (("one_minus_r", _radial_principal_spec(-1.0)),
+                          ("one_plus_r", _radial_principal_spec(1.0)))
+
+
 def runs(workdir: str):
     """(label, argv) for every report, in a fixed order."""
     for name in WORKLOADS:
@@ -377,6 +397,13 @@ def runs(workdir: str):
         for command in commands:
             yield (f"overflow/{name}/{command}",
                    [command, path, "--cutoff", "4", "--format", "json"])
+    for name, doc in RADIAL_PRINCIPAL_SPECS:
+        path = os.path.join(workdir, f"radial-principal-{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        for command in ("check", "verify"):
+            yield (f"radial-principal/{name}/{command}",
+                   [command, path, "--weight", "0.3", "--format", "json"])
 
 
 def scan_runs(workdir: str):
