@@ -33,6 +33,7 @@ from .fredholm import (
 )
 from .limitops import indicial_family, normal_operator
 from .liestruct import (
+    MAX_COLLAR_DIM,
     FredholmKitError,
     LieStructure,
     StructureKind,
@@ -57,7 +58,6 @@ SCHEMA = "fredholm-kit/1"
 _EXIT = {VERDICT_FREDHOLM: 0, VERDICT_NOT: 1, VERDICT_UNDECIDED: 2}
 EXIT_SPEC_ERROR = 3
 EXIT_ORACLE_MISMATCH = 4
-MAX_COLLAR_DIM = 32  # of `bracket-table`, whose table holds collar_dim^3 numbers
 
 
 class SpecFileError(FredholmKitError):

@@ -12,11 +12,11 @@ must be pre-discretized into a Hermitian matrix (the "generic" kind).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._util import Record
 from .liestruct import FredholmKitError
 
 _HERMITIAN_TOL = 1e-12
@@ -42,8 +42,7 @@ class CrossKind(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class CrossSection:
+class CrossSection(Record):
     kind: CrossKind
     dim: int
     matrix: np.ndarray | None = None
@@ -124,8 +123,7 @@ class CrossSection:
         return f"generic({self.matrix.shape[0]}x{self.matrix.shape[0]})"
 
 
-@dataclass(frozen=True, eq=False)
-class ModeTable:
+class ModeTable(Record, eq=False):
     """The Laplace eigenvalues <= cutoff, ascending, as a read-only float64
     array, with their multiplicities as exact Python ints (a sphere's pass
     2^63 at high degree)."""
@@ -268,8 +266,7 @@ def spectrum(x: CrossSection, cutoff: float) -> ModeTable:
     return ModeTable(np.array(evs, dtype=float), tuple(mults), float(cutoff), x)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelTable:
+class ChannelTable(Record, eq=False):
     """The diagonal blocks of the mode decomposition, in channel order: a
     label and a Laplace eigenvalue per channel, and the signed lattice
     frequencies, one row per channel, when explicit circle/torus partial

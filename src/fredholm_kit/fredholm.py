@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import round12, round12_all
+from ._util import Record, round12, round12_all
 from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
 from .liestruct import FredholmKitError, StructureKind
 from .limitops import (
@@ -58,8 +57,7 @@ WEIGHT_CONVENTION = "line Re(z) = delta"
 ROOTS_NOT_COMPUTED = "indicial roots not computed"  # a caveat; `cross_check` skips those roots
 
 
-@dataclass(frozen=True)
-class IndicialRoot:
+class IndicialRoot(Record):
     """A zero of the per-mode determinant polynomial, in both the Fourier
     variable tau and the Mellin variable z = i tau."""
 
@@ -77,8 +75,7 @@ class IndicialRoot:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class RootTable(Sequence):
+class RootTable(Record, Sequence, eq=False):
     """Indicial roots listed per class root, as `indicial_roots` finds
     them: the channel `labels`; the class-root arrays `tau`, `mellin` and
     `multiplicity`; and for every listed root, in order, its `channel`
@@ -284,8 +281,7 @@ def indicial_roots(f: IndicialFamily) -> RootTable:
     return RootTable(labels, tau, mellin, mult, channel[order], class_root[order])
 
 
-@dataclass(frozen=True)
-class LineVerdict:
+class LineVerdict(Record):
     status: str  # yes | no | borderline | numerical-evidence (no roots)
     distance: float
     witness: IndicialRoot | None
@@ -321,8 +317,7 @@ def normal_invertible(roots: RootTable, delta: float) -> LineVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(Record):
     """Leading-term domination bound for modes above the cutoff.
 
     With s^2 = tau^2 + lambda, the shifted mode polynomial satisfies
@@ -355,7 +350,21 @@ def _positive_root(coeffs: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         if not np.isfinite(coeffs[:-1] / coeffs[-1]).all():
             return math.inf
-    roots = np.polynomial.polynomial.polyroots(coeffs)
+    # The roots `numpy.polynomial.polynomial.polyroots` gives, as it
+    # computes them: a linear polynomial solved directly, else the sorted
+    # eigenvalues of the companion matrix.  Past the check above the
+    # leading coefficient is nonzero, so the series needs no trimming.
+    n = len(coeffs) - 1
+    if n == 0:
+        roots = ()
+    elif n == 1:
+        roots = np.array([-coeffs[0] / coeffs[1]])
+    else:
+        companion = np.zeros((n, n))
+        companion.reshape(-1)[n::n + 1] = 1
+        companion[:, -1] -= coeffs[:-1] / coeffs[-1]
+        roots = np.linalg.eigvals(companion)
+        roots.sort()
     best = 0.0
     for z in roots:
         if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and z.real > best:
@@ -450,8 +459,7 @@ _SC_THRESHOLD = 1e-6  # on min |det| of the full symbol, absolute
 _SC_AXIS_POINTS = {1: 4001, 2: 201, 3: 61}
 
 
-@dataclass(frozen=True)
-class ScVerdict:
+class ScVerdict(Record):
     status: str  # yes | no | undecided
     min_abs_det: float
     witness: tuple[float, ...] | None
@@ -576,8 +584,7 @@ def _check_samples(samples: Sequence[float], global_min: float) -> None:
         raise ValueError("global_min must be the minimum of the samples")
 
 
-@dataclass(frozen=True)
-class HalfSpaceSample:
+class HalfSpaceSample(Record):
     """Smallest singular values of a frozen half-space model, one per
     point (T, n, eta) of `half_space_sample`, with one ladder level per
     truncation (T, n).  The samples are validated here."""
@@ -705,8 +712,7 @@ def half_space_sample(frozen: BoundaryOperator) -> HalfSpaceSample:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FredholmOptions:
+class FredholmOptions(Record):
     mode_cutoff: float | None = None
     tau_range: tuple[float, float] = (-10.0, 10.0)
     pts: int = 2001
@@ -723,8 +729,7 @@ class FredholmOptions:
             raise FredholmKitError(f"a line scan needs at least 2 points, got {self.pts}")
 
 
-@dataclass(frozen=True)
-class LimitVerdict:
+class LimitVerdict(Record):
     orbit: str
     mechanism: str
     status: str  # yes | no | borderline | numerical-evidence
@@ -753,8 +758,7 @@ _SYMBOL_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class FredholmReport:
+class FredholmReport(Record):
     """A verdict with its evidence.  `roots` holds the `RootTable` of
     `indicial_roots` as it is; a report built by hand may hold any
     sequence of roots (readers go through `RootTable.from_roots`)."""

@@ -22,14 +22,17 @@ dilation semidirect product for zero (a = s = 1), and abelian for b
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._util import Record
+
 RADIAL = -1  # axis tag for the d/dr direction
 
 _NU_KEY_DECIMALS = 10
+
+MAX_COLLAR_DIM = 32  # of a bracket table, which holds collar_dim^3 numbers
 
 
 class FredholmKitError(Exception):
@@ -44,8 +47,7 @@ def _nu_key(nu: float) -> float:
     return round(float(nu), _NU_KEY_DECIMALS)
 
 
-@dataclass(frozen=True)
-class FrameField:
+class FrameField(Record):
     """A monomial vector field r^r_exponent * d/d(axis)."""
 
     r_exponent: float
@@ -85,8 +87,7 @@ _RADIAL_EXP = {StructureKind.B: 1.0, StructureKind.ZERO: 1.0, StructureKind.SC: 
 _CROSS_EXP = {StructureKind.B: 0.0, StructureKind.ZERO: 1.0, StructureKind.SC: 1.0}
 
 
-@dataclass(frozen=True)
-class LieStructure:
+class LieStructure(Record):
     """A degenerate frame on a collar of dimension collar_dim = 1 + cross dim."""
 
     kind: StructureKind
@@ -161,8 +162,12 @@ def structure_constants(s: LieStructure) -> np.ndarray:
 
     Of the brackets (module docstring), only [e_0, e_j] = s r^(a-1) e_j,
     a = `radial_exponent` and s = `cross_exponent`, can be nonzero, and at
-    r = 0 it is for a = 1 and s != 0 alone; every other entry is +0.0."""
+    r = 0 it is for a = 1 and s != 0 alone; every other entry is +0.0.
+    A collar dim past MAX_COLLAR_DIM raises `FredholmKitError`."""
     n = s.collar_dim
+    if n > MAX_COLLAR_DIM:
+        raise FredholmKitError(
+            f"a bracket table takes a collar dim of at most {MAX_COLLAR_DIM}, got {n}")
     c = np.zeros((n, n, n))
     if s.radial_exponent == 1 and s.cross_exponent != 0:
         j = np.arange(1, n)
@@ -171,8 +176,7 @@ def structure_constants(s: LieStructure) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class IsotropyDescriptor:
+class IsotropyDescriptor(Record):
     """The boundary isotropy Lie algebra of a structure, with its group type.
 
     structure_constants[i, j, k] is the e_k coefficient of [e_i, e_j] at

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
+from ._util import Record, polyval
 from .crosssec import ChannelTable, ModeTable
 from .liestruct import FredholmKitError, StructureKind, _nu_key
 from .opalg import (
@@ -309,7 +309,7 @@ def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.
         residuals = np.abs(_det(values))
         # Frobenius norms that neither overflow nor underflow
         norms = np.hypot.reduce(np.abs(coeffs).reshape(*coeffs.shape[:2], k * k), axis=-1)
-        size = np.polynomial.polynomial.polyval(np.abs(z), norms[:, :, None], tensor=False)
+        size = polyval(np.abs(z), norms[:, :, None], tensor=False)
         lead = np.abs(_det(coeffs[-1]))
         if k == 1:
             dets = np.abs(matrix_polyval(stack.astype(np.clongdouble), z)[..., 0, 0]).astype(float)
@@ -389,8 +389,7 @@ def cluster_counts(coeffs: np.ndarray, points: np.ndarray, radii: np.ndarray,
     return {b: (parts, boxes, [next(counts) for _ in boxes]) for b, (parts, boxes) in out.items()}
 
 
-@dataclass(frozen=True)
-class IndicialFamily:
+class IndicialFamily(Record):
     """Per-mode polynomials in tau obtained from the normal operator by the
     radial substitution (frame radial derivative -> i tau).
 
@@ -450,7 +449,7 @@ class IndicialFamily:
             for d in range(m + 1):
                 out[:, m - d] = out[:, m - d] + cm * (math.comb(m, d) * wp)
                 wp = wp * w
-        return replace(self, coeffs=out)
+        return self.replace(coeffs=out)
 
 
 def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:

@@ -62,13 +62,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from ._util import round12
+from ._util import Record, polyval, round12
 from .crosssec import spectrum
 # half_space_sample is unused here; perfbench/tracing.py wraps it under this module's name
 from .fredholm import (ROOTS_NOT_COMPUTED, FredholmOptions, RootTable, _check_samples,
@@ -101,8 +100,7 @@ _SCAN_CHUNK = 1 << 13  # matrix entries per chunk of a scan's evaluation: 512 4x
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """A line scan (`scan_line`): points hold the finest grid of tau, and
     each ladder level is a strided subset of it, so the global minimum is
     monotone under refinement.  The scan finds its minima without the
@@ -160,7 +158,6 @@ def _weyl_bound(d: np.ndarray, w: np.ndarray, taus: np.ndarray,
     """|d(tau)| - w(|tau|) for the coefficient columns d and w of
     `_norm_terms`: at every tau for one column, at each tau for its own
     column, or with tensor, at every tau for every column (one row each)."""
-    polyval = np.polynomial.polynomial.polyval
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(polyval(taus, d, tensor)) - polyval(np.abs(taus), w, tensor)
 
@@ -195,7 +192,7 @@ def _pair_min_singular(reps: np.ndarray, classes: np.ndarray, taus: np.ndarray) 
         for lo in range(0, taus.shape[0], chunk):
             c, t = classes[lo:lo + chunk], taus[lo:lo + chunk]
             if k == 1:
-                vals = np.polynomial.polynomial.polyval(t, reps[c, :, 0, 0].T, tensor=False)
+                vals = polyval(t, reps[c, :, 0, 0].T, tensor=False)
                 out[lo:lo + chunk] = np.abs(vals)
             else:
                 stack = matrix_polyval(np.moveaxis(reps[c], 0, 1), t)
@@ -279,7 +276,6 @@ def _bounded_line_min(reps: np.ndarray, taus: np.ndarray, stride: int) -> np.nda
     vals = vals.reshape(n_cls, n_anc)
     radius = np.maximum(np.abs(taus[anchors[:-1]]), np.abs(taus[anchors[1:]]))
     width = (taus[anchors[1:]] - taus[anchors[:-1]]).real
-    polyval = np.polynomial.polynomial.polyval
     lipschitz = polyval(radius, np.arange(1, n_coef)[:, None] * size[1:]) if n_coef > 1 else 0.0
     rounding = 2 * _ROUNDING * polyval(radius, size)
     bound = (vals[:, :-1] + vals[:, 1:] - lipschitz * width) / 2 - rounding
@@ -614,8 +610,7 @@ def _cluster_roots(own: np.ndarray, z: np.ndarray, radii: np.ndarray, residuals:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
     name: str
     status: str  # pass | fail | inconclusive | skipped
     detail: str
@@ -624,8 +619,7 @@ class LedgerEntry:
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CheckLedger:
+class CheckLedger(Record):
     entries: tuple[LedgerEntry, ...]
     scans: dict
 

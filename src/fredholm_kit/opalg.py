@@ -36,11 +36,11 @@ indicial family (`limitops.indicial_family`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._util import Record
 from .crosssec import ChannelTable, CrossSection, ModeTable, channels
 from .liestruct import (
     FredholmKitError,
@@ -121,8 +121,7 @@ def _poly_trim(p: tuple) -> tuple:
     return tuple(p[:n])
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Record):
     """Derivative monomial exponents: radial frame power, explicit
     tangential partials (circle/torus coordinates), and powers of the
     frame-scaled cross-section Laplacian (each counting 2 toward the
@@ -274,8 +273,7 @@ def _as_coefficient(v) -> Coefficient:
     return v if isinstance(v, Coefficient) else Coefficient.constant(v)
 
 
-@dataclass(frozen=True)
-class BTerm:
+class BTerm(Record):
     """Normal-ordered term over the b generators:
     r^nu * value * q(lambda) * T^t * d/dy^cross * Lap^lap."""
 
@@ -562,8 +560,7 @@ def identity_operator(structure, cross_section, k: int = 1) -> BoundaryOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Uniform grid in the logarithmic variable t = log r on [t0, t1).
 
     Radial frame derivatives act by exact spectral differentiation in t,
@@ -890,8 +887,7 @@ def _covector_dim(p: BoundaryOperator) -> tuple[int, bool]:
     return 1, False
 
 
-@dataclass(frozen=True)
-class EllipticityResult:
+class EllipticityResult(Record):
     elliptic: bool
     min_abs_det: float
     witness_r: float

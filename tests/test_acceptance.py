@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Tolerances are pinned here, not configurable.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -269,7 +268,7 @@ def test_10_oracle_ledger():
     # negative control: deleting a root must be caught and named
     p = make_model("polar_laplacian")
     report = fredholm_check(p, 0.5)
-    tampered = dataclasses.replace(report, roots=report.roots[1:])
+    tampered = report.replace(roots=report.roots[1:])
     ledger = cross_check(p, tampered)
     assert not ledger.passed
     assert "root" in ledger.first_failure().detail

@@ -1,6 +1,5 @@
 """Spec files, commands, exit codes, determinism, report formatting."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -471,6 +470,40 @@ def run_cli(*args, timeout=60, code=None):
                           timeout=timeout, env=env)
 
 
+# Counts, in a fresh interpreter, the code compiled at run time while the
+# kit is imported and runs `check` and `verify`: the import system compiling
+# a module's source file (no bytecode cached) is not counted, code generated
+# from a string is.  Prints that count and whether numpy.polynomial loaded.
+COLD_START_PROBE = """
+import os, sys
+import click, numpy
+generated = []
+def audit(event, args):
+    if event == "compile" and not (isinstance(args[1], str) and os.path.isfile(args[1])):
+        generated.append(args[1])
+sys.addaudithook(audit)
+import fredholm_kit.cli as cli
+for command in ("check", "verify"):
+    try:
+        cli.main([command, sys.argv[1], "--weight", "0.3"])
+    except SystemExit as exit:
+        assert exit.code == 0, (command, exit.code)
+print(len(generated), "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_cold_start_generates_no_code_and_leaves_numpy_polynomial_unloaded(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(POLAR_TEXT)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fredholm_kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", COLD_START_PROBE, str(path)],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+
+
 # (r d/dr)^2 + 1e-7 L - 10 on the circle: the symbol floor 1e-7 puts the
 # certified tail at lambda = 1e8, past the mode budget
 TINY_FLOOR_TEXT = json.dumps(dict(SHIFTED_CYLINDER, terms=[
@@ -629,7 +662,7 @@ def test_verify_fails_a_merged_root_list(tmp_path, runner, case, detail):
     report = fredholm_check(p, 0.0, opts)
     merged = RootTable.from_roots([IndicialRoot(mode, tau, 1j * tau, m) for mode in ("k=0", "k=1")
                                    for tau, m in MERGED_ROOTS[case](*MERGE_CASES[case])])
-    ledger = cross_check(p, dataclasses.replace(report, roots=merged), opts)
+    ledger = cross_check(p, report.replace(roots=merged), opts)
     failed = [e.as_dict() for e in ledger.entries if e.status == "fail"]
     assert failed[0] == {"name": "roots[k=0]", "status": "fail", "detail": detail}
     assert {e["name"] for e in failed} == {"roots[k=0]", "roots[k=1]"}
@@ -800,7 +833,7 @@ def test_batched_root_numbers_equal_the_per_value_path():
     per_value = [r.as_dict() for r in table]  # round12, one value at a time
     assert _roots_text(table) == json.dumps(per_value, indent=2, sort_keys=True,
                                             allow_nan=False).replace("\n", "\n  ")
-    report = dataclasses.replace(fredholm_check(make_model("polar_laplacian"), 0.3), roots=table)
+    report = fredholm_check(make_model("polar_laplacian"), 0.3).replace(roots=table)
     # repr tells -0.0 from 0.0
     assert repr(report.to_dict()["indicial_roots"]) == repr(per_value)
     assert "-0.0" in repr(per_value) and "None" in repr(per_value)
@@ -815,13 +848,11 @@ def test_batched_round12_equals_round12_per_value(values):
 
 
 def test_text_report_lists_every_root_of_a_shared_class_root():
-    import dataclasses
-
     from fredholm_kit._util import fmt_complex
     report = fredholm_check(make_model("polar_laplacian"), 0.3)
     roots = tuple(shared_class_root_roots())
     for given in ((*report.roots, *roots), shared_class_root_table()):
-        text = render_report(dataclasses.replace(report, roots=given), "text")
+        text = render_report(report.replace(roots=given), "text")
         listed = [line for line in text.splitlines() if line.startswith("  mode ")]
         assert listed[-len(roots):] == [
             f"  mode {r.mode}: z = {fmt_complex(r.mellin)}  (tau = {fmt_complex(r.tau)}, "

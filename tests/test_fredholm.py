@@ -2,7 +2,6 @@
 
 import ast
 import cmath
-import dataclasses
 import json
 import math
 import os
@@ -269,7 +268,7 @@ def test_root_failure_names_the_first_failing_class():
     coeffs[2, -1] = 5e-324 * np.eye(2)
     with pytest.raises(FredholmKitError, match=r"^root refinement failed on mode k=1: "
                                                r"inclusion disc not finite at tau="):
-        indicial_roots(dataclasses.replace(fam, coeffs=coeffs))
+        indicial_roots(fam.replace(coeffs=coeffs))
     [(_, failure)] = fredholm._linearized_roots(coeffs[2:].swapaxes(0, 1))
     assert failure in ("the leading matrix is singular",
                        "the block companion matrix is not finite")
@@ -390,9 +389,8 @@ def test_roots_zero_polynomial_rejected():
     assert fam.channels.labels[0] == "k=0"
     broken = fam.coeffs.copy()
     broken[0] = 0
-    from dataclasses import replace
     with pytest.raises(Exception, match="identically zero"):
-        indicial_roots(replace(fam, coeffs=broken))
+        indicial_roots(fam.replace(coeffs=broken))
 
 
 def _listed(roots):
@@ -475,8 +473,6 @@ def _optional(root):
 def test_root_table_readers_equal_those_of_its_listed_roots(fam):
     # every reader of the root table gives what it gives from the
     # IndicialRoots the table lists, zero signs included
-    import dataclasses
-
     from fredholm_kit.cli import _roots_lines, _roots_text
     table = indicial_roots(fam)
     listed = list(table)
@@ -488,8 +484,8 @@ def test_root_table_readers_equal_those_of_its_listed_roots(fam):
     assert _roots_lines(table, lambda *root: repr(root)) == \
         _roots_lines(listed, lambda *root: repr(root))
     report = fredholm_check(make_model("polar_laplacian"), 0.3)
-    assert json.dumps(dataclasses.replace(report, roots=table).to_dict()) == \
-        json.dumps(dataclasses.replace(report, roots=listed).to_dict())
+    assert json.dumps(report.replace(roots=table).to_dict()) == \
+        json.dumps(report.replace(roots=listed).to_dict())
     for delta in [*(r.mellin.real for r in listed[::5]), -2.0, 0.0, 0.3, 1e3]:
         v, w = normal_invertible(table, delta), normal_invertible(RootTable.from_roots(listed), delta)
         assert (v.status, v.distance) == (w.status, w.distance)
@@ -1411,7 +1407,6 @@ def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
     # each root's own as_dict(), on every built-in and the modes specs, on
     # runs of roots that share one class root's objects, and a -0.0 part
     # still prints apart from 0.0
-    import dataclasses
     import json
     import os
 
@@ -1435,10 +1430,10 @@ def test_to_dict_rounds_as_every_root_does_alone(monkeypatch, tmp_path):
               IndicialRoot("k=0", complex(0.0, 1.5), complex(-1.5, 0.0), 1))
     shared = tuple(shared_class_root_roots())
     assert _listed(shared_class_root_table()) == _listed(shared)
-    reports.append(dataclasses.replace(reports[0], roots=(*reports[0].roots, *shared)))
-    reports.append(dataclasses.replace(reports[0], roots=shared_class_root_table()))
-    reports.append(dataclasses.replace(reports[0], roots=RootTable.from_roots(signed)))
-    reports.append(dataclasses.replace(reports[0], roots=(*reports[0].roots, *signed)))
+    reports.append(reports[0].replace(roots=(*reports[0].roots, *shared)))
+    reports.append(reports[0].replace(roots=shared_class_root_table()))
+    reports.append(reports[0].replace(roots=RootTable.from_roots(signed)))
+    reports.append(reports[0].replace(roots=(*reports[0].roots, *signed)))
     assert sum(len(r.roots) for r in reports) > 2473
     for rep in reports:
         alone = {**rep._dict_without_roots(), "indicial_roots": [r.as_dict() for r in rep.roots]}

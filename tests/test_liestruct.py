@@ -17,7 +17,7 @@ from fredholm_kit import (
     isotropy,
     structure_constants,
 )
-from fredholm_kit.liestruct import RADIAL, IsotropyDescriptor
+from fredholm_kit.liestruct import MAX_COLLAR_DIM, RADIAL, IsotropyDescriptor
 
 
 def structures(cross_dim):
@@ -207,6 +207,25 @@ def test_isotropy_refuses_exactly_the_tables_that_break_jacobi():
             with pytest.raises(ValueError, match="Jacobi"):
                 IsotropyDescriptor(c, GroupKind.ABELIAN, "point", c.shape[0], "G")
     assert [iso.structure_constants.shape[0] for iso in kept] == [3, 2]  # so(3), dim 2
+
+
+def test_bracket_tables_refuse_a_collar_dim_past_the_cap_at_once():
+    # the table holds collar_dim^3 numbers and the Jacobi check takes n^5
+    # steps: a library caller past the cap is refused before either starts
+    import time
+
+    assert MAX_COLLAR_DIM == 32
+    for build, s in ((isotropy, LieStructure.zero(99)),
+                     (structure_constants, LieStructure.b(10 ** 6)),
+                     (isotropy, LieStructure.sc(MAX_COLLAR_DIM))):
+        start = time.perf_counter()
+        with pytest.raises(FredholmKitError, match=f"at most {MAX_COLLAR_DIM}, got {s.collar_dim}"):
+            build(s)
+        assert time.perf_counter() - start < 1.0
+    iso = isotropy(LieStructure.zero(MAX_COLLAR_DIM - 1))
+    c = iso.structure_constants
+    assert c.shape == (MAX_COLLAR_DIM,) * 3 and iso.group_kind is GroupKind.SEMIDIRECT_DILATION
+    assert c[0, MAX_COLLAR_DIM - 1, MAX_COLLAR_DIM - 1] == 1
 
 
 def test_metric_b_at_unit_radius_is_identity():

@@ -3,7 +3,6 @@ and the cross-check ledger (including a tampered-report negative
 control)."""
 
 import cmath
-import dataclasses
 import math
 import os
 import re
@@ -785,7 +784,7 @@ def test_cross_check_passes_on_shifted_cylinder():
 def test_cross_check_fails_on_tampered_report():
     p = make_model("polar_laplacian")
     report = fredholm_check(p, 0.5)
-    tampered = dataclasses.replace(report, roots=report.roots[1:])
+    tampered = report.replace(roots=report.roots[1:])
     ledger = cross_check(p, tampered)
     assert not ledger.passed
     bad = ledger.first_failure()
@@ -799,7 +798,7 @@ def test_cross_check_skips_roots_only_for_a_non_elliptic_report():
     # failure still has every mode checked
     p = make_model("polar_laplacian")
     report = fredholm_check(p, 0.5)
-    tampered = dataclasses.replace(report, roots=(), caveats=(
+    tampered = report.replace(roots=(), caveats=(
         *report.caveats, f"{fredholm.ROOTS_NOT_COMPUTED} (root refinement failed)"))
     ledger = cross_check(p, tampered)
     assert not ledger.passed
@@ -814,8 +813,8 @@ def test_cross_check_evaluates_the_reported_sc_witness():
     (lv,) = report.limit_verdicts
     honest = {e.name: e for e in cross_check(p, report).entries}["symbol-witness"]
     assert honest.status == "pass"
-    moved = dataclasses.replace(lv, witness={"covector": [5.0, 5.0]})
-    ledger = cross_check(p, dataclasses.replace(report, limit_verdicts=(moved,)))
+    moved = lv.replace(witness={"covector": [5.0, 5.0]})
+    ledger = cross_check(p, report.replace(limit_verdicts=(moved,)))
     assert not ledger.passed
     bad = ledger.first_failure()
     assert (bad.name, bad.detail) == ("symbol-witness", "|det| at witness = 4.900e+01")
@@ -846,8 +845,8 @@ def test_cross_check_names_a_root_moved_by_1e_6():
     moved = report.roots[i]
     assert moved.mode == "k=0"
     roots = list(report.roots)
-    roots[i] = dataclasses.replace(moved, tau=moved.tau + 1e-6)
-    bad = cross_check(p, dataclasses.replace(report, roots=tuple(roots))).first_failure()
+    roots[i] = moved.replace(tau=moved.tau + 1e-6)
+    bad = cross_check(p, report.replace(roots=tuple(roots))).first_failure()
     assert bad.name == "roots[k=0]"
     assert "missing from report" in bad.detail
     assert f"{moved.tau.imag:.6g}" in bad.detail
@@ -1008,8 +1007,8 @@ def test_perturbed_root_fails_only_its_own_channel_of_a_shared_class():
     target = shared[1]
     i = next(j for j, r in enumerate(report.roots) if r.mode == target)
     roots = list(report.roots)
-    roots[i] = dataclasses.replace(roots[i], tau=roots[i].tau + 1e-6)
-    ledger = cross_check(p, dataclasses.replace(report, roots=tuple(roots)))
+    roots[i] = roots[i].replace(tau=roots[i].tau + 1e-6)
+    ledger = cross_check(p, report.replace(roots=tuple(roots)))
     failed = [e for e in ledger.entries if e.status == "fail"]
     assert [e.name for e in failed] == [f"roots[{target}]"]
     assert "missing from report" in failed[0].detail
@@ -1031,13 +1030,13 @@ def failing_entries(p, report):
 
 def with_line(report, verdict, status, witness):
     (lv,) = report.limit_verdicts
-    return dataclasses.replace(report, verdict=verdict, limit_verdicts=(
-        dataclasses.replace(lv, status=status, witness=witness),))
+    return report.replace(verdict=verdict, limit_verdicts=(
+        lv.replace(status=status, witness=witness),))
 
 
 def test_a_report_without_a_mode_cutoff_fails_setup():
     p = make_model("polar_laplacian")
-    report = dataclasses.replace(fredholm_check(p, 0.5), cutoffs={})
+    report = fredholm_check(p, 0.5).replace(cutoffs={})
     assert failing_entries(p, report) == [("setup", "fail", "report carries no mode cutoff")]
 
 
@@ -1089,7 +1088,7 @@ def test_a_flipped_sc_verdict_fails_the_rescan():
 
 def test_an_sc_report_without_a_limit_verdict_fails():
     p = make_model("sc_laplacian", cross_dim=2, shift=-1.0)
-    report = dataclasses.replace(fredholm_check(p), limit_verdicts=())
+    report = fredholm_check(p).replace(limit_verdicts=())
     assert failing_entries(p, report) == [("symbol", "fail", "no limit verdict recorded")]
 
 
@@ -1158,23 +1157,23 @@ def doctored_failures(p, report, roots, opts):
     """The failing ledger entries of the report with its roots replaced,
     after checking that every other entry is the honest report's."""
     clean = {e.name: e for e in cross_check(p, report, opts).entries}
-    ledger = cross_check(p, dataclasses.replace(report, roots=tuple(roots)), opts)
+    ledger = cross_check(p, report.replace(roots=tuple(roots)), opts)
     failed = [e for e in ledger.entries if e.status == "fail"]
     assert all(e == clean[e.name] for e in ledger.entries if e.status != "fail")
     return [(e.name, e.detail) for e in failed]
 
 
 def _neighbour_plus_1e_14(roots, plus, minus):
-    roots[plus] = dataclasses.replace(roots[minus], tau=roots[minus].tau + 1e-14)
+    roots[plus] = roots[minus].replace(tau=roots[minus].tau + 1e-14)
 
 
 def _merged(roots, plus, minus):
-    roots[plus] = dataclasses.replace(roots[plus], multiplicity=2)
+    roots[plus] = roots[plus].replace(multiplicity=2)
     del roots[minus]
 
 
 def _moved(roots, plus, minus):
-    roots[plus] = dataclasses.replace(roots[plus], tau=roots[plus].tau * (1 + 1e-5))
+    roots[plus] = roots[plus].replace(tau=roots[plus].tau * (1 + 1e-5))
 
 
 def _dropped(roots, plus, minus):
@@ -1182,7 +1181,7 @@ def _dropped(roots, plus, minus):
 
 
 def _added(roots, plus, minus):
-    roots.insert(min(plus, minus), dataclasses.replace(roots[plus], tau=5 + 5j))
+    roots.insert(min(plus, minus), roots[plus].replace(tau=5 + 5j))
 
 
 @pytest.mark.parametrize("doctor, detail", [
@@ -1222,7 +1221,7 @@ def test_a_claim_past_every_root_keeps_its_tropical_start(claim):
     roots = list(report.roots)
     plus = next(i for i, root in enumerate(roots)
                 if root.mode == "k=+2" and abs(root.tau - r) <= 1e-12)
-    roots[plus] = dataclasses.replace(roots[plus], tau=complex(claim))
+    roots[plus] = roots[plus].replace(tau=complex(claim))
     assert doctored_failures(p, report, roots, opts) == [
         ("roots[k=+2]", f"brute root tau={r:.9g} (x1) missing from report")]
 
@@ -1239,8 +1238,8 @@ def test_swapped_multiplicities_fail_their_mode_alone():
     triple, single = (next(i for i, root in enumerate(roots)
                            if root.mode == "k=0" and abs(root.tau - w) <= 1e-9) for w in (r, near))
     assert (roots[triple].multiplicity, roots[single].multiplicity) == (3, 1)
-    roots[triple] = dataclasses.replace(roots[triple], multiplicity=1)
-    roots[single] = dataclasses.replace(roots[single], multiplicity=3)
+    roots[triple] = roots[triple].replace(multiplicity=1)
+    roots[single] = roots[single].replace(multiplicity=3)
     assert doctored_failures(p, report, roots, opts) == [
         ("roots[k=0]", f"multiplicity mismatch at tau={r:.9g}: report 1 vs contour 3")]
 
@@ -1260,7 +1259,7 @@ def test_perturbed_root_in_the_first_channel_fails_only_that_channel():
     roots = list(report.roots)
     i = next(j for j, root in enumerate(roots)
              if root.mode == "k=(-1,-1)" and abs(root.tau + r) <= 1e-12)
-    roots[i] = dataclasses.replace(roots[i], tau=roots[i].tau + 1e-6)
+    roots[i] = roots[i].replace(tau=roots[i].tau + 1e-6)
     assert doctored_failures(p, report, roots, opts) == [
         ("roots[k=(-1,-1)]", f"brute root tau={-r:.9g} (x1) missing from report")]
 
