@@ -27,6 +27,7 @@ class Record:
 
     _fields: tuple = ()
     _defaults: dict = {}
+    _tails: dict = {}  # n -> the defaults of the fields after the first n
     __post_init__ = None
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
@@ -34,6 +35,8 @@ class Record:
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = tuple(dict.fromkeys((*cls._fields, *own)))
         cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        cls._tails = {n: tuple(cls._defaults[f] for f in cls._fields[n:])
+                      for n in range(len(cls._fields)) if cls._defaults.keys() >= set(cls._fields[n:])}
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
@@ -41,7 +44,8 @@ class Record:
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or len(args) != len(fields):
-            args = self._arguments(args, kwargs)
+            tail = None if kwargs else self._tails.get(len(args))
+            args = self._arguments(args, kwargs) if tail is None else args + tail
         # object.__setattr__, as a frozen dataclass does: touching
         # self.__dict__ would give every record a dict of its own, which
         # takes more memory and makes reading a field slower (a counter, as

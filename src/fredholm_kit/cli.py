@@ -317,7 +317,7 @@ def parse_spec_dict(spec: dict, path: str = "") -> tuple[BoundaryOperator, bool]
                     "laplacian_poly degree pushes the term past the declared order")
         pairs.append((mi, co))
     try:
-        op = BoundaryOperator(structure, cross, pairs, order=order)
+        op = BoundaryOperator(structure, cross, pairs, order)
     except (ValueError, FredholmKitError) as e:
         raise SpecFileError("terms", str(e)) from None
     if op.system_size not in (system_size,):
@@ -477,7 +477,7 @@ def render_report(report: FredholmReport, fmt: str = "text") -> str:
         return _render_json(report._dict_without_roots(), "indicial_roots", report.roots)
     lines = [f"VERDICT: {report.verdict}"]
     lines.append(f"weight: delta = {fmt12(report.delta)}  "
-                 f"(tested {report.convention})")
+                 f"(tested {WEIGHT_CONVENTION})")
     lines.append(f"operator: {report.operator}")
     lines.append(f"  structure {report.structure_kind}, cross-section "
                  f"{report.cross_section}, order {report.order}, "
@@ -648,7 +648,8 @@ def _write_scan_csvs(scans: dict, report: FredholmReport, base_path: str):
 
 @main.command()
 @_spec_argument
-@_cutoff
+@click.option("--cutoff", type=float, default=None, help="Cross-section mode cutoff (default: "
+              "10 * max coefficient * order^2); unlike check, roots never raises it.")
 @_fmt
 @_out
 def roots(spec_path, cutoff, fmt, out):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import Record, round12, round12_all
 from .crosssec import MODE_BUDGET, check_cutoff, mode_count, spectrum
-from .liestruct import FredholmKitError, StructureKind
+from .liestruct import FredholmKitError, StructureKind, _nu_key
 from .limitops import (
     IndicialFamily,
     cluster_counts,
@@ -765,7 +765,6 @@ class FredholmReport(Record):
 
     verdict: str
     delta: float
-    convention: str
     elliptic: EllipticityResult
     limit_verdicts: tuple[LimitVerdict, ...]
     roots: Sequence[IndicialRoot]
@@ -808,7 +807,7 @@ class FredholmReport(Record):
         from a template."""
         return {
             "verdict": self.verdict,
-            "weight": {"delta": round12(self.delta), "convention": self.convention},
+            "weight": {"delta": round12(self.delta), "convention": WEIGHT_CONVENTION},
             "operator": {
                 "structure": self.structure_kind,
                 "cross_section": self.cross_section,
@@ -830,6 +829,18 @@ def _root_witness(v: LineVerdict) -> dict | None:
     return v.witness.as_dict()
 
 
+def _mixes_scalings(p: BoundaryOperator) -> bool:
+    """Whether some principal term of p differentiates tangentially
+    (partials, Laplacian powers or q(lambda): its radial power is below the
+    order) and has no r^0 coefficient, so that this direction scales as in
+    another frame."""
+    for mi, co in p.terms:
+        nus = [_nu_key(ct.nu) for ct in co.terms if mi.total + 2 * ct.lam_degree == p.order]
+        if mi.radial < p.order and nus and 0.0 not in nus:
+            return True
+    return False
+
+
 def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
                    opts: FredholmOptions | None = None) -> FredholmReport:
     """Decide Fredholmness of p on the weight-delta scale: ellipticity
@@ -847,7 +858,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
     ell = is_elliptic(p)
     caveats = ["verdicts treat the Sobolev order s as irrelevant to "
                "Fredholmness; this convention is surfaced, not tested"]
-    if p.symbolic_only:
+    if _mixes_scalings(p):
         caveats.append("operator is flagged symbolic-only: its frame mixes "
                        "scaling types, so verdicts are indicative")
     cutoffs: dict = {}
@@ -860,7 +871,7 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         caveats.append("empty boundary: no limit operators; Fredholmness "
                        "reduces to ellipticity")
         return FredholmReport(
-            verdict, delta, WEIGHT_CONVENTION, ell, (), (), (), cutoffs,
+            verdict, delta, ell, (), (), (), cutoffs,
             tuple(caveats), p.structure.kind.value, str(p.cross_section),
             str(p), p.system_size, p.order)
 
@@ -956,6 +967,6 @@ def fredholm_check(p: BoundaryOperator, delta: float = 0.0,
         else:
             verdict = VERDICT_UNDECIDED
     return FredholmReport(
-        verdict, delta, WEIGHT_CONVENTION, ell, tuple(limit_verdicts),
+        verdict, delta, ell, tuple(limit_verdicts),
         roots, safe, cutoffs, tuple(caveats), p.structure.kind.value,
         str(p.cross_section), str(p), p.system_size, p.order)

@@ -49,8 +49,7 @@ def freeze_coefficients(p: BoundaryOperator) -> BoundaryOperator:
         raise FredholmKitError(
             "every coefficient vanishes at the boundary; the frozen operator "
             "is identically zero")
-    return BoundaryOperator(p.structure, p.cross_section, frozen,
-                            symbolic_only=p.symbolic_only)
+    return BoundaryOperator(p.structure, p.cross_section, frozen)
 
 
 def normal_operator(p: BoundaryOperator) -> BoundaryOperator:
@@ -402,10 +401,11 @@ class IndicialFamily(Record):
 
     channels: ChannelTable
     coeffs: np.ndarray
-    source_cutoff: float
-    system_size: int
-    structure_kind: StructureKind
     warning: str | None = None
+
+    @property
+    def system_size(self) -> int:
+        return self.coeffs.shape[-1]
 
     @cached_property
     def polys(self) -> Mapping[str, np.ndarray]:
@@ -491,5 +491,4 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
                     coeffs[:, mi.radial] += factor[:, None, None] * ct.value
                 else:
                     coeffs[:, mi.radial] += _cmul(factor, ct.value)[:, None, None] * eye
-    return IndicialFamily(chans, coeffs, table.cutoff, k,
-                          base.structure.kind, warning)
+    return IndicialFamily(chans, coeffs, warning)

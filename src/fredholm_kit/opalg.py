@@ -13,6 +13,10 @@ acting mode-diagonally in the eigenvalue lambda >= 0 of the nonnegative
 cross-section Laplacian.  L acts on a mode as -lambda * r^(2s); a power
 of L contributes -|eta|^2 to the principal symbol.
 
+Operators, coefficients and their monomials are records (`_util.Record`)
+in a canonical form (terms merged and sorted, values frozen, the true
+order), so two operators with the same terms are equal however built.
+
 Internally every operator is normal-ordered over the b generators
 T = r d/dr, d/dy_j and the plain Laplacian, where the only nontrivial
 commutation is T r^mu = r^mu (T + mu).  Composition, conjugation, and
@@ -148,40 +152,34 @@ class MultiIndex(Record):
         return (-self.total, -self.radial, -self.laplacian, self.cross)
 
 
-class CoeffTerm:
-    """One coefficient monomial r^nu * value * q(lambda)."""
+class CoeffTerm(Record):
+    """One coefficient monomial r^nu * value * q(lambda); a matrix value compares by entries."""
 
-    __slots__ = ("nu", "value", "lam_poly", "_norm")
+    nu: float = 0.0
+    value: complex | np.ndarray = 1.0
+    lam_poly: tuple | None = None
 
-    def __init__(self, nu: float = 0.0, value=1.0, lam_poly=None):
-        if nu < 0:
+    def __post_init__(self):
+        if self.nu < 0:
             raise NotRepresentableError(
-                f"coefficient exponent nu={nu:g} is negative; only r^nu with "
+                f"coefficient exponent nu={self.nu:g} is negative; only r^nu with "
                 "nu >= 0 is supported"
             )
-        object.__setattr__(self, "nu", float(nu))
-        object.__setattr__(self, "value", _freeze(value))
-        if lam_poly is not None:
-            lam_poly = _poly_trim(tuple(complex(c) for c in lam_poly))
-            if lam_poly == (1 + 0j,):
-                lam_poly = None
-        object.__setattr__(self, "lam_poly", lam_poly)
-        object.__setattr__(self, "_norm", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoeffTerm is immutable")
+        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "value", _freeze(self.value))
+        if self.lam_poly is not None:
+            lam_poly = _poly_trim(tuple(complex(c) for c in self.lam_poly))
+            object.__setattr__(self, "lam_poly", None if lam_poly == (1 + 0j,) else lam_poly)
 
     @property
     def lam_degree(self) -> int:
         return 0 if self.lam_poly is None else len(self.lam_poly) - 1
 
-    @property
+    @cached_property
     def norm(self) -> float:
         """||value||_2 (|value| for a scalar), computed once: the operators
         derived from one (`limitops.freeze_coefficients`) share its terms."""
-        if self._norm is None:
-            object.__setattr__(self, "_norm", _value_norm(self.value))
-        return self._norm
+        return _value_norm(self.value)
 
     def lam_value(self, lam: float) -> complex:
         if self.lam_poly is None:
@@ -194,30 +192,24 @@ class CoeffTerm:
     def __eq__(self, other):
         if not isinstance(other, CoeffTerm):
             return NotImplemented
-        if (self.nu, self.lam_poly) != (other.nu, other.lam_poly):
-            return False
-        if _is_matrix(self.value) != _is_matrix(other.value):
-            return False
-        if _is_matrix(self.value):
-            return np.array_equal(self.value, other.value)
-        return self.value == other.value
+        a, b = self.value, other.value
+        return ((self.nu, self.lam_poly) == (other.nu, other.lam_poly)
+                and _is_matrix(a) == _is_matrix(b)
+                and (np.array_equal(a, b) if _is_matrix(a) else a == b))
 
     def __hash__(self):
         v = self.value.tobytes() if _is_matrix(self.value) else self.value
         return hash((self.nu, self.lam_poly, v))
 
-    def __repr__(self):
-        return f"CoeffTerm(nu={self.nu:g}, value={self.value!r}, lam_poly={self.lam_poly})"
 
+class Coefficient(Record):
+    """A finite sum of coefficient monomials, merged, nonzero and sorted."""
 
-class Coefficient:
-    """A finite sum of coefficient monomials with merged exponents."""
+    terms: tuple[CoeffTerm, ...]
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
+    def __post_init__(self):
         merged: dict[tuple, CoeffTerm] = {}
-        for t in terms:
+        for t in self.terms:
             key = (_nu_key(t.nu), t.lam_poly)
             if key in merged:
                 prev = merged[key]
@@ -231,9 +223,6 @@ class Coefficient:
         kept.sort(key=lambda t: (t.nu, t.lam_degree))
         object.__setattr__(self, "terms", tuple(kept))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Coefficient is immutable")
-
     @staticmethod
     def constant(value) -> "Coefficient":
         return Coefficient([CoeffTerm(0.0, value)])
@@ -246,9 +235,6 @@ class Coefficient:
     def laplacian_poly(coeffs, nu: float = 0.0, value=1.0) -> "Coefficient":
         return Coefficient([CoeffTerm(nu, value, tuple(coeffs))])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def system_size(self) -> int:
         return _value_dim(self.terms[0].value) if self.terms else 1
@@ -258,15 +244,6 @@ class Coefficient:
 
     def shifted(self, dnu: float) -> "Coefficient":
         return Coefficient([CoeffTerm(t.nu + dnu, t.value, t.lam_poly) for t in self.terms])
-
-    def __eq__(self, other):
-        return isinstance(other, Coefficient) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        return f"Coefficient({list(self.terms)!r})"
 
 
 def _as_coefficient(v) -> Coefficient:
@@ -338,23 +315,26 @@ def _render_terms(terms, radial: str, cross, laplacian: str, weight) -> str:
     return " + ".join(chunks)
 
 
-class BoundaryOperator:
+class BoundaryOperator(Record):
     """A differential operator on the collar, canonically represented as a
     sorted tuple of (MultiIndex, Coefficient) pairs over the structure's
-    frame monomials."""
+    frame monomials (given as pairs or a dict, a constant coefficient as
+    its value); `order`, if given, must be the true order it then holds."""
 
-    __slots__ = ("structure", "cross_section", "terms", "order", "system_size",
-                 "symbolic_only", "__dict__")
+    structure: LieStructure
+    cross_section: CrossSection
+    terms: tuple
+    order: int | None = None
 
-    def __init__(self, structure: LieStructure, cross_section: CrossSection,
-                 terms, order: int | None = None, symbolic_only: bool = False):
+    def __post_init__(self):
+        structure, cross_section = self.structure, self.cross_section
         if structure.cross_dim != cross_section.dimension:
             raise ValueError(
                 f"structure collar ({structure.cross_dim}-dim cross) does not "
                 f"match cross-section {cross_section} ({cross_section.dimension}-dim)"
             )
         merged: dict[MultiIndex, list] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         for mi, coeff in items:
             if not isinstance(mi, MultiIndex):
                 raise TypeError(f"cannot interpret {mi!r} as a multi-index")
@@ -365,47 +345,32 @@ class BoundaryOperator:
                     f"cross-section {cross_section} supports them only via "
                     "Laplacian powers"
                 )
-            merged.setdefault(mi, []).extend(co.terms)
+            merged.setdefault(mi, []).append(co)
         canon = []
-        for mi, cts in merged.items():
-            co = Coefficient(cts)
-            if not co.is_zero():
+        for mi, cos in merged.items():
+            # a coefficient is canonical already; only a repeated index merges
+            co = cos[0] if len(cos) == 1 else Coefficient([t for c in cos for t in c.terms])
+            if co.terms:
                 canon.append((mi, co))
         canon.sort(key=lambda pair: pair[0]._sort_key())
         if not canon:
             raise ValueError("operator has no nonzero terms")
-        sizes = {co.system_size for _, co in canon if co.system_size > 1}
-        if len(sizes) > 1:
+        if len({co.system_size for _, co in canon} - {1}) > 1:
             raise ValueError("inconsistent system sizes across coefficients")
-        k = sizes.pop() if sizes else 1
-        true_order = max(
-            mi.total + 2 * ct.lam_degree for mi, co in canon for ct in co.terms
-        )
-        if order is not None and order != true_order:
+        true_order = max(mi.total + 2 * ct.lam_degree for mi, co in canon for ct in co.terms)
+        if self.order is not None and self.order != true_order:
             raise ValueError(
-                f"declared order {order} does not match the leading terms "
+                f"declared order {self.order} does not match the leading terms "
                 f"(true order {true_order})"
             )
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "cross_section", cross_section)
         object.__setattr__(self, "terms", tuple(canon))
         object.__setattr__(self, "order", true_order)
-        object.__setattr__(self, "system_size", k)
-        object.__setattr__(self, "symbolic_only", bool(symbolic_only))
 
-    def __setattr__(self, *a):
-        raise AttributeError("BoundaryOperator is immutable")
+    @cached_property
+    def system_size(self) -> int:
+        return max(co.system_size for _, co in self.terms)
 
-    # -- identity and rendering ------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryOperator):
-            return NotImplemented
-        return (self.structure, self.cross_section, self.terms) == (
-            other.structure, other.cross_section, other.terms)
-
-    def __hash__(self):
-        return hash((self.structure, self.cross_section, self.terms))
+    # -- rendering ---------------------------------------------------------
 
     def __str__(self):
         a, s = self.structure.radial_exponent, self.structure.cross_exponent
@@ -439,7 +404,7 @@ class BoundaryOperator:
                                      ct.lam_poly, j, mi.cross, mi.laplacian))
         return tuple(out)
 
-    def _from_bterms(self, bterms, symbolic_only=False) -> "BoundaryOperator":
+    def _from_bterms(self, bterms) -> "BoundaryOperator":
         """Regroup normal-ordered b terms into frame monomials (exact)."""
         a = self.structure.radial_exponent
         s = self.structure.cross_exponent
@@ -486,8 +451,7 @@ class BoundaryOperator:
                         else:
                             entries[key] = (nu, _value_mul(-1.0, piece))
                 entries = {k: v for k, v in entries.items() if not _value_zero(v[1])}
-        return BoundaryOperator(self.structure, self.cross_section, frame_terms,
-                                symbolic_only=symbolic_only)
+        return BoundaryOperator(self.structure, self.cross_section, frame_terms)
 
     # -- channels and application ------------------------------------------
 
@@ -514,12 +478,6 @@ class BoundaryOperator:
 
     # -- algebra -------------------------------------------------------------
 
-    def coefficient_scale(self) -> float:
-        return max(
-            ct.norm * max(1.0, sum(abs(c) for c in (ct.lam_poly or (1,))))
-            for _, co in self.terms for ct in co.terms
-        )
-
     @cached_property
     def tail_envelope(self) -> tuple[tuple[int, int, float], ...]:
         """The tail envelope of this operator read as a normal operator,
@@ -544,15 +502,12 @@ class BoundaryOperator:
         return tuple(pieces)
 
 
-def make_operator(structure, cross_section, terms, order=None, symbolic_only=False):
-    return BoundaryOperator(structure, cross_section, terms, order=order,
-                            symbolic_only=symbolic_only)
+make_operator = BoundaryOperator
 
 
 def identity_operator(structure, cross_section, k: int = 1) -> BoundaryOperator:
     value = np.eye(k, dtype=complex) if k > 1 else 1.0
-    return BoundaryOperator(structure, cross_section,
-                            {MultiIndex(): Coefficient.constant(value)})
+    return BoundaryOperator(structure, cross_section, {MultiIndex(): value})
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +656,7 @@ def compose(p: BoundaryOperator, q: BoundaryOperator) -> BoundaryOperator:
                     continue
                 out.append(BTerm(tp.nu + tq.nu, _value_mul(binom, value),
                                  lam, j + tq.t, cross, lap))
-    return p._from_bterms(out, symbolic_only=p.symbolic_only or q.symbolic_only)
+    return p._from_bterms(out)
 
 
 def conjugate(p: BoundaryOperator, delta: float) -> BoundaryOperator:
@@ -724,8 +679,7 @@ def conjugate(p: BoundaryOperator, delta: float) -> BoundaryOperator:
             if factor == 0:
                 continue
             new_terms.append((MultiIndex(j, mi.cross, mi.laplacian), co.scaled(factor)))
-    return BoundaryOperator(p.structure, p.cross_section, new_terms,
-                            symbolic_only=p.symbolic_only)
+    return BoundaryOperator(p.structure, p.cross_section, new_terms)
 
 
 def kondratiev_transform(p: BoundaryOperator) -> str:
@@ -1013,13 +967,16 @@ def make_model(name: str, **params) -> BoundaryOperator:
     polar_laplacian            (r d/dr)^2 + d_theta^2 on the half-plane collar
     spherical_schrodinger      (r d/dr)^2 + (n-2) r d/dr + Lap_S + Z r
     black_scholes              (sigma^2/2)(x d/dx)^2 + (rate - sigma^2/2) x d/dx - rate
-    cyl_coord_laplacian        (r d/dr)^2 + d_theta^2 + (r d/dz)^2  (symbolic only)
+    cyl_coord_laplacian        (r d/dr)^2 + d_theta^2 + (r d/dz)^2  (mixed scalings)
     cgamma_schrodinger         rescaled singular Schrodinger operator (n, gamma, V0)
     sc_laplacian               (r^2 d/dr)^2 + L + shift on a conical collar
     hyperbolic_laplacian       -(r d/dr)^2 + d r d/dr - L + shift (zero frame)
 
     The overall singular prefactor (r^-2 or r^-2 gamma) is already removed;
-    cross-section Laplacians carry the analyst sign (-lambda on modes).
+    cross-section Laplacians carry the analyst sign (-lambda on modes).  A
+    model checks as its explicit spec does: the mixed-scaling caveat of
+    cyl_coord_laplacian, whose (r d/dz)^2 scales as in the sc frame, is
+    read from its terms (`fredholm.fredholm_check`).
     """
     try:
         factory = _MODELS[name]
@@ -1067,8 +1024,7 @@ def _model_cyl_coord_laplacian() -> BoundaryOperator:
             MultiIndex(2): Coefficient.constant(1.0),
             MultiIndex(0, (2, 0), 0): Coefficient.constant(1.0),
             MultiIndex(0, (0, 2), 0): Coefficient.monomial(2.0, 1.0),
-        },
-        symbolic_only=True)
+        })
 
 
 def _model_cgamma_schrodinger(n: int = 3, gamma: float = 2.0, V0=1.0) -> BoundaryOperator:
@@ -1121,4 +1077,6 @@ def builtin_suite() -> list[tuple[str, BoundaryOperator]]:
 
 def default_mode_cutoff(p: BoundaryOperator) -> float:
     """Default spectral cutoff: 10 * (max coefficient magnitude) * order^2."""
-    return max(1.0, 10.0 * p.coefficient_scale() * max(1, p.order) ** 2)
+    scale = max(ct.norm * max(1.0, sum(abs(c) for c in (ct.lam_poly or (1,))))
+                for _, co in p.terms for ct in co.terms)
+    return max(1.0, 10.0 * scale * max(1, p.order) ** 2)

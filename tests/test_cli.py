@@ -17,6 +17,7 @@ from fredholm_kit import (
     IndicialRoot,
     RadialGrid,
     RootTable,
+    builtin_suite,
     cross_check,
     fredholm_check,
     make_model,
@@ -110,6 +111,16 @@ def test_round_trip_is_canonical_fixed_point():
         reparsed, _ = parse_spec_dict(spec)
         assert reparsed == op, name
         assert serialize_operator(reparsed) == spec, name
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builtin_suite()])
+def test_an_operator_and_its_explicit_spec_get_one_report(name):
+    # the report belongs to the operator, not to how it was built
+    op = dict(builtin_suite())[name]
+    explicit, _ = parse_spec_dict(serialize_operator(op))
+    assert explicit == op
+    assert render_report(fredholm_check(explicit), "json") == \
+        render_report(fredholm_check(op), "json")
 
 
 def test_schema_violations_carry_paths(tmp_path):
@@ -322,6 +333,17 @@ def test_click_usage_errors_exit_3_not_undecided(tmp_path, runner, args):
 def test_help_and_version_exit_0(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 0 and res.stdout and res.stderr == ""
+
+
+def test_only_check_and_verify_say_the_tail_raises_the_cutoff(runner):
+    # roots has no weight and no tail certificate: its cutoff stays as given
+    def cutoff_help(command):
+        text = " ".join(runner.invoke(main, [command, "--help"]).stdout.split())
+        return text[text.index("--cutoff"):text.index("--format")]
+    for command in ("check", "verify"):
+        assert "raised if the tail certificate needs more" in cutoff_help(command)
+    assert "tail certificate" not in cutoff_help("roots")
+    assert "roots never raises it" in cutoff_help("roots")
 
 
 def test_version_of_a_source_tree_run_needs_no_installed_metadata():
@@ -1050,10 +1072,11 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
     # close roots, an overflowing scan), two line-scan runs, ten verify runs
     # of the oracle's root certificates, text check and text/JSON roots of
     # two modes specs, five runs whose companion matrix overflows, and
-    # check/verify of two operators whose principal coefficient depends on r
+    # check/verify of two operators whose principal coefficient depends on r,
+    # and text/JSON check of the explicit spec of cyl_coord_laplacian
     assert len(labels) == len(set(labels)) == \
         172 + 7 * 3 * 2 + (4 * 3 + 2) * 2 + 5 * 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 + 9 + 2 + 10 \
-        + 2 * 3 + 5 + 2 * 2
+        + 2 * 3 + 5 + 2 * 2 + 2
     # the verify --scan-csv runs: a scalar modes spec, two systems specs, a
     # "no" line, and samples that overflow to inf
     scans = [(name, argv[-1]) for name, argv, _sub in digest.scan_runs(str(tmp_path))]

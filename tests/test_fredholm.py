@@ -347,8 +347,8 @@ def jordan_chains(s, r, p):
 def assert_one_root(coeffs, r, mult, oracle_tol=1e-9):
     """Engine and oracle both find det P = (tau - r)^mult: one root within
     1e-9 * max(1, |r|) of r (oracle_tol * max(1, |r|) for the oracle)."""
-    fam = IndicialFamily(ChannelTable(("k=0",), np.zeros(1)), coeffs[None], 0.0,
-                         coeffs.shape[1], StructureKind.B)
+    fam = IndicialFamily(ChannelTable(("k=0",), np.zeros(1)), coeffs[None])
+    assert fam.system_size == coeffs.shape[1]
     engine = [(x.tau, x.multiplicity) for x in indicial_roots(fam)]
     oracle = [(z, m) for z, m, _ in brute_roots(coeffs)]
     for found, tol in ((engine, 1e-9), (oracle, oracle_tol)):
@@ -408,8 +408,7 @@ def _reference_order(fam):
     joined = []
     for i, label in enumerate(fam.channels.labels):
         one = ChannelTable((label,), fam.channels.eigenvalues[i:i + 1])
-        joined += indicial_roots(IndicialFamily(one, fam.coeffs[i:i + 1], fam.source_cutoff,
-                                                fam.system_size, fam.structure_kind))
+        joined += indicial_roots(IndicialFamily(one, fam.coeffs[i:i + 1]))
     return sorted(joined, key=lambda r: (r.mellin.real, r.mellin.imag, r.mode))
 
 
@@ -435,7 +434,7 @@ def _drawn_order_family(seed):
     for row, c in zip(coeffs, rng.integers(0, len(_ORDER_POLYS), len(labels))):
         row[:len(_ORDER_POLYS[c]), 0, 0] = _ORDER_POLYS[c]
     table = ChannelTable(labels, np.zeros(len(labels)))
-    return IndicialFamily(table, coeffs, 1.0, 1, StructureKind.B)
+    return IndicialFamily(table, coeffs)
 
 
 def _shifted_torus_family(seed):
@@ -1112,6 +1111,28 @@ def test_check_cgamma_undecided_with_warning():
     rep = fredholm_check(make_model("cgamma_schrodinger", n=3, gamma=2.0, V0=1.0), 0.0)
     assert rep.verdict == VERDICT_UNDECIDED
     assert any("c_gamma" in c for c in rep.caveats)
+
+
+MIXED_SCALINGS = ("operator is flagged symbolic-only: its frame mixes scaling types, "
+                  "so verdicts are indicative")
+
+
+@pytest.mark.parametrize("terms, mixed", [
+    # (r d/dr)^2 + r^2 L: the principal L term has no r^0 coefficient
+    ({MultiIndex(2): 1.0, MultiIndex(0, (), 1): Coefficient.monomial(2.0)}, True),
+    # (r d/dr)^2 + (1 - r) d_theta^2 + 1: its principal partial keeps r^0
+    ({MultiIndex(2): 1.0, MultiIndex(0, (2,)): Coefficient([CoeffTerm(0.0, 1.0),
+                                                          CoeffTerm(1.0, -1.0)]),
+      MultiIndex(0): 1.0}, False),
+    # (r d/dr)^2 + r q(lambda), q(lambda) = lambda: a principal q(lambda)
+    ({MultiIndex(2): 1.0, MultiIndex(0): Coefficient.laplacian_poly((0.0, 1.0), 1.0)}, True),
+    # (r d/dr)^2 + L + r d_theta: a tangential term below the order
+    ({MultiIndex(2): 1.0, MultiIndex(0, (), 1): 1.0,
+      MultiIndex(0, (1,)): Coefficient.monomial(1.0)}, False),
+], ids=["r2_laplacian", "one_minus_r_partial", "r_lambda", "r_partial_below_order"])
+def test_the_mixed_scaling_caveat_is_read_from_the_principal_terms(terms, mixed):
+    report = fredholm_check(make_operator(B1, CIRCLE, terms), 0.3)
+    assert (MIXED_SCALINGS in report.caveats) is mixed
 
 
 def test_check_verdict_monotone_in_shift():

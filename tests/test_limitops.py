@@ -131,8 +131,10 @@ def test_family_records_cutoff_and_channels():
     p = make_model("polar_laplacian")
     table = spectrum(CIRCLE, 10.0)
     fam = indicial_family(normal_operator(p), table)
-    assert fam.source_cutoff == 10.0
+    # the channels are the modes of the table, up to its cutoff 10
     assert fam.channels.labels == ("k=0", "k=1", "k=2", "k=3")
+    assert fam.channels.eigenvalues.tolist() == [0.0, 1.0, 4.0, 9.0]
+    assert fam.system_size == 1
 
 
 def _reference_rows(p, table):
@@ -287,7 +289,7 @@ def test_classes_keep_the_sign_of_zero_apart():
     chans = ChannelTable(tuple(f"k={i}" for i in range(5)), np.arange(5.0))
     rows = np.array([[1.0, 0.0], [1.0, -0.0], [2.0, 1j], [1.0, -0.0], [1.0, 0.0]],
                     dtype=complex)[:, :, None, None]
-    fam = IndicialFamily(chans, rows, 5.0, 1, StructureKind.B)
+    fam = IndicialFamily(chans, rows)
     assert mode_classes(fam) == [("k=0", "k=4"), ("k=1", "k=3"), ("k=2",)]
     assert mode_classes(fam) == _reference_classes(fam)
     first, of = fam.class_rows

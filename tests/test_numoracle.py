@@ -975,8 +975,7 @@ def test_mode_classes_solved_once_match_per_label_roots(monkeypatch):
     roots = indicial_roots(fam)
     for i, label in enumerate(fam.channels.labels):
         one = ChannelTable((label,), fam.channels.eigenvalues[i:i + 1])
-        alone = IndicialFamily(one, fam.coeffs[i:i + 1], fam.source_cutoff, 1,
-                               fam.structure_kind)
+        alone = IndicialFamily(one, fam.coeffs[i:i + 1])
         mine = [(r.tau, r.multiplicity) for r in roots if r.mode == label]
         assert mine == [(r.tau, r.multiplicity) for r in indicial_roots(alone)]
 
@@ -1388,7 +1387,7 @@ def scalar_rows_family(rows):
     rows = np.asarray(rows, dtype=complex)
     labels = tuple(f"k={i}" for i in range(rows.shape[0]))
     return IndicialFamily(ChannelTable(labels, np.arange(float(rows.shape[0]))),
-                          rows[:, :, None, None], 0.0, 1, B1.kind)
+                          rows[:, :, None, None])
 
 
 def near_scalar_system(eps, seed):

@@ -20,6 +20,7 @@ from fredholm_kit import (
     cgamma_rewrite,
     compose,
     conjugate,
+    fredholm_check,
     identity_operator,
     is_elliptic,
     kondratiev_transform,
@@ -29,6 +30,7 @@ from fredholm_kit import (
     spectrum,
 )
 from fredholm_kit import opalg
+from fredholm_kit.cli import parse_spec_dict, serialize_operator
 from fredholm_kit.opalg import (
     FLOOR_DIRECTIONS,
     EllipticityResult,
@@ -260,10 +262,17 @@ def test_ellipticity_verdicts():
             assert is_elliptic(make_model("spherical_schrodinger", n=n, Z=z)).elliptic
 
 
-def test_cyl_coord_laplacian_is_symbolic_only_and_degenerate():
+def test_cyl_coord_laplacian_mixes_scalings_and_is_degenerate():
+    # the caveat is read from the terms (its (r d/dz)^2 has no r^0
+    # coefficient), so the model's explicit spec carries it too
     p = make_model("cyl_coord_laplacian")
-    assert p.symbolic_only
-    assert not is_elliptic(p).elliptic  # the (r dz)^2 symbol dies at r = 0
+    explicit, _ = parse_spec_dict(serialize_operator(p))
+    for op in (p, explicit):
+        assert not is_elliptic(op).elliptic  # the (r dz)^2 symbol dies at r = 0
+        report = fredholm_check(op)
+        assert report.verdict == "NotFredholm" and not report.elliptic.elliptic
+        assert ("operator is flagged symbolic-only: its frame mixes scaling types, "
+                "so verdicts are indicative") in report.caveats
 
 
 # ---------------------------------------------------------------------------

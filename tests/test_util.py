@@ -17,8 +17,11 @@ from numpy.polynomial import polynomial as npoly
 
 import fredholm_kit
 from fredholm_kit import (
+    BoundaryOperator,
     ChannelTable,
     CheckLedger,
+    CoeffTerm,
+    Coefficient,
     CrossSection,
     EllipticityResult,
     FredholmKitError,
@@ -26,6 +29,7 @@ from fredholm_kit import (
     GroupKind,
     LieStructure,
     MultiIndex,
+    NotRepresentableError,
     RootTable,
     ScanResult,
     StructureKind,
@@ -73,13 +77,16 @@ def _example(name: str) -> dict:
                                    group_kind=GroupKind.ABELIAN, orbit="point",
                                    group_dim=2, group="R^2"),
         "MultiIndex": dict(radial=1, cross=(0, 2)),
+        "CoeffTerm": dict(nu=1.0, value=2.0, lam_poly=(1 + 0j, 2 + 0j)),
+        "Coefficient": dict(terms=(CoeffTerm(0.0, 1.0), CoeffTerm(2.0, 0.5))),
+        "BoundaryOperator": dict(structure=LieStructure.b(1), cross_section=CrossSection.circle(),
+                                 terms=((MultiIndex(2), Coefficient.constant(1.0)),
+                                        (MultiIndex(0, (), 1), Coefficient.constant(1.0)))),
         "BTerm": dict(nu=0.0, value=1.0, lam_poly=None, t=2, cross=(), lap=0),
         "RadialGrid": dict(t0=-1.0, t1=1.0, n=8),
         "EllipticityResult": dict(elliptic=True, min_abs_det=1.0, witness_r=0.0,
                                   witness_covector=(1.0, 0.0), grid=(4, 4)),
-        "IndicialFamily": dict(channels=channels, coeffs=np.ones((2, 3, 1, 1), complex),
-                               source_cutoff=1.0, system_size=1,
-                               structure_kind=StructureKind.B),
+        "IndicialFamily": dict(channels=channels, coeffs=np.ones((2, 3, 1, 1), complex)),
         "IndicialRoot": dict(mode="k=0", tau=1j, mellin=-1 + 0j, multiplicity=1),
         "RootTable": dict(labels=("k=0",), tau=np.array([1j]), mellin=np.array([-1 + 0j]),
                           multiplicity=np.array([1]), channel=np.array([0]),
@@ -109,12 +116,21 @@ DEFAULTS = {
     "ChannelTable": {"vectors": None},
     "LieStructure": {"gamma": None},
     "MultiIndex": {"radial": 0, "cross": (), "laplacian": 0},
+    "CoeffTerm": {"nu": 0.0, "value": 1.0, "lam_poly": None},
+    "BoundaryOperator": {"order": None},
     "IndicialFamily": {"warning": None},
     "FredholmOptions": {"mode_cutoff": None, "tau_range": (-10.0, 10.0), "pts": 2001,
                         "empty_boundary": False},
 }
 # the classes whose dataclass had eq=False: equal and hashed by identity
 BY_IDENTITY = {"ModeTable", "ChannelTable", "RootTable"}
+# the classes whose constructor rebuilds the given field values in a
+# canonical form (a frozen value, a merged term tuple, the true order):
+# equal to, not the same objects as, the canonical values given
+NORMALISED = {"CoeffTerm", "Coefficient", "BoundaryOperator"}
+# the classes with their own __eq__ and __hash__ (a matrix field compares
+# by its entries)
+OWN_EQ = {"CrossSection", "CoeffTerm"}
 
 
 def _fields(cls) -> list[str]:
@@ -137,7 +153,7 @@ def _compared(x, y):
 
 
 def test_the_package_defines_the_listed_records():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 26
     for name in RECORDS:
         assert set(_example(name)) <= set(_fields(RECORDS[name]))
     assert set(DEFAULTS) | BY_IDENTITY <= set(RECORDS)
@@ -150,7 +166,10 @@ def test_records_build_by_position_and_keyword_with_defaults(name):
     by_keyword = cls(**given_values)
     by_position = cls(*(given_values[f] for f in fields if f in given_values))
     for f in fields:
-        if f in given_values:
+        if f in given_values and name in NORMALISED:
+            assert getattr(by_keyword, f) == given_values[f]
+            assert getattr(by_position, f) == given_values[f]
+        elif f in given_values:
             assert getattr(by_keyword, f) is given_values[f]
             assert getattr(by_position, f) is given_values[f]
     assert list(vars(by_keyword)) == fields
@@ -158,7 +177,14 @@ def test_records_build_by_position_and_keyword_with_defaults(name):
     # the defaulted fields come last, and fill in what is not given
     assert fields[len(fields) - len(defaults):] == list(defaults)
     bare = cls(**{f: v for f, v in given_values.items() if f not in defaults})
-    assert {f: getattr(bare, f) for f in defaults} == defaults
+    # the fields without a default by position: the rest from the defaults
+    by_prefix = cls(*(given_values[f] for f in fields if f in given_values and f not in defaults))
+    if name in NORMALISED:  # a default is normalised as a given value is
+        assert cls._defaults == defaults
+        assert bare == by_prefix == cls(**{**given_values, **defaults})
+    else:
+        assert {f: getattr(bare, f) for f in defaults} == defaults
+        assert {f: getattr(by_prefix, f) for f in defaults} == defaults
     if len(defaults) < len(fields):
         with pytest.raises(TypeError, match="missing"):
             cls()
@@ -190,7 +216,10 @@ def test_records_compare_and_hash_as_their_dataclasses_did(name):
     reference = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True,
                                            eq=name not in BY_IDENTITY)
     ref_a, ref_b = reference(**vars(a)), reference(**vars(b))
-    assert repr(a) == repr(ref_a)
+    if name == "BoundaryOperator":  # its own repr, with its display
+        assert repr(a) == "BoundaryOperator<b, S^1; (r d/dr)^2 + L>"
+    else:
+        assert repr(a) == repr(ref_a)
     assert a == a and (a == b) == (ref_a == ref_b) and (a != b) == (ref_a != ref_b)
     # field values built afresh: equal, unequal, or an array's ambiguous truth
     c = cls(**_example(name))
@@ -198,7 +227,7 @@ def test_records_compare_and_hash_as_their_dataclasses_did(name):
     assert a != object() and a != ref_a
     if name in BY_IDENTITY:
         assert a != b and hash(a) == object.__hash__(a) and {a: 1}.get(b) is None
-    elif name == "CrossSection":  # its own __eq__ and __hash__, as before
+    elif name in OWN_EQ:
         assert a == b and hash(a) == hash(b)
     elif _hashable(vars(a).values()):
         assert hash(a) == hash(ref_a) == hash(tuple(vars(a).values()))
@@ -227,7 +256,10 @@ def test_replace_builds_a_new_record_with_the_changes(name):
     copy = record.replace()
     assert type(copy) is cls and copy is not record and vars(copy) == vars(record)
     changed = record.replace(**{field: value})
-    assert getattr(changed, field) is value
+    if name in NORMALISED:
+        assert getattr(changed, field) == value
+    else:
+        assert getattr(changed, field) is value
     with pytest.raises(TypeError, match="'no_such_field'"):
         record.replace(no_such_field=1)
 
@@ -249,6 +281,32 @@ def test_post_init_validates_on_construction_and_on_replace():
     assert MultiIndex(1).replace(cross=(3, 0, 0)).cross == (3,)
     with pytest.raises(ValueError, match="Hermitian|square"):
         CrossSection.circle().replace(kind=CrossKind.GENERIC)
+
+
+def test_operators_normalise_on_construction_and_on_replace():
+    term = CoeffTerm(1, 2, (3, 1, 0))
+    assert (term.nu, term.value, term.lam_poly) == (1.0, 2 + 0j, (3 + 0j, 1 + 0j))
+    assert type(term.nu) is float and type(term.value) is complex
+    assert term.replace(lam_poly=(1, 0)).lam_poly is None  # q = 1 is no q
+    with pytest.raises(NotRepresentableError, match="nu=-1 is negative"):
+        term.replace(nu=-1)
+    # equal exponents merge, zeros drop, the rest sorts by (nu, q degree)
+    co = Coefficient([CoeffTerm(1.0, 1.0), CoeffTerm(0.0, 2.0), CoeffTerm(1.0, -1.0),
+                      CoeffTerm(0.0, 1.0, (0, 1))])
+    assert co.terms == (CoeffTerm(0.0, 2.0), CoeffTerm(0.0, 1.0, (0, 1)))
+    assert co.replace(terms=[CoeffTerm(0.0, 1.0), CoeffTerm(0.0, -1.0)]).terms == ()
+    p = make_model("polar_laplacian")
+    q = BoundaryOperator(p.structure, p.cross_section,
+                         {MultiIndex(0, (), 1): 1.0, MultiIndex(2): Coefficient.constant(1.0)})
+    assert q == p and hash(q) == hash(p) and q.terms == p.terms and q.order == 2
+    # a multi-index given twice merges its coefficients
+    halves = [(MultiIndex(2), 0.5), (MultiIndex(0, (), 1), 1.0), (MultiIndex(2), 0.5)]
+    assert BoundaryOperator(p.structure, p.cross_section, halves) == p
+    assert p.replace(order=2) == p
+    with pytest.raises(ValueError, match="declared order 3 does not match"):
+        p.replace(order=3)
+    with pytest.raises(ValueError, match="inconsistent system sizes"):
+        p.replace(terms={MultiIndex(2): np.eye(2), MultiIndex(0): np.eye(3)})
 
 
 def test_cached_properties_are_computed_once_per_record():

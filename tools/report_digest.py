@@ -78,6 +78,9 @@ Run it in each checkout and diff the two files.  Each line reads
   (1 - r) d_theta^2 + 1 (its symbol vanishes at r = 1: NotFredholm with
   witness r = 1) and (r d/dr)^2 + (1 + r) d_theta^2 + 1 (elliptic), so
   that every sampled radius counts;
+- the text and JSON `check` (weight 0) of the explicit spec of the
+  built-in `cyl_coord_laplacian` (`serialize_operator` of the model),
+  whose report carries the mixed-scaling caveat as the model's does;
 - the `verify --scan-csv` files of a scalar `modes` spec and the
   `systems` specs `2x2_order2` and `4x4_order4` (seed 1, the benchmark's
   arguments), and of the built-in `polar_laplacian` at weight 0, whose
@@ -124,6 +127,7 @@ from fredholm_kit import (  # noqa: E402
     LieStructure,
     MultiIndex,
     compose,
+    make_model,
     make_operator,
 )
 from fredholm_kit.cli import main as cli_main, serialize_operator  # noqa: E402
@@ -404,6 +408,12 @@ def runs(workdir: str):
         for command in ("check", "verify"):
             yield (f"radial-principal/{name}/{command}",
                    [command, path, "--weight", "0.3", "--format", "json"])
+    path = os.path.join(workdir, "explicit-cyl_coord_laplacian.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(serialize_operator(make_model("cyl_coord_laplacian")), fh, indent=2)
+    for fmt in ("text", "json"):
+        yield (f"explicit/cyl_coord_laplacian/{fmt}/check",
+               ["check", path, "--weight", "0", "--format", fmt])
 
 
 def scan_runs(workdir: str):
