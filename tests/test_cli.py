@@ -1051,8 +1051,8 @@ def test_overflowing_symbol_determinant_is_written_as_null(tmp_path):
 
 
 def test_report_digest_lists_every_report(tmp_path, monkeypatch):
-    # byte-identity checks diff this list between checkouts; a workload or
-    # spec rename must not shrink it silently
+    # byte-identity checks diff this list against the committed digest; a
+    # workload or spec rename must not shrink it silently
     import importlib.util
 
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and perfbench/
@@ -1084,6 +1084,16 @@ def test_report_digest_lists_every_report(tmp_path, monkeypatch):
                                            "polar_laplacian", "4x4_order4",
                                            "polar_laplacian@wide_tau_range"]
     assert all(csv.endswith(".csv") for _, csv in scans)
+    # the committed digest lists the same runs in the same order, so a run
+    # added without regenerating it fails here, not only in a full --check
+    with open(digest.COMMITTED, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("# numpy ")
+    committed = [line.split(" ", 2)[2] for line in lines[1:]]
+    assert [label for label in committed if not label.endswith("/stderr")
+            and not label.startswith("scan-csv/")] == labels
+    scan_names = [label.split("/")[1] for label in committed if label.startswith("scan-csv/")]
+    assert list(dict.fromkeys(scan_names)) == [name for name, _ in scans]
 
 
 def test_sc_and_cgamma_runs_import_only_numpy_and_click():

@@ -1,12 +1,16 @@
-"""Print one sha256 per CLI report, so that two checkouts can be compared
-for byte-identical output.
+"""Print one sha256 per CLI report, so that a change that moves a report
+shows as a diff of the committed digest, tools/report_digest.txt.
 
-    python3 tools/report_digest.py > digests.txt
+    python3 tools/report_digest.py > tools/report_digest.txt
+    python3 tools/report_digest.py --check
 
-Run it in each checkout and diff the two files.  Each line reads
-`<sha256 of stdout> <exit code> <label>`; a run that exits 3 (an
-`error:` line, empty stdout) adds a line `<sha256 of stderr> 3
-<label>/stderr`.  The reports are:
+The first line is a header, `# numpy <version>, BLAS <name> <version>`.
+Each further line reads `<sha256 of stdout> <exit code> <label>`; a run
+that exits 3 (an `error:` line, empty stdout) adds a line `<sha256 of
+stderr> 3 <label>/stderr`.  `--check` prints every line that differs
+from the committed file, as a diff, and exits 1 when a report line
+differs; a header that differs (another numpy or BLAS) is printed but
+does not fail the check.  The reports are:
 
 - the JSON `check` and `verify` output for every spec of the benchmark
   workloads `cli-cold`, `modes`, `systems` and `symbols` at seeds 1 and 2,
@@ -97,6 +101,8 @@ the import included, on a two-core x86-64 host.
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -104,10 +110,12 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMITTED = os.path.join(ROOT, "tools", "report_digest.txt")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+import numpy as np  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 import workloads  # noqa: E402
@@ -440,20 +448,55 @@ def _invoke(runner: CliRunner, argv: list[str]) -> tuple:
     return result.stdout_bytes, result.stderr_bytes, result.exit_code
 
 
-def main() -> int:
+def header() -> str:
+    """The numpy and BLAS versions the digest was taken with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
+def digest_lines():
+    """The digest, one line at a time, the header first."""
+    yield header()
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as workdir:
         for label, argv in runs(workdir):
             stdout, stderr, code = _invoke(runner, argv)
-            print(f"{hashlib.sha256(stdout).hexdigest()} {code} {label}", flush=True)
+            yield f"{hashlib.sha256(stdout).hexdigest()} {code} {label}"
             if code == 3:
-                print(f"{hashlib.sha256(stderr).hexdigest()} {code} {label}/stderr", flush=True)
+                yield f"{hashlib.sha256(stderr).hexdigest()} {code} {label}/stderr"
         for run_name, argv, sub in scan_runs(workdir):
             _, _, code = _invoke(runner, argv)
             for name in sorted(os.listdir(sub)):
                 with open(os.path.join(sub, name), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{digest} {code} scan-csv/{run_name}/{name}", flush=True)
+                yield f"{digest} {code} scan-csv/{run_name}/{name}"
+
+
+def check() -> int:
+    """Diff the digest against the committed file: 1 when a report line
+    differs, 0 otherwise (a differing header is only printed)."""
+    with open(COMMITTED, encoding="utf-8") as fh:
+        committed = fh.read().splitlines()
+    now = list(digest_lines())
+    if committed[:1] != now[:1]:
+        print(f"header differs: committed {committed[:1]}, now {now[:1]}")
+    diff = list(difflib.unified_diff(committed[1:], now[1:], "committed", "now",
+                                     n=0, lineterm=""))
+    for line in diff:
+        print(line)
+    print(f"{len(now) - 1} report lines, "
+          + ("some differ" if diff else "all equal to the committed digest"))
+    return 1 if diff else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tools/report_digest.txt; exit 1 when a line differs")
+    if parser.parse_args().check:
+        return check()
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 
