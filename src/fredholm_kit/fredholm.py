@@ -354,6 +354,8 @@ def _positive_root(coeffs: np.ndarray) -> float:
     # computes them: a linear polynomial solved directly, else the sorted
     # eigenvalues of the companion matrix.  Past the check above the
     # leading coefficient is nonzero, so the series needs no trimming.
+    # Kept over `np.roots`: its companion matrix moves the last bits of the
+    # sc scan radius, and with it six reports (tools/report_digest.txt).
     n = len(coeffs) - 1
     if n == 0:
         roots = ()

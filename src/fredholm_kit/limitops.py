@@ -14,6 +14,9 @@ walker as the principal symbol (`opalg._symbol_stack`).  For the zero
 frame it is read in the half-space frame {s d/ds, s d/dw_j}; no
 closed-form invertibility criterion is implemented for it, only
 numerical sampling (`fredholm.half_space_sample`).
+
+The indicial coefficients are numpy products over all channels at once;
+a channel-by-channel loop gives them to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .liestruct import FredholmKitError, StructureKind, _nu_key
 from .opalg import (
     BoundaryOperator,
     Coefficient,
-    _cmul,
     _is_matrix,
     _mode_factor,
 )
@@ -443,8 +445,7 @@ class IndicialFamily(Record):
         w = -1j * float(delta)
         out = np.zeros_like(self.coeffs)
         for m in range(self.coeffs.shape[1]):
-            # each power's rows made contiguous, as one channel's array was
-            cm = np.ascontiguousarray(self.coeffs[:, m])
+            cm = self.coeffs[:, m]
             wp = 1.0 + 0j
             for d in range(m + 1):
                 out[:, m - d] = out[:, m - d] + cm * (math.comb(m, d) * wp)
@@ -465,12 +466,9 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     The (C, m + 1, k, k) array, in channel order, is filled by one numpy
     pass per frozen (multi-index, coefficient term) over the eigenvalue
     and frequency arrays of the channel table, each added into
-    coeffs[:, radial] in term order.  Every coefficient equals, bit for
-    bit, the one a channel-by-channel Python loop gives: the factor
-    q(lambda) (-lambda)^l (partials) of `opalg._mode_factor`, the same
-    one `BoundaryOperator.apply` uses, times i^radial by CPython's complex
-    product (`_cmul`); only the product of the factor with a matrix value
-    is numpy's, as it was in the loop.
+    coeffs[:, radial] in term order: the factor q(lambda) (-lambda)^l
+    (partials) of `opalg._mode_factor`, the same one
+    `BoundaryOperator.apply` uses, times i^radial and the term's value.
     """
     chans = base.mode_channels(table)
     k = base.system_size
@@ -485,10 +483,9 @@ def indicial_family(base: BoundaryOperator, table: ModeTable) -> IndicialFamily:
     with np.errstate(over="ignore", invalid="ignore"):
         for mi, co in base.terms:
             for ct in co.terms:
-                factor = _cmul(_mode_factor(ct.lam_poly, mi.cross, mi.laplacian, chans),
-                               1j ** mi.radial)
+                factor = _mode_factor(ct.lam_poly, mi.cross, mi.laplacian, chans) * 1j ** mi.radial
                 if _is_matrix(ct.value):
                     coeffs[:, mi.radial] += factor[:, None, None] * ct.value
                 else:
-                    coeffs[:, mi.radial] += _cmul(factor, ct.value)[:, None, None] * eye
+                    coeffs[:, mi.radial] += (factor * ct.value)[:, None, None] * eye
     return IndicialFamily(chans, coeffs, warning)

@@ -35,6 +35,11 @@ goes through `symbol_monomial` as well.  Mode actions are built in one
 place too: `_mode_factor` gives q(lambda), the Laplacian powers and the
 tangential partials on every channel of a table, for `apply` and for the
 indicial family (`limitops.indicial_family`).
+
+Symbols and mode factors are plain numpy products and powers over the
+whole stack of covectors or channels.  They agree with a per-covector or
+per-channel loop to rounding, not bit for bit; the reports print few
+enough digits that none moves (tools/report_digest.txt).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._util import Record
+from ._util import Record, polyval
 from .crosssec import ChannelTable, CrossSection, ModeTable, channels
 from .liestruct import (
     FredholmKitError,
@@ -83,31 +88,12 @@ def _value_mul(a, b):
     return a * b
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b for complex arrays (or floats, read with imaginary part +0.0)
-    by CPython's complex product, each part rounded twice: numpy's complex
-    multiply may fuse a product into the sum, which moves the last bit."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _freeze(v):
     if _is_matrix(v):
         out = np.array(v, dtype=complex)
         out.setflags(write=False)
         return out
     return complex(v)
-
-
-def _ipow(x, n: int):
-    """Integer power by repeated multiplication, so equal powers computed
-    along different code paths agree bit for bit."""
-    out = x * 0 + 1
-    for _ in range(n):
-        out = out * x
-    return out
 
 
 def _poly_mul(p: tuple, q: tuple) -> tuple:
@@ -284,7 +270,7 @@ def _fmt_value(v: complex) -> str:
     return f"{v.real if v.imag == 0 else v:g}"
 
 
-def _power(word: str, p: int) -> str:
+def _raised(word: str, p: int) -> str:
     return word + (f"^{p}" if p > 1 else "")
 
 
@@ -307,10 +293,10 @@ def _render_terms(terms, radial: str, cross, laplacian: str, weight) -> str:
             if ct.lam_poly is not None:
                 factors.append(f"q{tuple(_round6(c) for c in ct.lam_poly)}(lam)")
             if mi.radial:
-                factors.append(_power(radial, mi.radial))
-            factors += [_power(cross(j + 1), p) for j, p in enumerate(mi.cross) if p]
+                factors.append(_raised(radial, mi.radial))
+            factors += [_raised(cross(j + 1), p) for j, p in enumerate(mi.cross) if p]
             if mi.laplacian:
-                factors.append(_power(laplacian, mi.laplacian))
+                factors.append(_raised(laplacian, mi.laplacian))
             chunks.append(" ".join(factors) if factors else "1")
     return " + ".join(chunks)
 
@@ -550,51 +536,30 @@ class RadialGrid(Record):
         return 2j * np.pi * np.fft.fftfreq(self.n, d=self.dt)
 
 
-def _cpow(x: np.ndarray, n: int) -> np.ndarray:
-    """x ** n for an integer n >= 1 by CPython's binary powering of a
-    complex (c_powu), product for product."""
-    out = np.ones_like(x)
-    mask = 1
-    while mask <= n:
-        if n & mask:
-            out = _cmul(out, x)
-        mask <<= 1
-        x = _cmul(x, x)
-    return out
-
-
 def _mode_factor(lam_poly, cross: tuple[int, ...], laplacian: int,
                  chans: ChannelTable) -> np.ndarray:
     """q(lambda) (-lambda)^laplacian (d/dy^cross) on every channel, one
-    complex array, multiplied up in that order by CPython's complex product
-    (`_cmul`).  q(lambda) is a Horner pass as `CoeffTerm.lam_value`; the
-    Laplacian and unsigned even-partial powers are CPython float powers,
-    element by element; signed partials (i v)^p use CPython's binary
-    powering (`_cpow`).  Unsigned circle channels admit even partials
-    through lambda = k^2 only."""
-    lams = chans.eigenvalues.tolist()  # Python floats: CPython float powers
+    complex array.  q(lambda) is a Horner pass (`polyval`); a signed
+    partial d/dy_j^p is (i v_j)^p of the channel frequencies v.  Unsigned
+    circle channels admit even partials through lambda = k^2 only, as
+    (-lambda)^(p/2)."""
+    lams = chans.eigenvalues
     if lam_poly is None:
         factor = np.ones(len(chans), dtype=complex)
     else:
-        factor = np.zeros(len(chans), dtype=complex)
-        for c in reversed(lam_poly):
-            factor = _cmul(factor, chans.eigenvalues) + c
+        factor = polyval(lams, lam_poly)
     if laplacian:
-        factor = _cmul(factor, np.array([(-lam) ** laplacian for lam in lams]))
-    if any(cross):
-        partials = np.ones(len(chans), dtype=complex)
-        for j, p in enumerate(cross):
-            if not p:
-                continue
-            if chans.vectors is not None:
-                partials = _cmul(partials, _cpow(_cmul(1j, chans.vectors[:, j].astype(float)), p))
-            elif p % 2 == 0 and len(cross) == 1:
-                h = p // 2
-                partials = _cmul(partials, (-1.0) ** h * np.array([lam ** h for lam in lams]))
-            else:
-                raise FredholmKitError(
-                    "explicit tangential partials need signed mode channels")
-        factor = _cmul(factor, partials)
+        factor = factor * (-lams) ** laplacian
+    for j, p in enumerate(cross):
+        if not p:
+            continue
+        if chans.vectors is not None:
+            factor = factor * (1j * chans.vectors[:, j]) ** p
+        elif p % 2 == 0 and len(cross) == 1:
+            factor = factor * (-lams) ** (p // 2)
+        else:
+            raise FredholmKitError(
+                "explicit tangential partials need signed mode channels")
     return factor
 
 
@@ -651,7 +616,7 @@ def compose(p: BoundaryOperator, q: BoundaryOperator) -> BoundaryOperator:
             lap = tp.lap + tq.lap
             # move T^tp.t past r^mu
             for j in range(tp.t, -1, -1):
-                binom = math.comb(tp.t, j) * _ipow(mu, tp.t - j)
+                binom = math.comb(tp.t, j) * mu ** (tp.t - j)
                 if binom == 0:
                     continue
                 out.append(BTerm(tp.nu + tq.nu, _value_mul(binom, value),
@@ -675,7 +640,7 @@ def conjugate(p: BoundaryOperator, delta: float) -> BoundaryOperator:
     new_terms = []
     for mi, co in p.terms:
         for j in range(mi.radial, -1, -1):
-            factor = math.comb(mi.radial, j) * _ipow(delta, mi.radial - j)
+            factor = math.comb(mi.radial, j) * delta ** (mi.radial - j)
             if factor == 0:
                 continue
             new_terms.append((MultiIndex(j, mi.cross, mi.laplacian), co.scaled(factor)))
@@ -712,22 +677,13 @@ def _eta_vector(p: BoundaryOperator, eta) -> np.ndarray:
     return eta
 
 
-def _pow(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n elementwise, rounded as a Python float power (the C library
-    pow); numpy's vectorized power can differ from it in the last bit for
-    n >= 2."""
-    if n < 2:
-        return x ** n
-    return np.array([v ** n for v in x.tolist()])
-
-
 def symbol_monomial(mi: MultiIndex, xi: np.ndarray, eta: np.ndarray,
                     eta2: np.ndarray) -> np.ndarray:
     """(i xi)^a (-|eta|^2)^l prod_j (i eta_j)^p_j for the multi-index
     (a, p, l), elementwise over n covectors: xi and eta2 have shape (n,),
     eta has shape (n, d).  |eta|^2 is an input because callers round it
     differently (a per-covector dot product or an elementwise sum)."""
-    factor = _pow(-eta2, mi.laplacian)
+    factor = (-eta2) ** mi.laplacian
     if mi.radial:
         factor = (1j * xi) ** mi.radial * factor
     for j, pw in enumerate(mi.cross):
@@ -739,16 +695,14 @@ def symbol_monomial(mi: MultiIndex, xi: np.ndarray, eta: np.ndarray,
 def symbol_stack(pieces, k: int, n: int) -> np.ndarray:
     """Sum of factor * value over (factor, value) pairs, where factor has
     shape (n,) and value is a scalar or a k x k matrix: an (n,) stack for
-    k == 1, an (n, k, k) stack otherwise.  Each entry equals the sum taken
-    one covector at a time with Python scalars, bit for bit."""
+    k == 1, an (n, k, k) stack otherwise.  The pairs are added in order,
+    with numpy's complex arithmetic."""
     acc = np.zeros((n, k, k), dtype=complex)
     for factor, value in pieces:
         if _is_matrix(value):
             acc += factor[:, None, None] * value
             continue
-        # numpy's complex multiply rounds like `_cmul` when a part of the
-        # value is zero, and is cheaper
-        piece = _cmul(factor, value) if value.real and value.imag else factor * value
+        piece = factor * value
         for i in range(k):
             acc[:, i, i] += piece
     return acc[:, 0, 0] if k == 1 else acc
@@ -765,7 +719,7 @@ def _symbol_pieces(p: BoundaryOperator, xi: np.ndarray, eta: np.ndarray,
                 continue
             factor = symbol_monomial(mi, xi, eta, eta2)
             if ct.lam_degree:
-                factor = factor * (ct.lam_poly[-1] * _pow(eta2, ct.lam_degree))
+                factor = factor * (ct.lam_poly[-1] * eta2 ** ct.lam_degree)
             yield ct.nu, factor, ct.value
 
 
@@ -826,6 +780,8 @@ def unit_covectors(dim_total: int, n_dir: int,
         rows += (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
     rows = np.array(rows)
     eta = rows[:, 1:]
+    # per-row dot products, as principal_symbol rounds |eta|^2: a sum or
+    # einsum rounds it differently and moves four hyperbolic_laplacian reports
     out = rows[:, 0], eta, np.array([np.dot(e, e) for e in eta])
     for a in out:
         a.flags.writeable = False
@@ -862,7 +818,7 @@ class EllipticityResult(Record):
 def _min_singular(stack: np.ndarray) -> float:
     """Smallest singular value over a symbol_stack (|value| for scalars)."""
     if stack.ndim == 1:
-        return float(np.min(np.hypot(stack.real, stack.imag)))
+        return float(np.min(np.abs(stack)))
     return float(np.min(np.linalg.svd(stack, compute_uv=False)[:, -1]))
 
 
@@ -891,7 +847,7 @@ def is_elliptic(p: BoundaryOperator) -> EllipticityResult:
         sym = symbol_stack(_at_radius(pieces, r), p.system_size, xi.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, not a warning
             det = sym if sym.ndim == 1 else np.linalg.det(sym)
-        row[:] = np.hypot(det.real, det.imag)  # abs() of a Python complex
+        row[:] = np.abs(det)
     i, j = np.unravel_index(np.argmin(absdet), absdet.shape)
     best = float(absdet[i, j])
     return EllipticityResult(best >= _ELLIPTIC_THRESHOLD, best, float(rs[i]),

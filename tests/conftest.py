@@ -20,6 +20,20 @@ from fredholm_kit import (
 
 erf = np.vectorize(math.erf, otypes=[float])
 
+# c of the rounding bound c * 2^-53 * (the reference loop run on absolute
+# values) within which batched symbols and indicial families equal their
+# per-covector and per-channel reference loops: each entry sums a few
+# terms, each a product of at most a few dozen roundings (Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 3)
+ROUNDING_C = 64
+
+
+def assert_within_rounding(got, want, absolute, what=None):
+    """|got - want| <= ROUNDING_C * 2^-53 * |absolute| entrywise, where
+    absolute is the reference loop run on absolute values."""
+    bound = ROUNDING_C * 2.0 ** -53 * np.abs(absolute)
+    assert np.all(np.abs(np.asarray(got) - np.asarray(want)) <= bound), what
+
 
 def smooth_window(t, a, b, tau=0.25):
     """C-infinity window that is 1 on [a + 7 tau, b - 7 tau] to machine

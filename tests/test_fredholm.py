@@ -65,6 +65,7 @@ from fredholm_kit.opalg import (
 from conftest import (
     JORDAN_SHIFTS,
     LARGE_SHIFTS,
+    assert_within_rounding,
     b_system_order2,
     b_system_order4,
     b_system_order4_singular,
@@ -840,9 +841,11 @@ def test_tail_and_sc_radius_that_overflow_certify_nothing():
     assert v.status == "undecided" and math.isinf(v.radius) and v.resolutions == ()
 
 
-def reference_full_symbol(frozen, xi, eta, eta2):
+def reference_full_symbol(frozen, xi, eta, eta2, absolute=False):
     """The full symbol of a frozen operator at one covector, term by term
-    with Python scalars."""
+    with Python scalars; with absolute=True, the same loop on absolute
+    values (each term is a product, so its modulus), the scale of the
+    rounding bound."""
     k = frozen.system_size
     total = np.zeros((k, k), dtype=complex)
     for mi, co in frozen.terms:
@@ -852,6 +855,8 @@ def reference_full_symbol(frozen, xi, eta, eta2):
                 if pw:
                     factor *= (1j * eta[j]) ** pw
             piece = factor * ct.value
+            if absolute:
+                piece = abs(piece)
             total += piece if isinstance(piece, np.ndarray) else piece * np.eye(k)
     return total if k > 1 else complex(total[0, 0])
 
@@ -895,9 +900,9 @@ def test_sc_symbol_eval_and_grid_match_per_covector_loop(name):
     rng = np.random.default_rng(6)
     for _ in range(300):
         pt = np.array([[float(rng.normal()), *np.abs(rng.normal(size=dim - 1))]])
-        assert np.array_equal(full_stack(frozen, pt)[0],
-                              reference_full_symbol(frozen, pt[0, 0], pt[0, 1:],
-                                                    sum(e * e for e in pt[0, 1:])))
+        args = pt[0, 0], pt[0, 1:], sum(e * e for e in pt[0, 1:])
+        assert_within_rounding(full_stack(frozen, pt)[0], reference_full_symbol(frozen, *args),
+                               reference_full_symbol(frozen, *args, absolute=True), pt)
     grids = [fredholm._sc_axes(frozen, 2.0, 9)]
     for _ in range(20):  # zoom windows, whose |eta|^2 sums round
         grids.append([np.linspace(c - 0.3, c + 0.3, 5)
@@ -906,12 +911,13 @@ def test_sc_symbol_eval_and_grid_match_per_covector_loop(name):
         points = [tuple(float(v) for v in pt)
                   for pt in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))]
         # the grid sums |eta|^2 elementwise, coordinate by coordinate
-        vals = [reference_full_symbol(frozen, pt[0], pt[1:], sum(e * e for e in pt[1:]))
-                for pt in points]
+        args = [(pt[0], pt[1:], sum(e * e for e in pt[1:])) for pt in points]
         stack = full_stack(frozen, np.array(points))
-        assert all(np.array_equal(a, b) for a, b in zip(stack, vals))
-        dets = np.abs(np.array(vals) if frozen.system_size == 1
-                      else np.linalg.det(np.array(vals)))
+        for a, pt_args in zip(stack, args):
+            assert_within_rounding(a, reference_full_symbol(frozen, *pt_args),
+                                   reference_full_symbol(frozen, *pt_args, absolute=True))
+        # the grid's minimum is the first minimum of the stack over its points
+        dets = np.abs(stack if frozen.system_size == 1 else np.linalg.det(stack))
         i = int(np.argmin(dets))
         assert fredholm._sc_eval_grid(frozen, axes) == (float(dets[i]), points[i])
 

@@ -41,6 +41,8 @@ from fredholm_kit.opalg import (
     unit_covectors,
 )
 from conftest import (
+    ROUNDING_C,
+    assert_within_rounding,
     b_system_order4,
     cross_partial_factor,
     gaussian_packet,
@@ -280,8 +282,10 @@ def test_cyl_coord_laplacian_mixes_scalings_and_is_degenerate():
 # ---------------------------------------------------------------------------
 
 
-def reference_principal(p, r, xi, eta):
-    """sigma_m(P) at one covector, term by term with Python scalars."""
+def reference_principal(p, r, xi, eta, absolute=False):
+    """sigma_m(P) at one covector, term by term with Python scalars; with
+    absolute=True, the same loop on absolute values (each term is a
+    product, so its modulus), the scale of the rounding bound."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     eta2 = float(np.dot(eta, eta))
     k = p.system_size
@@ -298,13 +302,24 @@ def reference_principal(p, r, xi, eta):
                 factor *= ct.lam_poly[-1] * eta2 ** ct.lam_degree
             factor *= float(r) ** ct.nu
             piece = factor * ct.value
+            if absolute:
+                piece = abs(piece)
             total += piece if isinstance(piece, np.ndarray) else piece * np.eye(k)
     return total if k > 1 else complex(total[0, 0])
 
 
 def reference_abs_det(p, r, xi, eta):
+    """|det sigma_m| at one covector by the loop, and the scale of its
+    rounding bound: |sigma| of the loop on absolute values, or for 2x2 three
+    times the permanent of that loop's matrix A, which covers the two
+    products perturbed within c 2^-53 A and the determinant's own
+    rounding."""
     sym = reference_principal(p, r, xi, eta)
-    return abs(complex(np.linalg.det(sym)) if p.system_size > 1 else sym)
+    a = abs(reference_principal(p, r, xi, eta, absolute=True))
+    if p.system_size == 1:
+        return abs(sym), a
+    assert p.system_size == 2
+    return abs(complex(np.linalg.det(sym))), 3 * (a[0, 0] * a[1, 1] + a[0, 1] * a[1, 0])
 
 
 def symbol_operator(name):
@@ -374,14 +389,16 @@ def test_principal_stack_matches_per_covector_loop(name):
         stack = _symbol_stack(p, r, xi, eta, eta2)
         assert stack.shape[0] == xi.shape[0]
         for i, (x, e) in enumerate(zip(xi.tolist(), eta.tolist())):
-            assert np.array_equal(stack[i], reference_principal(p, r, x, e))
+            assert_within_rounding(stack[i], reference_principal(p, r, x, e),
+                                   reference_principal(p, r, x, e, absolute=True), (r, i))
     # off the sample sphere, through the one-covector entry point
     rng = np.random.default_rng(5)
     for _ in range(500):
         x = float(rng.normal())
         e = tuple(float(v) for v in np.abs(rng.normal(size=dim_total - 1)))
-        assert np.array_equal(principal_symbol(p, 0.61, x, e),
-                              reference_principal(p, 0.61, x, e))
+        assert_within_rounding(principal_symbol(p, 0.61, x, e),
+                               reference_principal(p, 0.61, x, e),
+                               reference_principal(p, 0.61, x, e, absolute=True), (x, e))
 
 
 def reference_apply(p, u, grid, table):
@@ -468,23 +485,28 @@ def test_is_elliptic_and_symbol_floor_match_per_covector_loop(name):
     p = symbol_operator(name)
     dim_total, mag = _covector_dim(p)
     xi, eta, _ = unit_covectors(dim_total, 96, mag)
-    samples = [(reference_abs_det(p, r, x, e), float(r), (x, *e))
-               for r in np.linspace(0.0, 1.0, 9) for x, e in zip(xi.tolist(), eta.tolist())]
-    # the witness is the first minimum in (radius, direction) order
-    best = min(samples, key=lambda s: s[0])
+    samples = {(float(r), (x, *e)): reference_abs_det(p, r, x, e)
+               for r in np.linspace(0.0, 1.0, 9) for x, e in zip(xi.tolist(), eta.tolist())}
+    # the minimum, and a witness that attains it, to rounding
+    best = min(value for value, _ in samples.values())
+    slack = ROUNDING_C * 2.0 ** -53 * max(scale for _, scale in samples.values())
     res = is_elliptic(p)
-    assert (res.min_abs_det, res.witness_r, res.witness_covector) == best
+    assert abs(res.min_abs_det - best) <= slack
+    assert samples[res.witness_r, res.witness_covector][0] <= best + 2 * slack
     assert res.grid == (9, xi.shape[0])
     if name in ("ties_across_radii", "torus_laplacian"):
-        assert sum(s[0] == best[0] for s in samples) > 1
+        assert sum(value <= best + slack for value, _ in samples.values()) > 1
 
-    floor = math.inf
+    # the floor, to rounding: a singular value moves by at most the
+    # Frobenius norm of the perturbation
+    floor, scale = math.inf, 0.0
     xi, eta, _ = unit_covectors(dim_total, FLOOR_DIRECTIONS, mag)
     for x, e in zip(xi.tolist(), eta.tolist()):
         sym = reference_principal(p, 0.0, x, e)
         floor = min(floor, float(np.linalg.svd(sym, compute_uv=False)[-1])
                     if p.system_size > 1 else abs(sym))
-    assert symbol_min_singular(p) == floor
+        scale = max(scale, np.linalg.norm(reference_principal(p, 0.0, x, e, absolute=True)))
+    assert abs(symbol_min_singular(p) - floor) <= ROUNDING_C * 2.0 ** -53 * scale
 
 
 def reference_is_elliptic(p):

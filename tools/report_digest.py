@@ -478,8 +478,8 @@ def check() -> int:
     with open(COMMITTED, encoding="utf-8") as fh:
         committed = fh.read().splitlines()
     now = list(digest_lines())
-    if committed[:1] != now[:1]:
-        print(f"header differs: committed {committed[:1]}, now {now[:1]}")
+    if committed[0] != now[0]:
+        print(f"header differs: committed {committed[0]!r}, now {now[0]!r}")
     diff = list(difflib.unified_diff(committed[1:], now[1:], "committed", "now",
                                      n=0, lineterm=""))
     for line in diff:
